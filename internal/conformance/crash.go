@@ -67,12 +67,12 @@ func journalOutcome(o journal.Outcome) Outcome {
 }
 
 // crashServerConfig builds the same five-cell live config RunLive uses, plus
-// the journal wiring.
-func crashServerConfig(m *Model, w *Workload, opts LiveOpts, jnl *journal.Journal, firstID uint64) server.Config {
+// the journal wiring; executed tasks are reported to log.
+func crashServerConfig(m *Model, opts LiveOpts, jnl *journal.Journal, firstID uint64, log *taskLog) server.Config {
 	return server.Config{
 		Workers:          opts.Workers,
 		MaxTasksToSubmit: opts.MaxTasksToSubmit,
-		TraceCapacity:    4*w.Cells() + 16*len(w.Reqs) + 256,
+		TaskObserver:     log.observe,
 		Faults:           opts.Faults,
 		MaxQueuedCells:   opts.MaxQueuedCells,
 		Journal:          jnl,
@@ -133,6 +133,8 @@ func appendGarbage(dir string, seed uint64, n int) error {
 //     completed on, bit-matches the sequential oracle
 //   - torn tails (when injected) are detected and skipped without losing
 //     acknowledged records
+//   - telemetry: each server's metric registry — the crashed one after Stop,
+//     the restarted one after Drain — reconciles with its task log
 func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashResult, error) {
 	lo := opts.LiveOpts.withDefaults()
 	frac := opts.KillAfterFrac
@@ -164,7 +166,8 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	if err != nil {
 		return nil, fmt.Errorf("conformance: opening journal: %w", err)
 	}
-	srv, err := server.New(crashServerConfig(m, w, lo, jnl, 0))
+	var log1, log2 taskLog
+	srv, err := server.New(crashServerConfig(m, lo, jnl, 0, &log1))
 	if err != nil {
 		return nil, err
 	}
@@ -226,6 +229,7 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	// the same loss profile as SIGKILL under sync=batch.
 	jnl.Kill()
 	srv.Stop()
+	res.Violations = append(res.Violations, reconcile(srv.Metrics().Registry(), log1.tasks)...)
 	for _, a := range handles {
 		<-a.handle.Done()
 		// Kill resolved every outstanding admit ack (fsynced → nil,
@@ -267,7 +271,7 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	if err != nil {
 		return nil, fmt.Errorf("conformance: reopening journal: %w", err)
 	}
-	srv2, err := server.New(crashServerConfig(m, w, lo, jnl2, rec.MaxID))
+	srv2, err := server.New(crashServerConfig(m, lo, jnl2, rec.MaxID, &log2))
 	if err != nil {
 		return nil, err
 	}
@@ -329,6 +333,7 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	if err := srv2.Drain(ctx); err != nil {
 		violate("unclean-drain", -1, "restarted server drain: %v", err)
 	}
+	res.Violations = append(res.Violations, reconcile(srv2.Metrics().Registry(), log2.tasks)...)
 	jnl2.Close()
 	cancels.Wait()
 

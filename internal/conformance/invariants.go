@@ -6,7 +6,7 @@ import (
 
 	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/core"
-	"batchmaker/internal/server"
+	"batchmaker/internal/obsv"
 	"batchmaker/internal/tensor"
 )
 
@@ -35,18 +35,20 @@ func FormatViolations(vs []Violation) string {
 }
 
 // Check applies every live-run invariant that must hold under any thread
-// interleaving, using only artifacts of the run (outcomes, stats, trace) and
-// the precomputed sequential oracle:
+// interleaving, using only artifacts of the run (outcomes, stats, the task
+// log, lifecycle span records) and the precomputed sequential oracle:
 //
 //   - outcome conservation: every workload request has exactly one terminal
 //     state, and the caller-observed outcome counts equal the server's own
 //     Outcomes counters;
-//   - trace lifecycle: every admitted request has exactly one admit event and
-//     exactly one terminal event, of the kind matching its outcome;
+//   - telemetry: the metric registry reconciles with the task log (see
+//     reconcile);
+//   - lifecycle: every admitted request has exactly one admit record and
+//     exactly one terminal record, of the kind matching its outcome;
 //   - exactly-once execution: no (request, node) row executes twice, rows
 //     belong to admitted requests, and node IDs are in range;
 //   - dependency order: every executed row's graph dependencies appear
-//     strictly earlier in the trace (producers before consumers — the
+//     strictly earlier in the task log (producers before consumers — the
 //     observable form of the paper's same-stream FIFO argument);
 //   - completion: a completed request executed its whole unfolded graph, and
 //     its outputs are bit-identical to the sequential oracle;
@@ -55,7 +57,7 @@ func FormatViolations(vs []Violation) string {
 //
 // It returns every violation found (empty means the run conformed).
 func Check(m *Model, w *Workload, res *LiveResult, oracle map[int]map[string]*tensor.Tensor) []Violation {
-	var vs []Violation
+	vs := append([]Violation(nil), res.Telemetry...)
 	violate := func(kind string, req int, format string, a ...interface{}) {
 		vs = append(vs, Violation{Kind: kind, Req: req, Detail: fmt.Sprintf(format, a...)})
 	}
@@ -129,13 +131,7 @@ func Check(m *Model, w *Workload, res *LiveResult, oracle map[int]map[string]*te
 		}
 	}
 
-	// --- Trace-based checks ---------------------------------------------
-	if res.TraceTotal != len(res.Trace) {
-		// The ring evicted events; the conservation checks below would be
-		// vacuous, so surface that instead of false positives.
-		violate("trace-evicted", -1, "trace holds %d of %d events; raise TraceCapacity", len(res.Trace), res.TraceTotal)
-		return vs
-	}
+	// --- Task-log checks ------------------------------------------------
 
 	// Per-request graph dependencies, rebuilt deterministically from the
 	// workload (BuildGraph is a pure function of the request).
@@ -158,70 +154,70 @@ func Check(m *Model, w *Workload, res *LiveResult, oracle map[int]map[string]*te
 		cells[r.Index] = len(g.Nodes)
 	}
 
-	admits := map[core.RequestID]int{}
-	terminals := map[core.RequestID][]server.EventKind{}
 	executed := make(map[int]map[cellgraph.NodeID]bool, len(res.IDs))
-	tracedCells := 0
-	for _, e := range res.Trace {
-		switch e.Kind {
-		case server.EventAdmit:
-			admits[e.Req]++
-		case server.EventComplete, server.EventFail, server.EventExpire, server.EventCancel:
-			terminals[e.Req] = append(terminals[e.Req], e.Kind)
-		case server.EventTaskExec:
-			if e.Batch != len(e.Nodes) {
-				violate("batch-mismatch", -1, "task event batch=%d but %d rows", e.Batch, len(e.Nodes))
+	for _, task := range res.Tasks {
+		if len(task.Rows) > res.MaxBatch {
+			violate("batch-overflow", -1, "task of %d rows exceeds MaxBatch %d", len(task.Rows), res.MaxBatch)
+		}
+		for _, ref := range task.Rows {
+			idx, ok := res.RevIDs[ref.Req]
+			if !ok {
+				violate("ghost-row", -1, "task executed row of unknown request id %d", ref.Req)
+				continue
 			}
-			if e.Batch > res.MaxBatch {
-				violate("batch-overflow", -1, "task of %d rows exceeds MaxBatch %d", e.Batch, res.MaxBatch)
+			d := deps[idx]
+			if d == nil {
+				continue // rebuild failed, already reported
 			}
-			tracedCells += len(e.Nodes)
-			for _, ref := range e.Nodes {
-				idx, ok := res.RevIDs[ref.Req]
-				if !ok {
-					violate("ghost-row", -1, "task executed row of unknown request id %d", ref.Req)
-					continue
-				}
-				d := deps[idx]
-				if d == nil {
-					continue // rebuild failed, already reported
-				}
-				if int(ref.Node) < 0 || int(ref.Node) >= len(d) {
-					violate("node-range", idx, "node %d out of range [0,%d)", ref.Node, len(d))
-					continue
-				}
-				done := executed[idx]
-				if done == nil {
-					done = make(map[cellgraph.NodeID]bool)
-					executed[idx] = done
-				}
-				if done[ref.Node] {
-					violate("duplicate-exec", idx, "node %d executed twice", ref.Node)
-				}
-				// Dependency order: every producer must already be executed
-				// — i.e. appear in a strictly earlier trace event. Rows of
-				// one event never depend on each other (ready sets contain
-				// no dependent pairs), so checking before marking is exact.
-				for _, dep := range d[ref.Node] {
-					if !done[dep] {
-						violate("dependency-order", idx, "node %d executed before its dependency %d", ref.Node, dep)
-					}
-				}
-				done[ref.Node] = true
+			if int(ref.Node) < 0 || int(ref.Node) >= len(d) {
+				violate("node-range", idx, "node %d out of range [0,%d)", ref.Node, len(d))
+				continue
 			}
+			done := executed[idx]
+			if done == nil {
+				done = make(map[cellgraph.NodeID]bool)
+				executed[idx] = done
+			}
+			if done[ref.Node] {
+				violate("duplicate-exec", idx, "node %d executed twice", ref.Node)
+			}
+			// Dependency order: every producer must already be executed
+			// — i.e. appear in a strictly earlier log entry. Rows of one
+			// task never depend on each other (ready sets contain no
+			// dependent pairs), so checking before marking is exact.
+			for _, dep := range d[ref.Node] {
+				if !done[dep] {
+					violate("dependency-order", idx, "node %d executed before its dependency %d", ref.Node, dep)
+				}
+			}
+			done[ref.Node] = true
 		}
 	}
-	if tracedCells != res.Stats.CellsRun {
-		violate("counter-mismatch", -1, "trace shows %d executed cells, stats counted %d", tracedCells, res.Stats.CellsRun)
+
+	// --- Lifecycle checks (request processor's span ring) ---------------
+	if res.LifecycleDropped > 0 {
+		// The ring overwrote records; the checks below would report false
+		// positives, so surface that instead.
+		violate("ring-evicted", -1, "request-processor ring overwrote %d records", res.LifecycleDropped)
+		return vs
+	}
+	admits := map[core.RequestID]int{}
+	terminals := map[core.RequestID][]obsv.Kind{}
+	for _, rec := range res.Lifecycle {
+		if rec.Kind == obsv.KindAdmit {
+			admits[core.RequestID(rec.Req)]++
+		} else {
+			terminals[core.RequestID(rec.Req)] = append(terminals[core.RequestID(rec.Req)], rec.Kind)
+		}
 	}
 
-	// Lifecycle: exactly one admit and one terminal event per admitted
-	// request, terminal kind matching the caller-observed outcome.
-	wantKind := map[Outcome]server.EventKind{
-		OutcomeCompleted: server.EventComplete,
-		OutcomeFailed:    server.EventFail,
-		OutcomeExpired:   server.EventExpire,
-		OutcomeCancelled: server.EventCancel,
+	// Exactly one admit and one terminal record per admitted request,
+	// terminal kind matching the caller-observed outcome.
+	wantKind := map[Outcome]obsv.Kind{
+		OutcomeCompleted: obsv.KindComplete,
+		OutcomeFailed:    obsv.KindFail,
+		OutcomeExpired:   obsv.KindExpire,
+		OutcomeCancelled: obsv.KindCancel,
 	}
 	idxs := make([]int, 0, len(res.IDs))
 	for idx := range res.IDs {
@@ -231,25 +227,25 @@ func Check(m *Model, w *Workload, res *LiveResult, oracle map[int]map[string]*te
 	for _, idx := range idxs {
 		id := res.IDs[idx]
 		if n := admits[id]; n != 1 {
-			violate("lifecycle", idx, "%d admit events (want 1)", n)
+			violate("lifecycle", idx, "%d admit records (want 1)", n)
 		}
 		ts := terminals[id]
 		if len(ts) != 1 {
-			violate("lifecycle", idx, "%d terminal events %v (want 1)", len(ts), ts)
+			violate("lifecycle", idx, "%d terminal records %v (want 1)", len(ts), ts)
 			continue
 		}
 		if want := wantKind[res.Outcome[idx]]; ts[0] != want {
-			violate("lifecycle", idx, "terminal event %v but caller observed %v", ts[0], res.Outcome[idx])
+			violate("lifecycle", idx, "terminal record %v but caller observed %v", ts[0], res.Outcome[idx])
 		}
 		// Completed requests must have executed their entire graph.
 		if res.Outcome[idx] == OutcomeCompleted && len(executed[idx]) != cells[idx] {
 			violate("conservation", idx, "completed with %d/%d cells executed", len(executed[idx]), cells[idx])
 		}
 	}
-	// Requests never admitted must not appear in the trace at all.
+	// Requests never admitted must not appear in the ring at all.
 	for id := range admits {
 		if _, ok := res.RevIDs[id]; !ok {
-			violate("ghost-request", -1, "trace admits unknown request id %d", id)
+			violate("ghost-request", -1, "ring admits unknown request id %d", id)
 		}
 	}
 	return vs

@@ -101,18 +101,68 @@ type LiveResult struct {
 	IDs    map[int]core.RequestID
 	RevIDs map[core.RequestID]int
 
-	Stats      server.Stats
-	Trace      []server.Event
-	TraceTotal int
-	// Metrics is the server's observability registry handle (the same
-	// metric families a live /metrics scrape exposes), readable after the
-	// run so invariant checks can cross-validate against Stats.
+	Stats server.Stats
+	// Tasks is every executed task in the order the workers reported them
+	// through server.Config.TaskObserver — the checker's ground truth for
+	// dependency order and exactly-once execution.
+	Tasks []ExecutedTask
+	// Lifecycle holds the admit and terminal span records of the request
+	// processor's obsv ring (the records /debug/requests is built from),
+	// oldest first; LifecycleDropped counts records that ring overwrote.
+	Lifecycle        []obsv.Record
+	LifecycleDropped uint64
+	// Metrics is the server's metric cells (the families a live /metrics
+	// scrape exposes), readable after the run.
 	Metrics *obsv.ServingMetrics
+	// Telemetry lists disagreements between the server's metric registry
+	// and the run's ground truth (see reconcile); Check reports them.
+	Telemetry []Violation
 	// MaxBatch echoes the run's per-type batch bound for the checker.
 	MaxBatch int
 	// SchedulerClean records whether the scheduler's queues and gauges
 	// drained to zero after every request resolved.
 	SchedulerClean bool
+}
+
+// ExecutedTask is one server.Config.TaskObserver callback: the worker, the
+// cell type and the (request, node) rows of one executed batched task.
+type ExecutedTask struct {
+	Worker  int
+	TypeKey string
+	Rows    []core.NodeRef
+}
+
+// taskLog serialises the workers' concurrent TaskObserver callbacks into one
+// ordered log. A producer's callback returns before its completion is
+// published, so it is always logged before any consumer's.
+type taskLog struct {
+	mu    sync.Mutex
+	tasks []ExecutedTask
+}
+
+func (l *taskLog) observe(worker int, typeKey string, rows []core.NodeRef) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	// rows is the worker's reused buffer: copy before it returns.
+	l.tasks = append(l.tasks, ExecutedTask{Worker: worker, TypeKey: typeKey, Rows: append([]core.NodeRef(nil), rows...)})
+}
+
+// lifecycle extracts the admit/terminal records of the server's span rings
+// and the request-processor ring's overwrite count.
+func lifecycle(srv *server.Server) (recs []obsv.Record, dropped uint64) {
+	o := srv.Observer()
+	for _, rec := range o.Snapshot() {
+		switch rec.Kind {
+		case obsv.KindAdmit, obsv.KindComplete, obsv.KindFail, obsv.KindExpire, obsv.KindCancel:
+			recs = append(recs, rec)
+		}
+	}
+	for _, r := range o.Rings() {
+		if r.Name() == "rp" {
+			dropped = r.Dropped()
+		}
+	}
+	return recs, dropped
 }
 
 // RunLive executes the workload against a freshly built live server:
@@ -121,13 +171,11 @@ type LiveResult struct {
 // ends only after every submitted request has resolved.
 func RunLive(m *Model, w *Workload, opts LiveOpts) (*LiveResult, error) {
 	opts = opts.withDefaults()
-	// The trace must hold every event of the run — the conservation checks
-	// are meaningless over an evicted ring.
-	traceCap := 4*w.Cells() + 16*len(w.Reqs) + 256
+	var log taskLog
 	cfg := server.Config{
 		Workers:          opts.Workers,
 		MaxTasksToSubmit: opts.MaxTasksToSubmit,
-		TraceCapacity:    traceCap,
+		TaskObserver:     log.observe,
 		Faults:           opts.Faults,
 		SchedulerChaos:   opts.Chaos,
 		MaxQueuedCells:   opts.MaxQueuedCells,
@@ -230,8 +278,10 @@ func RunLive(m *Model, w *Workload, opts LiveOpts) (*LiveResult, error) {
 		return nil, fmt.Errorf("conformance: drain: %w", err)
 	}
 	res.Stats = srv.Stats()
-	res.Trace, res.TraceTotal = srv.Trace()
+	res.Tasks = log.tasks
+	res.Lifecycle, res.LifecycleDropped = lifecycle(srv)
 	res.SchedulerClean = srv.SchedulerClean()
 	res.Metrics = srv.Metrics()
+	res.Telemetry = reconcile(res.Metrics.Registry(), res.Tasks)
 	return res, nil
 }

@@ -3,9 +3,9 @@ package metrics
 import "fmt"
 
 // Outcomes counts request-lifecycle events for a serving run: how many
-// requests entered the system and how each one left it. The live server
-// embeds it in its Stats snapshot; load-generation harnesses can Merge
-// per-client copies. The terminal states are disjoint — a request resolves
+// requests entered the system and how each one left it. It is a plain view:
+// the live server fills one from its obsv counters each time Stats is read.
+// The terminal states are disjoint — a request resolves
 // exactly once as completed, failed, expired, or cancelled — while Rejected
 // counts requests shed at admission (never admitted at all).
 type Outcomes struct {
@@ -37,18 +37,6 @@ func (o Outcomes) Resolved() int {
 
 // Pending returns admitted-but-unresolved requests (live in the server).
 func (o Outcomes) Pending() int { return o.Admitted - o.Resolved() }
-
-// Merge accumulates another counter set into o.
-func (o *Outcomes) Merge(other Outcomes) {
-	o.Admitted += other.Admitted
-	o.Completed += other.Completed
-	o.Failed += other.Failed
-	o.Rejected += other.Rejected
-	o.Expired += other.Expired
-	o.Cancelled += other.Cancelled
-	o.Retries += other.Retries
-	o.RecoveredPanics += other.RecoveredPanics
-}
 
 // String renders the counters as a compact report line.
 func (o Outcomes) String() string {

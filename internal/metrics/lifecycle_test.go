@@ -15,16 +15,6 @@ func TestOutcomesResolvedAndPending(t *testing.T) {
 	}
 }
 
-func TestOutcomesMerge(t *testing.T) {
-	a := Outcomes{Admitted: 2, Completed: 1, Retries: 3}
-	b := Outcomes{Admitted: 4, Failed: 1, RecoveredPanics: 2, Rejected: 1}
-	a.Merge(b)
-	want := Outcomes{Admitted: 6, Completed: 1, Failed: 1, Rejected: 1, Retries: 3, RecoveredPanics: 2}
-	if a != want {
-		t.Fatalf("Merge = %+v, want %+v", a, want)
-	}
-}
-
 func TestOutcomesString(t *testing.T) {
 	s := Outcomes{Admitted: 7, Expired: 2}.String()
 	for _, part := range []string{"admitted=7", "expired=2", "cancelled=0", "panics=0"} {

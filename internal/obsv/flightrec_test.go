@@ -116,7 +116,7 @@ func TestFlightRecorderForceWritesOneCompleteBundle(t *testing.T) {
 // debounce is set to 1ns so the latch — not the debounce — is what is
 // being proven.
 func TestFlightRecorderLatchesPerRule(t *testing.T) {
-	o := NewObserver(NewRegistry(), 8, 1)
+	o := NewObserver(NewRegistry(), 8)
 	fr, err := NewFlightRecorder(o, FlightRecorderConfig{
 		Dir:      t.TempDir(),
 		Debounce: time.Nanosecond,
@@ -161,7 +161,7 @@ func TestFlightRecorderLatchesPerRule(t *testing.T) {
 // TestFlightRecorderShedBurstAndStormRules covers the delta-based rules:
 // a burst of rejections and a storm of pin moves each fire once.
 func TestFlightRecorderShedBurstAndStormRules(t *testing.T) {
-	o := NewObserver(NewRegistry(), 8, 1)
+	o := NewObserver(NewRegistry(), 8)
 	fr, err := NewFlightRecorder(o, FlightRecorderConfig{
 		Dir:      t.TempDir(),
 		Debounce: time.Nanosecond,
@@ -193,7 +193,7 @@ func TestFlightRecorderShedBurstAndStormRules(t *testing.T) {
 // TestFlightRecorderSLOAndHealthRules covers the wired-source rules: SLO
 // multi-window burn and journal degradation.
 func TestFlightRecorderSLOAndHealthRules(t *testing.T) {
-	o := NewObserver(NewRegistry(), 8, 1)
+	o := NewObserver(NewRegistry(), 8)
 	slo := NewSLOEngine(nil, 0.99, 0)
 	degraded := false
 	fr, err := NewFlightRecorder(o, FlightRecorderConfig{
@@ -229,7 +229,7 @@ func TestFlightRecorderSLOAndHealthRules(t *testing.T) {
 // bundles; the oldest go first.
 func TestFlightRecorderSpoolBound(t *testing.T) {
 	dir := t.TempDir()
-	fr, err := NewFlightRecorder(NewObserver(NewRegistry(), 8, 1), FlightRecorderConfig{
+	fr, err := NewFlightRecorder(NewObserver(NewRegistry(), 8), FlightRecorderConfig{
 		Dir:        dir,
 		MaxBundles: 2,
 		Debounce:   time.Nanosecond,
@@ -258,7 +258,7 @@ func TestFlightRecorderSpoolBound(t *testing.T) {
 // TestFlightRecorderRunStop: the detector goroutine starts, ticks, and
 // stops cleanly.
 func TestFlightRecorderRunStop(t *testing.T) {
-	fr, err := NewFlightRecorder(NewObserver(NewRegistry(), 8, 1), FlightRecorderConfig{
+	fr, err := NewFlightRecorder(NewObserver(NewRegistry(), 8), FlightRecorderConfig{
 		Dir:      t.TempDir(),
 		Interval: time.Millisecond,
 	})

@@ -31,11 +31,12 @@ batchmaker_batch_slots_total 480
 batchmaker_batch_slots_used_total 360
 # HELP batchmaker_cell_panics_total Recovered cell panics.
 # TYPE batchmaker_cell_panics_total counter
-batchmaker_cell_panics_total 1
+batchmaker_cell_panics_total{cell_type="decoder"} 0
+batchmaker_cell_panics_total{cell_type="lstm"} 1
 # HELP batchmaker_cells_executed_total Executed cells (live batch rows).
 # TYPE batchmaker_cells_executed_total counter
-batchmaker_cells_executed_total{cell_type="decoder"} 6
-batchmaker_cells_executed_total{cell_type="lstm"} 40
+batchmaker_cells_executed_total{cell_type="decoder",worker="0"} 6
+batchmaker_cells_executed_total{cell_type="lstm",worker="0"} 40
 # HELP batchmaker_device_copies_total Dispatched tasks that paid a cross-device copy.
 # TYPE batchmaker_device_copies_total counter
 batchmaker_device_copies_total{device="0"} 3
@@ -133,11 +134,11 @@ batchmaker_span_records_written{ring="rp"} 10
 batchmaker_task_retries_total 3
 # HELP batchmaker_tasks_executed_total Executed batched tasks.
 # TYPE batchmaker_tasks_executed_total counter
-batchmaker_tasks_executed_total{cell_type="decoder"} 2
-batchmaker_tasks_executed_total{cell_type="lstm"} 5
-# HELP batchmaker_trace_events_dropped_total Trace events overwritten by the bounded trace ring.
-# TYPE batchmaker_trace_events_dropped_total gauge
-batchmaker_trace_events_dropped_total 9
+batchmaker_tasks_executed_total{cell_type="decoder",worker="0"} 2
+batchmaker_tasks_executed_total{cell_type="lstm",worker="0"} 5
+# HELP batchmaker_worker_busy_seconds_total Worker time spent gathering and executing batched tasks.
+# TYPE batchmaker_worker_busy_seconds_total counter
+batchmaker_worker_busy_seconds_total{worker="0"} 1.5
 # HELP batchmaker_worker_queue_depth Tasks queued at the worker (scheduler's view).
 # TYPE batchmaker_worker_queue_depth gauge
 batchmaker_worker_queue_depth{worker="0"} 2

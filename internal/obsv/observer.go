@@ -22,22 +22,15 @@ package obsv
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// Observer owns the span rings and the sampling gate, and maps cell-type
-// strings to the compact IDs stored in ring records. One Observer serves
+// Observer owns the span rings and maps cell-type strings to the compact IDs
+// stored in ring records. One Observer serves
 // one engine instance (server or sim run).
 type Observer struct {
 	// Metrics is the engine's serving-metric handles (may be an inert
 	// instance; never nil on a non-nil Observer built by NewObserver).
 	Metrics *ServingMetrics
-
-	// sample is the span sampling interval: 1 records every span record,
-	// n>1 every nth per ring, 0 disables span records entirely. Request
-	// lifecycle records (admit/terminal) always bypass sampling so
-	// /debug/requests timelines stay complete.
-	sample atomic.Int64
 
 	ringCap int
 
@@ -58,9 +51,8 @@ type TypeDetail struct {
 
 // NewObserver builds an Observer over reg (nil reg yields inert metrics —
 // still usable, nothing retained). ringCap sizes each per-writer ring
-// (<=0 means DefaultRingCapacity). sample seeds the sampling gate
-// (0 means record every span; pass a negative value to disable spans).
-func NewObserver(reg *Registry, ringCap, sample int) *Observer {
+// (<=0 means DefaultRingCapacity).
+func NewObserver(reg *Registry, ringCap int) *Observer {
 	o := &Observer{
 		Metrics: NewServingMetrics(reg),
 		ringCap: ringCap,
@@ -68,13 +60,6 @@ func NewObserver(reg *Registry, ringCap, sample int) *Observer {
 		names:   []string{"?"}, // ID 0 = unknown
 		details: make(map[uint16]TypeDetail),
 	}
-	if sample == 0 {
-		sample = 1
-	}
-	if sample < 0 {
-		sample = 0
-	}
-	o.sample.Store(int64(sample))
 	reg.AddCollector(o.refreshRingGauges)
 	return o
 }
@@ -90,27 +75,6 @@ func (o *Observer) refreshRingGauges() {
 		reg.GaugeVec(MetricSpanDropped, "Span records overwritten before retention.",
 			[]string{"ring"}, label).Set(int64(r.Dropped()))
 	}
-}
-
-// SetSampling updates the span sampling interval: 1 records everything,
-// n>1 every nth span record per ring, 0 disables span records. Lifecycle
-// records are unaffected.
-func (o *Observer) SetSampling(n int) {
-	if o == nil {
-		return
-	}
-	if n < 0 {
-		n = 0
-	}
-	o.sample.Store(int64(n))
-}
-
-// Sampling returns the current span sampling interval.
-func (o *Observer) Sampling() int {
-	if o == nil {
-		return 0
-	}
-	return int(o.sample.Load())
 }
 
 // NewRing creates, registers, and returns a span ring for one writer
@@ -139,24 +103,6 @@ func (o *Observer) AdoptRing(r *Ring) {
 	o.mu.Lock()
 	o.rings = append(o.rings, r)
 	o.mu.Unlock()
-}
-
-// SampleSpan reports whether the next span record on ring r should be
-// written, advancing r's writer-owned sampling counter. Lifecycle records
-// must NOT consult this — they are always written.
-func (o *Observer) SampleSpan(r *Ring) bool {
-	if o == nil || r == nil {
-		return false
-	}
-	n := o.sample.Load()
-	if n == 0 {
-		return false
-	}
-	if n == 1 {
-		return true
-	}
-	r.tick++
-	return r.tick%uint64(n) == 0
 }
 
 // InternType maps a cell-type key to the compact ID stored in ring

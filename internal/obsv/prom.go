@@ -109,6 +109,8 @@ func (r *Registry) WritePromTo(w io.Writer) error {
 			switch f.kind {
 			case kindCounter:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, ls, s.c.Value())
+			case kindSecondsCounter:
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, ls, formatFloat(float64(s.c.Value())/1e9))
 			case kindGauge:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, ls, s.g.Value())
 			case kindFloatGauge:

@@ -10,7 +10,7 @@ import (
 // goldenObserver builds a fully-populated observer with deterministic
 // values across every family the serving stack registers.
 func goldenObserver() *Observer {
-	o := NewObserver(NewRegistry(), 8, 1)
+	o := NewObserver(NewRegistry(), 8)
 	m := o.Metrics
 
 	m.Admitted.Add(10)
@@ -20,22 +20,23 @@ func goldenObserver() *Observer {
 	m.Expired.Inc()
 	m.Cancelled.Inc()
 	m.Retries.Add(3)
-	m.Panics.Inc()
 	m.Inflight.Set(4)
 	m.QueuedCells.Set(32)
 
 	lstm := m.Type("lstm")
 	lstm.Ready.Set(12)
-	lstm.Tasks.Add(5)
-	lstm.Cells.Add(40)
+	lstm.Panics.Inc()
+	m.Exec("lstm", 0).Tasks.Add(5)
+	m.Exec("lstm", 0).Cells.Add(40)
 	dec := m.Type("decoder")
 	dec.Ready.Set(3)
-	dec.Tasks.Add(2)
-	dec.Cells.Add(6)
+	m.Exec("decoder", 0).Tasks.Add(2)
+	m.Exec("decoder", 0).Cells.Add(6)
 
 	w0 := m.Worker(0)
 	w0.Depth.Set(2)
 	w0.ArenaHighWater.Set(4096)
+	w0.Busy.Add(int64(1500 * time.Millisecond))
 
 	// Multi-device sharding families (§5): per-device ready depth and copy
 	// counters, plus the global pin-rebalance counter.
@@ -57,7 +58,6 @@ func goldenObserver() *Observer {
 		m.Queuing.Observe(time.Duration(i) * time.Millisecond)
 		m.Computation.Observe(time.Duration(10*i) * time.Millisecond)
 	}
-	m.TraceDropped.Set(9)
 
 	ring := o.NewRing("rp")
 	for i := 1; i <= 10; i++ { // capacity 8 → 2 dropped

@@ -16,6 +16,9 @@ type familyKind uint8
 
 const (
 	kindCounter familyKind = iota
+	// kindSecondsCounter is a Counter cell holding nanoseconds, exposed in
+	// seconds (the Prometheus base unit) so the hot path adds an integer.
+	kindSecondsCounter
 	kindGauge
 	kindFloatGauge
 	kindHistogram
@@ -24,7 +27,7 @@ const (
 
 func (k familyKind) promType() string {
 	switch k {
-	case kindCounter:
+	case kindCounter, kindSecondsCounter:
 		return "counter"
 	case kindGauge, kindFloatGauge:
 		return "gauge"
@@ -338,6 +341,15 @@ func (r *Registry) CounterVec(name, help string, labelNames, labelValues []strin
 // Counter returns the unlabelled counter for name.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.CounterVec(name, help, nil, nil)
+}
+
+// SecondsCounterVec returns the counter for (name, labels) of a family whose
+// cells accumulate nanoseconds and are exposed as seconds.
+func (r *Registry) SecondsCounterVec(name, help string, labelNames, labelValues []string) *Counter {
+	if r == nil {
+		return nil
+	}
+	return r.getSeries(name, help, kindSecondsCounter, labelNames, labelValues, func(s *series) { s.c = &Counter{} }).c
 }
 
 // GaugeVec returns the gauge for (name, labels).

@@ -174,7 +174,7 @@ type slot struct {
 }
 
 // Ring is a fixed-capacity, single-writer, lock-free ring of span records.
-// Exactly one goroutine may call Write (and Tick); any number of goroutines
+// Exactly one goroutine may call Write; any number of goroutines
 // may call Snapshot/Total/Dropped concurrently. The hot-path write performs
 // no heap allocation and takes no lock — it is seven atomic stores — so it
 // is safe inside the server's zero-allocation worker loop. When the ring is
@@ -185,8 +185,6 @@ type Ring struct {
 	mask    uint64
 	slots   []slot
 	written atomic.Uint64
-	// tick is the writer-owned sampling counter (see Observer.SampleSpan).
-	tick uint64
 }
 
 // DefaultRingCapacity is the per-writer ring size used when none is given.

@@ -26,9 +26,9 @@ const (
 	MetricBatchSlotsCap       = "batchmaker_batch_slots_total"
 	MetricPaddingWasteRatio   = "batchmaker_padding_waste_ratio"
 	MetricArenaHighWaterBytes = "batchmaker_arena_high_water_bytes"
+	MetricWorkerBusySeconds   = "batchmaker_worker_busy_seconds_total"
 	MetricQueuingSeconds      = "batchmaker_request_queuing_seconds"
 	MetricComputationSeconds  = "batchmaker_request_computation_seconds"
-	MetricTraceDropped        = "batchmaker_trace_events_dropped_total"
 	MetricSpanWritten         = "batchmaker_span_records_written"
 	MetricSpanDropped         = "batchmaker_span_records_dropped"
 	MetricCellPrecision       = "batchmaker_cell_precision"
@@ -60,9 +60,18 @@ var latencyQuantiles = []float64{0.5, 0.9, 0.99}
 type TypeMetrics struct {
 	// Ready is the scheduler's ready-queue depth for this cell type.
 	Ready *Gauge
-	// Tasks counts executed batched tasks of this type.
+	// Panics counts recovered panics of this cell type — a persistently
+	// growing value points at a broken kernel.
+	Panics *Counter
+}
+
+// ExecMetrics is one (cell type, worker) pair's execution counters. The
+// worker is their only writer; per-type, per-worker and per-device totals
+// are all sums over these cells.
+type ExecMetrics struct {
+	// Tasks counts executed batched tasks.
 	Tasks *Counter
-	// Cells counts executed cells (live batch rows) of this type.
+	// Cells counts executed cells (live batch rows).
 	Cells *Counter
 }
 
@@ -72,6 +81,10 @@ type WorkerMetrics struct {
 	Depth *Gauge
 	// ArenaHighWater is the worker arena's high-water mark in bytes.
 	ArenaHighWater *Gauge
+	// Busy accumulates the worker's gather+execute time in nanoseconds
+	// (exposed in seconds); Busy over cells executed is the per-row cost of
+	// the batched hot path.
+	Busy *Counter
 }
 
 // DeviceMetrics groups the per-device handles (§5 multi-device sharding).
@@ -93,9 +106,8 @@ type ServingMetrics struct {
 
 	// Request lifecycle counters, one per outcome label.
 	Admitted, Completed, Failed, Rejected, Expired, Cancelled *Counter
-	// Retries counts transient task retries; Panics counts recovered cell
-	// panics.
-	Retries, Panics *Counter
+	// Retries counts transient task retries.
+	Retries *Counter
 	// Inflight is the number of admitted, unresolved requests; QueuedCells
 	// is the admission controller's queued-cell backlog.
 	Inflight, QueuedCells *Gauge
@@ -109,15 +121,19 @@ type ServingMetrics struct {
 	// Queuing / Computation are the paper's latency split: admit→first-exec
 	// and first-exec→completion, as windowed quantiles.
 	Queuing, Computation *Quantiles
-	// TraceDropped mirrors the server trace ring's drop-oldest counter.
-	TraceDropped *Gauge
 	// PinMoves counts scheduler pin rebalances across devices.
 	PinMoves *Counter
 
 	mu      sync.Mutex
 	types   map[string]*TypeMetrics
+	exec    map[execKey]*ExecMetrics
 	workers map[int]*WorkerMetrics
 	devices map[int]*DeviceMetrics
+}
+
+type execKey struct {
+	typ    string
+	worker int
 }
 
 // NewServingMetrics registers the serving families in reg (which may be
@@ -126,6 +142,7 @@ func NewServingMetrics(reg *Registry) *ServingMetrics {
 	m := &ServingMetrics{
 		reg:     reg,
 		types:   make(map[string]*TypeMetrics),
+		exec:    make(map[execKey]*ExecMetrics),
 		workers: make(map[int]*WorkerMetrics),
 		devices: make(map[int]*DeviceMetrics),
 	}
@@ -141,7 +158,6 @@ func NewServingMetrics(reg *Registry) *ServingMetrics {
 	m.Expired = outcome(OutcomeExpired)
 	m.Cancelled = outcome(OutcomeCancelled)
 	m.Retries = reg.Counter(MetricTaskRetries, "Transient cell-task retries.")
-	m.Panics = reg.Counter(MetricCellPanics, "Recovered cell panics.")
 	m.Inflight = reg.Gauge(MetricInflightRequests, "Admitted requests not yet resolved.")
 	m.QueuedCells = reg.Gauge(MetricQueuedCells, "Cells admitted but not yet executed (admission backlog).")
 	m.BatchOccupancy = reg.Histogram(MetricBatchOccupancy,
@@ -156,8 +172,6 @@ func NewServingMetrics(reg *Registry) *ServingMetrics {
 	m.Computation = reg.Summary(MetricComputationSeconds,
 		"First cell execution to completion (paper's computation latency).",
 		quantileWindow, latencyQuantiles)
-	m.TraceDropped = reg.Gauge(MetricTraceDropped,
-		"Trace events overwritten by the bounded trace ring.")
 	m.PinMoves = reg.Counter(MetricDevicePinMoves,
 		"Cell-type weight pins moved or replicated by the rebalancer.")
 	reg.AddCollector(m.refreshPadding)
@@ -194,13 +208,46 @@ func (m *ServingMetrics) Type(key string) *TypeMetrics {
 		Ready: m.reg.GaugeVec(MetricReadyQueueDepth,
 			"Scheduler ready-queue depth (cells ready to batch).",
 			[]string{"cell_type"}, []string{key}),
-		Tasks: m.reg.CounterVec(MetricTasksExecuted,
-			"Executed batched tasks.", []string{"cell_type"}, []string{key}),
-		Cells: m.reg.CounterVec(MetricCellsExecuted,
-			"Executed cells (live batch rows).", []string{"cell_type"}, []string{key}),
+		Panics: m.reg.CounterVec(MetricCellPanics,
+			"Recovered cell panics.", []string{"cell_type"}, []string{key}),
 	}
 	m.types[key] = t
 	return t
+}
+
+// Exec returns (registering on first use) the execution counters of one
+// (cell type, worker) pair. Not for hot paths — the worker caches the result.
+func (m *ServingMetrics) Exec(key string, worker int) *ExecMetrics {
+	if m == nil {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	k := execKey{key, worker}
+	if e := m.exec[k]; e != nil {
+		return e
+	}
+	names, vals := []string{"cell_type", "worker"}, []string{key, strconv.Itoa(worker)}
+	e := &ExecMetrics{
+		Tasks: m.reg.CounterVec(MetricTasksExecuted, "Executed batched tasks.", names, vals),
+		Cells: m.reg.CounterVec(MetricCellsExecuted, "Executed cells (live batch rows).", names, vals),
+	}
+	m.exec[k] = e
+	return e
+}
+
+// PanicsTotal sums recovered cell panics over all cell types.
+func (m *ServingMetrics) PanicsTotal() int64 {
+	if m == nil {
+		return 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var n int64
+	for _, t := range m.types {
+		n += t.Panics.Value()
+	}
+	return n
 }
 
 // SetTypePrecision publishes the execution tier of a cell type as an
@@ -232,6 +279,9 @@ func (m *ServingMetrics) Worker(id int) *WorkerMetrics {
 			[]string{"worker"}, label),
 		ArenaHighWater: m.reg.GaugeVec(MetricArenaHighWaterBytes,
 			"Worker tensor-arena high-water mark in bytes.",
+			[]string{"worker"}, label),
+		Busy: m.reg.SecondsCounterVec(MetricWorkerBusySeconds,
+			"Worker time spent gathering and executing batched tasks.",
 			[]string{"worker"}, label),
 	}
 	m.workers[id] = w
@@ -267,18 +317,26 @@ type TypeStat struct {
 	Tasks, Cells int64
 }
 
-// TypesByCells returns per-type execution totals sorted by cells executed,
-// descending (ties broken by key for determinism).
+// TypesByCells returns per-type execution totals (summed over workers)
+// sorted by cells executed, descending (ties broken by key for determinism).
 func (m *ServingMetrics) TypesByCells() []TypeStat {
 	if m == nil {
 		return nil
 	}
 	m.mu.Lock()
-	stats := make([]TypeStat, 0, len(m.types))
-	for key, t := range m.types {
-		stats = append(stats, TypeStat{Key: key, Tasks: t.Tasks.Value(), Cells: t.Cells.Value()})
+	byKey := make(map[string]TypeStat, len(m.types))
+	for k, e := range m.exec {
+		ts := byKey[k.typ]
+		ts.Key = k.typ
+		ts.Tasks += e.Tasks.Value()
+		ts.Cells += e.Cells.Value()
+		byKey[k.typ] = ts
 	}
 	m.mu.Unlock()
+	stats := make([]TypeStat, 0, len(byKey))
+	for _, ts := range byKey {
+		stats = append(stats, ts)
+	}
 	sort.Slice(stats, func(i, j int) bool {
 		if stats[i].Cells != stats[j].Cells {
 			return stats[i].Cells > stats[j].Cells

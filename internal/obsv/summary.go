@@ -23,7 +23,7 @@ func (m *ServingMetrics) WriteSummary(w io.Writer) {
 		m.Admitted.Value(), m.Completed.Value(), m.Failed.Value(),
 		m.Rejected.Value(), m.Expired.Value(), m.Cancelled.Value())
 	fmt.Fprintf(w, "faults:   retries=%d recovered_panics=%d\n",
-		m.Retries.Value(), m.Panics.Value())
+		m.Retries.Value(), m.PanicsTotal())
 
 	_, qv := m.Queuing.Query()
 	_, cv := m.Computation.Query()

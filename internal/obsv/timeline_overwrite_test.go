@@ -9,7 +9,7 @@ import (
 // overwritten by the bounded ring still reconstructs — terminal without
 // admit, no since_admit_ns anywhere, and the omission reason set.
 func TestTimelineAdmitOverwritten(t *testing.T) {
-	o := NewObserver(NewRegistry(), 4, 1)
+	o := NewObserver(NewRegistry(), 4)
 	rp := o.NewRing("rp")
 	rp.Write(Record{Kind: KindAdmit, Req: 1, T0: 100})
 	// Four younger admits push req 1's admit out of the 4-slot ring.
@@ -50,7 +50,7 @@ func TestTimelineAdmitOverwritten(t *testing.T) {
 // first-exec stamped before the admit it belongs to), reconstruction
 // never emits a negative since_admit_ns.
 func TestTimelineNoNegativeSinceAdmit(t *testing.T) {
-	o := NewObserver(NewRegistry(), 16, 1)
+	o := NewObserver(NewRegistry(), 16)
 	rp := o.NewRing("rp")
 	w0 := o.NewRing("worker-0")
 	// Worker clock reads 95 while the rp clock stamped the admit at 100.
@@ -72,7 +72,7 @@ func TestTimelineNoNegativeSinceAdmit(t *testing.T) {
 // TestTimelineWorkerFieldsOnExec: first_exec events carry the executing
 // worker, device, and batch size; lifecycle events don't.
 func TestTimelineWorkerFieldsOnExec(t *testing.T) {
-	o := NewObserver(NewRegistry(), 16, 1)
+	o := NewObserver(NewRegistry(), 16)
 	rp := o.NewRing("rp")
 	w := o.NewRing("worker-3")
 	rp.Write(Record{Kind: KindAdmit, Req: 1, T0: 100})
@@ -100,7 +100,7 @@ func TestTimelineWorkerFieldsOnExec(t *testing.T) {
 // the no-negative-since-admit invariant even when its records are being
 // torn out from under the reader.
 func TestTimelineUnderConcurrentOverwrite(t *testing.T) {
-	o := NewObserver(NewRegistry(), 8, 1)
+	o := NewObserver(NewRegistry(), 8)
 	rp := o.NewRing("rp")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -12,7 +12,7 @@ import (
 // req 1 admits, first-executes, completes; req 2 admits, first-executes,
 // fails; req 3 admits and stays in flight.
 func timelineObserver() *Observer {
-	o := NewObserver(NewRegistry(), 64, 1)
+	o := NewObserver(NewRegistry(), 64)
 	rp := o.NewRing("rp")
 	w0 := o.NewRing("worker-0")
 	rp.Write(Record{Kind: KindAdmit, Req: 1, T0: 100})
@@ -103,7 +103,7 @@ func TestDebugRequestsEndpoint(t *testing.T) {
 }
 
 func TestHealthzEndpoint(t *testing.T) {
-	o := NewObserver(NewRegistry(), 8, 1)
+	o := NewObserver(NewRegistry(), 8)
 	health := Health{Status: "serving"}
 	srv := httptest.NewServer(Handler(o, func() Health { return health }))
 	defer srv.Close()
@@ -151,32 +151,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if b.String() != goldenProm {
 		t.Fatal("/metrics body should match the golden exposition")
-	}
-}
-
-func TestSamplingGate(t *testing.T) {
-	o := NewObserver(NewRegistry(), 8, 4)
-	r := o.NewRing("w")
-	wrote := 0
-	for i := 0; i < 100; i++ {
-		if o.SampleSpan(r) {
-			wrote++
-		}
-	}
-	if wrote != 25 {
-		t.Fatalf("sample=4 over 100 ticks should pass 25, got %d", wrote)
-	}
-	o.SetSampling(0)
-	if o.SampleSpan(r) {
-		t.Fatal("sample=0 must gate everything")
-	}
-	o.SetSampling(1)
-	if !o.SampleSpan(r) {
-		t.Fatal("sample=1 must pass everything")
-	}
-	var nilObs *Observer
-	if nilObs.SampleSpan(r) {
-		t.Fatal("nil observer must gate")
 	}
 }
 

@@ -21,7 +21,7 @@ const traceBaseNs = int64(1_700_000_000_000_000_000)
 // lanes, a dispatch and a rebalance on the scheduler, and first-exec +
 // batched task-exec slices on two workers across two device pools.
 func traceObserver() *Observer {
-	o := NewObserver(NewRegistry(), 64, 1)
+	o := NewObserver(NewRegistry(), 64)
 	o.InternType("lstm") // type ID 1
 	o.SetTypeDetail("lstm", TypeDetail{MaxBatch: 8, Precision: "f32"})
 	rp := o.NewRing("rp")
@@ -269,7 +269,7 @@ func TestTraceSinceFilter(t *testing.T) {
 // must still produce a loadable document with an events array.
 func TestTraceEmptyAndNil(t *testing.T) {
 	for name, o := range map[string]*Observer{
-		"empty": NewObserver(NewRegistry(), 8, 1),
+		"empty": NewObserver(NewRegistry(), 8),
 		"nil":   nil,
 	} {
 		var b bytes.Buffer

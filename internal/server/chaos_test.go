@@ -21,7 +21,6 @@ import (
 func TestServerChaos(t *testing.T) {
 	m := newTestModel()
 	cfg := m.serverConfig(3)
-	cfg.TraceCapacity = 1024
 	cfg.RetryBackoff = 200 * time.Microsecond
 	faults := NewRandomFaults(2018)
 	faults.PError = 0.02

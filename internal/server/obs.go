@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strconv"
 	"time"
 
 	"batchmaker/internal/core"
@@ -11,43 +12,42 @@ import (
 // ObsConfig configures the server's observability layer (Config.Obs).
 type ObsConfig struct {
 	// Registry receives the server's metric families. nil means the server
-	// creates a private registry (retrievable via Server.Observer) so
+	// creates a private registry (retrievable via Server.Metrics) so
 	// metrics and summaries work without any wiring.
 	Registry *obsv.Registry
-	// RingCapacity sizes each per-writer span ring (0 means
-	// obsv.DefaultRingCapacity; negative disables span rings but keeps
-	// metrics).
-	RingCapacity int
-	// Sample is the span sampling interval: 0 or 1 records every span
-	// record, n>1 every nth, negative disables span records. Request
-	// lifecycle records always bypass sampling.
-	Sample int
-	// Disabled turns the whole layer off: no observer, no rings, no
-	// metric updates. Used by the tracing-off arm of the overhead
-	// benchmark.
+	// Disabled turns the recording layer off: no span rings, no lifecycle
+	// records, no latency summaries, no SLO engine (Server.Observer returns
+	// nil). The counters and gauges stay on — they are the server's only
+	// bookkeeping, the cells Stats and Health are computed from. Used by the
+	// tracing-off arm of the overhead benchmark.
 	Disabled bool
-	// SLOTarget arms the SLO burn-rate engine: a completion slower than
-	// the target (or any failure/expiry) burns error budget. Zero leaves
-	// the engine off and the batchmaker_slo_* families unregistered.
+	// SLOTarget arms the SLO burn-rate engine (objective sloObjective): a
+	// completion slower than the target (or any failure/expiry) burns error
+	// budget. Zero leaves the engine off and the batchmaker_slo_* families
+	// unregistered.
 	SLOTarget time.Duration
-	// SLOObjective is the availability objective the budget is computed
-	// against (0 means 0.999 when SLOTarget is set).
-	SLOObjective float64
 }
 
+// sloObjective is the availability objective the SLO budget is computed
+// against.
+const sloObjective = 0.999
+
 // obsType caches one cell type's per-type observability handles so the
-// worker hot path pays one map lookup, no lock, no allocation.
+// hot paths pay one map lookup, no lock, no allocation.
 type obsType struct {
 	id       uint16
 	maxBatch int64
 	tm       *obsv.TypeMetrics
 }
 
-// serverObs bridges the pipeline stages to the obsv layer. All methods are
-// nil-receiver safe no-ops, so instrumented code never branches on whether
-// observability is enabled. Ring ownership follows the goroutine structure:
-// the request processor writes rpRing, the scheduler loop writes schedRing,
-// and worker i writes workerRings[i].
+// serverObs bridges the pipeline stages to the obsv layer, the one place a
+// serving-path fact is written. The metric cells (sm, workers, devices,
+// types, exec) are always live; o, slo and the rings are nil when
+// ObsConfig.Disabled (nil rings and a nil SLO engine are valid no-ops). Ring
+// and cell ownership follows the goroutine structure: the request processor
+// writes rpRing and the outcome/backlog cells, the scheduler loop writes
+// schedRing and the depth/ready/copy cells, and worker i writes
+// workerRings[i], workers[i] and exec[i].
 type serverObs struct {
 	o   *obsv.Observer
 	sm  *obsv.ServingMetrics
@@ -58,6 +58,9 @@ type serverObs struct {
 	workerRings []*obsv.Ring
 	workers     []*obsv.WorkerMetrics
 	devices     []*obsv.DeviceMetrics
+	// exec[w] holds worker w's per-cell-type execution counters; the worker
+	// caches its entries in its typeExec.
+	exec []map[string]*obsv.ExecMetrics
 
 	// workerDevice maps worker index -> device pool, for stamping Device
 	// into span records. The slice is shared with the Server and fully
@@ -68,8 +71,7 @@ type serverObs struct {
 	// wired); Health reads its gauges to surface shed state.
 	pm *obsv.PolicyMetrics
 
-	// types is read-only after construction; worker goroutines look their
-	// type up per task.
+	// types is read-only after construction.
 	types map[string]*obsType
 }
 
@@ -77,63 +79,57 @@ type serverObs struct {
 // cell specs, worker count, and device-pool count. workerDevice maps each
 // worker to its device pool (nil means everything on device 0); the slice
 // may still be getting populated — it must be complete before the pipeline
-// goroutines start. Returns nil when cfg.Disabled — the nil *serverObs is
-// the "off" implementation.
+// goroutines start.
 func newServerObs(cfg ObsConfig, specs []CellSpec, workers, devices int, workerDevice []core.DeviceID) *serverObs {
-	if cfg.Disabled {
-		return nil
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obsv.NewRegistry()
 	}
-	ringCap := cfg.RingCapacity
-	rings := ringCap >= 0
-	o := obsv.NewObserver(reg, ringCap, cfg.Sample)
 	ob := &serverObs{
-		o:            o,
-		sm:           o.Metrics,
 		workerDevice: workerDevice,
+		workerRings:  make([]*obsv.Ring, workers),
+		workers:      make([]*obsv.WorkerMetrics, workers),
+		devices:      make([]*obsv.DeviceMetrics, devices),
+		exec:         make([]map[string]*obsv.ExecMetrics, workers),
 		types:        make(map[string]*obsType, len(specs)),
 	}
-	if cfg.SLOTarget > 0 {
-		obj := cfg.SLOObjective
-		if obj == 0 {
-			obj = 0.999
-		}
-		ob.slo = obsv.NewSLOEngine(reg, obj, cfg.SLOTarget)
-	}
-	if rings {
-		ob.rpRing = o.NewRing("rp")
-		ob.schedRing = o.NewRing("sched")
-		ob.workerRings = make([]*obsv.Ring, workers)
-		for w := range ob.workerRings {
-			ob.workerRings[w] = o.NewRing("worker-" + itoa(w))
-		}
+	if cfg.Disabled {
+		ob.sm = obsv.NewServingMetrics(reg)
 	} else {
-		ob.workerRings = make([]*obsv.Ring, workers)
+		ob.o = obsv.NewObserver(reg, obsv.DefaultRingCapacity)
+		ob.sm = ob.o.Metrics
+		ob.rpRing = ob.o.NewRing("rp")
+		ob.schedRing = ob.o.NewRing("sched")
+		for w := range ob.workerRings {
+			ob.workerRings[w] = ob.o.NewRing("worker-" + strconv.Itoa(w))
+		}
+		if cfg.SLOTarget > 0 {
+			ob.slo = obsv.NewSLOEngine(reg, sloObjective, cfg.SLOTarget)
+		}
 	}
-	ob.workers = make([]*obsv.WorkerMetrics, workers)
 	for w := range ob.workers {
-		ob.workers[w] = o.Metrics.Worker(w)
+		ob.workers[w] = ob.sm.Worker(w)
+		ob.exec[w] = make(map[string]*obsv.ExecMetrics, len(specs))
 	}
-	ob.devices = make([]*obsv.DeviceMetrics, devices)
 	for d := range ob.devices {
-		ob.devices[d] = o.Metrics.Device(d)
+		ob.devices[d] = ob.sm.Device(d)
 	}
 	for _, cs := range specs {
 		key := cs.Cell.TypeKey()
 		ob.types[key] = &obsType{
-			id:       o.InternType(key),
+			id:       ob.o.InternType(key),
 			maxBatch: int64(cs.MaxBatch),
-			tm:       o.Metrics.Type(key),
+			tm:       ob.sm.Type(key),
+		}
+		for w := range ob.exec {
+			ob.exec[w][key] = ob.sm.Exec(key, w)
 		}
 		prec := rnn.PrecisionF32
 		if pc, ok := cs.Cell.(rnn.PrecisionConfigurable); ok {
 			prec = pc.Precision()
 		}
-		o.Metrics.SetTypePrecision(key, prec.String())
-		o.SetTypeDetail(key, obsv.TypeDetail{
+		ob.sm.SetTypePrecision(key, prec.String())
+		ob.o.SetTypeDetail(key, obsv.TypeDetail{
 			MaxBatch:  cs.MaxBatch,
 			Precision: prec.String(),
 		})
@@ -161,28 +157,10 @@ func taskFlags(task *core.Task) uint8 {
 	return f
 }
 
-func itoa(v int) string {
-	// strconv-free so obs construction stays dependency-light in tests.
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
 // ---- request processor (single writer of rpRing) ----
 
 // admit records one admission: outcome counter, gauges, lifecycle record.
 func (ob *serverObs) admit(id core.RequestID, nowNs int64, liveReqs, queuedCells int) {
-	if ob == nil {
-		return
-	}
 	ob.sm.Admitted.Inc()
 	ob.sm.Inflight.Set(int64(liveReqs))
 	ob.sm.QueuedCells.Set(int64(queuedCells))
@@ -194,9 +172,6 @@ func (ob *serverObs) admit(id core.RequestID, nowNs int64, liveReqs, queuedCells
 // caller-goroutine sheds (DOA deadlines), which only bump the counter —
 // the ring is single-writer.
 func (ob *serverObs) reject(fromRP bool) {
-	if ob == nil {
-		return
-	}
 	ob.sm.Rejected.Inc()
 	if fromRP {
 		ob.rpRing.Write(obsv.Record{Kind: obsv.KindReject, T0: time.Now().UnixNano()})
@@ -207,9 +182,6 @@ func (ob *serverObs) reject(fromRP bool) {
 // it also observes the paper's queuing/computation latency split, using the
 // admit timestamp and the worker-CAS'd first-execution timestamp.
 func (ob *serverObs) terminal(r *request, kind obsv.Kind, nowNs int64) {
-	if ob == nil {
-		return
-	}
 	switch kind {
 	case obsv.KindComplete:
 		ob.sm.Completed.Inc()
@@ -220,7 +192,7 @@ func (ob *serverObs) terminal(r *request, kind obsv.Kind, nowNs int64) {
 	case obsv.KindCancel:
 		ob.sm.Cancelled.Inc()
 	}
-	if kind == obsv.KindComplete {
+	if kind == obsv.KindComplete && ob.o != nil {
 		if first := r.firstExecNs.Load(); first > 0 && r.admittedNs > 0 {
 			ob.sm.ObserveLatencySplit(
 				time.Duration(first-r.admittedNs),
@@ -246,25 +218,15 @@ func (ob *serverObs) terminal(r *request, kind obsv.Kind, nowNs int64) {
 // policyShed records the adaptive admission gate shedding one submission
 // (request-processor goroutine; rpRing single-writer preserved).
 func (ob *serverObs) policyShed(nowNs int64) {
-	if ob == nil {
-		return
-	}
 	ob.rpRing.Write(obsv.Record{Kind: obsv.KindPolicyShed, T0: nowNs})
 }
 
 // policyMaxBatch records one adaptive MaxBatch move (request-processor
 // goroutine — policy.Completed runs there).
 func (ob *serverObs) policyMaxBatch(typeKey string, maxBatch int, nowNs int64) {
-	if ob == nil {
-		return
-	}
-	var typeID uint16
-	if ot := ob.types[typeKey]; ot != nil {
-		typeID = ot.id
-	}
 	ob.rpRing.Write(obsv.Record{
 		Kind:  obsv.KindPolicyBatch,
-		Type:  typeID,
+		Type:  ob.types[typeKey].id,
 		Batch: uint16(maxBatch),
 		T0:    nowNs,
 	})
@@ -272,9 +234,6 @@ func (ob *serverObs) policyMaxBatch(typeKey string, maxBatch int, nowNs int64) {
 
 // gauges refreshes the request-processor-owned backlog gauges.
 func (ob *serverObs) gauges(liveReqs, queuedCells int) {
-	if ob == nil {
-		return
-	}
 	ob.sm.Inflight.Set(int64(liveReqs))
 	ob.sm.QueuedCells.Set(int64(queuedCells))
 }
@@ -282,38 +241,27 @@ func (ob *serverObs) gauges(liveReqs, queuedCells int) {
 // ---- scheduler loop (single writer of schedRing) ----
 
 // dispatch stamps the task's observability fields and records the dispatch
-// span (sampled). Called just before the task is sent to its worker.
+// span. Called just before the task is sent to its worker. The narrowing
+// conversions here and below cannot truncate: New bounds the worker and
+// device counts by 256 and MaxBatch and the queue depth by 65535.
 func (ob *serverObs) dispatch(task *core.Task, queueDepth int, nowNs int64) {
 	task.DispatchedAt = nowNs
 	task.QueueDepth = int32(queueDepth)
-	if ob == nil {
-		return
-	}
-	if ob.o.SampleSpan(ob.schedRing) {
-		ot := ob.types[task.TypeKey]
-		var typeID uint16
-		if ot != nil {
-			typeID = ot.id
-		}
-		ob.schedRing.Write(obsv.Record{
-			Kind:   obsv.KindDispatch,
-			Worker: uint8(task.Worker),
-			Type:   typeID,
-			Batch:  uint16(task.BatchSize()),
-			Queue:  uint16(queueDepth),
-			Device: ob.dev(int(task.Worker)),
-			Flags:  taskFlags(task),
-			T0:     nowNs,
-		})
-	}
+	ob.schedRing.Write(obsv.Record{
+		Kind:   obsv.KindDispatch,
+		Worker: uint8(task.Worker),
+		Type:   ob.types[task.TypeKey].id,
+		Batch:  uint16(task.BatchSize()),
+		Queue:  uint16(queueDepth),
+		Device: ob.dev(int(task.Worker)),
+		Flags:  taskFlags(task),
+		T0:     nowNs,
+	})
 }
 
-// mirrorScheduler refreshes the per-type ready-queue and per-worker depth
-// gauges from the scheduler loop's state.
+// mirrorScheduler refreshes the per-type ready-queue, per-worker depth and
+// per-device ready gauges from the scheduler loop's state.
 func (ob *serverObs) mirrorScheduler(sched *core.Scheduler, outstanding []int) {
-	if ob == nil {
-		return
-	}
 	for key, ot := range ob.types {
 		ot.tm.Ready.Set(int64(sched.ReadyNodes(key)))
 	}
@@ -326,12 +274,8 @@ func (ob *serverObs) mirrorScheduler(sched *core.Scheduler, outstanding []int) {
 }
 
 // pinMoves records pin rebalances made by the scheduler loop: the counter
-// and a rebalance span on the scheduler's ring (always written — rebalances
-// are rare and each one matters when diagnosing a storm).
+// and a rebalance span on the scheduler's ring.
 func (ob *serverObs) pinMoves(n int) {
-	if ob == nil {
-		return
-	}
 	ob.sm.PinMoves.Add(int64(n))
 	ob.schedRing.Write(obsv.Record{
 		Kind:  obsv.KindRebalance,
@@ -342,22 +286,17 @@ func (ob *serverObs) pinMoves(n int) {
 
 // deviceCopies records dispatched tasks that paid a cross-device copy.
 func (ob *serverObs) deviceCopies(dev, n int) {
-	if ob == nil {
-		return
-	}
 	ob.devices[dev].Copies.Add(int64(n))
 }
 
-// ---- workers (worker i is the single writer of workerRings[i]) ----
+// ---- workers (worker i is the single writer of workerRings[i], workers[i]
+// and exec[i]) ----
 
 // firstExec marks each request's first executed cell (CAS so exactly one
 // worker wins) and writes the lifecycle record for winners. Runs on the
 // worker hot path: in steady state every CAS fails fast on the first load
 // and nothing is written.
 func (ob *serverObs) firstExec(workerID int, refs []execRef, nowNs int64) {
-	if ob == nil {
-		return
-	}
 	for _, ref := range refs {
 		if ref.req.firstExecNs.Load() == 0 && ref.req.firstExecNs.CompareAndSwap(0, nowNs) {
 			ob.workerRings[workerID].Write(obsv.Record{
@@ -372,77 +311,49 @@ func (ob *serverObs) firstExec(workerID int, refs []execRef, nowNs int64) {
 	}
 }
 
-// taskExec records one executed batched task: occupancy/padding counters,
-// per-type totals, arena high-water, and the sampled task span carrying
-// dispatch→completion timestamps and queue depth at dispatch.
-func (ob *serverObs) taskExec(workerID int, task *core.Task, live int, arenaHighWaterBytes int64, endNs int64) {
-	if ob == nil {
-		return
-	}
-	ot := ob.types[task.TypeKey]
-	if ot != nil {
-		ot.tm.Tasks.Inc()
-		ot.tm.Cells.Add(int64(live))
-		ob.sm.SlotsCap.Add(ot.maxBatch)
-	}
+// taskExec records one executed batched task: the worker's own per-type
+// task/cell counters and busy time, occupancy/padding counters, arena
+// high-water, and the task span carrying dispatch→completion timestamps and
+// queue depth at dispatch.
+func (ob *serverObs) taskExec(workerID int, task *core.Task, te *typeExec, live int, busyNs, arenaHighWaterBytes, endNs int64) {
+	te.exec.Tasks.Inc()
+	te.exec.Cells.Add(int64(live))
+	wm := ob.workers[workerID]
+	wm.Busy.Add(busyNs)
+	wm.ArenaHighWater.Max(arenaHighWaterBytes)
+	ob.sm.SlotsCap.Add(te.obs.maxBatch)
 	ob.sm.SlotsUsed.Add(int64(live))
 	ob.sm.BatchOccupancy.Observe(int64(live))
-	ob.workers[workerID].ArenaHighWater.Max(arenaHighWaterBytes)
-	ring := ob.workerRings[workerID]
-	if ob.o.SampleSpan(ring) {
-		var typeID uint16
-		if ot != nil {
-			typeID = ot.id
-		}
-		ring.Write(obsv.Record{
-			Kind:   obsv.KindTaskExec,
-			Worker: uint8(workerID),
-			Type:   typeID,
-			Batch:  uint16(live),
-			Queue:  uint16(task.QueueDepth),
-			Device: ob.dev(workerID),
-			Flags:  taskFlags(task),
-			T0:     task.DispatchedAt,
-			T1:     endNs,
-		})
-	}
+	ob.workerRings[workerID].Write(obsv.Record{
+		Kind:   obsv.KindTaskExec,
+		Worker: uint8(workerID),
+		Type:   te.obs.id,
+		Batch:  uint16(live),
+		Queue:  uint16(task.QueueDepth),
+		Device: ob.dev(workerID),
+		Flags:  taskFlags(task),
+		T0:     task.DispatchedAt,
+		T1:     endNs,
+	})
 }
 
-// retry records one transient-error retry on the worker's ring (sampled).
-func (ob *serverObs) retry(task *core.Task, batch int) {
-	if ob == nil {
-		return
-	}
+// retry records one transient-error retry.
+func (ob *serverObs) retry(task *core.Task, te *typeExec, batch int) {
 	ob.sm.Retries.Inc()
-	w := int(task.Worker)
-	ring := ob.workerRings[w]
-	if ob.o.SampleSpan(ring) {
-		ob.writeSpan(ring, obsv.KindRetry, w, task.TypeKey, batch)
-	}
+	ob.writeSpan(obsv.KindRetry, task, te, batch)
 }
 
-// cellPanic records one recovered cell panic on the worker's ring (sampled).
-func (ob *serverObs) cellPanic(task *core.Task, batch int) {
-	if ob == nil {
-		return
-	}
-	ob.sm.Panics.Inc()
-	w := int(task.Worker)
-	ring := ob.workerRings[w]
-	if ob.o.SampleSpan(ring) {
-		ob.writeSpan(ring, obsv.KindPanic, w, task.TypeKey, batch)
-	}
+// cellPanic records one recovered cell panic against its cell type.
+func (ob *serverObs) cellPanic(task *core.Task, te *typeExec, batch int) {
+	te.obs.tm.Panics.Inc()
+	ob.writeSpan(obsv.KindPanic, task, te, batch)
 }
 
-func (ob *serverObs) writeSpan(ring *obsv.Ring, kind obsv.Kind, worker int, typeKey string, batch int) {
-	var typeID uint16
-	if ot := ob.types[typeKey]; ot != nil {
-		typeID = ot.id
-	}
-	ring.Write(obsv.Record{
+func (ob *serverObs) writeSpan(kind obsv.Kind, task *core.Task, te *typeExec, batch int) {
+	ob.workerRings[task.Worker].Write(obsv.Record{
 		Kind:   kind,
-		Worker: uint8(worker),
-		Type:   typeID,
+		Worker: uint8(task.Worker),
+		Type:   te.obs.id,
 		Batch:  uint16(batch),
 		T0:     time.Now().UnixNano(),
 	})
@@ -450,42 +361,22 @@ func (ob *serverObs) writeSpan(ring *obsv.Ring, kind obsv.Kind, worker int, type
 
 // ---- public accessors ----
 
-// Observer returns the server's span/metrics observer, or nil when
-// observability is disabled. The observer backs the HTTP introspection
-// endpoints (obsv.Handler) and summaries.
-func (s *Server) Observer() *obsv.Observer {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.o
-}
+// Observer returns the server's span observer, or nil when
+// ObsConfig.Disabled. The observer backs the HTTP introspection endpoints
+// (obsv.Handler), traces and request timelines.
+func (s *Server) Observer() *obsv.Observer { return s.obs.o }
 
-// Metrics returns the server's serving-metric handles, or nil when
-// observability is disabled.
-func (s *Server) Metrics() *obsv.ServingMetrics {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.sm
-}
+// Metrics returns the server's serving-metric cells. They are live in every
+// configuration: Stats and Health are computed from them.
+func (s *Server) Metrics() *obsv.ServingMetrics { return s.obs.sm }
 
 // SLO returns the server's SLO burn-rate engine, or nil when no SLOTarget
-// was configured (or observability is disabled).
-func (s *Server) SLO() *obsv.SLOEngine {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.slo
-}
+// was configured (or ObsConfig.Disabled).
+func (s *Server) SLO() *obsv.SLOEngine { return s.obs.slo }
 
 // PolicyMetrics returns the adaptive-policy metric handles, or nil when no
-// policy (or no observability) is wired.
-func (s *Server) PolicyMetrics() *obsv.PolicyMetrics {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.pm
-}
+// policy is wired.
+func (s *Server) PolicyMetrics() *obsv.PolicyMetrics { return s.obs.pm }
 
 // Health reports the server's drain/overload state for /healthz probes.
 func (s *Server) Health() obsv.Health {
@@ -495,9 +386,7 @@ func (s *Server) Health() obsv.Health {
 		stopped = true
 	default:
 	}
-	s.statsMu.Lock()
-	live, queued := s.liveRequests, s.queuedCells
-	s.statsMu.Unlock()
+	live, queued := int(s.obs.sm.Inflight.Value()), int(s.obs.sm.QueuedCells.Value())
 	overloaded := false
 	if n := s.cfg.MaxQueuedRequests; n > 0 && live >= n {
 		overloaded = true
@@ -512,9 +401,9 @@ func (s *Server) Health() obsv.Health {
 		LiveRequests: live,
 		QueuedCells:  queued,
 	}
-	if s.obs != nil && s.obs.pm != nil {
-		h.PolicyShedding = s.obs.pm.Shedding.Value() == 1
-		h.PolicySheds = s.obs.pm.Sheds.Value()
+	if pm := s.obs.pm; pm != nil {
+		h.PolicyShedding = pm.Shedding.Value() == 1
+		h.PolicySheds = pm.Sheds.Value()
 	}
 	switch {
 	case stopped:

@@ -102,7 +102,7 @@ func (s *Server) requestProcessor() {
 		s:           s,
 		reqs:        make(map[core.RequestID]*request),
 		timer:       time.NewTimer(time.Hour),
-		workersLeft: s.cfg.Workers,
+		workersLeft: len(s.taskChans),
 	}
 	if !rp.timer.Stop() {
 		<-rp.timer.C
@@ -201,12 +201,6 @@ func (rp *rpState) admit(cmd admitCmd) error {
 		rp.rearm()
 	}
 	rp.queuedCells += r.cells
-	s.statsMu.Lock()
-	s.queuedCells = rp.queuedCells
-	s.liveRequests = len(rp.reqs)
-	s.outcomes.Admitted++
-	s.trace.add(Event{At: time.Now(), Kind: EventAdmit, Req: r.id})
-	s.statsMu.Unlock()
 	s.obs.admit(r.id, r.admittedNs, len(rp.reqs), rp.queuedCells)
 	if s.journal != nil && !r.replayed {
 		// Enqueued here, on the request processor's goroutine, so the admit
@@ -241,20 +235,7 @@ func (rp *rpState) addSubgraphs(id core.RequestID, specs []core.SubgraphSpec) er
 
 // reject records one shed submission on the request processor's goroutine
 // (which owns the rp span ring).
-func (rp *rpState) reject() { rp.s.rejectFrom(true) }
-
-// reject records a shed submission from a caller goroutine (the
-// dead-on-arrival deadline path); counters only — the rp ring is
-// single-writer.
-func (s *Server) reject() { s.rejectFrom(false) }
-
-func (s *Server) rejectFrom(rpGoroutine bool) {
-	s.statsMu.Lock()
-	s.outcomes.Rejected++
-	s.trace.add(Event{At: time.Now(), Kind: EventReject})
-	s.statsMu.Unlock()
-	s.obs.reject(rpGoroutine)
-}
+func (rp *rpState) reject() { rp.s.obs.reject(true) }
 
 // terminate resolves a live request early with ErrCancelled or ErrExpired.
 func (rp *rpState) terminate(r *request, cause error) bool {
@@ -263,21 +244,13 @@ func (rp *rpState) terminate(r *request, cause error) bool {
 	}
 	s := rp.s
 	s.slCmds <- slCmd{kind: slCancel, req: r.id}
-	kind := EventCancel
-	obsKind := obsv.KindCancel
+	kind := obsv.KindCancel
 	jOutcome := journal.OutcomeCancelled
-	s.statsMu.Lock()
 	if errors.Is(cause, ErrExpired) {
-		kind = EventExpire
-		obsKind = obsv.KindExpire
+		kind = obsv.KindExpire
 		jOutcome = journal.OutcomeExpired
-		s.outcomes.Expired++
-	} else {
-		s.outcomes.Cancelled++
 	}
-	s.trace.add(Event{At: time.Now(), Kind: kind, Req: r.id})
-	s.statsMu.Unlock()
-	s.obs.terminal(r, obsKind, time.Now().UnixNano())
+	s.obs.terminal(r, kind, time.Now().UnixNano())
 	s.jterminal(r.id, jOutcome, cause.Error())
 	rp.resolve(r, cause)
 	return true
@@ -307,9 +280,6 @@ func (rp *rpState) complete(rec completion) {
 			continue
 		}
 		rp.queuedCells--
-		s.statsMu.Lock()
-		s.queuedCells = rp.queuedCells
-		s.statsMu.Unlock()
 		s.obs.gauges(len(rp.reqs), rp.queuedCells)
 		if len(released) > 0 {
 			if !r.deadline.IsZero() {
@@ -329,10 +299,6 @@ func (rp *rpState) complete(rec completion) {
 			r.stateMu.Lock()
 			r.results = r.state.Results()
 			r.stateMu.Unlock()
-			s.statsMu.Lock()
-			s.outcomes.Completed++
-			s.trace.add(Event{At: time.Now(), Kind: EventComplete, Req: r.id})
-			s.statsMu.Unlock()
 			nowNs := time.Now().UnixNano()
 			s.obs.terminal(r, obsv.KindComplete, nowNs)
 			s.jterminal(r.id, journal.OutcomeCompleted, "")
@@ -367,10 +333,6 @@ func (rp *rpState) fail(r *request, err error) {
 	}
 	s := rp.s
 	s.slCmds <- slCmd{kind: slCancel, req: r.id}
-	s.statsMu.Lock()
-	s.outcomes.Failed++
-	s.trace.add(Event{At: time.Now(), Kind: EventFail, Req: r.id})
-	s.statsMu.Unlock()
 	s.obs.terminal(r, obsv.KindFail, time.Now().UnixNano())
 	s.jterminal(r.id, journal.OutcomeFailed, err.Error())
 	rp.resolve(r, err)
@@ -387,10 +349,6 @@ func (rp *rpState) expireDue() {
 			continue
 		}
 		s.slCmds <- slCmd{kind: slCancel, req: r.id}
-		s.statsMu.Lock()
-		s.outcomes.Expired++
-		s.trace.add(Event{At: time.Now(), Kind: EventExpire, Req: r.id})
-		s.statsMu.Unlock()
 		s.obs.terminal(r, obsv.KindExpire, time.Now().UnixNano())
 		err := fmt.Errorf("%w: deadline %v passed", ErrExpired, r.deadline.Format(time.RFC3339Nano))
 		s.jterminal(r.id, journal.OutcomeExpired, err.Error())
@@ -418,23 +376,21 @@ func (rp *rpState) rearm() {
 }
 
 // resolve is the single exit point of a live request: it records the
-// outcome, releases waiters, and updates backlog accounting. The caller has
-// already classified the outcome (counter + trace event).
+// outcome, updates backlog accounting, and releases waiters — in that order,
+// so a caller woken by Done already sees the request gone from Stats and
+// Health. The caller has already classified the outcome (counter + span
+// record).
 func (rp *rpState) resolve(r *request, err error) {
 	s := rp.s
 	r.err = err
 	r.resolved.Store(true)
-	close(r.done)
 	delete(rp.reqs, r.id)
 	s.liveMu.Lock()
 	delete(s.live, r.id)
 	s.liveMu.Unlock()
 	rp.queuedCells -= r.tracker.Remaining()
-	s.statsMu.Lock()
-	s.queuedCells = rp.queuedCells
-	s.liveRequests = len(rp.reqs)
-	s.statsMu.Unlock()
 	s.obs.gauges(len(rp.reqs), rp.queuedCells)
+	close(r.done)
 	rp.maybeDrained()
 }
 
@@ -445,11 +401,7 @@ func (rp *rpState) drain() {
 		return
 	}
 	rp.draining = true
-	s := rp.s
-	s.draining.Store(true)
-	s.statsMu.Lock()
-	s.trace.add(Event{At: time.Now(), Kind: EventDrain})
-	s.statsMu.Unlock()
+	rp.s.draining.Store(true)
 	rp.maybeDrained()
 }
 
@@ -480,10 +432,6 @@ func (rp *rpState) stop() {
 	}
 	for _, r := range live {
 		s.slCmds <- slCmd{kind: slCancel, req: r.id}
-		s.statsMu.Lock()
-		s.outcomes.Failed++
-		s.trace.add(Event{At: time.Now(), Kind: EventFail, Req: r.id})
-		s.statsMu.Unlock()
 		s.obs.terminal(r, obsv.KindFail, time.Now().UnixNano())
 		s.jterminal(r.id, journal.OutcomeFailed, ErrStopped.Error())
 		rp.resolve(r, ErrStopped)

@@ -30,7 +30,6 @@ import (
 func TestPipelineStressMultiWorker(t *testing.T) {
 	m := newTestModel()
 	cfg := m.serverConfig(4)
-	cfg.TraceCapacity = 2048
 	cfg.RetryBackoff = 100 * time.Microsecond
 	faults := NewRandomFaults(42)
 	faults.PTransient = 0.05
@@ -213,13 +212,6 @@ func TestPipelineStressMultiWorker(t *testing.T) {
 		}
 		if ws.QueueDepth != 0 {
 			t.Fatalf("worker %d queue not drained: depth=%d", w, ws.QueueDepth)
-		}
-		hist := 0
-		for _, n := range ws.BatchSizes {
-			hist += n
-		}
-		if hist != ws.TasksRun {
-			t.Fatalf("worker %d histogram sums to %d, ran %d tasks", w, hist, ws.TasksRun)
 		}
 	}
 	if workerTasks != st.TasksRun {

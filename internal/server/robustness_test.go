@@ -10,6 +10,7 @@ import (
 
 	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/core"
+	"batchmaker/internal/obsv"
 )
 
 // fnInjector adapts a function to FaultInjector for deterministic tests.
@@ -42,6 +43,17 @@ func (o *onceInjector) Inject(string, int) FaultDecision {
 	return o.decision
 }
 
+// hasRecord reports whether any of the server's span rings holds a record
+// of the given kind.
+func hasRecord(srv *Server, kind obsv.Kind) bool {
+	for _, rec := range srv.Observer().Snapshot() {
+		if rec.Kind == kind {
+			return true
+		}
+	}
+	return false
+}
+
 // waitIdle polls until the scheduler drained and no tasks are in flight.
 func waitIdle(t *testing.T, srv *Server) {
 	t.Helper()
@@ -60,7 +72,6 @@ func TestServerOverloadedByRequests(t *testing.T) {
 	cfg := m.serverConfig(1)
 	cfg.MaxQueuedRequests = 2
 	cfg.Faults = delayInjector(30 * time.Millisecond)
-	cfg.TraceCapacity = 64
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,15 +101,8 @@ func TestServerOverloadedByRequests(t *testing.T) {
 	if st.Outcomes.Rejected != 1 {
 		t.Fatalf("Rejected = %d, want 1: %s", st.Outcomes.Rejected, st.Outcomes)
 	}
-	events, _ := srv.Trace()
-	found := false
-	for _, e := range events {
-		if e.Kind == EventReject {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no reject event in trace")
+	if !hasRecord(srv, obsv.KindReject) {
+		t.Fatal("no reject record in the span rings")
 	}
 	// Shedding is transient: with the queue drained, admission reopens.
 	g2, _ := cellgraph.UnfoldChain(m.lstm, chainInput(10, 2))
@@ -145,7 +149,6 @@ func TestServerDeadlineExpiresQueuedRequest(t *testing.T) {
 	m := newTestModel()
 	cfg := m.serverConfig(1)
 	cfg.Faults = delayInjector(20 * time.Millisecond)
-	cfg.TraceCapacity = 256
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,15 +175,8 @@ func TestServerDeadlineExpiresQueuedRequest(t *testing.T) {
 	if got := srv.Stats().CellsRun; got != after {
 		t.Fatalf("cells kept executing after expiry: %d -> %d", after, got)
 	}
-	events, _ := srv.Trace()
-	found := false
-	for _, e := range events {
-		if e.Kind == EventExpire {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no expire event in trace")
+	if !hasRecord(srv, obsv.KindExpire) {
+		t.Fatal("no expire record in the span rings")
 	}
 }
 
@@ -205,7 +201,6 @@ func TestServerCancelPurgesQueuedWork(t *testing.T) {
 	m := newTestModel()
 	cfg := m.serverConfig(1)
 	cfg.Faults = delayInjector(15 * time.Millisecond)
-	cfg.TraceCapacity = 256
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -236,6 +231,9 @@ func TestServerCancelPurgesQueuedWork(t *testing.T) {
 	st := srv.Stats()
 	if st.Outcomes.Cancelled != 1 || st.LiveRequests != 0 {
 		t.Fatalf("bad outcome accounting: %s live=%d", st.Outcomes, st.LiveRequests)
+	}
+	if !hasRecord(srv, obsv.KindCancel) {
+		t.Fatal("no cancel record in the span rings")
 	}
 	if st.CellsRun >= n {
 		t.Fatalf("cancelled request ran all %d cells", n)
@@ -287,7 +285,6 @@ func TestServerDrainGraceful(t *testing.T) {
 	m := newTestModel()
 	cfg := m.serverConfig(2)
 	cfg.Faults = delayInjector(10 * time.Millisecond)
-	cfg.TraceCapacity = 64
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -393,6 +390,9 @@ func TestServerTransientErrorIsRetried(t *testing.T) {
 	if st := srv.Stats(); st.Outcomes.Retries != 1 {
 		t.Fatalf("Retries = %d, want 1", st.Outcomes.Retries)
 	}
+	if !hasRecord(srv, obsv.KindRetry) {
+		t.Fatal("no retry record in the span rings")
+	}
 }
 
 func TestServerTransientErrorExhaustsRetries(t *testing.T) {
@@ -423,7 +423,6 @@ func TestServerPanicRecoveredWorkerSurvives(t *testing.T) {
 	m := newTestModel()
 	cfg := m.serverConfig(1)
 	cfg.Faults = &onceInjector{decision: FaultDecision{Kind: FaultPanic}}
-	cfg.TraceCapacity = 64
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -447,15 +446,8 @@ func TestServerPanicRecoveredWorkerSurvives(t *testing.T) {
 	if st.Quarantined[m.lstm.TypeKey()] != 1 {
 		t.Fatalf("quarantine counter = %v, want 1 for %s", st.Quarantined, m.lstm.TypeKey())
 	}
-	events, _ := srv.Trace()
-	found := false
-	for _, e := range events {
-		if e.Kind == EventPanic {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no panic event in trace")
+	if !hasRecord(srv, obsv.KindPanic) {
+		t.Fatal("no panic record in the span rings")
 	}
 }
 

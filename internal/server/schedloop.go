@@ -46,8 +46,9 @@ type slCmd struct {
 // schedulerLoop is the single goroutine that owns the core.Scheduler. It
 // dispatches batched tasks onto the bounded per-worker channels — only when
 // a channel is guaranteed to have room for a full scheduling round, so a
-// dispatch send never blocks — and mirrors the scheduler's gauges into the
-// stats so Stats/SchedulerClean need no access to the loop's state.
+// dispatch send never blocks — and mirrors the scheduler's gauges into
+// atomics and metric cells so Stats/SchedulerClean need no access to the
+// loop's state.
 func (s *Server) schedulerLoop(sched *core.Scheduler, mts, depth int) {
 	defer s.wg.Done()
 	outstanding := make([]int, len(s.taskChans))
@@ -91,13 +92,8 @@ func (s *Server) schedulerLoop(sched *core.Scheduler, mts, depth int) {
 					outstanding[w]++
 				}
 				progress = true
-				s.statsMu.Lock()
-				s.dispatchRounds++
+				s.dispatchRounds.Add(1)
 				s.dispatchLat.Add(time.Since(start))
-				if copies > 0 {
-					s.deviceCopies[s.workerDevice[w]] += copies
-				}
-				s.statsMu.Unlock()
 				if copies > 0 {
 					s.obs.deviceCopies(int(s.workerDevice[w]), copies)
 				}
@@ -110,13 +106,8 @@ func (s *Server) schedulerLoop(sched *core.Scheduler, mts, depth int) {
 	}
 
 	mirror := func() {
-		s.statsMu.Lock()
-		s.schedInflight = sched.InflightTasks()
-		s.schedLive = sched.LiveSubgraphs()
-		s.schedReady = sched.TotalReady()
-		s.pinMoves = sched.PinMoves()
-		copy(s.workerDepth, outstanding)
-		s.statsMu.Unlock()
+		s.schedInflight.Store(int64(sched.InflightTasks()))
+		s.schedLive.Store(int64(sched.LiveSubgraphs()))
 		s.obs.mirrorScheduler(sched, outstanding)
 	}
 

@@ -48,6 +48,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	rtmetrics "runtime/metrics"
 	"sync"
 	"sync/atomic"
@@ -168,12 +169,16 @@ type Config struct {
 	// requests' cells coalesce). Raise it to trade batching opportunity for
 	// lookahead.
 	WorkerQueueDepth int
-	// TraceCapacity, when positive, enables execution tracing with a ring
-	// buffer of that many events (see Trace).
-	TraceCapacity int
-	// Obs configures the observability layer: metric registry, span rings,
-	// and sampling (see ObsConfig). The zero value enables it with a
-	// private registry and default ring capacity.
+	// TaskObserver, when non-nil, is called by the executing worker once
+	// per executed task, after the step and before the task's completion is
+	// published, with the (request, node) rows the task actually ran. rows
+	// is only valid during the call. It is the conformance harness's test
+	// seam (span records deliberately do not carry row lists); no binary
+	// sets it. Calls from different workers are concurrent.
+	TaskObserver func(worker int, typeKey string, rows []core.NodeRef)
+	// Obs configures the observability layer: metric registry, span rings
+	// and SLO engine (see ObsConfig). The zero value enables it with a
+	// private registry.
 	Obs ObsConfig
 
 	// MaxQueuedRequests, when positive, bounds live (admitted, unresolved)
@@ -325,7 +330,7 @@ type Server struct {
 	nextID atomic.Int64
 	wg     sync.WaitGroup
 
-	// obs is the observability bridge (nil when Config.Obs.Disabled);
+	// obs is the observability bridge: the serving path's only bookkeeping.
 	// draining mirrors the request processor's drain state for Health.
 	obs      *serverObs
 	draining atomic.Bool
@@ -340,32 +345,23 @@ type Server struct {
 	liveMu sync.RWMutex
 	live   map[core.RequestID]*request
 
-	// statsMu is a leaf lock guarding counters, the trace ring, and the
-	// scheduler gauges mirrored by the scheduler loop, so Stats and
-	// SchedulerClean work during operation and after shutdown.
-	statsMu        sync.Mutex
-	tasksRun       int
-	cellsRun       int
-	execNanos      int64       // total worker gather+execute time
-	queuedCells    int         // mirrored from the request processor
-	liveRequests   int         // mirrored from the request processor
-	batchesBy      map[int]int // batch size -> count
-	outcomes       metrics.Outcomes
-	quarantined    map[string]int // cell type -> recovered panic count
-	trace          *traceRing
-	workerTasks    []int
-	workerBatches  []map[int]int
-	workerDepth    []int // mirrored from the scheduler loop
-	dispatchRounds int
+	// Scheduler-loop-owned mirrors, written by that one goroutine so Stats
+	// and SchedulerClean work during operation and after shutdown. The
+	// dispatch-latency window carries its own leaf lock.
+	schedInflight  atomic.Int64 // core.Scheduler in-flight tasks
+	schedLive      atomic.Int64 // core.Scheduler live subgraphs
+	dispatchRounds atomic.Int64
 	dispatchLat    *metrics.Window
-	schedInflight  int // mirrored core.Scheduler gauges
-	schedLive      int
-	schedReady     int
-	deviceTasks    []int // per-device execution counters
-	deviceCells    []int
-	deviceCopies   []int // dispatches that paid a cross-device copy
-	pinMoves       int   // mirrored scheduler pin-rebalance count
 }
+
+// Span records stamp the worker and device index into a byte and batch size
+// and queue depth into 16 bits; New rejects configurations that would not fit.
+const (
+	maxWorkers    = 256
+	maxDevices    = 256
+	maxBatchLimit = 65535
+	maxQueueDepth = 65535
+)
 
 // New builds and starts a server. Call Stop (or Drain) to shut it down.
 func New(cfg Config) (*Server, error) {
@@ -376,12 +372,21 @@ func New(cfg Config) (*Server, error) {
 		}
 		pools = []DeviceConfig{{Workers: cfg.Workers}}
 	}
+	if len(pools) > maxDevices {
+		return nil, fmt.Errorf("server: Devices has %d pools (max %d)", len(pools), maxDevices)
+	}
 	totalWorkers := 0
 	for d, p := range pools {
 		if p.Workers <= 0 {
 			return nil, fmt.Errorf("server: device %d must have positive Workers", d)
 		}
 		totalWorkers += p.Workers
+	}
+	if totalWorkers > maxWorkers {
+		return nil, fmt.Errorf("server: Workers total %d across pools (max %d)", totalWorkers, maxWorkers)
+	}
+	if cfg.WorkerQueueDepth > maxQueueDepth {
+		return nil, fmt.Errorf("server: WorkerQueueDepth %d too large (max %d)", cfg.WorkerQueueDepth, maxQueueDepth)
 	}
 	if len(cfg.Cells) == 0 {
 		return nil, fmt.Errorf("server: no cells registered")
@@ -395,6 +400,10 @@ func New(cfg Config) (*Server, error) {
 	for _, cs := range cfg.Cells {
 		if cs.Cell == nil {
 			return nil, fmt.Errorf("server: nil cell in config")
+		}
+		if cs.MaxBatch > maxBatchLimit {
+			return nil, fmt.Errorf("server: MaxBatch %d of cell %q too large (max %d)",
+				cs.MaxBatch, cs.Cell.Name(), maxBatchLimit)
 		}
 		if cs.Precision != rnn.PrecisionF32 {
 			pc, ok := cs.Cell.(rnn.PrecisionConfigurable)
@@ -455,35 +464,26 @@ func New(cfg Config) (*Server, error) {
 	// before any pipeline goroutine starts.
 	workerDevice := make([]core.DeviceID, totalWorkers)
 	s := &Server{
-		cfg:           cfg,
-		cells:         cells,
-		outWidths:     outWidths,
-		faults:        cfg.Faults,
-		journal:       cfg.Journal,
-		baseAllocs:    heapAllocObjects(),
-		maxRetries:    maxRetries,
-		retryBackoff:  backoff,
-		pools:         pools,
-		workerDevice:  workerDevice,
-		workerLane:    make([]int, totalWorkers),
-		cmds:          make(chan any),
-		completions:   make(chan completion, totalWorkers*depth+totalWorkers),
-		slCmds:        make(chan slCmd, 64),
-		taskChans:     make([]chan *core.Task, totalWorkers),
-		stopdCh:       make(chan struct{}),
-		drained:       make(chan struct{}),
-		live:          make(map[core.RequestID]*request),
-		batchesBy:     make(map[int]int),
-		quarantined:   make(map[string]int),
-		trace:         newTraceRing(cfg.TraceCapacity),
-		workerTasks:   make([]int, totalWorkers),
-		workerBatches: make([]map[int]int, totalWorkers),
-		workerDepth:   make([]int, totalWorkers),
-		deviceTasks:   make([]int, len(pools)),
-		deviceCells:   make([]int, len(pools)),
-		deviceCopies:  make([]int, len(pools)),
-		dispatchLat:   metrics.NewWindow(4096),
-		obs:           newServerObs(cfg.Obs, cfg.Cells, totalWorkers, len(pools), workerDevice),
+		cfg:          cfg,
+		cells:        cells,
+		outWidths:    outWidths,
+		faults:       cfg.Faults,
+		journal:      cfg.Journal,
+		baseAllocs:   heapAllocObjects(),
+		maxRetries:   maxRetries,
+		retryBackoff: backoff,
+		pools:        pools,
+		workerDevice: workerDevice,
+		workerLane:   make([]int, totalWorkers),
+		cmds:         make(chan any),
+		completions:  make(chan completion, totalWorkers*depth+totalWorkers),
+		slCmds:       make(chan slCmd, 64),
+		taskChans:    make([]chan *core.Task, totalWorkers),
+		stopdCh:      make(chan struct{}),
+		drained:      make(chan struct{}),
+		live:         make(map[core.RequestID]*request),
+		dispatchLat:  metrics.NewWindow(4096),
+		obs:          newServerObs(cfg.Obs, cfg.Cells, totalWorkers, len(pools), workerDevice),
 	}
 	w := 0
 	for d, p := range pools {
@@ -508,22 +508,11 @@ func New(cfg Config) (*Server, error) {
 			}
 			bounds = append(bounds, policy.TypeBounds{Key: tc.Key, Min: min, Max: tc.MaxBatch})
 		}
-		var pm *obsv.PolicyMetrics
-		if s.obs != nil {
-			pm = obsv.NewPolicyMetrics(s.obs.sm.Registry())
-			s.obs.pm = pm
-		}
-		s.policy = policy.New(cfg.Policy, bounds, pm)
-	}
-	if s.obs != nil {
-		// Refresh the trace ring's drop-oldest counter at exposition time.
-		s.obs.sm.Registry().AddCollector(func() {
-			s.obs.sm.TraceDropped.Set(int64(s.TraceDropped()))
-		})
+		s.obs.pm = obsv.NewPolicyMetrics(s.obs.sm.Registry())
+		s.policy = policy.New(cfg.Policy, bounds, s.obs.pm)
 	}
 	for w := range s.taskChans {
 		s.taskChans[w] = make(chan *core.Task, depth)
-		s.workerBatches[w] = make(map[int]int)
 	}
 	s.wg.Add(2 + totalWorkers)
 	go s.requestProcessor()
@@ -579,7 +568,7 @@ type Handle struct {
 func (h *Handle) Done() <-chan struct{} { return h.req.done }
 
 // ID returns the request's server-assigned ID — the key under which its
-// lifecycle appears in trace events (see Trace).
+// lifecycle appears in span records and /debug/requests timelines.
 func (h *Handle) ID() core.RequestID { return h.req.id }
 
 // Result returns the request's outputs after Done is closed. Calling it
@@ -679,7 +668,7 @@ func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, 
 		// classification does not depend on admission queueing delay: a
 		// deadline that passes after this point is an admitted request that
 		// expires normally.
-		s.reject()
+		s.obs.reject(false)
 		return nil, fmt.Errorf("%w: deadline passed before admission", ErrExpired)
 	}
 	for _, n := range g.Nodes {
@@ -800,8 +789,6 @@ type WorkerStats struct {
 	// QueueDepth is the worker's current task-channel backlog (dispatched,
 	// not yet completed).
 	QueueDepth int
-	// BatchSizes is this worker's batch-size histogram.
-	BatchSizes map[int]int
 }
 
 // DeviceStats aggregates one device pool.
@@ -816,10 +803,18 @@ type DeviceStats struct {
 	Copies int
 }
 
-// Stats reports execution counters.
+// Stats is a read-time view of the server's obsv metric cells — the same
+// cells /metrics exposes — plus the scheduler loop's mirrors. Each field is
+// read atomically; the view as a whole is not one atomic snapshot, so sums
+// across fields are exact only once the pipeline is idle.
 type Stats struct {
-	TasksRun   int
-	CellsRun   int
+	TasksRun int
+	CellsRun int
+	// BatchSizes is the batch-occupancy histogram of the registry
+	// (batchmaker_batch_occupancy): key = inclusive bucket upper bound from
+	// obsv.BatchOccupancyBuckets, value = tasks whose live-row count fell in
+	// that bucket; tasks above the last bound are keyed math.MaxInt. Empty
+	// buckets are omitted.
 	BatchSizes map[int]int
 	// LiveRequests counts admitted, unresolved requests.
 	LiveRequests int
@@ -828,8 +823,9 @@ type Stats struct {
 	QueuedCells int
 	// Outcomes breaks down how requests entered and left the system.
 	Outcomes metrics.Outcomes
-	// Quarantined counts recovered panics per cell type — a persistently
-	// growing entry points at a broken kernel.
+	// Quarantined counts recovered panics per cell type (types that never
+	// panicked are omitted) — a persistently growing entry points at a
+	// broken kernel.
 	Quarantined map[string]int
 	// Workers breaks execution down per pipeline worker.
 	Workers []WorkerStats
@@ -855,61 +851,75 @@ type Stats struct {
 	ProcessAllocsPerTask float64
 }
 
-// Stats returns a snapshot of the server's counters.
+// Stats computes the view from the metric cells at call time.
 func (s *Server) Stats() Stats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	by := make(map[int]int, len(s.batchesBy))
-	for k, v := range s.batchesBy {
-		by[k] = v
-	}
-	q := make(map[string]int, len(s.quarantined))
-	for k, v := range s.quarantined {
-		q[k] = v
-	}
-	ws := make([]WorkerStats, len(s.workerTasks))
-	for w := range ws {
-		wb := make(map[int]int, len(s.workerBatches[w]))
-		for k, v := range s.workerBatches[w] {
-			wb[k] = v
-		}
-		ws[w] = WorkerStats{
-			Device:     int(s.workerDevice[w]),
-			Lane:       s.workerLane[w],
-			TasksRun:   s.workerTasks[w],
-			QueueDepth: s.workerDepth[w],
-			BatchSizes: wb,
-		}
-	}
-	ds := make([]DeviceStats, len(s.pools))
-	for d := range ds {
-		ds[d] = DeviceStats{
-			Workers:  s.pools[d].Workers,
-			TasksRun: s.deviceTasks[d],
-			CellsRun: s.deviceCells[d],
-			Copies:   s.deviceCopies[d],
-		}
-	}
+	ob, sm := s.obs, s.obs.sm
 	st := Stats{
-		TasksRun:       s.tasksRun,
-		CellsRun:       s.cellsRun,
-		BatchSizes:     by,
-		LiveRequests:   s.liveRequests,
-		QueuedCells:    s.queuedCells,
-		Outcomes:       s.outcomes,
-		Quarantined:    q,
-		Workers:        ws,
-		Devices:        ds,
-		PinMoves:       s.pinMoves,
-		DispatchRounds: s.dispatchRounds,
+		BatchSizes:   make(map[int]int),
+		LiveRequests: int(sm.Inflight.Value()),
+		QueuedCells:  int(sm.QueuedCells.Value()),
+		Outcomes: metrics.Outcomes{
+			Admitted:  int(sm.Admitted.Value()),
+			Completed: int(sm.Completed.Value()),
+			Failed:    int(sm.Failed.Value()),
+			Rejected:  int(sm.Rejected.Value()),
+			Expired:   int(sm.Expired.Value()),
+			Cancelled: int(sm.Cancelled.Value()),
+			Retries:   int(sm.Retries.Value()),
+		},
+		Quarantined:    make(map[string]int),
+		Workers:        make([]WorkerStats, len(ob.workers)),
+		Devices:        make([]DeviceStats, len(s.pools)),
+		PinMoves:       int(sm.PinMoves.Value()),
+		DispatchRounds: int(s.dispatchRounds.Load()),
 		DispatchP50:    s.dispatchLat.P50(),
 		DispatchP99:    s.dispatchLat.P99(),
 	}
-	if s.cellsRun > 0 {
-		st.NsPerCell = time.Duration(s.execNanos / int64(s.cellsRun))
+	bounds, cum := sm.BatchOccupancy.Buckets()
+	prev := int64(0)
+	for i, ub := range bounds {
+		if n := cum[i] - prev; n > 0 {
+			st.BatchSizes[int(ub)] = int(n)
+		}
+		prev = cum[i]
 	}
-	if s.tasksRun > 0 {
-		st.ProcessAllocsPerTask = float64(heapAllocObjects()-s.baseAllocs) / float64(s.tasksRun)
+	if n := sm.BatchOccupancy.Count() - prev; n > 0 {
+		st.BatchSizes[math.MaxInt] = int(n)
+	}
+	for key, ot := range ob.types {
+		if n := int(ot.tm.Panics.Value()); n > 0 {
+			st.Quarantined[key] = n
+			st.Outcomes.RecoveredPanics += n
+		}
+	}
+	for d := range st.Devices {
+		st.Devices[d] = DeviceStats{Workers: s.pools[d].Workers, Copies: int(ob.devices[d].Copies.Value())}
+	}
+	var busyNs int64
+	for w, wm := range ob.workers {
+		ws := WorkerStats{
+			Device:     int(s.workerDevice[w]),
+			Lane:       s.workerLane[w],
+			QueueDepth: int(wm.Depth.Value()),
+		}
+		cells := 0
+		for _, e := range ob.exec[w] {
+			ws.TasksRun += int(e.Tasks.Value())
+			cells += int(e.Cells.Value())
+		}
+		st.Workers[w] = ws
+		dev := &st.Devices[ws.Device]
+		dev.TasksRun += ws.TasksRun
+		dev.CellsRun += cells
+		st.TasksRun += ws.TasksRun
+		st.CellsRun += cells
+		busyNs += wm.Busy.Value()
+	}
+	if st.CellsRun > 0 {
+		st.NsPerCell = time.Duration(busyNs / int64(st.CellsRun))
+	}
+	if st.TasksRun > 0 {
+		st.ProcessAllocsPerTask = float64(heapAllocObjects()-s.baseAllocs) / float64(st.TasksRun)
 	}
 	return st
 }
@@ -925,13 +935,15 @@ func heapAllocObjects() uint64 {
 }
 
 // schedulerGauges returns the scheduler-loop-mirrored core.Scheduler gauges
-// (in-flight tasks, live subgraphs, total ready nodes). The mirror is
-// updated after every scheduler-loop message, so it is eventually
-// consistent during operation and exact once the pipeline is idle.
+// (in-flight tasks, live subgraphs, total ready nodes — the last as the sum
+// of the per-type ready-queue gauges). The mirror is updated after every
+// scheduler-loop message, so it is eventually consistent during operation
+// and exact once the pipeline is idle.
 func (s *Server) schedulerGauges() (inflight, liveSubgraphs, ready int) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.schedInflight, s.schedLive, s.schedReady
+	for _, ot := range s.obs.types {
+		ready += int(ot.tm.Ready.Value())
+	}
+	return int(s.schedInflight.Load()), int(s.schedLive.Load()), ready
 }
 
 // SchedulerClean reports whether the scheduler's queues and bookkeeping

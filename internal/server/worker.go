@@ -6,16 +6,20 @@ import (
 	"time"
 
 	"batchmaker/internal/core"
+	"batchmaker/internal/obsv"
 	"batchmaker/internal/rnn"
 	"batchmaker/internal/tensor"
 )
 
 // typeExec caches one worker's per-cell-type execution resources: the
 // resolved fast path, the input/output name lists (so the hot loop never
-// re-allocates them), and the reused input/output tensor maps.
+// re-allocates them), the reused input/output tensor maps, and the metric
+// cells this worker is the only writer of.
 type typeExec struct {
 	cell     rnn.Cell
-	fast     rnn.IntoStepper // nil: the cell has no StepInto; use Step
+	obs      *obsType          // shared per-type handles
+	exec     *obsv.ExecMetrics // this worker's task/cell counters for the type
+	fast     rnn.IntoStepper   // nil: the cell has no StepInto; use Step
 	inNames  []string
 	outNames []string
 	widths   map[string]int // nil: output widths unknown; allocating scatter
@@ -24,15 +28,17 @@ type typeExec struct {
 }
 
 // workerExec is one worker's reusable execution state: the scratch arena
-// every per-task intermediate is carved from, the per-type caches, and the
-// row-pointer gather scratch. Together with per-request output rows
-// preallocated at admission, it makes the steady-state task loop — gather,
-// step, scatter — free of heap allocations (§4.3's memory-copy step run at
-// memcpy speed, not allocator speed).
+// every per-task intermediate is carved from, the per-type caches, the
+// row-pointer gather scratch, and the row buffer lent to
+// Config.TaskObserver. Together with per-request output rows preallocated at
+// admission, it makes the steady-state task loop — gather, step, scatter —
+// free of heap allocations (§4.3's memory-copy step run at memcpy speed, not
+// allocator speed).
 type workerExec struct {
 	arena *tensor.Arena
 	types map[string]*typeExec
 	rows  [][]*tensor.Tensor
+	seen  []core.NodeRef
 }
 
 func newWorkerExec() *workerExec {
@@ -42,15 +48,19 @@ func newWorkerExec() *workerExec {
 	}
 }
 
-// typeFor returns the cached per-type resources, building them on first use.
-func (w *workerExec) typeFor(key string, cell rnn.Cell, widths map[string]int) *typeExec {
+// typeFor returns worker id's cached per-type resources, building them on
+// first use.
+func (s *Server) typeFor(w *workerExec, id int, key string) *typeExec {
 	te := w.types[key]
 	if te == nil {
+		cell := s.cells[key]
 		te = &typeExec{
 			cell:     cell,
+			obs:      s.obs.types[key],
+			exec:     s.obs.exec[id][key],
 			inNames:  cell.InputNames(),
 			outNames: cell.OutputNames(),
-			widths:   widths,
+			widths:   s.outWidths[key],
 			inputs:   make(map[string]*tensor.Tensor),
 			outs:     make(map[string]*tensor.Tensor),
 		}
@@ -127,7 +137,7 @@ func (s *Server) workerLoop(id int, tasks <-chan *core.Task) {
 // kernels on one GPU stream. Dependency tracking and resolution stay with
 // the request processor.
 func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
-	te := ws.typeFor(task.TypeKey, s.cells[task.TypeKey], s.outWidths[task.TypeKey])
+	te := s.typeFor(ws, id, task.TypeKey)
 	ws.arena.Reset()
 	now := time.Now()
 	refsBuf := getExecRefs()
@@ -185,31 +195,16 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 	// panic containment and transient-error retry around the raw step.
 	outs, stepErr := s.runStep(te, task, len(refs), ws.arena)
 
-	var traceRefs []core.NodeRef
-	if s.trace != nil {
-		traceRefs = make([]core.NodeRef, len(refs))
-		for i, ref := range refs {
-			traceRefs[i] = core.NodeRef{Req: ref.req.id, Node: ref.node}
+	elapsed := int64(time.Since(now))
+	s.obs.taskExec(id, task, te, len(refs), elapsed,
+		ws.arena.HighWaterBytes(), now.UnixNano()+elapsed)
+	if s.cfg.TaskObserver != nil {
+		ws.seen = ws.seen[:0]
+		for _, ref := range refs {
+			ws.seen = append(ws.seen, core.NodeRef{Req: ref.req.id, Node: ref.node})
 		}
+		s.cfg.TaskObserver(id, task.TypeKey, ws.seen)
 	}
-	elapsed := time.Since(now)
-	s.statsMu.Lock()
-	s.tasksRun++
-	s.cellsRun += len(refs)
-	s.execNanos += int64(elapsed)
-	s.batchesBy[len(refs)]++
-	s.workerTasks[id]++
-	s.workerBatches[id][len(refs)]++
-	s.deviceTasks[s.workerDevice[id]]++
-	s.deviceCells[s.workerDevice[id]] += len(refs)
-	s.trace.add(Event{
-		At: time.Now(), Kind: EventTaskExec,
-		Worker: task.Worker, TypeKey: task.TypeKey, Batch: len(refs),
-		Nodes: traceRefs,
-	})
-	s.statsMu.Unlock()
-	s.obs.taskExec(id, task, len(refs),
-		ws.arena.HighWaterBytes(), now.UnixNano()+int64(elapsed))
 
 	if stepErr != nil {
 		// Poison before the failure record is enqueued: successor tasks
@@ -259,14 +254,7 @@ func (s *Server) runStep(te *typeExec, task *core.Task, batch int, arena *tensor
 		if err == nil || !IsTransient(err) || attempt >= s.maxRetries {
 			return outs, err
 		}
-		s.statsMu.Lock()
-		s.outcomes.Retries++
-		s.trace.add(Event{
-			At: time.Now(), Kind: EventRetry,
-			Worker: task.Worker, TypeKey: task.TypeKey, Batch: batch,
-		})
-		s.statsMu.Unlock()
-		s.obs.retry(task, batch)
+		s.obs.retry(task, te, batch)
 		time.Sleep(backoff)
 		backoff *= 2
 	}
@@ -280,15 +268,7 @@ func (s *Server) runStep(te *typeExec, task *core.Task, batch int, arena *tensor
 func (s *Server) stepOnce(te *typeExec, task *core.Task, batch int, arena *tensor.Arena) (outs map[string]*tensor.Tensor, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			s.statsMu.Lock()
-			s.outcomes.RecoveredPanics++
-			s.quarantined[task.TypeKey]++
-			s.trace.add(Event{
-				At: time.Now(), Kind: EventPanic,
-				Worker: task.Worker, TypeKey: task.TypeKey, Batch: batch,
-			})
-			s.statsMu.Unlock()
-			s.obs.cellPanic(task, batch)
+			s.obs.cellPanic(task, te, batch)
 			err = fmt.Errorf("%w: %s: %v", ErrCellPanic, te.cell.Name(), p)
 			outs = nil
 		}

@@ -26,23 +26,16 @@ func workerAllocFixture(tb testing.TB, reqN, chainN int, prec rnn.Precision) (*S
 	}
 	key := lstm.TypeKey()
 	s := &Server{
-		cells:         map[string]rnn.Cell{key: lstm},
-		outWidths:     map[string]map[string]int{key: lstm.OutputWidths()},
-		retryBackoff:  time.Millisecond,
-		live:          make(map[core.RequestID]*request),
-		batchesBy:     make(map[int]int),
-		quarantined:   make(map[string]int),
-		pools:         []DeviceConfig{{Workers: 1}},
-		workerDevice:  make([]core.DeviceID, 1),
-		workerLane:    make([]int, 1),
-		workerTasks:   make([]int, 1),
-		workerBatches: []map[int]int{make(map[int]int)},
-		deviceTasks:   make([]int, 1),
-		deviceCells:   make([]int, 1),
-		deviceCopies:  make([]int, 1),
-		// Event tracing ON at default sampling, with the SLO burn engine
-		// armed: the zero-alloc gate must hold with the full observability
-		// layer live, exactly as New() builds it.
+		cells:        map[string]rnn.Cell{key: lstm},
+		outWidths:    map[string]map[string]int{key: lstm.OutputWidths()},
+		retryBackoff: time.Millisecond,
+		live:         make(map[core.RequestID]*request),
+		pools:        []DeviceConfig{{Workers: 1}},
+		workerDevice: make([]core.DeviceID, 1),
+		workerLane:   make([]int, 1),
+		// Span records ON (every task writes one) with the SLO burn engine
+		// armed and TaskObserver nil: the zero-alloc gate must hold with the
+		// full observability layer live, exactly as New() builds it.
 		obs: newServerObs(ObsConfig{SLOTarget: 50 * time.Millisecond},
 			[]CellSpec{{Cell: lstm, MaxBatch: reqN}}, 1, 1, nil),
 	}

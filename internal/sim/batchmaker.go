@@ -102,8 +102,10 @@ type batchMakerSim struct {
 	// obsTypes caches per-cell-type metric handles plus the type's batch
 	// capacity (for slot accounting); nil when cfg.Metrics is nil.
 	obsTypes map[string]*bmObsType
-	// obsDevs caches per-device metric handles; nil when cfg.Metrics is nil.
-	obsDevs []*obsv.DeviceMetrics
+	// obsDevs and obsWorkers cache per-device and per-worker metric handles;
+	// nil when cfg.Metrics is nil.
+	obsDevs    []*obsv.DeviceMetrics
+	obsWorkers []*obsv.WorkerMetrics
 	// Span rings mirroring the live pipeline's writer layout; nil (no-op)
 	// when cfg.Observer is nil.
 	rpRing      *obsv.Ring
@@ -112,9 +114,12 @@ type batchMakerSim struct {
 	typeIDs     map[string]uint16
 }
 
-// bmObsType is one cell type's cached metric handles for the sim hook.
+// bmObsType is one cell type's cached metric handles for the sim hook;
+// exec is indexed by worker, the same {cell_type, worker} cells the live
+// server's workers write.
 type bmObsType struct {
 	tm       *obsv.TypeMetrics
+	exec     []*obsv.ExecMetrics
 	maxBatch int64
 }
 
@@ -175,11 +180,17 @@ func RunBatchMaker(cfg BatchMakerConfig, wl Workload, run RunConfig) (*metrics.R
 	if cfg.Metrics != nil {
 		s.obsTypes = make(map[string]*bmObsType)
 		for _, tc := range cfg.Model.Types() {
-			s.obsTypes[tc.Key] = &bmObsType{tm: cfg.Metrics.Type(tc.Key), maxBatch: int64(tc.MaxBatch)}
+			ot := &bmObsType{tm: cfg.Metrics.Type(tc.Key), maxBatch: int64(tc.MaxBatch)}
+			for w := 0; w < cfg.NumGPUs; w++ {
+				ot.exec = append(ot.exec, cfg.Metrics.Exec(tc.Key, w))
+			}
+			s.obsTypes[tc.Key] = ot
 		}
 		s.obsDevs = make([]*obsv.DeviceMetrics, cfg.NumGPUs)
+		s.obsWorkers = make([]*obsv.WorkerMetrics, cfg.NumGPUs)
 		for d := range s.obsDevs {
 			s.obsDevs[d] = cfg.Metrics.Device(d)
+			s.obsWorkers[d] = cfg.Metrics.Worker(d)
 		}
 	}
 	if o := cfg.Observer; o != nil {
@@ -321,8 +332,9 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 		if ot := s.obsTypes[task.TypeKey]; ot != nil {
 			m := s.cfg.Metrics
 			batch := int64(task.BatchSize())
-			ot.tm.Tasks.Inc()
-			ot.tm.Cells.Add(batch)
+			ot.exec[w].Tasks.Inc()
+			ot.exec[w].Cells.Add(batch)
+			s.obsWorkers[w].Busy.Add(int64(dur))
 			m.BatchOccupancy.Observe(batch)
 			m.SlotsUsed.Add(batch)
 			m.SlotsCap.Add(ot.maxBatch)
@@ -408,7 +420,7 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 	s.mirrorReady()
 }
 
-// mirrorReady refreshes the per-type ready-queue depth gauges so a sim
+// mirrorReady refreshes the ready-queue and worker-depth gauges so a sim
 // registry exposes the same scheduler view the live server does.
 func (s *batchMakerSim) mirrorReady() {
 	for key, ot := range s.obsTypes {
@@ -416,6 +428,9 @@ func (s *batchMakerSim) mirrorReady() {
 	}
 	for d, dm := range s.obsDevs {
 		dm.Ready.Set(s.sched.DeviceReady(core.DeviceID(d)))
+	}
+	for w, wm := range s.obsWorkers {
+		wm.Depth.Set(int64(s.inflight[w]))
 	}
 }
 
