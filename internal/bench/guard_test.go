@@ -40,12 +40,6 @@ const ciScalingBudget = 1.5
 // misses).
 const ciPolicyTailBudget = 1.0
 
-// ciQuantSpeedupBudget bounds the quantized tier's floor: the int8 StepInto
-// path must run at least 1.3x faster than its float32 twin per step at the
-// acceptance shape (Hidden=64, batch 8). Measured on this machine: ~2.1x
-// (LSTM) and ~2.2x (GRU).
-const ciQuantSpeedupBudget = 1.3
-
 // ciQuantMaxAbsErr / ciQuantMinCosine mirror the rnn package's accuracy
 // gates (DESIGN.md §14) on the recorded drift figures.
 const (
@@ -83,8 +77,8 @@ func TestBenchGuard(t *testing.T) {
 	if err := r.CheckPolicyTail(ciPolicyTailBudget); err != nil {
 		t.Fatalf("policy tail regression: %v", err)
 	}
-	if err := r.CheckQuantSpeedup(ciQuantSpeedupBudget, ciQuantMaxAbsErr, ciQuantMinCosine); err != nil {
-		t.Fatalf("quantization regression: %v", err)
+	if err := r.CheckQuantRecord(ciQuantMaxAbsErr, ciQuantMinCosine); err != nil {
+		t.Fatalf("quantization record: %v", err)
 	}
 	for _, c := range r.Configs {
 		t.Logf("%s: pipelined %.0f req/s (%.1f allocs/cell) vs global-lock %.0f req/s (%.2fx)",
@@ -562,14 +556,17 @@ func TestGuardObservabilityClampsSubUnityRatio(t *testing.T) {
 	}
 }
 
-func TestGuardDetectsQuantSpeedupRegression(t *testing.T) {
+// TestGuardQuantHasNoSpeedFloor pins the gate's scope: an int8 tier slower
+// than float32 is a measurement to report (README "Precision"), not a CI
+// failure, while a record without usable timings still is one.
+func TestGuardQuantHasNoSpeedFloor(t *testing.T) {
 	path := writeGuardFile(t, `{
 		"global_lock": {"requests_per_sec": 4000},
 		"pipelined": {"requests_per_sec": 5000},
 		"quantization": {"cells": [{
-			"cell": "lstm", "hidden": 64, "batch": 8,
-			"f32_ns_per_step": 100000, "int8_ns_per_step": 90000,
-			"speedup": 1.1111111111111112,
+			"cell": "gru", "hidden": 64, "batch": 8,
+			"f32_ns_per_step": 60000, "int8_ns_per_step": 80000,
+			"speedup": 0.75,
 			"max_abs_err": 0.03, "min_cosine": 0.9996
 		}]}
 	}`)
@@ -577,15 +574,16 @@ func TestGuardDetectsQuantSpeedupRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = r.CheckQuantSpeedup(1.3, 0.08, 0.998)
-	if err == nil {
-		t.Fatal("guard accepted a 1.11x quant speedup against a 1.3x floor")
+	if err := r.CheckQuantRecord(0.08, 0.998); err != nil {
+		t.Fatalf("gate rejected a consistent, accurate 0.75x record: %v", err)
 	}
-	if !strings.Contains(err.Error(), "1.111x") {
-		t.Fatalf("error %q does not report the measured ratio", err)
+	r.Quantization.Cells[0].Int8NsPerStep = 0
+	if err := r.CheckQuantRecord(0.08, 0.998); err == nil {
+		t.Fatal("gate accepted a record with a zero int8 timing")
 	}
-	if err := r.CheckQuantSpeedup(1.05, 0.08, 0.998); err != nil {
-		t.Fatalf("floor 1.05 must accept ratio 1.11: %v", err)
+	r.Quantization.Cells = nil
+	if err := r.CheckQuantRecord(0.08, 0.998); err == nil {
+		t.Fatal("gate accepted a record with no cells")
 	}
 }
 
@@ -603,7 +601,7 @@ func TestGuardDetectsQuantAccuracyRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = r.CheckQuantSpeedup(1.3, 0.08, 0.998)
+	err = r.CheckQuantRecord(0.08, 0.998)
 	if err == nil || !strings.Contains(err.Error(), "0.1500") {
 		t.Fatalf("guard accepted 0.15 max abs error against a 0.08 gate: %v", err)
 	}
@@ -624,7 +622,7 @@ func TestGuardDetectsInconsistentQuantRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.CheckQuantSpeedup(1.3, 0.08, 0.998); err == nil {
+	if err := r.CheckQuantRecord(0.08, 0.998); err == nil {
 		t.Fatal("guard accepted a quant record whose speedup disagrees with its timings")
 	}
 }
@@ -640,7 +638,7 @@ func TestGuardQuantSkipsLegacyReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.CheckQuantSpeedup(1.3, 0.08, 0.998); err != nil {
+	if err := r.CheckQuantRecord(0.08, 0.998); err != nil {
 		t.Fatalf("quant gate fired on a legacy report: %v", err)
 	}
 }

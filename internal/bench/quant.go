@@ -1,8 +1,8 @@
 // Quantization benchmark: paired float32-vs-int8 StepInto measurements of
 // the production cells on the zero-alloc arena hot path, plus the accuracy
 // drift of the quantized twin against its float oracle. Results land in
-// BENCH_server.json under "quantization"; the regression gate is
-// GuardReport.CheckQuantSpeedup.
+// BENCH_server.json under "quantization"; GuardReport.CheckQuantRecord gates
+// the record's accuracy and consistency.
 package bench
 
 import (

@@ -221,8 +221,8 @@ func (c *EncoderCell) Precision() Precision { return c.lstm.Precision() }
 
 // SetPrecision implements PrecisionConfigurable by forwarding to the
 // inner LSTM. The output projection stays float32: its accuracy directly
-// decides the argmax word emitted to clients, and it already runs on the
-// parallel tiled kernel (quantizing it is future work, DESIGN.md §14).
+// decides the argmax word emitted to clients (quantizing it is future work,
+// DESIGN.md §14).
 func (c *DecoderCell) SetPrecision(p Precision) error {
 	if err := c.lstm.SetPrecision(p); err != nil {
 		return err

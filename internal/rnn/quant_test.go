@@ -256,9 +256,10 @@ func testStepIntoZeroAlloc(t *testing.T, c Cell, inputs map[string]*tensor.Tenso
 // cell benchmarks at the acceptance shape (Hidden=64, batch 8).
 func benchmarkStep(b *testing.B, c Cell, inputs map[string]*tensor.Tensor) {
 	fast := c.(IntoStepper)
+	rows := inputs[c.InputNames()[0]].Shape()[0]
 	out := map[string]*tensor.Tensor{}
 	for name, w := range c.(OutputSized).OutputWidths() {
-		out[name] = tensor.New(8, w)
+		out[name] = tensor.New(rows, w)
 	}
 	arena := tensor.NewArena(0)
 	for i := 0; i < 3; i++ {

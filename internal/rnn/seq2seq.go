@@ -209,8 +209,7 @@ func (c *DecoderCell) Step(inputs map[string]*tensor.Tensor) (map[string]*tensor
 
 // StepInto implements IntoStepper: embedding gather, LSTM core, the output
 // projection (the large [b,h] @ [h,V] matmul that dominates Seq2Seq compute,
-// §7.4 — and the main beneficiary of the parallel tiled kernel), and a
-// row-wise argmax written straight into the "word" buffer.
+// §7.4), and a row-wise argmax written straight into the "word" buffer.
 func (c *DecoderCell) StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.Arena) error {
 	b, err := batchOf(inputs, c.InputNames())
 	if err != nil {

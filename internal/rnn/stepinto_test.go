@@ -1,6 +1,7 @@
 package rnn
 
 import (
+	"fmt"
 	"testing"
 
 	"batchmaker/internal/tensor"
@@ -179,5 +180,41 @@ func TestDecoderStepIntoZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("DecoderCell.StepInto allocates %.1f times per step, want 0", allocs)
+	}
+}
+
+// BenchmarkStepVsBatch is the paper's Fig. 3 on this substrate: one StepInto
+// of each BENCHMARK.json cell (seq2seq_open/burst_policy encoder and decoder,
+// tree_tiny leaf and internal) as the batch grows. us/row is what one request
+// pays for the step; cellular batching only helps where it falls with b.
+func BenchmarkStepVsBatch(b *testing.B) {
+	rng := tensor.NewRNG(2018)
+	cells := []struct {
+		name   string
+		cell   Cell
+		hidden int
+	}{
+		{"encoder_v1000_e64_h128", NewEncoderCell("enc", 1000, 64, 128, rng), 128},
+		{"decoder_v1000_e64_h128", NewDecoderCell("dec", 1000, 64, 128, rng), 128},
+		{"treeleaf_v500_e32_h32", NewTreeLeafCell("leaf", 500, 32, 32, rng), 32},
+		{"treeinternal_h32", NewTreeInternalCell("internal", 32, rng), 32},
+	}
+	for _, c := range cells {
+		for _, rows := range []int{1, 2, 4, 8, 16, 32, 64} {
+			inputs := map[string]*tensor.Tensor{}
+			for _, name := range c.cell.InputNames() {
+				if name == "ids" {
+					inputs[name] = tensor.Full(2, rows, 1)
+				} else {
+					inputs[name] = tensor.RandNormal(rng, 0.5, rows, c.hidden)
+				}
+			}
+			b.Run(fmt.Sprintf("%s/b%d", c.name, rows), func(b *testing.B) {
+				benchmarkStep(b, c.cell, inputs)
+				us := float64(b.Elapsed().Nanoseconds()) / 1e3 / float64(b.N)
+				b.ReportMetric(us, "us/step")
+				b.ReportMetric(us/float64(rows), "us/row")
+			})
+		}
 	}
 }

@@ -1,0 +1,9 @@
+//go:build !amd64
+
+package tensor
+
+func axpy1(o, b []float32, v float32) { axpy1Go(o, b, v) }
+
+func axpy4(o0, o1, o2, o3, b []float32, v0, v1, v2, v3 float32) {
+	axpy4Go(o0, o1, o2, o3, b, v0, v1, v2, v3)
+}

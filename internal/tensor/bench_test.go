@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Benchmarks for the math substrate: the live server's throughput is bound
 // by MatMul, so its cost per cell step matters. These mirror the shapes an
@@ -27,6 +30,44 @@ func BenchmarkMatMulLSTMStep16(b *testing.B) { benchMatMul(b, 16, 512, 1024) }
 
 // BenchmarkMatMulLSTMStep64 is the same matmul at batch 64.
 func BenchmarkMatMulLSTMStep64(b *testing.B) { benchMatMul(b, 64, 512, 1024) }
+
+// servingShapes are the weight shapes (k x n) of the three BENCHMARK.json
+// models: the LSTM gate matmul and the vocabulary projection of
+// seq2seq_open/burst_policy, the leaf and internal TreeLSTM cells of
+// tree_tiny, and the encoder gates and projection of wire_durable.
+var servingShapes = []struct {
+	model string
+	k, n  int
+}{
+	{"seq2seq", 192, 512},
+	{"seq2seq", 128, 1000},
+	{"tree", 32, 96},
+	{"tree", 64, 160},
+	{"wire", 48, 128},
+	{"wire", 32, 200},
+}
+
+// BenchmarkMatMulServing is Fig. 3 at the kernel on this substrate: step time
+// versus batch size at the shapes the benchmark actually serves. us/row is
+// the per-request cost; it must fall as b grows for batching to pay.
+func BenchmarkMatMulServing(b *testing.B) {
+	for _, s := range servingShapes {
+		for _, m := range []int{1, 4, 16, 64} {
+			b.Run(fmt.Sprintf("%s_%dx%d/b%d", s.model, s.k, s.n, m), func(b *testing.B) {
+				rng := NewRNG(1)
+				x := RandUniform(rng, 1, m, s.k)
+				w := RandUniform(rng, 1, s.k, s.n)
+				dst := New(m, s.n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					MatMulInto(dst, x, w)
+				}
+				us := float64(b.Elapsed().Nanoseconds()) / 1e3 / float64(b.N)
+				b.ReportMetric(us/float64(m), "us/row")
+			})
+		}
+	}
+}
 
 // BenchmarkSigmoid1024 covers the element-wise activation path.
 func BenchmarkSigmoid1024(b *testing.B) {

@@ -1,0 +1,317 @@
+package tensor
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// fillMatrix populates data with a mix of ordinary values, exact zeros (to
+// exercise the kernel's zero-skip), and denormal-scale magnitudes whose
+// rounding is order-sensitive — the inputs most likely to betray a kernel
+// that reorders float accumulation.
+func fillMatrix(rng *rand.Rand, data []float32) {
+	for i := range data {
+		switch rng.Intn(8) {
+		case 0:
+			data[i] = 0
+		case 1:
+			data[i] = float32(math.Copysign(0, -1)) // negative zero
+		case 2:
+			data[i] = float32(rng.NormFloat64()) * 1e-20
+		default:
+			data[i] = float32(rng.NormFloat64())
+		}
+	}
+}
+
+// scalarMatMulRef is the pure-Go kernel this package shipped before the
+// vector primitives, kept verbatim (minus column tiling) as the bit-level
+// reference: the 4-row blocks, both zero skips and the p-ascending
+// multiply-then-add per element are what matMulTile must reproduce.
+func scalarMatMulRef(dst, a, b, bias []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		row := dst[i*n : (i+1)*n]
+		if bias == nil {
+			for j := range row {
+				row[j] = 0
+			}
+		} else {
+			copy(row, bias)
+		}
+	}
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		a0 := a[(i+0)*k : (i+1)*k]
+		a1 := a[(i+1)*k : (i+2)*k]
+		a2 := a[(i+2)*k : (i+3)*k]
+		a3 := a[(i+3)*k : (i+4)*k]
+		o0 := dst[(i+0)*n : (i+1)*n]
+		o1 := dst[(i+1)*n : (i+2)*n]
+		o2 := dst[(i+2)*n : (i+3)*n]
+		o3 := dst[(i+3)*n : (i+4)*n]
+		for p := 0; p < k; p++ {
+			v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
+			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
+				continue
+			}
+			brow := b[p*n : (p+1)*n]
+			for j, bv := range brow {
+				o0[j] += v0 * bv
+				o1[j] += v1 * bv
+				o2[j] += v2 * bv
+				o3[j] += v3 * bv
+			}
+		}
+	}
+	for ; i < m; i++ {
+		arow := a[i*k : (i+1)*k]
+		orow := dst[i*n : (i+1)*n]
+		for p := 0; p < k; p++ {
+			av := arow[p]
+			if av == 0 {
+				continue
+			}
+			brow := b[p*n : (p+1)*n]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+}
+
+// offsetSlice returns a length-n slice starting off floats into a fresh
+// allocation, so its base address is 4*off bytes past the allocator's
+// alignment and the vector loads and stores on it are unaligned.
+func offsetSlice(n, off int) []float32 {
+	return make([]float32, off+n)[off:]
+}
+
+// TestMatMulTileBitIdentical is the conformance-critical property test: the
+// kernel built on the vector primitives must produce byte-for-byte the output
+// of the scalar kernel for every shape — every 4-row block remainder, every
+// vector tail length, with and without bias, on unaligned operands, and on
+// the inputs (signed and exact zeros, denormals) that betray a reordered or
+// fused float accumulation.
+func TestMatMulTileBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	ks := []int{1, 3, 4, 5, 64, 65}
+	ns := []int{1, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33, 64, 65, 1000}
+	for m := 1; m <= 9; m++ {
+		for _, k := range ks {
+			for _, n := range ns {
+				for off := 0; off < 4; off++ {
+					a := offsetSlice(m*k, off)
+					b := offsetSlice(k*n, off)
+					bias := offsetSlice(n, (off+1)%4)
+					got := offsetSlice(m*n, 3-off)
+					want := make([]float32, m*n)
+					fillMatrix(rng, a)
+					fillMatrix(rng, b)
+					fillMatrix(rng, bias)
+					for _, bs := range [][]float32{nil, bias} {
+						scalarMatMulRef(want, a, b, bs, m, k, n)
+						matMulTile(got, a, b, bs, m, k, n)
+						for i := range want {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("m=%d k=%d n=%d off=%d bias=%v: got[%d]=%x want %x",
+									m, k, n, off, bs != nil, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkAxpy runs axpy1 and axpy4 against their Go references on rows of
+// length n placed off floats into their allocations, with the four scalars
+// given as raw bits. Elements must agree bit for bit, except that where the
+// reference yields NaN any NaN will do (payload propagation depends on
+// operand order, which the Go compiler is free to choose). Guard floats on
+// both sides of every output row catch a primitive that strays outside it.
+func checkAxpy(t *testing.T, seed int64, n, off int, vbits [4]uint32) {
+	t.Helper()
+	const guard = 4
+	rng := rand.New(rand.NewSource(seed))
+	b := offsetSlice(n, off)
+	fillMatrix(rng, b)
+	var v [4]float32
+	var got, want [4][]float32
+	for r := range got {
+		v[r] = math.Float32frombits(vbits[r])
+		got[r] = offsetSlice(n+2*guard, (off+r)%4)
+		fillMatrix(rng, got[r])
+		want[r] = append([]float32(nil), got[r]...)
+	}
+	row := func(s []float32) []float32 { return s[guard : guard+n] }
+	compare := func(name string, rows int) {
+		t.Helper()
+		for r := 0; r < rows; r++ {
+			for i, w := range want[r] {
+				g := got[r][i]
+				if w != w && g != g {
+					continue
+				}
+				if math.Float32bits(g) != math.Float32bits(w) {
+					t.Fatalf("%s n=%d off=%d v=%x row %d: [%d]=%x want %x (row spans [%d,%d))",
+						name, n, off, vbits, r, i, math.Float32bits(g), math.Float32bits(w), guard, guard+n)
+				}
+			}
+		}
+	}
+	axpy1Go(row(want[0]), b, v[0])
+	axpy1(row(got[0]), b, v[0])
+	compare("axpy1", 1)
+	axpy4Go(row(want[0]), row(want[1]), row(want[2]), row(want[3]), b, v[0], v[1], v[2], v[3])
+	axpy4(row(got[0]), row(got[1]), row(got[2]), row(got[3]), b, v[0], v[1], v[2], v[3])
+	compare("axpy4", 4)
+}
+
+// TestAxpyEveryTail drives the primitives directly through every main-loop /
+// 4-float / scalar tail combination at every 16-byte misalignment.
+func TestAxpyEveryTail(t *testing.T) {
+	vbits := [4]uint32{
+		math.Float32bits(1.5), math.Float32bits(-0.3),
+		math.Float32bits(1e-20), 0x80000000, // denormal products, -0
+	}
+	for n := 0; n <= 50; n++ {
+		for off := 0; off < 4; off++ {
+			checkAxpy(t, int64(n), n, off, vbits)
+		}
+	}
+}
+
+// FuzzAxpy holds the primitives to their Go references on arbitrary scalar
+// bit patterns, including the NaN and ±Inf scalars of the seed corpus.
+func FuzzAxpy(f *testing.F) {
+	const nan, pinf, ninf = 0x7fc00001, 0x7f800000, 0xff800000
+	one := math.Float32bits(1)
+	f.Add(int64(1), uint16(0), uint8(0), one, one, one, one)
+	f.Add(int64(2), uint16(17), uint8(1), one, uint32(0), uint32(0x80000000), uint32(1))
+	f.Add(int64(3), uint16(35), uint8(2), uint32(nan), one, one, one)
+	f.Add(int64(4), uint16(64), uint8(3), uint32(pinf), uint32(ninf), uint32(nan), one)
+	f.Add(int64(5), uint16(1000), uint8(0), uint32(ninf), uint32(0x00000001), uint32(0x7f7fffff), uint32(0xff7fffff))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, off uint8, v0, v1, v2, v3 uint32) {
+		checkAxpy(t, seed, int(n%2048), int(off%4), [4]uint32{v0, v1, v2, v3})
+	})
+}
+
+// TestMatMulRowsMatchBatchOne is the batching identity at the kernel: with
+// finite inputs and no exact zeros (so neither zero skip fires), row i of an
+// m-row product is bit-equal to the 1-row product of that row, whether the
+// row lands in a 4-row block or the remainder. Shapes are the weight shapes
+// of the three BENCHMARK.json models.
+func TestMatMulRowsMatchBatchOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	nonzero := func(data []float32) {
+		for i := range data {
+			for data[i] == 0 {
+				data[i] = float32(rng.NormFloat64())
+			}
+		}
+	}
+	for _, s := range servingShapes {
+		w := make([]float32, s.k*s.n)
+		bias := make([]float32, s.n)
+		nonzero(w)
+		nonzero(bias)
+		for _, m := range []int{2, 4, 5, 16, 17} {
+			a := make([]float32, m*s.k)
+			nonzero(a)
+			batched := make([]float32, m*s.n)
+			single := make([]float32, s.n)
+			for _, bs := range [][]float32{nil, bias} {
+				matMulTile(batched, a, w, bs, m, s.k, s.n)
+				for i := 0; i < m; i++ {
+					matMulTile(single, a[i*s.k:(i+1)*s.k], w, bs, 1, s.k, s.n)
+					for j, want := range single {
+						if got := batched[i*s.n+j]; math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("%dx%d m=%d bias=%v: row %d col %d = %x, batch-1 gives %x",
+								s.k, s.n, m, bs != nil, i, j, math.Float32bits(got), math.Float32bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulIntoMatchesMatMul pins the Into variant to the allocating API.
+func TestMatMulIntoMatchesMatMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := New(5, 7)
+	b := New(7, 9)
+	fillMatrix(rng, a.Data())
+	fillMatrix(rng, b.Data())
+	want := MatMul(a, b)
+	got := New(5, 9)
+	// Pre-poison dst: MatMulInto must fully overwrite it.
+	for i := range got.Data() {
+		got.Data()[i] = float32(math.NaN())
+	}
+	MatMulInto(got, a, b)
+	if !got.Equal(want) {
+		t.Fatalf("MatMulInto disagrees with MatMul")
+	}
+}
+
+// TestMatMulAddBiasIntoMatchesSerial pins bias-initialized accumulation:
+// the fused variant equals bias-broadcast followed by accumulation in the
+// same element order.
+func TestMatMulAddBiasIntoMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a := New(6, 4)
+	w := New(4, 5)
+	bias := New(5)
+	fillMatrix(rng, a.Data())
+	fillMatrix(rng, w.Data())
+	fillMatrix(rng, bias.Data())
+	got := MatMulAddBias(a, w, bias)
+	want := New(6, 5)
+	for i := 0; i < 6; i++ {
+		copy(want.Data()[i*5:(i+1)*5], bias.Data())
+	}
+	matMulAccumulateRef(want.Data(), a.Data(), w.Data(), 6, 4, 5)
+	if !got.Equal(want) {
+		t.Fatalf("MatMulAddBias = %v, want %v", got.Data(), want.Data())
+	}
+}
+
+// matMulAccumulateRef is a naive dst += a@b in the kernel's (i, p, j) order.
+func matMulAccumulateRef(dst, a, b []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		for p := 0; p < k; p++ {
+			av := a[i*k+p]
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				dst[i*n+j] += av * b[p*n+j]
+			}
+		}
+	}
+}
+
+func TestFillRows(t *testing.T) {
+	dst := New(3, 2)
+	rows := []*Tensor{
+		FromSlice([]float32{1, 2}, 2),
+		FromSlice([]float32{3, 4}, 1, 2),
+		FromSlice([]float32{5, 6}, 2),
+	}
+	FillRows(dst, rows)
+	if !dst.Equal(FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2)) {
+		t.Fatalf("FillRows = %v", dst.Data())
+	}
+}
+
+func TestFillRowsRejectsLooseFit(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FillRows with mismatched row count must panic")
+		}
+	}()
+	FillRows(New(3, 2), []*Tensor{FromSlice([]float32{1, 2}, 2)})
+}

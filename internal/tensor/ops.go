@@ -20,13 +20,11 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // MatMulInto computes dst = a @ b, fully overwriting dst (which must be a
 // rank-2 [m, n] tensor and must not alias a or b). It is the allocation-free
-// form of MatMul: workers call it with arena scratch as dst. Large products
-// take the column-tiled parallel path (see parallel.go); results are
-// bit-identical either way.
+// form of MatMul: workers call it with arena scratch as dst.
 func MatMulInto(dst, a, b *Tensor) {
 	m, k, n := matMulDims(a, b)
 	checkDst(dst, "MatMulInto", m, n)
-	matMulDispatch(dst.data, a.data, b.data, nil, m, k, n)
+	matMulTile(dst.data, a.data, b.data, nil, m, k, n)
 }
 
 func matMulDims(a, b *Tensor) (m, k, n int) {
@@ -67,7 +65,7 @@ func MatMulAddBiasInto(dst, a, w, bias *Tensor) {
 	if bias.Rank() != 1 || bias.shape[0] != n {
 		panic(fmt.Sprintf("tensor: bias shape %v does not match output columns %d", bias.shape, n))
 	}
-	matMulDispatch(dst.data, a.data, w.data, bias.data, m, k, n)
+	matMulTile(dst.data, a.data, w.data, bias.data, m, k, n)
 }
 
 func elementwise2(a, b *Tensor, name string, f func(x, y float32) float32) *Tensor {
