@@ -429,6 +429,11 @@ func (a *app) serveConn(conn net.Conn) {
 			return
 		}
 	}
+	// A line past the scanner's 1 MiB cap ends the loop; answer it before
+	// closing so the client sees a protocol error, not a bare EOF.
+	if errors.Is(scanner.Err(), bufio.ErrTooLong) {
+		_ = enc.Encode(apiResponse{Code: codeBadRequest, Error: "request line exceeds 1048576 bytes"}) // closing either way
+	}
 }
 
 func main() {
@@ -443,7 +448,7 @@ func main() {
 		deadline = flag.Duration("deadline", 0, "per-request SLA; expired requests stop batching and answer code \"expired\" (0 = none)")
 		sla      = flag.Duration("sla", 0, "end-to-end latency target enabling the adaptive policy layer: Little's-law admission shedding (code \"overloaded\" + retry-after) and AIMD batch sizing, per -policy (0 = off)")
 		polMode  = flag.String("policy", "full", "adaptive policy controllers when -sla is set: off, admission (shed only), adaptive (batch sizing only), full (both)")
-		prec     = flag.String("precision", "f32", "execution tier of the model's step kernels: f32 (bit-stable float32) or int8 (calibrated quantized kernels: 4x smaller weights, no faster than f32)")
+		prec     = flag.String("precision", "f32", "execution tier of the model's step kernels: f32 (bit-stable float32) or int8 (calibrated quantized kernels: slower than f32 and 1.25x the resident weights, since the f32 copy is kept)")
 		demo     = flag.Bool("demo", false, "drive the server with a built-in client and exit")
 		jdir     = flag.String("journal-dir", "", "durable request journal directory; admits are journaled before acknowledgement and unfinished requests replay on boot (empty = off)")
 		jsync    = flag.String("journal-sync", "batch", "journal fsync policy: none (process-crash safe), batch (group-commit fsync; default), always (fsync per record)")

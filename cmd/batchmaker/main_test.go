@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"net"
@@ -210,6 +211,29 @@ func TestServeConnProtocol(t *testing.T) {
 	if !scanner.Scan() {
 		t.Fatal("connection died after bad request")
 	}
+
+	// A line past the 1 MiB cap gets exactly one bad_request, then EOF.
+	// net.Pipe is synchronous, so the oversized write needs its own
+	// goroutine; it ends with an error once the server closes its side.
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		_, _ = client.Write(append(bytes.Repeat([]byte{'x'}, 1<<20+1), '\n')) // fails at the server's close
+	}()
+	if !scanner.Scan() {
+		t.Fatalf("no response to oversized request: %v", scanner.Err())
+	}
+	resp = apiResponse{}
+	if err := json.Unmarshal(scanner.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Code != codeBadRequest || !strings.Contains(resp.Error, "exceeds 1048576 bytes") {
+		t.Fatalf("oversized request: resp = %+v, want bad_request naming the limit", resp)
+	}
+	if scanner.Scan() {
+		t.Fatalf("second reply after oversized request: %q", scanner.Text())
+	}
+	<-wrote
 }
 
 // TestHandleInt8Precision: the -precision int8 path serves end to end —

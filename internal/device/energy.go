@@ -11,10 +11,11 @@ import (
 // with kernel cost AND energy: a faster tier that burns proportionally
 // more power is not automatically a win for a datacenter operator. The
 // cost model therefore carries an EnergyModel next to each Curve, and a
-// measured kernel speedup (from the BENCH_server.json "quantization"
-// section) can be turned into a derived tier — time scaled down by the
-// speedup, energy scaled by speedup and a power ratio — priced under the
-// tier-suffixed type key ("<key>+int8") the quantized cells register as.
+// measured kernel speedup (f32 ÷ int8 ns per step, BenchmarkLSTMStepF32 /
+// BenchmarkLSTMStepInt8 in internal/rnn) can be turned into a derived
+// tier — time scaled down by the speedup, energy scaled by speedup and a
+// power ratio — priced under the tier-suffixed type key ("<key>+int8") the
+// quantized cells register as.
 
 // DefaultBoardPowerW is the board power used to derive energy from kernel
 // time when no explicit EnergyModel is registered (a V100's 300W TDP — a

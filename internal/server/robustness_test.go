@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/core"
+	"batchmaker/internal/journal"
 	"batchmaker/internal/obsv"
+	"batchmaker/internal/policy"
 )
 
 // fnInjector adapts a function to FaultInjector for deterministic tests.
@@ -545,5 +548,78 @@ func TestServerStopMidExecutionLeavesSchedulerClean(t *testing.T) {
 	}
 	if st := srv.Stats(); st.LiveRequests != 0 || st.QueuedCells != 0 {
 		t.Fatalf("request accounting dirty after Stop: live=%d queued=%d", st.LiveRequests, st.QueuedCells)
+	}
+}
+
+// TestStopLeavesNoGoroutines: after Drain and Stop (and journal.Close) every
+// goroutine the server and its journal started has exited, whichever
+// optional subsystem — device pools, policy layer, SLO engine, journal — is
+// switched on.
+func TestStopLeavesNoGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*testing.T, *Config)
+	}{
+		{"workers", func(*testing.T, *Config) {}},
+		{"devices", func(_ *testing.T, c *Config) {
+			c.Workers, c.Devices = 0, []DeviceConfig{{Workers: 1}, {Workers: 1}}
+		}},
+		{"policy", func(_ *testing.T, c *Config) {
+			c.Policy = policy.Config{Mode: policy.ModeFull, SLA: 50 * time.Millisecond}
+		}},
+		{"slo", func(_ *testing.T, c *Config) { c.Obs.SLOTarget = time.Second }},
+		{"journal", func(t *testing.T, c *Config) {
+			jnl, err := journal.Open(journal.Options{Dir: t.TempDir(), Sync: journal.SyncBatch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Journal = jnl
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTestModel()
+			base := runtime.NumGoroutine()
+
+			cfg := m.serverConfig(2)
+			tc.set(t, &cfg)
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var handles []*Handle
+			for i := 0; i < 8; i++ {
+				g, err := cellgraph.UnfoldChain(m.lstm, chainInput(uint64(i), 5))
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := srv.SubmitAsyncOpts(g, SubmitOpts{JournalPayload: []byte("{}")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles = append(handles, h)
+			}
+			if err := srv.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for i, h := range handles {
+				if _, err := h.Result(); err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+			}
+			srv.Stop()
+			if jnl, ok := cfg.Journal.(*journal.Journal); ok {
+				jnl.Close()
+			}
+
+			// A goroutine that Stop has joined may still be exiting.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("%d goroutines after Drain+Stop, %d before New:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+			}
+		})
 	}
 }
