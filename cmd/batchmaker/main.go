@@ -31,6 +31,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -433,6 +434,29 @@ func (a *app) serveConn(conn net.Conn) {
 	// closing so the client sees a protocol error, not a bare EOF.
 	if errors.Is(scanner.Err(), bufio.ErrTooLong) {
 		_ = enc.Encode(apiResponse{Code: codeBadRequest, Error: "request line exceeds 1048576 bytes"}) // closing either way
+		drainLine(conn)
+	}
+}
+
+// An oversized line is read to its end before the connection closes, within
+// these bounds: past them the client is not going to read the reply anyway.
+const (
+	drainLimit   = 8 << 20
+	drainTimeout = 2 * time.Second
+)
+
+// drainLine discards the rest of the request line the scanner gave up on.
+// Closing a TCP socket with unread bytes makes the kernel send a reset, and a
+// client still writing that line would see the reset instead of the reply.
+func drainLine(conn net.Conn) {
+	_ = conn.SetReadDeadline(time.Now().Add(drainTimeout)) // without one the limit still bounds the drain
+	buf := make([]byte, 32<<10)
+	for left := drainLimit; left > 0; {
+		n, err := conn.Read(buf)
+		if err != nil || bytes.IndexByte(buf[:n], '\n') >= 0 {
+			return
+		}
+		left -= n
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -214,11 +215,12 @@ func TestServeConnProtocol(t *testing.T) {
 
 	// A line past the 1 MiB cap gets exactly one bad_request, then EOF.
 	// net.Pipe is synchronous, so the oversized write needs its own
-	// goroutine; it ends with an error once the server closes its side.
-	wrote := make(chan struct{})
+	// goroutine; the server reads the line to its end before closing, so
+	// the write completes.
+	wrote := make(chan error, 1)
 	go func() {
-		defer close(wrote)
-		_, _ = client.Write(append(bytes.Repeat([]byte{'x'}, 1<<20+1), '\n')) // fails at the server's close
+		_, err := client.Write(append(bytes.Repeat([]byte{'x'}, 1<<20+1), '\n'))
+		wrote <- err
 	}()
 	if !scanner.Scan() {
 		t.Fatalf("no response to oversized request: %v", scanner.Err())
@@ -233,7 +235,60 @@ func TestServeConnProtocol(t *testing.T) {
 	if scanner.Scan() {
 		t.Fatalf("second reply after oversized request: %q", scanner.Text())
 	}
-	<-wrote
+	if err := <-wrote; err != nil {
+		t.Fatalf("oversized write cut short: %v", err)
+	}
+}
+
+// TestServeConnOversizedLineOverTCP is the oversized-line case over a real
+// socket, which net.Pipe cannot stand in for: closing a TCP connection with
+// unread bytes in it sends a reset, and a client that is still writing the
+// line then loses the reply. The client writes 3 MiB without a newline, then
+// the newline, and only then reads: it must get exactly one bad_request and
+// a clean EOF.
+func TestServeConnOversizedLineOverTCP(t *testing.T) {
+	a := testApp(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		a.serveConn(conn)
+	}()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	chunk := bytes.Repeat([]byte{'x'}, 64<<10)
+	for sent := 0; sent < 3<<20; sent += len(chunk) {
+		if _, err := client.Write(chunk); err != nil {
+			t.Fatalf("write failed after %d bytes: %v", sent, err)
+		}
+	}
+	if _, err := client.Write([]byte{'\n'}); err != nil {
+		t.Fatalf("writing the newline: %v", err)
+	}
+	reply, err := io.ReadAll(client)
+	if err != nil {
+		t.Fatalf("reading the reply: %v (got %q)", err, reply)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(reply), "\n"), "\n")
+	var resp apiResponse
+	if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &resp) != nil || resp.Code != codeBadRequest {
+		t.Fatalf("reply = %q, want exactly one bad_request", reply)
+	}
+	<-served
 }
 
 // TestHandleInt8Precision: the -precision int8 path serves end to end —

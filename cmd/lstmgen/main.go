@@ -32,39 +32,23 @@ func unfoldGenerate(dec *rnn.DecoderCell, prompt []byte, n int) (*cellgraph.Grap
 	if n <= 0 {
 		return nil, fmt.Errorf("nothing to generate")
 	}
+	// The decoder takes ids, h, c, in that order; outputs go by index.
+	h, c, word := cellgraph.OutputIndex(dec, "h"), cellgraph.OutputIndex(dec, "c"), cellgraph.OutputIndex(dec, "word")
 	g := &cellgraph.Graph{}
-	zero := tensor.New(1, dec.Hidden())
+	zero := cellgraph.Lit(tensor.New(1, dec.Hidden()))
+	prev := cellgraph.NoNode
 	for t, b := range prompt {
-		node := &cellgraph.Node{
-			ID:   cellgraph.NodeID(t),
-			Cell: dec,
-			Inputs: map[string]cellgraph.Binding{
-				"ids": cellgraph.Lit(tensor.FromSlice([]float32{float32(b)}, 1, 1)),
-			},
-		}
+		ids := cellgraph.Lit(tensor.FromSlice([]float32{float32(b)}, 1, 1))
 		if t == 0 {
-			node.Inputs["h"] = cellgraph.Lit(zero)
-			node.Inputs["c"] = cellgraph.Lit(zero)
+			prev = g.Add(dec, ids, zero, zero)
 		} else {
-			node.Inputs["h"] = cellgraph.Ref(cellgraph.NodeID(t-1), "h")
-			node.Inputs["c"] = cellgraph.Ref(cellgraph.NodeID(t-1), "c")
+			prev = g.Add(dec, ids, cellgraph.Ref(prev, h), cellgraph.Ref(prev, c))
 		}
-		g.Nodes = append(g.Nodes, node)
 	}
 	for t := 0; t < n; t++ {
-		id := cellgraph.NodeID(len(prompt) + t)
-		prev := id - 1
-		g.Nodes = append(g.Nodes, &cellgraph.Node{
-			ID:   id,
-			Cell: dec,
-			Inputs: map[string]cellgraph.Binding{
-				"ids": cellgraph.Ref(prev, "word"),
-				"h":   cellgraph.Ref(prev, "h"),
-				"c":   cellgraph.Ref(prev, "c"),
-			},
-		})
+		prev = g.Add(dec, cellgraph.Ref(prev, word), cellgraph.Ref(prev, h), cellgraph.Ref(prev, c))
 		g.Results = append(g.Results, cellgraph.OutputSpec{
-			Name: fmt.Sprintf("byte%d", t), Node: id, Output: "word",
+			Name: fmt.Sprintf("byte%d", t), Node: prev, Out: word,
 		})
 	}
 	return g, nil

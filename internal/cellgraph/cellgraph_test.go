@@ -1,6 +1,7 @@
 package cellgraph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,6 +23,15 @@ func testCells(t *testing.T) (*rnn.LSTMCell, *rnn.EncoderCell, *rnn.DecoderCell,
 		rnn.NewDecoderCell("dec", tVocab, tEmbed, tHidden, rng),
 		rnn.NewTreeLeafCell("leaf", tVocab, tEmbed, tHidden, rng),
 		rnn.NewTreeInternalCell("internal", tHidden, rng)
+}
+
+// countTypes returns the number of nodes per cell type key.
+func countTypes(g *Graph) map[string]int {
+	m := make(map[string]int)
+	for i := range g.Nodes {
+		m[g.Nodes[i].Cell.TypeKey()]++
+	}
+	return m
 }
 
 func chainGraph(t *testing.T, cell *rnn.LSTMCell, steps int) *Graph {
@@ -92,21 +102,22 @@ func TestUnfoldSeq2SeqStructure(t *testing.T) {
 	if g.NumCells() != 7 {
 		t.Fatalf("NumCells = %d, want 7", g.NumCells())
 	}
-	counts := g.CellCountByType()
+	counts := countTypes(g)
 	if counts[enc.TypeKey()] != 3 || counts[dec.TypeKey()] != 4 {
 		t.Fatalf("type counts = %v", counts)
 	}
 	// First decoder node consumes <go> literal and encoder final state.
+	// Inputs are positional: ids, h, c.
 	n := g.Nodes[3]
-	if n.Inputs["ids"].From != NoNode || n.Inputs["ids"].Literal.At(0, 0) != float32(rnn.TokenGo) {
+	if n.Inputs[0].From != NoNode || n.Inputs[0].Literal.At(0, 0) != float32(rnn.TokenGo) {
 		t.Fatal("first decoder step must consume <go>")
 	}
-	if n.Inputs["h"].From != 2 {
-		t.Fatalf("first decoder must read encoder state, reads node %d", n.Inputs["h"].From)
+	if n.Inputs[1].From != 2 {
+		t.Fatalf("first decoder must read encoder state, reads node %d", n.Inputs[1].From)
 	}
 	// Later decoder steps feed the previous word back.
 	n = g.Nodes[5]
-	if n.Inputs["ids"].From != 4 || n.Inputs["ids"].Output != "word" {
+	if n.Inputs[0].From != 4 || n.Inputs[0].Out != OutputIndex(dec, "word") {
 		t.Fatal("decoder must feed previous word")
 	}
 	if len(g.Results) != 4 {
@@ -166,7 +177,7 @@ func TestUnfoldTreeStructure(t *testing.T) {
 	if g.NumCells() != 7 {
 		t.Fatalf("NumCells = %d, want 7", g.NumCells())
 	}
-	counts := g.CellCountByType()
+	counts := countTypes(g)
 	if counts[leaf.TypeKey()] != 4 || counts[internal.TypeKey()] != 3 {
 		t.Fatalf("type counts = %v", counts)
 	}
@@ -178,33 +189,85 @@ func TestUnfoldTreeStructure(t *testing.T) {
 	}
 }
 
+// lstmNode appends one LSTM node reading h and c from the given bindings.
+func lstmNode(g *Graph, cell rnn.Cell, h, c Binding) NodeID {
+	return g.Add(cell, Lit(tensor.New(1, tEmbed)), h, c)
+}
+
+// TestValidateCatchesBadGraphs trips every check Validate makes, one bad
+// graph each.
 func TestValidateCatchesBadGraphs(t *testing.T) {
 	lstm, _, _, _, _ := testCells(t)
-	g := chainGraph(t, lstm, 3)
-	// Break a binding to a missing output.
-	g.Nodes[1].Inputs["h"] = Ref(0, "nope")
-	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "does not produce") {
-		t.Fatalf("want missing-output error, got %v", err)
+	zero := Lit(tensor.New(1, tHidden))
+	for _, tc := range []struct {
+		name, want string
+		build      func(g *Graph)
+	}{
+		{"sparse IDs", "dense indices", func(g *Graph) {
+			lstmNode(g, lstm, zero, zero)
+			g.Nodes[0].ID = 3
+		}},
+		{"nil cell", "has no cell", func(g *Graph) { g.Add(nil) }},
+		{"missing binding", `missing binding for input "c"`, func(g *Graph) {
+			g.Add(lstm, Lit(tensor.New(1, tEmbed)), zero)
+		}},
+		{"extra binding", "4 bindings for 3 inputs", func(g *Graph) {
+			g.Add(lstm, Lit(tensor.New(1, tEmbed)), zero, zero, zero)
+		}},
+		{"literal without tensor", "literal binding without tensor", func(g *Graph) {
+			lstmNode(g, lstm, zero, Lit(nil))
+		}},
+		{"literal shape", "literal must be a [1,w] row", func(g *Graph) {
+			lstmNode(g, lstm, zero, Lit(tensor.New(2, tHidden)))
+		}},
+		{"unknown node", "unknown node 99", func(g *Graph) {
+			lstmNode(g, lstm, Ref(99, 0), zero)
+		}},
+		{"unknown producer output", "does not produce", func(g *Graph) {
+			first := lstmNode(g, lstm, zero, zero)
+			lstmNode(g, lstm, Ref(first, 0), Ref(first, 2))
+		}},
+		{"cycle", "cycle", func(g *Graph) {
+			lstmNode(g, lstm, Ref(1, 0), Ref(1, 1)) // 0 <-> 1
+			lstmNode(g, lstm, Ref(0, 0), Ref(0, 1))
+		}},
+		{"self loop", "cycle", func(g *Graph) { lstmNode(g, lstm, Ref(0, 0), zero) }},
+		{"result node", "unknown node 42", func(g *Graph) {
+			lstmNode(g, lstm, zero, zero)
+			g.Results = []OutputSpec{{Name: "x", Node: 42}}
+		}},
+		{"result output", "missing output 7", func(g *Graph) {
+			lstmNode(g, lstm, zero, zero)
+			g.Results = []OutputSpec{{Name: "x", Node: 0, Out: 7}}
+		}},
+		{"binding edited after Add", "modified after Add", func(g *Graph) {
+			first := lstmNode(g, lstm, zero, zero)
+			lstmNode(g, lstm, Ref(first, 0), Ref(first, 1))
+			lstmNode(g, lstm, Ref(first, 0), Ref(first, 1))
+			g.Nodes[2].Inputs[1] = Ref(1, 0) // the cached edge still says node 0
+		}},
+	} {
+		g := &Graph{}
+		tc.build(g)
+		if err := g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
+		}
+		if _, err := NewState(g); err == nil {
+			t.Errorf("%s: NewState accepted the graph", tc.name)
+		}
 	}
-	g = chainGraph(t, lstm, 3)
-	g.Nodes[1].Inputs["h"] = Ref(99, "h")
-	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "unknown node") {
-		t.Fatalf("want unknown-node error, got %v", err)
+	// A forward reference alone is not a cycle.
+	g := &Graph{}
+	lstmNode(g, lstm, Ref(1, 0), Ref(1, 1))
+	lstmNode(g, lstm, zero, zero)
+	if err := g.Validate(); err != nil {
+		t.Fatalf("forward reference rejected: %v", err)
 	}
-	g = chainGraph(t, lstm, 3)
-	delete(g.Nodes[2].Inputs, "c")
-	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "missing binding") {
-		t.Fatalf("want missing-binding error, got %v", err)
+	if order, err := g.TopoOrder(); err != nil || len(order) != 2 || order[0] != 1 {
+		t.Fatalf("topo order = %v, %v; want [1 0]", order, err)
 	}
-	g = chainGraph(t, lstm, 2)
-	g.Nodes[0].Inputs["h"] = Ref(1, "h") // cycle 0 <-> 1
-	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("want cycle error, got %v", err)
-	}
-	g = chainGraph(t, lstm, 2)
-	g.Results = []OutputSpec{{Name: "x", Node: 42, Output: "h"}}
-	if err := g.Validate(); err == nil {
-		t.Fatal("want bad-result error")
+	if g.CriticalPathLen() != 2 {
+		t.Fatalf("critical path = %d, want 2", g.CriticalPathLen())
 	}
 }
 
@@ -215,21 +278,17 @@ func TestStateLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ready := s.Ready()
-	if len(ready) != 1 || ready[0] != 0 {
-		t.Fatalf("initial ready = %v", ready)
-	}
 	s.MarkIssued(0)
-	if got := s.Ready(); len(got) != 0 {
-		t.Fatalf("issued node still ready: %v", got)
+	if !s.Issued(0) || s.Done(0) {
+		t.Fatal("node 0 must be issued and not done")
 	}
 	out := map[string]*tensor.Tensor{
-		"h": tensor.New(1, tHidden),
+		"h": tensor.Full(3, 1, tHidden),
 		"c": tensor.New(1, tHidden),
 	}
-	newly := s.Complete(0, out)
-	if len(newly) != 1 || newly[0] != 1 {
-		t.Fatalf("newly ready = %v", newly)
+	s.Complete(0, out)
+	if got := s.InputRow(1, 1); !got.Equal(out["h"]) {
+		t.Fatalf("node 1 reads h = %v, want node 0's output", got)
 	}
 	if !s.Done(0) || s.Issued(0) {
 		t.Fatal("node 0 must be done and not issued")
@@ -266,7 +325,7 @@ func TestStatePanicsOnMisuse(t *testing.T) {
 				t.Fatal("InputRow of incomplete dep must panic")
 			}
 		}()
-		s.InputRow(1, "h")
+		s.InputRow(1, 1)
 	}()
 	out := map[string]*tensor.Tensor{"h": tensor.New(1, tHidden), "c": tensor.New(1, tHidden)}
 	s.Complete(0, out)
@@ -443,18 +502,10 @@ func TestRunBatchRejectsMixedTypes(t *testing.T) {
 	// dedicated two-type graph below.
 	lstm := rnn.NewLSTMCell("x", tEmbed, tHidden, tensor.NewRNG(3))
 	gm := &Graph{}
-	gm.Nodes = append(gm.Nodes, &Node{
-		ID: 0, Cell: lstm, Inputs: map[string]Binding{
-			"x": Lit(tensor.New(1, tEmbed)), "h": Lit(tensor.New(1, tHidden)), "c": Lit(tensor.New(1, tHidden)),
-		},
-	})
+	gm.Add(lstm, Lit(tensor.New(1, tEmbed)), Lit(tensor.New(1, tHidden)), Lit(tensor.New(1, tHidden)))
 	lstm2 := rnn.NewLSTMCell("y", tEmbed, tHidden, tensor.NewRNG(4))
-	gm.Nodes = append(gm.Nodes, &Node{
-		ID: 1, Cell: lstm2, Inputs: map[string]Binding{
-			"x": Lit(tensor.New(1, tEmbed)), "h": Lit(tensor.New(1, tHidden)), "c": Lit(tensor.New(1, tHidden)),
-		},
-	})
-	gm.Results = []OutputSpec{{Name: "h", Node: 0, Output: "h"}}
+	gm.Add(lstm2, Lit(tensor.New(1, tEmbed)), Lit(tensor.New(1, tHidden)), Lit(tensor.New(1, tHidden)))
+	gm.Results = []OutputSpec{{Name: "h", Node: 0, Out: 0}}
 	sm, err := NewState(gm)
 	if err != nil {
 		t.Fatal(err)
@@ -470,5 +521,30 @@ func TestRunBatchEmptyNoop(t *testing.T) {
 	s, _ := NewState(g)
 	if err := RunBatch(s, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnfoldMatchesCellNameOrder pins the name order the unfold functions
+// bind by: inputs by position, outputs by index. A cell that reorders its
+// names must change unfold.go with it, and this test says so.
+func TestUnfoldMatchesCellNameOrder(t *testing.T) {
+	lstm, enc, dec, leaf, internal := testCells(t)
+	for _, tc := range []struct {
+		cell    rnn.Cell
+		in, out []string
+	}{
+		{lstm, []string{"x", "h", "c"}, []string{"h", "c"}},
+		{enc, []string{"ids", "h", "c"}, []string{"h", "c"}},
+		{dec, []string{"ids", "h", "c"}, []string{"h", "c", "word"}},
+		{leaf, []string{"ids"}, []string{"h", "c"}},
+		{internal, []string{"hl", "cl", "hr", "cr"}, []string{"h", "c"}},
+	} {
+		if got := tc.cell.InputNames(); !slices.Equal(got, tc.in) {
+			t.Errorf("%s inputs %v, unfold binds them as %v", tc.cell.Name(), got, tc.in)
+		}
+		// Outputs unfold does not read (the decoder's logits) may follow.
+		if got := tc.cell.OutputNames(); len(got) < len(tc.out) || !slices.Equal(got[:len(tc.out)], tc.out) {
+			t.Errorf("%s outputs %v, unfold indexes them as %v", tc.cell.Name(), got, tc.out)
+		}
 	}
 }

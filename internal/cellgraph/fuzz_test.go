@@ -67,7 +67,9 @@ func FuzzUnfold(f *testing.F) {
 			t.Fatalf("topo order covers %d of %d nodes", len(order), len(g.Nodes))
 		}
 
-		// Partition: exact cover, type purity, ExternalDeps consistency.
+		// Partition: identical to the map-based reference, then exact cover,
+		// type purity, ExternalDeps consistency.
+		checkPartition(t, g)
 		subs := Partition(g)
 		owner := make(map[NodeID]int)
 		for si, sub := range subs {

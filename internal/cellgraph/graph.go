@@ -8,10 +8,17 @@
 // Seq2Seq encode+decode, TreeLSTM trees), the partitioning of a cell graph
 // into same-type subgraphs used by the scheduler (§4.3), and a sequential
 // reference executor used in tests and by the graph-batching baselines.
+//
+// A Graph is a flat plan (DESIGN.md §3): nodes, bindings and dependency edges
+// each live in one backing array, inputs are positional and outputs are named
+// by index. Add derives everything later stages need, once; they only read
+// it, so a finished Graph may be submitted any number of times, from any
+// number of goroutines.
 package cellgraph
 
 import (
 	"fmt"
+	"slices"
 
 	"batchmaker/internal/rnn"
 	"batchmaker/internal/tensor"
@@ -23,146 +30,222 @@ type NodeID int
 // NoNode is the absent-node sentinel used in literal bindings.
 const NoNode NodeID = -1
 
-// Binding says where one named input of a node comes from: either a literal
+// Binding says where one input of a node comes from: either a literal
 // single-row tensor fixed at unfold time (word ids, initial zero state), or
-// the named output of another node in the same graph.
+// one output of another node in the same graph.
 type Binding struct {
 	From    NodeID         // NoNode for literals
-	Output  string         // producing node's output name (when From != NoNode)
+	Out     int            // index into the producer's Cell.OutputNames() (when From != NoNode)
 	Literal *tensor.Tensor // [1, w] (when From == NoNode)
 }
 
 // Lit builds a literal binding.
 func Lit(t *tensor.Tensor) Binding { return Binding{From: NoNode, Literal: t} }
 
-// Ref builds a node-output binding.
-func Ref(n NodeID, output string) Binding { return Binding{From: n, Output: output} }
+// Ref builds a node-output binding; out indexes the producing cell's
+// OutputNames (see OutputIndex).
+func Ref(n NodeID, out int) Binding { return Binding{From: n, Out: out} }
 
-// Node is one cell invocation in a request's unfolded graph.
+// OutputIndex returns the position of the named output in
+// cell.OutputNames(), or -1 when the cell does not produce it. Graph
+// builders resolve names with it once per cell, not once per node.
+func OutputIndex(cell rnn.Cell, name string) int {
+	return slices.Index(cell.OutputNames(), name)
+}
+
+// Node is one cell invocation in a request's unfolded graph. Nodes are
+// created by Graph.Add and are read-only afterwards.
 type Node struct {
-	ID     NodeID
-	Cell   rnn.Cell
-	Inputs map[string]Binding
+	ID   NodeID
+	Cell rnn.Cell
+	// Inputs binds the cell's inputs by position: Inputs[i] feeds
+	// Cell.InputNames()[i].
+	Inputs []Binding
+
+	deps []NodeID // distinct producers, ascending; a slice of Graph.edges
+	out0 int      // index of output 0 in the request-wide output numbering
 }
 
-// Deps returns the IDs of the nodes this node reads from (deduplicated).
-func (n *Node) Deps() []NodeID {
-	seen := make(map[NodeID]bool, len(n.Inputs))
-	var deps []NodeID
-	for _, b := range n.Inputs {
-		if b.From != NoNode && !seen[b.From] {
-			seen[b.From] = true
-			deps = append(deps, b.From)
-		}
-	}
-	return deps
-}
+// Deps returns the IDs of the nodes this node reads from, deduplicated and
+// in ascending order. The slice is shared with the graph: read-only.
+func (n *Node) Deps() []NodeID { return n.deps }
 
 // OutputSpec names one tensor of the request's final result.
 type OutputSpec struct {
-	Name   string
-	Node   NodeID
-	Output string
+	Name string
+	Node NodeID
+	Out  int // index into the node's Cell.OutputNames()
 }
 
-// Graph is a request's unfolded cell graph.
+// Graph is a request's unfolded cell graph. Build one with Add (the zero
+// value is ready to use; NewGraph presizes the backing arrays), then set
+// Results.
 type Graph struct {
-	Nodes   []*Node
+	Nodes   []Node
 	Results []OutputSpec
+
+	bindings []Binding // backing array of every Node.Inputs
+	edges    []NodeID  // backing array of every Node.deps
 }
 
-// Validate checks referential integrity and acyclicity.
+// NewGraph returns an empty graph whose backing arrays have room for the
+// given number of nodes, input bindings and dependency edges, so building a
+// graph of known shape allocates three arrays in all. The sizes are hints:
+// Add grows past them.
+func NewGraph(nodes, bindings, edges int) *Graph {
+	return &Graph{
+		Nodes:    make([]Node, 0, nodes),
+		bindings: make([]Binding, 0, bindings),
+		edges:    make([]NodeID, 0, edges),
+	}
+}
+
+// Add appends one invocation of cell whose inputs, in Cell.InputNames()
+// order, are bound as given, and returns its ID. The bindings are copied.
+// Add derives the node's dependency list here, so that nothing downstream
+// has to rebuild it and a graph handed to several goroutines is complete
+// before it is shared. Add does not validate; Validate does.
+func (g *Graph) Add(cell rnn.Cell, inputs ...Binding) NodeID {
+	n := Node{ID: NodeID(len(g.Nodes)), Cell: cell}
+	start := len(g.bindings)
+	g.bindings = append(g.bindings, inputs...)
+	n.Inputs = g.bindings[start:len(g.bindings):len(g.bindings)]
+	start = len(g.edges)
+	g.edges = appendDeps(g.edges, n.Inputs)
+	n.deps = g.edges[start:len(g.edges):len(g.edges)]
+	if len(g.Nodes) > 0 {
+		prev := &g.Nodes[len(g.Nodes)-1]
+		n.out0 = prev.out0 + numOutputs(prev.Cell)
+	}
+	g.Nodes = append(g.Nodes, n)
+	return n.ID
+}
+
+// appendDeps appends the distinct producers among inputs to dst in ascending
+// order. A node has a handful of inputs, so insertion beats sorting.
+func appendDeps(dst []NodeID, inputs []Binding) []NodeID {
+	start := len(dst)
+	for _, b := range inputs {
+		if b.From == NoNode {
+			continue
+		}
+		i := len(dst)
+		for i > start && dst[i-1] > b.From {
+			i--
+		}
+		if i > start && dst[i-1] == b.From {
+			continue
+		}
+		dst = slices.Insert(dst, i, b.From)
+	}
+	return dst
+}
+
+func numOutputs(cell rnn.Cell) int {
+	if cell == nil {
+		return 0
+	}
+	return len(cell.OutputNames())
+}
+
+// numRows is the size of the request-wide output numbering.
+func (g *Graph) numRows() int {
+	if len(g.Nodes) == 0 {
+		return 0
+	}
+	last := &g.Nodes[len(g.Nodes)-1]
+	return last.out0 + numOutputs(last.Cell)
+}
+
+// Validate checks referential integrity and acyclicity. It only reads the
+// graph, so concurrent calls on a shared graph are safe.
 func (g *Graph) Validate() error {
-	for i, n := range g.Nodes {
+	rows, forward := 0, false
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
 		if n.ID != NodeID(i) {
 			return fmt.Errorf("cellgraph: node %d has ID %d; IDs must be dense indices", i, n.ID)
 		}
 		if n.Cell == nil {
 			return fmt.Errorf("cellgraph: node %d has no cell", i)
 		}
-		for _, name := range n.Cell.InputNames() {
-			b, ok := n.Inputs[name]
-			if !ok {
-				return fmt.Errorf("cellgraph: node %d (%s) missing binding for input %q", i, n.Cell.Name(), name)
-			}
+		names := n.Cell.InputNames()
+		if len(n.Inputs) < len(names) {
+			return fmt.Errorf("cellgraph: node %d (%s) missing binding for input %q", i, n.Cell.Name(), names[len(n.Inputs)])
+		}
+		if len(n.Inputs) > len(names) {
+			return fmt.Errorf("cellgraph: node %d (%s) has %d bindings for %d inputs", i, n.Cell.Name(), len(n.Inputs), len(names))
+		}
+		for j, b := range n.Inputs {
 			if b.From == NoNode {
 				if b.Literal == nil {
-					return fmt.Errorf("cellgraph: node %d input %q: literal binding without tensor", i, name)
+					return fmt.Errorf("cellgraph: node %d input %q: literal binding without tensor", i, names[j])
 				}
 				if b.Literal.Rank() != 2 || b.Literal.Dim(0) != 1 {
-					return fmt.Errorf("cellgraph: node %d input %q: literal must be a [1,w] row, got %v", i, name, b.Literal.Shape())
+					return fmt.Errorf("cellgraph: node %d input %q: literal must be a [1,w] row, got %v", i, names[j], b.Literal.Shape())
 				}
 				continue
 			}
 			if b.From < 0 || int(b.From) >= len(g.Nodes) {
-				return fmt.Errorf("cellgraph: node %d input %q references unknown node %d", i, name, b.From)
+				return fmt.Errorf("cellgraph: node %d input %q references unknown node %d", i, names[j], b.From)
 			}
-			producer := g.Nodes[b.From]
-			if !contains(producer.Cell.OutputNames(), b.Output) {
-				return fmt.Errorf("cellgraph: node %d input %q references output %q that node %d (%s) does not produce",
-					i, name, b.Output, b.From, producer.Cell.Name())
+			if producer := g.Nodes[b.From].Cell; b.Out < 0 || b.Out >= numOutputs(producer) {
+				return fmt.Errorf("cellgraph: node %d input %q references output %d that node %d does not produce",
+					i, names[j], b.Out, b.From)
 			}
+			forward = forward || b.From >= n.ID
 		}
+		// What Add derived must still describe the node: a binding or cell
+		// edited in place afterwards would otherwise go unnoticed downstream.
+		var scratch [8]NodeID
+		if n.out0 != rows || !slices.Equal(appendDeps(scratch[:0], n.Inputs), n.deps) {
+			return fmt.Errorf("cellgraph: node %d was modified after Add; rebuild the graph", i)
+		}
+		rows += len(n.Cell.OutputNames())
 	}
 	for _, r := range g.Results {
 		if r.Node < 0 || int(r.Node) >= len(g.Nodes) {
 			return fmt.Errorf("cellgraph: result %q references unknown node %d", r.Name, r.Node)
 		}
-		if !contains(g.Nodes[r.Node].Cell.OutputNames(), r.Output) {
-			return fmt.Errorf("cellgraph: result %q references missing output %q of node %d", r.Name, r.Output, r.Node)
+		if r.Out < 0 || r.Out >= numOutputs(g.Nodes[r.Node].Cell) {
+			return fmt.Errorf("cellgraph: result %q references missing output %d of node %d", r.Name, r.Out, r.Node)
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
+	if forward {
+		// Unfolded graphs list producers before consumers, which cannot
+		// form a cycle; only a graph with a forward reference needs the sort.
+		if _, err := g.TopoOrder(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // TopoOrder returns node IDs in dependency order, or an error on a cycle.
+// Each pass places, in ID order, every node whose producers are placed: one
+// pass for a graph that lists producers first (every unfolded one), one per
+// forward reference otherwise.
 func (g *Graph) TopoOrder() ([]NodeID, error) {
-	indeg := make([]int, len(g.Nodes))
-	dependents := make([][]NodeID, len(g.Nodes))
-	for _, n := range g.Nodes {
-		for _, d := range n.Deps() {
-			indeg[n.ID]++
-			dependents[d] = append(dependents[d], n.ID)
-		}
-	}
 	order := make([]NodeID, 0, len(g.Nodes))
-	var ready []NodeID
-	for i := range g.Nodes {
-		if indeg[i] == 0 {
-			ready = append(ready, NodeID(i))
-		}
-	}
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		order = append(order, id)
-		for _, d := range dependents[id] {
-			indeg[d]--
-			if indeg[d] == 0 {
-				ready = append(ready, d)
+	placed := make([]bool, len(g.Nodes))
+	unplaced := func(d NodeID) bool { return !placed[d] }
+	for len(order) < len(g.Nodes) {
+		before := len(order)
+		for i := range g.Nodes {
+			if !placed[i] && !slices.ContainsFunc(g.Nodes[i].deps, unplaced) {
+				placed[i] = true
+				order = append(order, NodeID(i))
 			}
 		}
-	}
-	if len(order) != len(g.Nodes) {
-		return nil, fmt.Errorf("cellgraph: graph contains a cycle")
+		if len(order) == before {
+			return nil, fmt.Errorf("cellgraph: graph contains a cycle")
+		}
 	}
 	return order, nil
 }
 
 // NumCells returns the total number of cell invocations in the graph.
 func (g *Graph) NumCells() int { return len(g.Nodes) }
-
-// CellCountByType returns the number of nodes per cell type key.
-func (g *Graph) CellCountByType() map[string]int {
-	m := make(map[string]int)
-	for _, n := range g.Nodes {
-		m[n.Cell.TypeKey()]++
-	}
-	return m
-}
 
 // CriticalPathLen returns the length (in cells) of the longest dependency
 // chain in the graph — the minimum number of sequential batched steps the
@@ -176,7 +259,7 @@ func (g *Graph) CriticalPathLen() int {
 	longest := 0
 	for _, id := range order {
 		d := 1
-		for _, dep := range g.Nodes[id].Deps() {
+		for _, dep := range g.Nodes[id].deps {
 			if depth[dep]+1 > d {
 				d = depth[dep] + 1
 			}
@@ -187,13 +270,4 @@ func (g *Graph) CriticalPathLen() int {
 		}
 	}
 	return longest
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -1,6 +1,6 @@
 package cellgraph
 
-import "sort"
+import "slices"
 
 // Subgraph is a connected group of same-cell-type nodes within one request's
 // cell graph (§4.3): "a subgraph contains a single node or a number of
@@ -10,84 +10,127 @@ import "sort"
 //
 // For a Seq2Seq request the encoder chain forms one subgraph and the decoder
 // chain another; for a 16-leaf TreeLSTM request there are 16 single-node
-// leaf subgraphs and one 31-node internal subgraph (§4.4).
+// leaf subgraphs and one 15-node internal subgraph (§4.4).
+//
+// All slices are carved from arrays shared by the whole partition and are
+// read-only: the tracker hands them to the scheduler as they are.
 type Subgraph struct {
 	TypeKey string
 	Nodes   []NodeID // in ascending ID order
 
-	// ExternalDeps are nodes outside the subgraph that some member reads.
-	// The subgraph is released to the scheduler once all of them completed.
+	// ExternalDeps are nodes outside the subgraph that some member reads,
+	// ascending. The subgraph is released to the scheduler once all of them
+	// completed.
 	ExternalDeps []NodeID
+
+	// Deps lists, for the member at each position of Nodes, the positions
+	// of the members it reads (ascending). It is nil for a single-node
+	// subgraph, whose node reads no other member.
+	Deps [][]int32
 }
 
 // Partition splits a cell graph into subgraphs: connected components of the
-// undirected "same cell type and directly connected" relation. Output order
-// is deterministic (by smallest member ID).
-func Partition(g *Graph) []*Subgraph {
+// undirected "same cell type and directly connected" relation, ordered by
+// smallest member ID. It indexes the graph's dependency edges as Add left
+// them and allocates a fixed handful of arrays, whatever the graph's size.
+func Partition(g *Graph) []Subgraph {
 	n := len(g.Nodes)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+	// Union-find whose roots are their component's smallest member, so that
+	// numbering components at their root, in one ascending pass, orders them
+	// by smallest member and fills each one's Nodes in ascending order.
+	scratch := make([]int32, 3*n)
+	root, sub, pos := scratch[:n], scratch[n:2*n], scratch[2*n:]
+	for i := range root {
+		root[i] = int32(i)
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	find := func(x int32) int32 {
+		for root[x] != x {
+			root[x] = root[root[x]]
+			x = root[x]
 		}
 		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	for _, node := range g.Nodes {
-		for _, d := range node.Deps() {
-			if g.Nodes[d].Cell.TypeKey() == node.Cell.TypeKey() {
-				union(int(d), int(node.ID))
+	edges := 0
+	for i := range g.Nodes {
+		node := &g.Nodes[i]
+		edges += len(node.deps)
+		for _, d := range node.deps {
+			if g.Nodes[d].Cell.TypeKey() != node.Cell.TypeKey() {
+				continue
+			}
+			if a, b := find(int32(d)), find(int32(i)); a < b {
+				root[b] = a
+			} else {
+				root[a] = b
 			}
 		}
 	}
-	groups := make(map[int][]NodeID)
-	for i := range g.Nodes {
-		r := find(i)
-		groups[r] = append(groups[r], NodeID(i))
-	}
-	roots := make([]int, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	// Sort each group's members and order subgraphs by smallest member.
-	subs := make([]*Subgraph, 0, len(groups))
-	for _, r := range roots {
-		members := groups[r]
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		inSub := make(map[NodeID]bool, len(members))
-		for _, m := range members {
-			inSub[m] = true
+	count := 0
+	for i := range root {
+		if r := find(int32(i)); r == int32(i) {
+			sub[i] = int32(count)
+			count++
+		} else {
+			sub[i] = sub[r]
 		}
-		var ext []NodeID
-		seen := make(map[NodeID]bool)
-		for _, m := range members {
-			for _, d := range g.Nodes[m].Deps() {
-				if !inSub[d] && !seen[d] {
-					seen[d] = true
+	}
+	subs := make([]Subgraph, count)
+	sizes := pos[:count] // borrowed: positions are not assigned yet
+	for _, s := range sub {
+		sizes[s]++
+	}
+	members := make([]NodeID, n)
+	multi := 0 // members of subgraphs that have more than one
+	for s, k := range sizes {
+		subs[s].Nodes, members = members[:0:k], members[k:]
+		if k > 1 {
+			multi += int(k)
+		}
+	}
+	for i, s := range sub {
+		pos[i] = int32(len(subs[s].Nodes))
+		subs[s].Nodes = append(subs[s].Nodes, NodeID(i))
+	}
+	// One pass over each subgraph's edges splits them into the positions of
+	// members (Deps) and the outside producers (ExternalDeps). Both are
+	// appended to arrays sized for every edge of the graph, so they never
+	// grow and the carved slices stay valid.
+	ext := make([]NodeID, 0, edges)
+	var intra []int32
+	var lists [][]int32
+	if multi > 0 {
+		intra, lists = make([]int32, 0, edges), make([][]int32, multi)
+	}
+	for s := range subs {
+		sg := &subs[s]
+		sg.TypeKey = g.Nodes[sg.Nodes[0]].Cell.TypeKey()
+		if len(sg.Nodes) > 1 {
+			sg.Deps, lists = lists[:len(sg.Nodes):len(sg.Nodes)], lists[len(sg.Nodes):]
+		}
+		extStart := len(ext)
+		for p, m := range sg.Nodes {
+			start := len(intra)
+			for _, d := range g.Nodes[m].deps {
+				if sub[d] == int32(s) {
+					if sg.Deps != nil { // nil: a lone node reading itself, which Validate rejects
+						intra = append(intra, pos[d])
+					}
+				} else {
 					ext = append(ext, d)
 				}
 			}
+			if len(intra) > start {
+				sg.Deps[p] = intra[start:len(intra):len(intra)]
+			}
 		}
-		sort.Slice(ext, func(i, j int) bool { return ext[i] < ext[j] })
-		subs = append(subs, &Subgraph{
-			TypeKey:      g.Nodes[members[0]].Cell.TypeKey(),
-			Nodes:        members,
-			ExternalDeps: ext,
-		})
+		if len(ext) > extStart {
+			mine := ext[extStart:]
+			slices.Sort(mine)
+			mine = slices.Compact(mine)
+			ext = ext[:extStart+len(mine)]
+			sg.ExternalDeps = mine[:len(mine):len(mine)]
+		}
 	}
-	// Deterministic overall order by first member.
-	sort.Slice(subs, func(i, j int) bool { return subs[i].Nodes[0] < subs[j].Nodes[0] })
 	return subs
 }
 

@@ -7,25 +7,6 @@ import (
 	"batchmaker/internal/tensor"
 )
 
-// widthsOfCell adapts an OutputSized cell to PreallocOutputs' callback.
-func widthsOfCell(g *Graph) func(NodeID) map[string]int {
-	cache := map[string]map[string]int{}
-	return func(id NodeID) map[string]int {
-		cell := g.Nodes[id].Cell
-		sized, ok := cell.(rnn.OutputSized)
-		if !ok {
-			return nil
-		}
-		key := cell.TypeKey()
-		if w, ok := cache[key]; ok {
-			return w
-		}
-		w := sized.OutputWidths()
-		cache[key] = w
-		return w
-	}
-}
-
 // TestPreallocMatchesAllocatingPath executes one LSTM chain twice — through
 // Complete and through the preallocated OutputRow/CompletePrealloc path —
 // and requires bit-identical results.
@@ -46,24 +27,25 @@ func TestPreallocMatchesAllocatingPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PreallocOutputs(widthsOfCell(g))
+	s.PreallocOutputs(rnn.OutputWidthsOf)
 	for !s.Finished() {
-		for _, id := range s.Ready() {
+		for i := range g.Nodes { // a chain: ID order is dependency order
+			id := NodeID(i)
 			if !s.Preallocated(id) {
 				t.Fatalf("node %d not preallocated despite OutputSized cell", id)
 			}
 			cell := g.Nodes[id].Cell.(rnn.IntoStepper)
 			out := map[string]*tensor.Tensor{}
-			for _, name := range cell.OutputNames() {
-				row := s.OutputRow(id, name)
+			for o, name := range cell.OutputNames() {
+				row := s.OutputRow(id, o)
 				if row == nil || row.Dim(0) != 1 {
 					t.Fatalf("node %d output %q row = %v", id, name, row)
 				}
 				out[name] = row
 			}
 			in := map[string]*tensor.Tensor{}
-			for _, name := range cell.InputNames() {
-				in[name] = s.InputRow(id, name)
+			for j, name := range cell.InputNames() {
+				in[name] = s.InputRow(id, j)
 			}
 			s.MarkIssued(id)
 			if err := cell.StepInto(in, out, nil); err != nil {
@@ -94,11 +76,11 @@ func TestPreallocSkipsUnknownWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PreallocOutputs(func(NodeID) map[string]int { return nil })
+	s.PreallocOutputs(func(rnn.Cell) []int { return nil })
 	if s.Preallocated(0) {
 		t.Fatal("node preallocated with nil widths")
 	}
-	if s.OutputRow(0, "h") != nil {
+	if s.OutputRow(0, 0) != nil {
 		t.Fatal("OutputRow must be nil without preallocation")
 	}
 	defer func() {

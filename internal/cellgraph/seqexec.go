@@ -20,11 +20,12 @@ func ExecuteSequential(g *Graph) (map[string]*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
+	inputs := make(map[string]*tensor.Tensor)
 	for _, id := range order {
-		node := g.Nodes[id]
-		inputs := make(map[string]*tensor.Tensor, len(node.Inputs))
-		for _, name := range node.Cell.InputNames() {
-			inputs[name] = s.InputRow(id, name)
+		node := &g.Nodes[id]
+		clear(inputs)
+		for i, name := range node.Cell.InputNames() {
+			inputs[name] = s.InputRow(id, i)
 		}
 		out, err := node.Cell.Step(inputs)
 		if err != nil {
@@ -46,28 +47,43 @@ func ExecuteLevelBatched(g *Graph) (map[string]*tensor.Tensor, error) {
 		return nil, err
 	}
 	for !s.Finished() {
-		ready := s.Ready()
+		// The ready list is this executor's own: a round's nodes are those
+		// not yet run whose producers all ran in earlier rounds.
+		var ready []NodeID
+		for i := range g.Nodes {
+			if id := NodeID(i); !s.Done(id) && depsDone(s, id) {
+				ready = append(ready, id)
+			}
+		}
 		if len(ready) == 0 {
 			return nil, fmt.Errorf("cellgraph: stuck with %d nodes remaining", s.Remaining())
 		}
-		// Group ready nodes by type; execute each group as one batch.
-		byType := make(map[string][]NodeID)
-		var typeOrder []string
-		for _, id := range ready {
-			k := g.Nodes[id].Cell.TypeKey()
-			if _, ok := byType[k]; !ok {
-				typeOrder = append(typeOrder, k)
+		// One batch per cell type, in order of first appearance.
+		for len(ready) > 0 {
+			var batch, rest []NodeID
+			for _, id := range ready {
+				if g.Nodes[id].Cell.TypeKey() == g.Nodes[ready[0]].Cell.TypeKey() {
+					batch = append(batch, id)
+				} else {
+					rest = append(rest, id)
+				}
 			}
-			byType[k] = append(byType[k], id)
-		}
-		for _, k := range typeOrder {
-			ids := byType[k]
-			if err := RunBatch(s, ids); err != nil {
+			if err := RunBatch(s, batch); err != nil {
 				return nil, err
 			}
+			ready = rest
 		}
 	}
 	return s.Results(), nil
+}
+
+func depsDone(s *State, id NodeID) bool {
+	for _, d := range s.g.Nodes[id].deps {
+		if !s.Done(d) {
+			return false
+		}
+	}
+	return true
 }
 
 // RunBatch executes a set of same-type ready nodes (possibly from the same
@@ -86,10 +102,10 @@ func RunBatch(s *State, ids []NodeID) error {
 		}
 	}
 	inputs := make(map[string]*tensor.Tensor, len(cell.InputNames()))
-	for _, name := range cell.InputNames() {
+	for j, name := range cell.InputNames() {
 		rows := make([]*tensor.Tensor, len(ids))
 		for i, id := range ids {
-			rows[i] = s.InputRow(id, name)
+			rows[i] = s.InputRow(id, j)
 		}
 		inputs[name] = tensor.ConcatRows(rows...)
 	}

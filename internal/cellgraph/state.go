@@ -3,237 +3,199 @@ package cellgraph
 import (
 	"fmt"
 
+	"batchmaker/internal/rnn"
 	"batchmaker/internal/tensor"
 )
 
-// State tracks the execution progress of one request's cell graph: which
-// nodes have completed, which are ready (all dependencies computed), and the
-// produced tensors. It is the request processor's per-request bookkeeping
-// (§4.2: "Request processor will track and update the dependencies of each
-// node").
+// State holds the execution progress of one request's cell graph: the
+// produced output rows and which nodes have been issued and completed. It is
+// the data half of the request processor's per-request bookkeeping (§4.2:
+// "Request processor will track and update the dependencies of each node");
+// the release logic lives in core.Tracker, which reads the same graph.
 //
-// State is not safe for concurrent use; the owner (request processor or the
-// simulator) serializes access.
+// Every output row of the request is one entry of a single backing array,
+// addressed by (node, output index) through the numbering Graph.Add laid
+// down, so neither admission nor the worker's gather and scatter look
+// anything up by name.
+//
+// State is not safe for concurrent use; the owner (a worker under the
+// request's lock, or a sequential executor) serializes access.
 type State struct {
-	g          *Graph
-	outputs    []map[string]*tensor.Tensor
-	pending    []int // uncomputed dependency count per node
-	dependents [][]NodeID
-	issued     []bool
-	done       []bool
-	ready      []NodeID
-	remained   int
-	// prealloc holds per-node output rows carved from one slab at admission
-	// time (see PreallocOutputs); nil per node when output widths are
-	// unknown. Workers write results straight into these rows, so the
-	// execution hot path allocates nothing.
-	prealloc []map[string]*tensor.Tensor
+	g        *Graph
+	rows     []tensor.Tensor // node n's output o is rows[n.out0+o]
+	flags    []uint8         // per node: issued | done | prealloc
+	remained int
 }
 
-// NewState validates g and returns fresh execution state with all
-// zero-dependency nodes ready.
+const (
+	flagIssued uint8 = 1 << iota
+	flagDone
+	flagPrealloc
+)
+
+// NewState validates g and returns fresh execution state. Holding a State
+// is proof the graph was valid when it was built (core.TrackState relies
+// on that to validate once per admission).
 func NewState(g *Graph) (*State, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	s := &State{
-		g:          g,
-		outputs:    make([]map[string]*tensor.Tensor, len(g.Nodes)),
-		pending:    make([]int, len(g.Nodes)),
-		dependents: make([][]NodeID, len(g.Nodes)),
-		issued:     make([]bool, len(g.Nodes)),
-		done:       make([]bool, len(g.Nodes)),
-		// Every node enters ready exactly once, so full capacity up front
-		// keeps completions append-free (the worker hot path relies on it).
-		ready:    make([]NodeID, 0, len(g.Nodes)),
+	return &State{
+		g:        g,
+		rows:     make([]tensor.Tensor, g.numRows()),
+		flags:    make([]uint8, len(g.Nodes)),
 		remained: len(g.Nodes),
-	}
-	for _, n := range g.Nodes {
-		deps := n.Deps()
-		s.pending[n.ID] = len(deps)
-		for _, d := range deps {
-			s.dependents[d] = append(s.dependents[d], n.ID)
-		}
-		if s.pending[n.ID] == 0 {
-			s.ready = append(s.ready, n.ID)
-		}
-	}
-	return s, nil
+	}, nil
 }
 
 // Graph returns the underlying cell graph.
 func (s *State) Graph() *Graph { return s.g }
 
-// Ready returns the nodes whose dependencies are satisfied and that have not
-// been issued for execution yet. The returned slice is owned by the caller.
-func (s *State) Ready() []NodeID {
-	out := make([]NodeID, 0, len(s.ready))
-	for _, id := range s.ready {
-		if !s.issued[id] && !s.done[id] {
-			out = append(out, id)
+// MarkIssued records that a node has been placed into a batched task. It
+// panics if a dependency has not completed — the scheduler must never
+// execute a node before its dependencies (tested invariant).
+func (s *State) MarkIssued(id NodeID) {
+	for _, d := range s.g.Nodes[id].deps {
+		if s.flags[d]&flagDone == 0 {
+			panic(fmt.Sprintf("cellgraph: issuing node %d with unmet dep %d", id, d))
 		}
 	}
-	return out
-}
-
-// MarkIssued records that a node has been placed into a batched task, so it
-// is not handed out twice while in flight.
-func (s *State) MarkIssued(id NodeID) {
-	if s.pending[id] != 0 {
-		panic(fmt.Sprintf("cellgraph: issuing node %d with %d unmet deps", id, s.pending[id]))
-	}
-	if s.done[id] {
+	if s.flags[id]&flagDone != 0 {
 		panic(fmt.Sprintf("cellgraph: issuing completed node %d", id))
 	}
-	s.issued[id] = true
+	s.flags[id] |= flagIssued
 }
 
 // Issued reports whether the node is currently in flight.
-func (s *State) Issued(id NodeID) bool { return s.issued[id] }
+func (s *State) Issued(id NodeID) bool { return s.flags[id]&flagIssued != 0 }
 
 // Done reports whether the node has completed.
-func (s *State) Done(id NodeID) bool { return s.done[id] }
+func (s *State) Done(id NodeID) bool { return s.flags[id]&flagDone != 0 }
 
-// InputRow materializes one named input of a node as a [1, w] row, either
-// from the literal binding or from the producing node's stored output. It
-// panics if a referenced producer has not completed — the scheduler must
-// never execute a node before its dependencies (tested invariant).
-func (s *State) InputRow(id NodeID, name string) *tensor.Tensor {
-	b, ok := s.g.Nodes[id].Inputs[name]
-	if !ok {
-		panic(fmt.Sprintf("cellgraph: node %d has no input %q", id, name))
-	}
+// InputRow returns input i of a node (in Cell.InputNames() order) as a
+// [1, w] row, either the literal binding or the producing node's stored
+// output. It panics if a referenced producer has not completed.
+func (s *State) InputRow(id NodeID, i int) *tensor.Tensor {
+	b := s.g.Nodes[id].Inputs[i]
 	if b.From == NoNode {
 		return b.Literal
 	}
-	out := s.outputs[b.From]
-	if out == nil {
-		panic(fmt.Sprintf("cellgraph: node %d reads output %q of incomplete node %d", id, b.Output, b.From))
+	if s.flags[b.From]&flagDone == 0 {
+		panic(fmt.Sprintf("cellgraph: node %d reads output %d of incomplete node %d", id, b.Out, b.From))
 	}
-	return out[b.Output]
+	return &s.rows[s.g.Nodes[b.From].out0+b.Out]
 }
 
-// Complete stores a node's outputs (each [1, w]) and returns the IDs of
-// nodes that became ready as a result.
-func (s *State) Complete(id NodeID, outputs map[string]*tensor.Tensor) []NodeID {
-	if s.done[id] {
+// Complete stores a node's outputs (each [1, w], keyed by output name as a
+// cell's Step returns them). It is the allocating path, for cells whose
+// output widths are not known up front; see PreallocOutputs for the other.
+func (s *State) Complete(id NodeID, outputs map[string]*tensor.Tensor) {
+	if s.flags[id]&flagDone != 0 {
 		panic(fmt.Sprintf("cellgraph: node %d completed twice", id))
 	}
-	for _, name := range s.g.Nodes[id].Cell.OutputNames() {
-		if _, ok := outputs[name]; !ok {
+	n := &s.g.Nodes[id]
+	for o, name := range n.Cell.OutputNames() {
+		t, ok := outputs[name]
+		if !ok {
 			panic(fmt.Sprintf("cellgraph: node %d completion missing output %q", id, name))
 		}
+		s.rows[n.out0+o] = *t
 	}
-	s.done[id] = true
-	s.issued[id] = false
-	s.outputs[id] = outputs
-	s.remained--
+	s.finish(id)
+}
 
-	var newlyReady []NodeID
-	for _, dep := range s.dependents[id] {
-		s.pending[dep]--
-		if s.pending[dep] == 0 {
-			s.ready = append(s.ready, dep)
-			newlyReady = append(newlyReady, dep)
-		}
-	}
-	return newlyReady
+func (s *State) finish(id NodeID) {
+	s.flags[id] = s.flags[id]&^flagIssued | flagDone
+	s.remained--
 }
 
 // PreallocOutputs carves a [1, w] output row for every output of every node
-// whose widths widthsOf knows, all from one backing slab. It runs on the
-// admission path (the caller's goroutine), moving the scatter-side
-// allocations out of the worker hot loop: a worker fills the rows in place
-// and calls CompletePrealloc instead of allocating fresh row tensors.
+// whose widths widthsOf knows: one float slab for the whole request, and no
+// allocation per row. It runs on the admission path (the caller's
+// goroutine), moving the scatter-side allocations out of the worker hot
+// loop: a worker fills the rows in place and calls CompletePrealloc.
 //
-// widthsOf returns the output name → row width map for a node's cell, or
-// nil when unknown; nodes with nil (or incomplete) widths keep the
+// widthsOf returns a cell's output row widths in Cell.OutputNames() order,
+// or nil when unknown; nodes with nil (or incomplete) widths keep the
 // allocating Complete path. Calling PreallocOutputs more than once, or
 // after execution has begun, is a programming error.
-func (s *State) PreallocOutputs(widthsOf func(id NodeID) map[string]int) {
-	if s.prealloc != nil {
-		panic("cellgraph: PreallocOutputs called twice")
-	}
-	perNode := make([]map[string]int, len(s.g.Nodes))
-	total := 0
-	for _, n := range s.g.Nodes {
-		widths := widthsOf(n.ID)
-		if widths == nil {
-			continue
+func (s *State) PreallocOutputs(widthsOf func(rnn.Cell) []int) {
+	floats := 0
+	for i := range s.g.Nodes {
+		n := &s.g.Nodes[i]
+		if s.flags[i] != 0 {
+			panic("cellgraph: PreallocOutputs called twice or after execution began")
 		}
-		sum, ok := 0, true
-		for _, name := range n.Cell.OutputNames() {
-			w, has := widths[name]
-			if !has || w <= 0 {
-				ok = false
-				break
+		if sum := rowWidths(n, widthsOf(n.Cell)); sum > 0 {
+			s.flags[i] = flagPrealloc
+			floats += sum
+		}
+	}
+	slab := make([]float32, floats)
+	// Rows of one width share one [1, w] shape; a request has a few widths.
+	var shapes [][]int
+	shapeOf := func(w int) []int {
+		for _, shape := range shapes {
+			if shape[1] == w {
+				return shape
 			}
-			sum += w
 		}
-		if !ok {
+		shapes = append(shapes, []int{1, w})
+		return shapes[len(shapes)-1]
+	}
+	for i := range s.g.Nodes {
+		n := &s.g.Nodes[i]
+		if s.flags[i]&flagPrealloc == 0 {
 			continue
 		}
-		perNode[n.ID] = widths
-		total += sum
-	}
-	if total == 0 {
-		return
-	}
-	slab := make([]float32, total)
-	s.prealloc = make([]map[string]*tensor.Tensor, len(s.g.Nodes))
-	off := 0
-	for _, n := range s.g.Nodes {
-		widths := perNode[n.ID]
-		if widths == nil {
-			continue
+		for o, w := range widthsOf(n.Cell) {
+			s.rows[n.out0+o] = tensor.ViewOf(slab[:w:w], shapeOf(w))
+			slab = slab[w:]
 		}
-		m := make(map[string]*tensor.Tensor, len(widths))
-		for _, name := range n.Cell.OutputNames() {
-			w := widths[name]
-			m[name] = tensor.FromSlice(slab[off:off+w:off+w], 1, w)
-			off += w
-		}
-		s.prealloc[n.ID] = m
 	}
+}
+
+// rowWidths returns the total width of a node's output rows, or 0 when
+// widths does not give a positive width for every output.
+func rowWidths(n *Node, widths []int) int {
+	if len(widths) != numOutputs(n.Cell) {
+		return 0
+	}
+	sum := 0
+	for _, w := range widths {
+		if w <= 0 {
+			return 0
+		}
+		sum += w
+	}
+	return sum
 }
 
 // Preallocated reports whether node id's outputs were preallocated.
-func (s *State) Preallocated(id NodeID) bool {
-	return s.prealloc != nil && s.prealloc[id] != nil
-}
+func (s *State) Preallocated(id NodeID) bool { return s.flags[id]&flagPrealloc != 0 }
 
-// OutputRow returns node id's preallocated row for one output, or nil when
+// OutputRow returns node id's preallocated row for output o, or nil when
 // the node was not preallocated. The worker fills it in place before
 // calling CompletePrealloc.
-func (s *State) OutputRow(id NodeID, name string) *tensor.Tensor {
-	if s.prealloc == nil || s.prealloc[id] == nil {
+func (s *State) OutputRow(id NodeID, o int) *tensor.Tensor {
+	if s.flags[id]&flagPrealloc == 0 {
 		return nil
 	}
-	return s.prealloc[id][name]
+	return &s.rows[s.g.Nodes[id].out0+o]
 }
 
 // CompletePrealloc marks a preallocated node complete — its rows must have
-// been filled via OutputRow. It is Complete without any allocation: no
-// outputs map, no newly-ready result slice (workers discard it; the
-// request processor tracks releases through its own tracker), and no
-// output-name coverage check (PreallocOutputs already carved every output).
+// been filled via OutputRow. It is Complete without any allocation and
+// without an output-name coverage check (PreallocOutputs carved every
+// output).
 func (s *State) CompletePrealloc(id NodeID) {
-	if s.prealloc == nil || s.prealloc[id] == nil {
+	if s.flags[id]&flagPrealloc == 0 {
 		panic(fmt.Sprintf("cellgraph: CompletePrealloc on non-preallocated node %d", id))
 	}
-	if s.done[id] {
+	if s.flags[id]&flagDone != 0 {
 		panic(fmt.Sprintf("cellgraph: node %d completed twice", id))
 	}
-	s.done[id] = true
-	s.issued[id] = false
-	s.outputs[id] = s.prealloc[id]
-	s.remained--
-	for _, dep := range s.dependents[id] {
-		s.pending[dep]--
-		if s.pending[dep] == 0 {
-			s.ready = append(s.ready, dep)
-		}
-	}
+	s.finish(id)
 }
 
 // Finished reports whether every node has completed.
@@ -242,25 +204,15 @@ func (s *State) Finished() bool { return s.remained == 0 }
 // Remaining returns the number of uncompleted nodes.
 func (s *State) Remaining() int { return s.remained }
 
-// Results assembles the request's declared result tensors. It panics if the
-// request has not finished.
+// Results assembles the request's declared result tensors — the one map a
+// caller sees. It panics if the request has not finished.
 func (s *State) Results() map[string]*tensor.Tensor {
 	if !s.Finished() {
 		panic("cellgraph: Results before completion")
 	}
 	out := make(map[string]*tensor.Tensor, len(s.g.Results))
 	for _, r := range s.g.Results {
-		out[r.Name] = s.outputs[r.Node][r.Output]
+		out[r.Name] = &s.rows[s.g.Nodes[r.Node].out0+r.Out]
 	}
 	return out
-}
-
-// NodeOutput returns a completed node's named output, for callers that need
-// intermediate tensors (e.g. classifier heads over the root state).
-func (s *State) NodeOutput(id NodeID, name string) (*tensor.Tensor, bool) {
-	if s.outputs[id] == nil {
-		return nil, false
-	}
-	t, ok := s.outputs[id][name]
-	return t, ok
 }

@@ -2,10 +2,57 @@ package cellgraph
 
 import (
 	"fmt"
+	"strconv"
 
 	"batchmaker/internal/rnn"
 	"batchmaker/internal/tensor"
 )
+
+// The unfold functions below bind inputs by position and outputs by index,
+// per the cells' documented name order: x or ids, then h, c (hl, cl, hr, cr
+// for a tree's internal cell) in; h, c and, from the decoder, word out.
+// TestUnfoldMatchesCellNameOrder pins that order.
+
+// literalRows views each row of a rank-2 tensor as a [1, cols] literal. The
+// views share one backing array and one shape, so a request's literals cost
+// two allocations however long it is.
+func literalRows(t *tensor.Tensor) []tensor.Tensor {
+	shape := []int{1, t.Dim(1)}
+	rows := make([]tensor.Tensor, t.Dim(0))
+	for i := range rows {
+		rows[i] = tensor.ViewOf(t.RowSlice(i), shape)
+	}
+	return rows
+}
+
+// idRows turns word ids into [1,1] literal rows, rejecting ids outside
+// [0, vocab).
+func idRows(ids []int, vocab int, what string) ([]tensor.Tensor, error) {
+	vals := make([]float32, len(ids))
+	for i, id := range ids {
+		if id < 0 || id >= vocab {
+			return nil, fmt.Errorf("cellgraph: %s id %d out of vocabulary [0,%d)", what, id, vocab)
+		}
+		vals[i] = float32(id)
+	}
+	return literalRows(tensor.FromSlice(vals, len(ids), 1)), nil
+}
+
+// addChain appends one node of cell per row of xs, each consuming its row,
+// then "h" and "c": from the previous node (outputs 0 and 1), or from zero
+// for the first. It returns the last node's ID.
+func addChain(g *Graph, cell rnn.Cell, xs []tensor.Tensor, hidden int) NodeID {
+	zero := Lit(tensor.New(1, hidden))
+	prev := NoNode
+	for t := range xs {
+		if t == 0 {
+			prev = g.Add(cell, Lit(&xs[t]), zero, zero)
+		} else {
+			prev = g.Add(cell, Lit(&xs[t]), Ref(prev, 0), Ref(prev, 1))
+		}
+	}
+	return prev
+}
 
 // UnfoldChain expands a chain-structured RNN request (the paper's Figure 1)
 // into a cell graph: one node per timestep, with h and c flowing forward and
@@ -19,26 +66,9 @@ func UnfoldChain(cell *rnn.LSTMCell, xs *tensor.Tensor) (*Graph, error) {
 	if steps == 0 {
 		return nil, fmt.Errorf("cellgraph: empty chain request")
 	}
-	g := &Graph{}
-	zero := tensor.New(1, cell.Hidden())
-	for t := 0; t < steps; t++ {
-		n := &Node{
-			ID:   NodeID(t),
-			Cell: cell,
-			Inputs: map[string]Binding{
-				"x": Lit(tensor.SliceRows(xs, t, t+1)),
-			},
-		}
-		if t == 0 {
-			n.Inputs["h"] = Lit(zero)
-			n.Inputs["c"] = Lit(zero)
-		} else {
-			n.Inputs["h"] = Ref(NodeID(t-1), "h")
-			n.Inputs["c"] = Ref(NodeID(t-1), "c")
-		}
-		g.Nodes = append(g.Nodes, n)
-	}
-	g.Results = []OutputSpec{{Name: "h", Node: NodeID(steps - 1), Output: "h"}}
+	g := NewGraph(steps, 3*steps, steps-1)
+	last := addChain(g, cell, literalRows(xs), cell.Hidden())
+	g.Results = []OutputSpec{{Name: "h", Node: last, Out: 0}}
 	return g, nil
 }
 
@@ -54,32 +84,41 @@ func UnfoldRecurrent(cell rnn.Recurrent, xs *tensor.Tensor) (*Graph, error) {
 	if steps == 0 {
 		return nil, fmt.Errorf("cellgraph: empty chain request")
 	}
-	states := cell.StateWidths()
-	zeros := make(map[string]*tensor.Tensor, len(states))
-	for name, w := range states {
-		zeros[name] = tensor.New(1, w)
-	}
-	g := &Graph{}
-	for t := 0; t < steps; t++ {
-		n := &Node{
-			ID:   NodeID(t),
-			Cell: cell,
-			Inputs: map[string]Binding{
-				"x": Lit(tensor.SliceRows(xs, t, t+1)),
-			},
+	// Resolve each state input once: its zero literal for the first step,
+	// and the output that carries it to the next.
+	names, states := cell.InputNames(), cell.StateWidths()
+	first := make([]Binding, len(names))
+	carry := make([]int, len(names))
+	for i, name := range names {
+		if name == "x" {
+			continue
 		}
-		for name := range states {
-			if t == 0 {
-				n.Inputs[name] = Lit(zeros[name])
-			} else {
-				n.Inputs[name] = Ref(NodeID(t-1), name)
+		w, ok := states[name]
+		if carry[i] = OutputIndex(cell, name); !ok || carry[i] < 0 {
+			return nil, fmt.Errorf("cellgraph: cell %s input %q is neither x nor a carried state", cell.Name(), name)
+		}
+		first[i] = Lit(tensor.New(1, w))
+	}
+	g := NewGraph(steps, steps*len(names), steps-1)
+	rows := literalRows(xs)
+	in := make([]Binding, len(names))
+	for t := range rows {
+		for i, name := range names {
+			switch {
+			case name == "x":
+				in[i] = Lit(&rows[t])
+			case t == 0:
+				in[i] = first[i]
+			default:
+				in[i] = Ref(NodeID(t-1), carry[i])
 			}
 		}
-		g.Nodes = append(g.Nodes, n)
+		g.Add(cell, in...)
 	}
-	last := NodeID(steps - 1)
-	for name := range states {
-		g.Results = append(g.Results, OutputSpec{Name: name, Node: last, Output: name})
+	for i, name := range cell.OutputNames() {
+		if _, ok := states[name]; ok {
+			g.Results = append(g.Results, OutputSpec{Name: name, Node: NodeID(steps - 1), Out: i})
+		}
 	}
 	return g, nil
 }
@@ -90,29 +129,13 @@ func UnfoldChainIDs(cell *rnn.EncoderCell, ids []int) (*Graph, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("cellgraph: empty chain request")
 	}
-	g := &Graph{}
-	zero := tensor.New(1, cell.Hidden())
-	for t, id := range ids {
-		if id < 0 || id >= cell.Vocab() {
-			return nil, fmt.Errorf("cellgraph: word id %d out of vocabulary [0,%d)", id, cell.Vocab())
-		}
-		n := &Node{
-			ID:   NodeID(t),
-			Cell: cell,
-			Inputs: map[string]Binding{
-				"ids": Lit(tensor.FromSlice([]float32{float32(id)}, 1, 1)),
-			},
-		}
-		if t == 0 {
-			n.Inputs["h"] = Lit(zero)
-			n.Inputs["c"] = Lit(zero)
-		} else {
-			n.Inputs["h"] = Ref(NodeID(t-1), "h")
-			n.Inputs["c"] = Ref(NodeID(t-1), "c")
-		}
-		g.Nodes = append(g.Nodes, n)
+	rows, err := idRows(ids, cell.Vocab(), "word")
+	if err != nil {
+		return nil, err
 	}
-	g.Results = []OutputSpec{{Name: "h", Node: NodeID(len(ids) - 1), Output: "h"}}
+	g := NewGraph(len(ids), 3*len(ids), len(ids)-1)
+	last := addChain(g, cell, rows, cell.Hidden())
+	g.Results = []OutputSpec{{Name: "h", Node: last, Out: 0}}
 	return g, nil
 }
 
@@ -135,48 +158,22 @@ func UnfoldSeq2Seq(enc *rnn.EncoderCell, dec *rnn.DecoderCell, srcIDs []int, dec
 	if enc.Hidden() != dec.Hidden() {
 		return nil, fmt.Errorf("cellgraph: encoder hidden %d != decoder hidden %d", enc.Hidden(), dec.Hidden())
 	}
-	g := &Graph{}
-	zero := tensor.New(1, enc.Hidden())
-	for t, id := range srcIDs {
-		if id < 0 || id >= enc.Vocab() {
-			return nil, fmt.Errorf("cellgraph: source id %d out of vocabulary [0,%d)", id, enc.Vocab())
-		}
-		n := &Node{
-			ID:   NodeID(t),
-			Cell: enc,
-			Inputs: map[string]Binding{
-				"ids": Lit(tensor.FromSlice([]float32{float32(id)}, 1, 1)),
-			},
-		}
-		if t == 0 {
-			n.Inputs["h"] = Lit(zero)
-			n.Inputs["c"] = Lit(zero)
-		} else {
-			n.Inputs["h"] = Ref(NodeID(t-1), "h")
-			n.Inputs["c"] = Ref(NodeID(t-1), "c")
-		}
-		g.Nodes = append(g.Nodes, n)
+	rows, err := idRows(srcIDs, enc.Vocab(), "source")
+	if err != nil {
+		return nil, err
 	}
-	lastEnc := NodeID(len(srcIDs) - 1)
-	goRow := tensor.FromSlice([]float32{float32(rnn.TokenGo)}, 1, 1)
-	for t := 0; t < decodeLen; t++ {
-		id := NodeID(len(srcIDs) + t)
-		n := &Node{ID: id, Cell: dec, Inputs: map[string]Binding{}}
+	n := len(srcIDs) + decodeLen
+	g := NewGraph(n, 3*n, n-1)
+	prev := addChain(g, enc, rows, enc.Hidden())
+	g.Results = make([]OutputSpec, decodeLen)
+	for t := range g.Results {
 		if t == 0 {
-			n.Inputs["ids"] = Lit(goRow)
-			n.Inputs["h"] = Ref(lastEnc, "h")
-			n.Inputs["c"] = Ref(lastEnc, "c")
+			goRow := tensor.FromSlice([]float32{float32(rnn.TokenGo)}, 1, 1)
+			prev = g.Add(dec, Lit(goRow), Ref(prev, 0), Ref(prev, 1))
 		} else {
-			n.Inputs["ids"] = Ref(id-1, "word")
-			n.Inputs["h"] = Ref(id-1, "h")
-			n.Inputs["c"] = Ref(id-1, "c")
+			prev = g.Add(dec, Ref(prev, 2), Ref(prev, 0), Ref(prev, 1))
 		}
-		g.Nodes = append(g.Nodes, n)
-		g.Results = append(g.Results, OutputSpec{
-			Name:   fmt.Sprintf("word%d", t),
-			Node:   id,
-			Output: "word",
-		})
+		g.Results[t] = OutputSpec{Name: "word" + strconv.Itoa(t), Node: prev, Out: 2}
 	}
 	return g, nil
 }
@@ -247,47 +244,36 @@ func UnfoldTree(leaf *rnn.TreeLeafCell, internal *rnn.TreeInternalCell, tree *Tr
 	if err := tree.Validate(leaf.Vocab()); err != nil {
 		return nil, err
 	}
-	g := &Graph{}
-	root, err := unfoldTreeNode(g, leaf, internal, tree)
-	if err != nil {
-		return nil, err
+	leaves := tree.Leaves()
+	u := treeUnfold{
+		g:    NewGraph(2*leaves-1, leaves+4*(leaves-1), 2*(leaves-1)),
+		leaf: leaf, internal: internal,
+		ids: literalRows(tensor.New(leaves, 1)),
 	}
-	g.Results = []OutputSpec{{Name: "h", Node: root, Output: "h"}}
-	return g, nil
+	root := u.add(tree)
+	u.g.Results = []OutputSpec{{Name: "h", Node: root, Out: 0}}
+	return u.g, nil
 }
 
-func unfoldTreeNode(g *Graph, leaf *rnn.TreeLeafCell, internal *rnn.TreeInternalCell, t *Tree) (NodeID, error) {
+// treeUnfold carries UnfoldTree's post-order walk: children before parents,
+// leaves numbered left to right into the shared id rows.
+type treeUnfold struct {
+	g        *Graph
+	leaf     *rnn.TreeLeafCell
+	internal *rnn.TreeInternalCell
+	ids      []tensor.Tensor // the leaves' id rows not handed out yet
+}
+
+func (u *treeUnfold) add(t *Tree) NodeID {
 	if t.IsLeaf() {
-		id := NodeID(len(g.Nodes))
-		g.Nodes = append(g.Nodes, &Node{
-			ID:   id,
-			Cell: leaf,
-			Inputs: map[string]Binding{
-				"ids": Lit(tensor.FromSlice([]float32{float32(t.WordID)}, 1, 1)),
-			},
-		})
-		return id, nil
+		row := &u.ids[0]
+		u.ids = u.ids[1:]
+		row.Data()[0] = float32(t.WordID)
+		return u.g.Add(u.leaf, Lit(row))
 	}
-	l, err := unfoldTreeNode(g, leaf, internal, t.Left)
-	if err != nil {
-		return 0, err
-	}
-	r, err := unfoldTreeNode(g, leaf, internal, t.Right)
-	if err != nil {
-		return 0, err
-	}
-	id := NodeID(len(g.Nodes))
-	g.Nodes = append(g.Nodes, &Node{
-		ID:   id,
-		Cell: internal,
-		Inputs: map[string]Binding{
-			"hl": Ref(l, "h"),
-			"cl": Ref(l, "c"),
-			"hr": Ref(r, "h"),
-			"cr": Ref(r, "c"),
-		},
-	})
-	return id, nil
+	l := u.add(t.Left)
+	r := u.add(t.Right)
+	return u.g.Add(u.internal, Ref(l, 0), Ref(l, 1), Ref(r, 0), Ref(r, 1))
 }
 
 // CompleteBinaryTree builds a complete binary tree with the given number of

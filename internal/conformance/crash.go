@@ -223,6 +223,14 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 		}
 	}
 
+	// The kill must land after at least one group commit, or no admit is
+	// durable and the scenario checks nothing. Wait for that event rather
+	// than trusting the schedule: on a stalled machine the whole prefix is
+	// submitted late, in one burst shorter than the sync interval.
+	if len(handles) > 0 {
+		_ = handles[0].handle.AdmitDurable() // the ack's value is classified below
+	}
+
 	// Crash. The journal dies first: everything queued or buffered but not
 	// yet acknowledged is dropped, and the server's shutdown path (which
 	// would journal clean terminal records) writes into a dead journal —

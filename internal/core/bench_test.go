@@ -66,20 +66,55 @@ func BenchmarkSchedulerDrain_SmallBatches(b *testing.B) {
 	benchScheduler(b, 128, 24, 16)
 }
 
-// BenchmarkTrackerUnfoldTree measures request-processor admission cost for
-// tree requests (partitioning + spec construction).
-func BenchmarkTrackerUnfoldTree(b *testing.B) {
+// BenchmarkPartitionTracker measures admission bookkeeping without unfold —
+// validate, partition, release tracking and scheduler registration of every
+// subgraph as the request's nodes complete in ID order — which is what the
+// simulator pays per simulated request. Run with -benchmem.
+func BenchmarkPartitionTracker(b *testing.B) {
+	a, dec := newFakeCell("A"), newFakeCell("B")
 	leaf, internal := newFakeCell("L"), newFakeInternalCell("I")
-	g := fakeTree(leaf, internal, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr, err := NewTracker(1, g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if specs := tr.InitialSubgraphs(); len(specs) != 16 {
-			b.Fatalf("specs = %d", len(specs))
-		}
+	for _, bc := range []struct {
+		name string
+		g    *cellgraph.Graph
+	}{
+		{"tree20", fakeTree(leaf, internal, 20)},
+		{"seq2seq20x25", fakeTwoPhase(a, dec, 20, 25)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, err := NewScheduler(Config{Types: []TypeConfig{
+				{Key: "A", MaxBatch: 64}, {Key: "B", MaxBatch: 64},
+				{Key: "L", MaxBatch: 64}, {Key: "I", MaxBatch: 64},
+			}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := RequestID(i + 1)
+				tr, err := NewTracker(req, bc.g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				specs := tr.InitialSubgraphs()
+				for n := 0; ; n++ {
+					for _, spec := range specs {
+						if _, err := s.AddSubgraph(spec); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if n == len(bc.g.Nodes) {
+						break
+					}
+					if specs, err = tr.NodeDone(cellgraph.NodeID(n)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if s.RequestSubgraphs(req) != tr.NumSubgraphs() || !tr.Finished() {
+					b.Fatalf("registered %d of %d subgraphs", s.RequestSubgraphs(req), tr.NumSubgraphs())
+				}
+				s.CancelRequest(req)
+			}
+		})
 	}
 }
 
@@ -149,15 +184,15 @@ func BenchmarkSchedulerDrain_LongChains(b *testing.B) {
 // readyReleaseInputs builds a sorted ready remainder of length n and one
 // freshly released node that belongs at its end — the steady state of a
 // wide subgraph draining through Schedule.
-func readyReleaseInputs(n int) (rest []cellgraph.NodeID, fresh []cellgraph.NodeID) {
-	rest = make([]cellgraph.NodeID, n)
+func readyReleaseInputs(n int) (rest []int32, fresh []int32) {
+	rest = make([]int32, n)
 	for i := range rest {
-		rest[i] = cellgraph.NodeID(i * 2)
+		rest[i] = int32(i * 2)
 	}
-	return rest, []cellgraph.NodeID{cellgraph.NodeID(2*n - 1)}
+	return rest, []int32{int32(2*n - 1)}
 }
 
-var readySink []cellgraph.NodeID
+var readySink []int32
 
 // BenchmarkReadyRelease_Merge is the new release path: ordered merge of the
 // sorted remainder with the (tiny) fresh batch.
@@ -175,7 +210,7 @@ func BenchmarkReadyRelease_SortSlice(b *testing.B) {
 	rest, fresh := readyReleaseInputs(512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ready := append(append([]cellgraph.NodeID(nil), rest...), fresh...)
+		ready := append(append([]int32(nil), rest...), fresh...)
 		sort.Slice(ready, func(x, y int) bool { return ready[x] < ready[y] })
 		readySink = ready
 	}

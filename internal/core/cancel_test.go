@@ -10,11 +10,11 @@ import (
 // request, mirroring what Tracker produces for an unfolded LSTM chain.
 func chainSpec(req RequestID, typeKey string, n int) SubgraphSpec {
 	nodes := make([]cellgraph.NodeID, n)
-	deps := make(map[cellgraph.NodeID][]cellgraph.NodeID)
+	deps := make([][]int32, n)
 	for i := range nodes {
 		nodes[i] = cellgraph.NodeID(i)
 		if i > 0 {
-			deps[nodes[i]] = []cellgraph.NodeID{nodes[i-1]}
+			deps[i] = []int32{int32(i - 1)}
 		}
 	}
 	return SubgraphSpec{Req: req, TypeKey: typeKey, Nodes: nodes, Deps: deps}

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"batchmaker/internal/cellgraph"
 )
 
 func deviceScheduler(t *testing.T, devices int, types ...TypeConfig) *Scheduler {
@@ -235,14 +233,14 @@ func TestPropMergeReadyOrderedDuplicateFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 2000; iter++ {
 		n := rng.Intn(40)
-		ids := make([]cellgraph.NodeID, 0, n)
+		ids := make([]int32, 0, n)
 		next := 0
 		for len(ids) < n {
 			next += 1 + rng.Intn(3)
-			ids = append(ids, cellgraph.NodeID(next))
+			ids = append(ids, int32(next))
 		}
 		// Random subset becomes fresh (shuffled); the rest keeps order.
-		var rest, fresh []cellgraph.NodeID
+		var rest, fresh []int32
 		for _, id := range ids {
 			if rng.Intn(2) == 0 {
 				fresh = append(fresh, id)

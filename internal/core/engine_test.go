@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"batchmaker/internal/cellgraph"
@@ -424,21 +425,30 @@ func TestSchedulerErrorPaths(t *testing.T) {
 	if err := s.TaskCompleted(999); err == nil {
 		t.Fatal("want unknown-task error")
 	}
-	// Subgraph whose dep map references a node outside the set.
-	if _, err := s.AddSubgraph(SubgraphSpec{
-		Req: 1, TypeKey: "A",
-		Nodes: []cellgraph.NodeID{1},
-		Deps:  map[cellgraph.NodeID][]cellgraph.NodeID{1: {0}},
-	}); err == nil {
-		t.Fatal("want external-dep-as-internal error")
+	for _, tc := range []struct {
+		want string
+		spec SubgraphSpec
+	}{
+		// A dep entry for a position the subgraph does not have.
+		{"outside the 1-node subgraph", SubgraphSpec{Nodes: []cellgraph.NodeID{1}, Deps: [][]int32{nil, {0}}}},
+		// A dep naming a position the subgraph does not have (what listing
+		// an external dependency as internal amounts to).
+		{"lists dep position 1 outside", SubgraphSpec{Nodes: []cellgraph.NodeID{1}, Deps: [][]int32{{1}}}},
+		{"lists dep position -1 outside", SubgraphSpec{Nodes: []cellgraph.NodeID{1, 2}, Deps: [][]int32{nil, {-1}}}},
+		// All nodes blocked internally.
+		{"no initially ready node", SubgraphSpec{Nodes: []cellgraph.NodeID{0, 1}, Deps: [][]int32{{1}, {0}}}},
+		{"no initially ready node", SubgraphSpec{Nodes: []cellgraph.NodeID{4}, Deps: [][]int32{{0}}}},
+		// Batching order is the order of Nodes, so it must be ID order.
+		{"ascending order", SubgraphSpec{Nodes: []cellgraph.NodeID{2, 1}}},
+		{"ascending order", SubgraphSpec{Nodes: []cellgraph.NodeID{1, 1}}},
+	} {
+		tc.spec.Req, tc.spec.TypeKey = 1, "A"
+		if _, err := s.AddSubgraph(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("spec %+v: want error containing %q, got %v", tc.spec, tc.want, err)
+		}
 	}
-	// All nodes blocked internally.
-	if _, err := s.AddSubgraph(SubgraphSpec{
-		Req: 1, TypeKey: "A",
-		Nodes: []cellgraph.NodeID{0, 1},
-		Deps:  map[cellgraph.NodeID][]cellgraph.NodeID{0: {1}, 1: {0}},
-	}); err == nil {
-		t.Fatal("want no-ready-node error")
+	if s.LiveSubgraphs() != 0 || s.TotalReady() != 0 || s.RequestSubgraphs(1) != 0 {
+		t.Fatal("a rejected spec left scheduler state behind")
 	}
 }
 

@@ -48,23 +48,15 @@ func newFakeCell(key string) *fakeCell {
 // fakeChain unfolds a chain of n nodes of the given cell.
 func fakeChain(cell *fakeCell, n int) *cellgraph.Graph {
 	g := &cellgraph.Graph{}
-	row := tensor.New(1, 1)
+	row := cellgraph.Lit(tensor.New(1, 1))
 	for t := 0; t < n; t++ {
-		node := &cellgraph.Node{
-			ID:   cellgraph.NodeID(t),
-			Cell: cell,
-			Inputs: map[string]cellgraph.Binding{
-				"x": cellgraph.Lit(row),
-			},
-		}
 		if t == 0 {
-			node.Inputs["h"] = cellgraph.Lit(row)
+			g.Add(cell, row, row)
 		} else {
-			node.Inputs["h"] = cellgraph.Ref(cellgraph.NodeID(t-1), "h")
+			g.Add(cell, row, cellgraph.Ref(cellgraph.NodeID(t-1), 0))
 		}
-		g.Nodes = append(g.Nodes, node)
 	}
-	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: cellgraph.NodeID(n - 1), Output: "h"}}
+	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: cellgraph.NodeID(n - 1)}}
 	return g
 }
 
@@ -72,20 +64,11 @@ func fakeChain(cell *fakeCell, n int) *cellgraph.Graph {
 // the first B node depending on the last A node (a Seq2Seq-shaped graph).
 func fakeTwoPhase(cellA, cellB *fakeCell, nA, nB int) *cellgraph.Graph {
 	g := fakeChain(cellA, nA)
-	row := tensor.New(1, 1)
+	row := cellgraph.Lit(tensor.New(1, 1))
 	for t := 0; t < nB; t++ {
-		id := cellgraph.NodeID(nA + t)
-		node := &cellgraph.Node{
-			ID:   id,
-			Cell: cellB,
-			Inputs: map[string]cellgraph.Binding{
-				"x": cellgraph.Lit(row),
-				"h": cellgraph.Ref(id-1, "h"),
-			},
-		}
-		g.Nodes = append(g.Nodes, node)
+		g.Add(cellB, row, cellgraph.Ref(cellgraph.NodeID(nA+t-1), 0))
 	}
-	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: cellgraph.NodeID(nA + nB - 1), Output: "h"}}
+	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: cellgraph.NodeID(nA + nB - 1)}}
 	return g
 }
 
@@ -93,34 +76,18 @@ func fakeTwoPhase(cellA, cellB *fakeCell, nA, nB int) *cellgraph.Graph {
 // use leafCell, internal nodes use internalCell (inputs "hl","hr").
 func fakeTree(leafCell, internalCell *fakeCell, leaves int) *cellgraph.Graph {
 	g := &cellgraph.Graph{}
-	row := tensor.New(1, 1)
+	row := cellgraph.Lit(tensor.New(1, 1))
 	var build func(n int) cellgraph.NodeID
 	build = func(n int) cellgraph.NodeID {
 		if n == 1 {
-			id := cellgraph.NodeID(len(g.Nodes))
-			g.Nodes = append(g.Nodes, &cellgraph.Node{
-				ID:   id,
-				Cell: leafCell,
-				Inputs: map[string]cellgraph.Binding{
-					"x": cellgraph.Lit(row), "h": cellgraph.Lit(row),
-				},
-			})
-			return id
+			return g.Add(leafCell, row, row)
 		}
 		l := build(n / 2)
 		r := build(n - n/2)
-		id := cellgraph.NodeID(len(g.Nodes))
-		g.Nodes = append(g.Nodes, &cellgraph.Node{
-			ID:   id,
-			Cell: internalCell,
-			Inputs: map[string]cellgraph.Binding{
-				"hl": cellgraph.Ref(l, "h"), "hr": cellgraph.Ref(r, "h"),
-			},
-		})
-		return id
+		return g.Add(internalCell, cellgraph.Ref(l, 0), cellgraph.Ref(r, 0))
 	}
 	root := build(leaves)
-	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: root, Output: "h"}}
+	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: root}}
 	return g
 }
 

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"batchmaker/internal/cellgraph"
@@ -101,15 +102,21 @@ type Chaos struct {
 
 // SubgraphSpec describes a subgraph being handed to the scheduler: a set of
 // same-type nodes of one request whose external dependencies are all
-// satisfied (§4.3). Deps lists intra-subgraph dependencies only.
+// satisfied (§4.3). Deps lists intra-subgraph dependencies only. The
+// scheduler keeps Nodes and reads Deps without copying either, so the caller
+// must not modify them afterwards (the tracker passes its partition's own
+// slices).
 type SubgraphSpec struct {
 	Req     RequestID
 	TypeKey string
-	Nodes   []cellgraph.NodeID
-	// Deps maps a node to the subset of its dependencies that are inside
-	// this subgraph. Nodes absent from Deps (or with empty lists) are ready
+	// Nodes are the members in ascending ID order (for chains, sequence
+	// order), which is the order they are batched in.
+	Nodes []cellgraph.NodeID
+	// Deps is indexed by position in Nodes: Deps[i] lists the positions of
+	// the members Nodes[i] depends on. It may be shorter than Nodes (or
+	// nil); members without an entry, or with an empty one, are ready
 	// immediately.
-	Deps map[cellgraph.NodeID][]cellgraph.NodeID
+	Deps [][]int32
 	// Deadline, when nonzero, is the owning request's SLA expiry in
 	// nanoseconds (wall or virtual — the scheduler only compares). Within a
 	// cell type, subgraphs are batched earliest-deadline-first; deadline-less
@@ -157,13 +164,17 @@ type subgraph struct {
 	req     RequestID
 	typeKey string
 
-	// ready holds schedule-ready, not-yet-issued nodes in ascending node
+	// nodes is the spec's member list; everything below names a member by
+	// its position in it.
+	nodes []cellgraph.NodeID
+	// ready holds schedule-ready, not-yet-issued members in ascending
 	// order (for chains this is sequence order).
-	ready []cellgraph.NodeID
-	// pendingDeps counts unsubmitted intra-subgraph dependencies per node.
-	pendingDeps map[cellgraph.NodeID]int
-	// dependents is the reverse intra-subgraph edge list.
-	dependents map[cellgraph.NodeID][]cellgraph.NodeID
+	ready []int32
+	// pendingDeps counts unsubmitted intra-subgraph dependencies per member;
+	// the members reading member p are dependents[depStart[p]:depStart[p+1]].
+	// All three are nil for a subgraph without internal edges, and carved
+	// from one allocation otherwise.
+	pendingDeps, depStart, dependents []int32
 
 	unissued int // nodes not yet placed into any task
 	inflight int // tasks containing this subgraph still running
@@ -205,8 +216,8 @@ type Scheduler struct {
 	typeOrder  []string // deterministic iteration order
 	nextSub    SubgraphID
 	nextTask   TaskID
-	liveByID   map[SubgraphID]*subgraph
-	byReq      map[RequestID]map[SubgraphID]*subgraph
+	live       int // registered, not yet retired subgraphs
+	byReq      map[RequestID][]*subgraph
 	inflight   map[TaskID]*Task
 	totalReady int
 
@@ -239,8 +250,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	s := &Scheduler{
 		cfg:      cfg,
 		types:    make(map[string]*cellType, len(cfg.Types)),
-		liveByID: make(map[SubgraphID]*subgraph),
-		byReq:    make(map[RequestID]map[SubgraphID]*subgraph),
+		byReq:    make(map[RequestID][]*subgraph),
 		inflight: make(map[TaskID]*Task),
 		devices:  cfg.Devices,
 	}
@@ -282,58 +292,76 @@ func (s *Scheduler) AddSubgraph(spec SubgraphSpec) (SubgraphID, error) {
 	if len(spec.Nodes) == 0 {
 		return 0, fmt.Errorf("core: empty subgraph for request %d", spec.Req)
 	}
+	k := len(spec.Nodes)
+	if len(spec.Deps) > k {
+		return 0, fmt.Errorf("core: dep entry for position %d outside the %d-node subgraph", k, k)
+	}
+	edges := 0
+	for i, n := range spec.Nodes {
+		if i > 0 && n <= spec.Nodes[i-1] {
+			return 0, fmt.Errorf("core: subgraph nodes must be in ascending order, got %d after %d", n, spec.Nodes[i-1])
+		}
+		if i < len(spec.Deps) {
+			edges += len(spec.Deps[i])
+		}
+	}
 	sg := &subgraph{
-		id:          s.nextSub,
-		req:         spec.Req,
-		typeKey:     spec.TypeKey,
-		pendingDeps: make(map[cellgraph.NodeID]int, len(spec.Deps)),
-		dependents:  make(map[cellgraph.NodeID][]cellgraph.NodeID),
-		unissued:    len(spec.Nodes),
-		pinned:      NoWorker,
-		deadline:    spec.Deadline,
+		id:       s.nextSub,
+		req:      spec.Req,
+		typeKey:  spec.TypeKey,
+		nodes:    spec.Nodes,
+		unissued: k,
+		pinned:   NoWorker,
+		deadline: spec.Deadline,
 	}
-	s.nextSub++
-	member := make(map[cellgraph.NodeID]bool, len(spec.Nodes))
-	for _, n := range spec.Nodes {
-		member[n] = true
-	}
-	for n, deps := range spec.Deps {
-		if !member[n] {
-			return 0, fmt.Errorf("core: dep entry for node %d outside subgraph", n)
-		}
-		cnt := 0
-		for _, d := range deps {
-			if !member[d] {
-				return 0, fmt.Errorf("core: node %d lists external dep %d as internal", n, d)
+	nready := k
+	if edges > 0 {
+		// Invert Deps into the dependents lists by counting sort; next is
+		// the sort's per-member write cursor, dead once AddSubgraph returns.
+		buf := make([]int32, 3*k+1+edges)
+		sg.pendingDeps, sg.depStart, buf = buf[:k], buf[k:2*k+1], buf[2*k+1:]
+		sg.dependents, buf = buf[:edges], buf[edges:]
+		next := buf
+		for i, deps := range spec.Deps {
+			if len(deps) > 0 {
+				sg.pendingDeps[i] = int32(len(deps))
+				nready--
 			}
-			sg.dependents[d] = append(sg.dependents[d], n)
-			cnt++
+			for _, d := range deps {
+				if d < 0 || int(d) >= k {
+					return 0, fmt.Errorf("core: node %d lists dep position %d outside the %d-node subgraph", spec.Nodes[i], d, k)
+				}
+				sg.depStart[d+1]++
+			}
 		}
-		if cnt > 0 {
-			sg.pendingDeps[n] = cnt
+		for p := 0; p < k; p++ {
+			sg.depStart[p+1] += sg.depStart[p]
+		}
+		for i, deps := range spec.Deps {
+			for _, d := range deps {
+				sg.dependents[sg.depStart[d]+next[d]] = int32(i)
+				next[d]++
+			}
 		}
 	}
-	// Ready set: nodes with no intra-subgraph deps, ascending order.
-	nodes := append([]cellgraph.NodeID(nil), spec.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, n := range nodes {
-		if sg.pendingDeps[n] == 0 {
-			sg.ready = append(sg.ready, n)
-		}
-	}
-	if len(sg.ready) == 0 {
+	if nready == 0 {
 		return 0, fmt.Errorf("core: subgraph for request %d has no initially ready node (internal cycle?)", spec.Req)
 	}
+	// Ready set: members with no intra-subgraph deps, ascending order.
+	sg.ready = make([]int32, 0, nready)
+	for p := 0; p < k; p++ {
+		if sg.pendingDeps == nil || sg.pendingDeps[p] == 0 {
+			sg.ready = append(sg.ready, int32(p))
+		}
+	}
+	s.nextSub++
 	// EDF placement: subgraph IDs are monotone, so deadline-less specs (and
 	// deadline ties) keep admission order.
 	ct.queue.Push(sg, sg.deadline, uint64(sg.id))
 	ct.readyNodes += len(sg.ready)
 	s.totalReady += len(sg.ready)
-	s.liveByID[sg.id] = sg
-	if s.byReq[sg.req] == nil {
-		s.byReq[sg.req] = make(map[SubgraphID]*subgraph)
-	}
-	s.byReq[sg.req][sg.id] = sg
+	s.live++
+	s.byReq[sg.req] = append(s.byReq[sg.req], sg)
 	return sg.id, nil
 }
 
@@ -368,7 +396,7 @@ func (s *Scheduler) CancelRequest(req RequestID) int {
 				continue
 			}
 			// Nothing running references this subgraph: retire it now.
-			delete(s.liveByID, sg.id)
+			s.live--
 			touched[sg.typeKey] = true
 		}
 		// Otherwise TaskCompleted retires it when the last task drains
@@ -516,12 +544,20 @@ func (s *Scheduler) formBatchedTask(ct *cellType, worker WorkerID) ([]NodeRef, [
 		if len(sg.ready) == 0 {
 			continue
 		}
+		if nodes == nil {
+			// The type's ready count bounds the batch, so the task's
+			// slices are sized once, when the first node is found,
+			// instead of grown node by node.
+			bound := min(ct.readyNodes, ct.cfg.MaxBatch)
+			nodes = make([]NodeRef, 0, bound)
+			subs = make([]*subgraph, 0, min(bound, ct.queue.Len()-i))
+		}
 		take := len(sg.ready)
 		if room := ct.cfg.MaxBatch - len(nodes); take > room {
 			take = room
 		}
-		for _, n := range sg.ready[:take] {
-			nodes = append(nodes, NodeRef{Req: sg.req, Node: n})
+		for _, p := range sg.ready[:take] {
+			nodes = append(nodes, NodeRef{Req: sg.req, Node: sg.nodes[p]})
 		}
 		subs = append(subs, sg)
 		sg.pendingTake = take
@@ -548,12 +584,14 @@ func (s *Scheduler) updateNodesDependency(ct *cellType, task *Task) {
 		ct.readyNodes -= take
 		s.totalReady -= take
 		sg.unissued -= take
-		var fresh []cellgraph.NodeID
-		for _, n := range taken {
-			for _, dep := range sg.dependents[n] {
-				sg.pendingDeps[dep]--
-				if sg.pendingDeps[dep] == 0 {
-					fresh = append(fresh, dep)
+		var fresh []int32
+		if sg.dependents != nil {
+			for _, p := range taken {
+				for _, dep := range sg.dependents[sg.depStart[p]:sg.depStart[p+1]] {
+					sg.pendingDeps[dep]--
+					if sg.pendingDeps[dep] == 0 {
+						fresh = append(fresh, dep)
+					}
 				}
 			}
 		}
@@ -569,13 +607,16 @@ func (s *Scheduler) updateNodesDependency(ct *cellType, task *Task) {
 // released dependency edge), so it is insertion-sorted and then merged in
 // one pass instead of re-sorting the whole ready list with sort.Slice,
 // which dominated the scheduling loop on long chains.
-func mergeReady(rest, fresh []cellgraph.NodeID) []cellgraph.NodeID {
+func mergeReady(rest, fresh []int32) []int32 {
 	for i := 1; i < len(fresh); i++ {
 		for j := i; j > 0 && fresh[j] < fresh[j-1]; j-- {
 			fresh[j], fresh[j-1] = fresh[j-1], fresh[j]
 		}
 	}
-	out := make([]cellgraph.NodeID, 0, len(rest)+len(fresh))
+	if len(rest) == 0 {
+		return fresh // a chain's steady state: one node taken, one released
+	}
+	out := make([]int32, 0, len(rest)+len(fresh))
 	i, j := 0, 0
 	for i < len(rest) && j < len(fresh) {
 		if rest[i] <= fresh[j] {
@@ -607,14 +648,8 @@ func (s *Scheduler) TaskCompleted(id TaskID) error {
 		if sg.inflight == 0 {
 			sg.pinned = NoWorker
 			if sg.unissued == 0 {
-				delete(s.liveByID, sg.id)
-				if m := s.byReq[sg.req]; m != nil {
-					delete(m, sg.id)
-					if len(m) == 0 {
-						delete(s.byReq, sg.req)
-						delete(s.lastDev, sg.req)
-					}
-				}
+				s.live--
+				s.forget(sg)
 				retire = true
 			}
 		}
@@ -625,6 +660,20 @@ func (s *Scheduler) TaskCompleted(id TaskID) error {
 		})
 	}
 	return nil
+}
+
+// forget drops a retired subgraph from its request's list, and the request
+// with its last subgraph. A request cancelled earlier is already gone.
+func (s *Scheduler) forget(sg *subgraph) {
+	subs := s.byReq[sg.req]
+	if i := slices.Index(subs, sg); i >= 0 {
+		if subs = slices.Delete(subs, i, i+1); len(subs) > 0 {
+			s.byReq[sg.req] = subs
+			return
+		}
+		delete(s.byReq, sg.req)
+		delete(s.lastDev, sg.req)
+	}
 }
 
 // ReadyNodes returns the number of schedule-ready nodes for a cell type
@@ -649,7 +698,7 @@ func (s *Scheduler) TotalReady() int { return s.totalReady }
 
 // LiveSubgraphs returns how many subgraphs are registered and not yet
 // retired.
-func (s *Scheduler) LiveSubgraphs() int { return len(s.liveByID) }
+func (s *Scheduler) LiveSubgraphs() int { return s.live }
 
 // RequestSubgraphs returns how many cancellable subgraphs the scheduler
 // still holds for a request (0 after CancelRequest or full retirement).

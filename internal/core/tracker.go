@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"batchmaker/internal/cellgraph"
 )
@@ -15,37 +16,45 @@ import (
 type Tracker struct {
 	req        RequestID
 	graph      *cellgraph.Graph
-	subs       []*cellgraph.Subgraph
-	subOf      []int // node -> subgraph index
-	extPending []int // subgraph index -> unmet external deps
+	subs       []cellgraph.Subgraph
+	extPending []int32 // subgraph index -> unmet external deps
 	released   []bool
 	done       []bool
 	remaining  int
 }
 
-// NewTracker partitions the request's graph and prepares release tracking.
+// NewTracker validates the request's graph, partitions it and prepares
+// release tracking.
 func NewTracker(req RequestID, g *cellgraph.Graph) (*Tracker, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	return newTracker(req, g), nil
+}
+
+// TrackState is NewTracker for a graph that already has execution state: a
+// cellgraph.State exists only for a graph that validated, so an admission
+// that builds both validates once.
+func TrackState(req RequestID, s *cellgraph.State) *Tracker {
+	return newTracker(req, s.Graph())
+}
+
+func newTracker(req RequestID, g *cellgraph.Graph) *Tracker {
 	subs := cellgraph.Partition(g)
+	flags := make([]bool, len(subs)+len(g.Nodes))
 	t := &Tracker{
 		req:        req,
 		graph:      g,
 		subs:       subs,
-		subOf:      make([]int, len(g.Nodes)),
-		extPending: make([]int, len(subs)),
-		released:   make([]bool, len(subs)),
-		done:       make([]bool, len(g.Nodes)),
+		extPending: make([]int32, len(subs)),
+		released:   flags[:len(subs)],
+		done:       flags[len(subs):],
 		remaining:  len(g.Nodes),
 	}
-	for i, sub := range subs {
-		for _, n := range sub.Nodes {
-			t.subOf[n] = i
-		}
-		t.extPending[i] = len(sub.ExternalDeps)
+	for i := range subs {
+		t.extPending[i] = int32(len(subs[i].ExternalDeps))
 	}
-	return t, nil
+	return t
 }
 
 // Req returns the request ID.
@@ -64,6 +73,9 @@ func (t *Tracker) InitialSubgraphs() []SubgraphSpec {
 	var out []SubgraphSpec
 	for i := range t.subs {
 		if !t.released[i] && t.extPending[i] == 0 {
+			if out == nil {
+				out = make([]SubgraphSpec, 0, len(t.subs)-i) // one allocation, not a doubling run
+			}
 			t.released[i] = true
 			out = append(out, t.spec(i))
 		}
@@ -85,18 +97,15 @@ func (t *Tracker) NodeDone(n cellgraph.NodeID) ([]SubgraphSpec, error) {
 	var out []SubgraphSpec
 	// A node's completion can release any subgraph listing it as an
 	// external dependency.
-	for i, sub := range t.subs {
+	for i := range t.subs {
 		if t.released[i] {
 			continue
 		}
-		for _, d := range sub.ExternalDeps {
-			if d == n {
-				t.extPending[i]--
-				if t.extPending[i] == 0 {
-					t.released[i] = true
-					out = append(out, t.spec(i))
-				}
-				break
+		if _, waits := slices.BinarySearch(t.subs[i].ExternalDeps, n); waits {
+			t.extPending[i]--
+			if t.extPending[i] == 0 {
+				t.released[i] = true
+				out = append(out, t.spec(i))
 			}
 		}
 	}
@@ -110,24 +119,9 @@ func (t *Tracker) Finished() bool { return t.remaining == 0 }
 // Remaining returns the number of uncompleted nodes.
 func (t *Tracker) Remaining() int { return t.remaining }
 
+// spec hands the scheduler subgraph i as Partition laid it out: the member
+// and dependency slices are shared, not copied, and read-only on both sides.
 func (t *Tracker) spec(i int) SubgraphSpec {
-	sub := t.subs[i]
-	member := make(map[cellgraph.NodeID]bool, len(sub.Nodes))
-	for _, n := range sub.Nodes {
-		member[n] = true
-	}
-	deps := make(map[cellgraph.NodeID][]cellgraph.NodeID)
-	for _, n := range sub.Nodes {
-		for _, d := range t.graph.Nodes[n].Deps() {
-			if member[d] {
-				deps[n] = append(deps[n], d)
-			}
-		}
-	}
-	return SubgraphSpec{
-		Req:     t.req,
-		TypeKey: sub.TypeKey,
-		Nodes:   append([]cellgraph.NodeID(nil), sub.Nodes...),
-		Deps:    deps,
-	}
+	sub := &t.subs[i]
+	return SubgraphSpec{Req: t.req, TypeKey: sub.TypeKey, Nodes: sub.Nodes, Deps: sub.Deps}
 }

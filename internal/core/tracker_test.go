@@ -117,9 +117,11 @@ func TestTrackerErrors(t *testing.T) {
 	if _, err := tr.NodeDone(0); err == nil {
 		t.Fatal("want double-completion error")
 	}
-	// Invalid graph rejected.
-	bad := fakeChain(cell, 2)
-	bad.Nodes[0].Inputs["h"] = cellgraph.Ref(1, "h")
+	// Invalid graph rejected: two nodes reading each other.
+	bad := &cellgraph.Graph{}
+	row := cellgraph.Lit(tensor.New(1, 1))
+	bad.Add(cell, row, cellgraph.Ref(1, 0))
+	bad.Add(cell, row, cellgraph.Ref(0, 0))
 	if _, err := NewTracker(1, bad); err == nil {
 		t.Fatal("want validation error")
 	}

@@ -26,9 +26,14 @@ type Cell interface {
 	// subgraphs, shared weights and identically-shaped inputs, and may be
 	// batched together (§3.1).
 	TypeKey() string
-	// InputNames lists the tensors Step expects.
+	// InputNames lists the tensors Step expects. The order is part of the
+	// cell's contract: cell graphs bind a node's inputs by position in it.
+	// The result is read-only — built-in cells return the same backing
+	// slice on every call — so callers must not append to, sort or
+	// otherwise modify it.
 	InputNames() []string
-	// OutputNames lists the tensors Step produces.
+	// OutputNames lists the tensors Step produces; graph bindings name an
+	// output by its index here. Read-only, like InputNames.
 	OutputNames() []string
 	// Step executes one batched invocation. Every input must have the same
 	// leading batch dimension. It returns freshly allocated outputs.
@@ -65,6 +70,36 @@ type IntoStepper interface {
 type OutputSized interface {
 	// OutputWidths maps every OutputNames entry to its row width.
 	OutputWidths() map[string]int
+}
+
+// The name lists the built-in cells share. They are fixed by the cell type,
+// so the accessors return these slices directly (no allocation per call);
+// the Cell contract makes them read-only.
+var (
+	namesH          = []string{"h"}
+	namesHC         = []string{"h", "c"}
+	namesXH         = []string{"x", "h"}
+	namesXHC        = []string{"x", "h", "c"}
+	namesIds        = []string{"ids"}
+	namesIdsHC      = []string{"ids", "h", "c"}
+	namesTreeIn     = []string{"hl", "cl", "hr", "cr"}
+	namesDecoderOut = []string{"h", "c", "word", "logits"}
+)
+
+// OutputWidthsOf returns a cell's output row widths in OutputNames order —
+// the positional form cell graphs address outputs by — or nil when the cell
+// does not declare them (OutputSized).
+func OutputWidthsOf(cell Cell) []int {
+	sized, ok := cell.(OutputSized)
+	if !ok {
+		return nil
+	}
+	byName := sized.OutputWidths()
+	widths := make([]int, 0, len(byName))
+	for _, name := range cell.OutputNames() {
+		widths = append(widths, byName[name])
+	}
+	return widths
 }
 
 // outBuf fetches and shape-checks one caller-provided output buffer.

@@ -58,10 +58,10 @@ func (c *GRUCell) Name() string { return c.name }
 func (c *GRUCell) TypeKey() string { return c.typeKey }
 
 // InputNames implements Cell.
-func (c *GRUCell) InputNames() []string { return []string{"x", "h"} }
+func (c *GRUCell) InputNames() []string { return namesXH }
 
 // OutputNames implements Cell.
-func (c *GRUCell) OutputNames() []string { return []string{"h"} }
+func (c *GRUCell) OutputNames() []string { return namesH }
 
 // Hidden returns the hidden width.
 func (c *GRUCell) Hidden() int { return c.hidden }

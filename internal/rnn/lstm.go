@@ -57,10 +57,10 @@ func (c *LSTMCell) Name() string { return c.name }
 func (c *LSTMCell) TypeKey() string { return c.typeKey }
 
 // InputNames implements Cell.
-func (c *LSTMCell) InputNames() []string { return []string{"x", "h", "c"} }
+func (c *LSTMCell) InputNames() []string { return namesXHC }
 
 // OutputNames implements Cell.
-func (c *LSTMCell) OutputNames() []string { return []string{"h", "c"} }
+func (c *LSTMCell) OutputNames() []string { return namesHC }
 
 // InDim returns the input embedding width.
 func (c *LSTMCell) InDim() int { return c.inDim }

@@ -50,10 +50,10 @@ func (c *EncoderCell) Name() string { return c.name }
 func (c *EncoderCell) TypeKey() string { return c.typeKey }
 
 // InputNames implements Cell.
-func (c *EncoderCell) InputNames() []string { return []string{"ids", "h", "c"} }
+func (c *EncoderCell) InputNames() []string { return namesIdsHC }
 
 // OutputNames implements Cell.
-func (c *EncoderCell) OutputNames() []string { return []string{"h", "c"} }
+func (c *EncoderCell) OutputNames() []string { return namesHC }
 
 // Hidden returns the hidden width.
 func (c *EncoderCell) Hidden() int { return c.lstm.hidden }
@@ -176,12 +176,12 @@ func (c *DecoderCell) Name() string { return c.name }
 func (c *DecoderCell) TypeKey() string { return c.typeKey }
 
 // InputNames implements Cell.
-func (c *DecoderCell) InputNames() []string { return []string{"ids", "h", "c"} }
+func (c *DecoderCell) InputNames() []string { return namesIdsHC }
 
 // OutputNames implements Cell. Beyond the recurrent state and the argmax
 // word, the raw vocabulary logits are exposed so callers can implement
 // richer decoding (beam search, sampling) on top of the same cell.
-func (c *DecoderCell) OutputNames() []string { return []string{"h", "c", "word", "logits"} }
+func (c *DecoderCell) OutputNames() []string { return namesDecoderOut }
 
 // Hidden returns the hidden width.
 func (c *DecoderCell) Hidden() int { return c.lstm.hidden }

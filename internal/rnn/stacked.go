@@ -32,8 +32,11 @@ type StackedLSTMCell struct {
 	layers  []*LSTMCell
 	typeKey string
 	// hNames/cNames cache the per-layer state names ("h0", "c0", ...) so the
-	// hot path never calls fmt.Sprintf.
-	hNames, cNames []string
+	// hot path never calls fmt.Sprintf; inNames is "x" followed by outNames,
+	// the states in layer order (h0, c0, h1, c1, ...). All are built once by
+	// the constructor because they depend on the layer count.
+	hNames, cNames    []string
+	inNames, outNames []string
 }
 
 // NewStackedLSTMCell builds an L-layer stack with Xavier-initialized
@@ -53,6 +56,11 @@ func NewStackedLSTMCell(name string, inDim, hidden, layers int, rng *tensor.RNG)
 		c.hNames = append(c.hNames, fmt.Sprintf("h%d", l))
 		c.cNames = append(c.cNames, fmt.Sprintf("c%d", l))
 	}
+	c.inNames = []string{"x"}
+	for l := range c.layers {
+		c.inNames = append(c.inNames, c.hNames[l], c.cNames[l])
+	}
+	c.outNames = c.inNames[1:len(c.inNames):len(c.inNames)]
 	c.typeKey = c.Def().TypeKey(c.Weights().Fingerprint())
 	return c
 }
@@ -78,22 +86,10 @@ func (c *StackedLSTMCell) StateWidths() map[string]int {
 }
 
 // InputNames implements Cell.
-func (c *StackedLSTMCell) InputNames() []string {
-	names := []string{"x"}
-	for l := range c.layers {
-		names = append(names, c.hNames[l], c.cNames[l])
-	}
-	return names
-}
+func (c *StackedLSTMCell) InputNames() []string { return c.inNames }
 
 // OutputNames implements Cell.
-func (c *StackedLSTMCell) OutputNames() []string {
-	var names []string
-	for l := range c.layers {
-		names = append(names, c.hNames[l], c.cNames[l])
-	}
-	return names
-}
+func (c *StackedLSTMCell) OutputNames() []string { return c.outNames }
 
 // OutputWidths implements OutputSized.
 func (c *StackedLSTMCell) OutputWidths() map[string]int {

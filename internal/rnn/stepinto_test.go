@@ -218,3 +218,30 @@ func BenchmarkStepVsBatch(b *testing.B) {
 		}
 	}
 }
+
+// TestNameAccessorsDoNotAllocate: admission calls InputNames/OutputNames per
+// node, so every built-in cell must hand back one backing slice rather than a
+// fresh literal. Two calls also have to agree, element for element.
+func TestNameAccessorsDoNotAllocate(t *testing.T) {
+	cases := stepIntoCases(tensor.NewRNG(13))
+	if len(cases) != 7 {
+		t.Fatalf("expected all seven built-in cells, got %d", len(cases))
+	}
+	var sink []string
+	for _, tc := range cases {
+		cell := tc.cell
+		for _, acc := range []struct {
+			name string
+			get  func() []string
+		}{{"InputNames", cell.InputNames}, {"OutputNames", cell.OutputNames}} {
+			if n := testing.AllocsPerRun(100, func() { sink = acc.get() }); n != 0 {
+				t.Errorf("%s.%s allocates %v objects per call, want 0", cell.Name(), acc.name, n)
+			}
+			a, b := acc.get(), acc.get()
+			if len(a) == 0 || &a[0] != &b[0] || len(a) != len(b) {
+				t.Errorf("%s.%s does not return one backing slice", cell.Name(), acc.name)
+			}
+		}
+	}
+	_ = sink
+}

@@ -50,10 +50,10 @@ func (c *TreeLeafCell) Name() string { return c.name }
 func (c *TreeLeafCell) TypeKey() string { return c.typeKey }
 
 // InputNames implements Cell.
-func (c *TreeLeafCell) InputNames() []string { return []string{"ids"} }
+func (c *TreeLeafCell) InputNames() []string { return namesIds }
 
 // OutputNames implements Cell.
-func (c *TreeLeafCell) OutputNames() []string { return []string{"h", "c"} }
+func (c *TreeLeafCell) OutputNames() []string { return namesHC }
 
 // Hidden returns the hidden width.
 func (c *TreeLeafCell) Hidden() int { return c.hidden }
@@ -191,10 +191,10 @@ func (c *TreeInternalCell) Name() string { return c.name }
 func (c *TreeInternalCell) TypeKey() string { return c.typeKey }
 
 // InputNames implements Cell.
-func (c *TreeInternalCell) InputNames() []string { return []string{"hl", "cl", "hr", "cr"} }
+func (c *TreeInternalCell) InputNames() []string { return namesTreeIn }
 
 // OutputNames implements Cell.
-func (c *TreeInternalCell) OutputNames() []string { return []string{"h", "c"} }
+func (c *TreeInternalCell) OutputNames() []string { return namesHC }
 
 // Hidden returns the hidden width.
 func (c *TreeInternalCell) Hidden() int { return c.hidden }

@@ -77,8 +77,15 @@ func (s *Server) BeamSearch(ctx context.Context, spec BeamSpec) ([]Hypothesis, e
 	}
 	last := cellgraph.NodeID(len(spec.SourceIDs) - 1)
 	prompt.Results = []cellgraph.OutputSpec{
-		{Name: "h", Node: last, Output: "h"},
-		{Name: "c", Node: last, Output: "c"},
+		{Name: "h", Node: last, Out: cellgraph.OutputIndex(spec.Encoder, "h")},
+		{Name: "c", Node: last, Out: cellgraph.OutputIndex(spec.Encoder, "c")},
+	}
+	// One decoder step per hypothesis per round: inputs ids, h, c; every
+	// output the expansion reads is a result.
+	stepResults := []cellgraph.OutputSpec{
+		{Name: "h", Out: cellgraph.OutputIndex(spec.Decoder, "h")},
+		{Name: "c", Out: cellgraph.OutputIndex(spec.Decoder, "c")},
+		{Name: "logits", Out: cellgraph.OutputIndex(spec.Decoder, "logits")},
 	}
 	enc, err := s.Submit(ctx, prompt)
 	if err != nil {
@@ -95,22 +102,10 @@ func (s *Server) BeamSearch(ctx context.Context, spec BeamSpec) ([]Hypothesis, e
 		// the scheduler batches them.
 		handles := make([]*Handle, len(live))
 		for i, b := range live {
-			g := &cellgraph.Graph{
-				Nodes: []*cellgraph.Node{{
-					ID:   0,
-					Cell: spec.Decoder,
-					Inputs: map[string]cellgraph.Binding{
-						"ids": cellgraph.Lit(tensor.FromSlice([]float32{float32(b.nextID)}, 1, 1)),
-						"h":   cellgraph.Lit(b.h),
-						"c":   cellgraph.Lit(b.c),
-					},
-				}},
-				Results: []cellgraph.OutputSpec{
-					{Name: "h", Node: 0, Output: "h"},
-					{Name: "c", Node: 0, Output: "c"},
-					{Name: "logits", Node: 0, Output: "logits"},
-				},
-			}
+			g := &cellgraph.Graph{Results: stepResults}
+			g.Add(spec.Decoder,
+				cellgraph.Lit(tensor.FromSlice([]float32{float32(b.nextID)}, 1, 1)),
+				cellgraph.Lit(b.h), cellgraph.Lit(b.c))
 			h, err := s.SubmitAsync(g)
 			if err != nil {
 				return nil, err

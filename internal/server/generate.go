@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/rnn"
@@ -60,26 +61,20 @@ func (spec *GenerateSpec) validate(s *Server) error {
 	if spec.SeedNode < 0 || int(spec.SeedNode) >= len(spec.Prompt.Nodes) {
 		return fmt.Errorf("server: generate: seed node %d out of range", spec.SeedNode)
 	}
-	outs := make(map[string]bool)
-	for _, o := range spec.Cell.OutputNames() {
-		outs[o] = true
-	}
-	if !outs[spec.StopOutput] {
+	outs := spec.Cell.OutputNames()
+	if !slices.Contains(outs, spec.StopOutput) {
 		return fmt.Errorf("server: generate: cell has no output %q", spec.StopOutput)
 	}
-	seedOuts := make(map[string]bool)
-	for _, o := range spec.Prompt.Nodes[spec.SeedNode].Cell.OutputNames() {
-		seedOuts[o] = true
-	}
+	seedOuts := spec.Prompt.Nodes[spec.SeedNode].Cell.OutputNames()
 	for _, in := range spec.Cell.InputNames() {
 		src, ok := spec.FeedBack[in]
 		if !ok {
 			return fmt.Errorf("server: generate: no feedback mapping for input %q", in)
 		}
-		if !outs[src] {
+		if !slices.Contains(outs, src) {
 			return fmt.Errorf("server: generate: feedback source %q is not a cell output", src)
 		}
-		if _, lit := spec.FirstStep[in]; !lit && !seedOuts[src] {
+		if _, lit := spec.FirstStep[in]; !lit && !slices.Contains(seedOuts, src) {
 			return fmt.Errorf("server: generate: seed node does not produce %q needed by input %q (add a FirstStep literal)", src, in)
 		}
 	}
@@ -102,9 +97,9 @@ func (s *Server) Generate(ctx context.Context, spec GenerateSpec) ([]float32, er
 		Results: append([]cellgraph.OutputSpec(nil), spec.Prompt.Results...),
 	}
 	seedCell := prompt.Nodes[spec.SeedNode].Cell
-	for _, out := range seedCell.OutputNames() {
+	for o, out := range seedCell.OutputNames() {
 		prompt.Results = append(prompt.Results, cellgraph.OutputSpec{
-			Name: "__gen_" + out, Node: spec.SeedNode, Output: out,
+			Name: "__gen_" + out, Node: spec.SeedNode, Out: o,
 		})
 	}
 	promptOut, err := s.Submit(ctx, prompt)
@@ -117,22 +112,23 @@ func (s *Server) Generate(ctx context.Context, spec GenerateSpec) ([]float32, er
 		prev[out] = promptOut["__gen_"+out]
 	}
 
+	// Every step is one node whose results are all of the cell's outputs.
+	stepResults := make([]cellgraph.OutputSpec, len(spec.Cell.OutputNames()))
+	for o, out := range spec.Cell.OutputNames() {
+		stepResults[o] = cellgraph.OutputSpec{Name: out, Out: o}
+	}
+	inputs := make([]cellgraph.Binding, len(spec.Cell.InputNames()))
 	var emitted []float32
 	for step := 0; step < spec.MaxSteps; step++ {
-		node := &cellgraph.Node{ID: 0, Cell: spec.Cell, Inputs: map[string]cellgraph.Binding{}}
-		for _, in := range spec.Cell.InputNames() {
-			if step == 0 {
-				if lit, ok := spec.FirstStep[in]; ok {
-					node.Inputs[in] = cellgraph.Lit(tensor.FromSlice([]float32{lit}, 1, 1))
-					continue
-				}
+		for i, in := range spec.Cell.InputNames() {
+			if lit, ok := spec.FirstStep[in]; ok && step == 0 {
+				inputs[i] = cellgraph.Lit(tensor.FromSlice([]float32{lit}, 1, 1))
+			} else {
+				inputs[i] = cellgraph.Lit(prev[spec.FeedBack[in]])
 			}
-			node.Inputs[in] = cellgraph.Lit(prev[spec.FeedBack[in]])
 		}
-		g := &cellgraph.Graph{Nodes: []*cellgraph.Node{node}}
-		for _, out := range spec.Cell.OutputNames() {
-			g.Results = append(g.Results, cellgraph.OutputSpec{Name: out, Node: 0, Output: out})
-		}
+		g := &cellgraph.Graph{Results: stepResults}
+		g.Add(spec.Cell, inputs...)
 		stepOut, err := s.Submit(ctx, g)
 		if err != nil {
 			return emitted, err

@@ -37,15 +37,8 @@ var _ rnn.Cell = (*counterCell)(nil)
 
 func counterPrompt(cell *counterCell, start int) *cellgraph.Graph {
 	g := &cellgraph.Graph{}
-	g.Nodes = append(g.Nodes, &cellgraph.Node{
-		ID:   0,
-		Cell: cell,
-		Inputs: map[string]cellgraph.Binding{
-			"ids": cellgraph.Lit(tensor.FromSlice([]float32{float32(start)}, 1, 1)),
-			"h":   cellgraph.Lit(tensor.New(1, 1)),
-		},
-	})
-	g.Results = []cellgraph.OutputSpec{{Name: "word", Node: 0, Output: "word"}}
+	g.Add(cell, cellgraph.Lit(tensor.FromSlice([]float32{float32(start)}, 1, 1)), cellgraph.Lit(tensor.New(1, 1)))
+	g.Results = []cellgraph.OutputSpec{{Name: "word", Node: 0, Out: 0}}
 	return g
 }
 
@@ -138,25 +131,20 @@ func TestGenerateMatchesManualFeedPreviousWithRealDecoder(t *testing.T) {
 
 	prompt := []int{5, 9, 13}
 	g := &cellgraph.Graph{}
-	zero := tensor.New(1, tHidden)
+	zero := cellgraph.Lit(tensor.New(1, tHidden))
+	hOut, cOut := cellgraph.OutputIndex(dec, "h"), cellgraph.OutputIndex(dec, "c")
 	for i, id := range prompt {
-		n := &cellgraph.Node{
-			ID:   cellgraph.NodeID(i),
-			Cell: dec,
-			Inputs: map[string]cellgraph.Binding{
-				"ids": cellgraph.Lit(tensor.FromSlice([]float32{float32(id)}, 1, 1)),
-			},
-		}
+		ids := cellgraph.Lit(tensor.FromSlice([]float32{float32(id)}, 1, 1))
 		if i == 0 {
-			n.Inputs["h"] = cellgraph.Lit(zero)
-			n.Inputs["c"] = cellgraph.Lit(zero)
+			g.Add(dec, ids, zero, zero)
 		} else {
-			n.Inputs["h"] = cellgraph.Ref(cellgraph.NodeID(i-1), "h")
-			n.Inputs["c"] = cellgraph.Ref(cellgraph.NodeID(i-1), "c")
+			prev := cellgraph.NodeID(i - 1)
+			g.Add(dec, ids, cellgraph.Ref(prev, hOut), cellgraph.Ref(prev, cOut))
 		}
-		g.Nodes = append(g.Nodes, n)
 	}
-	g.Results = []cellgraph.OutputSpec{{Name: "word", Node: cellgraph.NodeID(len(prompt) - 1), Output: "word"}}
+	g.Results = []cellgraph.OutputSpec{{
+		Name: "word", Node: cellgraph.NodeID(len(prompt) - 1), Out: cellgraph.OutputIndex(dec, "word"),
+	}}
 
 	const steps = 8
 	got, err := srv.Generate(context.Background(), GenerateSpec{

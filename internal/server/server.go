@@ -293,10 +293,11 @@ func (r *request) durableAdmit() error {
 type Server struct {
 	cfg   Config
 	cells map[string]rnn.Cell
-	// outWidths caches OutputWidths per cell type (nil entry: widths
-	// unknown). Admission uses it to preallocate per-request output rows;
-	// workers use it to size arena-backed step outputs.
-	outWidths    map[string]map[string]int
+	// outWidths caches each cell type's output row widths, in OutputNames
+	// order (nil entry: widths unknown). Admission uses it to preallocate
+	// per-request output rows; workers use it to size arena-backed step
+	// outputs.
+	outWidths    map[string][]int
 	faults       FaultInjector
 	maxRetries   int
 	retryBackoff time.Duration
@@ -396,7 +397,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	types := make([]core.TypeConfig, 0, len(cfg.Cells))
 	cells := make(map[string]rnn.Cell, len(cfg.Cells))
-	outWidths := make(map[string]map[string]int, len(cfg.Cells))
+	outWidths := make(map[string][]int, len(cfg.Cells))
 	for _, cs := range cfg.Cells {
 		if cs.Cell == nil {
 			return nil, fmt.Errorf("server: nil cell in config")
@@ -420,9 +421,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: duplicate cell type %q", key)
 		}
 		cells[key] = cs.Cell
-		if sized, ok := cs.Cell.(rnn.OutputSized); ok {
-			outWidths[key] = sized.OutputWidths()
-		}
+		outWidths[key] = rnn.OutputWidthsOf(cs.Cell)
 		types = append(types, core.TypeConfig{
 			Key:      key,
 			MaxBatch: cs.MaxBatch,
@@ -671,22 +670,22 @@ func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, 
 		s.obs.reject(false)
 		return nil, fmt.Errorf("%w: deadline passed before admission", ErrExpired)
 	}
-	for _, n := range g.Nodes {
-		if _, ok := s.cells[n.Cell.TypeKey()]; !ok {
-			return nil, fmt.Errorf("server: cell type %q of node %d not registered", n.Cell.TypeKey(), n.ID)
-		}
-	}
+	// NewState validates the graph — the admission's one validation, which
+	// the tracker below shares — so a nil cell is reported there, not here.
 	state, err := cellgraph.NewState(g)
 	if err != nil {
 		return nil, err
+	}
+	for i := range g.Nodes {
+		if key := g.Nodes[i].Cell.TypeKey(); s.cells[key] == nil {
+			return nil, fmt.Errorf("server: cell type %q of node %d not registered", key, i)
+		}
 	}
 	// Carve the request's output rows here, on the caller's goroutine, so
 	// the worker scatter writes in place instead of allocating (the arena
 	// counterpart on the gather/step side lives in the worker). Cell types
 	// without static widths simply keep the allocating path.
-	state.PreallocOutputs(func(id cellgraph.NodeID) map[string]int {
-		return s.outWidths[g.Nodes[id].Cell.TypeKey()]
-	})
+	state.PreallocOutputs(func(cell rnn.Cell) []int { return s.outWidths[cell.TypeKey()] })
 	var id core.RequestID
 	if opts.ReplayID != 0 {
 		// Recovery replay keeps the original ID and floors the allocator
@@ -701,10 +700,7 @@ func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, 
 	} else {
 		id = core.RequestID(s.nextID.Add(1))
 	}
-	tracker, err := core.NewTracker(id, g)
-	if err != nil {
-		return nil, err
-	}
+	tracker := core.TrackState(id, state)
 	req := &request{
 		id:       id,
 		cells:    len(g.Nodes),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -234,10 +235,38 @@ func TestServerRejectsInvalidGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Stop()
-	g, _ := cellgraph.UnfoldChain(m.lstm, chainInput(1, 3))
-	g.Nodes[1].Inputs["h"] = cellgraph.Ref(99, "h")
-	if _, err := srv.Submit(context.Background(), g); err == nil {
-		t.Fatal("want validation error")
+	// The admission's one validation is cellgraph's; each bad graph below
+	// must be refused by it before anything is registered.
+	x, zero := cellgraph.Lit(tensor.New(1, tEmbed)), cellgraph.Lit(tensor.New(1, tHidden))
+	for _, tc := range []struct {
+		want  string
+		build func(g *cellgraph.Graph)
+	}{
+		{"unknown node 99", func(g *cellgraph.Graph) { g.Add(m.lstm, x, cellgraph.Ref(99, 0), zero) }},
+		{"does not produce", func(g *cellgraph.Graph) {
+			g.Add(m.lstm, x, zero, zero)
+			g.Add(m.lstm, x, cellgraph.Ref(0, 0), cellgraph.Ref(0, 5))
+		}},
+		{"missing binding", func(g *cellgraph.Graph) { g.Add(m.lstm, x, zero) }},
+		{"literal must be a [1,w] row", func(g *cellgraph.Graph) { g.Add(m.lstm, x, zero, cellgraph.Lit(tensor.New(2, tHidden))) }},
+		{"has no cell", func(g *cellgraph.Graph) { g.Add(nil) }},
+		{"cycle", func(g *cellgraph.Graph) {
+			g.Add(m.lstm, x, cellgraph.Ref(1, 0), cellgraph.Ref(1, 1))
+			g.Add(m.lstm, x, cellgraph.Ref(0, 0), cellgraph.Ref(0, 1))
+		}},
+		{"dense indices", func(g *cellgraph.Graph) {
+			g.Add(m.lstm, x, zero, zero)
+			g.Nodes[0].ID = 1
+		}},
+	} {
+		g := &cellgraph.Graph{}
+		tc.build(g)
+		if _, err := srv.Submit(context.Background(), g); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("want validation error containing %q, got %v", tc.want, err)
+		}
+	}
+	if st := srv.Stats(); st.Outcomes.Admitted != 0 || st.LiveRequests != 0 {
+		t.Fatalf("an invalid graph was admitted: %+v", st.Outcomes)
 	}
 }
 
@@ -340,5 +369,63 @@ func TestServerManyConcurrentSmallRequests(t *testing.T) {
 	}
 	if st := srv.Stats(); st.LiveRequests != 0 {
 		t.Fatalf("live requests remain: %+v", st)
+	}
+}
+
+// TestServerSharedGraphConcurrentSubmit: one *Graph submitted many times,
+// from several goroutines at once, as beam search and the conformance
+// harness do. Everything derived from the bindings is computed when the graph
+// is built, so admission only reads it — run under -race — and every
+// submission gets the sequential result.
+func TestServerSharedGraphConcurrentSubmit(t *testing.T) {
+	m := newTestModel()
+	srv, err := New(m.serverConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	tree, err := cellgraph.CompleteBinaryTree(8, tVocab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	treeGraph, err := cellgraph.UnfoldTree(m.leaf, m.internal, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqGraph, err := cellgraph.UnfoldSeq2Seq(m.enc, m.dec, []int{3, 9, 4, 7}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*cellgraph.Graph{treeGraph, seqGraph} {
+		want, err := cellgraph.ExecuteSequential(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 8)
+		for c := range errs {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < 10 && errs[c] == nil; i++ {
+					got, err := srv.Submit(context.Background(), g)
+					if err != nil {
+						errs[c] = err
+						return
+					}
+					for name, w := range want {
+						if !got[name].Equal(w) {
+							errs[c] = fmt.Errorf("submission %d: result %q differs from sequential execution", i, name)
+						}
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		for c, err := range errs {
+			if err != nil {
+				t.Fatalf("caller %d: %v", c, err)
+			}
+		}
 	}
 }

@@ -22,9 +22,12 @@ type typeExec struct {
 	fast     rnn.IntoStepper   // nil: the cell has no StepInto; use Step
 	inNames  []string
 	outNames []string
-	widths   map[string]int // nil: output widths unknown; allocating scatter
+	widths   []int // per output, in outNames order; nil: unknown, allocating scatter
 	inputs   map[string]*tensor.Tensor
 	outs     map[string]*tensor.Tensor
+	// outRows is the current task's batched outputs in outNames order, so
+	// the scatter addresses them by index like the request's rows.
+	outRows []*tensor.Tensor
 }
 
 // workerExec is one worker's reusable execution state: the scratch arena
@@ -63,6 +66,7 @@ func (s *Server) typeFor(w *workerExec, id int, key string) *typeExec {
 			widths:   s.outWidths[key],
 			inputs:   make(map[string]*tensor.Tensor),
 			outs:     make(map[string]*tensor.Tensor),
+			outRows:  make([]*tensor.Tensor, len(cell.OutputNames())),
 		}
 		if fast, ok := cell.(rnn.IntoStepper); ok {
 			te.fast = fast
@@ -179,8 +183,8 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 	rowsByName := ws.scratch(len(te.inNames), len(refs))
 	for i, ref := range refs {
 		ref.req.stateMu.Lock()
-		for j, name := range te.inNames {
-			rowsByName[j][i] = ref.req.state.InputRow(ref.node, name)
+		for j := range te.inNames {
+			rowsByName[j][i] = ref.req.state.InputRow(ref.node, j)
 		}
 		ref.req.state.MarkIssued(ref.node)
 		ref.req.stateMu.Unlock()
@@ -216,6 +220,10 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 		return completion{worker: id, task: task, executed: refs, refsBuf: refsBuf, err: stepErr}
 	}
 
+	for o, name := range te.outNames {
+		te.outRows[o] = outs[name]
+	}
+
 	// Scatter: copy each batch-output row into the request's preallocated
 	// output rows (carved at admission) and complete the nodes, so successor
 	// gathers — on this worker via FIFO, on others via the completion
@@ -228,9 +236,8 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 		}
 		ref.req.stateMu.Lock()
 		if ref.req.state.Preallocated(ref.node) {
-			for _, name := range te.outNames {
-				dst := ref.req.state.OutputRow(ref.node, name)
-				copy(dst.Data(), outs[name].RowSlice(i))
+			for o, batched := range te.outRows {
+				copy(ref.req.state.OutputRow(ref.node, o).Data(), batched.RowSlice(i))
 			}
 			ref.req.state.CompletePrealloc(ref.node)
 		} else {
@@ -292,8 +299,8 @@ func (s *Server) stepOnce(te *typeExec, task *core.Task, batch int, arena *tenso
 		}
 	}
 	if te.fast != nil && te.widths != nil {
-		for _, name := range te.outNames {
-			te.outs[name] = arena.Get(batch, te.widths[name])
+		for o, name := range te.outNames {
+			te.outs[name] = arena.Get(batch, te.widths[o])
 		}
 		if err := te.fast.StepInto(te.inputs, te.outs, arena); err != nil {
 			return nil, err

@@ -27,7 +27,7 @@ func workerAllocFixture(tb testing.TB, reqN, chainN int, prec rnn.Precision) (*S
 	key := lstm.TypeKey()
 	s := &Server{
 		cells:        map[string]rnn.Cell{key: lstm},
-		outWidths:    map[string]map[string]int{key: lstm.OutputWidths()},
+		outWidths:    map[string][]int{key: rnn.OutputWidthsOf(lstm)},
 		retryBackoff: time.Millisecond,
 		live:         make(map[core.RequestID]*request),
 		pools:        []DeviceConfig{{Workers: 1}},
@@ -58,9 +58,7 @@ func workerAllocFixture(tb testing.TB, reqN, chainN int, prec rnn.Precision) (*S
 		if err != nil {
 			tb.Fatal(err)
 		}
-		state.PreallocOutputs(func(id cellgraph.NodeID) map[string]int {
-			return s.outWidths[g.Nodes[id].Cell.TypeKey()]
-		})
+		state.PreallocOutputs(func(cell rnn.Cell) []int { return s.outWidths[cell.TypeKey()] })
 		req := &request{
 			id:    core.RequestID(r + 1),
 			cells: chainN,

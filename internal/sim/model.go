@@ -200,90 +200,57 @@ func (m *Model) BuildGraph(s Shape) (*cellgraph.Graph, error) {
 	return nil, fmt.Errorf("sim: unknown request kind %d", s.Kind)
 }
 
-func buildChain(cell *TimingCell, n int) *cellgraph.Graph {
-	g := &cellgraph.Graph{Nodes: make([]*cellgraph.Node, 0, n)}
+// The builders below mirror cellgraph's unfold functions on timing cells:
+// inputs are positional (x or ids, then h, c — or hl, cl, hr, cr) and the
+// cells' outputs are h, c and, for the decoder, word, in that order.
+
+// addChain appends a chain of n nodes of cell after node prev (NoNode: the
+// chain starts the graph) and returns its last node. A node reads h and c
+// from the node before it, and a literal where there is none; with feedWord
+// every step after the chain's first also takes the previous step's word.
+func addChain(g *cellgraph.Graph, cell *TimingCell, n int, prev cellgraph.NodeID, feedWord bool) cellgraph.NodeID {
 	for t := 0; t < n; t++ {
-		node := &cellgraph.Node{
-			ID:     cellgraph.NodeID(t),
-			Cell:   cell,
-			Inputs: map[string]cellgraph.Binding{"x": cellgraph.Lit(sharedRow)},
+		ids, h, c := cellgraph.Lit(sharedRow), cellgraph.Lit(sharedRow), cellgraph.Lit(sharedRow)
+		if prev != cellgraph.NoNode {
+			h, c = cellgraph.Ref(prev, 0), cellgraph.Ref(prev, 1)
+			if feedWord && t > 0 {
+				ids = cellgraph.Ref(prev, 2)
+			}
 		}
-		if t == 0 {
-			node.Inputs["h"] = cellgraph.Lit(sharedRow)
-			node.Inputs["c"] = cellgraph.Lit(sharedRow)
-		} else {
-			node.Inputs["h"] = cellgraph.Ref(cellgraph.NodeID(t-1), "h")
-			node.Inputs["c"] = cellgraph.Ref(cellgraph.NodeID(t-1), "c")
-		}
-		g.Nodes = append(g.Nodes, node)
+		prev = g.Add(cell, ids, h, c)
 	}
-	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: cellgraph.NodeID(n - 1), Output: "h"}}
+	return prev
+}
+
+func buildChain(cell *TimingCell, n int) *cellgraph.Graph {
+	g := cellgraph.NewGraph(n, 3*n, n-1)
+	last := addChain(g, cell, n, cellgraph.NoNode, false)
+	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: last}}
 	return g
 }
 
 func buildSeq2Seq(enc, dec *TimingCell, srcLen, dstLen int) *cellgraph.Graph {
-	g := &cellgraph.Graph{Nodes: make([]*cellgraph.Node, 0, srcLen+dstLen)}
-	for t := 0; t < srcLen; t++ {
-		node := &cellgraph.Node{
-			ID:     cellgraph.NodeID(t),
-			Cell:   enc,
-			Inputs: map[string]cellgraph.Binding{"ids": cellgraph.Lit(sharedRow)},
-		}
-		if t == 0 {
-			node.Inputs["h"] = cellgraph.Lit(sharedRow)
-			node.Inputs["c"] = cellgraph.Lit(sharedRow)
-		} else {
-			node.Inputs["h"] = cellgraph.Ref(cellgraph.NodeID(t-1), "h")
-			node.Inputs["c"] = cellgraph.Ref(cellgraph.NodeID(t-1), "c")
-		}
-		g.Nodes = append(g.Nodes, node)
-	}
-	for t := 0; t < dstLen; t++ {
-		id := cellgraph.NodeID(srcLen + t)
-		node := &cellgraph.Node{ID: id, Cell: dec, Inputs: map[string]cellgraph.Binding{}}
-		if t == 0 {
-			node.Inputs["ids"] = cellgraph.Lit(sharedRow)
-			node.Inputs["h"] = cellgraph.Ref(cellgraph.NodeID(srcLen-1), "h")
-			node.Inputs["c"] = cellgraph.Ref(cellgraph.NodeID(srcLen-1), "c")
-		} else {
-			node.Inputs["ids"] = cellgraph.Ref(id-1, "word")
-			node.Inputs["h"] = cellgraph.Ref(id-1, "h")
-			node.Inputs["c"] = cellgraph.Ref(id-1, "c")
-		}
-		g.Nodes = append(g.Nodes, node)
-	}
-	last := cellgraph.NodeID(srcLen + dstLen - 1)
-	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: last, Output: "h"}}
+	n := srcLen + dstLen
+	g := cellgraph.NewGraph(n, 3*n, n-1)
+	last := addChain(g, enc, srcLen, cellgraph.NoNode, false)
+	last = addChain(g, dec, dstLen, last, true)
+	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: last}}
 	return g
 }
 
 func buildTree(leaf, internal *TimingCell, t *cellgraph.Tree) *cellgraph.Graph {
-	g := &cellgraph.Graph{}
+	leaves := t.Leaves()
+	g := cellgraph.NewGraph(2*leaves-1, leaves+4*(leaves-1), 2*(leaves-1))
 	var build func(n *cellgraph.Tree) cellgraph.NodeID
 	build = func(n *cellgraph.Tree) cellgraph.NodeID {
 		if n.IsLeaf() {
-			id := cellgraph.NodeID(len(g.Nodes))
-			g.Nodes = append(g.Nodes, &cellgraph.Node{
-				ID:     id,
-				Cell:   leaf,
-				Inputs: map[string]cellgraph.Binding{"ids": cellgraph.Lit(sharedRow)},
-			})
-			return id
+			return g.Add(leaf, cellgraph.Lit(sharedRow))
 		}
 		l := build(n.Left)
 		r := build(n.Right)
-		id := cellgraph.NodeID(len(g.Nodes))
-		g.Nodes = append(g.Nodes, &cellgraph.Node{
-			ID:   id,
-			Cell: internal,
-			Inputs: map[string]cellgraph.Binding{
-				"hl": cellgraph.Ref(l, "h"), "cl": cellgraph.Ref(l, "c"),
-				"hr": cellgraph.Ref(r, "h"), "cr": cellgraph.Ref(r, "c"),
-			},
-		})
-		return id
+		return g.Add(internal, cellgraph.Ref(l, 0), cellgraph.Ref(l, 1), cellgraph.Ref(r, 0), cellgraph.Ref(r, 1))
 	}
 	root := build(t)
-	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: root, Output: "h"}}
+	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: root}}
 	return g
 }

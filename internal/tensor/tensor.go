@@ -57,6 +57,18 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
 
+// ViewOf returns a tensor value over data with the given shape, copying
+// neither and allocating nothing. It is how a caller lays many small tensors
+// out in one backing array: the shape slice is retained as-is and may be
+// shared by any number of views, so nobody may modify it afterwards. It
+// panics if len(data) does not match the shape.
+func ViewOf(data []float32, shape []int) Tensor {
+	if n := checkShape(shape); len(data) != n {
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), shape, n))
+	}
+	return Tensor{shape: shape, data: data}
+}
+
 func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
