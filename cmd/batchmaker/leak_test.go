@@ -1,0 +1,10 @@
+package main
+
+import (
+	"testing"
+
+	"batchmaker/internal/leakcheck"
+)
+
+// TestMain fails the package if its tests leave goroutines running.
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -87,6 +87,12 @@ const (
 	codeInternal   = "internal"
 )
 
+// maxDecodeSteps bounds a request's decode length (12x the 330-token
+// longest sentence PAPER.md reports): -max-queue counts requests, not
+// cells, so an unbounded decode is unbounded work on the connection
+// goroutine.
+const maxDecodeSteps = 4096
+
 // errorCode maps a serving error to its protocol code.
 func errorCode(err error) string {
 	switch {
@@ -126,9 +132,6 @@ type appConfig struct {
 	// degradation, policy shedding, rebalance storms) dump self-contained
 	// diagnosis bundles into this spool directory.
 	IncidentDir string
-	// Precision is the execution tier of the model's cells: f32 (default,
-	// bit-stable) or int8 (calibrated quantized kernels, DESIGN.md §14).
-	Precision rnn.Precision
 }
 
 // parsePools turns the -pools flag ("2,2", "1,1,1,1") into workers-per-pool
@@ -173,8 +176,8 @@ func newApp(cfg appConfig) (*app, error) {
 	scfg := server.Config{
 		Workers: cfg.Workers,
 		Cells: []server.CellSpec{
-			{Cell: a.enc, MaxBatch: 64, Priority: 0, Precision: cfg.Precision},
-			{Cell: a.dec, MaxBatch: 32, Priority: 1, Precision: cfg.Precision},
+			{Cell: a.enc, MaxBatch: 64, Priority: 0},
+			{Cell: a.dec, MaxBatch: 32, Priority: 1},
 		},
 		MaxQueuedRequests: cfg.MaxQueue,
 	}
@@ -354,6 +357,9 @@ func (a *app) handle(ctx context.Context, req apiRequest) apiResponse {
 	if req.Decode <= 0 {
 		req.Decode = len(req.IDs)
 	}
+	if req.Decode > maxDecodeSteps {
+		return apiResponse{Error: fmt.Sprintf("decode %d exceeds the limit of %d steps", req.Decode, maxDecodeSteps), Code: codeBadRequest}
+	}
 	var opts server.SubmitOpts
 	if a.deadline > 0 {
 		opts.Deadline = time.Now().Add(a.deadline)
@@ -472,7 +478,6 @@ func main() {
 		deadline = flag.Duration("deadline", 0, "per-request SLA; expired requests stop batching and answer code \"expired\" (0 = none)")
 		sla      = flag.Duration("sla", 0, "end-to-end latency target enabling the adaptive policy layer: Little's-law admission shedding (code \"overloaded\" + retry-after) and AIMD batch sizing, per -policy (0 = off)")
 		polMode  = flag.String("policy", "full", "adaptive policy controllers when -sla is set: off, admission (shed only), adaptive (batch sizing only), full (both)")
-		prec     = flag.String("precision", "f32", "execution tier of the model's step kernels: f32 (bit-stable float32) or int8 (calibrated quantized kernels: slower than f32 and 1.25x the resident weights, since the f32 copy is kept)")
 		demo     = flag.Bool("demo", false, "drive the server with a built-in client and exit")
 		jdir     = flag.String("journal-dir", "", "durable request journal directory; admits are journaled before acknowledgement and unfinished requests replay on boot (empty = off)")
 		jsync    = flag.String("journal-sync", "batch", "journal fsync policy: none (process-crash safe), batch (group-commit fsync; default), always (fsync per record)")
@@ -508,15 +513,10 @@ func main() {
 		fatalFlagValue("policy", err)
 	}
 
-	precision, err := rnn.ParsePrecision(*prec)
-	if err != nil {
-		fatalFlagValue("precision", err)
-	}
-
 	a, err := newApp(appConfig{
 		Vocab: *vocab, Embed: *embed, Hidden: *hidden,
 		Workers: *workers, Pools: poolSizes, MaxQueue: *maxQueue, Deadline: *deadline,
-		SLA: *sla, PolicyMode: mode, Precision: precision,
+		SLA: *sla, PolicyMode: mode,
 		JournalDir: *jdir, JournalSync: *jsync, IncidentDir: *incDir,
 	})
 	if err != nil {
@@ -534,7 +534,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer ln.Close()
-	log.Printf("batchmaker serving Seq2Seq (vocab=%d hidden=%d precision=%s) on %s", *vocab, *hidden, precision, ln.Addr())
+	log.Printf("batchmaker serving Seq2Seq (vocab=%d hidden=%d) on %s", *vocab, *hidden, ln.Addr())
 
 	if *metrics != "" {
 		mln, err := net.Listen("tcp", *metrics)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"batchmaker/internal/policy"
-	"batchmaker/internal/rnn"
 	"batchmaker/internal/server"
 )
 
@@ -205,6 +204,24 @@ func TestServeConnProtocol(t *testing.T) {
 		t.Fatal("want protocol error")
 	}
 
+	// A decode length past maxDecodeSteps is refused before unfolding, on
+	// the static and the until_eos path alike: one bad_request line each.
+	for _, untilEOS := range []bool{false, true} {
+		if err := enc.Encode(apiRequest{IDs: []int{1}, Decode: maxDecodeSteps + 1, UntilEOS: untilEOS}); err != nil {
+			t.Fatal(err)
+		}
+		if !scanner.Scan() {
+			t.Fatal("no response to over-long decode")
+		}
+		resp = apiResponse{}
+		if err := json.Unmarshal(scanner.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Code != codeBadRequest || !strings.Contains(resp.Error, "exceeds the limit of 4096 steps") {
+			t.Fatalf("decode %d (until_eos=%v): resp = %+v, want bad_request naming the limit", maxDecodeSteps+1, untilEOS, resp)
+		}
+	}
+
 	// The connection still works afterwards.
 	if err := enc.Encode(apiRequest{IDs: []int{7}}); err != nil {
 		t.Fatal(err)
@@ -291,33 +308,10 @@ func TestServeConnOversizedLineOverTCP(t *testing.T) {
 	<-served
 }
 
-// TestHandleInt8Precision: the -precision int8 path serves end to end —
-// both cells register under their "+int8" TypeKeys and answers decode.
-func TestHandleInt8Precision(t *testing.T) {
-	a, err := newApp(appConfig{Vocab: 50, Embed: 8, Hidden: 16, Workers: 1, Precision: rnn.PrecisionInt8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.close)
-	if a.enc.Precision() != rnn.PrecisionInt8 || a.dec.Precision() != rnn.PrecisionInt8 {
-		t.Fatalf("cells not quantized: enc=%v dec=%v", a.enc.Precision(), a.dec.Precision())
-	}
-	if !strings.HasSuffix(a.enc.TypeKey(), "+int8") || !strings.HasSuffix(a.dec.TypeKey(), "+int8") {
-		t.Fatalf("TypeKeys missing tier suffix: %q / %q", a.enc.TypeKey(), a.dec.TypeKey())
-	}
-	resp := a.handle(context.Background(), apiRequest{IDs: []int{4, 5, 6}, Decode: 3})
-	if resp.Error != "" || len(resp.Words) != 3 {
-		t.Fatalf("resp = %+v", resp)
-	}
-}
-
-// TestFlagValueValidation: unknown -precision/-policy values must yield a
-// structured error naming the accepted spellings (the parse funcs back
+// TestFlagValueValidation: an unknown -policy value must yield a
+// structured error naming the accepted spellings (the parse func backs
 // fatalFlagValue, which cannot be exercised in-process because it exits).
 func TestFlagValueValidation(t *testing.T) {
-	if _, err := rnn.ParsePrecision("float8"); err == nil || !strings.Contains(err.Error(), "want f32 or int8") {
-		t.Fatalf("ParsePrecision(float8) err = %v, want accepted-values hint", err)
-	}
 	if _, err := policy.ParseMode("everything"); err == nil || !strings.Contains(err.Error(), "want") {
 		t.Fatalf("ParseMode(everything) err = %v, want accepted-values hint", err)
 	}

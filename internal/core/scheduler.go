@@ -685,14 +685,6 @@ func (s *Scheduler) ReadyNodes(typeKey string) int {
 	return 0
 }
 
-// RunningTasks returns the in-flight task count for a cell type.
-func (s *Scheduler) RunningTasks(typeKey string) int {
-	if ct, ok := s.types[typeKey]; ok {
-		return ct.runningTasks
-	}
-	return 0
-}
-
 // TotalReady returns the number of schedule-ready nodes across all types.
 func (s *Scheduler) TotalReady() int { return s.totalReady }
 

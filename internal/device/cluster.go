@@ -54,15 +54,6 @@ func (c *Cluster) N() int { return len(c.devs) }
 // Device returns device i's FIFO stream.
 func (c *Cluster) Device(i int) *GPU { return c.devs[i] }
 
-// SetLink overrides the copy cost from one device to another (asymmetric
-// topologies set both directions separately).
-func (c *Cluster) SetLink(from, to int, l Link) {
-	if from == to {
-		return
-	}
-	c.links[from][to] = l
-}
-
 // CopyTime returns the cost of moving n bytes from one device to another.
 // Same-device or unknown (-1) sources are free.
 func (c *Cluster) CopyTime(from, to int, n int) time.Duration {

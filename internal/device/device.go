@@ -122,17 +122,14 @@ func LSTMCPUCurve() Curve {
 	return Curve{Fixed: 1 * time.Millisecond, PerRow: 16600 * time.Nanosecond, Knee: 4096}
 }
 
-// CostModel maps cell types to cost curves and (optionally) energy
-// models, so schedulers and the simulator can price both the latency and
-// the energy of a batched kernel per execution tier (see energy.go).
+// CostModel maps cell types to cost curves.
 type CostModel struct {
 	curves map[string]Curve
-	energy map[string]EnergyModel
 }
 
 // NewCostModel returns an empty model.
 func NewCostModel() *CostModel {
-	return &CostModel{curves: make(map[string]Curve), energy: make(map[string]EnergyModel)}
+	return &CostModel{curves: make(map[string]Curve)}
 }
 
 // SetCurve registers the curve for a cell type.

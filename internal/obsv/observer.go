@@ -42,11 +42,9 @@ type Observer struct {
 }
 
 // TypeDetail carries per-cell-type annotations resolved at trace-assembly
-// time: the configured batch bound (for occupancy/padding) and the
-// execution precision tier.
+// time: the configured batch bound (for occupancy/padding).
 type TypeDetail struct {
-	MaxBatch  int
-	Precision string
+	MaxBatch int
 }
 
 // NewObserver builds an Observer over reg (nil reg yields inert metrics —
@@ -122,8 +120,8 @@ func (o *Observer) InternType(key string) uint16 {
 	return id
 }
 
-// SetTypeDetail attaches trace annotations (batch bound, precision tier)
-// to a cell type, interning it if needed. Call at setup, not per event.
+// SetTypeDetail attaches trace annotations (batch bound) to a cell
+// type, interning it if needed. Call at setup, not per event.
 func (o *Observer) SetTypeDetail(key string, d TypeDetail) {
 	if o == nil {
 		return

@@ -31,7 +31,6 @@ const (
 	MetricComputationSeconds  = "batchmaker_request_computation_seconds"
 	MetricSpanWritten         = "batchmaker_span_records_written"
 	MetricSpanDropped         = "batchmaker_span_records_dropped"
-	MetricCellPrecision       = "batchmaker_cell_precision"
 	MetricDeviceReadyDepth    = "batchmaker_device_ready_depth"
 	MetricDeviceCopies        = "batchmaker_device_copies_total"
 	MetricDevicePinMoves      = "batchmaker_device_pin_moves_total"
@@ -248,18 +247,6 @@ func (m *ServingMetrics) PanicsTotal() int64 {
 		n += t.Panics.Value()
 	}
 	return n
-}
-
-// SetTypePrecision publishes the execution tier of a cell type as an
-// info-style gauge: batchmaker_cell_precision{cell_type, precision} = 1.
-// Call once at setup; a nil receiver is a no-op.
-func (m *ServingMetrics) SetTypePrecision(key, precision string) {
-	if m == nil {
-		return
-	}
-	m.reg.GaugeVec(MetricCellPrecision,
-		"Execution precision tier of the cell type (info gauge, value 1).",
-		[]string{"cell_type", "precision"}, []string{key, precision}).Set(1)
 }
 
 // Worker returns (registering on first use) the per-worker handles.

@@ -23,8 +23,8 @@ import (
 // admit (s) → journal-durable (t) → first-exec (t) → terminal (f), so every
 // completed request has at least one cross-track arrow from the
 // request-processor track into its executing worker's track. Batch slices
-// (task-exec) are annotated with occupancy, padding waste, precision tier,
-// and remote/migration flags resolved via Observer.TypeDetailFor.
+// (task-exec) are annotated with occupancy, padding waste and
+// remote/migration flags resolved via Observer.TypeDetailFor.
 //
 // Timestamps are rebased to the earliest retained record so nanosecond
 // resolution survives the float microseconds of the trace-event format; the
@@ -247,9 +247,6 @@ func (a *traceAssembler) record(r Record) {
 		if d := a.o.TypeDetailFor(r.Type); d.MaxBatch > 0 {
 			args["occupancy"] = float64(int(r.Batch)) / float64(d.MaxBatch)
 			args["padding_waste"] = d.MaxBatch - int(r.Batch)
-			if d.Precision != "" {
-				args["precision"] = d.Precision
-			}
 		}
 		dur := usSince(r.T1, a.base) - ts
 		if dur < 0 {

@@ -23,7 +23,7 @@ const traceBaseNs = int64(1_700_000_000_000_000_000)
 func traceObserver() *Observer {
 	o := NewObserver(NewRegistry(), 64)
 	o.InternType("lstm") // type ID 1
-	o.SetTypeDetail("lstm", TypeDetail{MaxBatch: 8, Precision: "f32"})
+	o.SetTypeDetail("lstm", TypeDetail{MaxBatch: 8})
 	rp := o.NewRing("rp")
 	sched := o.NewRing("sched")
 	w0 := o.NewRing("worker-0")
@@ -176,7 +176,7 @@ func TestTraceSchemaValid(t *testing.T) {
 			t.Fatalf("flow end %q must bind to its enclosing slice (bp=e)", ev.Name)
 		}
 	}
-	// Annotated batch slice: occupancy/padding/precision resolved from the
+	// Annotated batch slice: occupancy/padding resolved from the
 	// type detail, flags decoded.
 	var sawAnnotated bool
 	for _, ev := range doc.TraceEvents {
@@ -190,9 +190,6 @@ func TestTraceSchemaValid(t *testing.T) {
 			}
 			if pw, ok := ev.Args["padding_waste"].(float64); !ok || pw != 7 {
 				t.Fatalf("remote slice padding_waste = %v, want 7", ev.Args["padding_waste"])
-			}
-			if ev.Args["precision"] != "f32" {
-				t.Fatalf("remote slice precision = %v", ev.Args["precision"])
 			}
 		}
 	}

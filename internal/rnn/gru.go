@@ -26,9 +26,6 @@ type GRUCell struct {
 	bz, br  *tensor.Tensor // [h]
 	bh      *tensor.Tensor // [h]
 	typeKey string
-	// q holds the pre-quantized int8 tier (nil on the float32 tier); see
-	// precision.go and DESIGN.md §14.
-	q *gruQuant
 }
 
 // NewGRUCell creates a GRU cell with Xavier-initialized weights.
@@ -102,9 +99,6 @@ func (c *GRUCell) StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.Aren
 	}
 	xh := a.Get(b, c.inDim+c.hidden)
 	tensor.ConcatColsInto(xh, x, h)
-	if q := c.q; q != nil {
-		return c.stepInt8(q, x, h, xh, hNew, a)
-	}
 	z := a.Get(b, c.hidden)
 	tensor.MatMulAddBiasInto(z, xh, c.wz, c.bz)
 	tensor.SigmoidInto(z, z)
@@ -117,31 +111,6 @@ func (c *GRUCell) StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.Aren
 	hc := a.Get(b, c.hidden)
 	tensor.MatMulAddBiasInto(hc, xrh, c.wh, c.bh)
 	tensor.TanhInto(hc, hc)
-	// h' = h + z*(hc - h)
-	tensor.SubInto(hc, hc, h)
-	tensor.MulInto(hc, z, hc)
-	tensor.AddInto(hNew, h, hc)
-	return nil
-}
-
-// stepInt8 is the quantized GRU body: three int8 matmuls with fused
-// sigmoid/tanh epilogues over statically-scaled concat activations; the
-// cheap elementwise combine stays float32.
-func (c *GRUCell) stepInt8(q *gruQuant, x, h, xh, hNew *tensor.Tensor, a *tensor.Arena) error {
-	b := x.Dim(0)
-	qxh := a.GetInt8(b, c.inDim+c.hidden, false)
-	tensor.QuantizeWithScaleInto(qxh, xh, q.xhScale)
-	z := a.Get(b, c.hidden)
-	tensor.MatMulInt8Into(z, qxh, q.wz, c.bz, tensor.EpilogueSigmoid)
-	r := a.Get(b, c.hidden)
-	tensor.MatMulInt8Into(r, qxh, q.wr, c.br, tensor.EpilogueSigmoid)
-	tensor.MulInto(r, r, h) // r*h; r is not needed past this point
-	xrh := a.Get(b, c.inDim+c.hidden)
-	tensor.ConcatColsInto(xrh, x, r)
-	qxrh := a.GetInt8(b, c.inDim+c.hidden, false)
-	tensor.QuantizeWithScaleInto(qxrh, xrh, q.xrhScale)
-	hc := a.Get(b, c.hidden)
-	tensor.MatMulInt8Into(hc, qxrh, q.wh, c.bh, tensor.EpilogueTanh)
 	// h' = h + z*(hc - h)
 	tensor.SubInto(hc, hc, h)
 	tensor.MulInto(hc, z, hc)

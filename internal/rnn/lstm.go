@@ -24,9 +24,6 @@ type LSTMCell struct {
 	w       *tensor.Tensor // [in+h, 4h]
 	bias    *tensor.Tensor // [4h]
 	typeKey string
-	// q holds the pre-quantized int8 tier (nil on the float32 tier); see
-	// precision.go and DESIGN.md §14.
-	q *lstmQuant
 }
 
 // NewLSTMCell creates an LSTM cell with Xavier-initialized weights and the
@@ -117,16 +114,6 @@ func (c *LSTMCell) stepCore(x, h, cPrev, hOut, cOut *tensor.Tensor, a *tensor.Ar
 	xh := a.Get(b, c.inDim+c.hidden)
 	tensor.ConcatColsInto(xh, x, h)
 	gates := a.Get(b, 4*c.hidden)
-	if q := c.q; q != nil {
-		// Int8 tier: quantize the concat with the calibrated static scale,
-		// run the exact int8 matmul with fused requantize+bias, and sweep
-		// the gates through the fast activations.
-		qxh := a.GetInt8(b, c.inDim+c.hidden, false)
-		tensor.QuantizeWithScaleInto(qxh, xh, q.inScale)
-		tensor.MatMulInt8Into(gates, qxh, q.wq, c.bias, tensor.EpilogueNone)
-		applyLSTMGatesFast(gates, cPrev, hOut, cOut, c.hidden)
-		return
-	}
 	tensor.MatMulAddBiasInto(gates, xh, c.w, c.bias)
 	applyLSTMGates(gates, cPrev, hOut, cOut, c.hidden)
 }

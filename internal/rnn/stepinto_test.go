@@ -183,6 +183,85 @@ func TestDecoderStepIntoZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGRUStepIntoZeroAlloc: the same contract for the GRU's three-matmul
+// body on the arena path.
+func TestGRUStepIntoZeroAlloc(t *testing.T) {
+	c := NewGRUCell("g", 64, 64, tensor.NewRNG(5))
+	testStepIntoZeroAlloc(t, c, map[string]*tensor.Tensor{
+		"x": tensor.RandNormal(tensor.NewRNG(6), 1, 8, 64),
+		"h": tensor.New(8, 64),
+	})
+}
+
+// testStepIntoZeroAlloc drives StepInto through a warm arena and asserts
+// zero allocations per cycle.
+func testStepIntoZeroAlloc(t *testing.T, c Cell, inputs map[string]*tensor.Tensor) {
+	t.Helper()
+	fast, ok := c.(IntoStepper)
+	if !ok {
+		t.Fatalf("%s does not implement IntoStepper", c.Name())
+	}
+	rows := inputs[c.InputNames()[0]].Shape()[0]
+	out := map[string]*tensor.Tensor{}
+	for name, w := range c.(OutputSized).OutputWidths() {
+		out[name] = tensor.New(rows, w)
+	}
+	arena := tensor.NewArena(0)
+	cycle := func() {
+		arena.Reset()
+		if err := fast.StepInto(inputs, out, arena); err != nil {
+			t.Fatalf("StepInto: %v", err)
+		}
+	}
+	cycle()
+	cycle() // warm: slab at high-water, headers recycled
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Fatalf("%s StepInto allocates %v times per run, want 0", c.Name(), n)
+	}
+}
+
+// benchmarkStep times one warm-arena StepInto of c over inputs.
+func benchmarkStep(b *testing.B, c Cell, inputs map[string]*tensor.Tensor) {
+	fast := c.(IntoStepper)
+	rows := inputs[c.InputNames()[0]].Shape()[0]
+	out := map[string]*tensor.Tensor{}
+	for name, w := range c.(OutputSized).OutputWidths() {
+		out[name] = tensor.New(rows, w)
+	}
+	arena := tensor.NewArena(0)
+	for i := 0; i < 3; i++ {
+		arena.Reset()
+		if err := fast.StepInto(inputs, out, arena); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arena.Reset()
+		if err := fast.StepInto(inputs, out, arena); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLSTMStepF32 / BenchmarkGRUStepF32 are the per-step cell
+// benchmarks at the README's shape (Hidden=64, batch 8).
+func BenchmarkLSTMStepF32(b *testing.B) {
+	benchmarkStep(b, NewLSTMCell("l", 64, 64, tensor.NewRNG(1)), map[string]*tensor.Tensor{
+		"x": tensor.RandNormal(tensor.NewRNG(7), 1, 8, 64),
+		"h": tensor.RandNormal(tensor.NewRNG(8), 0.5, 8, 64),
+		"c": tensor.RandNormal(tensor.NewRNG(9), 0.5, 8, 64),
+	})
+}
+
+func BenchmarkGRUStepF32(b *testing.B) {
+	benchmarkStep(b, NewGRUCell("g", 64, 64, tensor.NewRNG(1)), map[string]*tensor.Tensor{
+		"x": tensor.RandNormal(tensor.NewRNG(7), 1, 8, 64),
+		"h": tensor.RandNormal(tensor.NewRNG(8), 0.5, 8, 64),
+	})
+}
+
 // BenchmarkStepVsBatch is the paper's Fig. 3 on this substrate: one StepInto
 // of each BENCHMARK.json cell (seq2seq_open/burst_policy encoder and decoder,
 // tree_tiny leaf and internal) as the batch grows. us/row is what one request

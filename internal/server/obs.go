@@ -6,7 +6,6 @@ import (
 
 	"batchmaker/internal/core"
 	"batchmaker/internal/obsv"
-	"batchmaker/internal/rnn"
 )
 
 // ObsConfig configures the server's observability layer (Config.Obs).
@@ -124,15 +123,7 @@ func newServerObs(cfg ObsConfig, specs []CellSpec, workers, devices int, workerD
 		for w := range ob.exec {
 			ob.exec[w][key] = ob.sm.Exec(key, w)
 		}
-		prec := rnn.PrecisionF32
-		if pc, ok := cs.Cell.(rnn.PrecisionConfigurable); ok {
-			prec = pc.Precision()
-		}
-		ob.sm.SetTypePrecision(key, prec.String())
-		ob.o.SetTypeDetail(key, obsv.TypeDetail{
-			MaxBatch:  cs.MaxBatch,
-			Precision: prec.String(),
-		})
+		ob.o.SetTypeDetail(key, obsv.TypeDetail{MaxBatch: cs.MaxBatch})
 	}
 	return ob
 }

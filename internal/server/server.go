@@ -129,13 +129,6 @@ type CellSpec struct {
 	// Weight estimates the type's relative load for the scheduler's initial
 	// device pin assignment (0 means 1). Irrelevant on one device.
 	Weight float64
-	// Precision selects the cell's execution tier (DESIGN.md §14). The
-	// zero value is float32. Non-default tiers require the cell to
-	// implement rnn.PrecisionConfigurable; New applies the tier before
-	// reading the cell's TypeKey, so a quantized cell registers (and
-	// batches) under its tier-suffixed key. Note the cell value is
-	// mutated: the caller's handle serves at the configured tier too.
-	Precision rnn.Precision
 }
 
 // DeviceConfig sizes one device pool: a group of workers sharing a device
@@ -405,16 +398,6 @@ func New(cfg Config) (*Server, error) {
 		if cs.MaxBatch > maxBatchLimit {
 			return nil, fmt.Errorf("server: MaxBatch %d of cell %q too large (max %d)",
 				cs.MaxBatch, cs.Cell.Name(), maxBatchLimit)
-		}
-		if cs.Precision != rnn.PrecisionF32 {
-			pc, ok := cs.Cell.(rnn.PrecisionConfigurable)
-			if !ok {
-				return nil, fmt.Errorf("server: cell %q does not support precision %v",
-					cs.Cell.Name(), cs.Precision)
-			}
-			if err := pc.SetPrecision(cs.Precision); err != nil {
-				return nil, fmt.Errorf("server: %w", err)
-			}
 		}
 		key := cs.Cell.TypeKey()
 		if _, dup := cells[key]; dup {

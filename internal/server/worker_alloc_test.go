@@ -18,12 +18,9 @@ import (
 // and one hand-built task per chain position batching all requests' rows.
 // Executing the tasks in order respects the chains' dependencies, exactly
 // like FIFO execution on one worker.
-func workerAllocFixture(tb testing.TB, reqN, chainN int, prec rnn.Precision) (*Server, []*core.Task, []*cellgraph.Graph) {
+func workerAllocFixture(tb testing.TB, reqN, chainN int) (*Server, []*core.Task, []*cellgraph.Graph) {
 	tb.Helper()
 	lstm := rnn.NewLSTMCell("lstm", tEmbed, tHidden, tensor.NewRNG(99))
-	if err := lstm.SetPrecision(prec); err != nil {
-		tb.Fatal(err)
-	}
 	key := lstm.TypeKey()
 	s := &Server{
 		cells:        map[string]rnn.Cell{key: lstm},
@@ -90,22 +87,11 @@ func runAllocTask(tb testing.TB, s *Server, task *core.Task, ws *workerExec) {
 // heap allocations. The measurement runs with GC disabled so pool evictions
 // cannot blur it.
 func TestWorkerExecLoopZeroAlloc(t *testing.T) {
-	workerZeroAllocGate(t, rnn.PrecisionF32)
-}
-
-// TestWorkerExecLoopZeroAllocInt8 runs the same gate with the quantized
-// LSTM: the int8 tier must also hold 0 allocs/task end to end (arena int8
-// slabs, recycled Int8Tensor headers, fused epilogues).
-func TestWorkerExecLoopZeroAllocInt8(t *testing.T) {
-	workerZeroAllocGate(t, rnn.PrecisionInt8)
-}
-
-func workerZeroAllocGate(t *testing.T, prec rnn.Precision) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; strict gate runs in the non-race suite")
 	}
 	const reqN, chainN, warm = 4, 600, 100
-	s, tasks, graphs := workerAllocFixture(t, reqN, chainN, prec)
+	s, tasks, graphs := workerAllocFixture(t, reqN, chainN)
 
 	// The anomaly detector must not disturb the hot path: run it live (at
 	// its default cadence) for the whole measurement. Detection reads the
@@ -167,7 +153,7 @@ func workerZeroAllocGate(t *testing.T, prec rnn.Precision) {
 // the allocation profile.
 func BenchmarkWorkerChainExec(b *testing.B) {
 	const reqN, chainN = 8, 64
-	s, tasks, _ := workerAllocFixture(b, reqN, chainN, rnn.PrecisionF32)
+	s, tasks, _ := workerAllocFixture(b, reqN, chainN)
 	ws := newWorkerExec()
 	idx := 0
 	b.ReportAllocs()
@@ -175,7 +161,7 @@ func BenchmarkWorkerChainExec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if idx == len(tasks) {
 			b.StopTimer()
-			s, tasks, _ = workerAllocFixture(b, reqN, chainN, rnn.PrecisionF32)
+			s, tasks, _ = workerAllocFixture(b, reqN, chainN)
 			idx = 0
 			b.StartTimer()
 		}

@@ -203,7 +203,7 @@ func RunBatchMaker(cfg BatchMakerConfig, wl Workload, run RunConfig) (*metrics.R
 		s.typeIDs = make(map[string]uint16)
 		for _, tc := range cfg.Model.Types() {
 			s.typeIDs[tc.Key] = o.InternType(tc.Key)
-			o.SetTypeDetail(tc.Key, obsv.TypeDetail{MaxBatch: tc.MaxBatch, Precision: "f32"})
+			o.SetTypeDetail(tc.Key, obsv.TypeDetail{MaxBatch: tc.MaxBatch})
 		}
 	}
 	arrivals := dataset.NewPoisson(run.Seed, run.RatePerSec)

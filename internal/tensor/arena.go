@@ -31,21 +31,6 @@ type Arena struct {
 	// high is the largest element total any cycle has demanded (slab use
 	// plus overflow) — the observability high-water mark.
 	high int
-	// Quantized-tier slabs (DESIGN.md §14): int8 codes, int32 row sums and
-	// packed uint64 SWAR lanes follow the same bump/overflow/regrow
-	// discipline as the float32 slab, so GetInt8 is zero-alloc at steady
-	// state. Scales are carved from the float32 slab.
-	slab8            []int8
-	off8, overflow8  int
-	high8            int
-	slab32           []int32
-	off32, overflow32 int
-	high32           int
-	slab64           []uint64
-	off64, overflow64 int
-	high64           int
-	qhdrs            []*Int8Tensor
-	nqhdr            int
 }
 
 // NewArena returns an arena with an initial slab of the given element
@@ -94,65 +79,6 @@ func (a *Arena) f32(n int) []float32 {
 	return make([]float32, n)
 }
 
-// GetInt8 returns an uninitialized activation-form [rows, cols] int8
-// scratch tensor carved from the arena's quantized slabs, with per-row or
-// per-tensor scale storage. Same contract as Get: unspecified contents
-// (QuantizeInto/QuantizeWithScaleInto fully overwrite), invalid after the
-// next Reset, nil arena falls back to a fresh allocation.
-func (a *Arena) GetInt8(rows, cols int, perRow bool) *Int8Tensor {
-	if a == nil {
-		return NewInt8(rows, cols, perRow)
-	}
-	if rows < 0 || cols < 0 {
-		panic("tensor: Arena.GetInt8 with negative dimension")
-	}
-	n := rows * cols
-	var data []int8
-	if a.off8+n <= len(a.slab8) {
-		data = a.slab8[a.off8 : a.off8+n : a.off8+n]
-		a.off8 += n
-	} else {
-		data = make([]int8, n)
-		a.overflow8 += n
-	}
-	var sums []int32
-	if a.off32+rows <= len(a.slab32) {
-		sums = a.slab32[a.off32 : a.off32+rows : a.off32+rows]
-		a.off32 += rows
-	} else {
-		sums = make([]int32, rows)
-		a.overflow32 += rows
-	}
-	pc := packedCols(cols)
-	np := rows * pc
-	var packed []uint64
-	if a.off64+np <= len(a.slab64) {
-		packed = a.slab64[a.off64 : a.off64+np : a.off64+np]
-		a.off64 += np
-	} else {
-		packed = make([]uint64, np)
-		a.overflow64 += np
-	}
-	ns := 1
-	if perRow {
-		ns = rows
-	}
-	var q *Int8Tensor
-	if a.nqhdr < len(a.qhdrs) {
-		q = a.qhdrs[a.nqhdr]
-	} else {
-		q = &Int8Tensor{}
-		a.qhdrs = append(a.qhdrs, q)
-	}
-	a.nqhdr++
-	q.rows, q.cols, q.pcols = rows, cols, pc
-	q.data, q.sums, q.packed = data, sums, packed
-	q.scales = a.f32(ns)
-	q.perRow = perRow
-	q.weight = false
-	return q
-}
-
 // Reset invalidates every tensor handed out since the previous Reset and
 // rewinds the arena. If the last cycle overflowed the slab, the slab is
 // regrown to the high-water total so the next cycle allocates nothing.
@@ -170,50 +96,16 @@ func (a *Arena) Reset() {
 	}
 	a.off = 0
 	a.nhdr = 0
-	if used := a.off8 + a.overflow8; used > a.high8 {
-		a.high8 = used
-	}
-	if a.overflow8 > 0 {
-		a.slab8 = make([]int8, a.off8+a.overflow8)
-		a.overflow8 = 0
-	}
-	a.off8 = 0
-	if used := a.off32 + a.overflow32; used > a.high32 {
-		a.high32 = used
-	}
-	if a.overflow32 > 0 {
-		a.slab32 = make([]int32, a.off32+a.overflow32)
-		a.overflow32 = 0
-	}
-	a.off32 = 0
-	if used := a.off64 + a.overflow64; used > a.high64 {
-		a.high64 = used
-	}
-	if a.overflow64 > 0 {
-		a.slab64 = make([]uint64, a.off64+a.overflow64)
-		a.overflow64 = 0
-	}
-	a.off64 = 0
-	a.nqhdr = 0
 }
 
-// HighWater returns the largest float32 element total any completed cycle
-// has demanded of the arena (updated on Reset). A nil arena reports 0.
-func (a *Arena) HighWater() int {
-	if a == nil {
-		return 0
-	}
-	return a.high
-}
-
-// HighWaterBytes returns the high-water demand across all slabs in bytes
-// (float32 + int8 + int32 + packed uint64) — the observability figure.
+// HighWaterBytes returns the largest byte total any completed cycle has
+// demanded of the arena (updated on Reset) — the observability figure.
 // A nil arena reports 0.
 func (a *Arena) HighWaterBytes() int64 {
 	if a == nil {
 		return 0
 	}
-	return 4*int64(a.high) + int64(a.high8) + 4*int64(a.high32) + 8*int64(a.high64)
+	return 4 * int64(a.high)
 }
 
 // Cap returns the current slab capacity in elements (for tests and stats).

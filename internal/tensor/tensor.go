@@ -21,7 +21,7 @@ import (
 )
 
 // Tensor is a dense row-major float32 tensor. The zero value is an empty
-// scalar-less tensor; use New, Zeros or FromSlice to construct one.
+// scalar-less tensor; use New or FromSlice to construct one.
 type Tensor struct {
 	shape []int
 	data  []float32
@@ -33,10 +33,6 @@ func New(shape ...int) *Tensor {
 	n := checkShape(shape)
 	return &Tensor{shape: append([]int(nil), shape...), data: make([]float32, n)}
 }
-
-// Zeros is an alias of New, provided for readability at call sites that
-// emphasize the initial value.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
 
 // Full returns a tensor of the given shape with every element set to v.
 func Full(v float32, shape ...int) *Tensor {
