@@ -264,8 +264,9 @@ func newApp(cfg appConfig) (*app, error) {
 // replay re-admits every journaled request that never reached a terminal
 // state, under its original ID. Requests that cannot run again — cancel
 // intent on record, deadline passed during downtime, no payload (internal
-// generation steps whose parent connection died) — are resolved directly
-// with a journaled terminal so the journal converges to empty.
+// generation steps whose parent connection died), a decode length handle
+// would refuse — are resolved directly with a journaled terminal so the
+// journal converges to empty.
 func (a *app) replay(pending []journal.PendingRequest) {
 	var handles []*server.Handle
 	var cancelled, expired, unreplayable int
@@ -294,6 +295,14 @@ func (a *app) replay(pending []journal.PendingRequest) {
 		}
 		if req.Decode <= 0 {
 			req.Decode = len(req.IDs)
+		}
+		if req.Decode > maxDecodeSteps {
+			// handle's bound: a journal from a binary without it, or edited
+			// by hand, must not make every restart unfold until OOM.
+			a.jnl.AppendTerminal(p.ID, journal.OutcomeFailed,
+				fmt.Sprintf("replay: decode %d exceeds the limit of %d steps", req.Decode, maxDecodeSteps))
+			unreplayable++
+			continue
 		}
 		g, err := cellgraph.UnfoldSeq2Seq(a.enc, a.dec, req.IDs, req.Decode)
 		if err != nil {

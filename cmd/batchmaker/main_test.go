@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"batchmaker/internal/journal"
 	"batchmaker/internal/policy"
 	"batchmaker/internal/server"
 )
@@ -314,5 +315,62 @@ func TestServeConnOversizedLineOverTCP(t *testing.T) {
 func TestFlagValueValidation(t *testing.T) {
 	if _, err := policy.ParseMode("everything"); err == nil || !strings.Contains(err.Error(), "want") {
 		t.Fatalf("ParseMode(everything) err = %v, want accepted-values hint", err)
+	}
+}
+
+// TestReplayBoundsJournaledDecode: a journaled payload is bounded like a live
+// one. A pending admit whose decode length is past maxDecodeSteps (written by
+// a binary without the bound, or by hand) is resolved failed at replay and
+// never unfolded; its neighbour is re-admitted and completes; the journal
+// converges to empty.
+func TestReplayBoundsJournaledDecode(t *testing.T) {
+	dir := t.TempDir()
+	jnl, err := journal.Open(journal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const oversized, normal = 1, 2
+	for id, req := range map[uint64]apiRequest{
+		oversized: {IDs: []int{1}, Decode: maxDecodeSteps + 1},
+		normal:    {IDs: []int{4, 9, 2}, Decode: 3},
+	} {
+		payload, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-jnl.AppendAdmit(id, payload, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jnl.Close()
+
+	a, err := newApp(appConfig{Vocab: 50, Embed: 8, Hidden: 16, Workers: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := a.jm.Recovered.Value()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	drainErr := a.srv.Drain(ctx)
+	a.close()
+	if drainErr != nil {
+		t.Fatalf("drain: %v", drainErr)
+	}
+	if recovered != 1 {
+		t.Errorf("replay re-admitted %d requests, want 1", recovered)
+	}
+
+	rec, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Pending) != 0 || rec.DuplicateTerminals != 0 {
+		t.Errorf("journal did not converge: %d pending, %d duplicate terminals", len(rec.Pending), rec.DuplicateTerminals)
+	}
+	if got := rec.Terminal[oversized]; got.Outcome != journal.OutcomeFailed || !strings.Contains(got.Reason, "exceeds the limit of 4096 steps") {
+		t.Errorf("oversized request: terminal %v %q, want failed naming the limit", got.Outcome, got.Reason)
+	}
+	if got := rec.Terminal[normal]; got.Outcome != journal.OutcomeCompleted {
+		t.Errorf("normal request: terminal %v %q, want completed", got.Outcome, got.Reason)
 	}
 }

@@ -52,7 +52,7 @@ var servingShapes = []struct {
 // the per-request cost; it must fall as b grows for batching to pay.
 func BenchmarkMatMulServing(b *testing.B) {
 	for _, s := range servingShapes {
-		for _, m := range []int{1, 4, 16, 64} {
+		for _, m := range []int{1, 2, 3, 4, 16, 64} {
 			b.Run(fmt.Sprintf("%s_%dx%d/b%d", s.model, s.k, s.n, m), func(b *testing.B) {
 				rng := NewRNG(1)
 				x := RandUniform(rng, 1, m, s.k)

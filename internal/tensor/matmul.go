@@ -3,17 +3,21 @@ package tensor
 // matMulTile computes dst = init + a @ b, where init is zero (bias == nil) or
 // the row-broadcast bias. It is the kernel behind every MatMul variant: rows
 // of a are taken four at a time so one sweep of a row of b serves four output
-// rows (axpy4), and the remainder one at a time (axpy1). The two primitives
+// rows (axpy4), and the remainder one at a time (matMulRow), where four
+// consecutive surviving terms share one load and one store of each output
+// element (axpy1x4, then axpy1 for the last three or fewer). The primitives
 // are SSE2 assembly on amd64 and the plain loops of axpy.go elsewhere.
 //
 // The float32 rounding sequence of every output element is fixed by this
-// function alone — initialisation, then for p ascending one rounded multiply
+// file alone — initialisation, then for p ascending one rounded multiply
 // and one rounded add, with the zero skips below deciding which `+= 0*b`
-// terms exist — and the primitives only widen the j loop, so the result is
-// bit-identical across both implementations. The conformance harness's
-// oracle equivalence relies on this. Regrouping rows (e.g. tiling m) would
-// NOT be bit-identical: the 4-row skip groups rows differently at block
-// boundaries, which is visible with signed zeros, infinities and NaNs.
+// terms exist — and the primitives only widen the j loop and, in a single
+// row, apply up to four existing terms in ascending p per visit of an
+// element, so the result is bit-identical across both implementations. The
+// conformance harness's oracle equivalence relies on this. Regrouping rows
+// (e.g. tiling m) would NOT be bit-identical: the 4-row skip groups rows
+// differently at block boundaries, which is visible with signed zeros,
+// infinities and NaNs.
 func matMulTile(dst, a, b, bias []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		row := dst[i*n : (i+1)*n]
@@ -45,14 +49,32 @@ func matMulTile(dst, a, b, bias []float32, m, k, n int) {
 		}
 	}
 	for ; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := dst[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			axpy1(orow, b[p*n:(p+1)*n], av)
+		matMulRow(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], b)
+	}
+}
+
+// matMulRow does o += arow @ b for one output row, where b has len(o) columns.
+// A term exists iff arow[p] != 0; the surviving terms are applied in ascending
+// p, four at a time (axpy1x4) and the last three or fewer singly (axpy1), so
+// each element of o sees exactly the operations of one axpy1 per term.
+func matMulRow(o, arow, b []float32) {
+	n := len(o)
+	var pend [4]int // surviving p not yet applied, ascending
+	np := 0
+	for p, av := range arow {
+		if av == 0 {
+			continue
 		}
+		pend[np] = p
+		np++
+		if np == 4 {
+			p0, p1, p2, p3 := pend[0], pend[1], pend[2], p
+			axpy1x4(o, b[p0*n:(p0+1)*n], b[p1*n:(p1+1)*n], b[p2*n:(p2+1)*n], b[p3*n:(p3+1)*n],
+				arow[p0], arow[p1], arow[p2], av)
+			np = 0
+		}
+	}
+	for _, p := range pend[:np] {
+		axpy1(o, b[p*n:(p+1)*n], arow[p])
 	}
 }

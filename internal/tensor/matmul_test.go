@@ -125,60 +125,170 @@ func TestMatMulTileBitIdentical(t *testing.T) {
 	}
 }
 
-// checkAxpy runs axpy1 and axpy4 against their Go references on rows of
-// length n placed off floats into their allocations, with the four scalars
-// given as raw bits. Elements must agree bit for bit, except that where the
-// reference yields NaN any NaN will do (payload propagation depends on
-// operand order, which the Go compiler is free to choose). Guard floats on
-// both sides of every output row catch a primitive that strays outside it.
-func checkAxpy(t *testing.T, seed int64, n, off int, vbits [4]uint32) {
-	t.Helper()
-	const guard = 4
-	rng := rand.New(rand.NewSource(seed))
-	b := offsetSlice(n, off)
-	fillMatrix(rng, b)
-	var v [4]float32
-	var got, want [4][]float32
-	for r := range got {
-		v[r] = math.Float32frombits(vbits[r])
-		got[r] = offsetSlice(n+2*guard, (off+r)%4)
-		fillMatrix(rng, got[r])
-		want[r] = append([]float32(nil), got[r]...)
-	}
-	row := func(s []float32) []float32 { return s[guard : guard+n] }
-	compare := func(name string, rows int) {
-		t.Helper()
-		for r := 0; r < rows; r++ {
-			for i, w := range want[r] {
-				g := got[r][i]
-				if w != w && g != g {
-					continue
+// TestMatMulTileBitIdenticalSparseRows aims the same comparison at the
+// regrouping of p: every row of a shares one zero mask (so both skips skip
+// exactly the masked p, whatever m is) whose surviving-term count is every
+// value 0..9 — full axpy1x4 groups, gathered ones and every axpy1 tail in
+// single rows, the same terms one by one in blocks — with the zeros at the
+// start, in the middle, at the end and interleaved. The rows of b at masked
+// p hold ±Inf and NaN: a term that is wrongly included turns the whole output
+// row into NaN.
+func TestMatMulTileBitIdenticalSparseRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	negZero := float32(math.Copysign(0, -1))
+	poison := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	var masks [][]bool // true = the term survives
+	for c := 0; c <= 9; c++ {
+		for _, z := range []int{0, 1, 2, 5} {
+			if c+z == 0 {
+				continue
+			}
+			for _, lead := range []int{0, c / 2, c} { // survivors before the zeros
+				mask := make([]bool, c+z)
+				for p := range mask {
+					mask[p] = p < lead || p >= lead+z
 				}
-				if math.Float32bits(g) != math.Float32bits(w) {
-					t.Fatalf("%s n=%d off=%d v=%x row %d: [%d]=%x want %x (row spans [%d,%d))",
-						name, n, off, vbits, r, i, math.Float32bits(g), math.Float32bits(w), guard, guard+n)
+				masks = append(masks, mask)
+			}
+		}
+		alt := make([]bool, 2*c+1) // zero, survivor, zero, ...
+		for p := range alt {
+			alt[p] = p%2 == 1
+		}
+		masks = append(masks, alt)
+	}
+	for _, mask := range masks {
+		k := len(mask)
+		for _, m := range []int{1, 2, 3, 4, 5, 7, 8} {
+			for _, n := range []int{1, 4, 7, 16, 35} {
+				a := offsetSlice(m*k, 1)
+				b := offsetSlice(k*n, 2)
+				bias := offsetSlice(n, 3)
+				got := offsetSlice(m*n, 1)
+				want := make([]float32, m*n)
+				fillMatrix(rng, b)
+				fillMatrix(rng, bias)
+				for p, live := range mask {
+					for i := 0; i < m; i++ {
+						v := &a[i*k+p]
+						switch {
+						case live:
+							for *v == 0 {
+								*v = float32(rng.NormFloat64())
+							}
+						case rng.Intn(2) == 0:
+							*v = negZero
+						}
+					}
+					if !live {
+						for j := 0; j < n; j++ {
+							b[p*n+j] = poison[rng.Intn(len(poison))]
+						}
+					}
+				}
+				for _, bs := range [][]float32{nil, bias} {
+					scalarMatMulRef(want, a, b, bs, m, k, n)
+					matMulTile(got, a, b, bs, m, k, n)
+					for i := range want {
+						if want[i] != want[i] {
+							t.Fatalf("mask=%v m=%d n=%d: reference is NaN at %d; the test is wrong", mask, m, n, i)
+						}
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("mask=%v m=%d n=%d bias=%v: got[%d]=%x want %x",
+								mask, m, n, bs != nil, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+						}
+					}
 				}
 			}
 		}
 	}
-	axpy1Go(row(want[0]), b, v[0])
-	axpy1(row(got[0]), b, v[0])
-	compare("axpy1", 1)
-	axpy4Go(row(want[0]), row(want[1]), row(want[2]), row(want[3]), b, v[0], v[1], v[2], v[3])
-	axpy4(row(got[0]), row(got[1]), row(got[2]), row(got[3]), b, v[0], v[1], v[2], v[3])
-	compare("axpy4", 4)
+}
+
+// checkAxpy runs axpy1, axpy1x4 and axpy4 against their Go references on rows
+// of length n, with the four scalars given as raw bits. offs places the
+// operands in their allocations, in floats: offs[0] the output row (row r of
+// axpy4 sits at offs[0]+r), offs[1..4] the rows b0..b3 of axpy1x4 (b0 is the b
+// of axpy1 and axpy4), so every operand's 16-byte misalignment is chosen
+// independently. Elements must agree bit for bit, except that where the
+// reference yields NaN any NaN will do (payload propagation depends on
+// operand order, which the Go compiler is free to choose). Guard floats on
+// both sides of every output row catch a primitive that strays outside it.
+func checkAxpy(t *testing.T, seed int64, n int, offs [5]int, vbits [4]uint32) {
+	t.Helper()
+	const guard = 4
+	rng := rand.New(rand.NewSource(seed))
+	var v [4]float32
+	var b, got, want [4][]float32
+	for r := range got {
+		v[r] = math.Float32frombits(vbits[r])
+		b[r] = offsetSlice(n, offs[1+r]%4)
+		fillMatrix(rng, b[r])
+		got[r] = offsetSlice(n+2*guard, (offs[0]+r)%4)
+		fillMatrix(rng, got[r])
+		want[r] = append([]float32(nil), got[r]...)
+	}
+	row := func(s []float32) []float32 { return s[guard : guard+n] }
+	same := func(name string, row int, got, want []float32) {
+		t.Helper()
+		for i, w := range want {
+			g := got[i]
+			if w != w && g != g {
+				continue
+			}
+			if math.Float32bits(g) != math.Float32bits(w) {
+				t.Fatalf("%s n=%d offs=%v v=%x row %d: [%d]=%x want %x (row spans [%d,%d))",
+					name, n, offs, vbits, row, i, math.Float32bits(g), math.Float32bits(w), guard, guard+n)
+			}
+		}
+	}
+	axpy1Go(row(want[0]), b[0], v[0])
+	axpy1(row(got[0]), b[0], v[0])
+	same("axpy1", 0, got[0], want[0])
+
+	// axpy1x4 against its reference, and the reference against what it
+	// stands for in matMulRow: four axpy1Go calls, b0 first.
+	chain := append([]float32(nil), want[0]...)
+	for r := range b {
+		axpy1Go(row(chain), b[r], v[r])
+	}
+	axpy1x4Go(row(want[0]), b[0], b[1], b[2], b[3], v[0], v[1], v[2], v[3])
+	axpy1x4(row(got[0]), b[0], b[1], b[2], b[3], v[0], v[1], v[2], v[3])
+	same("axpy1x4", 0, got[0], want[0])
+	same("axpy1x4Go vs 4 x axpy1Go", 0, want[0], chain)
+
+	axpy4Go(row(want[0]), row(want[1]), row(want[2]), row(want[3]), b[0], v[0], v[1], v[2], v[3])
+	axpy4(row(got[0]), row(got[1]), row(got[2]), row(got[3]), b[0], v[0], v[1], v[2], v[3])
+	for r := range got {
+		same("axpy4", r, got[r], want[r])
+	}
+}
+
+// axpyOffsets decodes five base-4 digits: one misalignment per operand of
+// checkAxpy.
+func axpyOffsets(code int) (offs [5]int) {
+	for i := range offs {
+		offs[i] = code % 4
+		code /= 4
+	}
+	return offs
 }
 
 // TestAxpyEveryTail drives the primitives directly through every main-loop /
-// 4-float / scalar tail combination at every 16-byte misalignment.
+// 4-float / scalar tail combination, with each operand in turn at every
+// 16-byte misalignment while the others keep theirs (FuzzAxpy mixes them
+// freely).
 func TestAxpyEveryTail(t *testing.T) {
 	vbits := [4]uint32{
 		math.Float32bits(1.5), math.Float32bits(-0.3),
 		math.Float32bits(1e-20), 0x80000000, // denormal products, -0
 	}
 	for n := 0; n <= 50; n++ {
-		for off := 0; off < 4; off++ {
-			checkAxpy(t, int64(n), n, off, vbits)
+		for op := 0; op < 5; op++ {
+			for off := 0; off < 4; off++ {
+				offs := [5]int{n, n + 1, n + 2, n + 3, n + 1}
+				offs[op] = off
+				checkAxpy(t, int64(n), n, offs, vbits)
+			}
 		}
 	}
 }
@@ -188,13 +298,14 @@ func TestAxpyEveryTail(t *testing.T) {
 func FuzzAxpy(f *testing.F) {
 	const nan, pinf, ninf = 0x7fc00001, 0x7f800000, 0xff800000
 	one := math.Float32bits(1)
-	f.Add(int64(1), uint16(0), uint8(0), one, one, one, one)
-	f.Add(int64(2), uint16(17), uint8(1), one, uint32(0), uint32(0x80000000), uint32(1))
-	f.Add(int64(3), uint16(35), uint8(2), uint32(nan), one, one, one)
-	f.Add(int64(4), uint16(64), uint8(3), uint32(pinf), uint32(ninf), uint32(nan), one)
-	f.Add(int64(5), uint16(1000), uint8(0), uint32(ninf), uint32(0x00000001), uint32(0x7f7fffff), uint32(0xff7fffff))
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, off uint8, v0, v1, v2, v3 uint32) {
-		checkAxpy(t, seed, int(n%2048), int(off%4), [4]uint32{v0, v1, v2, v3})
+	f.Add(int64(1), uint16(0), uint16(0), one, one, one, one)
+	f.Add(int64(2), uint16(17), uint16(0x1b1), one, uint32(0), uint32(0x80000000), uint32(1))
+	f.Add(int64(3), uint16(35), uint16(0x2e4), uint32(nan), one, one, one)
+	f.Add(int64(4), uint16(64), uint16(0x3ff), uint32(pinf), uint32(ninf), uint32(nan), one)
+	f.Add(int64(5), uint16(1000), uint16(0x06c), uint32(ninf), uint32(0x00000001), uint32(0x7f7fffff), uint32(0xff7fffff))
+	f.Add(int64(6), uint16(83), uint16(0x139), one, uint32(pinf), one, uint32(nan))
+	f.Fuzz(func(t *testing.T, seed int64, n, offs uint16, v0, v1, v2, v3 uint32) {
+		checkAxpy(t, seed, int(n%2048), axpyOffsets(int(offs)), [4]uint32{v0, v1, v2, v3})
 	})
 }
 
@@ -217,7 +328,7 @@ func TestMatMulRowsMatchBatchOne(t *testing.T) {
 		bias := make([]float32, s.n)
 		nonzero(w)
 		nonzero(bias)
-		for _, m := range []int{2, 4, 5, 16, 17} {
+		for _, m := range []int{2, 3, 4, 5, 6, 7, 16, 17} {
 			a := make([]float32, m*s.k)
 			nonzero(a)
 			batched := make([]float32, m*s.n)
