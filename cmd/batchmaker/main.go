@@ -44,8 +44,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -112,9 +110,6 @@ func errorCode(err error) string {
 
 type appConfig struct {
 	Vocab, Embed, Hidden, Workers, MaxQueue int
-	// Pools, when non-empty, shards execution into per-device worker pools
-	// (one entry per device, workers per pool); Workers is then ignored.
-	Pools []int
 	// Deadline, when positive, is the per-request SLA.
 	Deadline time.Duration
 	// SLA, when positive, enables the adaptive policy layer with this
@@ -129,27 +124,9 @@ type appConfig struct {
 	JournalSync string
 	// IncidentDir, when set, arms the anomaly-triggered flight recorder:
 	// detector rules (SLA P99 breach, shed bursts, SLO burn, journal
-	// degradation, policy shedding, rebalance storms) dump self-contained
-	// diagnosis bundles into this spool directory.
+	// degradation, policy shedding) dump self-contained diagnosis bundles
+	// into this spool directory.
 	IncidentDir string
-}
-
-// parsePools turns the -pools flag ("2,2", "1,1,1,1") into workers-per-pool
-// counts. Empty input means the single-pool -workers shorthand.
-func parsePools(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	sizes := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -pools entry %q: want positive workers per pool", p)
-		}
-		sizes = append(sizes, n)
-	}
-	return sizes, nil
 }
 
 type app struct {
@@ -186,9 +163,6 @@ func newApp(cfg appConfig) (*app, error) {
 		// The SLA doubles as the SLO latency target: completions slower
 		// than it burn error budget (batchmaker_slo_* families).
 		scfg.Obs.SLOTarget = cfg.SLA
-	}
-	for _, n := range cfg.Pools {
-		scfg.Devices = append(scfg.Devices, server.DeviceConfig{Workers: n})
 	}
 	var pending []journal.PendingRequest
 	// The journal's flush and sync loops start before the server's observer
@@ -482,7 +456,6 @@ func main() {
 		embed    = flag.Int("embed", 64, "embedding width")
 		hidden   = flag.Int("hidden", 256, "hidden width")
 		workers  = flag.Int("workers", 2, "worker count")
-		pools    = flag.String("pools", "", "comma-separated workers per device pool, e.g. \"2,2\" for two 2-worker devices; overrides -workers (empty = one pool of -workers)")
 		maxQueue = flag.Int("max-queue", 0, "max concurrently admitted requests; excess is shed with code \"overloaded\" (0 = unlimited)")
 		deadline = flag.Duration("deadline", 0, "per-request SLA; expired requests stop batching and answer code \"expired\" (0 = none)")
 		sla      = flag.Duration("sla", 0, "end-to-end latency target enabling the adaptive policy layer: Little's-law admission shedding (code \"overloaded\" + retry-after) and AIMD batch sizing, per -policy (0 = off)")
@@ -512,11 +485,6 @@ func main() {
 		}()
 	}
 
-	poolSizes, err := parsePools(*pools)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	mode, err := policy.ParseMode(*polMode)
 	if err != nil {
 		fatalFlagValue("policy", err)
@@ -524,7 +492,7 @@ func main() {
 
 	a, err := newApp(appConfig{
 		Vocab: *vocab, Embed: *embed, Hidden: *hidden,
-		Workers: *workers, Pools: poolSizes, MaxQueue: *maxQueue, Deadline: *deadline,
+		Workers: *workers, MaxQueue: *maxQueue, Deadline: *deadline,
 		SLA: *sla, PolicyMode: mode,
 		JournalDir: *jdir, JournalSync: *jsync, IncidentDir: *incDir,
 	})

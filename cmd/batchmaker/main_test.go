@@ -26,38 +26,6 @@ func testApp(t *testing.T) *app {
 	return a
 }
 
-func TestParsePools(t *testing.T) {
-	got, err := parsePools("2, 2,1")
-	if err != nil || len(got) != 3 || got[0] != 2 || got[1] != 2 || got[2] != 1 {
-		t.Fatalf("parsePools = %v, %v", got, err)
-	}
-	if got, err := parsePools(""); err != nil || got != nil {
-		t.Fatalf("empty = %v, %v", got, err)
-	}
-	for _, bad := range []string{"0", "-1", "a", "1,,2"} {
-		if _, err := parsePools(bad); err == nil {
-			t.Fatalf("parsePools(%q) accepted", bad)
-		}
-	}
-}
-
-func TestHandleMultiPool(t *testing.T) {
-	// -pools "1,1": encoder and decoder weights pin to different device
-	// pools; answers must be unaffected.
-	a, err := newApp(appConfig{Vocab: 50, Embed: 8, Hidden: 16, Pools: []int{1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.close)
-	resp := a.handle(context.Background(), apiRequest{IDs: []int{4, 5, 6}, Decode: 4})
-	if resp.Error != "" || len(resp.Words) != 4 {
-		t.Fatalf("resp = %+v", resp)
-	}
-	if st := a.srv.Stats(); len(st.Devices) != 2 {
-		t.Fatalf("device pools = %d, want 2", len(st.Devices))
-	}
-}
-
 func TestHandleFixedDecode(t *testing.T) {
 	a := testApp(t)
 	resp := a.handle(context.Background(), apiRequest{IDs: []int{4, 5, 6}, Decode: 4})

@@ -48,10 +48,6 @@ func (o Outcome) String() string {
 type LiveOpts struct {
 	// Workers is the pipeline worker count (default 2).
 	Workers int
-	// Devices, when non-empty, shards the engine into per-device worker
-	// pools (one entry per device, workers per pool); Workers is then
-	// ignored. Empty keeps the single-pool shorthand.
-	Devices []int
 	// MaxBatch is the per-type maximum batch size (default 8).
 	MaxBatch int
 	// MaxTasksToSubmit is the per-round dispatch bound (default 3).
@@ -187,9 +183,6 @@ func RunLive(m *Model, w *Workload, opts LiveOpts) (*LiveResult, error) {
 			{Cell: m.Leaf, MaxBatch: opts.MaxBatch, Priority: 0},
 			{Cell: m.Internal, MaxBatch: opts.MaxBatch, Priority: 1},
 		},
-	}
-	for _, n := range opts.Devices {
-		cfg.Devices = append(cfg.Devices, server.DeviceConfig{Workers: n})
 	}
 	srv, err := server.New(cfg)
 	if err != nil {

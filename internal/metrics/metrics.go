@@ -18,8 +18,8 @@ import (
 // sort it in place. It is owned by a single goroutine at a time: the sim
 // harness and bench drivers fill recorders while running and only query
 // them after the run joins. Anything that needs quantiles concurrently
-// with ingestion (the live server's metrics registry) must use Window,
-// which carries its own lock, instead.
+// with ingestion (the live server's metrics registry) must use
+// obsv.Quantiles, which carries its own lock, instead.
 type Recorder struct {
 	samples []time.Duration
 	sorted  bool

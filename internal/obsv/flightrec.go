@@ -27,7 +27,6 @@ const (
 	IncidentShedBurst      = "shed_burst"
 	IncidentJournalDegrade = "journal_degraded"
 	IncidentPolicyShed     = "policy_shed"
-	IncidentRebalanceStorm = "rebalance_storm"
 )
 
 // FlightRecorderConfig configures the anomaly-triggered flight recorder.
@@ -49,10 +48,9 @@ type FlightRecorderConfig struct {
 	// Timelines is how many recent request timelines go into a bundle
 	// (<=0 means 128).
 	Timelines int
-	// RejectBurst / PinMoveBurst are per-tick deltas that count as a shed
-	// burst / rebalance storm (<=0 means 10 / 8).
-	RejectBurst  int64
-	PinMoveBurst int64
+	// RejectBurst is the per-tick delta of rejections that counts as a shed
+	// burst (<=0 means 10).
+	RejectBurst int64
 	// Health, SLO, and Policy arm the corresponding rules when non-nil.
 	Health func() Health
 	SLO    *SLOEngine
@@ -99,7 +97,6 @@ type FlightRecorder struct {
 	seq        int
 
 	lastRejected int64
-	lastPinMoves int64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -128,9 +125,6 @@ func NewFlightRecorder(o *Observer, cfg FlightRecorderConfig) (*FlightRecorder, 
 	if cfg.RejectBurst <= 0 {
 		cfg.RejectBurst = 10
 	}
-	if cfg.PinMoveBurst <= 0 {
-		cfg.PinMoveBurst = 8
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -148,7 +142,6 @@ func NewFlightRecorder(o *Observer, cfg FlightRecorderConfig) (*FlightRecorder, 
 		fr.bundles = reg.Counter(MetricFlightBundles,
 			"Flight-recorder bundles written to the spool.")
 		fr.lastRejected = o.Metrics.Rejected.Value()
-		fr.lastPinMoves = o.Metrics.PinMoves.Value()
 	}
 	return fr, nil
 }
@@ -177,20 +170,6 @@ func (fr *FlightRecorder) Stop() {
 	<-fr.done
 }
 
-// p99 returns the P99 of a quantile summary in seconds (0 when empty).
-func p99(q *Quantiles) float64 {
-	if q == nil {
-		return 0
-	}
-	qs, vals := q.Query()
-	for i, frac := range qs {
-		if frac == 0.99 {
-			return vals[i].Seconds()
-		}
-	}
-	return 0
-}
-
 // Evaluate runs one detector pass at nowNs and returns the bundle paths
 // written (usually none). Each rule is latched: it fires once when its
 // condition becomes true and re-arms only after the condition clears, so a
@@ -216,15 +195,12 @@ func (fr *FlightRecorder) Evaluate(nowNs int64) []string {
 
 	if sm := fr.metrics(); sm != nil {
 		if fr.cfg.SLA > 0 {
-			total := p99(sm.Queuing) + p99(sm.Computation)
-			check(IncidentSLABreach, total > fr.cfg.SLA.Seconds())
+			total := sm.Queuing.Percentile(99) + sm.Computation.Percentile(99)
+			check(IncidentSLABreach, total > fr.cfg.SLA)
 		}
 		rej := sm.Rejected.Value()
 		check(IncidentShedBurst, rej-fr.lastRejected >= fr.cfg.RejectBurst)
 		fr.lastRejected = rej
-		pm := sm.PinMoves.Value()
-		check(IncidentRebalanceStorm, pm-fr.lastPinMoves >= fr.cfg.PinMoveBurst)
-		fr.lastPinMoves = pm
 	}
 	if fr.cfg.SLO != nil {
 		check(IncidentSLOBurn, fr.cfg.SLO.Breached(nowNs))
@@ -310,8 +286,8 @@ func (fr *FlightRecorder) writeBundle(dir, reason string, nowNs int64) error {
 		inc.Burn1h = fr.cfg.SLO.BurnRate(SLOLongWindow, nowNs)
 	}
 	if sm := fr.metrics(); sm != nil {
-		inc.QueueP99 = p99(sm.Queuing)
-		inc.CompP99 = p99(sm.Computation)
+		inc.QueueP99 = sm.Queuing.Percentile(99).Seconds()
+		inc.CompP99 = sm.Computation.Percentile(99).Seconds()
 	}
 	for _, r := range fr.o.Rings() {
 		inc.Rings = append(inc.Rings, RingStat{

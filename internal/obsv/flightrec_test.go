@@ -158,9 +158,9 @@ func TestFlightRecorderLatchesPerRule(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderShedBurstAndStormRules covers the delta-based rules:
-// a burst of rejections and a storm of pin moves each fire once.
-func TestFlightRecorderShedBurstAndStormRules(t *testing.T) {
+// TestFlightRecorderShedBurstRule covers the delta-based rule: a burst of
+// rejections fires once.
+func TestFlightRecorderShedBurstRule(t *testing.T) {
 	o := NewObserver(NewRegistry(), 8)
 	fr, err := NewFlightRecorder(o, FlightRecorderConfig{
 		Dir:      t.TempDir(),
@@ -180,13 +180,6 @@ func TestFlightRecorderShedBurstAndStormRules(t *testing.T) {
 	fired := fr.Evaluate(now)
 	if len(fired) != 1 || !strings.Contains(fired[0], IncidentShedBurst) {
 		t.Fatalf("shed burst: %v", fired)
-	}
-
-	o.Metrics.PinMoves.Add(50)
-	now += int64(time.Second)
-	fired = fr.Evaluate(now)
-	if len(fired) != 1 || !strings.Contains(fired[0], IncidentRebalanceStorm) {
-		t.Fatalf("rebalance storm: %v", fired)
 	}
 }
 

@@ -48,6 +48,13 @@ batchmaker_device_pin_moves_total 2
 # TYPE batchmaker_device_ready_depth gauge
 batchmaker_device_ready_depth{device="0"} 6.5
 batchmaker_device_ready_depth{device="1"} 2
+# HELP batchmaker_dispatch_seconds Scheduler dispatch round: Schedule call plus hand-off to the worker.
+# TYPE batchmaker_dispatch_seconds summary
+batchmaker_dispatch_seconds{quantile="0.5"} 2e-06
+batchmaker_dispatch_seconds{quantile="0.9"} 4e-06
+batchmaker_dispatch_seconds{quantile="0.99"} 4e-06
+batchmaker_dispatch_seconds_sum 1e-05
+batchmaker_dispatch_seconds_count 4
 # HELP batchmaker_inflight_requests Admitted requests not yet resolved.
 # TYPE batchmaker_inflight_requests gauge
 batchmaker_inflight_requests 4

@@ -57,6 +57,7 @@ func goldenObserver() *Observer {
 	for i := 1; i <= 4; i++ {
 		m.Queuing.Observe(time.Duration(i) * time.Millisecond)
 		m.Computation.Observe(time.Duration(10*i) * time.Millisecond)
+		m.Dispatch.Observe(time.Duration(i) * time.Microsecond)
 	}
 
 	ring := o.NewRing("rp")

@@ -3,12 +3,11 @@ package obsv
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"batchmaker/internal/metrics"
 )
 
 // A metric family's exposition type.
@@ -200,24 +199,47 @@ func (h *Histogram) Buckets() ([]int64, []int64) {
 	return h.bounds, cum
 }
 
-// Quantiles wraps a bounded metrics.Window of duration observations and
-// exposes windowed quantiles plus all-time sum/count, exposition-ready as a
-// Prometheus summary. Safe for concurrent Observe/Query (the window carries
-// its own lock — the PR-5 bugfix).
+// Quantiles is a bounded ring of duration observations: it never grows past
+// its window, so a long-running server can feed it on every dispatch without
+// leaking. Quantiles are answered over the retained window (the most recent
+// observations), Count and Sum over everything ever observed — exposition-
+// ready as a Prometheus summary. It carries its own lock: Observe and the
+// query methods are safe to call concurrently (scrape handlers read while the
+// pipeline keeps observing). All methods are no-ops on a nil receiver.
 type Quantiles struct {
-	w  *metrics.Window
 	qs []float64
+
+	mu    sync.Mutex
+	buf   []time.Duration
+	next  int
+	n     int           // retained observations, <= len(buf)
+	count int64         // observations ever made
+	sum   time.Duration // sum of observations ever made
 }
 
-func newQuantiles(window int, qs []float64) *Quantiles {
-	return &Quantiles{w: metrics.NewWindow(window), qs: qs}
-}
-
-// Observe records one duration.
-func (q *Quantiles) Observe(d time.Duration) {
-	if q != nil {
-		q.w.Add(d)
+// NewQuantiles returns a ring retaining the most recent window observations;
+// Query answers the quantiles qs (fractions in (0,1]).
+func NewQuantiles(window int, qs []float64) *Quantiles {
+	if window <= 0 {
+		panic(fmt.Sprintf("obsv: NewQuantiles window %d out of range", window))
 	}
+	return &Quantiles{qs: qs, buf: make([]time.Duration, window)}
+}
+
+// Observe records one duration, evicting the oldest when the window is full.
+func (q *Quantiles) Observe(d time.Duration) {
+	if q == nil {
+		return
+	}
+	q.mu.Lock()
+	q.buf[q.next] = d
+	q.next = (q.next + 1) % len(q.buf)
+	if q.n < len(q.buf) {
+		q.n++
+	}
+	q.count++
+	q.sum += d
+	q.mu.Unlock()
 }
 
 // Count returns the all-time observation count.
@@ -225,7 +247,9 @@ func (q *Quantiles) Count() int64 {
 	if q == nil {
 		return 0
 	}
-	return int64(q.w.Count())
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.count
 }
 
 // Sum returns the all-time observation sum.
@@ -233,17 +257,53 @@ func (q *Quantiles) Sum() time.Duration {
 	if q == nil {
 		return 0
 	}
-	return q.w.Sum()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.sum
 }
 
-// Query returns the configured quantiles over the retained window.
+// sorted returns a sorted copy of the retained window.
+func (q *Quantiles) sorted() []time.Duration {
+	q.mu.Lock()
+	s := append([]time.Duration(nil), q.buf[:q.n]...)
+	q.mu.Unlock()
+	slices.Sort(s)
+	return s
+}
+
+// nearestRank returns the p-th percentile (0 < p <= 100) of sorted, or 0
+// when it is empty.
+func nearestRank(sorted []time.Duration, p float64) time.Duration {
+	if p <= 0 || p > 100 {
+		panic(fmt.Sprintf("obsv: percentile %v out of (0,100]", p))
+	}
+	n := len(sorted)
+	if n == 0 {
+		return 0
+	}
+	rank := min(max(int(math.Ceil(p/100*float64(n))), 1), n)
+	return sorted[rank-1]
+}
+
+// Percentile returns the p-th percentile (0 < p <= 100, nearest-rank) over
+// the retained window, or 0 with no observations.
+func (q *Quantiles) Percentile(p float64) time.Duration {
+	if q == nil {
+		return 0
+	}
+	return nearestRank(q.sorted(), p)
+}
+
+// Query returns the configured quantiles over the retained window (one sort
+// for all of them).
 func (q *Quantiles) Query() (qs []float64, vals []time.Duration) {
 	if q == nil {
 		return nil, nil
 	}
+	sorted := q.sorted()
 	vals = make([]time.Duration, len(q.qs))
 	for i, p := range q.qs {
-		vals[i] = q.w.Percentile(p * 100)
+		vals[i] = nearestRank(sorted, p*100)
 	}
 	return q.qs, vals
 }
@@ -392,7 +452,7 @@ func (r *Registry) Summary(name, help string, window int, qs []float64) *Quantil
 	if r == nil {
 		return nil
 	}
-	return r.getSeries(name, help, kindSummary, nil, nil, func(s *series) { s.q = newQuantiles(window, qs) }).q
+	return r.getSeries(name, help, kindSummary, nil, nil, func(s *series) { s.q = NewQuantiles(window, qs) }).q
 }
 
 // FamilyNames returns the sorted names of all registered families.

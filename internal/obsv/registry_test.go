@@ -83,7 +83,7 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestQuantilesSummary(t *testing.T) {
-	q := newQuantiles(128, []float64{0.5, 0.99})
+	q := NewQuantiles(128, []float64{0.5, 0.99})
 	for i := 1; i <= 100; i++ {
 		q.Observe(time.Duration(i) * time.Millisecond)
 	}

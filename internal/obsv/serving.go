@@ -29,6 +29,7 @@ const (
 	MetricWorkerBusySeconds   = "batchmaker_worker_busy_seconds_total"
 	MetricQueuingSeconds      = "batchmaker_request_queuing_seconds"
 	MetricComputationSeconds  = "batchmaker_request_computation_seconds"
+	MetricDispatchSeconds     = "batchmaker_dispatch_seconds"
 	MetricSpanWritten         = "batchmaker_span_records_written"
 	MetricSpanDropped         = "batchmaker_span_records_dropped"
 	MetricDeviceReadyDepth    = "batchmaker_device_ready_depth"
@@ -120,7 +121,12 @@ type ServingMetrics struct {
 	// Queuing / Computation are the paper's latency split: admit→first-exec
 	// and first-exec→completion, as windowed quantiles.
 	Queuing, Computation *Quantiles
-	// PinMoves counts scheduler pin rebalances across devices.
+	// Dispatch is the scheduler's per-round dispatch latency (Schedule call
+	// plus hand-off to the worker), as windowed quantiles.
+	Dispatch *Quantiles
+	// PinMoves counts scheduler pin rebalances across devices. It is
+	// registered with the device families on first Device use (nil, a no-op,
+	// until then), so a surface without devices does not export it.
 	PinMoves *Counter
 
 	mu      sync.Mutex
@@ -171,8 +177,9 @@ func NewServingMetrics(reg *Registry) *ServingMetrics {
 	m.Computation = reg.Summary(MetricComputationSeconds,
 		"First cell execution to completion (paper's computation latency).",
 		quantileWindow, latencyQuantiles)
-	m.PinMoves = reg.Counter(MetricDevicePinMoves,
-		"Cell-type weight pins moved or replicated by the rebalancer.")
+	m.Dispatch = reg.Summary(MetricDispatchSeconds,
+		"Scheduler dispatch round: Schedule call plus hand-off to the worker.",
+		quantileWindow, latencyQuantiles)
 	reg.AddCollector(m.refreshPadding)
 	return m
 }
@@ -284,6 +291,10 @@ func (m *ServingMetrics) Device(id int) *DeviceMetrics {
 	defer m.mu.Unlock()
 	if d := m.devices[id]; d != nil {
 		return d
+	}
+	if m.PinMoves == nil {
+		m.PinMoves = m.reg.Counter(MetricDevicePinMoves,
+			"Cell-type weight pins moved or replicated by the rebalancer.")
 	}
 	label := []string{strconv.Itoa(id)}
 	d := &DeviceMetrics{

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"batchmaker/internal/metrics"
 	"batchmaker/internal/obsv"
 )
 
@@ -38,8 +37,8 @@ type Controller struct {
 	cfg     Config
 	gate    *AdmissionGate
 	rate    *RateEstimator
-	queuing *metrics.Window
-	comp    *metrics.Window
+	queuing *obsv.Quantiles
+	comp    *obsv.Quantiles
 	types   []typeState
 	mts     *obsv.PolicyMetrics
 
@@ -68,8 +67,8 @@ func New(cfg Config, types []TypeBounds, mts *obsv.PolicyMetrics) *Controller {
 		cfg:     cfg,
 		gate:    NewAdmissionGate(cfg),
 		rate:    NewRateEstimator(cfg.RateHalfLife),
-		queuing: metrics.NewWindow(cfg.WindowSize),
-		comp:    metrics.NewWindow(cfg.WindowSize),
+		queuing: obsv.NewQuantiles(cfg.WindowSize, nil),
+		comp:    obsv.NewQuantiles(cfg.WindowSize, nil),
 		mts:     mts,
 	}
 	for _, tb := range types {
@@ -121,8 +120,8 @@ func (c *Controller) Completed(nowNs int64, cells int, queuing, computation time
 	if !c.cfg.Mode.adaptive() {
 		return nil
 	}
-	c.queuing.Add(queuing)
-	c.comp.Add(computation)
+	c.queuing.Observe(queuing)
+	c.comp.Observe(computation)
 	if c.queuing.Count() < minStepSamples {
 		return nil
 	}

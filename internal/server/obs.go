@@ -40,13 +40,13 @@ type obsType struct {
 }
 
 // serverObs bridges the pipeline stages to the obsv layer, the one place a
-// serving-path fact is written. The metric cells (sm, workers, devices,
-// types, exec) are always live; o, slo and the rings are nil when
-// ObsConfig.Disabled (nil rings and a nil SLO engine are valid no-ops). Ring
-// and cell ownership follows the goroutine structure: the request processor
-// writes rpRing and the outcome/backlog cells, the scheduler loop writes
-// schedRing and the depth/ready/copy cells, and worker i writes
-// workerRings[i], workers[i] and exec[i].
+// serving-path fact is written. The metric cells (sm, workers, types, exec)
+// are always live; o, slo and the rings are nil when ObsConfig.Disabled (nil
+// rings and a nil SLO engine are valid no-ops). Ring and cell ownership
+// follows the goroutine structure: the request processor writes rpRing and
+// the outcome/backlog cells, the scheduler loop writes schedRing and the
+// depth/ready/dispatch cells, and worker i writes workerRings[i], workers[i]
+// and exec[i].
 type serverObs struct {
 	o   *obsv.Observer
 	sm  *obsv.ServingMetrics
@@ -56,15 +56,9 @@ type serverObs struct {
 	schedRing   *obsv.Ring
 	workerRings []*obsv.Ring
 	workers     []*obsv.WorkerMetrics
-	devices     []*obsv.DeviceMetrics
 	// exec[w] holds worker w's per-cell-type execution counters; the worker
 	// caches its entries in its typeExec.
 	exec []map[string]*obsv.ExecMetrics
-
-	// workerDevice maps worker index -> device pool, for stamping Device
-	// into span records. The slice is shared with the Server and fully
-	// populated before any pipeline goroutine starts.
-	workerDevice []core.DeviceID
 
 	// pm is the adaptive-policy metrics handle (nil when no policy is
 	// wired); Health reads its gauges to surface shed state.
@@ -75,22 +69,17 @@ type serverObs struct {
 }
 
 // newServerObs builds the observability bridge for a server with the given
-// cell specs, worker count, and device-pool count. workerDevice maps each
-// worker to its device pool (nil means everything on device 0); the slice
-// may still be getting populated — it must be complete before the pipeline
-// goroutines start.
-func newServerObs(cfg ObsConfig, specs []CellSpec, workers, devices int, workerDevice []core.DeviceID) *serverObs {
+// cell specs and worker count.
+func newServerObs(cfg ObsConfig, specs []CellSpec, workers int) *serverObs {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obsv.NewRegistry()
 	}
 	ob := &serverObs{
-		workerDevice: workerDevice,
-		workerRings:  make([]*obsv.Ring, workers),
-		workers:      make([]*obsv.WorkerMetrics, workers),
-		devices:      make([]*obsv.DeviceMetrics, devices),
-		exec:         make([]map[string]*obsv.ExecMetrics, workers),
-		types:        make(map[string]*obsType, len(specs)),
+		workerRings: make([]*obsv.Ring, workers),
+		workers:     make([]*obsv.WorkerMetrics, workers),
+		exec:        make([]map[string]*obsv.ExecMetrics, workers),
+		types:       make(map[string]*obsType, len(specs)),
 	}
 	if cfg.Disabled {
 		ob.sm = obsv.NewServingMetrics(reg)
@@ -110,9 +99,6 @@ func newServerObs(cfg ObsConfig, specs []CellSpec, workers, devices int, workerD
 		ob.workers[w] = ob.sm.Worker(w)
 		ob.exec[w] = make(map[string]*obsv.ExecMetrics, len(specs))
 	}
-	for d := range ob.devices {
-		ob.devices[d] = ob.sm.Device(d)
-	}
 	for _, cs := range specs {
 		key := cs.Cell.TypeKey()
 		ob.types[key] = &obsType{
@@ -126,26 +112,6 @@ func newServerObs(cfg ObsConfig, specs []CellSpec, workers, devices int, workerD
 		ob.o.SetTypeDetail(key, obsv.TypeDetail{MaxBatch: cs.MaxBatch})
 	}
 	return ob
-}
-
-// dev resolves a worker's device-pool index for record stamping.
-func (ob *serverObs) dev(worker int) uint8 {
-	if worker >= 0 && worker < len(ob.workerDevice) {
-		return uint8(ob.workerDevice[worker])
-	}
-	return 0
-}
-
-// taskFlags packs a task's remote/migration markers into record flag bits.
-func taskFlags(task *core.Task) uint8 {
-	var f uint8
-	if task.Remote {
-		f |= obsv.FlagRemote
-	}
-	if task.Migrations > 0 {
-		f |= obsv.FlagMigrated
-	}
-	return f
 }
 
 // ---- request processor (single writer of rpRing) ----
@@ -233,8 +199,8 @@ func (ob *serverObs) gauges(liveReqs, queuedCells int) {
 
 // dispatch stamps the task's observability fields and records the dispatch
 // span. Called just before the task is sent to its worker. The narrowing
-// conversions here and below cannot truncate: New bounds the worker and
-// device counts by 256 and MaxBatch and the queue depth by 65535.
+// conversions here and below cannot truncate: New bounds the worker count by
+// 256 and MaxBatch by 65535, and a queue holds at most MaxTasksToSubmit tasks.
 func (ob *serverObs) dispatch(task *core.Task, queueDepth int, nowNs int64) {
 	task.DispatchedAt = nowNs
 	task.QueueDepth = int32(queueDepth)
@@ -244,14 +210,12 @@ func (ob *serverObs) dispatch(task *core.Task, queueDepth int, nowNs int64) {
 		Type:   ob.types[task.TypeKey].id,
 		Batch:  uint16(task.BatchSize()),
 		Queue:  uint16(queueDepth),
-		Device: ob.dev(int(task.Worker)),
-		Flags:  taskFlags(task),
 		T0:     nowNs,
 	})
 }
 
-// mirrorScheduler refreshes the per-type ready-queue, per-worker depth and
-// per-device ready gauges from the scheduler loop's state.
+// mirrorScheduler refreshes the per-type ready-queue and per-worker depth
+// gauges from the scheduler loop's state.
 func (ob *serverObs) mirrorScheduler(sched *core.Scheduler, outstanding []int) {
 	for key, ot := range ob.types {
 		ot.tm.Ready.Set(int64(sched.ReadyNodes(key)))
@@ -259,25 +223,6 @@ func (ob *serverObs) mirrorScheduler(sched *core.Scheduler, outstanding []int) {
 	for w, d := range outstanding {
 		ob.workers[w].Depth.Set(int64(d))
 	}
-	for d, dm := range ob.devices {
-		dm.Ready.Set(sched.DeviceReady(core.DeviceID(d)))
-	}
-}
-
-// pinMoves records pin rebalances made by the scheduler loop: the counter
-// and a rebalance span on the scheduler's ring.
-func (ob *serverObs) pinMoves(n int) {
-	ob.sm.PinMoves.Add(int64(n))
-	ob.schedRing.Write(obsv.Record{
-		Kind:  obsv.KindRebalance,
-		Batch: uint16(n),
-		T0:    time.Now().UnixNano(),
-	})
-}
-
-// deviceCopies records dispatched tasks that paid a cross-device copy.
-func (ob *serverObs) deviceCopies(dev, n int) {
-	ob.devices[dev].Copies.Add(int64(n))
 }
 
 // ---- workers (worker i is the single writer of workerRings[i], workers[i]
@@ -294,7 +239,6 @@ func (ob *serverObs) firstExec(workerID int, refs []execRef, nowNs int64) {
 				Kind:   obsv.KindFirstExec,
 				Worker: uint8(workerID),
 				Batch:  uint16(len(refs)),
-				Device: ob.dev(workerID),
 				Req:    int64(ref.req.id),
 				T0:     nowNs,
 			})
@@ -321,8 +265,6 @@ func (ob *serverObs) taskExec(workerID int, task *core.Task, te *typeExec, live 
 		Type:   te.obs.id,
 		Batch:  uint16(live),
 		Queue:  uint16(task.QueueDepth),
-		Device: ob.dev(workerID),
-		Flags:  taskFlags(task),
 		T0:     task.DispatchedAt,
 		T1:     endNs,
 	})

@@ -553,17 +553,13 @@ func TestServerStopMidExecutionLeavesSchedulerClean(t *testing.T) {
 
 // TestStopLeavesNoGoroutines: after Drain and Stop (and journal.Close) every
 // goroutine the server and its journal started has exited, whichever
-// optional subsystem — device pools, policy layer, SLO engine, journal — is
-// switched on.
+// optional subsystem — policy layer, SLO engine, journal — is switched on.
 func TestStopLeavesNoGoroutines(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		set  func(*testing.T, *Config)
 	}{
 		{"workers", func(*testing.T, *Config) {}},
-		{"devices", func(_ *testing.T, c *Config) {
-			c.Workers, c.Devices = 0, []DeviceConfig{{Workers: 1}, {Workers: 1}}
-		}},
 		{"policy", func(_ *testing.T, c *Config) {
 			c.Policy = policy.Config{Mode: policy.ModeFull, SLA: 50 * time.Millisecond}
 		}},

@@ -49,7 +49,7 @@ type slCmd struct {
 // dispatch send never blocks — and mirrors the scheduler's gauges into
 // atomics and metric cells so Stats/SchedulerClean need no access to the
 // loop's state.
-func (s *Server) schedulerLoop(sched *core.Scheduler, mts, depth int) {
+func (s *Server) schedulerLoop(sched *core.Scheduler) {
 	defer s.wg.Done()
 	outstanding := make([]int, len(s.taskChans))
 	var admitFault func(core.SubgraphSpec) error
@@ -60,19 +60,13 @@ func (s *Server) schedulerLoop(sched *core.Scheduler, mts, depth int) {
 		if stopping {
 			return
 		}
-		// Periodic rebalancing (§5): re-pin a cell type toward a shallow
-		// device when ready-depth skew crosses the threshold. A no-op on
-		// single-device servers.
-		if moved := sched.MaybeRebalance(); moved > 0 {
-			s.obs.pinMoves(moved)
-		}
 		for {
 			progress := false
 			for i := 0; i < len(s.taskChans); i++ {
 				w := (rr + i) % len(s.taskChans)
-				if depth-outstanding[w] < mts {
-					// Not enough guaranteed room for a full round; skip
-					// rather than risk blocking the loop on a full channel.
+				if outstanding[w] > 0 {
+					// The channel holds one round: without room for a full
+					// one, skip rather than risk blocking the loop on it.
 					continue
 				}
 				start := time.Now()
@@ -80,23 +74,14 @@ func (s *Server) schedulerLoop(sched *core.Scheduler, mts, depth int) {
 				if len(tasks) == 0 {
 					continue
 				}
-				copies := 0
 				for _, t := range tasks {
 					s.obs.dispatch(t, outstanding[w], start.UnixNano())
-					if t.Remote || t.Migrations > 0 {
-						// Weight fetch (remote steal) or migrated request
-						// state: either way the pool paid a device copy.
-						copies++
-					}
 					s.taskChans[w] <- t
 					outstanding[w]++
 				}
 				progress = true
 				s.dispatchRounds.Add(1)
-				s.dispatchLat.Add(time.Since(start))
-				if copies > 0 {
-					s.obs.deviceCopies(int(s.workerDevice[w]), copies)
-				}
+				s.obs.sm.Dispatch.Observe(time.Since(start))
 			}
 			rr = (rr + 1) % len(s.taskChans)
 			if !progress {

@@ -126,42 +126,15 @@ type CellSpec struct {
 	MinBatch int
 	// Priority orders types; give later-phase cells higher values.
 	Priority int
-	// Weight estimates the type's relative load for the scheduler's initial
-	// device pin assignment (0 means 1). Irrelevant on one device.
-	Weight float64
-}
-
-// DeviceConfig sizes one device pool: a group of workers sharing a device
-// whose cell-type weights the scheduler pins and dispatches to with locality
-// preference (§5).
-type DeviceConfig struct {
-	// Workers is the pool's worker count (must be positive).
-	Workers int
 }
 
 // Config configures a Server.
 type Config struct {
 	Cells   []CellSpec
 	Workers int
-	// Devices, when non-empty, replaces the flat worker pool with one pool
-	// per device: cell-type weights are pinned across devices, the
-	// scheduler loop routes batches to the pinned pool (stealing across
-	// pools only when a device has no local ready work), and per-device
-	// stats/metrics are published. Empty means one device with Workers
-	// workers — the single-device shorthand every pre-existing config uses.
-	Devices []DeviceConfig
 	// MaxTasksToSubmit bounds tasks handed to a worker per scheduling
 	// round (default 5).
 	MaxTasksToSubmit int
-	// WorkerQueueDepth bounds each worker's task channel (default
-	// MaxTasksToSubmit, i.e. one scheduling round). The scheduler loop only
-	// schedules for a worker whose channel has guaranteed room for a full
-	// round, so dispatch never blocks — and with the default depth it forms
-	// a worker's next tasks only when its queue is empty, keeping batches
-	// open until the last moment (late batching is what lets concurrent
-	// requests' cells coalesce). Raise it to trade batching opportunity for
-	// lookahead.
-	WorkerQueueDepth int
 	// TaskObserver, when non-nil, is called by the executing worker once
 	// per executed task, after the step and before the task's completion is
 	// published, with the (request, node) rows the task actually ran. rows
@@ -301,12 +274,6 @@ type Server struct {
 	// baseAllocs is the process-wide heap-allocation count when the server
 	// started; Stats divides the delta by tasks run. Immutable after New.
 	baseAllocs uint64
-	// pools is the resolved device topology (one entry when Config.Devices
-	// is empty); workerDevice maps a flat worker index to its device pool,
-	// workerLane to its index within the pool. All immutable after New.
-	pools        []DeviceConfig
-	workerDevice []core.DeviceID
-	workerLane   []int
 
 	// Stage hand-offs.
 	cmds        chan any        // callers -> request processor (unbuffered)
@@ -340,47 +307,26 @@ type Server struct {
 	live   map[core.RequestID]*request
 
 	// Scheduler-loop-owned mirrors, written by that one goroutine so Stats
-	// and SchedulerClean work during operation and after shutdown. The
-	// dispatch-latency window carries its own leaf lock.
+	// and SchedulerClean work during operation and after shutdown.
 	schedInflight  atomic.Int64 // core.Scheduler in-flight tasks
 	schedLive      atomic.Int64 // core.Scheduler live subgraphs
 	dispatchRounds atomic.Int64
-	dispatchLat    *metrics.Window
 }
 
-// Span records stamp the worker and device index into a byte and batch size
-// and queue depth into 16 bits; New rejects configurations that would not fit.
+// Span records stamp the worker index into a byte and the batch size into
+// 16 bits; New rejects configurations that would not fit.
 const (
 	maxWorkers    = 256
-	maxDevices    = 256
 	maxBatchLimit = 65535
-	maxQueueDepth = 65535
 )
 
 // New builds and starts a server. Call Stop (or Drain) to shut it down.
 func New(cfg Config) (*Server, error) {
-	pools := cfg.Devices
-	if len(pools) == 0 {
-		if cfg.Workers <= 0 {
-			return nil, fmt.Errorf("server: Workers must be positive")
-		}
-		pools = []DeviceConfig{{Workers: cfg.Workers}}
+	if cfg.Workers <= 0 {
+		return nil, fmt.Errorf("server: Workers must be positive")
 	}
-	if len(pools) > maxDevices {
-		return nil, fmt.Errorf("server: Devices has %d pools (max %d)", len(pools), maxDevices)
-	}
-	totalWorkers := 0
-	for d, p := range pools {
-		if p.Workers <= 0 {
-			return nil, fmt.Errorf("server: device %d must have positive Workers", d)
-		}
-		totalWorkers += p.Workers
-	}
-	if totalWorkers > maxWorkers {
-		return nil, fmt.Errorf("server: Workers total %d across pools (max %d)", totalWorkers, maxWorkers)
-	}
-	if cfg.WorkerQueueDepth > maxQueueDepth {
-		return nil, fmt.Errorf("server: WorkerQueueDepth %d too large (max %d)", cfg.WorkerQueueDepth, maxQueueDepth)
+	if cfg.Workers > maxWorkers {
+		return nil, fmt.Errorf("server: Workers %d too large (max %d)", cfg.Workers, maxWorkers)
 	}
 	if len(cfg.Cells) == 0 {
 		return nil, fmt.Errorf("server: no cells registered")
@@ -410,13 +356,11 @@ func New(cfg Config) (*Server, error) {
 			MaxBatch: cs.MaxBatch,
 			MinBatch: cs.MinBatch,
 			Priority: cs.Priority,
-			Weight:   cs.Weight,
 		})
 	}
 	sched, err := core.NewScheduler(core.Config{
 		Types:            types,
 		MaxTasksToSubmit: cfg.MaxTasksToSubmit,
-		Devices:          len(pools),
 		Chaos:            cfg.SchedulerChaos,
 	})
 	if err != nil {
@@ -433,18 +377,15 @@ func New(cfg Config) (*Server, error) {
 	if backoff <= 0 {
 		backoff = 500 * time.Microsecond
 	}
+	// mts is both the scheduling round and each worker channel's depth. The
+	// scheduler loop only schedules for a worker whose channel has room for a
+	// full round, so dispatch never blocks — and it forms a worker's next
+	// tasks only when its queue is empty, keeping batches open until the last
+	// moment (late batching is what lets concurrent requests' cells coalesce).
 	mts := cfg.MaxTasksToSubmit
 	if mts <= 0 {
 		mts = 5
 	}
-	depth := cfg.WorkerQueueDepth
-	if depth < mts {
-		depth = mts
-	}
-	// workerDevice is shared with the observability bridge (for stamping
-	// device identity into span records); it is fully populated below,
-	// before any pipeline goroutine starts.
-	workerDevice := make([]core.DeviceID, totalWorkers)
 	s := &Server{
 		cfg:          cfg,
 		cells:        cells,
@@ -454,29 +395,14 @@ func New(cfg Config) (*Server, error) {
 		baseAllocs:   heapAllocObjects(),
 		maxRetries:   maxRetries,
 		retryBackoff: backoff,
-		pools:        pools,
-		workerDevice: workerDevice,
-		workerLane:   make([]int, totalWorkers),
 		cmds:         make(chan any),
-		completions:  make(chan completion, totalWorkers*depth+totalWorkers),
+		completions:  make(chan completion, cfg.Workers*mts+cfg.Workers),
 		slCmds:       make(chan slCmd, 64),
-		taskChans:    make([]chan *core.Task, totalWorkers),
+		taskChans:    make([]chan *core.Task, cfg.Workers),
 		stopdCh:      make(chan struct{}),
 		drained:      make(chan struct{}),
 		live:         make(map[core.RequestID]*request),
-		dispatchLat:  metrics.NewWindow(4096),
-		obs:          newServerObs(cfg.Obs, cfg.Cells, totalWorkers, len(pools), workerDevice),
-	}
-	w := 0
-	for d, p := range pools {
-		for lane := 0; lane < p.Workers; lane++ {
-			s.workerDevice[w] = core.DeviceID(d)
-			s.workerLane[w] = lane
-			if err := sched.BindWorker(core.WorkerID(w), core.DeviceID(d)); err != nil {
-				return nil, err
-			}
-			w++
-		}
+		obs:          newServerObs(cfg.Obs, cfg.Cells, cfg.Workers),
 	}
 	if cfg.FirstRequestID > 0 {
 		s.nextID.Store(int64(cfg.FirstRequestID))
@@ -494,12 +420,12 @@ func New(cfg Config) (*Server, error) {
 		s.policy = policy.New(cfg.Policy, bounds, s.obs.pm)
 	}
 	for w := range s.taskChans {
-		s.taskChans[w] = make(chan *core.Task, depth)
+		s.taskChans[w] = make(chan *core.Task, mts)
 	}
-	s.wg.Add(2 + totalWorkers)
+	s.wg.Add(2 + cfg.Workers)
 	go s.requestProcessor()
-	go s.schedulerLoop(sched, mts, depth)
-	for w := 0; w < totalWorkers; w++ {
+	go s.schedulerLoop(sched)
+	for w := 0; w < cfg.Workers; w++ {
 		go s.workerLoop(w, s.taskChans[w])
 	}
 	return s, nil
@@ -759,27 +685,11 @@ func (s *Server) setAdmitFault(f func(core.SubgraphSpec) error) {
 
 // WorkerStats describes one worker's slice of the pipeline.
 type WorkerStats struct {
-	// Device is the worker's device pool; Lane is its index within the
-	// pool (Device 0 / Lane == flat index on single-device servers).
-	Device int
-	Lane   int
 	// TasksRun counts batched tasks this worker executed.
 	TasksRun int
 	// QueueDepth is the worker's current task-channel backlog (dispatched,
 	// not yet completed).
 	QueueDepth int
-}
-
-// DeviceStats aggregates one device pool.
-type DeviceStats struct {
-	// Workers is the pool size.
-	Workers int
-	// TasksRun and CellsRun count execution on this pool's workers.
-	TasksRun int
-	CellsRun int
-	// Copies counts dispatched tasks that paid a cross-device copy: a
-	// weight fetch (remote steal) or a migrated request's state movement.
-	Copies int
 }
 
 // Stats is a read-time view of the server's obsv metric cells — the same
@@ -808,11 +718,6 @@ type Stats struct {
 	Quarantined map[string]int
 	// Workers breaks execution down per pipeline worker.
 	Workers []WorkerStats
-	// Devices breaks execution down per device pool (one entry on
-	// single-device servers).
-	Devices []DeviceStats
-	// PinMoves counts scheduler pin rebalances across devices.
-	PinMoves int
 	// DispatchRounds counts scheduler-loop rounds that produced tasks.
 	DispatchRounds int
 	// DispatchP50 and DispatchP99 are recent scheduler-loop dispatch
@@ -848,11 +753,9 @@ func (s *Server) Stats() Stats {
 		},
 		Quarantined:    make(map[string]int),
 		Workers:        make([]WorkerStats, len(ob.workers)),
-		Devices:        make([]DeviceStats, len(s.pools)),
-		PinMoves:       int(sm.PinMoves.Value()),
 		DispatchRounds: int(s.dispatchRounds.Load()),
-		DispatchP50:    s.dispatchLat.P50(),
-		DispatchP99:    s.dispatchLat.P99(),
+		DispatchP50:    sm.Dispatch.Percentile(50),
+		DispatchP99:    sm.Dispatch.Percentile(99),
 	}
 	bounds, cum := sm.BatchOccupancy.Buckets()
 	prev := int64(0)
@@ -871,25 +774,15 @@ func (s *Server) Stats() Stats {
 			st.Outcomes.RecoveredPanics += n
 		}
 	}
-	for d := range st.Devices {
-		st.Devices[d] = DeviceStats{Workers: s.pools[d].Workers, Copies: int(ob.devices[d].Copies.Value())}
-	}
 	var busyNs int64
 	for w, wm := range ob.workers {
-		ws := WorkerStats{
-			Device:     int(s.workerDevice[w]),
-			Lane:       s.workerLane[w],
-			QueueDepth: int(wm.Depth.Value()),
-		}
+		ws := WorkerStats{QueueDepth: int(wm.Depth.Value())}
 		cells := 0
 		for _, e := range ob.exec[w] {
 			ws.TasksRun += int(e.Tasks.Value())
 			cells += int(e.Cells.Value())
 		}
 		st.Workers[w] = ws
-		dev := &st.Devices[ws.Device]
-		dev.TasksRun += ws.TasksRun
-		dev.CellsRun += cells
 		st.TasksRun += ws.TasksRun
 		st.CellsRun += cells
 		busyNs += wm.Busy.Value()

@@ -12,17 +12,10 @@ import (
 )
 
 // TestConfigRejectsValuesSpanRecordsCannotHold covers the truncation bug:
-// obsv.Record stamps the worker and device index into a byte and the batch
-// size and queue depth into 16 bits, so New must refuse a configuration one
-// past each bound (naming the field) and accept the value just inside it.
+// obsv.Record stamps the worker index into a byte and the batch size into 16
+// bits, so New must refuse a configuration one past each bound (naming the
+// field) and accept the value just inside it.
 func TestConfigRejectsValuesSpanRecordsCannotHold(t *testing.T) {
-	pools := func(n int) []DeviceConfig {
-		d := make([]DeviceConfig, n)
-		for i := range d {
-			d[i].Workers = 1
-		}
-		return d
-	}
 	for _, tc := range []struct {
 		name  string
 		set   func(*Config)
@@ -30,13 +23,8 @@ func TestConfigRejectsValuesSpanRecordsCannotHold(t *testing.T) {
 	}{
 		{"workers-256", func(c *Config) { c.Workers = 256 }, ""},
 		{"workers-257", func(c *Config) { c.Workers = 257 }, "Workers"},
-		{"pool-workers-257", func(c *Config) { c.Devices = []DeviceConfig{{Workers: 200}, {Workers: 57}} }, "Workers"},
-		{"devices-256", func(c *Config) { c.Devices = pools(256) }, ""},
-		{"devices-257", func(c *Config) { c.Devices = pools(257) }, "Devices"},
 		{"maxbatch-65535", func(c *Config) { c.Cells[0].MaxBatch = 65535 }, ""},
 		{"maxbatch-65536", func(c *Config) { c.Cells[0].MaxBatch = 65536 }, "MaxBatch"},
-		{"queuedepth-65535", func(c *Config) { c.WorkerQueueDepth = 65535 }, ""},
-		{"queuedepth-65536", func(c *Config) { c.WorkerQueueDepth = 65536 }, "WorkerQueueDepth"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := newTestModel().serverConfig(1)
@@ -63,8 +51,8 @@ func TestConfigRejectsValuesSpanRecordsCannotHold(t *testing.T) {
 // while four workers serve a mixed workload with cancellations. Under -race
 // this is the data-race check for the lock-free view; in any mode every
 // counter must be monotone between one poller's consecutive reads, and once
-// the pipeline has drained the per-worker and per-device breakdowns must
-// tile the totals exactly.
+// the pipeline has drained the per-worker breakdown must tile the total
+// exactly.
 func TestStatsViewConsistentUnderLoad(t *testing.T) {
 	m := newTestModel()
 	srv, err := New(m.serverConfig(4))
@@ -74,13 +62,10 @@ func TestStatsViewConsistentUnderLoad(t *testing.T) {
 
 	counters := func(st Stats) []int {
 		o := st.Outcomes
-		c := []int{st.TasksRun, st.CellsRun, st.DispatchRounds, st.PinMoves,
+		c := []int{st.TasksRun, st.CellsRun, st.DispatchRounds,
 			o.Admitted, o.Completed, o.Failed, o.Rejected, o.Expired, o.Cancelled, o.Retries, o.RecoveredPanics}
 		for _, w := range st.Workers {
 			c = append(c, w.TasksRun)
-		}
-		for _, d := range st.Devices {
-			c = append(c, d.TasksRun, d.CellsRun, d.Copies)
 		}
 		return c
 	}
@@ -164,17 +149,12 @@ func TestStatsViewConsistentUnderLoad(t *testing.T) {
 	pollers.Wait()
 
 	st := srv.Stats()
-	workerTasks, devTasks, devCells := 0, 0, 0
+	workerTasks := 0
 	for _, w := range st.Workers {
 		workerTasks += w.TasksRun
 	}
-	for _, d := range st.Devices {
-		devTasks += d.TasksRun
-		devCells += d.CellsRun
-	}
-	if st.TasksRun == 0 || workerTasks != st.TasksRun || devTasks != st.TasksRun || devCells != st.CellsRun {
-		t.Fatalf("breakdowns do not tile the totals: tasks=%d workers=%d devices=%d; cells=%d devices=%d",
-			st.TasksRun, workerTasks, devTasks, st.CellsRun, devCells)
+	if st.TasksRun == 0 || workerTasks != st.TasksRun {
+		t.Fatalf("per-worker breakdown does not tile the total: tasks=%d workers=%d", st.TasksRun, workerTasks)
 	}
 	hist := 0
 	for _, n := range st.BatchSizes {

@@ -50,10 +50,11 @@ func TestSimMetricsHook(t *testing.T) {
 
 // TestSimServerFamilyParity pins the tentpole promise: a virtual-time sim
 // run and the live server publish the same core metric families, so the
-// same dashboards and scrapes work against both. The live set is a
-// superset (it adds worker/arena/trace families the sim has no analog
-// for); every family the sim emits must exist on the live side, and the
-// shared serving core must be present in both.
+// same dashboards and scrapes work against both. The live set adds
+// worker/arena/trace families the sim has no analog for; the sim set adds
+// exactly the three device families (the device dimension lives in core +
+// sim only, so the live server must export none of them); the shared serving
+// core must be present in both.
 func TestSimServerFamilyParity(t *testing.T) {
 	// Sim side.
 	simReg := obsv.NewRegistry()
@@ -79,9 +80,21 @@ func TestSimServerFamilyParity(t *testing.T) {
 		liveSet[name] = true
 	}
 
+	simOnly := map[string]bool{
+		obsv.MetricDeviceReadyDepth: true, obsv.MetricDeviceCopies: true, obsv.MetricDevicePinMoves: true,
+	}
 	for _, name := range simReg.FamilyNames() {
-		if !liveSet[name] {
+		if !liveSet[name] && !simOnly[name] {
 			t.Errorf("sim family %q not published by the live server", name)
+		}
+		delete(simOnly, name)
+	}
+	for name := range simOnly {
+		t.Errorf("sim registry missing device family %q", name)
+	}
+	for name := range liveSet {
+		if strings.HasPrefix(name, "batchmaker_device_") {
+			t.Errorf("live server publishes device family %q", name)
 		}
 	}
 	for _, name := range []string{
