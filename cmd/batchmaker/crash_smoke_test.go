@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -94,21 +96,29 @@ func (p *smokeProc) waitForLog(t *testing.T, re *regexp.Regexp, timeout time.Dur
 	}
 }
 
-// TestServeCrashRestartSmoke is the CI crash smoke: build the real binary,
-// run it with a journal, SIGKILL it mid-flight, restart it against the same
-// journal, and assert the replayed requests complete and the journal
-// converges (every admitted request has exactly one terminal, none pending).
-func TestServeCrashRestartSmoke(t *testing.T) {
+// buildSmokeBinary builds the batchmaker binary into a temp dir (skipped in
+// -short) and returns its path and the dir.
+func buildSmokeBinary(t *testing.T) (bin, tmp string) {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("builds and kills real processes; skipped in -short")
+		t.Skip("builds and signals real processes; skipped in -short")
 	}
-	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "batchmaker")
+	tmp = t.TempDir()
+	bin = filepath.Join(tmp, "batchmaker")
 	build := exec.Command("go", "build", "-o", bin, ".")
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
 		t.Fatalf("building binary: %v", err)
 	}
+	return bin, tmp
+}
+
+// TestServeCrashRestartSmoke is the CI crash smoke: build the real binary,
+// run it with a journal, SIGKILL it mid-flight, restart it against the same
+// journal, and assert the replayed requests complete and the journal
+// converges (every admitted request has exactly one terminal, none pending).
+func TestServeCrashRestartSmoke(t *testing.T) {
+	bin, tmp := buildSmokeBinary(t)
 	jdir := filepath.Join(tmp, "journal")
 
 	args := []string{
@@ -216,4 +226,89 @@ func TestServeCrashRestartSmoke(t *testing.T) {
 			t.Fatalf("pre-crash pending request %d has no terminal record after recovery", p.ID)
 		}
 	}
+}
+
+// TestServeSIGTERMDrainsInFlight: SIGTERM lets an in-flight journaled
+// request run to completion and answers it before the process exits, so
+// the journal holds its completed terminal and a restart replays nothing.
+func TestServeSIGTERMDrainsInFlight(t *testing.T) {
+	bin, tmp := buildSmokeBinary(t)
+	jdir := filepath.Join(tmp, "journal")
+	// The default model decodes 4096 steps in well under a second on one
+	// core — long enough to be in flight at the signal, short enough for the
+	// shutdown bound.
+	args := []string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0", "-journal-dir", jdir}
+
+	p := startSmokeProc(t, bin, args...)
+	metricsAddr := p.waitForLog(t, regexp.MustCompile(`introspection on http://(\S+)`), 10*time.Second)[1]
+	conn, err := net.DialTimeout("tcp", p.addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := json.NewEncoder(conn).Encode(apiRequest{IDs: []int{4, 9, 2}, Decode: maxDecodeSteps}); err != nil {
+		t.Fatal(err)
+	}
+	// Signal only once the request is admitted and still running.
+	for deadline := time.Now().Add(10 * time.Second); !inflightOne(t, metricsAddr); {
+		if time.Now().After(deadline) {
+			t.Fatalf("request never showed as in flight; logs:\n%s", p.logText())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	var resp apiResponse
+	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
+		t.Fatalf("no reply after SIGTERM: %v; logs:\n%s", err, p.logText())
+	}
+	if resp.Error != "" || len(resp.Words) != maxDecodeSteps {
+		t.Fatalf("reply after SIGTERM: %d words, error %q (code %q), want %d words",
+			len(resp.Words), resp.Error, resp.Code, maxDecodeSteps)
+	}
+	if err := p.cmd.Wait(); err != nil {
+		t.Fatalf("server exited dirty after SIGTERM: %v\nlogs:\n%s", err, p.logText())
+	}
+	<-p.done
+
+	// A restart finds nothing to replay, and the request's one terminal is
+	// completed.
+	p2 := startSmokeProc(t, bin, args...)
+	p2.waitForLog(t, regexp.MustCompile(`journal: scanned \d+ segments`), 10*time.Second)
+	if strings.Contains(p2.logText(), "journal: replaying") {
+		t.Fatalf("restart replayed work a drained shutdown had finished; logs:\n%s", p2.logText())
+	}
+	// Its boot has already decided what to replay; it holds no work.
+	p2.cmd.Process.Kill()
+	p2.cmd.Wait()
+	<-p2.done
+	rec, err := journal.Recover(jdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Pending) != 0 || len(rec.Terminal) != 1 {
+		t.Fatalf("journal after drained shutdown: %d pending, %d terminals, want 0 and 1", len(rec.Pending), len(rec.Terminal))
+	}
+	for id, term := range rec.Terminal {
+		if term.Outcome != journal.OutcomeCompleted {
+			t.Fatalf("request %d journaled %v, want completed", id, term.Outcome)
+		}
+	}
+}
+
+// inflightOne reports whether the server's /metrics shows exactly one live
+// request.
+func inflightOne(t *testing.T, metricsAddr string) bool {
+	t.Helper()
+	resp, err := http.Get("http://" + metricsAddr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Contains(string(body), "\nbatchmaker_inflight_requests 1\n")
 }

@@ -141,6 +141,12 @@ type app struct {
 	// is unset).
 	fr       *obsv.FlightRecorder
 	deadline time.Duration
+	// replies counts requests between being read off a connection and their
+	// reply being written, so shutdown can wait for them; closing, set under
+	// replyMu, stops new ones from joining once that wait begins.
+	replyMu sync.Mutex
+	closing bool
+	replies sync.WaitGroup
 }
 
 func newApp(cfg appConfig) (*app, error) {
@@ -407,6 +413,13 @@ func (a *app) serveConn(conn net.Conn) {
 	scanner.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	enc := json.NewEncoder(conn)
 	for scanner.Scan() {
+		a.replyMu.Lock()
+		if a.closing {
+			a.replyMu.Unlock()
+			return
+		}
+		a.replies.Add(1)
+		a.replyMu.Unlock()
 		var req apiRequest
 		resp := apiResponse{}
 		if err := json.Unmarshal(scanner.Bytes(), &req); err != nil {
@@ -415,7 +428,9 @@ func (a *app) serveConn(conn net.Conn) {
 		} else {
 			resp = a.handle(context.Background(), req)
 		}
-		if err := enc.Encode(resp); err != nil {
+		err := enc.Encode(resp)
+		a.replies.Done()
+		if err != nil {
 			return
 		}
 	}
@@ -424,6 +439,37 @@ func (a *app) serveConn(conn net.Conn) {
 	if errors.Is(scanner.Err(), bufio.ErrTooLong) {
 		_ = enc.Encode(apiResponse{Code: codeBadRequest, Error: "request line exceeds 1048576 bytes"}) // closing either way
 		drainLine(conn)
+	}
+}
+
+// shutdownGrace bounds a signalled shutdown's wait for in-flight requests and
+// their replies. It stays well below the 5 s a supervisor such as the
+// benchmark harness allows between SIGTERM and SIGKILL.
+const shutdownGrace = 2 * time.Second
+
+// drainReplies closes the listener, lets in-flight requests run to completion
+// and waits for their replies to be written, all within shutdownGrace. A
+// request still live at the bound is failed by the server's Stop, as any
+// request is on a fail-fast shutdown.
+func (a *app) drainReplies(ln net.Listener) {
+	ln.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := a.srv.Drain(ctx); err != nil {
+		log.Printf("drain: %v", err)
+	}
+	a.replyMu.Lock()
+	a.closing = true
+	a.replyMu.Unlock()
+	written := make(chan struct{})
+	go func() {
+		a.replies.Wait()
+		close(written)
+	}()
+	select {
+	case <-written:
+	case <-ctx.Done():
+		log.Printf("shutdown: replies still unwritten after %v", shutdownGrace)
 	}
 }
 
@@ -528,6 +574,15 @@ func main() {
 		}()
 	}
 
+	// Serve until interrupted. Waiting on a signal (rather than blocking
+	// forever) lets the deferred profile writers and server shutdown run, so
+	// -cpuprofile/-memprofile produce complete files in serve mode. The
+	// handler is in place before the first connection is accepted.
+	sig := make(chan os.Signal, 1)
+	if !*demo {
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	}
+
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -539,13 +594,11 @@ func main() {
 	}()
 
 	if !*demo {
-		// Serve until interrupted. Waiting on a signal (rather than blocking
-		// forever) lets the deferred profile writers and server shutdown run,
-		// so -cpuprofile/-memprofile produce complete files in serve mode.
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		// In-flight requests finish and are answered first, so their journal
+		// records end completed rather than failed.
 		<-sig
 		log.Printf("signal received; shutting down")
+		a.drainReplies(ln)
 		a.srv.Metrics().WriteSummary(os.Stdout)
 		return
 	}

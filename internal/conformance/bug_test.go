@@ -28,7 +28,7 @@ const (
 
 // bugWorkload hand-builds a workload that makes the DropCancelPurge defect
 // deterministic to trigger. With one worker, MaxTasksToSubmit=1 and the
-// default worker queue depth (= MaxTasksToSubmit), the scheduler loop only
+// default worker queue depth (= MaxTasksToSubmit), the manager only
 // dispatches when zero tasks are outstanding — so exactly one task exists at
 // a time. The slow kernel keeps that first task running for bugKernelDelay,
 // which means every later victim still has zero rows in flight when its

@@ -23,12 +23,12 @@ const modelSeed = 42
 // scenario maps a seed to its workload configuration and engine options.
 // Seeds cycle through three variants so every batch of seeds exercises the
 // clean path, the disruption path (cancellations + deadlines), and the
-// fault path (injected errors, panics and retries):
+// fault path (injected errors, panics and latency spikes):
 //
 //	seed%3 == 0  clean      every request must complete; cross-checked
 //	             against the virtual-clock simulator
 //	seed%3 == 1  disrupted  random cancellations and tight deadlines
-//	seed%3 == 2  faulty     seeded fault injection (errors/transients/panics)
+//	seed%3 == 2  faulty     seeded fault injection (errors/panics/delays)
 //
 // The variant is a pure function of the seed, so a repro file's recorded
 // seed is enough to rebuild the exact engine options of the failing run.
@@ -54,7 +54,6 @@ func scenario(seed uint64) (GenConfig, LiveOpts) {
 	case 2:
 		f := server.NewRandomFaults(seed)
 		f.PError = 0.04
-		f.PTransient = 0.05
 		f.PPanic = 0.02
 		f.PDelay = 0.04
 		f.Delay = 500 * time.Microsecond

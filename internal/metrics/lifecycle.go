@@ -22,9 +22,6 @@ type Outcomes struct {
 	Expired int
 	// Cancelled counts requests terminated by caller cancellation.
 	Cancelled int
-	// Retries counts transient task errors that were retried (attempt
-	// count, not request count).
-	Retries int
 	// RecoveredPanics counts cell panics converted into per-request
 	// failures instead of worker deaths.
 	RecoveredPanics int
@@ -41,7 +38,7 @@ func (o Outcomes) Pending() int { return o.Admitted - o.Resolved() }
 // String renders the counters as a compact report line.
 func (o Outcomes) String() string {
 	return fmt.Sprintf(
-		"admitted=%d completed=%d failed=%d rejected=%d expired=%d cancelled=%d retries=%d panics=%d",
+		"admitted=%d completed=%d failed=%d rejected=%d expired=%d cancelled=%d panics=%d",
 		o.Admitted, o.Completed, o.Failed, o.Rejected, o.Expired, o.Cancelled,
-		o.Retries, o.RecoveredPanics)
+		o.RecoveredPanics)
 }

@@ -136,9 +136,6 @@ batchmaker_span_records_dropped{ring="rp"} 2
 # HELP batchmaker_span_records_written Span records written to the ring.
 # TYPE batchmaker_span_records_written gauge
 batchmaker_span_records_written{ring="rp"} 10
-# HELP batchmaker_task_retries_total Transient cell-task retries.
-# TYPE batchmaker_task_retries_total counter
-batchmaker_task_retries_total 3
 # HELP batchmaker_tasks_executed_total Executed batched tasks.
 # TYPE batchmaker_tasks_executed_total counter
 batchmaker_tasks_executed_total{cell_type="decoder",worker="0"} 2

@@ -6,10 +6,9 @@
 //
 // Design constraints, in order:
 //
-//  1. The hot path (worker exec loop, scheduler loop, request processor)
-//     must not allocate and must not take locks to record events. Rings are
-//     single-writer with per-slot atomic sequence counters; metric cells
-//     are plain atomics.
+//  1. The hot path (worker exec loop, manager loop) must not allocate and
+//     must not take locks to record events. Rings are single-writer with
+//     per-slot atomic sequence counters; metric cells are plain atomics.
 //  2. Everything is nil-safe: a server built with observability disabled
 //     passes nil handles around and every method degrades to a no-op, so
 //     instrumented code has no "is tracing on" branches.

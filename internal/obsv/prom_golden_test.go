@@ -19,7 +19,6 @@ func goldenObserver() *Observer {
 	m.Rejected.Add(2)
 	m.Expired.Inc()
 	m.Cancelled.Inc()
-	m.Retries.Add(3)
 	m.Inflight.Set(4)
 	m.QueuedCells.Set(32)
 

@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // Kind discriminates span records. Lifecycle kinds (admit through reject)
 // carry a request ID and together tell one request's story; span kinds
-// (dispatch, task, retry, panic) carry worker/type/batch fields and tell the
+// (dispatch, task, panic) carry worker/type/batch fields and tell the
 // execution pipeline's.
 type Kind uint8
 
@@ -25,14 +25,12 @@ const (
 	KindCancel
 	// KindReject records a request shed at admission (it never got an ID).
 	KindReject
-	// KindDispatch records the scheduler loop handing one batched task to a
+	// KindDispatch records the scheduler handing one batched task to a
 	// worker; Queue is the worker's outstanding-task depth at that moment.
 	KindDispatch
 	// KindTaskExec records one executed batched task: T0 is the dispatch
 	// time, T1 the completion time, Batch the number of live rows executed.
 	KindTaskExec
-	// KindRetry records one retried transient task error.
-	KindRetry
 	// KindPanic records a recovered cell panic.
 	KindPanic
 	// KindJournalFlush records one journal group-commit write+flush batch:
@@ -77,8 +75,6 @@ func (k Kind) String() string {
 		return "dispatch"
 	case KindTaskExec:
 		return "task"
-	case KindRetry:
-		return "retry"
 	case KindPanic:
 		return "panic"
 	case KindJournalFlush:

@@ -13,7 +13,6 @@ import (
 // golden exposition test pins them.
 const (
 	MetricRequestsTotal       = "batchmaker_requests_total"
-	MetricTaskRetries         = "batchmaker_task_retries_total"
 	MetricCellPanics          = "batchmaker_cell_panics_total"
 	MetricInflightRequests    = "batchmaker_inflight_requests"
 	MetricQueuedCells         = "batchmaker_queued_cells"
@@ -106,8 +105,6 @@ type ServingMetrics struct {
 
 	// Request lifecycle counters, one per outcome label.
 	Admitted, Completed, Failed, Rejected, Expired, Cancelled *Counter
-	// Retries counts transient task retries.
-	Retries *Counter
 	// Inflight is the number of admitted, unresolved requests; QueuedCells
 	// is the admission controller's queued-cell backlog.
 	Inflight, QueuedCells *Gauge
@@ -162,7 +159,6 @@ func NewServingMetrics(reg *Registry) *ServingMetrics {
 	m.Rejected = outcome(OutcomeRejected)
 	m.Expired = outcome(OutcomeExpired)
 	m.Cancelled = outcome(OutcomeCancelled)
-	m.Retries = reg.Counter(MetricTaskRetries, "Transient cell-task retries.")
 	m.Inflight = reg.Gauge(MetricInflightRequests, "Admitted requests not yet resolved.")
 	m.QueuedCells = reg.Gauge(MetricQueuedCells, "Cells admitted but not yet executed (admission backlog).")
 	m.BatchOccupancy = reg.Histogram(MetricBatchOccupancy,

@@ -35,7 +35,7 @@ type sloBucket struct {
 
 // SLOEngine tracks multi-window error-budget burn over request outcomes.
 // An event is "bad" when the request failed/expired or completed over the
-// latency target. Observe is single-writer (the request processor);
+// latency target. Observe is single-writer (the live server's manager);
 // BurnRate/Totals may be called concurrently from the detector and the
 // metrics collector.
 //
@@ -117,7 +117,7 @@ func (e *SLOEngine) TargetNs() int64 {
 // Observe records one terminal request outcome. ok is the transport-level
 // verdict (completed vs failed/expired); latency is checked against the
 // target for completed requests. Allocation-free and lock-free — safe on
-// the request-processor goroutine.
+// the manager goroutine.
 func (e *SLOEngine) Observe(latencyNs int64, ok bool, nowNs int64) {
 	if e == nil {
 		return

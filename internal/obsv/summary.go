@@ -22,8 +22,7 @@ func (m *ServingMetrics) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "requests: admitted=%d completed=%d failed=%d rejected=%d expired=%d cancelled=%d\n",
 		m.Admitted.Value(), m.Completed.Value(), m.Failed.Value(),
 		m.Rejected.Value(), m.Expired.Value(), m.Cancelled.Value())
-	fmt.Fprintf(w, "faults:   retries=%d recovered_panics=%d\n",
-		m.Retries.Value(), m.PanicsTotal())
+	fmt.Fprintf(w, "faults:   recovered_panics=%d\n", m.PanicsTotal())
 
 	_, qv := m.Queuing.Query()
 	_, cv := m.Computation.Query()

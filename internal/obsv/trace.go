@@ -17,7 +17,7 @@ import (
 //	  tid 3          journal-writer     (group-commit flush slices, inline fsyncs)
 //	  tid 4          journal-syncer     (fsync slices, durability acks)
 //	pid 10+d         "device-pool-<d>"
-//	  tid 10+w       worker-<w>         (task-exec slices, first-exec, retries)
+//	  tid 10+w       worker-<w>         (task-exec slices, first-exec, panics)
 //
 // Causality is drawn with flow arrows keyed by request ID:
 // admit (s) → journal-durable (t) → first-exec (t) → terminal (f), so every
@@ -253,7 +253,7 @@ func (a *traceAssembler) record(r Record) {
 			dur = 0
 		}
 		a.slice(a.o.TypeName(r.Type), pid, tid, ts, dur, 0, "", args)
-	case KindRetry, KindPanic:
+	case KindPanic:
 		pid, tid := a.workerTrack(r)
 		a.instant(r.Kind.String(), pid, tid, ts, map[string]any{
 			"cell_type": a.o.TypeName(r.Type),

@@ -50,7 +50,6 @@ func traceObserver() *Observer {
 		Flags: FlagRemote | FlagMigrated, T0: at(150)})
 	w1.Write(Record{Kind: KindTaskExec, Worker: 1, Type: 1, Batch: 1, Device: 1,
 		Flags: FlagRemote | FlagMigrated, T0: at(150), T1: at(300)})
-	w1.Write(Record{Kind: KindRetry, Worker: 1, Type: 1, Batch: 1, Device: 1, T0: at(310)})
 	sched.Write(Record{Kind: KindRebalance, Batch: 3, T0: at(420)})
 	rp.Write(Record{Kind: KindPolicyBatch, Type: 1, Batch: 6, T0: at(430)})
 	rp.Write(Record{Kind: KindComplete, Req: 1, T0: at(500)})

@@ -13,7 +13,7 @@ import (
 
 // TestServerChaos is the conservation soak: many goroutines submit mixed
 // LSTM/Seq2Seq graphs while a random fault injector throws errors,
-// transient errors, panics and latency spikes, and the clients themselves
+// panics and latency spikes, and the clients themselves
 // add cancellations, deadlines and context timeouts. The invariant: every
 // submitted request resolves exactly once — results or a typed error, never
 // a hang, never a dead worker — and after Drain the server and scheduler
@@ -21,10 +21,8 @@ import (
 func TestServerChaos(t *testing.T) {
 	m := newTestModel()
 	cfg := m.serverConfig(3)
-	cfg.RetryBackoff = 200 * time.Microsecond
 	faults := NewRandomFaults(2018)
 	faults.PError = 0.02
-	faults.PTransient = 0.06
 	faults.PPanic = 0.02
 	faults.PDelay = 0.08
 	faults.Delay = 2 * time.Millisecond

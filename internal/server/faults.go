@@ -16,13 +16,8 @@ type FaultKind int
 const (
 	// FaultNone leaves the execution alone.
 	FaultNone FaultKind = iota
-	// FaultError makes the Step fail with a non-retryable error, failing
-	// every request in the batch.
+	// FaultError makes the Step fail, failing every request in the batch.
 	FaultError
-	// FaultTransient makes the Step fail with an error marked transient;
-	// the worker retries the task with exponential backoff up to
-	// Config.MaxRetries before giving up.
-	FaultTransient
 	// FaultPanic makes the cell panic mid-Step. The worker recovers,
 	// converts it into per-request failures, and stays alive.
 	FaultPanic
@@ -36,8 +31,6 @@ func (k FaultKind) String() string {
 		return "none"
 	case FaultError:
 		return "error"
-	case FaultTransient:
-		return "transient"
 	case FaultPanic:
 		return "panic"
 	case FaultDelay:
@@ -49,15 +42,15 @@ func (k FaultKind) String() string {
 // FaultDecision is one injector verdict for one execution attempt.
 type FaultDecision struct {
 	Kind FaultKind
-	// Err overrides the injected error text for FaultError/FaultTransient.
+	// Err overrides the injected error text for FaultError.
 	Err error
 	// Delay is the latency spike for FaultDelay.
 	Delay time.Duration
 }
 
-// FaultInjector decides, per task execution attempt, whether to disturb it.
+// FaultInjector decides, per task execution, whether to disturb it.
 // Implementations must be safe for concurrent use: every worker goroutine
-// consults the injector, and retried attempts consult it again.
+// consults the injector.
 type FaultInjector interface {
 	Inject(typeKey string, batch int) FaultDecision
 }
@@ -66,30 +59,12 @@ type FaultInjector interface {
 // can tell injected failures from real ones.
 var ErrInjected = errors.New("server: injected fault")
 
-// TransientError marks a Step error as retryable. The scheduler-side retry
-// loop retries only errors wrapped in this type; anything else fails the
-// batch's requests immediately.
-type TransientError struct{ Err error }
-
-func (e *TransientError) Error() string { return "transient: " + e.Err.Error() }
-
-// Unwrap exposes the underlying error to errors.Is/As.
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var t *TransientError
-	return errors.As(err, &t)
-}
-
 // RandomFaults is a seeded, concurrency-safe FaultInjector that disturbs
-// each execution attempt independently with the configured probabilities
-// (checked in order: error, transient, panic, delay). The zero value
-// injects nothing.
+// each task execution independently with the configured probabilities
+// (checked in order: error, panic, delay). The zero value injects nothing.
 type RandomFaults struct {
-	// PError, PTransient, PPanic and PDelay are per-attempt probabilities
-	// in [0,1].
-	PError, PTransient, PPanic, PDelay float64
+	// PError, PPanic and PDelay are per-execution probabilities in [0,1].
+	PError, PPanic, PDelay float64
 	// Delay is the latency spike injected for delay faults.
 	Delay time.Duration
 
@@ -113,11 +88,9 @@ func (f *RandomFaults) Inject(typeKey string, batch int) FaultDecision {
 	switch {
 	case p < f.PError:
 		return FaultDecision{Kind: FaultError}
-	case p < f.PError+f.PTransient:
-		return FaultDecision{Kind: FaultTransient}
-	case p < f.PError+f.PTransient+f.PPanic:
+	case p < f.PError+f.PPanic:
 		return FaultDecision{Kind: FaultPanic}
-	case p < f.PError+f.PTransient+f.PPanic+f.PDelay:
+	case p < f.PError+f.PPanic+f.PDelay:
 		return FaultDecision{Kind: FaultDelay, Delay: f.Delay}
 	}
 	return FaultDecision{}

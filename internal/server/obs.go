@@ -43,10 +43,9 @@ type obsType struct {
 // serving-path fact is written. The metric cells (sm, workers, types, exec)
 // are always live; o, slo and the rings are nil when ObsConfig.Disabled (nil
 // rings and a nil SLO engine are valid no-ops). Ring and cell ownership
-// follows the goroutine structure: the request processor writes rpRing and
-// the outcome/backlog cells, the scheduler loop writes schedRing and the
-// depth/ready/dispatch cells, and worker i writes workerRings[i], workers[i]
-// and exec[i].
+// follows the goroutine structure: the manager writes rpRing (lifecycle),
+// schedRing (dispatch) and the outcome/backlog/depth/ready/dispatch cells,
+// and worker i writes workerRings[i], workers[i] and exec[i].
 type serverObs struct {
 	o   *obsv.Observer
 	sm  *obsv.ServingMetrics
@@ -114,7 +113,7 @@ func newServerObs(cfg ObsConfig, specs []CellSpec, workers int) *serverObs {
 	return ob
 }
 
-// ---- request processor (single writer of rpRing) ----
+// ---- manager (single writer of rpRing and schedRing) ----
 
 // admit records one admission: outcome counter, gauges, lifecycle record.
 func (ob *serverObs) admit(id core.RequestID, nowNs int64, liveReqs, queuedCells int) {
@@ -124,8 +123,8 @@ func (ob *serverObs) admit(id core.RequestID, nowNs int64, liveReqs, queuedCells
 	ob.rpRing.Write(obsv.Record{Kind: obsv.KindAdmit, Req: int64(id), T0: nowNs})
 }
 
-// reject records one shed submission. fromRP distinguishes the request
-// processor (which owns rpRing and may write the lifecycle record) from
+// reject records one shed submission. fromRP distinguishes the manager
+// (which owns rpRing and may write the lifecycle record) from
 // caller-goroutine sheds (DOA deadlines), which only bump the counter —
 // the ring is single-writer.
 func (ob *serverObs) reject(fromRP bool) {
@@ -172,14 +171,12 @@ func (ob *serverObs) terminal(r *request, kind obsv.Kind, nowNs int64) {
 	ob.rpRing.Write(obsv.Record{Kind: kind, Req: int64(r.id), T0: nowNs})
 }
 
-// policyShed records the adaptive admission gate shedding one submission
-// (request-processor goroutine; rpRing single-writer preserved).
+// policyShed records the adaptive admission gate shedding one submission.
 func (ob *serverObs) policyShed(nowNs int64) {
 	ob.rpRing.Write(obsv.Record{Kind: obsv.KindPolicyShed, T0: nowNs})
 }
 
-// policyMaxBatch records one adaptive MaxBatch move (request-processor
-// goroutine — policy.Completed runs there).
+// policyMaxBatch records one adaptive MaxBatch move.
 func (ob *serverObs) policyMaxBatch(typeKey string, maxBatch int, nowNs int64) {
 	ob.rpRing.Write(obsv.Record{
 		Kind:  obsv.KindPolicyBatch,
@@ -189,13 +186,11 @@ func (ob *serverObs) policyMaxBatch(typeKey string, maxBatch int, nowNs int64) {
 	})
 }
 
-// gauges refreshes the request-processor-owned backlog gauges.
+// gauges refreshes the backlog gauges.
 func (ob *serverObs) gauges(liveReqs, queuedCells int) {
 	ob.sm.Inflight.Set(int64(liveReqs))
 	ob.sm.QueuedCells.Set(int64(queuedCells))
 }
-
-// ---- scheduler loop (single writer of schedRing) ----
 
 // dispatch stamps the task's observability fields and records the dispatch
 // span. Called just before the task is sent to its worker. The narrowing
@@ -215,7 +210,7 @@ func (ob *serverObs) dispatch(task *core.Task, queueDepth int, nowNs int64) {
 }
 
 // mirrorScheduler refreshes the per-type ready-queue and per-worker depth
-// gauges from the scheduler loop's state.
+// gauges from the manager's state.
 func (ob *serverObs) mirrorScheduler(sched *core.Scheduler, outstanding []int) {
 	for key, ot := range ob.types {
 		ot.tm.Ready.Set(int64(sched.ReadyNodes(key)))
@@ -270,21 +265,11 @@ func (ob *serverObs) taskExec(workerID int, task *core.Task, te *typeExec, live 
 	})
 }
 
-// retry records one transient-error retry.
-func (ob *serverObs) retry(task *core.Task, te *typeExec, batch int) {
-	ob.sm.Retries.Inc()
-	ob.writeSpan(obsv.KindRetry, task, te, batch)
-}
-
 // cellPanic records one recovered cell panic against its cell type.
 func (ob *serverObs) cellPanic(task *core.Task, te *typeExec, batch int) {
 	te.obs.tm.Panics.Inc()
-	ob.writeSpan(obsv.KindPanic, task, te, batch)
-}
-
-func (ob *serverObs) writeSpan(kind obsv.Kind, task *core.Task, te *typeExec, batch int) {
 	ob.workerRings[task.Worker].Write(obsv.Record{
-		Kind:   kind,
+		Kind:   obsv.KindPanic,
 		Worker: uint8(task.Worker),
 		Type:   te.obs.id,
 		Batch:  uint16(batch),

@@ -14,14 +14,14 @@ import (
 // TestPipelineStressMultiWorker soaks the staged pipeline with Workers=4:
 // mixed LSTM-chain / Seq2Seq / TreeLSTM traffic submitted concurrently while
 // clients cancel live requests, attach deadlines, and a fault injector throws
-// transient errors, latency spikes, hard errors and panics. It asserts the
+// latency spikes, hard errors and panics. It asserts the
 // pipeline's three core invariants at once:
 //
 //  1. conservation — every submission resolves exactly once, with a typed
 //     error or results, and the server-side outcome ledger matches;
 //  2. transparency — every request that completes successfully produces
 //     outputs bit-identical to unbatched sequential execution, despite
-//     cross-request batching, retries, and worker-buffer reuse;
+//     cross-request batching and worker-buffer reuse;
 //  3. clean drain — after Drain the backlog gauges and the scheduler's
 //     bookkeeping are empty.
 //
@@ -30,9 +30,7 @@ import (
 func TestPipelineStressMultiWorker(t *testing.T) {
 	m := newTestModel()
 	cfg := m.serverConfig(4)
-	cfg.RetryBackoff = 100 * time.Microsecond
 	faults := NewRandomFaults(42)
-	faults.PTransient = 0.05
 	faults.PDelay = 0.10
 	faults.Delay = time.Millisecond
 	faults.PError = 0.03

@@ -29,7 +29,7 @@ func delayInjector(d time.Duration) FaultInjector {
 	})
 }
 
-// onceInjector injects the decision on the first attempt only.
+// onceInjector injects the decision on the first execution only.
 type onceInjector struct {
 	mu       sync.Mutex
 	fired    bool
@@ -375,53 +375,6 @@ func TestServerDrainTimeoutFallsBackToStop(t *testing.T) {
 	}
 }
 
-func TestServerTransientErrorIsRetried(t *testing.T) {
-	m := newTestModel()
-	cfg := m.serverConfig(1)
-	cfg.Faults = &onceInjector{decision: FaultDecision{Kind: FaultTransient}}
-	cfg.RetryBackoff = time.Millisecond
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-
-	g, _ := cellgraph.UnfoldChain(m.lstm, chainInput(1, 4))
-	if _, err := srv.Submit(context.Background(), g); err != nil {
-		t.Fatalf("request failed despite retry: %v", err)
-	}
-	if st := srv.Stats(); st.Outcomes.Retries != 1 {
-		t.Fatalf("Retries = %d, want 1", st.Outcomes.Retries)
-	}
-	if !hasRecord(srv, obsv.KindRetry) {
-		t.Fatal("no retry record in the span rings")
-	}
-}
-
-func TestServerTransientErrorExhaustsRetries(t *testing.T) {
-	m := newTestModel()
-	cfg := m.serverConfig(1)
-	cfg.Faults = fnInjector(func(string, int) FaultDecision {
-		return FaultDecision{Kind: FaultTransient}
-	})
-	cfg.MaxRetries = 2
-	cfg.RetryBackoff = time.Millisecond
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-
-	g, _ := cellgraph.UnfoldChain(m.lstm, chainInput(1, 2))
-	_, err = srv.Submit(context.Background(), g)
-	if !errors.Is(err, ErrInjected) || !IsTransient(err) {
-		t.Fatalf("want transient injected error after retry exhaustion, got %v", err)
-	}
-	if st := srv.Stats(); st.Outcomes.Retries != 2 || st.Outcomes.Failed != 1 {
-		t.Fatalf("retry accounting: %s", st.Outcomes)
-	}
-}
-
 func TestServerPanicRecoveredWorkerSurvives(t *testing.T) {
 	m := newTestModel()
 	cfg := m.serverConfig(1)
@@ -548,6 +501,39 @@ func TestServerStopMidExecutionLeavesSchedulerClean(t *testing.T) {
 	}
 	if st := srv.Stats(); st.LiveRequests != 0 || st.QueuedCells != 0 {
 		t.Fatalf("request accounting dirty after Stop: live=%d queued=%d", st.LiveRequests, st.QueuedCells)
+	}
+}
+
+// TestServerStartsOneManager: the engine is callers → manager → workers, so
+// a server with two workers runs exactly three goroutines, and Stop joins
+// all of them.
+func TestServerStartsOneManager(t *testing.T) {
+	m := newTestModel()
+	// Let goroutines of earlier tests finish exiting before the baseline.
+	base := runtime.NumGoroutine()
+	for settle := time.Now().Add(2 * time.Second); time.Now().Before(settle); {
+		time.Sleep(5 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == base {
+			break
+		}
+		base = n
+	}
+	srv, err := New(m.serverConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := runtime.NumGoroutine() - base
+	srv.Stop()
+	if started != 3 {
+		t.Fatalf("New with 2 workers started %d goroutines, want 3 (one manager + two workers)", started)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Stop, %d before New", n, base)
 	}
 }
 

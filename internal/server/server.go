@@ -2,23 +2,21 @@
 // architecture (manager = request processor + scheduler; one worker per
 // device) running with real tensor computation on goroutines.
 //
-// The engine is a staged pipeline with no global lock:
+// The engine is a two-stage pipeline with no global lock:
 //
-//	callers ──admit──▶ request processor ──subgraphs──▶ scheduler loop
-//	                        ▲                                │ batched tasks
-//	                        │ completion queue               ▼ (bounded, FIFO)
-//	                        └──────────── workers ◀──────────┘
+//	callers ──▶ manager ──▶ workers ──completions──▶ manager
 //
-// A single scheduler-loop goroutine owns the core.Scheduler and dispatches
-// batched tasks onto bounded per-worker channels (preserving the
-// FIFO-per-worker execution order the subgraph pin logic relies on). Workers
-// gather batched inputs into reused buffers, execute the cell, scatter the
-// outputs into per-request state (in program order, modeling a GPU stream),
-// and push a completion record. The request-processor goroutine consumes
-// completions: it tracks dependencies, releases successor subgraphs back to
-// the scheduler loop, and resolves finished requests — Algorithm 1's
-// manager. Deadlines are swept by a timer owned by the request processor,
-// not by polling workers.
+// One manager goroutine owns the request table, the dependency trackers,
+// the deadline timer and the core.Scheduler. It admits requests, registers
+// their subgraphs, and dispatches batched tasks onto bounded per-worker
+// channels (preserving the FIFO-per-worker execution order the subgraph pin
+// logic relies on). Workers gather batched inputs into reused buffers,
+// execute the cell, scatter the outputs into per-request state (in program
+// order, modeling a GPU stream), and push a completion record. The manager
+// consumes completions: it tracks dependencies, registers successor
+// subgraphs, retires the task and resolves finished requests — Algorithm 1's
+// manager. Deadlines are swept by a timer owned by the manager, not by
+// polling workers.
 //
 // Where internal/sim reproduces the paper's performance numbers against a
 // simulated GPU, this package demonstrates the system end to end: requests
@@ -32,9 +30,8 @@
 // carries a request-lifecycle robustness layer: admission control with load
 // shedding (ErrOverloaded), per-request deadlines, caller cancellation that
 // purges queued work from the scheduler, graceful drain, and fault-injected
-// recovery (transient-error retry and cell-panic containment). Every
-// admitted request resolves exactly once as completed, failed, expired, or
-// cancelled:
+// recovery (cell-panic containment). Every admitted request resolves exactly
+// once as completed, failed, expired, or cancelled:
 //
 //	submitted ──shed──▶ rejected (never admitted)
 //	    │
@@ -65,7 +62,7 @@ import (
 )
 
 // RequestJournal is the durability hook the server drives: admit records
-// are enqueued by the request processor the moment a request is admitted
+// are enqueued by the manager the moment a request is admitted
 // (so an admit always precedes its terminal in the journal's FIFO),
 // terminal records as requests resolve, and cancel-intent records from
 // Handle.Cancel. *journal.Journal implements it. All methods must be
@@ -162,18 +159,12 @@ type Config struct {
 	// ErrOverloaded) carrying a retry-after hint.
 	Policy policy.Config
 
-	// Faults, when non-nil, is consulted before every task execution
-	// attempt — the chaos hook used to test recovery paths.
+	// Faults, when non-nil, is consulted before every task execution — the
+	// chaos hook used to test recovery paths.
 	Faults FaultInjector
 	// SchedulerChaos forwards deliberate scheduler defects to core.Config.
 	// Only the conformance harness's self-test sets it; see core.Chaos.
 	SchedulerChaos core.Chaos
-	// MaxRetries bounds retries of transient task errors (see
-	// TransientError). 0 means a default of 3; negative disables retry.
-	MaxRetries int
-	// RetryBackoff is the first retry's backoff, doubled per attempt
-	// (default 500µs).
-	RetryBackoff time.Duration
 
 	// Journal, when non-nil, receives request lifecycle records: admits
 	// (with SubmitOpts.JournalPayload), cancel intents, and terminal
@@ -186,14 +177,14 @@ type Config struct {
 }
 
 // request is one admitted request's shared record. Ownership is split by
-// stage: the request processor owns tracker, results, err and the lifecycle
+// stage: the manager owns tracker, results, err and the lifecycle
 // transitions; workers touch state (under stateMu) and read the immutable
 // fields; resolved/poisoned are the cross-stage flags.
 type request struct {
 	id    core.RequestID
 	cells int // len(graph.Nodes), for backlog accounting
 
-	// tracker is owned by the request processor after admission.
+	// tracker is owned by the manager after admission.
 	tracker *core.Tracker
 
 	// state holds per-node rows; guarded by stateMu because subgraphs of
@@ -216,19 +207,19 @@ type request struct {
 	jwait    <-chan error
 	jonce    sync.Once
 	jerr     error
-	// deadline, when nonzero, expires the request (enforced by the request
-	// processor's timer and re-checked at task gather time).
+	// deadline, when nonzero, expires the request (enforced by the
+	// manager's timer and re-checked at task gather time).
 	deadline time.Time
 
 	// admittedNs is the admission timestamp (unix nanoseconds), written by
-	// the request processor before the request becomes worker-visible.
+	// the manager before the request becomes worker-visible.
 	admittedNs int64
 	// firstExecNs is CAS'd from 0 by the first worker to execute any of the
 	// request's cells; admit→firstExec→complete is the paper's
 	// queuing/computation latency split.
 	firstExecNs atomic.Int64
 
-	// resolved is set by the request processor when the request reaches its
+	// resolved is set by the manager when the request reaches its
 	// terminal state; workers use it to skip rows of dead requests.
 	resolved atomic.Bool
 	// poisoned is set by a worker whose task failed, before the failure
@@ -263,27 +254,24 @@ type Server struct {
 	// order (nil entry: widths unknown). Admission uses it to preallocate
 	// per-request output rows; workers use it to size arena-backed step
 	// outputs.
-	outWidths    map[string][]int
-	faults       FaultInjector
-	maxRetries   int
-	retryBackoff time.Duration
+	outWidths map[string][]int
+	faults    FaultInjector
 	// journal is the durability hook (nil: journaling off). Immutable
-	// after New; only the request processor and Handle.Cancel touch it —
-	// never the worker hot path.
+	// after New; only the manager and Handle.Cancel touch it — never the
+	// worker hot path.
 	journal RequestJournal
 	// baseAllocs is the process-wide heap-allocation count when the server
 	// started; Stats divides the delta by tasks run. Immutable after New.
 	baseAllocs uint64
 
 	// Stage hand-offs.
-	cmds        chan any        // callers -> request processor (unbuffered)
-	completions chan completion // workers -> request processor
-	slCmds      chan slCmd      // request processor -> scheduler loop
+	cmds        chan any        // callers -> manager (unbuffered)
+	completions chan completion // workers -> manager
 	taskChans   []chan *core.Task
 
 	// stopdCh is closed the moment stop processing begins; public API
 	// paths select on it so they fail fast instead of blocking on a dead
-	// request processor.
+	// manager.
 	stopdCh chan struct{}
 	// drained is closed when a drain (or stop) leaves no live requests.
 	drained chan struct{}
@@ -292,22 +280,20 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	// obs is the observability bridge: the serving path's only bookkeeping.
-	// draining mirrors the request processor's drain state for Health.
+	// draining mirrors the manager's drain state for Health.
 	obs      *serverObs
 	draining atomic.Bool
 	// policy is the adaptive control layer (nil when Config.Policy is off).
-	// Touched only by the request-processor goroutine, so it needs no lock;
-	// its MaxBatch actuations travel to the scheduler loop as slSetMaxBatch
-	// commands.
+	// Touched only by the manager goroutine, so it needs no lock.
 	policy *policy.Controller
 
-	// live is the worker-visible request lookup. The request processor is
-	// the only writer (under liveMu); workers read under RLock.
+	// live is the worker-visible request lookup. The manager is the only
+	// writer (under liveMu); workers read under RLock.
 	liveMu sync.RWMutex
 	live   map[core.RequestID]*request
 
-	// Scheduler-loop-owned mirrors, written by that one goroutine so Stats
-	// and SchedulerClean work during operation and after shutdown.
+	// Manager-owned mirrors, written by that one goroutine so Stats and
+	// SchedulerClean work during operation and after shutdown.
 	schedInflight  atomic.Int64 // core.Scheduler in-flight tasks
 	schedLive      atomic.Int64 // core.Scheduler live subgraphs
 	dispatchRounds atomic.Int64
@@ -366,43 +352,30 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxRetries := cfg.MaxRetries
-	switch {
-	case maxRetries == 0:
-		maxRetries = 3
-	case maxRetries < 0:
-		maxRetries = 0
-	}
-	backoff := cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = 500 * time.Microsecond
-	}
 	// mts is both the scheduling round and each worker channel's depth. The
-	// scheduler loop only schedules for a worker whose channel has room for a
-	// full round, so dispatch never blocks — and it forms a worker's next
-	// tasks only when its queue is empty, keeping batches open until the last
-	// moment (late batching is what lets concurrent requests' cells coalesce).
+	// manager only schedules for a worker whose channel is empty, so dispatch
+	// never blocks — and it forms a worker's next tasks only then, keeping
+	// batches open until the last moment (late batching is what lets
+	// concurrent requests' cells coalesce). completions holds every task that
+	// can be outstanding, so a worker never blocks on it either.
 	mts := cfg.MaxTasksToSubmit
 	if mts <= 0 {
 		mts = 5
 	}
 	s := &Server{
-		cfg:          cfg,
-		cells:        cells,
-		outWidths:    outWidths,
-		faults:       cfg.Faults,
-		journal:      cfg.Journal,
-		baseAllocs:   heapAllocObjects(),
-		maxRetries:   maxRetries,
-		retryBackoff: backoff,
-		cmds:         make(chan any),
-		completions:  make(chan completion, cfg.Workers*mts+cfg.Workers),
-		slCmds:       make(chan slCmd, 64),
-		taskChans:    make([]chan *core.Task, cfg.Workers),
-		stopdCh:      make(chan struct{}),
-		drained:      make(chan struct{}),
-		live:         make(map[core.RequestID]*request),
-		obs:          newServerObs(cfg.Obs, cfg.Cells, cfg.Workers),
+		cfg:         cfg,
+		cells:       cells,
+		outWidths:   outWidths,
+		faults:      cfg.Faults,
+		journal:     cfg.Journal,
+		baseAllocs:  heapAllocObjects(),
+		cmds:        make(chan any),
+		completions: make(chan completion, cfg.Workers*mts),
+		taskChans:   make([]chan *core.Task, cfg.Workers),
+		stopdCh:     make(chan struct{}),
+		drained:     make(chan struct{}),
+		live:        make(map[core.RequestID]*request),
+		obs:         newServerObs(cfg.Obs, cfg.Cells, cfg.Workers),
 	}
 	if cfg.FirstRequestID > 0 {
 		s.nextID.Store(int64(cfg.FirstRequestID))
@@ -422,9 +395,8 @@ func New(cfg Config) (*Server, error) {
 	for w := range s.taskChans {
 		s.taskChans[w] = make(chan *core.Task, mts)
 	}
-	s.wg.Add(2 + cfg.Workers)
-	go s.requestProcessor()
-	go s.schedulerLoop(sched)
+	s.wg.Add(1 + cfg.Workers)
+	go s.manager(sched)
 	for w := 0; w < cfg.Workers; w++ {
 		go s.workerLoop(w, s.taskChans[w])
 	}
@@ -521,7 +493,7 @@ func (h *Handle) Cancel() bool {
 	return h.s.terminate(h.req, ErrCancelled)
 }
 
-// terminate asks the request processor to resolve a live request early with
+// terminate asks the manager to resolve a live request early with
 // ErrCancelled or ErrExpired.
 func (s *Server) terminate(r *request, cause error) bool {
 	reply := make(chan bool, 1)
@@ -530,7 +502,7 @@ func (s *Server) terminate(r *request, cause error) bool {
 		return <-reply
 	case <-r.done:
 		// Already resolved (also covers a stopped server, which resolves
-		// every live request before the request processor exits).
+		// every live request before the manager exits).
 		return false
 	}
 }
@@ -563,7 +535,7 @@ func (s *Server) SubmitAsync(g *cellgraph.Graph) (*Handle, error) {
 
 // SubmitAsyncOpts is SubmitAsync with lifecycle options. Graph validation
 // and state construction run on the caller's goroutine; only the admission
-// decision itself serializes through the request processor.
+// decision itself serializes through the manager.
 func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, error) {
 	select {
 	case <-s.stopdCh:
@@ -671,13 +643,13 @@ func (s *Server) SubmitOpts(ctx context.Context, g *cellgraph.Graph, opts Submit
 	}
 }
 
-// setAdmitFault installs a hook consulted before every AddSubgraph in the
-// scheduler loop — the test seam for the partial-admission rollback path.
-// It blocks until the scheduler loop has applied the hook.
+// setAdmitFault installs a hook consulted before every AddSubgraph — the
+// test seam for the partial-admission rollback path. It blocks until the
+// manager has applied the hook and mirrored the scheduler's gauges.
 func (s *Server) setAdmitFault(f func(core.SubgraphSpec) error) {
-	reply := make(chan error, 1)
+	reply := make(chan struct{})
 	select {
-	case s.slCmds <- slCmd{kind: slSetFault, fault: f, reply: reply}:
+	case s.cmds <- admitFaultCmd{fault: f, reply: reply}:
 		<-reply
 	case <-s.stopdCh:
 	}
@@ -693,7 +665,7 @@ type WorkerStats struct {
 }
 
 // Stats is a read-time view of the server's obsv metric cells — the same
-// cells /metrics exposes — plus the scheduler loop's mirrors. Each field is
+// cells /metrics exposes — plus the manager's scheduler mirrors. Each field is
 // read atomically; the view as a whole is not one atomic snapshot, so sums
 // across fields are exact only once the pipeline is idle.
 type Stats struct {
@@ -718,10 +690,10 @@ type Stats struct {
 	Quarantined map[string]int
 	// Workers breaks execution down per pipeline worker.
 	Workers []WorkerStats
-	// DispatchRounds counts scheduler-loop rounds that produced tasks.
+	// DispatchRounds counts dispatch rounds that produced tasks.
 	DispatchRounds int
-	// DispatchP50 and DispatchP99 are recent scheduler-loop dispatch
-	// latencies (Schedule call plus hand-off to the worker channel).
+	// DispatchP50 and DispatchP99 are recent dispatch latencies (Schedule
+	// call plus hand-off to the worker channel).
 	DispatchP50 time.Duration
 	DispatchP99 time.Duration
 	// NsPerCell is the mean worker time (gather + execute) per cell row —
@@ -749,7 +721,6 @@ func (s *Server) Stats() Stats {
 			Rejected:  int(sm.Rejected.Value()),
 			Expired:   int(sm.Expired.Value()),
 			Cancelled: int(sm.Cancelled.Value()),
-			Retries:   int(sm.Retries.Value()),
 		},
 		Quarantined:    make(map[string]int),
 		Workers:        make([]WorkerStats, len(ob.workers)),
@@ -806,10 +777,10 @@ func heapAllocObjects() uint64 {
 	return 0
 }
 
-// schedulerGauges returns the scheduler-loop-mirrored core.Scheduler gauges
+// schedulerGauges returns the manager-mirrored core.Scheduler gauges
 // (in-flight tasks, live subgraphs, total ready nodes — the last as the sum
-// of the per-type ready-queue gauges). The mirror is updated after every
-// scheduler-loop message, so it is eventually consistent during operation
+// of the per-type ready-queue gauges). The mirror is updated at the end of
+// every manager iteration, so it is eventually consistent during operation
 // and exact once the pipeline is idle.
 func (s *Server) schedulerGauges() (inflight, liveSubgraphs, ready int) {
 	for _, ot := range s.obs.types {

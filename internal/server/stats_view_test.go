@@ -63,7 +63,7 @@ func TestStatsViewConsistentUnderLoad(t *testing.T) {
 	counters := func(st Stats) []int {
 		o := st.Outcomes
 		c := []int{st.TasksRun, st.CellsRun, st.DispatchRounds,
-			o.Admitted, o.Completed, o.Failed, o.Rejected, o.Expired, o.Cancelled, o.Retries, o.RecoveredPanics}
+			o.Admitted, o.Completed, o.Failed, o.Rejected, o.Expired, o.Cancelled, o.RecoveredPanics}
 		for _, w := range st.Workers {
 			c = append(c, w.TasksRun)
 		}

@@ -91,9 +91,9 @@ func (w *workerExec) scratch(inputs, n int) [][]*tensor.Tensor {
 }
 
 // execRefPool recycles the executed-rows slices that travel inside
-// completion records from workers to the request processor. The processor
-// returns each buffer after consuming it (see requestProcessor), so in
-// steady state no per-task slice is allocated. Buffers are cleared before
+// completion records from workers to the manager. The manager returns each
+// buffer after consuming it (see mgr.complete), so in steady state no
+// per-task slice is allocated. Buffers are cleared before
 // reuse so pooled entries do not pin resolved requests in memory.
 var execRefPool = sync.Pool{New: func() any {
 	b := make([]execRef, 0, 64)
@@ -120,17 +120,14 @@ func rowWidth(t *tensor.Tensor) int {
 }
 
 // workerLoop is one GPU worker: it executes the tasks on its channel in
-// FIFO order (§4.2) and pushes a completion record per task. When its
-// channel closes (shutdown, after the scheduler loop's bookkeeping drained)
-// it emits an exit sentinel so the request processor knows no more
-// completions can arrive.
+// FIFO order (§4.2) and pushes a completion record per task. The manager
+// closes the channel at shutdown, once every dispatched task completed.
 func (s *Server) workerLoop(id int, tasks <-chan *core.Task) {
 	defer s.wg.Done()
 	ws := newWorkerExec()
 	for task := range tasks {
 		s.completions <- s.execTask(id, task, ws)
 	}
-	s.completions <- completion{worker: id, exit: true}
 }
 
 // execTask gathers the batched inputs, runs the cell, and scatters the
@@ -139,7 +136,7 @@ func (s *Server) workerLoop(id int, tasks <-chan *core.Task) {
 // submit time and rely on FIFO execution on the same worker: a successor's
 // gather must observe its dependency's scatter, exactly like consecutive
 // kernels on one GPU stream. Dependency tracking and resolution stay with
-// the request processor.
+// the manager.
 func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 	te := s.typeFor(ws, id, task.TypeKey)
 	ws.arena.Reset()
@@ -157,7 +154,7 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 		}
 		if !r.deadline.IsZero() && now.After(r.deadline) {
 			// Past-deadline rows stop consuming batch slots immediately;
-			// the request processor's timer resolves the request.
+			// the manager's timer resolves the request.
 			continue
 		}
 		refs = append(refs, execRef{req: r, node: nr.Node})
@@ -169,7 +166,7 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 		// task so the scheduler's pin and in-flight bookkeeping drain
 		// clean.
 		putExecRefs(refsBuf)
-		return completion{worker: id, task: task}
+		return completion{task: task}
 	}
 
 	// The batch is now final: mark each surviving request's first execution
@@ -195,9 +192,9 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 		te.inputs[name] = buf
 	}
 
-	// Execute: this is the GPU kernel. runStep layers fault injection,
-	// panic containment and transient-error retry around the raw step.
-	outs, stepErr := s.runStep(te, task, len(refs), ws.arena)
+	// Execute: this is the GPU kernel, with fault injection and panic
+	// containment around the raw step.
+	outs, stepErr := s.stepOnce(te, task, len(refs), ws.arena)
 
 	elapsed := int64(time.Since(now))
 	s.obs.taskExec(id, task, te, len(refs), elapsed,
@@ -217,7 +214,7 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 		for _, ref := range refs {
 			ref.req.poisoned.Store(true)
 		}
-		return completion{worker: id, task: task, executed: refs, refsBuf: refsBuf, err: stepErr}
+		return completion{task: task, executed: refs, refsBuf: refsBuf, err: stepErr}
 	}
 
 	for o, name := range te.outNames {
@@ -249,25 +246,10 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 		}
 		ref.req.stateMu.Unlock()
 	}
-	return completion{worker: id, task: task, executed: refs, refsBuf: refsBuf}
+	return completion{task: task, executed: refs, refsBuf: refsBuf}
 }
 
-// runStep executes one task attempt chain: consult the fault injector,
-// contain panics, and retry transient errors with exponential backoff.
-func (s *Server) runStep(te *typeExec, task *core.Task, batch int, arena *tensor.Arena) (map[string]*tensor.Tensor, error) {
-	backoff := s.retryBackoff
-	for attempt := 0; ; attempt++ {
-		outs, err := s.stepOnce(te, task, batch, arena)
-		if err == nil || !IsTransient(err) || attempt >= s.maxRetries {
-			return outs, err
-		}
-		s.obs.retry(task, te, batch)
-		time.Sleep(backoff)
-		backoff *= 2
-	}
-}
-
-// stepOnce is one execution attempt. Cells with a StepInto fast path run it
+// stepOnce executes one task. Cells with a StepInto fast path run it
 // against arena-backed output buffers (reused via te.outs); other cells fall
 // back to the allocating Step. A panicking cell (injected or real) is
 // recovered here — the worker survives, the batch's requests fail, and the
@@ -289,11 +271,6 @@ func (s *Server) stepOnce(te *typeExec, task *core.Task, batch int, arena *tenso
 				return nil, d.Err
 			}
 			return nil, ErrInjected
-		case FaultTransient:
-			if d.Err != nil {
-				return nil, &TransientError{Err: d.Err}
-			}
-			return nil, &TransientError{Err: ErrInjected}
 		case FaultPanic:
 			panic(ErrInjected)
 		}

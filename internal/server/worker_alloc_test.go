@@ -23,10 +23,9 @@ func workerAllocFixture(tb testing.TB, reqN, chainN int) (*Server, []*core.Task,
 	lstm := rnn.NewLSTMCell("lstm", tEmbed, tHidden, tensor.NewRNG(99))
 	key := lstm.TypeKey()
 	s := &Server{
-		cells:        map[string]rnn.Cell{key: lstm},
-		outWidths:    map[string][]int{key: rnn.OutputWidthsOf(lstm)},
-		retryBackoff: time.Millisecond,
-		live:         make(map[core.RequestID]*request),
+		cells:     map[string]rnn.Cell{key: lstm},
+		outWidths: map[string][]int{key: rnn.OutputWidthsOf(lstm)},
+		live:      make(map[core.RequestID]*request),
 		// Span records ON (every task writes one) with the SLO burn engine
 		// armed and TaskObserver nil: the zero-alloc gate must hold with the
 		// full observability layer live, exactly as New() builds it.
@@ -67,7 +66,7 @@ func workerAllocFixture(tb testing.TB, reqN, chainN int) (*Server, []*core.Task,
 	return s, tasks, graphs
 }
 
-// runAllocTask executes one task the way workerLoop + requestProcessor do,
+// runAllocTask executes one task the way workerLoop + the manager do,
 // including returning the pooled refs buffer.
 func runAllocTask(tb testing.TB, s *Server, task *core.Task, ws *workerExec) {
 	rec := s.execTask(0, task, ws)
