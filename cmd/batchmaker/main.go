@@ -120,8 +120,8 @@ type appConfig struct {
 	// requests are journaled before the submission is acknowledged, and
 	// journaled requests without a terminal record are replayed on boot.
 	JournalDir string
-	// JournalSync is the fsync policy: "none", "batch" (default), "always".
-	JournalSync string
+	// JournalSync is the fsync policy (default journal.SyncBatch).
+	JournalSync journal.SyncPolicy
 	// IncidentDir, when set, arms the anomaly-triggered flight recorder:
 	// detector rules (SLA P99 breach, shed bursts, SLO burn, journal
 	// degradation, policy shedding) dump self-contained diagnosis bundles
@@ -171,16 +171,11 @@ func newApp(cfg appConfig) (*app, error) {
 		scfg.Obs.SLOTarget = cfg.SLA
 	}
 	var pending []journal.PendingRequest
-	// The journal's flush and sync loops start before the server's observer
-	// exists, so their span rings are created standalone here and adopted by
-	// the observer after server.New — trace assembly then renders them as the
-	// journal-writer and journal-syncer tracks.
-	var jWriterRing, jSyncerRing *obsv.Ring
+	// The journal's flush loop starts before the server's observer exists, so
+	// its span ring is created standalone here and adopted by the observer
+	// after server.New — trace assembly then renders it as the journal track.
+	var jRing *obsv.Ring
 	if cfg.JournalDir != "" {
-		sync, err := journal.ParseSyncPolicy(cfg.JournalSync)
-		if err != nil {
-			return nil, err
-		}
 		// Recovery first: scan what the previous process left behind, then
 		// open a fresh segment for this process's records.
 		rec, err := journal.Recover(cfg.JournalDir)
@@ -195,11 +190,9 @@ func newApp(cfg appConfig) (*app, error) {
 		reg := obsv.NewRegistry()
 		a.jm = obsv.NewJournalMetrics(reg)
 		a.jm.Replayed.Add(int64(rec.Records))
-		jWriterRing = obsv.NewRing("journal-writer", 0)
-		jSyncerRing = obsv.NewRing("journal-syncer", 0)
+		jRing = obsv.NewRing("journal", 0)
 		a.jnl, err = journal.Open(journal.Options{
-			Dir: cfg.JournalDir, Sync: sync, Metrics: a.jm,
-			WriterRing: jWriterRing, SyncerRing: jSyncerRing,
+			Dir: cfg.JournalDir, Sync: cfg.JournalSync, Metrics: a.jm, Ring: jRing,
 		})
 		if err != nil {
 			return nil, err
@@ -217,8 +210,7 @@ func newApp(cfg appConfig) (*app, error) {
 		return nil, err
 	}
 	a.srv = srv
-	srv.Observer().AdoptRing(jWriterRing)
-	srv.Observer().AdoptRing(jSyncerRing)
+	srv.Observer().AdoptRing(jRing)
 	if cfg.IncidentDir != "" {
 		fr, err := obsv.NewFlightRecorder(srv.Observer(), obsv.FlightRecorderConfig{
 			Dir:    cfg.IncidentDir,
@@ -508,7 +500,7 @@ func main() {
 		polMode  = flag.String("policy", "full", "adaptive policy controllers when -sla is set: off, admission (shed only), adaptive (batch sizing only), full (both)")
 		demo     = flag.Bool("demo", false, "drive the server with a built-in client and exit")
 		jdir     = flag.String("journal-dir", "", "durable request journal directory; admits are journaled before acknowledgement and unfinished requests replay on boot (empty = off)")
-		jsync    = flag.String("journal-sync", "batch", "journal fsync policy: none (process-crash safe), batch (group-commit fsync; default), always (fsync per record)")
+		jsync    = flag.String("journal-sync", "batch", "journal fsync policy: none (process-crash safe) or batch (group-commit fsync before acknowledging; default)")
 		metrics  = flag.String("metrics-addr", "", "HTTP introspection listen address serving /metrics, /debug/requests, /debug/trace, /healthz and /debug/pprof (empty = off)")
 		traceOut = flag.String("trace-out", "", "write the assembled causal trace (Chrome/Perfetto trace-event JSON) to this file at shutdown (empty = off)")
 		incDir   = flag.String("incident-dir", "", "arm the anomaly-triggered flight recorder, spooling incident bundles (ring snapshot, metrics, profiles, trace) into this directory (empty = off)")
@@ -535,12 +527,16 @@ func main() {
 	if err != nil {
 		fatalFlagValue("policy", err)
 	}
+	syncPolicy, err := journal.ParseSyncPolicy(*jsync)
+	if err != nil {
+		fatalFlagValue("journal-sync", err)
+	}
 
 	a, err := newApp(appConfig{
 		Vocab: *vocab, Embed: *embed, Hidden: *hidden,
 		Workers: *workers, MaxQueue: *maxQueue, Deadline: *deadline,
 		SLA: *sla, PolicyMode: mode,
-		JournalDir: *jdir, JournalSync: *jsync, IncidentDir: *incDir,
+		JournalDir: *jdir, JournalSync: syncPolicy, IncidentDir: *incDir,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -277,12 +277,19 @@ func TestServeConnOversizedLineOverTCP(t *testing.T) {
 	<-served
 }
 
-// TestFlagValueValidation: an unknown -policy value must yield a
-// structured error naming the accepted spellings (the parse func backs
-// fatalFlagValue, which cannot be exercised in-process because it exits).
+// TestFlagValueValidation: an unknown -policy or -journal-sync value must
+// yield a structured error naming the accepted spellings (the parse funcs
+// back fatalFlagValue, which cannot be exercised in-process because it
+// exits).
 func TestFlagValueValidation(t *testing.T) {
 	if _, err := policy.ParseMode("everything"); err == nil || !strings.Contains(err.Error(), "want") {
 		t.Fatalf("ParseMode(everything) err = %v, want accepted-values hint", err)
+	}
+	for _, in := range []string{"always", "bogus"} {
+		_, err := journal.ParseSyncPolicy(in)
+		if err == nil || !strings.Contains(err.Error(), "none") || !strings.Contains(err.Error(), "batch") {
+			t.Fatalf("ParseSyncPolicy(%q) err = %v, want one naming none and batch", in, err)
+		}
 	}
 }
 

@@ -159,10 +159,7 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	}
 
 	// --- Phase 1: serve the workload prefix, then crash ------------------
-	// The tight sync interval puts several group-commit boundaries inside
-	// the bursty phase-1 window, so the kill lands on a mix of durable and
-	// dropped records rather than a single giant batch.
-	jnl, err := journal.Open(journal.Options{Dir: dir, Sync: journal.SyncBatch, MaxSyncInterval: 2 * time.Millisecond})
+	jnl, err := journal.Open(journal.Options{Dir: dir, Sync: journal.SyncBatch})
 	if err != nil {
 		return nil, fmt.Errorf("conformance: opening journal: %w", err)
 	}
@@ -188,7 +185,14 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	var handles []admitted
 	var cancels sync.WaitGroup
 	start := time.Now()
-	for _, r := range w.Reqs[:killIdx] {
+	for i, r := range w.Reqs[:killIdx] {
+		if i == killIdx/2 && len(handles) > 0 {
+			// Let the first half's admits become durable before the second
+			// half arrives in a burst inside the next group-commit window, so
+			// the kill lands on a mix of durable and dropped records rather
+			// than a single giant batch.
+			_ = handles[len(handles)-1].handle.AdmitDurable() // classified after the kill
+		}
 		reqByIndex[r.Index] = r
 		if wait := scale(r.Arrival) - time.Since(start); wait > 0 {
 			time.Sleep(wait)

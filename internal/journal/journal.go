@@ -28,9 +28,6 @@ const (
 	// SyncNone never fsyncs during operation (only at Close): acknowledged
 	// records survive a process crash but not an OS crash or power loss.
 	SyncNone
-	// SyncAlways fsyncs after every record: the strictest (and slowest)
-	// policy, mostly useful as a comparison point for SyncBatch.
-	SyncAlways
 )
 
 func (p SyncPolicy) String() string {
@@ -39,8 +36,6 @@ func (p SyncPolicy) String() string {
 		return "none"
 	case SyncBatch:
 		return "batch"
-	case SyncAlways:
-		return "always"
 	}
 	return fmt.Sprintf("sync(%d)", int(p))
 }
@@ -52,10 +47,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 		return SyncNone, nil
 	case "batch", "":
 		return SyncBatch, nil
-	case "always":
-		return SyncAlways, nil
 	}
-	return 0, fmt.Errorf("journal: unknown sync policy %q (want none, batch or always)", s)
+	return 0, fmt.Errorf("journal: unknown sync policy %q (want none or batch)", s)
 }
 
 // SegmentFile is the journal's view of one segment: sequential writes, an
@@ -76,33 +69,13 @@ type Options struct {
 	// SegmentMaxBytes rotates to a fresh segment once the current one
 	// exceeds this size (default 4 MiB).
 	SegmentMaxBytes int64
-	// FlushMaxBatch bounds records per group-commit batch (default 128).
-	FlushMaxBatch int
-	// FlushMaxWait bounds how long the flush loop holds a non-empty batch
-	// open waiting for more records. Zero (the default) selects adaptive
-	// pacing: a batch is held open until syncSlack× the EWMA fsync cost has
-	// passed since the last fsync (at most MaxSyncInterval), so the fsync
-	// rate tracks what the disk can actually absorb while an idle append
-	// still commits immediately. Positive values hold batches open on a
-	// fixed timer instead.
-	FlushMaxWait time.Duration
-	// MaxSyncInterval caps the adaptive pacing window — the longest a
-	// durability acknowledgement can lag its append under SyncBatch
-	// (default 20ms; ignored when FlushMaxWait is set). Smaller values
-	// tighten the crash window at the cost of more fsyncs.
-	MaxSyncInterval time.Duration
-	// QueueDepth bounds the append queue (default 1024). A full queue never
-	// blocks the caller: the append is dropped and counted as an error.
-	QueueDepth int
 	// Metrics receives the journal's counters and histograms; nil means
 	// no-op metrics.
 	Metrics *obsv.JournalMetrics
-	// WriterRing / SyncerRing receive journal trace spans (group-commit
-	// flushes, fsyncs, durability acks) for /debug/trace assembly. The
-	// flush goroutine is the single writer of WriterRing, the sync
-	// goroutine of SyncerRing. nil rings are no-ops.
-	WriterRing *obsv.Ring
-	SyncerRing *obsv.Ring
+	// Ring receives the journal's trace spans (group-commit flushes, fsyncs,
+	// durability acks) for /debug/trace assembly. The flush goroutine is its
+	// single writer. A nil ring is a no-op.
+	Ring *obsv.Ring
 	// OpenSegment opens a fresh segment file for writing (default
 	// os.Create). The failure-injection seam for degradation tests.
 	OpenSegment func(path string) (SegmentFile, error)
@@ -111,15 +84,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentMaxBytes <= 0 {
 		o.SegmentMaxBytes = 4 << 20
-	}
-	if o.MaxSyncInterval <= 0 {
-		o.MaxSyncInterval = 20 * time.Millisecond
-	}
-	if o.FlushMaxBatch <= 0 {
-		o.FlushMaxBatch = 128
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
 	}
 	if o.Metrics == nil {
 		o.Metrics = obsv.NewJournalMetrics(nil)
@@ -130,6 +94,26 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Group commit bounds and adaptive pacing (SyncBatch): a batch is held open
+// until at least syncSlack× the EWMA fsync cost has passed since the last
+// fsync ended, capping the disk's fsync duty cycle at roughly 1/syncSlack of
+// wall time under sustained load. An idle append still commits immediately
+// (the last fsync is long past), so the policy costs latency only when
+// batching is actually paying for it. maxSyncInterval bounds the induced
+// acknowledgement lag on slow storage. Nothing in the serving path waits for
+// the acknowledgement, so pacing governs fsync cost and ack lag — not
+// request latency.
+const (
+	syncSlack       = 16
+	maxSyncInterval = 20 * time.Millisecond
+	// flushMaxBatch bounds records per group-commit batch.
+	flushMaxBatch = 128
+	// queueDepth bounds the append queue: appends that arrive while a batch
+	// is held open or fsyncs wait here and ride the next batch. A full queue
+	// never blocks the caller: the append is dropped and counted as an error.
+	queueDepth = 1024
+)
+
 // Journal errors.
 var (
 	// ErrDegraded acknowledges appends after a write/fsync failure flipped
@@ -137,7 +121,7 @@ var (
 	// serving path must keep going.
 	ErrDegraded = errors.New("journal: degraded to lossy mode")
 	// ErrQueueFull acknowledges an append dropped because the flush loop
-	// fell behind the configured queue depth.
+	// fell behind the queue depth.
 	ErrQueueFull = errors.New("journal: append queue full")
 	// ErrClosed acknowledges appends after Close or Kill.
 	ErrClosed = errors.New("journal: closed")
@@ -151,31 +135,16 @@ type pending struct {
 	enq  time.Time
 }
 
-// syncReq is one handoff from the flush loop to the sync loop: either a
-// written-and-flushed batch awaiting fsync before acknowledgement, or a
-// barrier the flush loop waits on before sealing a segment.
-type syncReq struct {
-	f     SegmentFile
-	batch []*pending
-	// end is the current segment's byte offset just past this batch: once
-	// the batch's fsync is acknowledged, everything up to end is durable.
-	end     int64
-	barrier chan struct{}
-}
-
 // Journal is a durable request journal with batched group commit. Appends
-// are safe from any goroutine; one flush goroutine owns the segment file,
-// and under SyncBatch a second goroutine runs the fsyncs so disk latency
-// overlaps the writing of the next batch (writer/syncer split).
+// are safe from any goroutine; one flush goroutine owns the segment file and
+// writes, fsyncs and acknowledges each batch in turn.
 type Journal struct {
 	opts Options
 	m    *obsv.JournalMetrics
 
-	ch     chan *pending
-	quit   chan struct{}
-	wg     sync.WaitGroup
-	syncCh chan syncReq
-	syncWg sync.WaitGroup
+	ch   chan *pending
+	quit chan struct{}
+	wg   sync.WaitGroup
 
 	// killed simulates a crash: the flush loop stops without flushing and
 	// queued records are dropped, exactly as a SIGKILL would drop them.
@@ -194,31 +163,16 @@ type Journal struct {
 	encBuf   []byte
 
 	// ackedBytes is the current segment's acknowledged-durable prefix: the
-	// byte offset covered by the last fsync whose batches were acked. Kill
-	// truncates the segment to it, modeling a machine crash in which
-	// written-but-unsynced bytes never reached the platter.
-	ackedBytes atomic.Int64
+	// byte offset covered by the last successful fsync. Kill truncates the
+	// segment to it, modeling a machine crash in which written-but-unsynced
+	// bytes never reached the platter.
+	ackedBytes int64
 
-	// Adaptive group-commit pacing state, driving syncPace: unix-nanos of
-	// the last fsync completion and the EWMA cost of one fsync. Written by
-	// whichever goroutine ran the fsync (the sync loop in steady state, the
-	// flush loop when sealing segments), read by the flush loop — atomics
-	// for visibility, never contended.
-	lastSyncNs atomic.Int64
-	ewmaSyncNs atomic.Int64
+	// Pacing state read by syncPace: when the last fsync ended and the EWMA
+	// cost of one fsync.
+	lastSync time.Time
+	ewmaSync time.Duration
 }
-
-// Adaptive group-commit pacing (SyncBatch with no explicit FlushMaxWait):
-// a batch is held open until at least syncSlack× the EWMA fsync cost has
-// passed since the last fsync, capping the disk's fsync duty cycle at
-// roughly 1/syncSlack of wall time under sustained load. An idle append
-// still commits immediately (the last fsync is long past), so the policy
-// costs latency only when batching is actually paying for it.
-// Options.MaxSyncInterval bounds the induced acknowledgement lag on slow
-// storage. The fsyncs themselves run on the sync loop, overlapped with the
-// next batch's collection, and nothing in the serving path waits for them,
-// so pacing governs fsync cost and ack lag — not request latency.
-const syncSlack = 16
 
 // segmentName formats the idx'th segment's filename.
 func segmentName(idx int) string { return fmt.Sprintf("journal-%08d.wal", idx) }
@@ -273,9 +227,8 @@ func Open(opts Options) (*Journal, error) {
 	j := &Journal{
 		opts:   opts,
 		m:      opts.Metrics,
-		ch:     make(chan *pending, opts.QueueDepth),
+		ch:     make(chan *pending, queueDepth),
 		quit:   make(chan struct{}),
-		syncCh: make(chan syncReq, 64),
 		segIdx: next,
 	}
 	if err := j.openSegment(); err != nil {
@@ -283,8 +236,6 @@ func Open(opts Options) (*Journal, error) {
 	}
 	j.wg.Add(1)
 	go j.flushLoop()
-	j.syncWg.Add(1)
-	go j.syncLoop()
 	return j, nil
 }
 
@@ -305,7 +256,7 @@ func (j *Journal) openSegment() error {
 	// Nothing in a fresh segment is durable until its first fsync; a kill
 	// before that truncates it to empty (never extends — the file on disk
 	// is always at least as long as the last fsynced offset).
-	j.ackedBytes.Store(0)
+	j.ackedBytes = 0
 	j.m.Bytes.Add(int64(len(segmentMagic)))
 	return nil
 }
@@ -338,10 +289,7 @@ func (j *Journal) append(rec Record) <-chan error {
 		done <- ErrClosed
 		return done
 	case j.degraded.Load():
-		j.degradeMu.Lock()
-		err := j.degradeBy
-		j.degradeMu.Unlock()
-		done <- fmt.Errorf("%w: %v", ErrDegraded, err)
+		done <- fmt.Errorf("%w: %v", ErrDegraded, j.degradeCause())
 		return done
 	}
 	select {
@@ -360,22 +308,26 @@ func (j *Journal) Degraded() (bool, string) {
 	if !j.degraded.Load() {
 		return false, ""
 	}
-	j.degradeMu.Lock()
-	defer j.degradeMu.Unlock()
-	return true, j.degradeBy.Error()
+	return true, j.degradeCause().Error()
 }
 
-// flushLoop is the group-commit loop: collect a batch (held open by the
-// fixed FlushMaxWait window or the adaptive fsync pacing), write it, then
-// either acknowledge it directly (SyncNone, SyncAlways) or hand it to the
-// sync loop, which fsyncs and acknowledges while this loop moves on.
+// degradeCause returns the failure that flipped the journal to lossy mode.
+func (j *Journal) degradeCause() error {
+	j.degradeMu.Lock()
+	defer j.degradeMu.Unlock()
+	return j.degradeBy
+}
+
+// flushLoop is the journal's one goroutine. Per batch it waits for the first
+// record, holds the batch open for syncPace, takes whatever else is already
+// queued, then commits it: write, flush, fsync under SyncBatch, acknowledge.
 func (j *Journal) flushLoop() {
 	defer j.wg.Done()
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
 	}
-	batch := make([]*pending, 0, j.opts.FlushMaxBatch)
+	batch := make([]*pending, 0, flushMaxBatch)
 	for {
 		// Wait for the batch's first record (or shutdown).
 		select {
@@ -385,15 +337,11 @@ func (j *Journal) flushLoop() {
 			j.drainAndExit(batch[:0])
 			return
 		}
-		wait := j.opts.FlushMaxWait
-		if wait <= 0 {
-			wait = j.syncPace()
-		}
-		if wait > 0 {
+		if wait := j.syncPace(); wait > 0 {
 			// Hold the batch open for followers.
 			timer.Reset(wait)
 			open := true
-			for open && len(batch) < j.opts.FlushMaxBatch {
+			for open && len(batch) < flushMaxBatch {
 				select {
 				case p := <-j.ch:
 					batch = append(batch, p)
@@ -411,7 +359,7 @@ func (j *Journal) flushLoop() {
 		// that landed while the window closed (or during the previous
 		// commit's fsync) ride this batch instead of forcing another.
 		greedy := true
-		for greedy && len(batch) < j.opts.FlushMaxBatch {
+		for greedy && len(batch) < flushMaxBatch {
 			select {
 			case p := <-j.ch:
 				batch = append(batch, p)
@@ -428,8 +376,9 @@ func (j *Journal) flushLoop() {
 }
 
 // drainAndExit consumes whatever is still queued at shutdown. On a graceful
-// Close the leftovers are committed; on Kill (or after degradation) they
-// are dropped, exactly as a crash would drop them.
+// Close the leftovers are committed; on Kill they are dropped and the
+// segment is cut back to its acknowledged prefix, exactly as a crash would
+// leave it.
 func (j *Journal) drainAndExit(batch []*pending) {
 	for {
 		select {
@@ -440,15 +389,9 @@ func (j *Journal) drainAndExit(batch []*pending) {
 				for _, p := range batch {
 					p.done <- ErrClosed
 				}
-			} else if len(batch) > 0 {
-				j.commit(batch)
-			}
-			// Retire the sync loop before touching the segment file: any
-			// handed-off batch must fsync (or, killed, drop) first.
-			close(j.syncCh)
-			j.syncWg.Wait()
-			if j.killed.Load() {
 				j.truncateUnsynced()
+			} else {
+				j.commit(batch)
 			}
 			j.closeSegment(!j.killed.Load() && !j.degraded.Load())
 			return
@@ -456,10 +399,8 @@ func (j *Journal) drainAndExit(batch []*pending) {
 	}
 }
 
-// commit writes one batch and routes it to acknowledgement: directly for
-// SyncNone (flushed) and SyncAlways (fsynced per record inline), via the
-// sync loop for SyncBatch, so the fsync overlaps the next batch's
-// collection. Any failure degrades the journal to lossy mode.
+// commit writes and flushes one batch, fsyncs it under SyncBatch, and
+// acknowledges it. Any failure degrades the journal to lossy mode.
 func (j *Journal) commit(batch []*pending) {
 	if len(batch) == 0 {
 		return
@@ -471,10 +412,7 @@ func (j *Journal) commit(batch []*pending) {
 		return
 	}
 	if j.degraded.Load() {
-		j.degradeMu.Lock()
-		err := j.degradeBy
-		j.degradeMu.Unlock()
-		j.failBatch(batch, err)
+		j.failBatch(batch, j.degradeCause())
 		return
 	}
 	start := time.Now()
@@ -496,58 +434,41 @@ func (j *Journal) commit(batch []*pending) {
 			}
 			j.segBytes += int64(len(buf))
 			bytes += int64(len(buf))
-			if j.opts.Sync == SyncAlways {
-				if err := j.syncNow(); err != nil {
-					return err
-				}
-			}
 		}
 		return j.w.Flush()
 	}()
 	j.m.Bytes.Add(bytes)
-	j.opts.WriterRing.Write(obsv.Record{
-		Kind:   obsv.KindJournalFlush,
-		Worker: obsv.JournalWriterLane,
-		Batch:  uint16(len(batch)),
-		T0:     start.UnixNano(),
-		T1:     time.Now().UnixNano(),
+	j.opts.Ring.Write(obsv.Record{
+		Kind:  obsv.KindJournalFlush,
+		Batch: uint16(len(batch)),
+		T0:    start.UnixNano(),
+		T1:    time.Now().UnixNano(),
 	})
+	if err == nil && j.opts.Sync == SyncBatch {
+		err = j.syncNow()
+	}
 	if err != nil {
 		j.degrade(err)
 		j.failBatch(batch, err)
 		return
 	}
-	if j.opts.Sync == SyncBatch {
-		cp := make([]*pending, len(batch))
-		copy(cp, batch)
-		j.syncCh <- syncReq{f: j.f, batch: cp, end: j.segBytes}
-		return
-	}
-	j.ackBatch(batch, j.opts.WriterRing)
+	j.ackBatch(batch)
 }
 
 // ackBatch resolves a durably committed batch: per-kind counters, commit
-// latency, then each record's response channel. ring is the acking
-// goroutine's trace ring (the writer ring when called from commit, the
-// syncer ring from syncReqs — ackBatch runs on either side of the split
-// depending on the sync policy); admit records emit a durability span so
-// /debug/trace can draw the admit → durable flow arrow.
-func (j *Journal) ackBatch(batch []*pending, ring *obsv.Ring) {
+// latency, then each record's response channel. Admit records emit a
+// durability span so /debug/trace can draw the admit → durable flow arrow.
+func (j *Journal) ackBatch(batch []*pending) {
 	j.m.BatchRecords.Observe(int64(len(batch)))
 	now := time.Now()
-	lane := obsv.JournalWriterLane
-	if ring == j.opts.SyncerRing && ring != nil {
-		lane = obsv.JournalSyncerLane
-	}
 	for _, p := range batch {
 		switch p.rec.Kind {
 		case KindAdmit:
 			j.m.AdmitRecords.Inc()
-			ring.Write(obsv.Record{
-				Kind:   obsv.KindJournalDurable,
-				Worker: lane,
-				Req:    int64(p.rec.ID),
-				T0:     now.UnixNano(),
+			j.opts.Ring.Write(obsv.Record{
+				Kind: obsv.KindJournalDurable,
+				Req:  int64(p.rec.ID),
+				T0:   now.UnixNano(),
 			})
 		case KindCancel:
 			j.m.CancelRecords.Inc()
@@ -566,110 +487,9 @@ func (j *Journal) failBatch(batch []*pending, err error) {
 	}
 }
 
-// syncLoop is the fsync half of the writer/syncer split. It coalesces every
-// handoff that queued while the previous fsync ran — rotation and shutdown
-// barrier the queue, so all of them were written to the same segment and one
-// fsync covers them all — then acknowledges the lot.
-func (j *Journal) syncLoop() {
-	defer j.syncWg.Done()
-	var reqs []syncReq
-	for open := true; open; {
-		req, ok := <-j.syncCh
-		if !ok {
-			return
-		}
-		reqs = append(reqs[:0], req)
-		for drain := req.barrier == nil; drain; {
-			select {
-			case r, ok := <-j.syncCh:
-				switch {
-				case !ok:
-					open, drain = false, false
-				case r.barrier != nil:
-					reqs, drain = append(reqs, r), false
-				default:
-					reqs = append(reqs, r)
-				}
-			default:
-				drain = false
-			}
-		}
-		j.syncReqs(reqs)
-	}
-}
-
-// syncReqs fsyncs and acknowledges one coalesced group of handoffs, then
-// releases any trailing barrier. A killed journal drops the batches exactly
-// as the crash would have: written, flushed, never fsynced, never acked.
-func (j *Journal) syncReqs(reqs []syncReq) {
-	var f SegmentFile
-	var end int64
-	records := 0
-	for _, r := range reqs {
-		if r.batch != nil {
-			f, end, records = r.f, r.end, records+len(r.batch)
-		}
-	}
-	if records > 0 {
-		switch {
-		case j.killed.Load():
-			for _, r := range reqs {
-				for _, p := range r.batch {
-					p.done <- ErrClosed
-				}
-			}
-		case j.degraded.Load():
-			j.degradeMu.Lock()
-			err := j.degradeBy
-			j.degradeMu.Unlock()
-			for _, r := range reqs {
-				j.failBatch(r.batch, err)
-			}
-		default:
-			t0 := time.Now()
-			err := f.Sync()
-			t1 := time.Now()
-			j.opts.SyncerRing.Write(obsv.Record{
-				Kind:   obsv.KindJournalFsync,
-				Worker: obsv.JournalSyncerLane,
-				Batch:  uint16(records),
-				T0:     t0.UnixNano(),
-				T1:     t1.UnixNano(),
-			})
-			if err != nil {
-				j.degrade(err)
-				for _, r := range reqs {
-					j.failBatch(r.batch, err)
-				}
-				break
-			}
-			j.observeSync(t1, t1.Sub(t0))
-			j.ackedBytes.Store(end)
-			for _, r := range reqs {
-				if r.batch != nil {
-					j.ackBatch(r.batch, j.opts.SyncerRing)
-				}
-			}
-		}
-	}
-	for _, r := range reqs {
-		if r.barrier != nil {
-			close(r.barrier)
-		}
-	}
-}
-
-// syncBarrier blocks until the sync loop has drained every batch handed off
-// so far, making it safe for the flush loop to seal the segment file.
-func (j *Journal) syncBarrier() {
-	ch := make(chan struct{})
-	j.syncCh <- syncReq{barrier: ch}
-	<-ch
-}
-
-// syncNow flushes buffered bytes and fsyncs the segment inline, feeding the
-// pacing state with the observed fsync cost. Used by SyncAlways and by the
-// segment-sealing paths; steady-state SyncBatch fsyncs run on the sync loop.
+// syncNow flushes buffered bytes and fsyncs the segment, making everything
+// written to it so far acknowledged-durable and feeding the pacing state
+// with the observed fsync cost.
 func (j *Journal) syncNow() error {
 	if err := j.w.Flush(); err != nil {
 		return err
@@ -677,57 +497,39 @@ func (j *Journal) syncNow() error {
 	t0 := time.Now()
 	err := j.f.Sync()
 	t1 := time.Now()
-	j.opts.WriterRing.Write(obsv.Record{
-		Kind:   obsv.KindJournalFsync,
-		Worker: obsv.JournalWriterLane,
-		T0:     t0.UnixNano(),
-		T1:     t1.UnixNano(),
+	j.opts.Ring.Write(obsv.Record{
+		Kind: obsv.KindJournalFsync,
+		T0:   t0.UnixNano(),
+		T1:   t1.UnixNano(),
 	})
 	if err != nil {
 		return err
 	}
-	j.observeSync(t1, t1.Sub(t0))
-	j.ackedBytes.Store(j.segBytes)
-	return nil
-}
-
-// observeSync records a completed fsync into the pacing state and metrics.
-func (j *Journal) observeSync(end time.Time, d time.Duration) {
-	j.lastSyncNs.Store(end.UnixNano())
-	ewma := j.ewmaSyncNs.Load()
-	if ewma == 0 {
-		ewma = int64(d)
+	d := t1.Sub(t0)
+	if j.ewmaSync == 0 {
+		j.ewmaSync = d
 	} else {
-		ewma += (int64(d) - ewma) / 4
+		j.ewmaSync += (d - j.ewmaSync) / 4
 	}
-	j.ewmaSyncNs.Store(ewma)
+	j.lastSync = t1
 	j.m.Fsyncs.Inc()
+	j.ackedBytes = j.segBytes
+	return nil
 }
 
 // syncPace returns how much longer the flush loop should hold the current
 // batch open so the fsync duty cycle stays under ~1/syncSlack. Zero means
-// commit now; only SyncBatch paces (SyncNone never fsyncs, SyncAlways
-// fsyncs per record by request).
+// commit now; only SyncBatch paces (SyncNone never fsyncs per batch).
 func (j *Journal) syncPace() time.Duration {
-	if j.opts.Sync != SyncBatch {
+	if j.opts.Sync != SyncBatch || j.ewmaSync == 0 {
 		return 0
 	}
-	ewma := time.Duration(j.ewmaSyncNs.Load())
-	if ewma == 0 {
-		return 0
-	}
-	interval := ewma * syncSlack
-	if interval > j.opts.MaxSyncInterval {
-		interval = j.opts.MaxSyncInterval
-	}
-	return interval - time.Since(time.Unix(0, j.lastSyncNs.Load()))
+	return min(j.ewmaSync*syncSlack, maxSyncInterval) - time.Since(j.lastSync)
 }
 
 // rotate seals the current segment (flush + fsync, so a sealed segment is
-// never torn) and opens the next one. The sync loop is drained first so no
-// in-flight fsync can land on a file being closed.
+// never torn) and opens the next one.
 func (j *Journal) rotate() error {
-	j.syncBarrier()
 	if err := j.syncNow(); err != nil {
 		return err
 	}
@@ -749,7 +551,7 @@ func (j *Journal) truncateUnsynced() {
 	if !ok {
 		return
 	}
-	tf.Truncate(j.ackedBytes.Load())
+	tf.Truncate(j.ackedBytes)
 }
 
 // degrade records the first failure and flips to lossy mode.
@@ -789,12 +591,12 @@ func (j *Journal) Close() {
 }
 
 // Kill simulates a crash for tests and the conformance harness: the flush
-// loop stops immediately, queued and buffered (unacknowledged) records are
-// dropped without flush or fsync, and the current segment is truncated to
-// its acknowledged-durable prefix (written-but-unsynced bytes never
-// survive a power loss). Records already acknowledged under
-// SyncBatch/SyncAlways remain durable — exactly the guarantee a crash
-// leaves behind.
+// loop stops after the batch it is committing, queued and buffered
+// (unacknowledged) records are dropped without flush or fsync, and the
+// current segment is truncated to its acknowledged-durable prefix
+// (written-but-unsynced bytes never survive a power loss). Records already
+// acknowledged under SyncBatch remain durable — exactly the guarantee a
+// crash leaves behind.
 func (j *Journal) Kill() {
 	j.killed.Store(true)
 	select {

@@ -3,20 +3,20 @@ package journal
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sync"
+	"runtime"
 	"testing"
 	"time"
 
 	"batchmaker/internal/obsv"
 )
 
-// openTest opens a journal in a fresh temp dir with fast-flush settings.
+// openTest opens a journal in a fresh temp dir, committing without fsync
+// unless mutate says otherwise.
 func openTest(t *testing.T, mutate func(*Options)) (*Journal, string) {
 	t.Helper()
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Sync: SyncNone, FlushMaxWait: 100 * time.Microsecond}
+	opts := Options{Dir: dir, Sync: SyncNone}
 	if mutate != nil {
 		mutate(&opts)
 	}
@@ -103,18 +103,15 @@ func TestGroupCommitBatches(t *testing.T) {
 	m := obsv.NewJournalMetrics(reg)
 	j, _ := openTest(t, func(o *Options) {
 		o.Sync = SyncBatch
-		o.FlushMaxWait = 20 * time.Millisecond
 		o.Metrics = m
 	})
-	// Enqueue a burst before the flush timer fires: they should commit as
-	// few batches (usually one), i.e. far fewer fsyncs than records.
+	// Enqueue a burst: whatever queues behind the first commit's fsync rides
+	// the next batch, so far fewer fsyncs than records.
 	const n = 64
-	var wg sync.WaitGroup
 	waits := make([]<-chan error, n)
 	for i := 0; i < n; i++ {
 		waits[i] = j.AppendAdmit(uint64(i+1), []byte("p"), 0)
 	}
-	wg.Wait()
 	for i, w := range waits {
 		if err := <-w; err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -164,7 +161,7 @@ func TestSegmentRotation(t *testing.T) {
 
 func TestOpenContinuesAfterExistingSegments(t *testing.T) {
 	dir := t.TempDir()
-	j1, err := Open(Options{Dir: dir, FlushMaxWait: 100 * time.Microsecond})
+	j1, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +170,7 @@ func TestOpenContinuesAfterExistingSegments(t *testing.T) {
 	}
 	j1.Close()
 
-	j2, err := Open(Options{Dir: dir, FlushMaxWait: 100 * time.Microsecond})
+	j2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,28 +193,6 @@ func TestOpenContinuesAfterExistingSegments(t *testing.T) {
 	}
 }
 
-// failingSegment writes successfully failN times, then fails everything.
-type failingSegment struct {
-	mu     sync.Mutex
-	f      *os.File
-	writes int
-	failN  int
-}
-
-var errDiskFull = errors.New("injected: no space left on device")
-
-func (s *failingSegment) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writes++
-	if s.writes > s.failN {
-		return 0, errDiskFull
-	}
-	return s.f.Write(p)
-}
-func (s *failingSegment) Sync() error  { return s.f.Sync() }
-func (s *failingSegment) Close() error { return s.f.Close() }
-
 // TestDegradesToLossyOnWriteError is the graceful-degradation satellite:
 // a write failure must flip the journal to lossy mode — appends keep
 // resolving immediately (never block, never panic) with ErrDegraded, and
@@ -226,25 +201,15 @@ func TestDegradesToLossyOnWriteError(t *testing.T) {
 	reg := obsv.NewRegistry()
 	m := obsv.NewJournalMetrics(reg)
 	dir := t.TempDir()
-	j, err := Open(Options{
-		Dir:          dir,
-		Sync:         SyncNone,
-		FlushMaxWait: 100 * time.Microsecond,
-		Metrics:      m,
-		OpenSegment: func(path string) (SegmentFile, error) {
-			f, err := os.Create(path)
-			if err != nil {
-				return nil, err
-			}
-			return &failingSegment{f: f, failN: 2}, nil
-		},
-	})
+	// The third write fails: the first two (header + one record, then one
+	// more record) land.
+	disk := &faultDisk{kind: faultWrite, at: 3}
+	j, err := Open(Options{Dir: dir, Sync: SyncNone, Metrics: m, OpenSegment: disk.open})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
 
-	// First appends succeed (header + one buffered flush fit in failN).
 	if err := <-j.AppendAdmit(1, []byte("ok"), 0); err != nil {
 		t.Fatalf("pre-failure append: %v", err)
 	}
@@ -324,9 +289,13 @@ func TestKillDropsUnflushedOnly(t *testing.T) {
 }
 
 func TestCloseFlushesQueued(t *testing.T) {
-	j, dir := openTest(t, func(o *Options) { o.FlushMaxWait = time.Hour })
-	// Fire-and-forget appends sit in the queue (flush timer far away);
-	// Close must still commit them.
+	dir := t.TempDir()
+	j, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fire-and-forget appends may still sit in the queue; Close must commit
+	// them.
 	for i := 1; i <= 10; i++ {
 		j.AppendAdmit(uint64(i), []byte("q"), 0)
 	}
@@ -341,35 +310,58 @@ func TestCloseFlushesQueued(t *testing.T) {
 }
 
 func TestParseSyncPolicy(t *testing.T) {
-	cases := map[string]SyncPolicy{"none": SyncNone, "batch": SyncBatch, "always": SyncAlways, "BATCH": SyncBatch, "": SyncBatch}
+	cases := map[string]SyncPolicy{"none": SyncNone, "batch": SyncBatch, "BATCH": SyncBatch, "": SyncBatch}
 	for in, want := range cases {
 		got, err := ParseSyncPolicy(in)
 		if err != nil || got != want {
 			t.Fatalf("ParseSyncPolicy(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("ParseSyncPolicy accepted garbage")
+	for _, in := range []string{"sometimes", "always"} {
+		if _, err := ParseSyncPolicy(in); err == nil {
+			t.Fatalf("ParseSyncPolicy accepted %q", in)
+		}
 	}
 }
 
-func TestSyncAlwaysFsyncsPerRecord(t *testing.T) {
-	reg := obsv.NewRegistry()
-	m := obsv.NewJournalMetrics(reg)
-	j, _ := openTest(t, func(o *Options) {
-		o.Sync = SyncAlways
-		o.Metrics = m
-	})
-	const n = 8
-	for i := 1; i <= n; i++ {
-		if err := <-j.AppendAdmit(uint64(i), nil, 0); err != nil {
+// TestOpenStartsOneGoroutine: the journal runs on one goroutine. Open adds
+// exactly one, a commit starts no other, and Close — or Kill — takes it away
+// again.
+func TestOpenStartsOneGoroutine(t *testing.T) {
+	for name, stop := range map[string]func(*Journal){"Close": (*Journal).Close, "Kill": (*Journal).Kill} {
+		base := settledGoroutines(-1)
+		j, _ := openTest(t, func(o *Options) { o.Sync = SyncBatch })
+		if got := runtime.NumGoroutine() - base; got != 1 {
+			t.Fatalf("Open started %d goroutines, want 1", got)
+		}
+		if err := <-j.AppendAdmit(1, []byte("p"), 0); err != nil {
 			t.Fatal(err)
 		}
+		if got := runtime.NumGoroutine() - base; got != 1 {
+			t.Fatalf("%d journal goroutines after a commit, want 1", got)
+		}
+		stop(j)
+		if got := settledGoroutines(base); got != base {
+			t.Fatalf("%d goroutines after %s, want the %d before Open", got, name, base)
+		}
 	}
-	j.Close()
-	if got := m.Fsyncs.Value(); got < n {
-		t.Fatalf("%d fsyncs for %d records under SyncAlways, want >= %d", got, n, n)
+}
+
+// settledGoroutines waits up to a second for the goroutine count to reach
+// want (any steady count when want < 0: two equal reads 5 ms apart) and
+// returns the last count read. An exiting goroutine lingers briefly after
+// the WaitGroup it signals is released.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for stop := time.Now().Add(time.Second); time.Now().Before(stop); {
+		time.Sleep(5 * time.Millisecond)
+		prev := n
+		n = runtime.NumGoroutine()
+		if n == want || (want < 0 && n == prev) {
+			break
+		}
 	}
+	return n
 }
 
 func TestSegmentNameRoundtrip(t *testing.T) {

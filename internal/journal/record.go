@@ -5,10 +5,10 @@
 // outcomes are journaled as requests resolve, and recovery replays every
 // journaled request that never reached a terminal record.
 //
-// Records are committed by a writer/syncer goroutine pair using batched
-// group commit — the size+max-wait batcher idiom — so the serving
-// pipeline's stages never wait on the disk: the writer collects and writes
-// a batch while the syncer fsyncs the previous one, and durability is
+// Records are committed by one flush goroutine using batched group commit
+// — the size+max-wait batcher idiom — so the serving pipeline's stages
+// never wait on the disk: the flush goroutine collects a batch, writes and
+// fsyncs it while later appends queue behind it, and durability is
 // acknowledged asynchronously on per-record response channels. Nothing in
 // the serving path waits for the acknowledgement; callers that need the
 // durability guarantee take it explicitly (server.Handle.AdmitDurable).

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // lastSegmentPath returns the path of the highest-index segment in dir.
@@ -22,7 +21,7 @@ func lastSegmentPath(t *testing.T, dir string) string {
 func writeIntact(t *testing.T, n int) string {
 	t.Helper()
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, Sync: SyncNone, FlushMaxWait: 100 * time.Microsecond})
+	j, err := Open(Options{Dir: dir, Sync: SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestRecoverTruncatedTail(t *testing.T) {
 	// The file ends ...[admit n][terminal 1]. Truncating 3 bytes tears the
 	// terminal record; to instead tear the LAST ADMIT we re-journal so the
 	// tail is an admit: append a fresh admit for id n+1 then truncate into it.
-	j, err := Open(Options{Dir: dir, Sync: SyncNone, FlushMaxWait: 100 * time.Microsecond})
+	j, err := Open(Options{Dir: dir, Sync: SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestRecoverBitFlippedTail(t *testing.T) {
 // segment must not hide later sealed segments.
 func TestRecoverBadMagicSegmentSkipped(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, Sync: SyncNone, FlushMaxWait: 100 * time.Microsecond, SegmentMaxBytes: 64})
+	j, err := Open(Options{Dir: dir, Sync: SyncNone, SegmentMaxBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,7 @@ import (
 )
 
 // collect waits for at least one record of each wanted kind to land in the
-// ring, bounded by a deadline — the flush/sync goroutines write
-// asynchronously after the append is acknowledged.
+// ring, bounded by a deadline.
 func collect(t *testing.T, r *obsv.Ring, deadline time.Duration, want ...obsv.Kind) map[obsv.Kind][]obsv.Record {
 	t.Helper()
 	var recs []obsv.Record
@@ -36,16 +35,12 @@ func collect(t *testing.T, r *obsv.Ring, deadline time.Duration, want ...obsv.Ki
 	}
 }
 
-// TestJournalTraceRingsSyncNone: under SyncNone the flush goroutine owns
-// both the group-commit flush span and the durability acks; the syncer
-// ring stays empty.
+// TestJournalTraceRingsSyncNone: under SyncNone the flush goroutine writes
+// the group-commit flush span and the durability acks to the journal's ring,
+// and no fsync span before Close.
 func TestJournalTraceRingsSyncNone(t *testing.T) {
-	wr := obsv.NewRing("journal-writer", 64)
-	sr := obsv.NewRing("journal-syncer", 64)
-	j, _ := openTest(t, func(o *Options) {
-		o.WriterRing = wr
-		o.SyncerRing = sr
-	})
+	ring := obsv.NewRing("journal", 64)
+	j, _ := openTest(t, func(o *Options) { o.Ring = ring })
 	defer j.Close()
 
 	for i := uint64(1); i <= 4; i++ {
@@ -53,12 +48,9 @@ func TestJournalTraceRingsSyncNone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := collect(t, wr, time.Second, obsv.KindJournalFlush, obsv.KindJournalDurable)
+	got := collect(t, ring, time.Second, obsv.KindJournalFlush, obsv.KindJournalDurable)
 
 	for _, rec := range got[obsv.KindJournalFlush] {
-		if rec.Worker != obsv.JournalWriterLane {
-			t.Fatalf("flush span on lane %d, want writer lane", rec.Worker)
-		}
 		if rec.Batch <= 0 {
 			t.Fatalf("flush span carries batch size %d", rec.Batch)
 		}
@@ -76,41 +68,37 @@ func TestJournalTraceRingsSyncNone(t *testing.T) {
 			t.Fatalf("no durable ack for request %d: %v", i, got[obsv.KindJournalDurable])
 		}
 	}
-	if n := len(sr.Snapshot(nil)); n != 0 {
-		t.Fatalf("SyncNone wrote %d records to the syncer ring", n)
+	if n := len(got[obsv.KindJournalFsync]); n != 0 {
+		t.Fatalf("SyncNone wrote %d fsync spans before Close", n)
 	}
 }
 
-// TestJournalTraceRingsSyncBatch: under SyncBatch the fsync and the
-// durability acks move to the sync goroutine's ring, tagged with the
-// syncer lane.
+// TestJournalTraceRingsSyncBatch: under SyncBatch the flush, the fsync and
+// the durability acks all land on the journal's one ring.
 func TestJournalTraceRingsSyncBatch(t *testing.T) {
-	wr := obsv.NewRing("journal-writer", 64)
-	sr := obsv.NewRing("journal-syncer", 64)
+	ring := obsv.NewRing("journal", 64)
 	j, _ := openTest(t, func(o *Options) {
 		o.Sync = SyncBatch
-		o.WriterRing = wr
-		o.SyncerRing = sr
+		o.Ring = ring
 	})
 	defer j.Close()
 
 	if err := <-j.AppendAdmit(1, []byte("{}"), 0); err != nil {
 		t.Fatal(err)
 	}
-	collect(t, wr, time.Second, obsv.KindJournalFlush)
-	got := collect(t, sr, time.Second, obsv.KindJournalFsync, obsv.KindJournalDurable)
+	got := collect(t, ring, time.Second, obsv.KindJournalFlush, obsv.KindJournalFsync, obsv.KindJournalDurable)
 	for _, rec := range got[obsv.KindJournalFsync] {
-		if rec.Worker != obsv.JournalSyncerLane {
-			t.Fatalf("fsync span on lane %d, want syncer lane", rec.Worker)
+		if rec.T1 < rec.T0 {
+			t.Fatalf("fsync span runs backwards: %d..%d", rec.T0, rec.T1)
 		}
 	}
 	found := false
 	for _, rec := range got[obsv.KindJournalDurable] {
-		if rec.Req == 1 && rec.Worker == obsv.JournalSyncerLane {
+		if rec.Req == 1 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no syncer-lane durable ack for request 1: %v", got[obsv.KindJournalDurable])
+		t.Fatalf("no durable ack for request 1: %v", got[obsv.KindJournalDurable])
 	}
 }

@@ -91,7 +91,7 @@ func (o *Observer) NewRing(name string) *Ring {
 // AdoptRing registers an externally created ring (obsv.NewRing) with this
 // observer so snapshots, gauges, and trace assembly include it. Used when a
 // ring's writer starts before the observer exists — e.g. the journal's
-// flush/sync loops, which open before the server builds its observer. A nil
+// flush loop, which opens before the server builds its observer. A nil
 // ring is ignored.
 func (o *Observer) AdoptRing(r *Ring) {
 	if o == nil || r == nil {

@@ -11,7 +11,7 @@ func TestRingPackUnpackRoundTrip(t *testing.T) {
 		{Kind: KindTaskExec, Worker: 3, Type: 7, Batch: 65535, Queue: 12, T0: 5, T1: 9},
 		{Kind: KindPanic, Worker: 255, Type: 65535, Batch: 1, Queue: 65535},
 		{Kind: KindDispatch, Worker: 9, Batch: 4, Device: 255, Flags: FlagRemote | FlagMigrated, T0: 2},
-		{Kind: KindJournalDurable, Worker: JournalSyncerLane, Req: 7, T0: 3},
+		{Kind: KindJournalDurable, Req: 7, T0: 3},
 	}
 	for _, want := range recs {
 		got := unpack(pack(want), packAux(want))

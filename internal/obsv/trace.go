@@ -14,8 +14,7 @@ import (
 //	pid 1            "batchmaker pipeline"
 //	  tid 1          request-processor  (admit/terminal lifecycle, policy events)
 //	  tid 2          scheduler          (dispatch instants, rebalances)
-//	  tid 3          journal-writer     (group-commit flush slices, inline fsyncs)
-//	  tid 4          journal-syncer     (fsync slices, durability acks)
+//	  tid 3          journal            (group-commit flush and fsync slices, durability acks)
 //	pid 10+d         "device-pool-<d>"
 //	  tid 10+w       worker-<w>         (task-exec slices, first-exec, panics)
 //
@@ -57,18 +56,9 @@ const (
 	tracePidPipeline  = 1
 	traceTidRP        = 1
 	traceTidSched     = 2
-	traceTidJWriter   = 3
-	traceTidJSyncer   = 4
+	traceTidJournal   = 3
 	tracePidDeviceOff = 10 // device pool d -> pid 10+d
 	traceTidWorkerOff = 10 // worker w -> tid 10+w
-)
-
-// Journal sub-writer discriminator carried in Record.Worker for journal
-// kinds: the flush loop writes with JournalWriterLane, the sync loop with
-// JournalSyncerLane.
-const (
-	JournalWriterLane uint8 = 0
-	JournalSyncerLane uint8 = 1
 )
 
 type trackKey struct{ pid, tid int }
@@ -156,11 +146,8 @@ func (a *traceAssembler) workerTrack(r Record) (int, int) {
 		"worker-"+strconv.Itoa(int(r.Worker)))
 }
 
-func (a *traceAssembler) journalTrack(r Record) (int, int) {
-	if r.Worker == JournalSyncerLane {
-		return a.use(tracePidPipeline, traceTidJSyncer, "journal-syncer")
-	}
-	return a.use(tracePidPipeline, traceTidJWriter, "journal-writer")
+func (a *traceAssembler) journalTrack() (int, int) {
+	return a.use(tracePidPipeline, traceTidJournal, "journal")
 }
 
 func (a *traceAssembler) rpTrack() (int, int) {
@@ -260,7 +247,7 @@ func (a *traceAssembler) record(r Record) {
 			"batch":     int(r.Batch),
 		})
 	case KindJournalFlush:
-		pid, tid := a.journalTrack(r)
+		pid, tid := a.journalTrack()
 		dur := usSince(r.T1, a.base) - ts
 		if dur < 0 {
 			dur = 0
@@ -269,14 +256,14 @@ func (a *traceAssembler) record(r Record) {
 			"records": int(r.Batch),
 		})
 	case KindJournalFsync:
-		pid, tid := a.journalTrack(r)
+		pid, tid := a.journalTrack()
 		dur := usSince(r.T1, a.base) - ts
 		if dur < 0 {
 			dur = 0
 		}
 		a.slice("journal_fsync", pid, tid, ts, dur, 0, "", nil)
 	case KindJournalDurable:
-		pid, tid := a.journalTrack(r)
+		pid, tid := a.journalTrack()
 		a.slice("durable", pid, tid, ts, thinSliceUs, r.Req, "t", nil)
 	}
 }

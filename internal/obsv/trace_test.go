@@ -18,7 +18,7 @@ const traceBaseNs = int64(1_700_000_000_000_000_000)
 // traceObserver plays a deterministic two-request history across every
 // track the assembler knows: admits and terminals on the request
 // processor, a group-commit flush + fsync + durability acks on the journal
-// lanes, a dispatch and a rebalance on the scheduler, and first-exec +
+// track, a dispatch and a rebalance on the scheduler, and first-exec +
 // batched task-exec slices on two workers across two device pools.
 func traceObserver() *Observer {
 	o := NewObserver(NewRegistry(), 64)
@@ -28,8 +28,7 @@ func traceObserver() *Observer {
 	sched := o.NewRing("sched")
 	w0 := o.NewRing("worker-0")
 	w1 := o.NewRing("worker-1")
-	jw := o.NewRing("journal-writer")
-	js := o.NewRing("journal-syncer")
+	jr := o.NewRing("journal")
 
 	at := func(us int64) int64 { return traceBaseNs + us*1000 }
 
@@ -37,10 +36,10 @@ func traceObserver() *Observer {
 	rp.Write(Record{Kind: KindAdmit, Req: 2, T0: at(5)})
 	rp.Write(Record{Kind: KindPolicyShed, T0: at(8)})
 	rp.Write(Record{Kind: KindReject, T0: at(9)})
-	jw.Write(Record{Kind: KindJournalFlush, Worker: JournalWriterLane, Batch: 2, T0: at(10), T1: at(40)})
-	js.Write(Record{Kind: KindJournalFsync, Worker: JournalSyncerLane, Batch: 2, T0: at(45), T1: at(90)})
-	js.Write(Record{Kind: KindJournalDurable, Worker: JournalSyncerLane, Req: 1, T0: at(95)})
-	js.Write(Record{Kind: KindJournalDurable, Worker: JournalSyncerLane, Req: 2, T0: at(96)})
+	jr.Write(Record{Kind: KindJournalFlush, Batch: 2, T0: at(10), T1: at(40)})
+	jr.Write(Record{Kind: KindJournalFsync, T0: at(45), T1: at(90)})
+	jr.Write(Record{Kind: KindJournalDurable, Req: 1, T0: at(95)})
+	jr.Write(Record{Kind: KindJournalDurable, Req: 2, T0: at(96)})
 	sched.Write(Record{Kind: KindDispatch, Worker: 0, Type: 1, Batch: 2, Queue: 1, T0: at(100)})
 	w0.Write(Record{Kind: KindFirstExec, Worker: 0, Batch: 2, Req: 1, T0: at(110)})
 	w0.Write(Record{Kind: KindFirstExec, Worker: 0, Batch: 2, Req: 2, T0: at(111)})
@@ -199,7 +198,7 @@ func TestTraceSchemaValid(t *testing.T) {
 
 // TestTraceFlowChains asserts the causal arrows: each completed request
 // has a flow start on the request-processor track, flow steps through the
-// journal-syncer and worker tracks, and a flow end back on the
+// journal and worker tracks, and a flow end back on the
 // request-processor track — at least one arrow crossing from the pipeline
 // process into a device-pool process.
 func TestTraceFlowChains(t *testing.T) {

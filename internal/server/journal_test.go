@@ -5,17 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/journal"
 )
 
-// openTestJournal opens a real journal in a temp dir with fast flushing.
+// openTestJournal opens a real journal in a temp dir, committing without
+// fsync.
 func openTestJournal(t *testing.T) (*journal.Journal, string) {
 	t.Helper()
 	dir := t.TempDir()
-	j, err := journal.Open(journal.Options{Dir: dir, Sync: journal.SyncNone, FlushMaxWait: 100 * time.Microsecond})
+	j, err := journal.Open(journal.Options{Dir: dir, Sync: journal.SyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
