@@ -38,8 +38,12 @@ func TestPreallocMatchesAllocatingPath(t *testing.T) {
 			out := map[string]*tensor.Tensor{}
 			for o, name := range cell.OutputNames() {
 				row := s.OutputRow(id, o)
-				if row == nil || row.Dim(0) != 1 {
+				// Every output is read but the last node's c.
+				if unread := i == len(g.Nodes)-1 && name == "c"; unread != (row == nil) {
 					t.Fatalf("node %d output %q row = %v", id, name, row)
+				}
+				if row == nil {
+					row = tensor.New(1, tHidden) // scratch the cell writes and nobody reads
 				}
 				out[name] = row
 			}
@@ -58,6 +62,45 @@ func TestPreallocMatchesAllocatingPath(t *testing.T) {
 	for name, w := range want {
 		if !got[name].Equal(w) {
 			t.Fatalf("prealloc path diverges on result %q", name)
+		}
+	}
+}
+
+// TestPreallocCarvesOnlyReadRows: a translation's decoder steps carve h, c
+// and word — the next step reads them, word is a result — but no logits row,
+// which nothing reads; a graph that names logits as a result (as beam search
+// does) gets its row.
+func TestPreallocCarvesOnlyReadRows(t *testing.T) {
+	_, enc, dec, _, _ := testCells(t)
+	logits := OutputIndex(dec, "logits")
+	for _, exposed := range []bool{false, true} {
+		g, err := UnfoldSeq2Seq(enc, dec, []int{3, 4, 5}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := NodeID(len(g.Nodes) - 1)
+		if exposed {
+			g.Results = append(g.Results, OutputSpec{Name: "logits", Node: last, Out: logits})
+		}
+		s, err := NewState(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.PreallocOutputs(rnn.OutputWidthsOf)
+		for i := range g.Nodes {
+			id := NodeID(i)
+			for o, name := range g.Nodes[i].Cell.OutputNames() {
+				want := true
+				switch {
+				case name == "logits":
+					want = exposed && id == last
+				case id == last:
+					want = name == "word" // the final h and c feed nothing
+				}
+				if got := s.OutputRow(id, o) != nil; got != want {
+					t.Errorf("exposed=%v node %d output %q: carved %v, want %v", exposed, id, name, got, want)
+				}
+			}
 		}
 	}
 }

@@ -109,26 +109,45 @@ func (s *State) finish(id NodeID) {
 	s.remained--
 }
 
-// PreallocOutputs carves a [1, w] output row for every output of every node
-// whose widths widthsOf knows: one float slab for the whole request, and no
-// allocation per row. It runs on the admission path (the caller's
-// goroutine), moving the scatter-side allocations out of the worker hot
-// loop: a worker fills the rows in place and calls CompletePrealloc.
+// PreallocOutputs carves a [1, w] output row for every output that some
+// node's binding or some Results entry reads, of every node whose widths
+// widthsOf knows: one float slab for the whole request, and no allocation
+// per row. Outputs nobody reads — a decoder step's logits, say — get no row,
+// and the worker's scatter skips them. It runs on the admission path (the
+// caller's goroutine), moving the scatter-side allocations out of the worker
+// hot loop: a worker fills the rows in place and calls CompletePrealloc.
 //
 // widthsOf returns a cell's output row widths in Cell.OutputNames() order,
 // or nil when unknown; nodes with nil (or incomplete) widths keep the
 // allocating Complete path. Calling PreallocOutputs more than once, or
 // after execution has begun, is a programming error.
 func (s *State) PreallocOutputs(widthsOf func(rnn.Cell) []int) {
+	read := make([]bool, len(s.rows))
+	for i := range s.g.Nodes {
+		for _, b := range s.g.Nodes[i].Inputs {
+			if b.From != NoNode {
+				read[s.g.Nodes[b.From].out0+b.Out] = true
+			}
+		}
+	}
+	for _, r := range s.g.Results {
+		read[s.g.Nodes[r.Node].out0+r.Out] = true
+	}
 	floats := 0
 	for i := range s.g.Nodes {
 		n := &s.g.Nodes[i]
 		if s.flags[i] != 0 {
 			panic("cellgraph: PreallocOutputs called twice or after execution began")
 		}
-		if sum := rowWidths(n, widthsOf(n.Cell)); sum > 0 {
-			s.flags[i] = flagPrealloc
-			floats += sum
+		widths := widthsOf(n.Cell)
+		if !knownWidths(n, widths) {
+			continue
+		}
+		s.flags[i] = flagPrealloc
+		for o, w := range widths {
+			if read[n.out0+o] {
+				floats += w
+			}
 		}
 	}
 	slab := make([]float32, floats)
@@ -149,45 +168,46 @@ func (s *State) PreallocOutputs(widthsOf func(rnn.Cell) []int) {
 			continue
 		}
 		for o, w := range widthsOf(n.Cell) {
-			s.rows[n.out0+o] = tensor.ViewOf(slab[:w:w], shapeOf(w))
-			slab = slab[w:]
+			if read[n.out0+o] {
+				s.rows[n.out0+o] = tensor.ViewOf(slab[:w:w], shapeOf(w))
+				slab = slab[w:]
+			}
 		}
 	}
 }
 
-// rowWidths returns the total width of a node's output rows, or 0 when
-// widths does not give a positive width for every output.
-func rowWidths(n *Node, widths []int) int {
-	if len(widths) != numOutputs(n.Cell) {
-		return 0
+// knownWidths reports whether widths gives a positive width for every
+// output of n (and n has outputs).
+func knownWidths(n *Node, widths []int) bool {
+	if len(widths) == 0 || len(widths) != numOutputs(n.Cell) {
+		return false
 	}
-	sum := 0
 	for _, w := range widths {
 		if w <= 0 {
-			return 0
+			return false
 		}
-		sum += w
 	}
-	return sum
+	return true
 }
 
 // Preallocated reports whether node id's outputs were preallocated.
 func (s *State) Preallocated(id NodeID) bool { return s.flags[id]&flagPrealloc != 0 }
 
 // OutputRow returns node id's preallocated row for output o, or nil when
-// the node was not preallocated. The worker fills it in place before
-// calling CompletePrealloc.
+// the node was not preallocated or nothing reads that output. The worker
+// fills it in place before calling CompletePrealloc.
 func (s *State) OutputRow(id NodeID, o int) *tensor.Tensor {
-	if s.flags[id]&flagPrealloc == 0 {
+	row := &s.rows[s.g.Nodes[id].out0+o]
+	if s.flags[id]&flagPrealloc == 0 || row.Rank() == 0 {
 		return nil
 	}
-	return &s.rows[s.g.Nodes[id].out0+o]
+	return row
 }
 
 // CompletePrealloc marks a preallocated node complete — its rows must have
 // been filled via OutputRow. It is Complete without any allocation and
 // without an output-name coverage check (PreallocOutputs carved every
-// output).
+// output that is read).
 func (s *State) CompletePrealloc(id NodeID) {
 	if s.flags[id]&flagPrealloc == 0 {
 		panic(fmt.Sprintf("cellgraph: CompletePrealloc on non-preallocated node %d", id))

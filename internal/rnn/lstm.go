@@ -119,9 +119,11 @@ func (c *LSTMCell) stepCore(x, h, cPrev, hOut, cOut *tensor.Tensor, a *tensor.Ar
 }
 
 // applyLSTMGates consumes fused pre-activations [b, 4h] laid out as
-// [i | f | g | o] and writes the new hidden and cell states, fused over the
-// flat backing slices (all operands are dense row-major, so row r of a
-// width-w tensor is data[r*w : (r+1)*w]).
+// [i | f | g | o] and writes the new hidden and cell states over the flat
+// backing slices (all operands are dense row-major, so row r of a width-w
+// tensor is data[r*w : (r+1)*w]). Per row, the activations sweep the gates
+// in place (they are scratch): sigmoid over [i | f], tanh over g, sigmoid
+// over o; then c' = f·c + i·g and h' = tanh(c')·o.
 func applyLSTMGates(gates, cPrev, hNew, cNew *tensor.Tensor, hidden int) {
 	b := gates.Dim(0)
 	gd, cp, hn, cn := gates.Data(), cPrev.Data(), hNew.Data(), cNew.Data()
@@ -130,13 +132,16 @@ func applyLSTMGates(gates, cPrev, hNew, cNew *tensor.Tensor, hidden int) {
 		cpr := cp[r*hidden : (r+1)*hidden]
 		hnr := hn[r*hidden : (r+1)*hidden]
 		cnr := cn[r*hidden : (r+1)*hidden]
-		for j := 0; j < hidden; j++ {
-			i := sigmoid32(g[j])
-			f := sigmoid32(g[hidden+j])
-			gg := tanh32(g[2*hidden+j])
-			o := sigmoid32(g[3*hidden+j])
-			cnr[j] = f*cpr[j] + i*gg
-			hnr[j] = o * tanh32(cnr[j])
+		tensor.SigmoidSlice(g[:2*hidden], g[:2*hidden])
+		tensor.TanhSlice(g[2*hidden:3*hidden], g[2*hidden:3*hidden])
+		tensor.SigmoidSlice(g[3*hidden:], g[3*hidden:])
+		i, f, gg, o := g[:hidden], g[hidden:2*hidden], g[2*hidden:3*hidden], g[3*hidden:]
+		for j := range cnr {
+			cnr[j] = f[j]*cpr[j] + i[j]*gg[j]
+		}
+		tensor.TanhSlice(hnr, cnr)
+		for j, oj := range o {
+			hnr[j] *= oj
 		}
 	}
 }
@@ -198,12 +203,12 @@ func (c *LSTMCell) StepRef(x, h, cc []float32) (hNew, cNew []float32) {
 		pre[j] = s
 	}
 	for j := 0; j < c.hidden; j++ {
-		i := sigmoid32(pre[j])
-		f := sigmoid32(pre[c.hidden+j])
-		g := tanh32(pre[2*c.hidden+j])
-		o := sigmoid32(pre[3*c.hidden+j])
+		i := tensor.Sigmoid32(pre[j])
+		f := tensor.Sigmoid32(pre[c.hidden+j])
+		g := tensor.Tanh32(pre[2*c.hidden+j])
+		o := tensor.Sigmoid32(pre[3*c.hidden+j])
 		cNew[j] = f*cc[j] + i*g
-		hNew[j] = o * tanh32(cNew[j])
+		hNew[j] = o * tensor.Tanh32(cNew[j])
 	}
 	return hNew, cNew
 }

@@ -1,6 +1,7 @@
 package rnn
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -59,8 +60,8 @@ func checkInterpreterEquivalence(t *testing.T, cell Cell, inputs map[string]*ten
 }
 
 // checkBatchingTransparency verifies the core cellular-batching invariant at
-// the cell level: executing a batch of b rows in one Step gives the same
-// result as executing each row alone.
+// the cell level: executing a batch of b rows in one Step gives bit for bit
+// the result of executing each row alone.
 func checkBatchingTransparency(t *testing.T, cell Cell, inputs map[string]*tensor.Tensor) {
 	t.Helper()
 	batched, err := cell.Step(inputs)
@@ -82,9 +83,58 @@ func checkBatchingTransparency(t *testing.T, cell Cell, inputs map[string]*tenso
 			t.Fatalf("single Step row %d: %v", r, err)
 		}
 		for name, v := range out {
-			want := tensor.SliceRows(batched[name], r, r+1)
-			if !v.AllClose(want, 1e-5) {
-				t.Fatalf("cell %s output %q row %d: batched != single", cell.Name(), name, r)
+			want := batched[name].RowSlice(r)
+			for j, got := range v.RowSlice(0) {
+				if math.Float32bits(got) != math.Float32bits(want[j]) {
+					t.Fatalf("cell %s b=%d output %q row %d col %d: single %x, batched %x",
+						cell.Name(), b, name, r, j, math.Float32bits(got), math.Float32bits(want[j]))
+				}
+			}
+		}
+	}
+}
+
+// zooCells builds one instance of each of the seven built-in cells at the
+// given hidden width, with vocabulary testVocab and input width testEmbed.
+func zooCells(rng *tensor.RNG, hidden int) []IntoStepper {
+	return []IntoStepper{
+		NewLSTMCell("lstm", testEmbed, hidden, rng),
+		NewGRUCell("gru", testEmbed, hidden, rng),
+		NewStackedLSTMCell("stack", testEmbed, hidden, 3, rng),
+		NewTreeLeafCell("leaf", testVocab, testEmbed, hidden, rng),
+		NewTreeInternalCell("internal", hidden, rng),
+		NewEncoderCell("enc", testVocab, testEmbed, hidden, rng),
+		NewDecoderCell("dec", testVocab, testEmbed, hidden, rng),
+	}
+}
+
+// zooInputs draws b rows of every input of a zooCells cell: word ids for
+// "ids", testEmbed columns for "x", hidden columns for every state.
+func zooInputs(rng *tensor.RNG, cell Cell, b, hidden int) map[string]*tensor.Tensor {
+	in := make(map[string]*tensor.Tensor, len(cell.InputNames()))
+	for _, name := range cell.InputNames() {
+		switch name {
+		case "ids":
+			in[name] = randIDs(rng, b, testVocab)
+		case "x":
+			in[name] = tensor.RandUniform(rng, 1, b, testEmbed)
+		default:
+			in[name] = tensor.RandUniform(rng, 1, b, hidden)
+		}
+	}
+	return in
+}
+
+// TestBatchingTransparencyBitExact runs checkBatchingTransparency on every
+// built-in cell at hidden widths 5 and 7, so each gate row mixes four-wide
+// activation lanes with a scalar tail, and at batch sizes on both sides of
+// the matmul's 4-row blocks.
+func TestBatchingTransparencyBitExact(t *testing.T) {
+	rng := tensor.NewRNG(61)
+	for _, hidden := range []int{5, 7} {
+		for _, cell := range zooCells(rng, hidden) {
+			for _, b := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17} {
+				checkBatchingTransparency(t, cell, zooInputs(rng, cell, b, hidden))
 			}
 		}
 	}

@@ -7,46 +7,20 @@ import (
 	"batchmaker/internal/tensor"
 )
 
+type stepIntoCase struct {
+	cell   IntoStepper
+	inputs map[string]*tensor.Tensor
+}
+
 // stepIntoCases builds one instance of every built-in cell with random
 // inputs, so the Step ≡ StepInto equivalence can be asserted across the
 // whole zoo.
-func stepIntoCases(rng *tensor.RNG) []struct {
-	cell   IntoStepper
-	inputs map[string]*tensor.Tensor
-} {
-	const b = 3
-	lstm := NewLSTMCell("lstm", testEmbed, testHidden, rng)
-	gru := NewGRUCell("gru", testEmbed, testHidden, rng)
-	stacked := NewStackedLSTMCell("stack", testEmbed, testHidden, 3, rng)
-	leaf := NewTreeLeafCell("leaf", 50, testEmbed, testHidden, rng)
-	internal := NewTreeInternalCell("internal", testHidden, rng)
-	enc := NewEncoderCell("enc", 50, testEmbed, testHidden, rng)
-	dec := NewDecoderCell("dec", 50, testEmbed, testHidden, rng)
-
-	ids := tensor.New(b, 1)
-	for i := 0; i < b; i++ {
-		ids.Set(float32(3+i*7), i, 0)
+func stepIntoCases(rng *tensor.RNG) []stepIntoCase {
+	var cases []stepIntoCase
+	for _, cell := range zooCells(rng, testHidden) {
+		cases = append(cases, stepIntoCase{cell, zooInputs(rng, cell, 3, testHidden)})
 	}
-	stackedIn := randInputs(rng, b, map[string]int{"x": testEmbed})
-	for l := 0; l < 3; l++ {
-		for k, v := range randInputs(rng, b, map[string]int{
-			stacked.hNames[l]: testHidden, stacked.cNames[l]: testHidden,
-		}) {
-			stackedIn[k] = v
-		}
-	}
-	return []struct {
-		cell   IntoStepper
-		inputs map[string]*tensor.Tensor
-	}{
-		{lstm, randInputs(rng, b, map[string]int{"x": testEmbed, "h": testHidden, "c": testHidden})},
-		{gru, randInputs(rng, b, map[string]int{"x": testEmbed, "h": testHidden})},
-		{stacked, stackedIn},
-		{leaf, map[string]*tensor.Tensor{"ids": ids}},
-		{internal, randInputs(rng, b, map[string]int{"hl": testHidden, "cl": testHidden, "hr": testHidden, "cr": testHidden})},
-		{enc, mergeInputs(map[string]*tensor.Tensor{"ids": ids}, randInputs(rng, b, map[string]int{"h": testHidden, "c": testHidden}))},
-		{dec, mergeInputs(map[string]*tensor.Tensor{"ids": ids}, randInputs(rng, b, map[string]int{"h": testHidden, "c": testHidden}))},
-	}
+	return cases
 }
 
 func mergeInputs(ms ...map[string]*tensor.Tensor) map[string]*tensor.Tensor {

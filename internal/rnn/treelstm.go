@@ -105,12 +105,15 @@ func (c *TreeLeafCell) StepInto(inputs, out map[string]*tensor.Tensor, a *tensor
 		p := pd[r*3*h : (r+1)*3*h]
 		hr := hd[r*h : (r+1)*h]
 		cr := cd[r*h : (r+1)*h]
-		for j := 0; j < h; j++ {
-			i := sigmoid32(p[j])
-			o := sigmoid32(p[h+j])
-			u := tanh32(p[2*h+j])
-			cr[j] = i * u
-			hr[j] = o * tanh32(cr[j])
+		tensor.SigmoidSlice(p[:2*h], p[:2*h])
+		tensor.TanhSlice(p[2*h:], p[2*h:])
+		i, o, u := p[:h], p[h:2*h], p[2*h:3*h]
+		for j := range cr {
+			cr[j] = i[j] * u[j]
+		}
+		tensor.TanhSlice(hr, cr)
+		for j, oj := range o {
+			hr[j] *= oj
 		}
 	}
 	return nil
@@ -244,14 +247,15 @@ func (c *TreeInternalCell) StepInto(inputs, out map[string]*tensor.Tensor, a *te
 		crr := crd[r*h : (r+1)*h]
 		ho := hd[r*h : (r+1)*h]
 		co := cd[r*h : (r+1)*h]
-		for j := 0; j < h; j++ {
-			i := sigmoid32(p[j])
-			fl := sigmoid32(p[h+j])
-			fr := sigmoid32(p[2*h+j])
-			o := sigmoid32(p[3*h+j])
-			u := tanh32(p[4*h+j])
-			co[j] = i*u + fl*clr[j] + fr*crr[j]
-			ho[j] = o * tanh32(co[j])
+		tensor.SigmoidSlice(p[:4*h], p[:4*h])
+		tensor.TanhSlice(p[4*h:], p[4*h:])
+		i, fl, fr, o, u := p[:h], p[h:2*h], p[2*h:3*h], p[3*h:4*h], p[4*h:5*h]
+		for j := range co {
+			co[j] = i[j]*u[j] + fl[j]*clr[j] + fr[j]*crr[j]
+		}
+		tensor.TanhSlice(ho, co)
+		for j, oj := range o {
+			ho[j] *= oj
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime"
 	"testing"
 
 	"batchmaker/internal/cellgraph"
@@ -90,11 +91,20 @@ func (c *admitCase) serveOne(tb testing.TB) {
 //	           before PR 19 (9e0b9d9)   flat plan (PR 19)   ceiling (+10 %)
 //	tree       1 630                    130                 143
 //	seq2seq    2 206                    322                 354
+//
+// Heap bytes per request: a translation used to carve a 1 000-float logits
+// row per decode step that nothing reads (181 kB per request); admission now
+// carves only the rows a binding or a result reads.
+//
+//	           all rows carved   read rows only   ceiling (+10 %)
+//	tree       36 kB             36 kB            40 000 B
+//	seq2seq    181 kB            83 kB            91 500 B
 func TestAdmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the ceiling is checked in the non-race suite")
 	}
 	ceiling := map[string]float64{"tree": 143, "seq2seq": 354}
+	bytesCeiling := map[string]float64{"tree": 40_000, "seq2seq": 91_500}
 	for _, c := range admitCases(t) {
 		for i := 0; i < 50; i++ {
 			c.serveOne(t)
@@ -104,7 +114,27 @@ func TestAdmitAllocs(t *testing.T) {
 		if got > ceiling[c.name] {
 			t.Errorf("%s: %.0f allocs per request, ceiling %.0f", c.name, got, ceiling[c.name])
 		}
+		bytes := bytesPerRun(200, func() { c.serveOne(t) })
+		t.Logf("%s: %.0f bytes per request (ceiling %.0f)", c.name, bytes, bytesCeiling[c.name])
+		if bytes > bytesCeiling[c.name] {
+			t.Errorf("%s: %.0f bytes per request, ceiling %.0f", c.name, bytes, bytesCeiling[c.name])
+		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// allocated by one call of f, measured at GOMAXPROCS 1 after one warm-up
+// call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
 }
 
 func benchmarkAdmit(b *testing.B, name string) {

@@ -224,8 +224,9 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 	// Scatter: copy each batch-output row into the request's preallocated
 	// output rows (carved at admission) and complete the nodes, so successor
 	// gathers — on this worker via FIFO, on others via the completion
-	// stage's release — see finished inputs. Requests whose outputs were not
-	// preallocated (cells without static widths) take the allocating path.
+	// stage's release — see finished inputs. Outputs nothing reads have no
+	// row and are skipped. Requests whose outputs were not preallocated
+	// (cells without static widths) take the allocating path.
 	for i, ref := range refs {
 		if ref.req.resolved.Load() {
 			// Resolved mid-execution; its state will never be read.
@@ -234,7 +235,9 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 		ref.req.stateMu.Lock()
 		if ref.req.state.Preallocated(ref.node) {
 			for o, batched := range te.outRows {
-				copy(ref.req.state.OutputRow(ref.node, o).Data(), batched.RowSlice(i))
+				if row := ref.req.state.OutputRow(ref.node, o); row != nil {
+					copy(row.Data(), batched.RowSlice(i))
+				}
 			}
 			ref.req.state.CompletePrealloc(ref.node)
 		} else {

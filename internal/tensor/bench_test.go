@@ -69,12 +69,33 @@ func BenchmarkMatMulServing(b *testing.B) {
 	}
 }
 
-// BenchmarkSigmoid1024 covers the element-wise activation path.
+// BenchmarkSigmoid1024 covers the element-wise activation path on a
+// [16, 1024] tensor, in place as the cells run it.
 func BenchmarkSigmoid1024(b *testing.B) {
 	x := RandUniform(NewRNG(1), 1, 16, 1024)
+	dst := New(16, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchTensorSink = Sigmoid(x)
+		SigmoidInto(dst, x)
+	}
+}
+
+// BenchmarkActivation times the activation kernels per element at a gate
+// row's lengths: 128 (hidden 128), 512 (an LSTM's four gates at hidden 128)
+// and 515 (the same with a three-element scalar tail).
+func BenchmarkActivation(b *testing.B) {
+	for _, act := range activations {
+		for _, n := range []int{128, 512, 515} {
+			b.Run(fmt.Sprintf("%s/n%d", act.name, n), func(b *testing.B) {
+				src := RandUniform(NewRNG(1), 4, 1, n).Data()
+				dst := make([]float32, n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					act.slice(dst, src)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+			})
+		}
 	}
 }
 

@@ -138,42 +138,34 @@ func MulInto(dst, a, b *Tensor) {
 	elementwise2Into(dst, a, b, "MulInto", func(x, y float32) float32 { return x * y })
 }
 
-// Sigmoid returns the logistic function applied element-wise.
+// Sigmoid returns Sigmoid32 applied element-wise.
 func Sigmoid(a *Tensor) *Tensor {
 	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
+	SigmoidSlice(out.data, a.data)
 	return out
 }
 
-// Tanh returns tanh applied element-wise.
+// Tanh returns Tanh32 applied element-wise.
 func Tanh(a *Tensor) *Tensor {
 	out := New(a.shape...)
-	for i, v := range a.data {
-		out.data[i] = float32(math.Tanh(float64(v)))
-	}
+	TanhSlice(out.data, a.data)
 	return out
 }
 
-// SigmoidInto computes dst = sigmoid(src) element-wise; dst may alias src.
+// SigmoidInto computes dst = Sigmoid32(src) element-wise; dst may alias src.
 func SigmoidInto(dst, src *Tensor) {
 	if !dst.SameShape(src) {
 		panic(fmt.Sprintf("tensor: SigmoidInto shape mismatch %v vs %v", dst.shape, src.shape))
 	}
-	for i, v := range src.data {
-		dst.data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
+	SigmoidSlice(dst.data, src.data)
 }
 
-// TanhInto computes dst = tanh(src) element-wise; dst may alias src.
+// TanhInto computes dst = Tanh32(src) element-wise; dst may alias src.
 func TanhInto(dst, src *Tensor) {
 	if !dst.SameShape(src) {
 		panic(fmt.Sprintf("tensor: TanhInto shape mismatch %v vs %v", dst.shape, src.shape))
 	}
-	for i, v := range src.data {
-		dst.data[i] = float32(math.Tanh(float64(v)))
-	}
+	TanhSlice(dst.data, src.data)
 }
 
 // Relu returns max(0, x) element-wise.
