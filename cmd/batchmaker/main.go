@@ -123,9 +123,8 @@ type appConfig struct {
 	// JournalSync is the fsync policy (default journal.SyncBatch).
 	JournalSync journal.SyncPolicy
 	// IncidentDir, when set, arms the anomaly-triggered flight recorder:
-	// detector rules (SLA P99 breach, shed bursts, SLO burn, journal
-	// degradation, policy shedding) dump self-contained diagnosis bundles
-	// into this spool directory.
+	// detector rules (P99 over SLA, shed bursts, journal degradation) dump
+	// self-contained diagnosis bundles into this spool directory.
 	IncidentDir string
 }
 
@@ -166,9 +165,6 @@ func newApp(cfg appConfig) (*app, error) {
 	}
 	if cfg.SLA > 0 {
 		scfg.Policy = policy.Config{Mode: cfg.PolicyMode, SLA: cfg.SLA}
-		// The SLA doubles as the SLO latency target: completions slower
-		// than it burn error budget (batchmaker_slo_* families).
-		scfg.Obs.SLOTarget = cfg.SLA
 	}
 	var pending []journal.PendingRequest
 	// The journal's flush loop starts before the server's observer exists, so
@@ -216,15 +212,12 @@ func newApp(cfg appConfig) (*app, error) {
 			Dir:    cfg.IncidentDir,
 			SLA:    cfg.SLA,
 			Health: a.health,
-			SLO:    srv.SLO(),
-			Policy: srv.PolicyMetrics(),
 		})
 		if err != nil {
 			a.close()
 			return nil, err
 		}
 		a.fr = fr
-		fr.Run()
 		log.Printf("flight recorder armed; incident bundles spool to %s", cfg.IncidentDir)
 	}
 	if len(pending) > 0 {

@@ -5,13 +5,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"batchmaker/internal/journal"
+	"batchmaker/internal/obsv"
 	"batchmaker/internal/policy"
 	"batchmaker/internal/server"
 )
@@ -290,6 +294,83 @@ func TestFlagValueValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "none") || !strings.Contains(err.Error(), "batch") {
 			t.Fatalf("ParseSyncPolicy(%q) err = %v, want one naming none and batch", in, err)
 		}
+	}
+}
+
+// failingSegment is a journal segment whose every write fails, so a journal
+// over it degrades to lossy mode on its first commit.
+type failingSegment struct{}
+
+func (failingSegment) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+func (failingSegment) Sync() error               { return nil }
+func (failingSegment) Close() error              { return nil }
+
+// TestIncidentRecorderWiring: -incident-dir with -sla and -journal-dir arms
+// the flight recorder over the app's own health (journal detail included)
+// and the registry the journal and policy families live in, with no SLO
+// family; close stops the detector goroutine, which TestMain's leak check
+// would otherwise report.
+func TestIncidentRecorderWiring(t *testing.T) {
+	a, err := newApp(appConfig{
+		Vocab: 50, Embed: 8, Hidden: 16, Workers: 1,
+		SLA: 50 * time.Millisecond, PolicyMode: policy.ModeFull,
+		JournalDir: t.TempDir(), IncidentDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.close()
+	if a.fr == nil {
+		t.Fatal("-incident-dir armed no flight recorder")
+	}
+
+	// Stand a degraded journal in for the app's while one bundle is forced,
+	// so health.json must carry the journal fields. The detector is stopped
+	// first: nothing else reads a.jnl meanwhile.
+	a.fr.Stop()
+	bad, err := journal.Open(journal.Options{
+		Dir:         t.TempDir(),
+		OpenSegment: func(string) (journal.SegmentFile, error) { return failingSegment{}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	if err := <-bad.AppendAdmit(1, nil, 0); !errors.Is(err, journal.ErrDegraded) {
+		t.Fatalf("append to a failing segment: %v, want ErrDegraded", err)
+	}
+	good := a.jnl
+	a.jnl = bad
+	path, err := a.fr.Force("", time.Now().UnixNano())
+	a.jnl = good
+	if err != nil || path == "" {
+		t.Fatalf("forced bundle: path %q, err %v", path, err)
+	}
+
+	data, err := os.ReadFile(filepath.Join(path, "health.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h obsv.Health
+	if err := json.Unmarshal(data, &h); err != nil {
+		t.Fatalf("health.json: %v", err)
+	}
+	if h.Status != "serving" || !h.JournalDegraded || !strings.Contains(h.JournalError, "disk full") {
+		t.Fatalf("health.json = %s, want a serving app with a degraded journal", data)
+	}
+
+	data, err = os.ReadFile(filepath.Join(path, "metrics.prom"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom := string(data)
+	for _, family := range []string{"batchmaker_requests_total", "batchmaker_journal_fsyncs_total", "batchmaker_policy_shedding"} {
+		if !strings.Contains(prom, "\n"+family) {
+			t.Errorf("metrics.prom exports no %s", family)
+		}
+	}
+	if strings.Contains(prom, "batchmaker_slo_") {
+		t.Error("metrics.prom exports a batchmaker_slo_ family")
 	}
 }
 

@@ -19,42 +19,43 @@ const (
 	MetricFlightBundles   = "batchmaker_flightrec_bundles_total"
 )
 
-// Incident reasons (bundle directory suffixes).
+// Incident reasons (bundle directory suffixes). Each detector rule reads a
+// different fact: the latency split, the rejected-requests counter, the
+// journal's health.
 const (
 	IncidentForced         = "forced"
 	IncidentSLABreach      = "sla_p99"
-	IncidentSLOBurn        = "slo_burn"
 	IncidentShedBurst      = "shed_burst"
 	IncidentJournalDegrade = "journal_degraded"
-	IncidentPolicyShed     = "policy_shed"
+)
+
+// Detector and spool constants.
+const (
+	// maxBundles bounds the spool: oldest bundles are pruned beyond it.
+	maxBundles = 8
+	// debounce is the minimum spacing between bundles, so one incident
+	// produces exactly one bundle even when several rules fire across
+	// consecutive ticks.
+	debounce = 5 * time.Minute
+	// interval is the detector evaluation period.
+	interval = 5 * time.Second
+	// timelines is how many recent request timelines go into a bundle.
+	timelines = 128
+	// rejectBurst is the per-tick rise in rejections that counts as a shed
+	// burst.
+	rejectBurst = 10
 )
 
 // FlightRecorderConfig configures the anomaly-triggered flight recorder.
 type FlightRecorderConfig struct {
 	// Dir is the bundle spool directory (created if missing). Required.
 	Dir string
-	// MaxBundles bounds the spool: oldest bundles are pruned beyond it
-	// (<=0 means 8).
-	MaxBundles int
-	// Debounce is the minimum spacing between bundles, so one incident
-	// produces exactly one bundle even when several detector rules fire
-	// across consecutive ticks (<=0 means 5m).
-	Debounce time.Duration
-	// Interval is the detector evaluation period (<=0 means 5s).
-	Interval time.Duration
 	// SLA arms the P99-breach rule: queuing+computation P99 above it
 	// triggers. 0 disables the rule.
 	SLA time.Duration
-	// Timelines is how many recent request timelines go into a bundle
-	// (<=0 means 128).
-	Timelines int
-	// RejectBurst is the per-tick delta of rejections that counts as a shed
-	// burst (<=0 means 10).
-	RejectBurst int64
-	// Health, SLO, and Policy arm the corresponding rules when non-nil.
+	// Health, when non-nil, arms the journal-degradation rule and adds
+	// health.json to every bundle.
 	Health func() Health
-	SLO    *SLOEngine
-	Policy *PolicyMetrics
 }
 
 // Incident is the manifest written to a bundle's incident.json.
@@ -63,8 +64,6 @@ type Incident struct {
 	UnixNs   int64      `json:"unix_ns"`
 	Time     string     `json:"time"`
 	Seq      int        `json:"seq"`
-	Burn5m   float64    `json:"slo_burn_5m,omitempty"`
-	Burn1h   float64    `json:"slo_burn_1h,omitempty"`
 	QueueP99 float64    `json:"queuing_p99_seconds,omitempty"`
 	CompP99  float64    `json:"computation_p99_seconds,omitempty"`
 	Rings    []RingStat `json:"rings"`
@@ -103,27 +102,12 @@ type FlightRecorder struct {
 	done     chan struct{}
 }
 
-// NewFlightRecorder builds a recorder over o's rings and metrics. It does
-// not start the detector goroutine — call Run (or drive Evaluate manually,
-// as tests do).
+// NewFlightRecorder builds a recorder over o's rings and metrics and starts
+// its detector goroutine, which evaluates the rules every interval until
+// Stop. Evaluate and Force may also be called directly.
 func NewFlightRecorder(o *Observer, cfg FlightRecorderConfig) (*FlightRecorder, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("flightrec: Dir is required")
-	}
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = 8
-	}
-	if cfg.Debounce <= 0 {
-		cfg.Debounce = 5 * time.Minute
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 5 * time.Second
-	}
-	if cfg.Timelines <= 0 {
-		cfg.Timelines = 128
-	}
-	if cfg.RejectBurst <= 0 {
-		cfg.RejectBurst = 10
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -143,28 +127,25 @@ func NewFlightRecorder(o *Observer, cfg FlightRecorderConfig) (*FlightRecorder, 
 			"Flight-recorder bundles written to the spool.")
 		fr.lastRejected = o.Metrics.Rejected.Value()
 	}
+	go fr.run()
 	return fr, nil
 }
 
-// Run starts the detector loop; Stop ends it.
-func (fr *FlightRecorder) Run() {
-	go func() {
-		defer close(fr.done)
-		t := time.NewTicker(fr.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-fr.stop:
-				return
-			case now := <-t.C:
-				fr.Evaluate(now.UnixNano())
-			}
+func (fr *FlightRecorder) run() {
+	defer close(fr.done)
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-fr.stop:
+			return
+		case now := <-t.C:
+			fr.Evaluate(now.UnixNano())
 		}
-	}()
+	}
 }
 
-// Stop halts the detector loop (idempotent; safe if Run was never called —
-// but then it blocks forever on done, so only call Stop after Run).
+// Stop halts the detector loop and waits for it to exit (idempotent).
 func (fr *FlightRecorder) Stop() {
 	fr.stopOnce.Do(func() { close(fr.stop) })
 	<-fr.done
@@ -199,17 +180,11 @@ func (fr *FlightRecorder) Evaluate(nowNs int64) []string {
 			check(IncidentSLABreach, total > fr.cfg.SLA)
 		}
 		rej := sm.Rejected.Value()
-		check(IncidentShedBurst, rej-fr.lastRejected >= fr.cfg.RejectBurst)
+		check(IncidentShedBurst, rej-fr.lastRejected >= rejectBurst)
 		fr.lastRejected = rej
-	}
-	if fr.cfg.SLO != nil {
-		check(IncidentSLOBurn, fr.cfg.SLO.Breached(nowNs))
 	}
 	if fr.cfg.Health != nil {
 		check(IncidentJournalDegrade, fr.cfg.Health().JournalDegraded)
-	}
-	if fr.cfg.Policy != nil {
-		check(IncidentPolicyShed, fr.cfg.Policy.Shedding.Value() == 1)
 	}
 	return fired
 }
@@ -238,7 +213,7 @@ func (fr *FlightRecorder) Force(reason string, nowNs int64) (string, error) {
 // in a ".tmp" directory and renamed into place, so readers of the spool
 // never see a partial bundle.
 func (fr *FlightRecorder) dumpLocked(reason string, nowNs int64) (string, error) {
-	if fr.lastDumpNs != 0 && nowNs-fr.lastDumpNs < int64(fr.cfg.Debounce) {
+	if fr.lastDumpNs != 0 && nowNs-fr.lastDumpNs < int64(debounce) {
 		return "", nil
 	}
 	fr.lastDumpNs = nowNs
@@ -281,10 +256,6 @@ func (fr *FlightRecorder) writeBundle(dir, reason string, nowNs int64) error {
 		Time:   time.Unix(0, nowNs).UTC().Format(time.RFC3339Nano),
 		Seq:    fr.seq,
 	}
-	if fr.cfg.SLO != nil {
-		inc.Burn5m = fr.cfg.SLO.BurnRate(SLOShortWindow, nowNs)
-		inc.Burn1h = fr.cfg.SLO.BurnRate(SLOLongWindow, nowNs)
-	}
 	if sm := fr.metrics(); sm != nil {
 		inc.QueueP99 = sm.Queuing.Percentile(99).Seconds()
 		inc.CompP99 = sm.Computation.Percentile(99).Seconds()
@@ -313,7 +284,7 @@ func (fr *FlightRecorder) writeBundle(dir, reason string, nowNs int64) error {
 			return fr.o.WriteTrace(f, TraceOptions{})
 		}},
 		{"requests.jsonl", func(f *os.File) error {
-			return fr.o.WriteRequestsJSONL(f, fr.cfg.Timelines)
+			return fr.o.WriteRequestsJSONL(f, timelines)
 		}},
 		{"rings.json", func(f *os.File) error {
 			type ringDump struct {
@@ -354,7 +325,7 @@ func (fr *FlightRecorder) writeBundle(dir, reason string, nowNs int64) error {
 }
 
 // pruneLocked keeps the spool bounded: oldest bundles (lowest sequence
-// numbers) beyond MaxBundles are removed.
+// numbers) beyond maxBundles are removed.
 func (fr *FlightRecorder) pruneLocked() {
 	entries, err := os.ReadDir(fr.cfg.Dir)
 	if err != nil {
@@ -368,7 +339,7 @@ func (fr *FlightRecorder) pruneLocked() {
 		}
 	}
 	sort.Strings(bundles) // zero-padded seq: lexicographic = chronological
-	for len(bundles) > fr.cfg.MaxBundles {
+	for len(bundles) > maxBundles {
 		_ = os.RemoveAll(filepath.Join(fr.cfg.Dir, bundles[0]))
 		bundles = bundles[1:]
 	}

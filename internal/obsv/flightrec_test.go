@@ -42,6 +42,7 @@ func TestFlightRecorderForceWritesOneCompleteBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(fr.Stop)
 	now := time.Now().UnixNano()
 	path, err := fr.Force("", now)
 	if err != nil {
@@ -111,34 +112,43 @@ func TestFlightRecorderForceWritesOneCompleteBundle(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderLatchesPerRule: a persistently-true condition fires
-// once, stays latched across ticks, and re-arms only after clearing. The
-// debounce is set to 1ns so the latch — not the debounce — is what is
-// being proven.
-func TestFlightRecorderLatchesPerRule(t *testing.T) {
+// newTestRecorder builds a recorder over a fresh observer and stops its
+// detector goroutine when the test ends. The goroutine's first tick is an
+// interval away, so the tests' own Evaluate calls are the only passes.
+func newTestRecorder(t *testing.T, cfg FlightRecorderConfig) (*FlightRecorder, *Observer) {
+	t.Helper()
 	o := NewObserver(NewRegistry(), 8)
-	fr, err := NewFlightRecorder(o, FlightRecorderConfig{
-		Dir:      t.TempDir(),
-		Debounce: time.Nanosecond,
-		SLA:      10 * time.Millisecond,
-	})
+	if cfg.Dir == "" {
+		cfg.Dir = t.TempDir()
+	}
+	fr, err := NewFlightRecorder(o, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(fr.Stop)
+	return fr, o
+}
+
+// TestFlightRecorderLatchesPerRule: a persistently-true condition fires
+// once, stays latched across ticks, and re-arms only after clearing. Each
+// tick advances virtual time by the debounce, so the latch — not the
+// debounce — is what is being proven.
+func TestFlightRecorderLatchesPerRule(t *testing.T) {
+	fr, o := newTestRecorder(t, FlightRecorderConfig{SLA: 10 * time.Millisecond})
 	now := time.Now().UnixNano()
-	tick := func(d time.Duration) []string {
-		now += int64(d)
+	tick := func() []string {
+		now += int64(debounce)
 		return fr.Evaluate(now)
 	}
 
-	if fired := tick(0); len(fired) != 0 {
+	if fired := tick(); len(fired) != 0 {
 		t.Fatalf("healthy metrics fired %v", fired)
 	}
 	o.Metrics.Queuing.Observe(50 * time.Millisecond) // P99 breach vs the 10ms SLA
-	if fired := tick(time.Second); len(fired) != 1 {
+	if fired := tick(); len(fired) != 1 || !strings.Contains(fired[0], IncidentSLABreach) {
 		t.Fatalf("SLA breach should fire exactly one bundle, got %v", fired)
 	}
-	if fired := tick(time.Second); len(fired) != 0 {
+	if fired := tick(); len(fired) != 0 {
 		t.Fatalf("latched rule re-fired: %v", fired)
 	}
 	// The quantile window decays after its horizon; simulate clearing by
@@ -147,13 +157,13 @@ func TestFlightRecorderLatchesPerRule(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		o.Metrics.Queuing.Observe(time.Microsecond)
 	}
-	if fired := tick(time.Second); len(fired) != 0 {
+	if fired := tick(); len(fired) != 0 {
 		t.Fatalf("cleared condition fired %v", fired)
 	}
 	for i := 0; i < 2000; i++ {
 		o.Metrics.Queuing.Observe(time.Second)
 	}
-	if fired := tick(time.Second); len(fired) != 1 {
+	if fired := tick(); len(fired) != 1 {
 		t.Fatalf("re-armed rule should fire again, got %v", fired)
 	}
 }
@@ -161,21 +171,14 @@ func TestFlightRecorderLatchesPerRule(t *testing.T) {
 // TestFlightRecorderShedBurstRule covers the delta-based rule: a burst of
 // rejections fires once.
 func TestFlightRecorderShedBurstRule(t *testing.T) {
-	o := NewObserver(NewRegistry(), 8)
-	fr, err := NewFlightRecorder(o, FlightRecorderConfig{
-		Dir:      t.TempDir(),
-		Debounce: time.Nanosecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr, o := newTestRecorder(t, FlightRecorderConfig{})
 	now := time.Now().UnixNano()
 
-	o.Metrics.Rejected.Add(3) // under the default burst of 10
+	o.Metrics.Rejected.Add(rejectBurst - 1)
 	if fired := fr.Evaluate(now); len(fired) != 0 {
-		t.Fatalf("3 rejections fired %v", fired)
+		t.Fatalf("%d rejections fired %v", rejectBurst-1, fired)
 	}
-	o.Metrics.Rejected.Add(20)
+	o.Metrics.Rejected.Add(rejectBurst)
 	now += int64(time.Second)
 	fired := fr.Evaluate(now)
 	if len(fired) != 1 || !strings.Contains(fired[0], IncidentShedBurst) {
@@ -183,63 +186,53 @@ func TestFlightRecorderShedBurstRule(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderSLOAndHealthRules covers the wired-source rules: SLO
-// multi-window burn and journal degradation.
-func TestFlightRecorderSLOAndHealthRules(t *testing.T) {
-	o := NewObserver(NewRegistry(), 8)
-	slo := NewSLOEngine(nil, 0.99, 0)
+// TestFlightRecorderJournalDegradedRule covers the Health-sourced rule: a
+// journal flipping to lossy mode fires once and stays latched, and the
+// bundle carries the health state that fired it.
+func TestFlightRecorderJournalDegradedRule(t *testing.T) {
 	degraded := false
-	fr, err := NewFlightRecorder(o, FlightRecorderConfig{
-		Dir:      t.TempDir(),
-		Debounce: time.Nanosecond,
-		SLO:      slo,
-		Health:   func() Health { return Health{JournalDegraded: degraded} },
+	fr, _ := newTestRecorder(t, FlightRecorderConfig{
+		Health: func() Health { return Health{JournalDegraded: degraded, JournalError: "disk full"} },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	now := time.Now().UnixNano()
 	if fired := fr.Evaluate(now); len(fired) != 0 {
 		t.Fatalf("quiet start fired %v", fired)
 	}
-	for i := 0; i < 10; i++ {
-		slo.Observe(0, false, now) // 100% bad: burn far above 1 in both windows
-	}
-	fired := fr.Evaluate(now)
-	if len(fired) != 1 || !strings.Contains(fired[0], IncidentSLOBurn) {
-		t.Fatalf("slo burn: %v", fired)
-	}
 
 	degraded = true
 	now += int64(time.Second)
-	fired = fr.Evaluate(now)
+	fired := fr.Evaluate(now)
 	if len(fired) != 1 || !strings.Contains(fired[0], IncidentJournalDegrade) {
 		t.Fatalf("journal degrade: %v", fired)
 	}
-}
-
-// TestFlightRecorderSpoolBound: the spool never holds more than MaxBundles
-// bundles; the oldest go first.
-func TestFlightRecorderSpoolBound(t *testing.T) {
-	dir := t.TempDir()
-	fr, err := NewFlightRecorder(NewObserver(NewRegistry(), 8), FlightRecorderConfig{
-		Dir:        dir,
-		MaxBundles: 2,
-		Debounce:   time.Nanosecond,
-	})
+	var h Health
+	data, err := os.ReadFile(filepath.Join(fired[0], "health.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := json.Unmarshal(data, &h); err != nil || !h.JournalDegraded || h.JournalError != "disk full" {
+		t.Fatalf("health.json = %s (err %v), want the degraded journal", data, err)
+	}
+	if fired := fr.Evaluate(now + int64(debounce)); len(fired) != 0 {
+		t.Fatalf("latched rule re-fired: %v", fired)
+	}
+}
+
+// TestFlightRecorderSpoolBound: the spool never holds more than maxBundles
+// bundles; the oldest go first.
+func TestFlightRecorderSpoolBound(t *testing.T) {
+	dir := t.TempDir()
+	fr, _ := newTestRecorder(t, FlightRecorderConfig{Dir: dir})
 	now := time.Now().UnixNano()
-	for i := 0; i < 4; i++ {
-		now += int64(time.Second)
+	for i := 0; i < maxBundles+2; i++ {
+		now += int64(debounce)
 		if _, err := fr.Force("forced", now); err != nil {
 			t.Fatal(err)
 		}
 	}
 	names := listBundles(t, dir)
-	if len(names) != 2 {
-		t.Fatalf("spool holds %d bundles, want 2: %v", len(names), names)
+	if len(names) != maxBundles {
+		t.Fatalf("spool holds %d bundles, want %d: %v", len(names), maxBundles, names)
 	}
 	for _, n := range names {
 		if n == "incident-000001-forced" || n == "incident-000002-forced" {
@@ -248,17 +241,23 @@ func TestFlightRecorderSpoolBound(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderRunStop: the detector goroutine starts, ticks, and
-// stops cleanly.
+// TestFlightRecorderRunStop: the constructor starts the detector goroutine,
+// and Stop on a fresh recorder — before its first tick — returns promptly,
+// and again when repeated.
 func TestFlightRecorderRunStop(t *testing.T) {
-	fr, err := NewFlightRecorder(NewObserver(NewRegistry(), 8), FlightRecorderConfig{
-		Dir:      t.TempDir(),
-		Interval: time.Millisecond,
-	})
+	fr, err := NewFlightRecorder(NewObserver(NewRegistry(), 8), FlightRecorderConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr.Run()
-	time.Sleep(10 * time.Millisecond)
-	fr.Stop()
+	stopped := make(chan struct{})
+	go func() {
+		fr.Stop()
+		fr.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop on a fresh recorder did not return")
+	}
 }

@@ -22,8 +22,9 @@ import (
 // admit (s) → journal-durable (t) → first-exec (t) → terminal (f), so every
 // completed request has at least one cross-track arrow from the
 // request-processor track into its executing worker's track. Batch slices
-// (task-exec) are annotated with occupancy, padding waste and
-// remote/migration flags resolved via Observer.TypeDetailFor.
+// (task-exec) are annotated with occupancy and padding waste, from the cell
+// type's MaxBatch resolved via Observer.TypeDetailFor, and with the
+// remote/migration flags read from the record's aux word.
 //
 // Timestamps are rebased to the earliest retained record so nanosecond
 // resolution survives the float microseconds of the trace-event format; the

@@ -15,21 +15,12 @@ type ObsConfig struct {
 	// metrics and summaries work without any wiring.
 	Registry *obsv.Registry
 	// Disabled turns the recording layer off: no span rings, no lifecycle
-	// records, no latency summaries, no SLO engine (Server.Observer returns
-	// nil). The counters and gauges stay on — they are the server's only
-	// bookkeeping, the cells Stats and Health are computed from. Used by the
-	// tracing-off arm of the overhead benchmark.
+	// records, no latency summaries (Server.Observer returns nil). The
+	// counters and gauges stay on — they are the server's only bookkeeping,
+	// the cells Stats and Health are computed from. Used by the tracing-off
+	// arm of the overhead benchmark.
 	Disabled bool
-	// SLOTarget arms the SLO burn-rate engine (objective sloObjective): a
-	// completion slower than the target (or any failure/expiry) burns error
-	// budget. Zero leaves the engine off and the batchmaker_slo_* families
-	// unregistered.
-	SLOTarget time.Duration
 }
-
-// sloObjective is the availability objective the SLO budget is computed
-// against.
-const sloObjective = 0.999
 
 // obsType caches one cell type's per-type observability handles so the
 // hot paths pay one map lookup, no lock, no allocation.
@@ -41,15 +32,14 @@ type obsType struct {
 
 // serverObs bridges the pipeline stages to the obsv layer, the one place a
 // serving-path fact is written. The metric cells (sm, workers, types, exec)
-// are always live; o, slo and the rings are nil when ObsConfig.Disabled (nil
-// rings and a nil SLO engine are valid no-ops). Ring and cell ownership
-// follows the goroutine structure: the manager writes rpRing (lifecycle),
-// schedRing (dispatch) and the outcome/backlog/depth/ready/dispatch cells,
-// and worker i writes workerRings[i], workers[i] and exec[i].
+// are always live; o and the rings are nil when ObsConfig.Disabled (nil
+// rings are valid no-ops). Ring and cell ownership follows the goroutine
+// structure: the manager writes rpRing (lifecycle), schedRing (dispatch) and
+// the outcome/backlog/depth/ready/dispatch cells, and worker i writes
+// workerRings[i], workers[i] and exec[i].
 type serverObs struct {
-	o   *obsv.Observer
-	sm  *obsv.ServingMetrics
-	slo *obsv.SLOEngine
+	o  *obsv.Observer
+	sm *obsv.ServingMetrics
 
 	rpRing      *obsv.Ring
 	schedRing   *obsv.Ring
@@ -89,9 +79,6 @@ func newServerObs(cfg ObsConfig, specs []CellSpec, workers int) *serverObs {
 		ob.schedRing = ob.o.NewRing("sched")
 		for w := range ob.workerRings {
 			ob.workerRings[w] = ob.o.NewRing("worker-" + strconv.Itoa(w))
-		}
-		if cfg.SLOTarget > 0 {
-			ob.slo = obsv.NewSLOEngine(reg, sloObjective, cfg.SLOTarget)
 		}
 	}
 	for w := range ob.workers {
@@ -154,19 +141,6 @@ func (ob *serverObs) terminal(r *request, kind obsv.Kind, nowNs int64) {
 				time.Duration(first-r.admittedNs),
 				time.Duration(nowNs-first))
 		}
-	}
-	// Feed the SLO burn engine: completions burn budget only when over the
-	// latency target, failures and expiries always, cancellations never
-	// (the client walked away — that is not the server's error).
-	switch kind {
-	case obsv.KindComplete:
-		var latency int64
-		if r.admittedNs > 0 {
-			latency = nowNs - r.admittedNs
-		}
-		ob.slo.Observe(latency, true, nowNs)
-	case obsv.KindFail, obsv.KindExpire:
-		ob.slo.Observe(0, false, nowNs)
 	}
 	ob.rpRing.Write(obsv.Record{Kind: kind, Req: int64(r.id), T0: nowNs})
 }
@@ -287,10 +261,6 @@ func (s *Server) Observer() *obsv.Observer { return s.obs.o }
 // Metrics returns the server's serving-metric cells. They are live in every
 // configuration: Stats and Health are computed from them.
 func (s *Server) Metrics() *obsv.ServingMetrics { return s.obs.sm }
-
-// SLO returns the server's SLO burn-rate engine, or nil when no SLOTarget
-// was configured (or ObsConfig.Disabled).
-func (s *Server) SLO() *obsv.SLOEngine { return s.obs.slo }
 
 // PolicyMetrics returns the adaptive-policy metric handles, or nil when no
 // policy is wired.

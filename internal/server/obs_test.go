@@ -141,14 +141,13 @@ func TestServerHealthTransitions(t *testing.T) {
 }
 
 // TestServerObsDisabled pins what ObsConfig.Disabled turns off — the span
-// observer (rings, lifecycle records), the latency summaries and the SLO
-// engine — and what it must leave on: the counters and gauges Stats and
-// Health are views of.
+// observer (rings, lifecycle records) and the latency summaries — and what
+// it must leave on: the counters and gauges Stats and Health are views of.
 func TestServerObsDisabled(t *testing.T) {
-	s, cell := obsServer(t, Config{Obs: ObsConfig{Disabled: true, SLOTarget: time.Second}})
+	s, cell := obsServer(t, Config{Obs: ObsConfig{Disabled: true}})
 	submitChain(t, s, cell, 3, 4)
-	if s.Observer() != nil || s.SLO() != nil {
-		t.Fatal("disabled observability should expose no observer and no SLO engine")
+	if s.Observer() != nil {
+		t.Fatal("disabled observability should expose no observer")
 	}
 	m := s.Metrics()
 	if m == nil {

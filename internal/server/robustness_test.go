@@ -539,7 +539,7 @@ func TestServerStartsOneManager(t *testing.T) {
 
 // TestStopLeavesNoGoroutines: after Drain and Stop (and journal.Close) every
 // goroutine the server and its journal started has exited, whichever
-// optional subsystem — policy layer, SLO engine, journal — is switched on.
+// optional subsystem — policy layer, journal — is switched on.
 func TestStopLeavesNoGoroutines(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -549,7 +549,6 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 		{"policy", func(_ *testing.T, c *Config) {
 			c.Policy = policy.Config{Mode: policy.ModeFull, SLA: 50 * time.Millisecond}
 		}},
-		{"slo", func(_ *testing.T, c *Config) { c.Obs.SLOTarget = time.Second }},
 		{"journal", func(t *testing.T, c *Config) {
 			jnl, err := journal.Open(journal.Options{Dir: t.TempDir(), Sync: journal.SyncBatch})
 			if err != nil {

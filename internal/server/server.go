@@ -139,9 +139,9 @@ type Config struct {
 	// seam (span records deliberately do not carry row lists); no binary
 	// sets it. Calls from different workers are concurrent.
 	TaskObserver func(worker int, typeKey string, rows []core.NodeRef)
-	// Obs configures the observability layer: metric registry, span rings
-	// and SLO engine (see ObsConfig). The zero value enables it with a
-	// private registry.
+	// Obs configures the observability layer: metric registry and span
+	// rings (see ObsConfig). The zero value enables it with a private
+	// registry.
 	Obs ObsConfig
 
 	// MaxQueuedRequests, when positive, bounds live (admitted, unresolved)

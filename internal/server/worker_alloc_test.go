@@ -26,11 +26,10 @@ func workerAllocFixture(tb testing.TB, reqN, chainN int) (*Server, []*core.Task,
 		cells:     map[string]rnn.Cell{key: lstm},
 		outWidths: map[string][]int{key: rnn.OutputWidthsOf(lstm)},
 		live:      make(map[core.RequestID]*request),
-		// Span records ON (every task writes one) with the SLO burn engine
-		// armed and TaskObserver nil: the zero-alloc gate must hold with the
-		// full observability layer live, exactly as New() builds it.
-		obs: newServerObs(ObsConfig{SLOTarget: 50 * time.Millisecond},
-			[]CellSpec{{Cell: lstm, MaxBatch: reqN}}, 1),
+		// Span records ON (every task writes one) and TaskObserver nil: the
+		// zero-alloc gate must hold with the full observability layer live,
+		// exactly as New() builds it.
+		obs: newServerObs(ObsConfig{}, []CellSpec{{Cell: lstm, MaxBatch: reqN}}, 1),
 	}
 	tasks := make([]*core.Task, chainN)
 	for i := range tasks {
@@ -89,20 +88,18 @@ func TestWorkerExecLoopZeroAlloc(t *testing.T) {
 	const reqN, chainN, warm, rewarm = 4, 610, 100, 10
 	s, tasks, graphs := workerAllocFixture(t, reqN, chainN)
 
-	// The anomaly detector must not disturb the hot path: run it live (at
-	// its default cadence) for the whole measurement. Detection reads the
+	// The anomaly detector must not disturb the hot path: it runs live (at
+	// its fixed cadence) for the whole measurement. Detection reads the
 	// registry and rings on its own goroutine — execTask never touches it.
 	fr, err := obsv.NewFlightRecorder(s.Observer(), obsv.FlightRecorderConfig{
 		Dir: t.TempDir(),
 		SLA: time.Second,
-		SLO: s.SLO(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr.Evaluate(time.Now().UnixNano())
-	fr.Run()
 	defer fr.Stop()
+	fr.Evaluate(time.Now().UnixNano())
 
 	ws := newWorkerExec()
 	for _, task := range tasks[:warm] {
