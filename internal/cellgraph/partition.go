@@ -34,12 +34,29 @@ type Subgraph struct {
 // smallest member ID. It indexes the graph's dependency edges as Add left
 // them and allocates a fixed handful of arrays, whatever the graph's size.
 func Partition(g *Graph) []Subgraph {
+	var p Partitioner
+	return p.Partition(g)
+}
+
+// Partitioner keeps the arrays Partition carves subgraphs from, so that
+// partitioning graph after graph allocates nothing once they are large
+// enough. Each call overwrites the subgraphs the previous call returned.
+type Partitioner struct {
+	scratch      []int32
+	subs         []Subgraph
+	members, ext []NodeID
+	intra        []int32
+	lists        [][]int32
+}
+
+// Partition is the package-level Partition in pt's arrays.
+func (pt *Partitioner) Partition(g *Graph) []Subgraph {
 	n := len(g.Nodes)
 	// Union-find whose roots are their component's smallest member, so that
 	// numbering components at their root, in one ascending pass, orders them
 	// by smallest member and fills each one's Nodes in ascending order.
-	scratch := make([]int32, 3*n)
-	root, sub, pos := scratch[:n], scratch[n:2*n], scratch[2*n:]
+	pt.scratch = zeroed(pt.scratch, 3*n)
+	root, sub, pos := pt.scratch[:n], pt.scratch[n:2*n], pt.scratch[2*n:]
 	for i := range root {
 		root[i] = int32(i)
 	}
@@ -74,12 +91,14 @@ func Partition(g *Graph) []Subgraph {
 			sub[i] = sub[r]
 		}
 	}
-	subs := make([]Subgraph, count)
+	pt.subs = zeroed(pt.subs, count)
+	subs := pt.subs
 	sizes := pos[:count] // borrowed: positions are not assigned yet
 	for _, s := range sub {
 		sizes[s]++
 	}
-	members := make([]NodeID, n)
+	pt.members = slices.Grow(pt.members[:0], n)
+	members := pt.members[:n]
 	multi := 0 // members of subgraphs that have more than one
 	for s, k := range sizes {
 		subs[s].Nodes, members = members[:0:k], members[k:]
@@ -95,11 +114,14 @@ func Partition(g *Graph) []Subgraph {
 	// members (Deps) and the outside producers (ExternalDeps). Both are
 	// appended to arrays sized for every edge of the graph, so they never
 	// grow and the carved slices stay valid.
-	ext := make([]NodeID, 0, edges)
+	pt.ext = slices.Grow(pt.ext[:0], edges)
+	ext := pt.ext
 	var intra []int32
 	var lists [][]int32
 	if multi > 0 {
-		intra, lists = make([]int32, 0, edges), make([][]int32, multi)
+		pt.intra = slices.Grow(pt.intra[:0], edges)
+		pt.lists = zeroed(pt.lists, multi)
+		intra, lists = pt.intra, pt.lists
 	}
 	for s := range subs {
 		sg := &subs[s]

@@ -2,6 +2,7 @@ package cellgraph
 
 import (
 	"fmt"
+	"slices"
 
 	"batchmaker/internal/rnn"
 	"batchmaker/internal/tensor"
@@ -18,6 +19,10 @@ import (
 // down, so neither admission nor the worker's gather and scatter look
 // anything up by name.
 //
+// A State may serve request after request: Reset points it at the next
+// graph and keeps every array it has, and Results hands out copies, so
+// nothing a caller holds aliases the rows the next request overwrites.
+//
 // State is not safe for concurrent use; the owner (a worker under the
 // request's lock, or a sequential executor) serializes access.
 type State struct {
@@ -25,6 +30,13 @@ type State struct {
 	rows     []tensor.Tensor // node n's output o is rows[n.out0+o]
 	flags    []uint8         // per node: issued | done | prealloc
 	remained int
+
+	// PreallocOutputs' arrays, kept across Reset: the float slab the rows
+	// are carved from, the read marks, and the [1, w] shapes the rows share
+	// (append-only, so a shape handed out once never changes).
+	slab   []float32
+	read   []bool
+	shapes [][]int
 }
 
 const (
@@ -37,15 +49,31 @@ const (
 // is proof the graph was valid when it was built (core.TrackState relies
 // on that to validate once per admission).
 func NewState(g *Graph) (*State, error) {
-	if err := g.Validate(); err != nil {
+	s := new(State)
+	if err := s.Reset(g); err != nil {
 		return nil, err
 	}
-	return &State{
-		g:        g,
-		rows:     make([]tensor.Tensor, g.numRows()),
-		flags:    make([]uint8, len(g.Nodes)),
-		remained: len(g.Nodes),
-	}, nil
+	return s, nil
+}
+
+// Reset validates g and gives s fresh execution state for it, reusing the
+// arrays s already has. On error s is unchanged.
+func (s *State) Reset(g *Graph) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	s.g = g
+	s.rows = zeroed(s.rows, g.numRows())
+	s.flags = zeroed(s.flags, len(g.Nodes))
+	s.remained = len(g.Nodes)
+	return nil
+}
+
+// zeroed returns n zero elements, in buf's array when it is large enough.
+func zeroed[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
 }
 
 // Graph returns the underlying cell graph.
@@ -122,7 +150,8 @@ func (s *State) finish(id NodeID) {
 // allocating Complete path. Calling PreallocOutputs more than once, or
 // after execution has begun, is a programming error.
 func (s *State) PreallocOutputs(widthsOf func(rnn.Cell) []int) {
-	read := make([]bool, len(s.rows))
+	s.read = zeroed(s.read, len(s.rows))
+	read := s.read
 	for i := range s.g.Nodes {
 		for _, b := range s.g.Nodes[i].Inputs {
 			if b.From != NoNode {
@@ -150,18 +179,8 @@ func (s *State) PreallocOutputs(widthsOf func(rnn.Cell) []int) {
 			}
 		}
 	}
-	slab := make([]float32, floats)
-	// Rows of one width share one [1, w] shape; a request has a few widths.
-	var shapes [][]int
-	shapeOf := func(w int) []int {
-		for _, shape := range shapes {
-			if shape[1] == w {
-				return shape
-			}
-		}
-		shapes = append(shapes, []int{1, w})
-		return shapes[len(shapes)-1]
-	}
+	s.slab = zeroed(s.slab, floats)
+	slab := s.slab
 	for i := range s.g.Nodes {
 		n := &s.g.Nodes[i]
 		if s.flags[i]&flagPrealloc == 0 {
@@ -169,11 +188,23 @@ func (s *State) PreallocOutputs(widthsOf func(rnn.Cell) []int) {
 		}
 		for o, w := range widthsOf(n.Cell) {
 			if read[n.out0+o] {
-				s.rows[n.out0+o] = tensor.ViewOf(slab[:w:w], shapeOf(w))
+				s.rows[n.out0+o] = tensor.ViewOf(slab[:w:w], s.rowShape(w))
 				slab = slab[w:]
 			}
 		}
 	}
+}
+
+// rowShape returns the [1, w] shape every row of width w shares; a model
+// has a few widths.
+func (s *State) rowShape(w int) []int {
+	for _, shape := range s.shapes {
+		if shape[1] == w {
+			return shape
+		}
+	}
+	s.shapes = append(s.shapes, []int{1, w})
+	return s.shapes[len(s.shapes)-1]
 }
 
 // knownWidths reports whether widths gives a positive width for every
@@ -224,15 +255,27 @@ func (s *State) Finished() bool { return s.remained == 0 }
 // Remaining returns the number of uncompleted nodes.
 func (s *State) Remaining() int { return s.remained }
 
-// Results assembles the request's declared result tensors — the one map a
-// caller sees. It panics if the request has not finished.
+// Results copies the request's declared result rows into one fresh array
+// and returns them by name — the one map a caller sees. The copies outlive
+// s: it may be Reset for another request as soon as Results returns. It
+// panics if the request has not finished.
 func (s *State) Results() map[string]*tensor.Tensor {
 	if !s.Finished() {
 		panic("cellgraph: Results before completion")
 	}
-	out := make(map[string]*tensor.Tensor, len(s.g.Results))
+	n := 0
 	for _, r := range s.g.Results {
-		out[r.Name] = &s.rows[s.g.Nodes[r.Node].out0+r.Out]
+		n += s.rows[s.g.Nodes[r.Node].out0+r.Out].Size()
+	}
+	floats := make([]float32, n)
+	views := make([]tensor.Tensor, len(s.g.Results))
+	out := make(map[string]*tensor.Tensor, len(s.g.Results))
+	for i, r := range s.g.Results {
+		row := &s.rows[s.g.Nodes[r.Node].out0+r.Out]
+		w := copy(floats, row.Data())
+		views[i] = tensor.ViewOf(floats[:w:w], row.Shape())
+		floats = floats[w:]
+		out[r.Name] = &views[i]
 	}
 	return out
 }

@@ -194,13 +194,16 @@ func readyReleaseInputs(n int) (rest []int32, fresh []int32) {
 
 var readySink []int32
 
-// BenchmarkReadyRelease_Merge is the new release path: ordered merge of the
-// sorted remainder with the (tiny) fresh batch.
+// BenchmarkReadyRelease_Merge is the new release path: drop the node just
+// taken and merge the (tiny) fresh batch into the sorted remainder, in place.
+// Each op also refills the list, as the baseline below copies it.
 func BenchmarkReadyRelease_Merge(b *testing.B) {
 	rest, fresh := readyReleaseInputs(512)
+	ready := make([]int32, 0, 1+len(rest)+len(fresh))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		readySink = mergeReady(rest, fresh)
+		ready = append(append(ready[:0], -1), rest...)
+		readySink = mergeReady(ready, 1, fresh)
 	}
 }
 

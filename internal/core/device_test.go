@@ -249,8 +249,11 @@ func TestPropMergeReadyOrderedDuplicateFree(t *testing.T) {
 			}
 		}
 		rng.Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
+		// The ready list still starts with the members just taken.
+		take := rng.Intn(4)
+		ready := append(make([]int32, take), rest...)
 
-		got := mergeReady(rest, fresh)
+		got := mergeReady(ready, take, fresh)
 		if len(got) != len(ids) {
 			t.Fatalf("iter %d: merged %d ids, want %d", iter, len(got), len(ids))
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,7 +74,10 @@ func (e *miniEngine) step() bool {
 }
 
 func (e *miniEngine) exec(task *Task) {
-	e.execLog = append(e.execLog, task)
+	// The scheduler reuses a task once TaskCompleted returns: log a copy.
+	logged := *task
+	logged.Nodes = slices.Clone(task.Nodes)
+	e.execLog = append(e.execLog, &logged)
 	for _, ref := range task.Nodes {
 		tr := e.trackers[ref.Req]
 		// Dependency-safety check at execution time.
@@ -494,5 +498,34 @@ func TestManyRequestsManyWorkersConservation(t *testing.T) {
 	}
 	if total != want {
 		t.Fatalf("executed %d nodes, want %d", total, want)
+	}
+}
+
+// TestTaskRecycledAfterCompletion: TaskCompleted clears the task it retires,
+// so a late read finds no rows and no worker, and the next Schedule hands the
+// same record out again.
+func TestTaskRecycledAfterCompletion(t *testing.T) {
+	s := mustScheduler(t, Config{Types: []TypeConfig{{Key: "A", MaxBatch: 4}}, MaxTasksToSubmit: 1})
+	e := newMiniEngine(t, s, 1)
+	e.admit(1, fakeChain(newFakeCell("A"), 3))
+	var first *Task
+	for n := 0; n < 3; n++ {
+		tasks := s.Schedule(0)
+		if len(tasks) != 1 || tasks[0].BatchSize() != 1 || tasks[0].Nodes[0].Node != cellgraph.NodeID(n) {
+			t.Fatalf("step %d: tasks %+v", n, tasks)
+		}
+		task := tasks[0]
+		if first == nil {
+			first = task
+		} else if task != first {
+			t.Fatalf("step %d: retired task record not reused", n)
+		}
+		e.exec(task)
+		if task.Nodes != nil || task.Worker != NoWorker || task.ID != 0 {
+			t.Fatalf("step %d: retired task not cleared: %+v", n, task)
+		}
+	}
+	if !e.finished[1] || s.LiveSubgraphs() != 0 || s.InflightTasks() != 0 {
+		t.Fatal("chain did not drain")
 	}
 }

@@ -14,8 +14,9 @@ import (
 // LSTM chains, TreeLSTM trees, Seq2Seq) through a tracker per request and one
 // scheduler with a no-op executor — two workers taking turns, at most eight
 // requests live — and folds every task, in order, into a digest: its type,
-// batch size, worker and (request, node) rows.
-func replayDigest(t *testing.T, seed uint64) (digest uint64, tasks, cells int) {
+// batch size, worker and (request, node) rows. prepare, when non-nil, sees
+// the scheduler before the first request.
+func replayDigest(t *testing.T, seed uint64, prepare func(*core.Scheduler)) (digest uint64, tasks, cells int) {
 	t.Helper()
 	m := conformance.NewModel(42)
 	w := conformance.Generate(seed, conformance.GenConfig{
@@ -34,6 +35,9 @@ func replayDigest(t *testing.T, seed uint64) (digest uint64, tasks, cells int) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if prepare != nil {
+		prepare(sched)
 	}
 	add := func(specs []core.SubgraphSpec) {
 		for _, spec := range specs {
@@ -92,25 +96,39 @@ func replayDigest(t *testing.T, seed uint64) (digest uint64, tasks, cells int) {
 	return h.Sum64(), tasks, cells
 }
 
-// TestReplayTaskSequenceUnchanged pins the scheduler's output on the three
-// CI conformance seeds to what the map-based tracker and scheduler produced:
-// the digests below were recorded by running this file, unmodified, at
-// commit 9e0b9d9 (it uses only API that commit has). A change that alters
-// subgraph membership, order or release order moves them.
-func TestReplayTaskSequenceUnchanged(t *testing.T) {
-	for _, want := range []struct {
-		seed         uint64
-		digest       uint64
-		tasks, cells int
-	}{
-		{1000, 0x7d632b3171cabc09, 71, 198},
-		{1001, 0x82a47f8339041221, 92, 253},
-		{1002, 0xf118f41175af43f9, 54, 183},
-	} {
-		digest, tasks, cells := replayDigest(t, want.seed)
+// replayRecords are the task-sequence digests of the three CI conformance
+// seeds, recorded with replayDigest's loop at commit 9e0b9d9 (it uses only
+// API that commit has), on the map-based tracker and scheduler.
+var replayRecords = []struct {
+	seed         uint64
+	digest       uint64
+	tasks, cells int
+}{
+	{1000, 0x7d632b3171cabc09, 71, 198},
+	{1001, 0x82a47f8339041221, 92, 253},
+	{1002, 0xf118f41175af43f9, 54, 183},
+}
+
+func checkReplay(t *testing.T, prepare func(*core.Scheduler)) {
+	t.Helper()
+	for _, want := range replayRecords {
+		digest, tasks, cells := replayDigest(t, want.seed, prepare)
 		if digest != want.digest || tasks != want.tasks || cells != want.cells {
 			t.Errorf("seed %d: digest %#x over %d tasks / %d cells, recorded %#x over %d / %d",
 				want.seed, digest, tasks, cells, want.digest, want.tasks, want.cells)
 		}
 	}
+}
+
+// TestReplayTaskSequenceUnchanged pins the scheduler's output to the
+// recorded digests. A change that alters subgraph membership, order or
+// release order moves them.
+func TestReplayTaskSequenceUnchanged(t *testing.T) { checkReplay(t, nil) }
+
+// TestReplayRecycledRecords replays the same seeds on schedulers whose free
+// lists start full of garbage records, so every task, subgraph record and
+// byReq list the replay takes is a reused one that must be re-initialized
+// field by field: the digests may not move.
+func TestReplayRecycledRecords(t *testing.T) {
+	checkReplay(t, func(s *core.Scheduler) { core.DirtyFreeLists(s, 256) })
 }

@@ -127,6 +127,11 @@ type SubgraphSpec struct {
 // Task is a batched cell invocation assembled by the scheduler: up to
 // MaxBatch ready nodes of one cell type, possibly drawn from many requests
 // and many subgraphs, destined for one worker.
+//
+// The scheduler owns every Task it returns and reuses it, arrays and all,
+// for a later one: a Task is invalid once TaskCompleted(t.ID) returns.
+// TaskCompleted clears it (Nodes nil, Worker NoWorker), so a late read
+// finds nothing or indexes out of range instead of another task's rows.
 type Task struct {
 	ID      TaskID
 	TypeKey string
@@ -154,6 +159,8 @@ type Task struct {
 	// subgraphs holds the distinct subgraphs contributing nodes, for
 	// pin/unpin bookkeeping at completion time.
 	subgraphs []*subgraph
+	// nodesBuf keeps Nodes' array while the task waits for reuse.
+	nodesBuf []NodeRef
 }
 
 // BatchSize returns the number of nodes batched in the task.
@@ -173,8 +180,9 @@ type subgraph struct {
 	// pendingDeps counts unsubmitted intra-subgraph dependencies per member;
 	// the members reading member p are dependents[depStart[p]:depStart[p+1]].
 	// All three are nil for a subgraph without internal edges, and carved
-	// from one allocation otherwise.
+	// from depBuf otherwise. A recycled record keeps depBuf and ready's array.
 	pendingDeps, depStart, dependents []int32
+	depBuf                            []int32
 
 	unissued int // nodes not yet placed into any task
 	inflight int // tasks containing this subgraph still running
@@ -231,6 +239,17 @@ type Scheduler struct {
 	pinMoves         int
 	remoteTasks      int
 	migratedRequests int
+
+	// Retired records and scratch, reused so that steady-state scheduling
+	// allocates nothing. Nothing else references a record on a free list:
+	// a task goes back in TaskCompleted, a subgraph when it has left both
+	// its type queue and byReq (keepLive), a byReq list with its request.
+	freeTasks []*Task
+	freeSubs  []*subgraph
+	freeLists [][]*subgraph
+	scheduled []*Task // Schedule's result
+	fresh     []int32 // updateNodesDependency's released members
+	keepLive  func(*subgraph) bool
 }
 
 // NewScheduler validates cfg and builds a scheduler.
@@ -254,6 +273,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		inflight: make(map[TaskID]*Task),
 		devices:  cfg.Devices,
 	}
+	s.keepLive = s.keepOrRecycle
 	for _, tc := range cfg.Types {
 		if tc.Key == "" {
 			return nil, fmt.Errorf("core: cell type with empty key")
@@ -296,41 +316,50 @@ func (s *Scheduler) AddSubgraph(spec SubgraphSpec) (SubgraphID, error) {
 	if len(spec.Deps) > k {
 		return 0, fmt.Errorf("core: dep entry for position %d outside the %d-node subgraph", k, k)
 	}
-	edges := 0
+	edges, nready := 0, k
 	for i, n := range spec.Nodes {
 		if i > 0 && n <= spec.Nodes[i-1] {
 			return 0, fmt.Errorf("core: subgraph nodes must be in ascending order, got %d after %d", n, spec.Nodes[i-1])
 		}
-		if i < len(spec.Deps) {
-			edges += len(spec.Deps[i])
+		if i >= len(spec.Deps) || len(spec.Deps[i]) == 0 {
+			continue
 		}
+		for _, d := range spec.Deps[i] {
+			if d < 0 || int(d) >= k {
+				return 0, fmt.Errorf("core: node %d lists dep position %d outside the %d-node subgraph", n, d, k)
+			}
+		}
+		edges += len(spec.Deps[i])
+		nready--
 	}
-	sg := &subgraph{
+	if nready == 0 {
+		return 0, fmt.Errorf("core: subgraph for request %d has no initially ready node (internal cycle?)", spec.Req)
+	}
+	sg := reuse(&s.freeSubs)
+	*sg = subgraph{
 		id:       s.nextSub,
 		req:      spec.Req,
 		typeKey:  spec.TypeKey,
 		nodes:    spec.Nodes,
+		ready:    sg.ready[:0],
+		depBuf:   sg.depBuf,
 		unissued: k,
 		pinned:   NoWorker,
 		deadline: spec.Deadline,
 	}
-	nready := k
 	if edges > 0 {
 		// Invert Deps into the dependents lists by counting sort; next is
 		// the sort's per-member write cursor, dead once AddSubgraph returns.
-		buf := make([]int32, 3*k+1+edges)
+		n := 3*k + 1 + edges
+		sg.depBuf = slices.Grow(sg.depBuf[:0], n)[:n]
+		clear(sg.depBuf)
+		buf := sg.depBuf
 		sg.pendingDeps, sg.depStart, buf = buf[:k], buf[k:2*k+1], buf[2*k+1:]
 		sg.dependents, buf = buf[:edges], buf[edges:]
 		next := buf
 		for i, deps := range spec.Deps {
-			if len(deps) > 0 {
-				sg.pendingDeps[i] = int32(len(deps))
-				nready--
-			}
+			sg.pendingDeps[i] = int32(len(deps))
 			for _, d := range deps {
-				if d < 0 || int(d) >= k {
-					return 0, fmt.Errorf("core: node %d lists dep position %d outside the %d-node subgraph", spec.Nodes[i], d, k)
-				}
 				sg.depStart[d+1]++
 			}
 		}
@@ -344,11 +373,7 @@ func (s *Scheduler) AddSubgraph(spec SubgraphSpec) (SubgraphID, error) {
 			}
 		}
 	}
-	if nready == 0 {
-		return 0, fmt.Errorf("core: subgraph for request %d has no initially ready node (internal cycle?)", spec.Req)
-	}
 	// Ready set: members with no intra-subgraph deps, ascending order.
-	sg.ready = make([]int32, 0, nready)
 	for p := 0; p < k; p++ {
 		if sg.pendingDeps == nil || sg.pendingDeps[p] == 0 {
 			sg.ready = append(sg.ready, int32(p))
@@ -361,8 +386,46 @@ func (s *Scheduler) AddSubgraph(spec SubgraphSpec) (SubgraphID, error) {
 	ct.readyNodes += len(sg.ready)
 	s.totalReady += len(sg.ready)
 	s.live++
-	s.byReq[sg.req] = append(s.byReq[sg.req], sg)
+	subs, ok := s.byReq[sg.req]
+	if !ok && len(s.freeLists) > 0 {
+		subs = s.freeLists[len(s.freeLists)-1]
+		s.freeLists = s.freeLists[:len(s.freeLists)-1]
+	}
+	s.byReq[sg.req] = append(subs, sg)
 	return sg.id, nil
+}
+
+// reuse pops a retired record off free, or makes a new one.
+func reuse[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	v := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return v
+}
+
+// dropRequest forgets a request whose subgraphs have all retired or been
+// purged, keeping its byReq list for the next request.
+func (s *Scheduler) dropRequest(req RequestID, subs []*subgraph) {
+	delete(s.byReq, req)
+	delete(s.lastDev, req)
+	clear(subs[:cap(subs)])
+	s.freeLists = append(s.freeLists, subs[:0])
+}
+
+// keepOrRecycle is every type queue's filter: it keeps subgraphs with work
+// left and moves the rest, which byReq has already dropped, to the free
+// list.
+func (s *Scheduler) keepOrRecycle(sg *subgraph) bool {
+	if sg.unissued > 0 || sg.inflight > 0 {
+		return true
+	}
+	sg.nodes = nil // the request's partition, which its owner may reuse
+	s.freeSubs = append(s.freeSubs, sg)
+	return false
 }
 
 // CancelRequest purges every queued (not-yet-issued) node of the request's
@@ -378,8 +441,6 @@ func (s *Scheduler) CancelRequest(req RequestID) int {
 	if len(subs) == 0 {
 		return 0
 	}
-	delete(s.byReq, req)
-	delete(s.lastDev, req)
 	purged := 0
 	touched := make(map[string]bool)
 	for _, sg := range subs {
@@ -387,7 +448,7 @@ func (s *Scheduler) CancelRequest(req RequestID) int {
 		ct.readyNodes -= len(sg.ready)
 		s.totalReady -= len(sg.ready)
 		purged += sg.unissued
-		sg.ready = nil
+		sg.ready = sg.ready[:0]
 		sg.unissued = 0
 		if sg.inflight == 0 {
 			if s.cfg.Chaos.DropCancelPurge {
@@ -402,10 +463,9 @@ func (s *Scheduler) CancelRequest(req RequestID) int {
 		// Otherwise TaskCompleted retires it when the last task drains
 		// (unissued is now 0, so no further tasks can pick it up).
 	}
+	s.dropRequest(req, subs)
 	for key := range touched {
-		s.types[key].queue.Filter(func(sg *subgraph) bool {
-			return sg.unissued > 0 || sg.inflight > 0
-		})
+		s.types[key].queue.Filter(s.keepLive)
 	}
 	return purged
 }
@@ -417,7 +477,9 @@ func (s *Scheduler) CancelRequest(req RequestID) int {
 // ready work does the worker steal a non-resident type, paying a weight
 // fetch (Task.Remote). On a single-device scheduler every type is local, so
 // behavior is identical to the device-free algorithm. It returns nil when no
-// ready work exists or none is compatible with the worker's pins.
+// ready work exists or none is compatible with the worker's pins. The slice
+// is the scheduler's own, valid until the next Schedule call; the tasks in
+// it stay valid until their TaskCompleted.
 func (s *Scheduler) Schedule(worker WorkerID) []*Task {
 	dev := s.DeviceOf(worker)
 	best := s.pickType(dev, true)
@@ -439,39 +501,24 @@ func (s *Scheduler) Schedule(worker WorkerID) []*Task {
 // (c) otherwise, types with any ready nodes;
 // highest Priority wins (first in typeOrder on ties).
 func (s *Scheduler) pickType(dev DeviceID, local bool) *cellType {
-	var candidates []*cellType
-	for _, key := range s.typeOrder {
-		ct := s.types[key]
-		if ct.residentOn(dev) == local && ct.readyNodes >= ct.cfg.MaxBatch {
-			candidates = append(candidates, ct)
-		}
-	}
-	if len(candidates) == 0 {
+	for rule := 'a'; rule <= 'c'; rule++ {
+		var best *cellType
 		for _, key := range s.typeOrder {
 			ct := s.types[key]
-			if ct.residentOn(dev) == local && ct.runningTasks == 0 && ct.readyNodes > 0 {
-				candidates = append(candidates, ct)
+			if ct.residentOn(dev) != local || ct.readyNodes == 0 ||
+				rule == 'a' && ct.readyNodes < ct.cfg.MaxBatch ||
+				rule == 'b' && ct.runningTasks > 0 {
+				continue
+			}
+			if best == nil || ct.cfg.Priority > best.cfg.Priority {
+				best = ct
 			}
 		}
-	}
-	if len(candidates) == 0 {
-		for _, key := range s.typeOrder {
-			ct := s.types[key]
-			if ct.residentOn(dev) == local && ct.readyNodes > 0 {
-				candidates = append(candidates, ct)
-			}
+		if best != nil {
+			return best
 		}
 	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	best := candidates[0]
-	for _, ct := range candidates[1:] {
-		if ct.cfg.Priority > best.cfg.Priority {
-			best = ct
-		}
-	}
-	return best
+	return nil
 }
 
 // batch implements Algorithm 1's Batch function.
@@ -480,24 +527,24 @@ func (s *Scheduler) batch(ct *cellType, worker WorkerID, dev DeviceID, remote bo
 	if len(ct.pins) > 0 {
 		home = ct.pins[0]
 	}
-	var tasks []*Task
+	tasks := s.scheduled[:0]
 	for len(tasks) < s.cfg.MaxTasksToSubmit {
-		nodes, subs := s.formBatchedTask(ct, worker)
-		if len(nodes) == 0 {
-			break
+		task := reuse(&s.freeTasks)
+		*task = Task{
+			ID:           s.nextTask,
+			TypeKey:      ct.cfg.Key,
+			Worker:       worker,
+			Nodes:        task.nodesBuf[:0],
+			Device:       dev,
+			HomeDevice:   home,
+			Remote:       remote,
+			MigratedFrom: task.MigratedFrom[:0],
+			subgraphs:    task.subgraphs[:0],
 		}
-		if len(nodes) < ct.cfg.MinBatch && len(tasks) > 0 {
+		s.formBatchedTask(ct, worker, task)
+		if len(task.Nodes) == 0 || len(task.Nodes) < ct.cfg.MinBatch && len(tasks) > 0 {
+			s.retireTask(task)
 			break
-		}
-		task := &Task{
-			ID:         s.nextTask,
-			TypeKey:    ct.cfg.Key,
-			Worker:     worker,
-			Nodes:      nodes,
-			Device:     dev,
-			HomeDevice: home,
-			Remote:     remote,
-			subgraphs:  subs,
 		}
 		s.nextTask++
 		if remote {
@@ -506,7 +553,7 @@ func (s *Scheduler) batch(ct *cellType, worker WorkerID, dev DeviceID, remote bo
 		if s.lastDev != nil {
 			// Cross-device state movement: a request whose previous task
 			// ran elsewhere must copy its hidden state to dev.
-			for _, sg := range subs {
+			for _, sg := range task.subgraphs {
 				if last, ok := s.lastDev[sg.req]; ok && last != dev {
 					task.Migrations++
 					task.MigratedFrom = append(task.MigratedFrom, last)
@@ -518,7 +565,7 @@ func (s *Scheduler) batch(ct *cellType, worker WorkerID, dev DeviceID, remote bo
 		// Submit: mark nodes issued, update intra-subgraph dependencies so
 		// successors become schedule-ready (safe because tasks pushed to
 		// one worker execute in FIFO order), and pin subgraphs.
-		for _, sg := range subs {
+		for _, sg := range task.subgraphs {
 			sg.inflight++
 			sg.pinned = worker
 		}
@@ -527,15 +574,18 @@ func (s *Scheduler) batch(ct *cellType, worker WorkerID, dev DeviceID, remote bo
 		s.inflight[task.ID] = task
 		tasks = append(tasks, task)
 	}
+	s.scheduled = tasks
+	if len(tasks) == 0 {
+		return nil
+	}
 	return tasks
 }
 
 // formBatchedTask implements Algorithm 1's FormBatchedTask: scan the type's
 // subgraph queue, taking ready nodes from subgraphs that are unpinned or
-// pinned to this worker, until the batch is full.
-func (s *Scheduler) formBatchedTask(ct *cellType, worker WorkerID) ([]NodeRef, []*subgraph) {
-	var nodes []NodeRef
-	var subs []*subgraph
+// pinned to this worker, until the batch is full. It appends the nodes and
+// their subgraphs to the candidate task.
+func (s *Scheduler) formBatchedTask(ct *cellType, worker WorkerID, task *Task) {
 	for i := 0; i < ct.queue.Len(); i++ {
 		sg := ct.queue.At(i)
 		if sg.pinned != NoWorker && sg.pinned != worker {
@@ -544,24 +594,16 @@ func (s *Scheduler) formBatchedTask(ct *cellType, worker WorkerID) ([]NodeRef, [
 		if len(sg.ready) == 0 {
 			continue
 		}
-		if nodes == nil {
-			// The type's ready count bounds the batch, so the task's
-			// slices are sized once, when the first node is found,
-			// instead of grown node by node.
-			bound := min(ct.readyNodes, ct.cfg.MaxBatch)
-			nodes = make([]NodeRef, 0, bound)
-			subs = make([]*subgraph, 0, min(bound, ct.queue.Len()-i))
-		}
 		take := len(sg.ready)
-		if room := ct.cfg.MaxBatch - len(nodes); take > room {
+		if room := ct.cfg.MaxBatch - len(task.Nodes); take > room {
 			take = room
 		}
 		for _, p := range sg.ready[:take] {
-			nodes = append(nodes, NodeRef{Req: sg.req, Node: sg.nodes[p]})
+			task.Nodes = append(task.Nodes, NodeRef{Req: sg.req, Node: sg.nodes[p]})
 		}
-		subs = append(subs, sg)
+		task.subgraphs = append(task.subgraphs, sg)
 		sg.pendingTake = take
-		if len(nodes) == ct.cfg.MaxBatch {
+		if len(task.Nodes) == ct.cfg.MaxBatch {
 			break
 		}
 	}
@@ -569,7 +611,6 @@ func (s *Scheduler) formBatchedTask(ct *cellType, worker WorkerID) ([]NodeRef, [
 	// accepts the candidate and runs updateNodesDependency. Rejecting a
 	// candidate (under MinBatch with tasks already formed) therefore needs
 	// no rollback.
-	return nodes, subs
 }
 
 // updateNodesDependency implements Algorithm 1's UpdateNodesDependency: for
@@ -579,14 +620,12 @@ func (s *Scheduler) updateNodesDependency(ct *cellType, task *Task) {
 	for _, sg := range task.subgraphs {
 		take := sg.pendingTake
 		sg.pendingTake = 0
-		taken := sg.ready[:take]
-		rest := sg.ready[take:]
 		ct.readyNodes -= take
 		s.totalReady -= take
 		sg.unissued -= take
-		var fresh []int32
+		fresh := s.fresh[:0]
 		if sg.dependents != nil {
-			for _, p := range taken {
+			for _, p := range sg.ready[:take] {
 				for _, dep := range sg.dependents[sg.depStart[p]:sg.depStart[p+1]] {
 					sg.pendingDeps[dep]--
 					if sg.pendingDeps[dep] == 0 {
@@ -595,45 +634,45 @@ func (s *Scheduler) updateNodesDependency(ct *cellType, task *Task) {
 				}
 			}
 		}
-		sg.ready = mergeReady(rest, fresh)
+		sg.ready = mergeReady(sg.ready, take, fresh)
+		s.fresh = fresh
 		ct.readyNodes += len(fresh)
 		s.totalReady += len(fresh)
 	}
 }
 
-// mergeReady combines the un-taken remainder of a ready list (already
-// sorted — it is a suffix of a sorted list) with freshly released nodes
-// into a new sorted slice. The fresh batch is tiny (usually one node per
-// released dependency edge), so it is insertion-sorted and then merged in
-// one pass instead of re-sorting the whole ready list with sort.Slice,
-// which dominated the scheduling loop on long chains.
-func mergeReady(rest, fresh []int32) []int32 {
+// mergeReady drops the first take members of a sorted ready list and merges
+// freshly released ones into the rest, in ready's own array. The fresh
+// batch is tiny (usually one node per released dependency edge), so it is
+// insertion-sorted and then merged from the back in one pass instead of
+// re-sorting the whole ready list with sort.Slice, which dominated the
+// scheduling loop on long chains.
+func mergeReady(ready []int32, take int, fresh []int32) []int32 {
 	for i := 1; i < len(fresh); i++ {
 		for j := i; j > 0 && fresh[j] < fresh[j-1]; j-- {
 			fresh[j], fresh[j-1] = fresh[j-1], fresh[j]
 		}
 	}
-	if len(rest) == 0 {
-		return fresh // a chain's steady state: one node taken, one released
-	}
-	out := make([]int32, 0, len(rest)+len(fresh))
-	i, j := 0, 0
-	for i < len(rest) && j < len(fresh) {
-		if rest[i] <= fresh[j] {
-			out = append(out, rest[i])
-			i++
+	rest := copy(ready, ready[take:])
+	ready = slices.Grow(ready[:rest], len(fresh))[:rest+len(fresh)]
+	i, j := rest-1, len(fresh)-1
+	for k := len(ready) - 1; j >= 0; k-- {
+		if i >= 0 && ready[i] > fresh[j] {
+			ready[k] = ready[i]
+			i--
 		} else {
-			out = append(out, fresh[j])
-			j++
+			ready[k] = fresh[j]
+			j--
 		}
 	}
-	out = append(out, rest[i:]...)
-	return append(out, fresh[j:]...)
+	return ready
 }
 
 // TaskCompleted must be called by the engine when a worker finishes a task.
 // It decrements in-flight counters and unpins subgraphs that no longer have
-// running tasks; fully drained subgraphs are retired from their queues.
+// running tasks; fully drained subgraphs are retired from their queues. The
+// task itself is cleared and kept for reuse: read what you need from it
+// before the call.
 func (s *Scheduler) TaskCompleted(id TaskID) error {
 	task, ok := s.inflight[id]
 	if !ok {
@@ -655,11 +694,23 @@ func (s *Scheduler) TaskCompleted(id TaskID) error {
 		}
 	}
 	if retire {
-		ct.queue.Filter(func(sg *subgraph) bool {
-			return sg.unissued > 0 || sg.inflight > 0
-		})
+		ct.queue.Filter(s.keepLive)
 	}
+	s.retireTask(task)
 	return nil
+}
+
+// retireTask clears a task that is done or was never issued and keeps it,
+// with its arrays, for the next one.
+func (s *Scheduler) retireTask(t *Task) {
+	clear(t.subgraphs)
+	*t = Task{
+		Worker:       NoWorker,
+		MigratedFrom: t.MigratedFrom[:0],
+		subgraphs:    t.subgraphs[:0],
+		nodesBuf:     t.Nodes[:0],
+	}
+	s.freeTasks = append(s.freeTasks, t)
 }
 
 // forget drops a retired subgraph from its request's list, and the request
@@ -671,8 +722,7 @@ func (s *Scheduler) forget(sg *subgraph) {
 			s.byReq[sg.req] = subs
 			return
 		}
-		delete(s.byReq, sg.req)
-		delete(s.lastDev, sg.req)
+		s.dropRequest(sg.req, subs)
 	}
 }
 

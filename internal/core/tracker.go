@@ -13,6 +13,9 @@ import (
 // external dependencies have completed (§4.3). The Tracker is tensor-free so
 // the discrete-event simulator can drive millions of cells cheaply; the live
 // server pairs it with a cellgraph.State that holds the actual data.
+//
+// A Tracker may serve request after request (Reset), keeping its arrays —
+// the partition's included — so a pooled one admits without allocating.
 type Tracker struct {
 	req        RequestID
 	graph      *cellgraph.Graph
@@ -21,6 +24,12 @@ type Tracker struct {
 	released   []bool
 	done       []bool
 	remaining  int
+
+	// part holds the arrays subs is carved from; flags backs released and
+	// done; specs backs the slices InitialSubgraphs and NodeDone return.
+	part  cellgraph.Partitioner
+	flags []bool
+	specs []SubgraphSpec
 }
 
 // NewTracker validates the request's graph, partitions it and prepares
@@ -29,32 +38,36 @@ func NewTracker(req RequestID, g *cellgraph.Graph) (*Tracker, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	return newTracker(req, g), nil
+	t := new(Tracker)
+	t.reset(req, g)
+	return t, nil
 }
 
 // TrackState is NewTracker for a graph that already has execution state: a
 // cellgraph.State exists only for a graph that validated, so an admission
 // that builds both validates once.
 func TrackState(req RequestID, s *cellgraph.State) *Tracker {
-	return newTracker(req, s.Graph())
+	t := new(Tracker)
+	t.Reset(req, s)
+	return t
 }
 
-func newTracker(req RequestID, g *cellgraph.Graph) *Tracker {
-	subs := cellgraph.Partition(g)
-	flags := make([]bool, len(subs)+len(g.Nodes))
-	t := &Tracker{
-		req:        req,
-		graph:      g,
-		subs:       subs,
-		extPending: make([]int32, len(subs)),
-		released:   flags[:len(subs)],
-		done:       flags[len(subs):],
-		remaining:  len(g.Nodes),
-	}
+// Reset is TrackState into t: it starts tracking request req over s's
+// graph, reusing t's arrays. Specs t handed out before are overwritten.
+func (t *Tracker) Reset(req RequestID, s *cellgraph.State) { t.reset(req, s.Graph()) }
+
+func (t *Tracker) reset(req RequestID, g *cellgraph.Graph) {
+	subs := t.part.Partition(g)
+	n := len(subs) + len(g.Nodes)
+	t.flags = slices.Grow(t.flags[:0], n)[:n]
+	clear(t.flags)
+	t.extPending = slices.Grow(t.extPending[:0], len(subs))[:len(subs)]
 	for i := range subs {
 		t.extPending[i] = int32(len(subs[i].ExternalDeps))
 	}
-	return t
+	t.req, t.graph, t.subs = req, g, subs
+	t.released, t.done = t.flags[:len(subs)], t.flags[len(subs):]
+	t.remaining = len(g.Nodes)
 }
 
 // Req returns the request ID.
@@ -68,23 +81,23 @@ func (t *Tracker) NumSubgraphs() int { return len(t.subs) }
 
 // InitialSubgraphs returns the specs of subgraphs with no external
 // dependencies — releasable the moment the request is admitted. Each spec is
-// returned at most once across InitialSubgraphs/NodeDone.
+// returned at most once across InitialSubgraphs/NodeDone. The slice is the
+// tracker's own and valid until its next InitialSubgraphs or NodeDone call.
 func (t *Tracker) InitialSubgraphs() []SubgraphSpec {
-	var out []SubgraphSpec
+	out := t.specs[:0]
 	for i := range t.subs {
 		if !t.released[i] && t.extPending[i] == 0 {
-			if out == nil {
-				out = make([]SubgraphSpec, 0, len(t.subs)-i) // one allocation, not a doubling run
-			}
 			t.released[i] = true
 			out = append(out, t.spec(i))
 		}
 	}
+	t.specs = out
 	return out
 }
 
 // NodeDone records the actual completion of a node and returns the specs of
-// subgraphs whose external dependencies just became fully satisfied.
+// subgraphs whose external dependencies just became fully satisfied, in a
+// slice valid until the tracker's next InitialSubgraphs or NodeDone call.
 func (t *Tracker) NodeDone(n cellgraph.NodeID) ([]SubgraphSpec, error) {
 	if int(n) < 0 || int(n) >= len(t.done) {
 		return nil, fmt.Errorf("core: tracker: unknown node %d", n)
@@ -94,7 +107,7 @@ func (t *Tracker) NodeDone(n cellgraph.NodeID) ([]SubgraphSpec, error) {
 	}
 	t.done[n] = true
 	t.remaining--
-	var out []SubgraphSpec
+	out := t.specs[:0]
 	// A node's completion can release any subgraph listing it as an
 	// external dependency.
 	for i := range t.subs {
@@ -109,6 +122,7 @@ func (t *Tracker) NodeDone(n cellgraph.NodeID) ([]SubgraphSpec, error) {
 			}
 		}
 	}
+	t.specs = out
 	return out, nil
 }
 

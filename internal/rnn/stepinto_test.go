@@ -272,6 +272,47 @@ func BenchmarkStepVsBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkStepVsBatchCold is Fig. 3 with the weights cold, as the paper's
+// GPU never has them hot: step i runs LSTM instance i mod n (in = h), and n
+// is the fewest instances whose weights, 32·h² bytes each, total 8 MiB or
+// more — four at h = 256, one at h = 512 and at h = 1 024 — so no step finds
+// its weights in a 2 MiB L2.
+func BenchmarkStepVsBatchCold(b *testing.B) {
+	const coldBytes = 8 << 20
+	for _, h := range []int{256, 512, 1024} {
+		rng := tensor.NewRNG(2018)
+		cells := make([]*LSTMCell, max(1, coldBytes/(32*h*h)))
+		for i := range cells {
+			cells[i] = NewLSTMCell(fmt.Sprintf("lstm%d", i), h, h, rng)
+		}
+		for _, rows := range []int{1, 4, 16, 64} {
+			inputs := map[string]*tensor.Tensor{
+				"x": tensor.RandNormal(rng, 0.5, rows, h),
+				"h": tensor.RandNormal(rng, 0.5, rows, h),
+				"c": tensor.RandNormal(rng, 0.5, rows, h),
+			}
+			out := map[string]*tensor.Tensor{"h": tensor.New(rows, h), "c": tensor.New(rows, h)}
+			b.Run(fmt.Sprintf("lstm_h%d_x%d/b%d", h, len(cells), rows), func(b *testing.B) {
+				arena := tensor.NewArena(0)
+				step := func(c *LSTMCell) {
+					arena.Reset()
+					if err := c.StepInto(inputs, out, arena); err != nil {
+						b.Fatal(err)
+					}
+				}
+				step(cells[0]) // warm the arena
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					step(cells[i%len(cells)])
+				}
+				us := float64(b.Elapsed().Nanoseconds()) / 1e3 / float64(b.N)
+				b.ReportMetric(us, "us/step")
+				b.ReportMetric(us/float64(rows), "us/row")
+			})
+		}
+	}
+}
+
 // TestNameAccessorsDoNotAllocate: admission calls InputNames/OutputNames per
 // node, so every built-in cell must hand back one backing slice rather than a
 // fresh literal. Two calls also have to agree, element for element.

@@ -97,6 +97,9 @@ type mgr struct {
 	outstanding []int
 	rr          int
 	admitFault  func(core.SubgraphSpec) error
+	// completed holds the requests the completion being consumed finished;
+	// their blocks go back once its task has retired.
+	completed []*request
 }
 
 // manager is §4.2's manager — request processor and scheduler in one
@@ -373,16 +376,24 @@ func (m *mgr) complete(rec completion) {
 				}
 			}
 			m.resolve(r, nil)
+			m.completed = append(m.completed, r)
 		}
 	}
 	// Retire the task after any CancelRequest issued above, preserving the
-	// cancel-before-unpin order the scheduler's bookkeeping expects.
+	// cancel-before-unpin order the scheduler's bookkeeping expects. The
+	// scheduler reuses the task once retired, so read its worker first.
+	w := rec.task.Worker
 	if err := m.sched.TaskCompleted(rec.task.ID); err != nil {
 		// A completion for a task the scheduler does not know indicates a
 		// bug in this package; surface loudly.
 		panic(err)
 	}
-	m.outstanding[rec.task.Worker]--
+	m.outstanding[w]--
+	for i, r := range m.completed {
+		r.release()
+		m.completed[i] = nil
+	}
+	m.completed = m.completed[:0]
 	if rec.refsBuf != nil {
 		putExecRefs(rec.refsBuf)
 	}

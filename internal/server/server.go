@@ -191,6 +191,9 @@ type request struct {
 	// one request can be pinned to different workers.
 	stateMu sync.Mutex
 	state   *cellgraph.State
+	// block is the pooled memory tracker and state live in, returned when
+	// the request completes (see reqBlock).
+	block *reqBlock
 
 	done    chan struct{}
 	results map[string]*tensor.Tensor
@@ -231,6 +234,35 @@ type request struct {
 
 // dead reports whether this request's rows should be skipped at gather time.
 func (r *request) dead() bool { return r.resolved.Load() || r.poisoned.Load() }
+
+// reqBlock is what admission fills for one request besides its caller's
+// graph: the execution state (rows, flags, output slab) and the tracker
+// (partition, release flags, specs). Blocks are pooled, so steady-state
+// admission allocates almost nothing of its own.
+//
+// A caller's goroutine takes a block in SubmitAsyncOpts. The manager gives
+// it back only when the request completes, after retiring the task that
+// finished it: every task that carried the request's rows has then run and
+// retired, so no worker or scheduler record still refers to the block, and
+// Results has already copied what the caller gets. A cancelled, expired,
+// failed or stopped request's block is left to the collector, because a
+// task holding its rows may still be queued or running.
+type reqBlock struct {
+	state   cellgraph.State
+	tracker core.Tracker
+}
+
+var blocks = sync.Pool{New: func() any { return new(reqBlock) }}
+
+// release returns a completed request's block to the pool; the caller has
+// retired the request's last task.
+func (r *request) release() {
+	r.stateMu.Lock()
+	b := r.block
+	r.block, r.state, r.tracker = nil, nil, nil
+	r.stateMu.Unlock()
+	blocks.Put(b)
+}
 
 // durableAdmit blocks until the journal acknowledged this request's admit
 // record and latches the outcome; repeated and concurrent calls are safe.
@@ -551,14 +583,17 @@ func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, 
 		s.obs.reject(false)
 		return nil, fmt.Errorf("%w: deadline passed before admission", ErrExpired)
 	}
-	// NewState validates the graph — the admission's one validation, which
-	// the tracker below shares — so a nil cell is reported there, not here.
-	state, err := cellgraph.NewState(g)
-	if err != nil {
+	// Resetting the state validates the graph — the admission's one
+	// validation, which the tracker below shares — so a nil cell is reported
+	// there, not here.
+	b := blocks.Get().(*reqBlock)
+	if err := b.state.Reset(g); err != nil {
+		blocks.Put(b)
 		return nil, err
 	}
 	for i := range g.Nodes {
 		if key := g.Nodes[i].Cell.TypeKey(); s.cells[key] == nil {
+			blocks.Put(b)
 			return nil, fmt.Errorf("server: cell type %q of node %d not registered", key, i)
 		}
 	}
@@ -566,7 +601,7 @@ func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, 
 	// the worker scatter writes in place instead of allocating (the arena
 	// counterpart on the gather/step side lives in the worker). Cell types
 	// without static widths simply keep the allocating path.
-	state.PreallocOutputs(func(cell rnn.Cell) []int { return s.outWidths[cell.TypeKey()] })
+	b.state.PreallocOutputs(func(cell rnn.Cell) []int { return s.outWidths[cell.TypeKey()] })
 	var id core.RequestID
 	if opts.ReplayID != 0 {
 		// Recovery replay keeps the original ID and floors the allocator
@@ -581,12 +616,13 @@ func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, 
 	} else {
 		id = core.RequestID(s.nextID.Add(1))
 	}
-	tracker := core.TrackState(id, state)
+	b.tracker.Reset(id, &b.state)
 	req := &request{
 		id:       id,
 		cells:    len(g.Nodes),
-		tracker:  tracker,
-		state:    state,
+		tracker:  &b.tracker,
+		state:    &b.state,
+		block:    b,
 		done:     make(chan struct{}),
 		deadline: opts.Deadline,
 		payload:  opts.JournalPayload,
@@ -594,11 +630,15 @@ func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, 
 	}
 	reply := make(chan error, 1)
 	select {
-	case s.cmds <- admitCmd{req: req, specs: tracker.InitialSubgraphs(), reply: reply}:
+	case s.cmds <- admitCmd{req: req, specs: b.tracker.InitialSubgraphs(), reply: reply}:
 	case <-s.stopdCh:
+		blocks.Put(b)
 		return nil, ErrStopped
 	}
 	if err := <-reply; err != nil {
+		// A refused admission left nothing registered: admit rolls back
+		// what it added before replying.
+		blocks.Put(b)
 		return nil, err
 	}
 	// The admit record's durability ack is deliberately NOT awaited here —

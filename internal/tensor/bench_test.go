@@ -9,27 +9,30 @@ import (
 // by MatMul, so its cost per cell step matters. These mirror the shapes an
 // LSTM step at hidden 1024 uses (the paper's configuration).
 
-func benchMatMul(b *testing.B, m, k, n int) {
-	rng := NewRNG(1)
-	x := RandUniform(rng, 1, m, k)
-	w := RandUniform(rng, 1, k, n)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchTensorSink = MatMul(x, w)
-	}
-}
-
 var benchTensorSink *Tensor
 
-// BenchmarkMatMulLSTMStep1 is one LSTM gate matmul at batch 1, h=256.
-func BenchmarkMatMulLSTMStep1(b *testing.B) { benchMatMul(b, 1, 512, 1024) }
-
-// BenchmarkMatMulLSTMStep16 is the same matmul at batch 16.
-func BenchmarkMatMulLSTMStep16(b *testing.B) { benchMatMul(b, 16, 512, 1024) }
-
-// BenchmarkMatMulLSTMStep64 is the same matmul at batch 64.
-func BenchmarkMatMulLSTMStep64(b *testing.B) { benchMatMul(b, 64, 512, 1024) }
+// BenchmarkMatMulLSTMStep is the paper's Fig. 3 at the kernel: one LSTM gate
+// matmul, [b, 2h] × [2h, 4h], at h = 256, 512 and 1 024 (weights of 2, 8 and
+// 32 MiB) as the batch grows. us/row is what one request pays for the step;
+// batching pays where it falls with b.
+func BenchmarkMatMulLSTMStep(b *testing.B) {
+	for _, h := range []int{256, 512, 1024} {
+		rng := NewRNG(1)
+		w := RandUniform(rng, 1, 2*h, 4*h)
+		for _, m := range []int{1, 4, 16, 64} {
+			b.Run(fmt.Sprintf("h%d/b%d", h, m), func(b *testing.B) {
+				x := RandUniform(rng, 1, m, 2*h)
+				dst := New(m, 4*h)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					MatMulInto(dst, x, w)
+				}
+				us := float64(b.Elapsed().Nanoseconds()) / 1e3 / float64(b.N)
+				b.ReportMetric(us/float64(m), "us/row")
+			})
+		}
+	}
+}
 
 // servingShapes are the weight shapes (k x n) of the three BENCHMARK.json
 // models: the LSTM gate matmul and the vocabulary projection of
