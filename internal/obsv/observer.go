@@ -6,7 +6,7 @@
 //
 // Design constraints, in order:
 //
-//  1. The hot path (worker exec loop, manager loop) must not allocate and
+//  1. The hot path (worker exec loop, manager) must not allocate and
 //     must not take locks to record events. Rings are single-writer with
 //     per-slot atomic sequence counters; metric cells are plain atomics.
 //  2. Everything is nil-safe: a server built with observability disabled

@@ -29,7 +29,7 @@ const minStepSamples = 16
 // anyway: Admit on arrival, Completed on request finish.
 //
 // Concurrency: the Controller is NOT synchronized. The live server calls it
-// only from its manager goroutine; the simulator is
+// only under its manager's lock; the simulator is
 // single-threaded. All timestamps are caller-supplied nanoseconds, so
 // decision sequences are a pure function of the call sequence — the
 // determinism tests replay them byte-identically in virtual time.

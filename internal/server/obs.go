@@ -33,10 +33,11 @@ type obsType struct {
 // serverObs bridges the pipeline stages to the obsv layer, the one place a
 // serving-path fact is written. The metric cells (sm, workers, types, exec)
 // are always live; o and the rings are nil when ObsConfig.Disabled (nil
-// rings are valid no-ops). Ring and cell ownership follows the goroutine
-// structure: the manager writes rpRing (lifecycle), schedRing (dispatch) and
-// the outcome/backlog/depth/ready/dispatch cells, and worker i writes
-// workerRings[i], workers[i] and exec[i].
+// rings are valid no-ops). Ring and cell ownership follows the locking:
+// rpRing (lifecycle), schedRing (dispatch) and the
+// outcome/backlog/depth/ready/dispatch cells are written only under mgr.mu,
+// so they keep one writer at a time, and worker i writes workerRings[i],
+// workers[i] and exec[i].
 type serverObs struct {
 	o  *obsv.Observer
 	sm *obsv.ServingMetrics
@@ -100,7 +101,7 @@ func newServerObs(cfg ObsConfig, specs []CellSpec, workers int) *serverObs {
 	return ob
 }
 
-// ---- manager (single writer of rpRing and schedRing) ----
+// ---- manager (rpRing and schedRing: written only under mgr.mu) ----
 
 // admit records one admission: outcome counter, gauges, lifecycle record.
 func (ob *serverObs) admit(id core.RequestID, nowNs int64, liveReqs, queuedCells int) {
@@ -110,10 +111,10 @@ func (ob *serverObs) admit(id core.RequestID, nowNs int64, liveReqs, queuedCells
 	ob.rpRing.Write(obsv.Record{Kind: obsv.KindAdmit, Req: int64(id), T0: nowNs})
 }
 
-// reject records one shed submission. fromRP distinguishes the manager
-// (which owns rpRing and may write the lifecycle record) from
-// caller-goroutine sheds (DOA deadlines), which only bump the counter —
-// the ring is single-writer.
+// reject records one shed submission. fromRP distinguishes sheds under
+// mgr.mu (which may write the lifecycle record to rpRing) from sheds
+// outside it (DOA deadlines), which only bump the counter — the ring takes
+// one writer at a time.
 func (ob *serverObs) reject(fromRP bool) {
 	ob.sm.Rejected.Inc()
 	if fromRP {
@@ -184,7 +185,7 @@ func (ob *serverObs) dispatch(task *core.Task, queueDepth int, nowNs int64) {
 }
 
 // mirrorScheduler refreshes the per-type ready-queue and per-worker depth
-// gauges from the manager's state.
+// gauges from the manager's state, under mgr.mu.
 func (ob *serverObs) mirrorScheduler(sched *core.Scheduler, outstanding []int) {
 	for key, ot := range ob.types {
 		ot.tm.Ready.Set(int64(sched.ReadyNodes(key)))

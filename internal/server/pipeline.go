@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"batchmaker/internal/cellgraph"
@@ -12,54 +13,12 @@ import (
 	"batchmaker/internal/obsv"
 )
 
-// Stage hand-off records. The manager receives commands from callers on
-// Server.cmds and completion records from workers on Server.completions.
-
-// admitCmd asks the manager to admit one constructed request.
-type admitCmd struct {
-	req   *request
-	specs []core.SubgraphSpec
-	reply chan error
-}
-
-// terminateCmd asks for early resolution (cancel or expire-by-context).
-type terminateCmd struct {
-	req   *request
-	cause error
-	reply chan bool
-}
-
-// drainCmd switches the server into draining mode.
-type drainCmd struct{}
-
-// stopCmd begins fail-fast shutdown.
-type stopCmd struct{}
-
-// admitFaultCmd installs the admission fault seam (test hook); reply is
-// closed once the hook is in place and the gauges are mirrored.
-type admitFaultCmd struct {
-	fault func(core.SubgraphSpec) error
-	reply chan struct{}
-}
-
 // execRef names one gathered row of a batched task: which request, which
-// node. Workers record the refs they actually executed so the manager can
+// node. Workers record the refs they actually executed so complete can
 // advance exactly those dependencies.
 type execRef struct {
 	req  *request
 	node cellgraph.NodeID
-}
-
-// completion is one worker→manager record of a finished task: scattered
-// outputs on success, err set on failure.
-type completion struct {
-	task     *core.Task
-	executed []execRef
-	// refsBuf, when non-nil, is the pooled backing buffer of executed. The
-	// manager returns it to execRefPool after complete() so the steady-state
-	// path allocates no per-task slice.
-	refsBuf *[]execRef
-	err     error
 }
 
 // deadlineEntry is one pending expiry. Entries are lazily deleted: a
@@ -77,98 +36,87 @@ func (h deadlineHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *deadlineHeap) Push(x any)        { *h = append(*h, x.(deadlineEntry)) }
 func (h *deadlineHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// mgr is the manager's private state. Nothing here is shared: other stages
-// reach it only through channels.
+// mgr is §4.2's manager — request processor and scheduler in one — run as
+// a monitor: it owns admission, dependency tracking, deadline expiry,
+// request resolution and the core.Scheduler, and every method runs under
+// mu. It has no goroutine of its own. Callers (admission, cancel, drain,
+// stop), workers (after each task) and the deadline timer each take mu,
+// call one method, and leave through unlock, which dispatches batched tasks
+// onto the bounded per-worker channels. Every lifecycle transition
+// happening under mu is what makes "exactly one terminal state" hold.
 type mgr struct {
+	mu       sync.Mutex
 	s        *Server
 	sched    *core.Scheduler
 	reqs     map[core.RequestID]*request
 	deadline deadlineHeap
-	timer    *time.Timer
-	// timerArmed tracks whether timer.C holds (or will hold) an undelivered
-	// tick, so re-arming can drain it safely.
-	timerArmed  bool
+	// timer runs tick when the earliest live deadline passes; armedAt is the
+	// deadline it is set for (zero: not armed).
+	timer       *time.Timer
+	armedAt     time.Time
 	queuedCells int
 	stopped     bool
 	draining    bool
 	drainClosed bool
-	// outstanding[w] counts tasks dispatched to worker w whose completion
-	// has not been retired yet.
+	// closed records that the worker channels have been closed.
+	closed bool
+	// outstanding[w] counts tasks dispatched to worker w that have not been
+	// retired yet.
 	outstanding []int
 	rr          int
 	admitFault  func(core.SubgraphSpec) error
-	// completed holds the requests the completion being consumed finished;
-	// their blocks go back once its task has retired.
+	// completed holds the requests the task being retired finished; their
+	// blocks go back once the task has retired.
 	completed []*request
 }
 
-// manager is §4.2's manager — request processor and scheduler in one
-// goroutine. It owns admission, dependency tracking, deadline expiry,
-// request resolution and the core.Scheduler, and dispatches batched tasks
-// onto the bounded per-worker channels. Being the only goroutine that moves
-// requests between lifecycle states is what makes "exactly one terminal
-// state" a structural property rather than a locking discipline.
-func (s *Server) manager(sched *core.Scheduler) {
-	defer s.wg.Done()
+func newMgr(s *Server, sched *core.Scheduler) *mgr {
 	m := &mgr{
 		s:           s,
 		sched:       sched,
 		reqs:        make(map[core.RequestID]*request),
-		timer:       time.NewTimer(time.Hour),
 		outstanding: make([]int, len(s.taskChans)),
 	}
-	if !m.timer.Stop() {
-		<-m.timer.C
+	m.timer = time.AfterFunc(time.Hour, m.tick)
+	m.timer.Stop()
+	return m
+}
+
+// unlock is every entry point's shared tail: dispatch unless stopped,
+// mirror the gauges, close the worker channels once the server is stopped
+// and no task is in flight, then release mu.
+func (m *mgr) unlock() {
+	if !m.stopped {
+		m.dispatch()
 	}
-	for {
-		select {
-		case c := <-s.cmds:
-			switch cmd := c.(type) {
-			case admitCmd:
-				cmd.reply <- m.admit(cmd)
-			case terminateCmd:
-				cmd.reply <- m.terminate(cmd.req, cmd.cause)
-			case drainCmd:
-				m.drain()
-			case stopCmd:
-				m.stop()
-			case admitFaultCmd:
-				m.admitFault = cmd.fault
-				m.mirror()
-				close(cmd.reply)
-			}
-		case rec := <-s.completions:
-			m.complete(rec)
-		case <-m.timer.C:
-			m.timerArmed = false
-			m.expireDue()
-			m.rearm()
-		}
-		// Retire the completions already buffered — counted once, so a stream
-		// of admissions cannot starve dispatch — so dispatch sees every freed
-		// worker and the union of the newly ready cells (better batches).
-		for n := len(s.completions); n > 0; n-- {
-			m.complete(<-s.completions)
-		}
-		if !m.stopped {
-			m.dispatch()
-		}
-		m.mirror()
-		if m.stopped && m.sched.InflightTasks() == 0 {
-			// Every dispatched task has been retired, so the worker channels
-			// are empty and no completion can arrive: closing them releases
-			// the workers, and Stop's wg.Wait joins them.
-			for _, ch := range s.taskChans {
-				close(ch)
-			}
-			return
+	m.mirror()
+	if m.stopped && !m.closed && m.sched.InflightTasks() == 0 {
+		// Every dispatched task has been retired, so the worker channels are
+		// empty and no worker will enter again: closing them releases the
+		// workers, and Stop's wg.Wait joins them.
+		m.closed = true
+		for _, ch := range m.s.taskChans {
+			close(ch)
 		}
 	}
+	m.mu.Unlock()
+}
+
+// tick is the deadline timer's entry point.
+func (m *mgr) tick() {
+	m.mu.Lock()
+	if !m.stopped {
+		m.armedAt = time.Time{}
+		m.expireDue()
+		m.rearm()
+	}
+	m.unlock()
 }
 
 // dispatch hands batched tasks to every worker whose channel is empty,
 // round-robin, until the scheduler forms no more. A worker's channel holds
-// one scheduling round, so a dispatch send never blocks.
+// one scheduling round, so a dispatch send never blocks — which is what
+// makes sending under mu safe.
 func (m *mgr) dispatch() {
 	s := m.s
 	for {
@@ -200,7 +148,7 @@ func (m *mgr) dispatch() {
 }
 
 // mirror copies the scheduler's gauges into atomics and metric cells so
-// Stats and SchedulerClean need no access to the manager's state.
+// Stats and SchedulerClean need no lock.
 func (m *mgr) mirror() {
 	m.s.schedInflight.Store(int64(m.sched.InflightTasks()))
 	m.s.schedLive.Store(int64(m.sched.LiveSubgraphs()))
@@ -210,8 +158,8 @@ func (m *mgr) mirror() {
 // admit performs the admission decision and registers the request. The
 // request becomes worker-visible before the next dispatch, so every task
 // that carries its rows finds it in Server.live.
-func (m *mgr) admit(cmd admitCmd) error {
-	s, r := m.s, cmd.req
+func (m *mgr) admit(r *request, specs []core.SubgraphSpec) error {
+	s := m.s
 	if m.stopped {
 		return ErrStopped
 	}
@@ -241,12 +189,12 @@ func (m *mgr) admit(cmd admitCmd) error {
 		// Stamp the SLA expiry onto the specs so the scheduler's EDF ready
 		// queues order this request's cells by urgency within their type.
 		dl := r.deadline.UnixNano()
-		for i := range cmd.specs {
-			cmd.specs[i].Deadline = dl
+		for i := range specs {
+			specs[i].Deadline = dl
 		}
 	}
 	r.admittedNs = time.Now().UnixNano()
-	if err := m.addSubgraphs(cmd.specs); err != nil {
+	if err := m.addSubgraphs(specs); err != nil {
 		// Roll back earlier subgraphs of this request so none stay
 		// registered without an owning handle.
 		m.sched.CancelRequest(r.id)
@@ -263,10 +211,9 @@ func (m *mgr) admit(cmd admitCmd) error {
 	m.queuedCells += r.cells
 	s.obs.admit(r.id, r.admittedNs, len(m.reqs), m.queuedCells)
 	if s.journal != nil && !r.replayed {
-		// Enqueued here, on the manager's goroutine, so the admit record
-		// always precedes this request's terminal record in the journal's
-		// FIFO. The enqueue never blocks; only the submitting caller waits on
-		// jwait.
+		// Enqueued under mu, so the admit record always precedes this
+		// request's terminal record in the journal's FIFO. The enqueue never
+		// blocks; only the submitting caller waits on jwait.
 		var dl int64
 		if !r.deadline.IsZero() {
 			dl = r.deadline.UnixNano()
@@ -277,7 +224,7 @@ func (m *mgr) admit(cmd admitCmd) error {
 }
 
 // jterminal journals a terminal outcome. Called at every terminal site,
-// always on the manager goroutine, before resolve.
+// always under mgr.mu, before resolve.
 func (s *Server) jterminal(id core.RequestID, outcome journal.Outcome, reason string) {
 	if s.journal != nil {
 		s.journal.AppendTerminal(uint64(id), outcome, reason)
@@ -315,22 +262,22 @@ func (m *mgr) terminate(r *request, cause error) bool {
 	return true
 }
 
-// complete consumes one worker completion record: fail or advance each
-// executed row's request, release successor subgraphs, resolve finished
-// requests, then retire the task (which unpins its subgraphs and frees a
-// slot on its worker's channel).
-func (m *mgr) complete(rec completion) {
+// complete retires one executed task: fail or advance each executed row's
+// request, release successor subgraphs, resolve finished requests, then
+// retire the task (which unpins its subgraphs and frees a slot on its
+// worker's channel). stepErr is the task's step error, if any.
+func (m *mgr) complete(task *core.Task, executed []execRef, stepErr error) {
 	s := m.s
-	for _, ref := range rec.executed {
+	for _, ref := range executed {
 		r := ref.req
 		if _, live := m.reqs[r.id]; !live {
 			// Resolved earlier (cancelled, expired, stopped, or a sibling
 			// row's failure); nothing to advance.
 			continue
 		}
-		if rec.err != nil {
-			cell := s.cells[rec.task.TypeKey]
-			m.fail(r, fmt.Errorf("server: executing %s: %w", cell.Name(), rec.err))
+		if stepErr != nil {
+			cell := s.cells[task.TypeKey]
+			m.fail(r, fmt.Errorf("server: executing %s: %w", cell.Name(), stepErr))
 			continue
 		}
 		released, err := r.tracker.NodeDone(ref.node)
@@ -382,21 +329,18 @@ func (m *mgr) complete(rec completion) {
 	// Retire the task after any CancelRequest issued above, preserving the
 	// cancel-before-unpin order the scheduler's bookkeeping expects. The
 	// scheduler reuses the task once retired, so read its worker first.
-	w := rec.task.Worker
-	if err := m.sched.TaskCompleted(rec.task.ID); err != nil {
+	w := task.Worker
+	if err := m.sched.TaskCompleted(task.ID); err != nil {
 		// A completion for a task the scheduler does not know indicates a
 		// bug in this package; surface loudly.
 		panic(err)
 	}
 	m.outstanding[w]--
 	for i, r := range m.completed {
-		r.release()
+		s.blocks.put(r.release())
 		m.completed[i] = nil
 	}
 	m.completed = m.completed[:0]
-	if rec.refsBuf != nil {
-		putExecRefs(rec.refsBuf)
-	}
 }
 
 // fail finalizes a request with an execution error, purging its queued work
@@ -430,7 +374,8 @@ func (m *mgr) expireDue() {
 }
 
 // rearm points the deadline timer at the earliest live deadline, discarding
-// entries of already-resolved requests on the way.
+// entries of already-resolved requests on the way. The timer is reset only
+// when that deadline changes.
 func (m *mgr) rearm() {
 	for len(m.deadline) > 0 {
 		if _, live := m.reqs[m.deadline[0].r.id]; live {
@@ -438,13 +383,16 @@ func (m *mgr) rearm() {
 		}
 		heap.Pop(&m.deadline)
 	}
-	if m.timerArmed && !m.timer.Stop() {
-		<-m.timer.C
+	if len(m.deadline) == 0 {
+		if !m.armedAt.IsZero() {
+			m.timer.Stop()
+			m.armedAt = time.Time{}
+		}
+		return
 	}
-	m.timerArmed = false
-	if len(m.deadline) > 0 {
-		m.timer.Reset(time.Until(m.deadline[0].at))
-		m.timerArmed = true
+	if at := m.deadline[0].at; !at.Equal(m.armedAt) {
+		m.armedAt = at
+		m.timer.Reset(time.Until(at))
 	}
 }
 
@@ -486,14 +434,16 @@ func (m *mgr) maybeDrained() {
 	close(m.s.drained)
 }
 
-// stop fails every live request with ErrStopped and ends dispatch. The
-// manager itself exits only once every dispatched task's completion has been
-// retired — that is what lets the scheduler's bookkeeping drain clean.
+// stop fails every live request with ErrStopped, stops the deadline timer
+// and ends dispatch. The worker channels close only once every dispatched
+// task has been retired (unlock) — that is what lets the scheduler's
+// bookkeeping drain clean.
 func (m *mgr) stop() {
 	if m.stopped {
 		return
 	}
 	m.stopped = true
+	m.timer.Stop()
 	close(m.s.stopdCh)
 	live := make([]*request, 0, len(m.reqs))
 	for _, r := range m.reqs {

@@ -25,8 +25,9 @@ import (
 //  3. clean drain — after Drain the backlog gauges and the scheduler's
 //     bookkeeping are empty.
 //
-// Run under -race this also exercises the stage hand-offs (admission
-// round-trip, dispatch channels, completion queue, shared request state).
+// Run under -race this also exercises the stage hand-offs (admission and
+// retirement under the manager's lock, dispatch channels, shared request
+// state).
 func TestPipelineStressMultiWorker(t *testing.T) {
 	m := newTestModel()
 	cfg := m.serverConfig(4)

@@ -504,10 +504,11 @@ func TestServerStopMidExecutionLeavesSchedulerClean(t *testing.T) {
 	}
 }
 
-// TestServerStartsOneManager: the engine is callers → manager → workers, so
-// a server with two workers runs exactly three goroutines, and Stop joins
-// all of them.
-func TestServerStartsOneManager(t *testing.T) {
+// TestServerStartsOnlyWorkers: the manager is a monitor that callers,
+// workers and the deadline timer enter under its lock, not a goroutine, so
+// a server with two workers runs exactly two goroutines, and Stop joins
+// both.
+func TestServerStartsOnlyWorkers(t *testing.T) {
 	m := newTestModel()
 	// Let goroutines of earlier tests finish exiting before the baseline.
 	base := runtime.NumGoroutine()
@@ -525,8 +526,8 @@ func TestServerStartsOneManager(t *testing.T) {
 	}
 	started := runtime.NumGoroutine() - base
 	srv.Stop()
-	if started != 3 {
-		t.Fatalf("New with 2 workers started %d goroutines, want 3 (one manager + two workers)", started)
+	if started != 2 {
+		t.Fatalf("New with 2 workers started %d goroutines, want 2 (the workers)", started)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
@@ -544,18 +545,25 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		set  func(*testing.T, *Config)
+		// deadline, when nonzero, gives every request a deadline this far
+		// out, so the deadline timer is armed when Stop runs.
+		deadline time.Duration
 	}{
-		{"workers", func(*testing.T, *Config) {}},
+		{"workers", func(*testing.T, *Config) {}, 0},
 		{"policy", func(_ *testing.T, c *Config) {
-			c.Policy = policy.Config{Mode: policy.ModeFull, SLA: 50 * time.Millisecond}
-		}},
+			// MinQueue above the 40 cells submitted: a rate estimate primed
+			// by the first completion must not shed the rest — this row
+			// is about goroutines, not the gate's cold start.
+			c.Policy = policy.Config{Mode: policy.ModeFull, SLA: 50 * time.Millisecond, MinQueue: 64}
+		}, 0},
 		{"journal", func(t *testing.T, c *Config) {
 			jnl, err := journal.Open(journal.Options{Dir: t.TempDir(), Sync: journal.SyncBatch})
 			if err != nil {
 				t.Fatal(err)
 			}
 			c.Journal = jnl
-		}},
+		}, 0},
+		{"deadlines", func(*testing.T, *Config) {}, time.Hour},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := newTestModel()
@@ -573,7 +581,11 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				h, err := srv.SubmitAsyncOpts(g, SubmitOpts{JournalPayload: []byte("{}")})
+				opts := SubmitOpts{JournalPayload: []byte("{}")}
+				if tc.deadline > 0 {
+					opts.Deadline = time.Now().Add(tc.deadline)
+				}
+				h, err := srv.SubmitAsyncOpts(g, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -590,6 +602,14 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 			srv.Stop()
 			if jnl, ok := cfg.Journal.(*journal.Journal); ok {
 				jnl.Close()
+			}
+			// Stop disarmed the deadline timer: it can neither start a
+			// goroutine later nor expire anything after Stop.
+			if srv.m.timer.Stop() {
+				t.Fatal("deadline timer still armed after Stop")
+			}
+			if n := srv.Stats().Outcomes.Expired; n != 0 {
+				t.Fatalf("%d expiry records after Stop", n)
 			}
 
 			// A goroutine that Stop has joined may still be exiting.

@@ -2,21 +2,23 @@
 // architecture (manager = request processor + scheduler; one worker per
 // device) running with real tensor computation on goroutines.
 //
-// The engine is a two-stage pipeline with no global lock:
+// The manager is a monitor, not a goroutine: one lock guards its state and
+// the goroutines that already exist run its code under that lock.
 //
-//	callers ──▶ manager ──▶ workers ──completions──▶ manager
+//	callers ───────┐                      ┌──▶ worker 0 ──┐
+//	deadline timer ├──▶ mgr (under mu) ───┤               ├──▶ mgr (under mu)
+//	                                      └──▶ worker 1 ──┘
 //
-// One manager goroutine owns the request table, the dependency trackers,
-// the deadline timer and the core.Scheduler. It admits requests, registers
-// their subgraphs, and dispatches batched tasks onto bounded per-worker
-// channels (preserving the FIFO-per-worker execution order the subgraph pin
-// logic relies on). Workers gather batched inputs into reused buffers,
-// execute the cell, scatter the outputs into per-request state (in program
-// order, modeling a GPU stream), and push a completion record. The manager
-// consumes completions: it tracks dependencies, registers successor
-// subgraphs, retires the task and resolves finished requests — Algorithm 1's
-// manager. Deadlines are swept by a timer owned by the manager, not by
-// polling workers.
+// mgr owns the request table, the dependency trackers, the deadline heap and
+// the core.Scheduler. A caller admits its own request and registers its
+// subgraphs; a worker retires its own task, tracks dependencies, registers
+// successor subgraphs and resolves finished requests — Algorithm 1's
+// manager; an AfterFunc timer expires deadlines. Each entry point ends in
+// one tail that dispatches batched tasks onto bounded per-worker channels
+// (preserving the FIFO-per-worker execution order the subgraph pin logic
+// relies on). Workers gather batched inputs into reused buffers, execute
+// the cell and scatter the outputs into per-request state (in program
+// order, modeling a GPU stream) outside the lock.
 //
 // Where internal/sim reproduces the paper's performance numbers against a
 // simulated GPU, this package demonstrates the system end to end: requests
@@ -62,12 +64,13 @@ import (
 )
 
 // RequestJournal is the durability hook the server drives: admit records
-// are enqueued by the manager the moment a request is admitted
+// are enqueued under the manager's lock the moment a request is admitted
 // (so an admit always precedes its terminal in the journal's FIFO),
 // terminal records as requests resolve, and cancel-intent records from
 // Handle.Cancel. *journal.Journal implements it. All methods must be
-// non-blocking: the journal batches and acknowledges asynchronously, and
-// only the submitting caller waits on AppendAdmit's channel.
+// non-blocking — AppendAdmit and AppendTerminal run under the manager's
+// lock: the journal batches and acknowledges asynchronously, and only the
+// submitting caller waits on AppendAdmit's channel.
 type RequestJournal interface {
 	AppendAdmit(id uint64, payload []byte, deadlineNs int64) <-chan error
 	AppendCancel(id uint64)
@@ -177,14 +180,14 @@ type Config struct {
 }
 
 // request is one admitted request's shared record. Ownership is split by
-// stage: the manager owns tracker, results, err and the lifecycle
-// transitions; workers touch state (under stateMu) and read the immutable
-// fields; resolved/poisoned are the cross-stage flags.
+// lock: tracker, results, err and the lifecycle transitions change only
+// under mgr.mu; gather and scatter touch state under stateMu and read the
+// immutable fields; resolved/poisoned are the lock-free flags.
 type request struct {
 	id    core.RequestID
 	cells int // len(graph.Nodes), for backlog accounting
 
-	// tracker is owned by the manager after admission.
+	// tracker is guarded by mgr.mu after admission.
 	tracker *core.Tracker
 
 	// state holds per-node rows; guarded by stateMu because subgraphs of
@@ -225,10 +228,9 @@ type request struct {
 	// resolved is set by the manager when the request reaches its
 	// terminal state; workers use it to skip rows of dead requests.
 	resolved atomic.Bool
-	// poisoned is set by a worker whose task failed, before the failure
-	// completion is enqueued: successor tasks already queued behind it on
-	// the same worker must not gather rows whose dependencies never
-	// completed.
+	// poisoned is set by a worker whose task failed, before the failure is
+	// retired: successor tasks already queued behind it on the same worker
+	// must not gather rows whose dependencies never completed.
 	poisoned atomic.Bool
 }
 
@@ -237,10 +239,10 @@ func (r *request) dead() bool { return r.resolved.Load() || r.poisoned.Load() }
 
 // reqBlock is what admission fills for one request besides its caller's
 // graph: the execution state (rows, flags, output slab) and the tracker
-// (partition, release flags, specs). Blocks are pooled, so steady-state
+// (partition, release flags, specs). Blocks are reused, so steady-state
 // admission allocates almost nothing of its own.
 //
-// A caller's goroutine takes a block in SubmitAsyncOpts. The manager gives
+// A caller's goroutine takes a block in SubmitAsyncOpts. mgr.complete gives
 // it back only when the request completes, after retiring the task that
 // finished it: every task that carried the request's rows has then run and
 // retired, so no worker or scheduler record still refers to the block, and
@@ -252,16 +254,44 @@ type reqBlock struct {
 	tracker core.Tracker
 }
 
-var blocks = sync.Pool{New: func() any { return new(reqBlock) }}
+// blockList is a server's free list of request blocks: a LIFO under a leaf
+// lock, not a sync.Pool. A worker gives blocks back (under mgr.mu) and a
+// caller takes them on another P, and a sync.Pool keeps each Put in the
+// putting P's private slot, out of that caller's reach. Like the
+// scheduler's free lists it never shrinks; it holds at most the server's
+// peak number of requests in flight.
+type blockList struct {
+	mu   sync.Mutex
+	free []*reqBlock
+}
 
-// release returns a completed request's block to the pool; the caller has
+func (l *blockList) get() *reqBlock {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(reqBlock)
+	}
+	b := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return b
+}
+
+func (l *blockList) put(b *reqBlock) {
+	l.mu.Lock()
+	l.free = append(l.free, b)
+	l.mu.Unlock()
+}
+
+// release detaches a completed request's block for reuse; the caller has
 // retired the request's last task.
-func (r *request) release() {
+func (r *request) release() *reqBlock {
 	r.stateMu.Lock()
+	defer r.stateMu.Unlock()
 	b := r.block
 	r.block, r.state, r.tracker = nil, nil, nil
-	r.stateMu.Unlock()
-	blocks.Put(b)
+	return b
 }
 
 // durableAdmit blocks until the journal acknowledged this request's admit
@@ -289,21 +319,22 @@ type Server struct {
 	outWidths map[string][]int
 	faults    FaultInjector
 	// journal is the durability hook (nil: journaling off). Immutable
-	// after New; only the manager and Handle.Cancel touch it — never the
-	// worker hot path.
+	// after New; only mgr and Handle.Cancel touch it — never the worker
+	// hot path.
 	journal RequestJournal
 	// baseAllocs is the process-wide heap-allocation count when the server
 	// started; Stats divides the delta by tasks run. Immutable after New.
 	baseAllocs uint64
 
-	// Stage hand-offs.
-	cmds        chan any        // callers -> manager (unbuffered)
-	completions chan completion // workers -> manager
-	taskChans   []chan *core.Task
+	// m is the manager monitor; taskChans are the per-worker task queues it
+	// dispatches onto.
+	m         *mgr
+	taskChans []chan *core.Task
+	// blocks holds the request blocks of completed requests for reuse.
+	blocks blockList
 
-	// stopdCh is closed the moment stop processing begins; public API
-	// paths select on it so they fail fast instead of blocking on a dead
-	// manager.
+	// stopdCh is closed the moment stop processing begins; submissions
+	// check it to fail fast without taking the manager's lock.
 	stopdCh chan struct{}
 	// drained is closed when a drain (or stop) leaves no live requests.
 	drained chan struct{}
@@ -316,16 +347,16 @@ type Server struct {
 	obs      *serverObs
 	draining atomic.Bool
 	// policy is the adaptive control layer (nil when Config.Policy is off).
-	// Touched only by the manager goroutine, so it needs no lock.
+	// Touched only under mgr.mu.
 	policy *policy.Controller
 
-	// live is the worker-visible request lookup. The manager is the only
-	// writer (under liveMu); workers read under RLock.
+	// live is the worker-visible request lookup. mgr is the only writer
+	// (under liveMu); workers read under RLock.
 	liveMu sync.RWMutex
 	live   map[core.RequestID]*request
 
-	// Manager-owned mirrors, written by that one goroutine so Stats and
-	// SchedulerClean work during operation and after shutdown.
+	// Scheduler mirrors, written under mgr.mu so Stats and SchedulerClean
+	// work without the lock, during operation and after shutdown.
 	schedInflight  atomic.Int64 // core.Scheduler in-flight tasks
 	schedLive      atomic.Int64 // core.Scheduler live subgraphs
 	dispatchRounds atomic.Int64
@@ -388,26 +419,23 @@ func New(cfg Config) (*Server, error) {
 	// manager only schedules for a worker whose channel is empty, so dispatch
 	// never blocks — and it forms a worker's next tasks only then, keeping
 	// batches open until the last moment (late batching is what lets
-	// concurrent requests' cells coalesce). completions holds every task that
-	// can be outstanding, so a worker never blocks on it either.
+	// concurrent requests' cells coalesce).
 	mts := cfg.MaxTasksToSubmit
 	if mts <= 0 {
 		mts = 5
 	}
 	s := &Server{
-		cfg:         cfg,
-		cells:       cells,
-		outWidths:   outWidths,
-		faults:      cfg.Faults,
-		journal:     cfg.Journal,
-		baseAllocs:  heapAllocObjects(),
-		cmds:        make(chan any),
-		completions: make(chan completion, cfg.Workers*mts),
-		taskChans:   make([]chan *core.Task, cfg.Workers),
-		stopdCh:     make(chan struct{}),
-		drained:     make(chan struct{}),
-		live:        make(map[core.RequestID]*request),
-		obs:         newServerObs(cfg.Obs, cfg.Cells, cfg.Workers),
+		cfg:        cfg,
+		cells:      cells,
+		outWidths:  outWidths,
+		faults:     cfg.Faults,
+		journal:    cfg.Journal,
+		baseAllocs: heapAllocObjects(),
+		taskChans:  make([]chan *core.Task, cfg.Workers),
+		stopdCh:    make(chan struct{}),
+		drained:    make(chan struct{}),
+		live:       make(map[core.RequestID]*request),
+		obs:        newServerObs(cfg.Obs, cfg.Cells, cfg.Workers),
 	}
 	if cfg.FirstRequestID > 0 {
 		s.nextID.Store(int64(cfg.FirstRequestID))
@@ -427,8 +455,8 @@ func New(cfg Config) (*Server, error) {
 	for w := range s.taskChans {
 		s.taskChans[w] = make(chan *core.Task, mts)
 	}
-	s.wg.Add(1 + cfg.Workers)
-	go s.manager(sched)
+	s.m = newMgr(s, sched)
+	s.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		go s.workerLoop(w, s.taskChans[w])
 	}
@@ -437,14 +465,12 @@ func New(cfg Config) (*Server, error) {
 
 // Stop shuts the server down fail-fast: in-flight requests are failed with
 // ErrStopped and their queued work is purged from the scheduler. Stop blocks
-// until all pipeline stages exit; tasks already mid-execution are completed
-// against the scheduler (discarding their outputs) so its bookkeeping drains
-// clean.
+// until every worker exits; tasks already mid-execution are retired against
+// the scheduler (discarding their outputs) so its bookkeeping drains clean.
 func (s *Server) Stop() {
-	select {
-	case s.cmds <- stopCmd{}:
-	case <-s.stopdCh:
-	}
+	s.m.mu.Lock()
+	s.m.stop()
+	s.m.unlock()
 	s.wg.Wait()
 }
 
@@ -454,10 +480,9 @@ func (s *Server) Stop() {
 // expiry Drain falls back to Stop's fail-fast semantics, failing whatever
 // is still live, and returns the context error.
 func (s *Server) Drain(ctx context.Context) error {
-	select {
-	case s.cmds <- drainCmd{}:
-	case <-s.stopdCh:
-	}
+	s.m.mu.Lock()
+	s.m.drain()
+	s.m.unlock()
 	var ctxErr error
 	select {
 	case <-s.drained:
@@ -525,18 +550,12 @@ func (h *Handle) Cancel() bool {
 	return h.s.terminate(h.req, ErrCancelled)
 }
 
-// terminate asks the manager to resolve a live request early with
-// ErrCancelled or ErrExpired.
+// terminate resolves a live request early with ErrCancelled or ErrExpired.
 func (s *Server) terminate(r *request, cause error) bool {
-	reply := make(chan bool, 1)
-	select {
-	case s.cmds <- terminateCmd{req: r, cause: cause, reply: reply}:
-		return <-reply
-	case <-r.done:
-		// Already resolved (also covers a stopped server, which resolves
-		// every live request before the manager exits).
-		return false
-	}
+	s.m.mu.Lock()
+	ok := s.m.terminate(r, cause)
+	s.m.unlock()
+	return ok
 }
 
 // SubmitOpts carries per-request lifecycle options.
@@ -566,8 +585,9 @@ func (s *Server) SubmitAsync(g *cellgraph.Graph) (*Handle, error) {
 }
 
 // SubmitAsyncOpts is SubmitAsync with lifecycle options. Graph validation
-// and state construction run on the caller's goroutine; only the admission
-// decision itself serializes through the manager.
+// and state construction run on the caller's goroutine outside any lock;
+// only the admission decision itself, and the dispatch it may enable, run
+// under the manager's lock.
 func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, error) {
 	select {
 	case <-s.stopdCh:
@@ -586,14 +606,14 @@ func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, 
 	// Resetting the state validates the graph — the admission's one
 	// validation, which the tracker below shares — so a nil cell is reported
 	// there, not here.
-	b := blocks.Get().(*reqBlock)
+	b := s.blocks.get()
 	if err := b.state.Reset(g); err != nil {
-		blocks.Put(b)
+		s.blocks.put(b)
 		return nil, err
 	}
 	for i := range g.Nodes {
 		if key := g.Nodes[i].Cell.TypeKey(); s.cells[key] == nil {
-			blocks.Put(b)
+			s.blocks.put(b)
 			return nil, fmt.Errorf("server: cell type %q of node %d not registered", key, i)
 		}
 	}
@@ -628,17 +648,13 @@ func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, 
 		payload:  opts.JournalPayload,
 		replayed: opts.ReplayID != 0,
 	}
-	reply := make(chan error, 1)
-	select {
-	case s.cmds <- admitCmd{req: req, specs: b.tracker.InitialSubgraphs(), reply: reply}:
-	case <-s.stopdCh:
-		blocks.Put(b)
-		return nil, ErrStopped
-	}
-	if err := <-reply; err != nil {
+	s.m.mu.Lock()
+	err := s.m.admit(req, b.tracker.InitialSubgraphs())
+	s.m.unlock()
+	if err != nil {
 		// A refused admission left nothing registered: admit rolls back
-		// what it added before replying.
-		blocks.Put(b)
+		// what it added before returning.
+		s.blocks.put(b)
 		return nil, err
 	}
 	// The admit record's durability ack is deliberately NOT awaited here —
@@ -684,15 +700,12 @@ func (s *Server) SubmitOpts(ctx context.Context, g *cellgraph.Graph, opts Submit
 }
 
 // setAdmitFault installs a hook consulted before every AddSubgraph — the
-// test seam for the partial-admission rollback path. It blocks until the
-// manager has applied the hook and mirrored the scheduler's gauges.
+// test seam for the partial-admission rollback path. It returns once the
+// hook is in place and the scheduler's gauges are mirrored.
 func (s *Server) setAdmitFault(f func(core.SubgraphSpec) error) {
-	reply := make(chan struct{})
-	select {
-	case s.cmds <- admitFaultCmd{fault: f, reply: reply}:
-		<-reply
-	case <-s.stopdCh:
-	}
+	s.m.mu.Lock()
+	s.m.admitFault = f
+	s.m.unlock()
 }
 
 // WorkerStats describes one worker's slice of the pipeline.
@@ -819,9 +832,9 @@ func heapAllocObjects() uint64 {
 
 // schedulerGauges returns the manager-mirrored core.Scheduler gauges
 // (in-flight tasks, live subgraphs, total ready nodes — the last as the sum
-// of the per-type ready-queue gauges). The mirror is updated at the end of
-// every manager iteration, so it is eventually consistent during operation
-// and exact once the pipeline is idle.
+// of the per-type ready-queue gauges). The mirror is updated on the way out
+// of every entry into the manager, so it is eventually consistent during
+// operation and exact once the pipeline is idle.
 func (s *Server) schedulerGauges() (inflight, liveSubgraphs, ready int) {
 	for _, ot := range s.obs.types {
 		ready += int(ot.tm.Ready.Value())

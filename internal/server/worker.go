@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"batchmaker/internal/core"
@@ -32,14 +31,15 @@ type typeExec struct {
 
 // workerExec is one worker's reusable execution state: the scratch arena
 // every per-task intermediate is carved from, the per-type caches, the
-// row-pointer gather scratch, and the row buffer lent to
-// Config.TaskObserver. Together with per-request output rows preallocated at
-// admission, it makes the steady-state task loop — gather, step, scatter —
-// free of heap allocations (§4.3's memory-copy step run at memcpy speed, not
-// allocator speed).
+// executed-rows record, the row-pointer gather scratch, and the row buffer
+// lent to Config.TaskObserver. Together with per-request output rows
+// preallocated at admission, it makes the steady-state task loop — gather,
+// step, scatter — free of heap allocations (§4.3's memory-copy step run at
+// memcpy speed, not allocator speed).
 type workerExec struct {
 	arena *tensor.Arena
 	types map[string]*typeExec
+	refs  []execRef
 	rows  [][]*tensor.Tensor
 	seen  []core.NodeRef
 }
@@ -90,27 +90,6 @@ func (w *workerExec) scratch(inputs, n int) [][]*tensor.Tensor {
 	return w.rows[:inputs]
 }
 
-// execRefPool recycles the executed-rows slices that travel inside
-// completion records from workers to the manager. The manager returns each
-// buffer after consuming it (see mgr.complete), so in steady state no
-// per-task slice is allocated. Buffers are cleared before
-// reuse so pooled entries do not pin resolved requests in memory.
-var execRefPool = sync.Pool{New: func() any {
-	b := make([]execRef, 0, 64)
-	return &b
-}}
-
-func getExecRefs() *[]execRef { return execRefPool.Get().(*[]execRef) }
-
-func putExecRefs(buf *[]execRef) {
-	refs := *buf
-	for i := range refs {
-		refs[i] = execRef{}
-	}
-	*buf = refs[:0]
-	execRefPool.Put(buf)
-}
-
 // rowWidth returns the column count of a one-row tensor (rank-1 or [1, c]).
 func rowWidth(t *tensor.Tensor) int {
 	if t.Rank() == 1 {
@@ -120,29 +99,37 @@ func rowWidth(t *tensor.Tensor) int {
 }
 
 // workerLoop is one GPU worker: it executes the tasks on its channel in
-// FIFO order (§4.2) and pushes a completion record per task. The manager
-// closes the channel at shutdown, once every dispatched task completed.
+// FIFO order (§4.2) and retires each under mgr.mu, whose tail forms this
+// worker's next round as soon as its channel is empty. The tail closes the
+// channel at shutdown, once every dispatched task has been retired.
 func (s *Server) workerLoop(id int, tasks <-chan *core.Task) {
 	defer s.wg.Done()
 	ws := newWorkerExec()
+	m := s.m
 	for task := range tasks {
-		s.completions <- s.execTask(id, task, ws)
+		refs, err := s.execTask(id, task, ws)
+		m.mu.Lock()
+		m.complete(task, refs, err)
+		m.unlock()
+		// Drop the row pointers so the record does not pin resolved
+		// requests until the next task overwrites it.
+		clear(refs)
 	}
 }
 
 // execTask gathers the batched inputs, runs the cell, and scatters the
-// outputs into per-request state. The scatter happens here — not in the
-// completion stage — because intra-subgraph successors are released at
-// submit time and rely on FIFO execution on the same worker: a successor's
-// gather must observe its dependency's scatter, exactly like consecutive
-// kernels on one GPU stream. Dependency tracking and resolution stay with
-// the manager.
-func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
+// outputs into per-request state, outside mgr.mu. It returns the rows it
+// executed (valid until the worker's next task) and the step error. The
+// scatter happens here — not when the task is retired — because
+// intra-subgraph successors are released at submit time and rely on FIFO
+// execution on the same worker: a successor's gather must observe its
+// dependency's scatter, exactly like consecutive kernels on one GPU stream.
+// Dependency tracking and resolution stay with mgr.complete.
+func (s *Server) execTask(id int, task *core.Task, ws *workerExec) ([]execRef, error) {
 	te := s.typeFor(ws, id, task.TypeKey)
 	ws.arena.Reset()
 	now := time.Now()
-	refsBuf := getExecRefs()
-	refs := *refsBuf
+	refs := ws.refs[:0]
 	s.liveMu.RLock()
 	for _, nr := range task.Nodes {
 		r := s.live[nr.Req]
@@ -160,13 +147,11 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 		refs = append(refs, execRef{req: r, node: nr.Node})
 	}
 	s.liveMu.RUnlock()
-	*refsBuf = refs
+	ws.refs = refs
 	if len(refs) == 0 {
-		// Nothing left to run: the completion record still retires the
-		// task so the scheduler's pin and in-flight bookkeeping drain
-		// clean.
-		putExecRefs(refsBuf)
-		return completion{task: task}
+		// Nothing left to run: the task is still retired so the
+		// scheduler's pin and in-flight bookkeeping drain clean.
+		return nil, nil
 	}
 
 	// The batch is now final: mark each surviving request's first execution
@@ -208,13 +193,13 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 	}
 
 	if stepErr != nil {
-		// Poison before the failure record is enqueued: successor tasks
-		// already queued behind this one must not gather rows whose
-		// dependencies never completed.
+		// Poison before the failure is retired: successor tasks already
+		// queued behind this one must not gather rows whose dependencies
+		// never completed.
 		for _, ref := range refs {
 			ref.req.poisoned.Store(true)
 		}
-		return completion{task: task, executed: refs, refsBuf: refsBuf, err: stepErr}
+		return refs, stepErr
 	}
 
 	for o, name := range te.outNames {
@@ -223,8 +208,8 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 
 	// Scatter: copy each batch-output row into the request's preallocated
 	// output rows (carved at admission) and complete the nodes, so successor
-	// gathers — on this worker via FIFO, on others via the completion
-	// stage's release — see finished inputs. Outputs nothing reads have no
+	// gathers — on this worker via FIFO, on others via mgr.complete's
+	// release — see finished inputs. Outputs nothing reads have no
 	// row and are skipped. Requests whose outputs were not preallocated
 	// (cells without static widths) take the allocating path.
 	for i, ref := range refs {
@@ -249,7 +234,7 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) completion {
 		}
 		ref.req.stateMu.Unlock()
 	}
-	return completion{task: task, executed: refs, refsBuf: refsBuf}
+	return refs, nil
 }
 
 // stepOnce executes one task. Cells with a StepInto fast path run it

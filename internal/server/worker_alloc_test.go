@@ -65,15 +65,11 @@ func workerAllocFixture(tb testing.TB, reqN, chainN int) (*Server, []*core.Task,
 	return s, tasks, graphs
 }
 
-// runAllocTask executes one task the way workerLoop + the manager do,
-// including returning the pooled refs buffer.
+// runAllocTask executes one task the way workerLoop does, reusing the
+// worker's executed-rows record.
 func runAllocTask(tb testing.TB, s *Server, task *core.Task, ws *workerExec) {
-	rec := s.execTask(0, task, ws)
-	if rec.err != nil {
-		tb.Fatalf("task %d: %v", task.ID, rec.err)
-	}
-	if rec.refsBuf != nil {
-		putExecRefs(rec.refsBuf)
+	if _, err := s.execTask(0, task, ws); err != nil {
+		tb.Fatalf("task %d: %v", task.ID, err)
 	}
 }
 
