@@ -187,11 +187,9 @@ func evalNode(n NodeDef, env map[string]*tensor.Tensor) (*tensor.Tensor, error) 
 		}
 		return tensor.GatherRows(table, idx), nil
 	case OpArgmaxCast:
-		am := tensor.Argmax(in(0))
-		out := tensor.New(len(am), 1)
-		for i, v := range am {
-			out.Set(float32(v), i, 0)
-		}
+		logits := in(0)
+		out := tensor.New(logits.Dim(0), 1)
+		tensor.ArgmaxInto(out, logits)
 		return out, nil
 	}
 	return nil, fmt.Errorf("node %q: unknown op %q", n.Name, n.Op)

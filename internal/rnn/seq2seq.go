@@ -241,19 +241,7 @@ func (c *DecoderCell) StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.
 	}
 	c.lstm.stepCore(x, h, cc, hOut, cOut, a)
 	tensor.MatMulAddBiasInto(logits, hOut, c.proj, c.projBias)
-	// Row-wise argmax, ties to the lowest index (Argmax semantics), written
-	// directly into the word buffer so no index slice is allocated.
-	ld, wd := logits.Data(), word.Data()
-	for i := 0; i < b; i++ {
-		row := ld[i*c.vocab : (i+1)*c.vocab]
-		best, bestIdx := row[0], 0
-		for j := 1; j < len(row); j++ {
-			if row[j] > best {
-				best, bestIdx = row[j], j
-			}
-		}
-		wd[i] = float32(bestIdx)
-	}
+	tensor.ArgmaxInto(word, logits)
 	return nil
 }
 

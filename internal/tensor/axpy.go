@@ -2,8 +2,8 @@ package tensor
 
 // axpy1Go, axpy1x4Go and axpy4Go are matMulTile's inner loops in plain Go.
 // They are the implementation on every GOARCH without an assembly one
-// (axpy_other.go) and the reference the amd64 tests hold the assembly to, bit
-// for bit.
+// (axpy_other.go) and on amd64 CPUs without AVX (axpy_amd64.s jumps here),
+// and the reference the amd64 tests hold the assembly to, bit for bit.
 
 // axpy1Go computes o[j] += v*b[j] for every j in range of b; len(o) must be
 // at least len(b).

@@ -6,7 +6,8 @@ package tensor
 // rows (axpy4), and the remainder one at a time (matMulRow), where four
 // consecutive surviving terms share one load and one store of each output
 // element (axpy1x4, then axpy1 for the last three or fewer). The primitives
-// are SSE2 assembly on amd64 and the plain loops of axpy.go elsewhere.
+// are eight-lane AVX assembly on amd64 CPUs that have it (axpy_amd64.go) and
+// the plain loops of axpy.go everywhere else.
 //
 // The float32 rounding sequence of every output element is fixed by this
 // file alone — initialisation, then for p ascending one rounded multiply

@@ -92,8 +92,12 @@ func offsetSlice(n, off int) []float32 {
 // of the scalar kernel for every shape — every 4-row block remainder, every
 // vector tail length, with and without bias, on unaligned operands, and on
 // the inputs (signed and exact zeros, denormals) that betray a reordered or
-// fused float accumulation.
+// fused float accumulation. It runs on every kernel path (forEachKernel).
 func TestMatMulTileBitIdentical(t *testing.T) {
+	forEachKernel(t, testMatMulTileBitIdentical)
+}
+
+func testMatMulTileBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ks := []int{1, 3, 4, 5, 64, 65}
 	ns := []int{1, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33, 64, 65, 1000}
@@ -134,6 +138,10 @@ func TestMatMulTileBitIdentical(t *testing.T) {
 // p hold ±Inf and NaN: a term that is wrongly included turns the whole output
 // row into NaN.
 func TestMatMulTileBitIdenticalSparseRows(t *testing.T) {
+	forEachKernel(t, testMatMulTileBitIdenticalSparseRows)
+}
+
+func testMatMulTileBitIdenticalSparseRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	negZero := float32(math.Copysign(0, -1))
 	poison := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
@@ -208,7 +216,7 @@ func TestMatMulTileBitIdenticalSparseRows(t *testing.T) {
 // of length n, with the four scalars given as raw bits. offs places the
 // operands in their allocations, in floats: offs[0] the output row (row r of
 // axpy4 sits at offs[0]+r), offs[1..4] the rows b0..b3 of axpy1x4 (b0 is the b
-// of axpy1 and axpy4), so every operand's 16-byte misalignment is chosen
+// of axpy1 and axpy4), so every operand's 32-byte misalignment is chosen
 // independently. Elements must agree bit for bit, except that where the
 // reference yields NaN any NaN will do (payload propagation depends on
 // operand order, which the Go compiler is free to choose). Guard floats on
@@ -221,9 +229,9 @@ func checkAxpy(t *testing.T, seed int64, n int, offs [5]int, vbits [4]uint32) {
 	var b, got, want [4][]float32
 	for r := range got {
 		v[r] = math.Float32frombits(vbits[r])
-		b[r] = offsetSlice(n, offs[1+r]%4)
+		b[r] = offsetSlice(n, offs[1+r]%8)
 		fillMatrix(rng, b[r])
-		got[r] = offsetSlice(n+2*guard, (offs[0]+r)%4)
+		got[r] = offsetSlice(n+2*guard, (offs[0]+r)%8)
 		fillMatrix(rng, got[r])
 		want[r] = append([]float32(nil), got[r]...)
 	}
@@ -263,28 +271,34 @@ func checkAxpy(t *testing.T, seed int64, n int, offs [5]int, vbits [4]uint32) {
 	}
 }
 
-// axpyOffsets decodes five base-4 digits: one misalignment per operand of
+// axpyOffsets decodes five base-8 digits: one misalignment per operand of
 // checkAxpy.
 func axpyOffsets(code int) (offs [5]int) {
 	for i := range offs {
-		offs[i] = code % 4
-		code /= 4
+		offs[i] = code % 8
+		code /= 8
 	}
 	return offs
 }
 
-// TestAxpyEveryTail drives the primitives directly through every main-loop /
-// 4-float / scalar tail combination, with each operand in turn at every
-// 16-byte misalignment while the others keep theirs (FuzzAxpy mixes them
-// freely).
+// TestAxpyEveryTail drives the primitives directly through every combination
+// of main loop (32 floats, 16 for axpy4) and 8-, 4- and 1-float tails — two
+// main iterations and every tail up to n = 79 — with each operand in turn at
+// every 32-byte misalignment while the others keep theirs (FuzzAxpy mixes
+// them freely). It runs on every kernel path (forEachKernel); on the Go path
+// it pins the dispatch, which must reach the loops it is compared with.
 func TestAxpyEveryTail(t *testing.T) {
+	forEachKernel(t, testAxpyEveryTail)
+}
+
+func testAxpyEveryTail(t *testing.T) {
 	vbits := [4]uint32{
 		math.Float32bits(1.5), math.Float32bits(-0.3),
 		math.Float32bits(1e-20), 0x80000000, // denormal products, -0
 	}
-	for n := 0; n <= 50; n++ {
+	for n := 0; n <= 79; n++ {
 		for op := 0; op < 5; op++ {
-			for off := 0; off < 4; off++ {
+			for off := 0; off < 8; off++ {
 				offs := [5]int{n, n + 1, n + 2, n + 3, n + 1}
 				offs[op] = off
 				checkAxpy(t, int64(n), n, offs, vbits)
@@ -304,6 +318,8 @@ func FuzzAxpy(f *testing.F) {
 	f.Add(int64(4), uint16(64), uint16(0x3ff), uint32(pinf), uint32(ninf), uint32(nan), one)
 	f.Add(int64(5), uint16(1000), uint16(0x06c), uint32(ninf), uint32(0x00000001), uint32(0x7f7fffff), uint32(0xff7fffff))
 	f.Add(int64(6), uint16(83), uint16(0x139), one, uint32(pinf), one, uint32(nan))
+	f.Add(int64(7), uint16(47), uint16(0x5e3f), one, uint32(0x80000000), uint32(0x00000001), one)
+	f.Add(int64(8), uint16(79), uint16(0x7fff), uint32(0xbfc00000), one, uint32(nan), uint32(ninf))
 	f.Fuzz(func(t *testing.T, seed int64, n, offs uint16, v0, v1, v2, v3 uint32) {
 		checkAxpy(t, seed, int(n%2048), axpyOffsets(int(offs)), [4]uint32{v0, v1, v2, v3})
 	})
@@ -313,8 +329,12 @@ func FuzzAxpy(f *testing.F) {
 // finite inputs and no exact zeros (so neither zero skip fires), row i of an
 // m-row product is bit-equal to the 1-row product of that row, whether the
 // row lands in a 4-row block or the remainder. Shapes are the weight shapes
-// of the three BENCHMARK.json models.
+// of the three BENCHMARK.json models. It runs on every kernel path.
 func TestMatMulRowsMatchBatchOne(t *testing.T) {
+	forEachKernel(t, testMatMulRowsMatchBatchOne)
+}
+
+func testMatMulRowsMatchBatchOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	nonzero := func(data []float32) {
 		for i := range data {

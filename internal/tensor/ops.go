@@ -210,29 +210,30 @@ func Softmax(a *Tensor) *Tensor {
 	return out
 }
 
-// Argmax returns, for each row of a rank-2 tensor, the index of its maximum
-// element as an int slice of length rows. Ties resolve to the lowest index,
-// matching the paper's custom argmax CUDA kernel semantics.
-func Argmax(a *Tensor) []int {
-	if a.Rank() != 2 {
-		panic("tensor: Argmax requires a rank-2 tensor")
+// ArgmaxInto writes, for each row of the rank-2 logits, the index of its
+// maximum element into row i of dst ([rows, 1]) as a float32, the encoding a
+// decoder's word output carries. Ties resolve to the lowest index, matching
+// the paper's custom argmax CUDA kernel; an element wins only by comparing
+// greater, so a NaN never does, and a NaN at index 0 is never displaced.
+func ArgmaxInto(dst, logits *Tensor) {
+	if logits.Rank() != 2 {
+		panic("tensor: ArgmaxInto requires rank-2 logits")
 	}
-	rows, cols := a.shape[0], a.shape[1]
+	rows, cols := logits.shape[0], logits.shape[1]
 	if cols == 0 {
-		panic("tensor: Argmax over empty rows")
+		panic("tensor: ArgmaxInto over empty rows")
 	}
-	out := make([]int, rows)
+	checkDst(dst, "ArgmaxInto", rows, 1)
 	for i := 0; i < rows; i++ {
-		row := a.data[i*cols : (i+1)*cols]
+		row := logits.data[i*cols : (i+1)*cols]
 		best, bestIdx := row[0], 0
 		for j := 1; j < cols; j++ {
 			if row[j] > best {
 				best, bestIdx = row[j], j
 			}
 		}
-		out[i] = bestIdx
+		dst.data[i] = float32(bestIdx)
 	}
-	return out
 }
 
 // ConcatRows stacks rank-2 tensors with equal column counts along axis 0.

@@ -140,20 +140,53 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	}
 }
 
+// TestArgmax pins ArgmaxInto's row rule: the first strict maximum wins, so
+// ties go to the lowest index, -0 and +0 tie, and NaN never compares greater
+// (a leading NaN is never displaced, a later one never wins).
 func TestArgmax(t *testing.T) {
-	a := FromSlice([]float32{1, 5, 3, 9, 2, 9}, 2, 3)
-	got := Argmax(a)
-	if got[0] != 1 {
-		t.Fatalf("row 0 argmax = %d, want 1", got[0])
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	rows := []struct {
+		name string
+		row  []float32
+		want float32
+	}{
+		{"max", []float32{1, 5, 3}, 1},
+		{"tie", []float32{9, 2, 9}, 0},
+		{"tie after lead", []float32{-1, 4, 4}, 1},
+		{"NaN at 0", []float32{nan, 3, inf}, 0},
+		{"NaN later", []float32{-2, nan, -1}, 2},
+		{"-0 then +0", []float32{negZero, 0, -1}, 0},
+		{"+0 then -0", []float32{0, negZero, -1}, 0},
+		{"-Inf only", []float32{float32(math.Inf(-1)), float32(math.Inf(-1))}, 0},
+		{"single", []float32{7}, 0},
 	}
-	if got[1] != 0 {
-		t.Fatalf("tie must resolve to lowest index, got %d", got[1])
+	for _, r := range rows {
+		dst := FromSlice([]float32{-1}, 1, 1)
+		ArgmaxInto(dst, FromSlice(r.row, 1, len(r.row)))
+		if got := dst.At(0, 0); got != r.want {
+			t.Errorf("%s: ArgmaxInto(%v) = %v, want %v", r.name, r.row, got, r.want)
+		}
+	}
+	a := FromSlice([]float32{1, 5, 3, 9, 2, 9}, 2, 3)
+	dst := New(2, 1)
+	ArgmaxInto(dst, a)
+	if !dst.Equal(FromSlice([]float32{1, 0}, 2, 1)) {
+		t.Fatalf("ArgmaxInto rows = %v, want [1 0]", dst.Data())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ArgmaxInto(dst, a) }); allocs != 0 {
+		t.Fatalf("ArgmaxInto allocates %v times per call", allocs)
 	}
 }
 
 func TestArgmaxEmptyPanics(t *testing.T) {
 	defer expectPanic(t, "empty rows")
-	Argmax(New(2, 0))
+	ArgmaxInto(New(2, 1), New(2, 0))
+}
+
+func TestArgmaxIntoShapePanics(t *testing.T) {
+	defer expectPanic(t, "destination with the wrong row count")
+	ArgmaxInto(New(3, 1), New(2, 4))
 }
 
 func TestConcatRows(t *testing.T) {
