@@ -119,6 +119,28 @@ func appendGarbage(dir string, seed uint64, n int) error {
 	return err
 }
 
+// admitted is one submission the server accepted: its workload index and
+// its handle.
+type admitted struct {
+	idx    int
+	handle *server.Handle
+}
+
+// durableInFlight reports whether one of hs is unresolved with its admit
+// durably acknowledged. It blocks only on acks that have not resolved yet.
+func durableInFlight(hs []admitted) bool {
+	for _, a := range hs {
+		select {
+		case <-a.handle.Done():
+		default:
+			if a.handle.AdmitDurable() == nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // RunCrashRestart drives the workload's prefix against a journaled live
 // server, crashes it mid-flight (journal hard-killed first, so nothing the
 // shutdown path would write survives — exactly what SIGKILL loses), then
@@ -169,10 +191,6 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 		return nil, err
 	}
 
-	type admitted struct {
-		idx    int
-		handle *server.Handle
-	}
 	// acked maps journal request ID → workload index for every submission
 	// the journal durably acknowledged. Built after the kill from each
 	// handle's AdmitDurable ack (admission overlaps the group commit, so
@@ -183,6 +201,7 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	reqByIndex := make(map[int]*Request, len(w.Reqs))
 	results := make(map[int]map[string]*tensor.Tensor)
 	var handles []admitted
+	firstHalf := 0 // handles whose admit acks the midpoint wait resolved
 	var cancels sync.WaitGroup
 	start := time.Now()
 	for i, r := range w.Reqs[:killIdx] {
@@ -192,6 +211,7 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 			// the kill lands on a mix of durable and dropped records rather
 			// than a single giant batch.
 			_ = handles[len(handles)-1].handle.AdmitDurable() // classified after the kill
+			firstHalf = len(handles)
 		}
 		reqByIndex[r.Index] = r
 		if wait := scale(r.Arrival) - time.Since(start); wait > 0 {
@@ -227,12 +247,17 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 		}
 	}
 
-	// The kill must land after at least one group commit, or no admit is
-	// durable and the scenario checks nothing. Wait for that event rather
-	// than trusting the schedule: on a stalled machine the whole prefix is
-	// submitted late, in one burst shorter than the sync interval.
-	if len(handles) > 0 {
-		_ = handles[0].handle.AdmitDurable() // the ack's value is classified below
+	// The kill must land while some durably acknowledged request is still
+	// unresolved, or it interrupts nothing and the replay checks nothing.
+	// Wait for that state rather than trusting the schedule. The first
+	// half's acks resolved at the midpoint, so if one of those requests is
+	// still open the kill lands now, on durable and dropped records alike.
+	// If all of them finished first (a fast kernel, or a stalled machine
+	// that submitted the prefix late), wait for the last submission's ack:
+	// the second half is then durable and, behind the scenario's per-task
+	// fault delay, still in flight.
+	if len(handles) > 0 && !durableInFlight(handles[:firstHalf]) {
+		_ = handles[len(handles)-1].handle.AdmitDurable() // the ack's value is classified below
 	}
 
 	// Crash. The journal dies first: everything queued or buffered but not

@@ -1,29 +1,50 @@
 package tensor
 
 // AVX implementations (axpy_amd64.s) of the Go loops of axpy.go, eight lanes
-// at a time. VMULPS/VADDPS round each lane exactly as the scalar MULSS/ADDSS
-// the compiler emits for the Go loops, and nothing is fused, so results are
-// bit-identical to the reference. AVX is not in the GOAMD64=v1 baseline, so
-// one probe at package init sets useAVX; each assembly entry point tests it
-// and, where it is false, jumps to its Go loop, the code every other GOARCH
-// runs. The assembly does no bounds checks: every other row must be at least
-// as long as b (b0).
+// at a time, and on AVX-512F CPUs one routine (rowStrips, rowstrips_amd64.s)
+// that does all of a single row's product in sixteen-lane register strips.
+// VMULPS/VADDPS round each lane exactly as the scalar MULSS/ADDSS the
+// compiler emits for the Go loops, and nothing is fused, so results are
+// bit-identical to the reference. Neither AVX nor AVX-512 is in the
+// GOAMD64=v1 baseline, so probes at package init set useAVX and useAVX512;
+// each axpy entry point tests useAVX and, where it is false, jumps to its Go
+// loop, the code every other GOARCH runs, and matMulRow calls rowStrips only
+// under useAVX512. The assembly does no bounds checks: every other row must
+// be at least as long as b (b0).
 
-// useAVX is set once, by the probe; tests clear it to run the Go loops.
-var useAVX = avxUsable()
+// useAVX and useAVX512 are set once, by the probes; tests clear them to run
+// the slower paths. useAVX512 implies useAVX.
+var (
+	useAVX    = avxUsable()
+	useAVX512 = useAVX && avx512Usable()
+)
 
 // avxUsable reports whether the CPU has AVX (CPUID.1:ECX bit 28) and the OS
 // saves the ymm registers across context switches: OSXSAVE (bit 27) makes
 // XGETBV legal, and XCR0 bits 1 and 2 are the SSE and AVX state.
 func avxUsable() bool {
 	const osxsave, avx = 1 << 27, 1 << 28
-	if cpuid1ECX()&(osxsave|avx) != osxsave|avx {
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
 		return false
 	}
 	return xgetbv0()&6 == 6
 }
 
-func cpuid1ECX() uint32
+// avx512Usable reports, once avxUsable has, whether the CPU has AVX-512F
+// (CPUID.7.0:EBX bit 16, where leaf 7 exists) and the OS saves the opmask
+// and zmm registers too: XCR0 bits 5, 6 and 7 beside the SSE and AVX bits.
+func avx512Usable() bool {
+	const avx512f = 1 << 16
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, ebx, _, _ := cpuid(7, 0); ebx&avx512f == 0 {
+		return false
+	}
+	return xgetbv0()&0xe6 == 0xe6
+}
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() uint32
 
@@ -35,3 +56,9 @@ func axpy1x4(o, b0, b1, b2, b3 []float32, v0, v1, v2, v3 float32)
 
 //go:noescape
 func axpy4(o0, o1, o2, o3, b []float32, v0, v1, v2, v3 float32)
+
+// rowStrips is o += arow @ b on AVX-512F (rowstrips_amd64.s), for useAVX512
+// only; b must hold at least len(arow)*len(o) floats.
+//
+//go:noescape
+func rowStrips(o, arow, b []float32)

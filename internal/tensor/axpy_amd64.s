@@ -13,12 +13,15 @@
 // add a call per primitive. AX is the byte offset into every row, CX the
 // floats left.
 
-// func cpuid1ECX() uint32
-TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
-	MOVL  $1, AX
-	XORL  CX, CX
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL  leaf+0(FP), AX
+	MOVL  sub+4(FP), CX
 	CPUID
-	MOVL  CX, ret+0(FP)
+	MOVL  AX, eax+8(FP)
+	MOVL  BX, ebx+12(FP)
+	MOVL  CX, ecx+16(FP)
+	MOVL  DX, edx+20(FP)
 	RET
 
 // func xgetbv0() uint32

@@ -11,3 +11,8 @@ func axpy1x4(o, b0, b1, b2, b3 []float32, v0, v1, v2, v3 float32) {
 func axpy4(o0, o1, o2, o3, b []float32, v0, v1, v2, v3 float32) {
 	axpy4Go(o0, o1, o2, o3, b, v0, v1, v2, v3)
 }
+
+// useAVX512 is false off amd64, so matMulRow never calls rowStrips.
+const useAVX512 = false
+
+func rowStrips(o, arow, b []float32) { panic("tensor: rowStrips without AVX-512") }

@@ -52,7 +52,10 @@ var servingShapes = []struct {
 
 // BenchmarkMatMulServing is Fig. 3 at the kernel on this substrate: step time
 // versus batch size at the shapes the benchmark actually serves. us/row is
-// the per-request cost; it must fall as b grows for batching to pay.
+// the per-request cost; it must fall as b grows for batching to pay. GB/s is
+// the weight matrix's bytes (4·k·n) over the product's time: at b = 1, where
+// every weight is read once, the rate the kernel streams weights, to hold
+// against the cache's read ceilings.
 func BenchmarkMatMulServing(b *testing.B) {
 	for _, s := range servingShapes {
 		for _, m := range []int{1, 2, 3, 4, 16, 64} {
@@ -67,6 +70,7 @@ func BenchmarkMatMulServing(b *testing.B) {
 				}
 				us := float64(b.Elapsed().Nanoseconds()) / 1e3 / float64(b.N)
 				b.ReportMetric(us/float64(m), "us/row")
+				b.ReportMetric(float64(4*s.k*s.n)/us/1e3, "GB/s")
 			})
 		}
 	}

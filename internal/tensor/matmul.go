@@ -3,18 +3,20 @@ package tensor
 // matMulTile computes dst = init + a @ b, where init is zero (bias == nil) or
 // the row-broadcast bias. It is the kernel behind every MatMul variant: rows
 // of a are taken four at a time so one sweep of a row of b serves four output
-// rows (axpy4), and the remainder one at a time (matMulRow), where four
-// consecutive surviving terms share one load and one store of each output
-// element (axpy1x4, then axpy1 for the last three or fewer). The primitives
-// are eight-lane AVX assembly on amd64 CPUs that have it (axpy_amd64.go) and
-// the plain loops of axpy.go everywhere else.
+// rows (axpy4), and the remainder one at a time (matMulRow). A single row
+// takes one of three paths, chosen once by CPUID: on AVX-512F, rowStrips
+// holds up to 256 output elements in registers across all of the row's terms
+// and stores them once; elsewhere four consecutive surviving terms share one
+// load and one store of each output element (axpy1x4, then axpy1 for the
+// last three or fewer), eight-lane AVX assembly on amd64 CPUs that have it
+// (axpy_amd64.go) and the plain loops of axpy.go everywhere else.
 //
 // The float32 rounding sequence of every output element is fixed by this
 // file alone — initialisation, then for p ascending one rounded multiply
 // and one rounded add, with the zero skips below deciding which `+= 0*b`
-// terms exist — and the primitives only widen the j loop and, in a single
-// row, apply up to four existing terms in ascending p per visit of an
-// element, so the result is bit-identical across both implementations. The
+// terms exist — and the assembly only widens the j loop and, in a single
+// row, applies several existing terms in ascending p per visit of an
+// element, so the result is bit-identical across all three paths. The
 // conformance harness's oracle equivalence relies on this. Regrouping rows
 // (e.g. tiling m) would NOT be bit-identical: the 4-row skip groups rows
 // differently at block boundaries, which is visible with signed zeros,
@@ -54,12 +56,30 @@ func matMulTile(dst, a, b, bias []float32, m, k, n int) {
 	}
 }
 
+// stripPanelBytes bounds the rows of b one rowStrips call sweeps, a quarter
+// of a 2 MiB L2. A strip reads its columns of b a row at a time, one page or
+// more apart, which the hardware prefetchers do not follow beyond L2; within
+// a panel the first strip's misses pull in whole rows, which the panel's
+// other strips then find in L2. Every serving shape is one panel.
+const stripPanelBytes = 512 << 10
+
 // matMulRow does o += arow @ b for one output row, where b has len(o) columns.
 // A term exists iff arow[p] != 0; the surviving terms are applied in ascending
 // p, four at a time (axpy1x4) and the last three or fewer singly (axpy1), so
-// each element of o sees exactly the operations of one axpy1 per term.
+// each element of o sees exactly the operations of one axpy1 per term. On
+// AVX-512F, rowStrips applies them all, a register strip of o at a time, one
+// panel of rows of b after another; the slicing of b bounds what the assembly
+// reads.
 func matMulRow(o, arow, b []float32) {
 	n := len(o)
+	if useAVX512 {
+		rows := max(1, stripPanelBytes/(4*max(n, 1)))
+		for p := 0; p < len(arow); p += rows {
+			q := min(p+rows, len(arow))
+			rowStrips(o, arow[p:q], b[p*n:q*n])
+		}
+		return
+	}
 	var pend [4]int // surviving p not yet applied, ascending
 	np := 0
 	for p, av := range arow {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -100,7 +101,11 @@ func TestMatMulTileBitIdentical(t *testing.T) {
 func testMatMulTileBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ks := []int{1, 3, 4, 5, 64, 65}
-	ns := []int{1, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33, 64, 65, 1000}
+	// Vector tails, then the row strips' boundaries: a 128-float sub-strip
+	// alone, with 1 masked float, 240 = every sub-strip, 255 = every one
+	// plus 15 masked, one full 256-float strip with and without a rest.
+	ns := []int{1, 3, 4, 5, 7, 8, 15, 16, 17, 31, 33, 64, 65,
+		127, 128, 129, 240, 255, 256, 257, 511, 512, 513, 1000}
 	for m := 1; m <= 9; m++ {
 		for _, k := range ks {
 			for _, n := range ns {
@@ -136,7 +141,8 @@ func testMatMulTileBitIdentical(t *testing.T) {
 // single rows, the same terms one by one in blocks — with the zeros at the
 // start, in the middle, at the end and interleaved. The rows of b at masked
 // p hold ±Inf and NaN: a term that is wrongly included turns the whole output
-// row into NaN.
+// row into NaN — at n = 257 and 511 also a full 256-float register strip, every
+// smaller sub-strip and the masked one.
 func TestMatMulTileBitIdenticalSparseRows(t *testing.T) {
 	forEachKernel(t, testMatMulTileBitIdenticalSparseRows)
 }
@@ -168,7 +174,7 @@ func testMatMulTileBitIdenticalSparseRows(t *testing.T) {
 	for _, mask := range masks {
 		k := len(mask)
 		for _, m := range []int{1, 2, 3, 4, 5, 7, 8} {
-			for _, n := range []int{1, 4, 7, 16, 35} {
+			for _, n := range []int{1, 4, 7, 16, 35, 257, 511} {
 				a := offsetSlice(m*k, 1)
 				b := offsetSlice(k*n, 2)
 				bias := offsetSlice(n, 3)
@@ -322,6 +328,88 @@ func FuzzAxpy(f *testing.F) {
 	f.Add(int64(8), uint16(79), uint16(0x7fff), uint32(0xbfc00000), one, uint32(nan), uint32(ninf))
 	f.Fuzz(func(t *testing.T, seed int64, n, offs uint16, v0, v1, v2, v3 uint32) {
 		checkAxpy(t, seed, int(n%2048), axpyOffsets(int(offs)), [4]uint32{v0, v1, v2, v3})
+	})
+}
+
+// TestMatMulRowPanels aims the comparison at the panels matMulRow sweeps
+// b in: k one below, at and above a panel's rows, and across several
+// panels, with exact zeros (a skipped term on either side of an edge) and
+// unaligned operands. It runs on every kernel path.
+func TestMatMulRowPanels(t *testing.T) {
+	forEachKernel(t, testMatMulRowPanels)
+}
+
+func testMatMulRowPanels(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, n := range []int{1000, 2048, 4097} {
+		rows := stripPanelBytes / (4 * n)
+		for _, k := range []int{rows - 1, rows, rows + 1, 3*rows + 5} {
+			a := offsetSlice(k, 1)
+			b := offsetSlice(k*n, 2)
+			bias := offsetSlice(n, 3)
+			got := offsetSlice(n, 1)
+			want := make([]float32, n)
+			fillMatrix(rng, a)
+			fillMatrix(rng, b)
+			fillMatrix(rng, bias)
+			scalarMatMulRef(want, a, b, bias, 1, k, n)
+			matMulTile(got, a, b, bias, 1, k, n)
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("k=%d n=%d (%d rows a panel): got[%d]=%x want %x",
+						k, n, rows, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
+				}
+			}
+		}
+	}
+}
+
+// FuzzMatMulRow holds a single row's product — all of b = 1, and the rows
+// the AVX-512 strips take where the probe chose them — to the scalar
+// reference: arow is arbitrary bits (±0 skipped; NaN, ±Inf and denormals
+// kept), k ≤ 300, n ≤ 2 048, and each operand at its own float offset. Where
+// the reference is NaN any NaN will do, as in checkAxpy.
+func FuzzMatMulRow(f *testing.F) {
+	bits := func(vs ...uint32) []byte {
+		raw := make([]byte, 4*len(vs))
+		for i, v := range vs {
+			binary.LittleEndian.PutUint32(raw[4*i:], v)
+		}
+		return raw
+	}
+	const nan, pinf, ninf, negZero, denorm = 0x7fc00001, 0x7f800000, 0xff800000, 0x80000000, 0x00000001
+	one, half := math.Float32bits(1), math.Float32bits(-0.5)
+	f.Add(int64(1), uint16(1000), uint16(0), bits(one, half, 0, one))
+	f.Add(int64(2), uint16(257), uint16(0x1b), bits(0, negZero, one, 0, half, negZero))
+	f.Add(int64(3), uint16(15), uint16(0x2e), bits(nan, one, denorm))
+	f.Add(int64(4), uint16(511), uint16(0x3f), bits(pinf, 0, ninf, negZero, nan))
+	f.Add(int64(5), uint16(240), uint16(0x06), bits(denorm, denorm|negZero, 0x7f7fffff))
+	f.Add(int64(6), uint16(0), uint16(0x39), bits(one))
+	f.Add(int64(7), uint16(2048), uint16(0x12), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, n, offs uint16, raw []byte) {
+		k := min(len(raw)/4, 300)
+		cols := int(n) % 2049
+		rng := rand.New(rand.NewSource(seed))
+		arow := offsetSlice(k, int(offs)%4)
+		for p := range arow {
+			arow[p] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*p:]))
+		}
+		b := offsetSlice(k*cols, int(offs>>2)%4)
+		bias := offsetSlice(cols, int(offs>>4)%4)
+		got := offsetSlice(cols, int(offs>>6)%4)
+		want := make([]float32, cols)
+		fillMatrix(rng, b)
+		fillMatrix(rng, bias)
+		for _, bs := range [][]float32{nil, bias} {
+			scalarMatMulRef(want, arow, b, bs, 1, k, cols)
+			matMulTile(got, arow, b, bs, 1, k, cols)
+			for j, w := range want {
+				if g := got[j]; math.Float32bits(g) != math.Float32bits(w) && (w == w || g == g) {
+					t.Fatalf("k=%d n=%d offs=%#x bias=%v: [%d]=%x want %x",
+						k, cols, offs, bs != nil, j, math.Float32bits(g), math.Float32bits(w))
+				}
+			}
+		}
 	})
 }
 
