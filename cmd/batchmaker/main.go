@@ -112,10 +112,9 @@ type appConfig struct {
 	Vocab, Embed, Hidden, Workers, MaxQueue int
 	// Deadline, when positive, is the per-request SLA.
 	Deadline time.Duration
-	// SLA, when positive, enables the adaptive policy layer with this
-	// end-to-end latency target; PolicyMode selects which controllers run.
-	SLA        time.Duration
-	PolicyMode policy.Mode
+	// SLA, when positive, arms the SLA feasibility rule with this
+	// end-to-end latency target.
+	SLA time.Duration
 	// JournalDir, when set, enables the durable request journal: admitted
 	// requests are journaled before the submission is acknowledged, and
 	// journaled requests without a terminal record are replayed on boot.
@@ -164,7 +163,7 @@ func newApp(cfg appConfig) (*app, error) {
 		MaxQueuedRequests: cfg.MaxQueue,
 	}
 	if cfg.SLA > 0 {
-		scfg.Policy = policy.Config{Mode: cfg.PolicyMode, SLA: cfg.SLA}
+		scfg.Policy = policy.Config{Mode: policy.ModeFull, SLA: cfg.SLA}
 	}
 	var pending []journal.PendingRequest
 	// The journal's flush loop starts before the server's observer exists, so
@@ -489,8 +488,7 @@ func main() {
 		workers  = flag.Int("workers", 2, "worker count")
 		maxQueue = flag.Int("max-queue", 0, "max concurrently admitted requests; excess is shed with code \"overloaded\" (0 = unlimited)")
 		deadline = flag.Duration("deadline", 0, "per-request SLA; expired requests stop batching and answer code \"expired\" (0 = none)")
-		sla      = flag.Duration("sla", 0, "end-to-end latency target enabling the adaptive policy layer: Little's-law admission shedding (code \"overloaded\" + retry-after) and AIMD batch sizing, per -policy (0 = off)")
-		polMode  = flag.String("policy", "full", "adaptive policy controllers when -sla is set: off, admission (shed only), adaptive (batch sizing only), full (both)")
+		sla      = flag.Duration("sla", 0, "end-to-end latency target arming the SLA feasibility rule: a request is shed (code \"overloaded\" + retry-after) when the cell backlog per worker, at the measured execution time per cell, would outlast it (0 = off)")
 		demo     = flag.Bool("demo", false, "drive the server with a built-in client and exit")
 		jdir     = flag.String("journal-dir", "", "durable request journal directory; admits are journaled before acknowledgement and unfinished requests replay on boot (empty = off)")
 		jsync    = flag.String("journal-sync", "batch", "journal fsync policy: none (process-crash safe) or batch (group-commit fsync before acknowledging; default)")
@@ -516,9 +514,11 @@ func main() {
 		}()
 	}
 
-	mode, err := policy.ParseMode(*polMode)
-	if err != nil {
-		fatalFlagValue("policy", err)
+	if err := nonNegative(*sla); err != nil {
+		fatalFlagValue("sla", err)
+	}
+	if err := nonNegative(*deadline); err != nil {
+		fatalFlagValue("deadline", err)
 	}
 	syncPolicy, err := journal.ParseSyncPolicy(*jsync)
 	if err != nil {
@@ -527,8 +527,7 @@ func main() {
 
 	a, err := newApp(appConfig{
 		Vocab: *vocab, Embed: *embed, Hidden: *hidden,
-		Workers: *workers, MaxQueue: *maxQueue, Deadline: *deadline,
-		SLA: *sla, PolicyMode: mode,
+		Workers: *workers, MaxQueue: *maxQueue, Deadline: *deadline, SLA: *sla,
 		JournalDir: *jdir, JournalSync: syncPolicy, IncidentDir: *incDir,
 	})
 	if err != nil {
@@ -607,6 +606,15 @@ func main() {
 		st.DispatchRounds, st.DispatchP50, st.DispatchP99)
 	fmt.Printf("hot path: %v/cell, %.1f process allocs/task\n",
 		st.NsPerCell, st.ProcessAllocsPerTask)
+}
+
+// nonNegative rejects a negative duration flag value: 0 already means off,
+// so a negative one is a mistake, not another way to say it.
+func nonNegative(d time.Duration) error {
+	if d < 0 {
+		return fmt.Errorf("%v is negative (want 0 for off, or a positive duration)", d)
+	}
+	return nil
 }
 
 // fatalFlagValue rejects an invalid flag value with a structured error

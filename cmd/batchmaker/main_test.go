@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,7 +17,6 @@ import (
 
 	"batchmaker/internal/journal"
 	"batchmaker/internal/obsv"
-	"batchmaker/internal/policy"
 	"batchmaker/internal/server"
 )
 
@@ -281,14 +281,33 @@ func TestServeConnOversizedLineOverTCP(t *testing.T) {
 	<-served
 }
 
-// TestFlagValueValidation: an unknown -policy or -journal-sync value must
-// yield a structured error naming the accepted spellings (the parse funcs
-// back fatalFlagValue, which cannot be exercised in-process because it
-// exits).
+// TestFlagValueValidation: an unknown -journal-sync value and a negative
+// -sla or -deadline must yield a structured error naming the accepted values
+// (the check funcs back fatalFlagValue, which cannot be exercised in-process
+// because it exits).
 func TestFlagValueValidation(t *testing.T) {
-	if _, err := policy.ParseMode("everything"); err == nil || !strings.Contains(err.Error(), "want") {
-		t.Fatalf("ParseMode(everything) err = %v, want accepted-values hint", err)
+	for _, d := range []time.Duration{-time.Nanosecond, -50 * time.Millisecond} {
+		if err := nonNegative(d); err == nil || !strings.Contains(err.Error(), "want 0 for off") {
+			t.Fatalf("nonNegative(%v) err = %v, want one naming the accepted values", d, err)
+		}
 	}
+	for _, d := range []time.Duration{0, time.Nanosecond, 50 * time.Millisecond} {
+		if err := nonNegative(d); err != nil {
+			t.Fatalf("nonNegative(%v) = %v, want nil", d, err)
+		}
+	}
+	// The real binary turns a negative -sla or -deadline into exit 2 with
+	// the flag's usage hint, before it builds anything.
+	t.Run("binary", func(t *testing.T) {
+		bin, _ := buildSmokeBinary(t)
+		for _, name := range []string{"sla", "deadline"} {
+			out, err := exec.Command(bin, "-"+name, "-1ms").CombinedOutput()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "usage of -"+name) {
+				t.Fatalf("-%s -1ms: err %v, output %q; want exit 2 with the usage hint", name, err, out)
+			}
+		}
+	})
 	for _, in := range []string{"always", "bogus"} {
 		_, err := journal.ParseSyncPolicy(in)
 		if err == nil || !strings.Contains(err.Error(), "none") || !strings.Contains(err.Error(), "batch") {
@@ -312,8 +331,7 @@ func (failingSegment) Close() error              { return nil }
 // would otherwise report.
 func TestIncidentRecorderWiring(t *testing.T) {
 	a, err := newApp(appConfig{
-		Vocab: 50, Embed: 8, Hidden: 16, Workers: 1,
-		SLA: 50 * time.Millisecond, PolicyMode: policy.ModeFull,
+		Vocab: 50, Embed: 8, Hidden: 16, Workers: 1, SLA: 50 * time.Millisecond,
 		JournalDir: t.TempDir(), IncidentDir: t.TempDir(),
 	})
 	if err != nil {

@@ -63,10 +63,8 @@ type LiveOpts struct {
 	// MaxQueuedCells, when positive, enables admission control so the run
 	// also exercises load shedding.
 	MaxQueuedCells int
-	// Policy, when enabled, installs the adaptive control layer
-	// (Little's-law admission + AIMD MaxBatch), so runs exercise
-	// policy-driven shedding and batch-ceiling moves under the full
-	// invariant set.
+	// Policy, when enabled, installs the SLA feasibility rule, so runs
+	// exercise policy-driven shedding under the full invariant set.
 	Policy policy.Config
 }
 

@@ -199,10 +199,6 @@ type subgraph struct {
 
 type cellType struct {
 	cfg TypeConfig
-	// baseMax is the configured MaxBatch ceiling; cfg.MaxBatch is the live
-	// (possibly adaptively lowered) bound, clamped to [MinBatch, baseMax] by
-	// SetMaxBatch.
-	baseMax int
 	// queue of live subgraphs in earliest-deadline-first order, FIFO among
 	// equal or absent deadlines — so a deadline-free workload batches in
 	// exactly the paper's admission order, while mixed traffic serves the
@@ -290,7 +286,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		if _, dup := s.types[tc.Key]; dup {
 			return nil, fmt.Errorf("core: duplicate cell type %q", tc.Key)
 		}
-		s.types[tc.Key] = &cellType{cfg: tc, baseMax: tc.MaxBatch}
+		s.types[tc.Key] = &cellType{cfg: tc}
 		s.typeOrder = append(s.typeOrder, tc.Key)
 	}
 	sort.Strings(s.typeOrder)
@@ -748,33 +744,3 @@ func (s *Scheduler) RequestSubgraphs(req RequestID) int { return len(s.byReq[req
 
 // InflightTasks returns the number of submitted-but-uncompleted tasks.
 func (s *Scheduler) InflightTasks() int { return len(s.inflight) }
-
-// MaxBatch returns a cell type's live maximum batch size (0 for unknown
-// types). It starts at the configured value and moves only via SetMaxBatch.
-func (s *Scheduler) MaxBatch(typeKey string) int {
-	if ct, ok := s.types[typeKey]; ok {
-		return ct.cfg.MaxBatch
-	}
-	return 0
-}
-
-// SetMaxBatch adjusts a cell type's live maximum batch size — the adaptive
-// policy layer's actuator. The value is clamped to [MinBatch, configured
-// MaxBatch]: the offline-tuned configuration stays the ceiling, the policy
-// only trades batch size away (and back) under SLA pressure. It returns the
-// clamped value actually installed (0 for unknown types). In-flight tasks
-// are unaffected; the next formBatchedTask call sees the new bound.
-func (s *Scheduler) SetMaxBatch(typeKey string, n int) int {
-	ct, ok := s.types[typeKey]
-	if !ok {
-		return 0
-	}
-	if n < ct.cfg.MinBatch {
-		n = ct.cfg.MinBatch
-	}
-	if n > ct.baseMax {
-		n = ct.baseMax
-	}
-	ct.cfg.MaxBatch = n
-	return n
-}

@@ -23,8 +23,8 @@ type Health struct {
 	// error and flipped to lossy mode; JournalError carries the cause.
 	JournalDegraded bool   `json:"journal_degraded,omitempty"`
 	JournalError    string `json:"journal_error,omitempty"`
-	// PolicyShedding is true while the adaptive admission gate is in its
-	// shedding state; PolicySheds counts the requests it rejected. Like a
+	// PolicyShedding is true while the SLA feasibility rule's last decision
+	// was a shed; PolicySheds counts the requests it rejected. Like a
 	// degraded journal these are details, not failures — the server still
 	// answers 200 while shedding (it is protecting its SLA).
 	PolicyShedding bool  `json:"policy_shedding,omitempty"`

@@ -1,6 +1,6 @@
 package obsv
 
-// Policy metric family names. The adaptive control layer (internal/policy)
+// Policy metric family names. The SLA feasibility rule (internal/policy)
 // publishes these through the unified registry; they only appear in the
 // exposition when a policy controller is actually wired, so policy-off
 // deployments keep the golden exposition unchanged.
@@ -12,21 +12,20 @@ const (
 	MetricPolicyMaxBatch  = "batchmaker_policy_max_batch"
 )
 
-// PolicyMetrics groups the adaptive-policy handles. Built against a nil
+// PolicyMetrics groups the policy handles. Built against a nil
 // registry it is fully inert, so the controller never branches on whether
 // metrics are wired.
 type PolicyMetrics struct {
-	// Sheds counts requests rejected by the Little's-law admission gate.
+	// Sheds counts requests rejected by the SLA feasibility rule.
 	Sheds *Counter
-	// GateFlips counts admit→shed and shed→admit transitions; a high rate
-	// relative to Sheds means the hysteresis band is too narrow.
+	// GateFlips counts admit↔shed changes between consecutive decisions.
 	GateFlips *Counter
-	// Shedding is 1 while the gate is in its shedding state, else 0.
+	// Shedding is 1 while the last decision was a shed, else 0.
 	Shedding *Gauge
-	// EstWait is the gate's latest Little's-law queue-wait estimate.
+	// EstWait is the priced queue wait at the last decision.
 	EstWait *FloatGauge
-	// maxBatch holds the per-cell-type adaptive MaxBatch gauges, created
-	// lazily as types first report.
+	// maxBatch holds the per-cell-type MaxBatch gauges, created lazily as
+	// types first report.
 	reg      *Registry
 	maxBatch map[string]*Gauge
 }
@@ -36,19 +35,19 @@ type PolicyMetrics struct {
 func NewPolicyMetrics(reg *Registry) *PolicyMetrics {
 	return &PolicyMetrics{
 		Sheds: reg.Counter(MetricPolicySheds,
-			"Requests rejected by the adaptive admission gate."),
+			"Requests rejected by the SLA feasibility rule."),
 		GateFlips: reg.Counter(MetricPolicyGateFlips,
-			"Admission gate state transitions (admit<->shed)."),
+			"Admit<->shed changes between consecutive policy decisions."),
 		Shedding: reg.Gauge(MetricPolicyShedding,
-			"1 while the admission gate is shedding, else 0."),
+			"1 while the last policy decision was a shed, else 0."),
 		EstWait: reg.FloatGauge(MetricPolicyEstWait,
-			"Little's-law estimated queue wait at the last admission decision."),
+			"Priced queue wait (backlog per worker x price per cell) at the last admission decision."),
 		reg:      reg,
 		maxBatch: make(map[string]*Gauge),
 	}
 }
 
-// MaxBatch returns the adaptive-MaxBatch gauge for a cell type, registering
+// MaxBatch returns the MaxBatch gauge for a cell type, registering
 // it on first use. Safe on an inert instance (returns a nil, no-op gauge).
 // The policy controller is single-goroutine, so the lazy map needs no lock.
 func (m *PolicyMetrics) MaxBatch(typeKey string) *Gauge {
@@ -59,7 +58,7 @@ func (m *PolicyMetrics) MaxBatch(typeKey string) *Gauge {
 		return g
 	}
 	g := m.reg.GaugeVec(MetricPolicyMaxBatch,
-		"Current adaptive MaxBatch per cell type.",
+		"Static MaxBatch per cell type.",
 		[]string{"cell_type"}, []string{typeKey})
 	m.maxBatch[typeKey] = g
 	return g

@@ -44,11 +44,13 @@ const (
 	// or acked per the journal's sync policy); Req links it into the
 	// request's causal flow.
 	KindJournalDurable
-	// KindPolicyShed records the adaptive admission gate shedding one
+	// KindPolicyShed records the SLA feasibility rule shedding one
 	// submission (the companion lifecycle record is KindReject).
 	KindPolicyShed
-	// KindPolicyBatch records an adaptive MaxBatch move: Type is the cell
-	// type, Batch the new bound.
+	// KindPolicyBatch records a MaxBatch change: Type is the cell type,
+	// Batch the new bound. MaxBatch is static, so neither the server nor
+	// the simulator writes one; the kind keeps its ordinal and rendering
+	// because the trace golden (testdata/trace_golden.json) pins both.
 	KindPolicyBatch
 	// KindRebalance records a scheduler pin-rebalance burst; Batch is the
 	// number of cell types whose pin moved.

@@ -1,181 +1,150 @@
-// Package policy is the SLA-aware control layer that closes the loop the
-// paper leaves open: cellular batching (GaoYWL18) fixes MaxBatch and
-// admission limits statically, but under bursty open-loop load the latency
-// win evaporates once queues spiral. This package consumes the live latency
-// split and queue-depth signals the observability layer already measures and
-// feeds three decisions back into the engine:
+// Package policy is the SLA feasibility rule: one admission decision priced
+// on measured task time. Cellular batching (GaoYWL18) fixes MaxBatch and the
+// admission limits statically; under bursty open-loop load a queue that has
+// already outgrown the SLA only makes every later request late. The rule
+// refuses a request when the work queued ahead of it cannot finish within the
+// SLA at the price the engine has been paying per cell:
 //
-//  1. Little's-law admission — estimate the expected queue wait from ready
-//     depth and recent service throughput and shed (ErrOverloaded + a
-//     retry-after hint) before the queue grows past the SLA, with a
-//     hysteresis band so the gate does not flap.
-//  2. Adaptive per-cell-type MaxBatch — AIMD over the queuing/computation
-//     latency split: grow the batch ceiling while queuing dominates, shrink
-//     multiplicatively when computation latency exceeds the SLA budget.
-//  3. Deadline-aware EDF ordering — implemented in core.Scheduler's ready
-//     queues; this package only decides the deadlines' admission context.
+//	admit  iff  backlog per worker × (Σ execution time ÷ Σ rows) ≤ SLA
 //
-// Every controller is a pure function of its explicit inputs (timestamps are
-// passed in, never read from the clock), so the same decision sequence
-// replays byte-identically in the virtual-time simulator.
+// The price comes from a constant-size window of recently retired tasks and
+// is never decayed by time, so a herd after a quiet gap is priced like the
+// traffic before it. Until the first task completes there is no price and the
+// rule admits, so a warm-up never sheds. MaxBatch stays the static per-type
+// bound; deadline-aware EDF ordering lives in core.Scheduler's ready queues.
+//
+// Every input is an explicit argument (no clock reads), so the same call
+// sequence yields the same decisions in the virtual-time simulator.
 package policy
 
 import (
 	"fmt"
 	"time"
+
+	"batchmaker/internal/obsv"
 )
 
-// Mode selects which controllers are active.
+// Mode switches the rule on or off.
 type Mode int
 
 const (
-	// ModeOff disables the policy layer entirely.
+	// ModeOff disables the policy layer.
 	ModeOff Mode = iota
-	// ModeAdmission enables only the Little's-law admission gate.
-	ModeAdmission
-	// ModeAdaptive enables only the adaptive MaxBatch controller.
-	ModeAdaptive
-	// ModeFull enables both.
+	// ModeFull arms the feasibility rule.
 	ModeFull
 )
 
-// ParseMode parses the -policy flag values: off, admission, adaptive, full.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "off", "":
-		return ModeOff, nil
-	case "admission":
-		return ModeAdmission, nil
-	case "adaptive":
-		return ModeAdaptive, nil
-	case "full":
-		return ModeFull, nil
-	}
-	return ModeOff, fmt.Errorf("policy: unknown mode %q (want off, admission, adaptive, or full)", s)
-}
-
-func (m Mode) String() string {
-	switch m {
-	case ModeAdmission:
-		return "admission"
-	case ModeAdaptive:
-		return "adaptive"
-	case ModeFull:
-		return "full"
-	}
-	return "off"
-}
-
-// admission reports whether the admission gate runs in this mode.
-func (m Mode) admission() bool { return m == ModeAdmission || m == ModeFull }
-
-// adaptive reports whether the MaxBatch controller runs in this mode.
-func (m Mode) adaptive() bool { return m == ModeAdaptive || m == ModeFull }
-
-// Config parameterizes the controllers. The zero value (ModeOff) is a valid
-// disabled configuration; every other knob has a sensible default applied by
-// withDefaults, so callers normally set only Mode and SLA.
+// Config parameterizes the rule. The zero value is a valid disabled
+// configuration.
 type Config struct {
 	Mode Mode
-	// SLA is the end-to-end latency target a request should meet. Required
-	// (> 0) whenever Mode is not off; every threshold below is relative to
-	// it.
+	// SLA is the latency target a request should meet. Required (> 0)
+	// whenever Mode is not off.
 	SLA time.Duration
-
-	// HighRatio: the gate starts shedding when the estimated queue wait
-	// exceeds SLA×HighRatio (default 1.0).
-	HighRatio float64
-	// LowRatio: the gate stops shedding when the estimate falls below
-	// SLA×LowRatio (default 0.7). The gap is the hysteresis band.
-	LowRatio float64
-	// MinQueue: the gate never sheds while fewer cells than this are
-	// queued, so a cold start or an idle→burst edge (when the throughput
-	// estimate has decayed toward zero) cannot trigger spurious rejects
-	// (default 16).
-	MinQueue int
-	// RateHalfLife is the half-life of the service-throughput EWMA
-	// (default 250ms).
-	RateHalfLife time.Duration
-
-	// QueueShare: grow MaxBatch when queuing accounts for more than this
-	// share of the P95 end-to-end split (default 0.5).
-	QueueShare float64
-	// ComputeBudget: shrink MaxBatch when the P95 computation latency
-	// exceeds SLA×ComputeBudget (default 0.5).
-	ComputeBudget float64
-	// GrowStep is the additive MaxBatch increase (default 2).
-	GrowStep int
-	// ShrinkFactor is the multiplicative MaxBatch decrease (default 0.5).
-	ShrinkFactor float64
-	// Interval is the minimum spacing between AIMD control steps
-	// (default 50ms), so one batch of completions moves MaxBatch once.
-	Interval time.Duration
-	// WindowSize is the capacity of the controller's latency-split sample
-	// windows (default 256).
-	WindowSize int
-
-	// RecordTrace keeps a human-readable decision trace (gate flips, shed
-	// points, MaxBatch moves) for the deterministic policy tests. Off in
-	// production: the trace grows without bound.
-	RecordTrace bool
 }
 
-// Enabled reports whether this configuration activates any controller.
+// Enabled reports whether this configuration arms the rule.
 func (c Config) Enabled() bool { return c.Mode != ModeOff && c.SLA > 0 }
 
-// Validate rejects configurations that enable a mode without an SLA.
+// Validate rejects a configuration that arms the rule without an SLA.
 func (c Config) Validate() error {
 	if c.Mode != ModeOff && c.SLA <= 0 {
-		return fmt.Errorf("policy: mode %v requires a positive SLA", c.Mode)
-	}
-	if c.LowRatio != 0 && c.HighRatio != 0 && c.LowRatio > c.HighRatio {
-		return fmt.Errorf("policy: LowRatio %v exceeds HighRatio %v", c.LowRatio, c.HighRatio)
+		return fmt.Errorf("policy: an armed policy requires a positive SLA")
 	}
 	return nil
 }
 
-func (c Config) withDefaults() Config {
-	if c.HighRatio <= 0 {
-		c.HighRatio = 1.0
-	}
-	if c.LowRatio <= 0 {
-		c.LowRatio = 0.7
-	}
-	if c.MinQueue <= 0 {
-		c.MinQueue = 16
-	}
-	if c.RateHalfLife <= 0 {
-		c.RateHalfLife = 250 * time.Millisecond
-	}
-	if c.QueueShare <= 0 {
-		c.QueueShare = 0.5
-	}
-	if c.ComputeBudget <= 0 {
-		c.ComputeBudget = 0.5
-	}
-	if c.GrowStep <= 0 {
-		c.GrowStep = 2
-	}
-	if c.ShrinkFactor <= 0 || c.ShrinkFactor >= 1 {
-		c.ShrinkFactor = 0.5
-	}
-	if c.Interval <= 0 {
-		c.Interval = 50 * time.Millisecond
-	}
-	if c.WindowSize <= 0 {
-		c.WindowSize = 256
-	}
-	return c
+// TypeBounds names one cell type and its static MaxBatch (Max), published
+// once as the type's batchmaker_policy_max_batch gauge. Min is not read:
+// nothing moves MaxBatch.
+type TypeBounds struct {
+	Key      string
+	Min, Max int
 }
 
-// Decision is the admission gate's verdict for one request.
+// Decision is the rule's verdict for one request.
 type Decision struct {
 	// Admit is false when the request should be shed.
 	Admit bool
-	// EstWait is the Little's-law estimate of the queue wait the request
-	// would see if admitted.
+	// EstWait is the priced wait of the backlog ahead of the request (0
+	// before the first task completes).
 	EstWait time.Duration
-	// RetryAfter, set on shed decisions, estimates how long the client
-	// should back off before the gate is likely to admit again.
+	// RetryAfter, set on shed decisions, is EstWait − SLA, at least 1 ms:
+	// how long the backlog needs to fall back within the SLA.
 	RetryAfter time.Duration
+}
+
+// window is how many recently retired tasks the price averages over.
+const window = 256
+
+// Controller holds the price and the last decision.
+//
+// Concurrency: not synchronized. The live server calls it under its
+// manager's lock; the simulator is single-threaded.
+type Controller struct {
+	sla time.Duration
+	mts *obsv.PolicyMetrics
+
+	// rows and execNs are a ring of the last window tasks; next is the slot
+	// the next task overwrites and sumRows/sumNs the ring's totals.
+	rows     [window]int64
+	execNs   [window]int64
+	next     int
+	sumRows  int64
+	sumNs    int64
+	shedding bool
+}
+
+// New builds a controller for cfg over the given cell types. mts may be nil.
+// Returns nil when cfg does not arm the rule, so callers can gate on
+// `if ctl != nil`.
+func New(cfg Config, types []TypeBounds, mts *obsv.PolicyMetrics) *Controller {
+	if !cfg.Enabled() {
+		return nil
+	}
+	if mts == nil {
+		mts = obsv.NewPolicyMetrics(nil) // inert: every handle a no-op
+	}
+	for _, tb := range types {
+		mts.MaxBatch(tb.Key).Set(int64(tb.Max))
+	}
+	return &Controller{sla: cfg.SLA, mts: mts}
+}
+
+// Admit decides one admission. backlog is the caller's queued cell backlog
+// per worker. nowNs is not read: the rule prices queued work, not time.
+func (c *Controller) Admit(nowNs int64, backlog int) Decision {
+	d := Decision{Admit: true}
+	if c.sumRows > 0 {
+		d.EstWait = time.Duration(float64(backlog) * float64(c.sumNs) / float64(c.sumRows))
+		if d.EstWait > c.sla {
+			d.Admit = false
+			d.RetryAfter = max(d.EstWait-c.sla, time.Millisecond)
+			c.mts.Sheds.Inc()
+		}
+	}
+	c.mts.EstWait.Set(d.EstWait.Seconds())
+	if shed := !d.Admit; shed != c.shedding {
+		c.shedding = shed
+		c.mts.GateFlips.Inc()
+		if shed {
+			c.mts.Shedding.Set(1)
+		} else {
+			c.mts.Shedding.Set(0)
+		}
+	}
+	return d
+}
+
+// Completed prices one retired task: rows cells ran in computation. Callers
+// pass 0 for queuing, which the rule does not read. A task with no rows or no
+// measured time leaves the price unchanged.
+func (c *Controller) Completed(nowNs int64, rows int, queuing, computation time.Duration) {
+	if rows <= 0 || computation <= 0 {
+		return
+	}
+	c.sumRows += int64(rows) - c.rows[c.next]
+	c.sumNs += int64(computation) - c.execNs[c.next]
+	c.rows[c.next], c.execNs[c.next] = int64(rows), int64(computation)
+	c.next = (c.next + 1) % window
 }

@@ -1,234 +1,123 @@
 package policy
 
 import (
-	"strings"
 	"testing"
 	"time"
+
+	"batchmaker/internal/obsv"
 )
 
-func testConfig() Config {
-	return Config{Mode: ModeFull, SLA: 20 * time.Millisecond}.withDefaults()
-}
-
-// TestAIMDTable drives the MaxBatch controller with synthetic latency-split
-// series: queuing-dominated load grows, computation-dominated load shrinks,
-// and an oscillating input converges — and stays — within bounds.
-func TestAIMDTable(t *testing.T) {
-	cfg := testConfig() // SLA 20ms ⇒ compute budget 10ms, queue share 0.5
+// TestFeasibilityRule drives the controller through scripted call sequences:
+// a step with rows > 0 retires a task (Completed), any other step is an
+// admission (Admit) whose verdict and priced wait are checked. Throughout,
+// the MaxBatch gauge must hold the static bound.
+func TestFeasibilityRule(t *testing.T) {
+	const sla = 10 * time.Millisecond
+	type step struct {
+		at      time.Duration
+		rows    int // > 0: Completed(at, rows, 0, exec)
+		exec    time.Duration
+		backlog int // rows == 0: Admit(at, backlog)
+		admit   bool
+		wait    time.Duration
+	}
+	// price100us retires four rows in 400 µs: a price of 100 µs per cell,
+	// so a backlog of 100 cells per worker is exactly the SLA.
+	price100us := step{rows: 4, exec: 400 * time.Microsecond}
+	many := func(n int, s step) []step {
+		out := make([]step, n)
+		for i := range out {
+			out[i] = s
+		}
+		return out
+	}
 	cases := []struct {
-		name  string
-		steps []struct{ q, c time.Duration }
-		min   int
-		max   int
-		want  int // final MaxBatch
+		name         string
+		steps        []step
+		flips, sheds int64
 	}{
 		{
-			name:  "queuing-dominated grows to ceiling",
-			steps: repeat(8, 15*time.Millisecond, 2*time.Millisecond),
-			min:   1, max: 16,
-			want: 16, // starts at 16 and must not leave the ceiling
+			name: "warm-up admits at any backlog",
+			steps: []step{
+				{backlog: 0, admit: true},
+				{backlog: 1 << 20, admit: true},
+			},
 		},
 		{
-			name: "queuing-dominated grows back after shrink",
-			steps: append(
-				repeat(2, 1*time.Millisecond, 12*time.Millisecond),     // 16→8→4
-				repeat(3, 15*time.Millisecond, 2*time.Millisecond)...), // 4→6→8→10
-			min: 1, max: 16,
-			want: 10,
+			name: "shed iff backlog x price exceeds the SLA",
+			steps: []step{
+				price100us,
+				{backlog: 50, admit: true, wait: 5 * time.Millisecond},
+				{backlog: 100, admit: true, wait: sla},
+				{backlog: 101, wait: 10100 * time.Microsecond},
+				{backlog: 300, wait: 30 * time.Millisecond},
+				{backlog: 0, admit: true},
+			},
+			flips: 2, sheds: 2,
 		},
 		{
-			name:  "computation-dominated shrinks to floor",
-			steps: repeat(6, 1*time.Millisecond, 12*time.Millisecond),
-			min:   2, max: 32,
-			want: 2,
+			name: "herd after a quiet gap is priced like the traffic before it",
+			steps: []step{
+				price100us,
+				{at: time.Millisecond, backlog: 150, wait: 15 * time.Millisecond},
+				{at: time.Millisecond, backlog: 10, admit: true, wait: time.Millisecond},
+				{at: time.Hour, backlog: 150, wait: 15 * time.Millisecond},
+				{at: time.Hour, backlog: 10, admit: true, wait: time.Millisecond},
+			},
+			flips: 4, sheds: 2,
 		},
 		{
-			name: "shrink takes precedence over queuing share",
-			// Queuing dominates the split AND computation busts the budget:
-			// the kernel itself is the bottleneck, so shrink must win.
-			steps: repeat(1, 30*time.Millisecond, 11*time.Millisecond),
-			min:   1, max: 16,
-			want: 8,
+			name: "the price averages the last window tasks only",
+			steps: append(append(
+				many(window, step{rows: 1, exec: time.Millisecond}),
+				many(window, step{rows: 2, exec: 20 * time.Microsecond})...),
+				step{backlog: 1000, admit: true, wait: sla},
+				step{backlog: 1001, wait: 10010 * time.Microsecond},
+			),
+			flips: 1, sheds: 1,
 		},
 		{
-			name:  "balanced load holds steady",
-			steps: repeat(5, 5*time.Millisecond, 5*time.Millisecond),
-			min:   1, max: 16,
-			want: 16,
+			name: "tasks without rows or time leave the price unchanged",
+			steps: []step{
+				price100us,
+				{rows: 3},
+				{backlog: 100, admit: true, wait: sla},
+			},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := NewAIMD(cfg, tc.min, tc.max)
+			pm := obsv.NewPolicyMetrics(obsv.NewRegistry())
+			c := New(Config{Mode: ModeFull, SLA: sla}, []TypeBounds{{Key: "lstm", Min: 1, Max: 32}}, pm)
 			for i, s := range tc.steps {
-				cur, _ := a.Update(s.q, s.c)
-				if cur < tc.min || cur > tc.max {
-					t.Fatalf("step %d: MaxBatch %d escaped bounds [%d,%d]", i, cur, tc.min, tc.max)
+				if s.rows > 0 {
+					c.Completed(int64(s.at), s.rows, 0, s.exec)
+				} else {
+					d := c.Admit(int64(s.at), s.backlog)
+					if d.Admit != s.admit || d.EstWait != s.wait {
+						t.Fatalf("step %d: backlog %d gave %+v, want admit=%v wait=%v", i, s.backlog, d, s.admit, s.wait)
+					}
+					if d.Admit && d.RetryAfter != 0 {
+						t.Fatalf("step %d: admitted with retry-after %v", i, d.RetryAfter)
+					}
+					if want := max(s.wait-sla, time.Millisecond); !d.Admit && d.RetryAfter != want {
+						t.Fatalf("step %d: retry-after %v, want %v", i, d.RetryAfter, want)
+					}
+					if shedding := pm.Shedding.Value() == 1; shedding == d.Admit {
+						t.Fatalf("step %d: shedding gauge %v after admit=%v", i, shedding, d.Admit)
+					}
+				}
+				if got := pm.MaxBatch("lstm").Value(); got != 32 {
+					t.Fatalf("step %d: MaxBatch gauge %d, want the static 32", i, got)
 				}
 			}
-			if got := a.Current(); got != tc.want {
-				t.Fatalf("final MaxBatch %d, want %d", got, tc.want)
+			if got := pm.GateFlips.Value(); got != tc.flips {
+				t.Fatalf("gate flips %d, want %d", got, tc.flips)
+			}
+			if got := pm.Sheds.Value(); got != tc.sheds {
+				t.Fatalf("sheds %d, want %d", got, tc.sheds)
 			}
 		})
-	}
-}
-
-// TestAIMDOscillatingConverges alternates queuing- and computation-dominated
-// inputs for many rounds: the controller must stay within bounds and settle
-// into a bounded oscillation (sawtooth), not diverge or wedge.
-func TestAIMDOscillatingConverges(t *testing.T) {
-	cfg := testConfig()
-	a := NewAIMD(cfg, 1, 64)
-	seen := map[int]bool{}
-	for i := 0; i < 200; i++ {
-		var cur int
-		if i%2 == 0 {
-			cur, _ = a.Update(15*time.Millisecond, 2*time.Millisecond) // grow signal
-		} else {
-			cur, _ = a.Update(1*time.Millisecond, 12*time.Millisecond) // shrink signal
-		}
-		if cur < 1 || cur > 64 {
-			t.Fatalf("round %d: MaxBatch %d out of bounds", i, cur)
-		}
-		if i >= 100 {
-			seen[cur] = true
-		}
-	}
-	// After burn-in the sawtooth should cycle through a small set of values
-	// near the floor (shrink halves, grow adds 2), not wander the range.
-	if len(seen) > 6 {
-		t.Fatalf("late-phase oscillation visits %d distinct values (%v), want a tight cycle", len(seen), seen)
-	}
-	for v := range seen {
-		if v > 16 {
-			t.Fatalf("late-phase oscillation reached %d; multiplicative decrease should keep it low", v)
-		}
-	}
-}
-
-func repeat(n int, q, c time.Duration) []struct{ q, c time.Duration } {
-	out := make([]struct{ q, c time.Duration }, n)
-	for i := range out {
-		out[i] = struct{ q, c time.Duration }{q, c}
-	}
-	return out
-}
-
-// TestAdmissionGateHysteresis feeds the gate a wait estimate oscillating
-// inside the hysteresis band (between SLA×LowRatio and SLA×HighRatio): the
-// gate must flip exactly once — on the initial breach — and shed every
-// request until the estimate finally drops below the low watermark.
-func TestAdmissionGateHysteresis(t *testing.T) {
-	cfg := testConfig() // high = 20ms, low = 14ms
-	g := NewAdmissionGate(cfg)
-	rate := 1e6 // cells/sec ⇒ estWait(n cells) = n microseconds
-
-	// Warm up below both thresholds: always admit, no flips.
-	for i := 0; i < 10; i++ {
-		if d, _ := g.Decide(10_000, rate); !d.Admit { // 10ms
-			t.Fatal("admitted region shed")
-		}
-	}
-	// Breach the high watermark once.
-	if d, flipped := g.Decide(25_000, rate); d.Admit || !flipped { // 25ms
-		t.Fatalf("breach: got admit=%v flipped=%v, want shed+flip", d.Admit, flipped)
-	}
-	// Oscillate inside the band (15–19ms): with a naive single-threshold
-	// gate every other decision would flip; hysteresis must hold shedding.
-	for i := 0; i < 50; i++ {
-		q := 15_000 + (i%2)*4_000
-		d, flipped := g.Decide(q, rate)
-		if d.Admit || flipped {
-			t.Fatalf("in-band decision %d flapped (admit=%v flipped=%v)", i, d.Admit, flipped)
-		}
-		if d.RetryAfter <= 0 {
-			t.Fatalf("shed decision %d missing retry-after hint", i)
-		}
-	}
-	// Drop below the low watermark: one recovery flip, then stable admits.
-	if d, flipped := g.Decide(10_000, rate); !d.Admit || !flipped {
-		t.Fatalf("recovery: got admit=%v flipped=%v, want admit+flip", d.Admit, flipped)
-	}
-	if got := g.Flips(); got != 2 {
-		t.Fatalf("flip count %d, want exactly 2 (enter + exit)", got)
-	}
-	if g.Sheds() != 51 {
-		t.Fatalf("shed count %d, want 51", g.Sheds())
-	}
-}
-
-// TestAdmissionGateColdStart pins the cold-start behavior: with no measured
-// throughput there is no wait estimate, so the gate admits at any backlog —
-// and the MinQueue floor keeps tiny backlogs admitted even once a (slow)
-// rate is known.
-func TestAdmissionGateColdStart(t *testing.T) {
-	g := NewAdmissionGate(testConfig()) // MinQueue 16
-	for _, q := range []int{0, 15, 16, 10_000} {
-		if d, _ := g.Decide(q, 0); !d.Admit {
-			t.Fatalf("unprimed gate shed at backlog %d", q)
-		}
-	}
-	// Below the MinQueue floor even a dismal rate admits.
-	if d, _ := g.Decide(15, 1); !d.Admit {
-		t.Fatal("backlog below MinQueue floor must admit")
-	}
-	// At the floor, a measured rate that implies an SLA-busting wait sheds.
-	if d, _ := g.Decide(16, 1); d.Admit {
-		t.Fatal("16-cell backlog at 1 cell/sec should shed against a 20ms SLA")
-	}
-}
-
-// TestRateEstimator checks determinism and decay of the throughput EWMA.
-func TestRateEstimator(t *testing.T) {
-	mk := func() *RateEstimator { return NewRateEstimator(250 * time.Millisecond) }
-	feed := func(e *RateEstimator) float64 {
-		for now := int64(0); now < 2e9; now += 1e6 { // 1k cells/sec for 2s
-			e.Observe(now, 1)
-		}
-		return e.Rate(2e9)
-	}
-	a, b := feed(mk()), feed(mk())
-	if a != b {
-		t.Fatalf("same input stream gave different rates: %v vs %v", a, b)
-	}
-	if a < 900 || a > 1100 {
-		t.Fatalf("steady 1k cells/sec estimated as %.1f", a)
-	}
-	// After ~8 half-lives of silence the estimate should have collapsed.
-	e := mk()
-	feed(e)
-	if r := e.Rate(4e9); r > a/100 {
-		t.Fatalf("rate %.2f barely decayed after 2s silence (was %.1f)", r, a)
-	}
-}
-
-// TestControllerTraceAndModes exercises the composed controller: admission
-// mode sheds and traces, adaptive mode moves MaxBatch, and the trace is a
-// pure function of the call sequence.
-func TestControllerTraceAndModes(t *testing.T) {
-	run := func() []string {
-		c := New(Config{Mode: ModeFull, SLA: 10 * time.Millisecond, RecordTrace: true},
-			[]TypeBounds{{Key: "lstm", Min: 1, Max: 32}}, nil)
-		now := int64(0)
-		for i := 0; i < 400; i++ {
-			now += 1e6
-			c.Admit(now, i*8)
-			// Computation-dominated completions: shrink signal.
-			c.Completed(now, 4, time.Millisecond, 8*time.Millisecond)
-		}
-		return c.TraceLines()
-	}
-	t1, t2 := run(), run()
-	if strings.Join(t1, "\n") != strings.Join(t2, "\n") {
-		t.Fatal("same call sequence produced different decision traces")
-	}
-	var sawShed, sawBatch bool
-	for _, l := range t1 {
-		sawShed = sawShed || strings.HasPrefix(l, "shed ")
-		sawBatch = sawBatch || strings.HasPrefix(l, "batch ")
-	}
-	if !sawShed || !sawBatch {
-		t.Fatalf("trace missing decision kinds (shed=%v batch=%v):\n%s", sawShed, sawBatch, strings.Join(t1, "\n"))
 	}
 }
 
@@ -239,21 +128,5 @@ func TestControllerDisabled(t *testing.T) {
 	}
 	if c := New(Config{Mode: ModeFull}, nil, nil); c != nil {
 		t.Fatal("missing SLA must yield a nil controller")
-	}
-}
-
-// TestParseMode pins the flag grammar.
-func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{
-		"off": ModeOff, "": ModeOff,
-		"admission": ModeAdmission, "adaptive": ModeAdaptive, "full": ModeFull,
-	} {
-		got, err := ParseMode(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseMode(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("want error for unknown mode")
 	}
 }

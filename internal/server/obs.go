@@ -50,7 +50,7 @@ type serverObs struct {
 	// caches its entries in its typeExec.
 	exec []map[string]*obsv.ExecMetrics
 
-	// pm is the adaptive-policy metrics handle (nil when no policy is
+	// pm is the policy metrics handle (nil when no policy is
 	// wired); Health reads its gauges to surface shed state.
 	pm *obsv.PolicyMetrics
 
@@ -146,19 +146,9 @@ func (ob *serverObs) terminal(r *request, kind obsv.Kind, nowNs int64) {
 	ob.rpRing.Write(obsv.Record{Kind: kind, Req: int64(r.id), T0: nowNs})
 }
 
-// policyShed records the adaptive admission gate shedding one submission.
+// policyShed records the SLA feasibility rule shedding one submission.
 func (ob *serverObs) policyShed(nowNs int64) {
 	ob.rpRing.Write(obsv.Record{Kind: obsv.KindPolicyShed, T0: nowNs})
-}
-
-// policyMaxBatch records one adaptive MaxBatch move.
-func (ob *serverObs) policyMaxBatch(typeKey string, maxBatch int, nowNs int64) {
-	ob.rpRing.Write(obsv.Record{
-		Kind:  obsv.KindPolicyBatch,
-		Type:  ob.types[typeKey].id,
-		Batch: uint16(maxBatch),
-		T0:    nowNs,
-	})
 }
 
 // gauges refreshes the backlog gauges.
@@ -263,7 +253,7 @@ func (s *Server) Observer() *obsv.Observer { return s.obs.o }
 // configuration: Stats and Health are computed from them.
 func (s *Server) Metrics() *obsv.ServingMetrics { return s.obs.sm }
 
-// PolicyMetrics returns the adaptive-policy metric handles, or nil when no
+// PolicyMetrics returns the policy metric handles, or nil when no
 // policy is wired.
 func (s *Server) PolicyMetrics() *obsv.PolicyMetrics { return s.obs.pm }
 

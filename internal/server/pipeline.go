@@ -176,10 +176,11 @@ func (m *mgr) admit(r *request, specs []core.SubgraphSpec) error {
 		return fmt.Errorf("%w: %d cells queued, request adds %d (max %d)", ErrOverloaded, m.queuedCells, r.cells, n)
 	}
 	if p := s.policy; p != nil {
-		// Little's-law gate: shed before the queue spirals past the SLA,
-		// ahead of (and more conservative than) the static bounds above.
+		// SLA feasibility: shed when the backlog, priced per cell on
+		// measured task time and spread over the workers, outlasts the SLA.
 		nowNs := time.Now().UnixNano()
-		if d := p.Admit(nowNs, m.queuedCells); !d.Admit {
+		workers := s.cfg.Workers
+		if d := p.Admit(nowNs, (m.queuedCells+workers-1)/workers); !d.Admit {
 			s.obs.policyShed(nowNs)
 			s.obs.reject(true)
 			return &OverloadError{EstWait: d.EstWait, RetryAfter: d.RetryAfter}
@@ -265,9 +266,13 @@ func (m *mgr) terminate(r *request, cause error) bool {
 // complete retires one executed task: fail or advance each executed row's
 // request, release successor subgraphs, resolve finished requests, then
 // retire the task (which unpins its subgraphs and frees a slot on its
-// worker's channel). stepErr is the task's step error, if any.
-func (m *mgr) complete(task *core.Task, executed []execRef, stepErr error) {
+// worker's channel). elapsed is the task's execution time and stepErr its
+// step error, if any.
+func (m *mgr) complete(task *core.Task, executed []execRef, elapsed time.Duration, stepErr error) {
 	s := m.s
+	if p := s.policy; p != nil && stepErr == nil {
+		p.Completed(time.Now().UnixNano(), len(executed), 0, elapsed)
+	}
 	for _, ref := range executed {
 		r := ref.req
 		if _, live := m.reqs[r.id]; !live {
@@ -308,20 +313,6 @@ func (m *mgr) complete(task *core.Task, executed []execRef, stepErr error) {
 			nowNs := time.Now().UnixNano()
 			s.obs.terminal(r, obsv.KindComplete, nowNs)
 			s.jterminal(r.id, journal.OutcomeCompleted, "")
-			if p := s.policy; p != nil {
-				// Feed the finished request's latency split back into the
-				// controllers and apply any MaxBatch moves.
-				fe := r.firstExecNs.Load()
-				if fe == 0 {
-					fe = nowNs
-				}
-				moves := p.Completed(nowNs, r.cells,
-					time.Duration(fe-r.admittedNs), time.Duration(nowNs-fe))
-				for _, mv := range moves {
-					s.obs.policyMaxBatch(mv.Key, mv.MaxBatch, nowNs)
-					m.sched.SetMaxBatch(mv.Key, mv.MaxBatch)
-				}
-			}
 			m.resolve(r, nil)
 			m.completed = append(m.completed, r)
 		}

@@ -98,14 +98,15 @@ var (
 	ErrCellPanic = errors.New("server: cell panicked")
 )
 
-// OverloadError is the adaptive admission gate's shed rejection. It unwraps
-// to ErrOverloaded (so existing errors.Is checks keep working) and carries
-// the Little's-law wait estimate behind the decision plus a retry-after hint
-// clients can honor instead of hammering a saturated server.
+// OverloadError is the SLA feasibility rule's shed rejection. It unwraps to
+// ErrOverloaded (so existing errors.Is checks keep working) and carries the
+// priced wait behind the decision plus a retry-after hint clients can honor
+// instead of hammering a saturated server.
 type OverloadError struct {
-	// EstWait is the estimated queue wait the request would have seen.
+	// EstWait is the priced queue wait the request would have seen.
 	EstWait time.Duration
-	// RetryAfter estimates how long until the gate is likely to admit again.
+	// RetryAfter is EstWait − SLA (at least 1 ms): how long until the
+	// backlog is likely to fit the SLA again.
 	RetryAfter time.Duration
 }
 
@@ -155,11 +156,11 @@ type Config struct {
 	// MaxQueuedRequests (one 3000-cell chain loads the server like
 	// hundreds of small requests).
 	MaxQueuedCells int
-	// Policy configures the SLA-aware control layer (internal/policy):
-	// Little's-law admission shedding ahead of the static bounds above and
-	// adaptive per-cell-type MaxBatch. The zero value disables it. When
-	// enabled, shed rejections are *OverloadError values (unwrapping to
-	// ErrOverloaded) carrying a retry-after hint.
+	// Policy configures the SLA feasibility rule (internal/policy): shed a
+	// submission, ahead of the static bounds above, when the cell backlog per
+	// worker at the measured price per cell outlasts the SLA. The zero value
+	// disables it. When enabled, shed rejections are *OverloadError values
+	// (unwrapping to ErrOverloaded) carrying a retry-after hint.
 	Policy policy.Config
 
 	// Faults, when non-nil, is consulted before every task execution — the
@@ -346,7 +347,7 @@ type Server struct {
 	// draining mirrors the manager's drain state for Health.
 	obs      *serverObs
 	draining atomic.Bool
-	// policy is the adaptive control layer (nil when Config.Policy is off).
+	// policy is the SLA feasibility rule (nil when Config.Policy is off).
 	// Touched only under mgr.mu.
 	policy *policy.Controller
 
@@ -443,11 +444,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Policy.Enabled() {
 		bounds := make([]policy.TypeBounds, 0, len(types))
 		for _, tc := range types {
-			min := tc.MinBatch
-			if min < 1 {
-				min = 1
-			}
-			bounds = append(bounds, policy.TypeBounds{Key: tc.Key, Min: min, Max: tc.MaxBatch})
+			bounds = append(bounds, policy.TypeBounds{Key: tc.Key, Max: tc.MaxBatch})
 		}
 		s.obs.pm = obsv.NewPolicyMetrics(s.obs.sm.Registry())
 		s.policy = policy.New(cfg.Policy, bounds, s.obs.pm)

@@ -107,9 +107,9 @@ func (s *Server) workerLoop(id int, tasks <-chan *core.Task) {
 	ws := newWorkerExec()
 	m := s.m
 	for task := range tasks {
-		refs, err := s.execTask(id, task, ws)
+		refs, elapsed, err := s.execTask(id, task, ws)
 		m.mu.Lock()
-		m.complete(task, refs, err)
+		m.complete(task, refs, elapsed, err)
 		m.unlock()
 		// Drop the row pointers so the record does not pin resolved
 		// requests until the next task overwrites it.
@@ -119,13 +119,14 @@ func (s *Server) workerLoop(id int, tasks <-chan *core.Task) {
 
 // execTask gathers the batched inputs, runs the cell, and scatters the
 // outputs into per-request state, outside mgr.mu. It returns the rows it
-// executed (valid until the worker's next task) and the step error. The
-// scatter happens here — not when the task is retired — because
-// intra-subgraph successors are released at submit time and rely on FIFO
-// execution on the same worker: a successor's gather must observe its
-// dependency's scatter, exactly like consecutive kernels on one GPU stream.
-// Dependency tracking and resolution stay with mgr.complete.
-func (s *Server) execTask(id int, task *core.Task, ws *workerExec) ([]execRef, error) {
+// executed (valid until the worker's next task), the time gather and step
+// took, and the step error. The scatter happens here — not when the task
+// is retired — because intra-subgraph successors are released at submit
+// time and rely on FIFO execution on the same worker: a successor's gather
+// must observe its dependency's scatter, exactly like consecutive kernels
+// on one GPU stream. Dependency tracking and resolution stay with
+// mgr.complete.
+func (s *Server) execTask(id int, task *core.Task, ws *workerExec) ([]execRef, time.Duration, error) {
 	te := s.typeFor(ws, id, task.TypeKey)
 	ws.arena.Reset()
 	now := time.Now()
@@ -151,7 +152,7 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) ([]execRef, e
 	if len(refs) == 0 {
 		// Nothing left to run: the task is still retired so the
 		// scheduler's pin and in-flight bookkeeping drain clean.
-		return nil, nil
+		return nil, 0, nil
 	}
 
 	// The batch is now final: mark each surviving request's first execution
@@ -181,9 +182,9 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) ([]execRef, e
 	// containment around the raw step.
 	outs, stepErr := s.stepOnce(te, task, len(refs), ws.arena)
 
-	elapsed := int64(time.Since(now))
-	s.obs.taskExec(id, task, te, len(refs), elapsed,
-		ws.arena.HighWaterBytes(), now.UnixNano()+elapsed)
+	elapsed := time.Since(now)
+	s.obs.taskExec(id, task, te, len(refs), int64(elapsed),
+		ws.arena.HighWaterBytes(), now.UnixNano()+int64(elapsed))
 	if s.cfg.TaskObserver != nil {
 		ws.seen = ws.seen[:0]
 		for _, ref := range refs {
@@ -199,7 +200,7 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) ([]execRef, e
 		for _, ref := range refs {
 			ref.req.poisoned.Store(true)
 		}
-		return refs, stepErr
+		return refs, elapsed, stepErr
 	}
 
 	for o, name := range te.outNames {
@@ -234,7 +235,7 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) ([]execRef, e
 		}
 		ref.req.stateMu.Unlock()
 	}
-	return refs, nil
+	return refs, elapsed, nil
 }
 
 // stepOnce executes one task. Cells with a StepInto fast path run it

@@ -68,7 +68,7 @@ func workerAllocFixture(tb testing.TB, reqN, chainN int) (*Server, []*core.Task,
 // runAllocTask executes one task the way workerLoop does, reusing the
 // worker's executed-rows record.
 func runAllocTask(tb testing.TB, s *Server, task *core.Task, ws *workerExec) {
-	if _, err := s.execTask(0, task, ws); err != nil {
+	if _, _, err := s.execTask(0, task, ws); err != nil {
 		tb.Fatalf("task %d: %v", task.ID, err)
 	}
 }

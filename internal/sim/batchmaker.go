@@ -49,12 +49,11 @@ type BatchMakerConfig struct {
 	// straight from traces. The sim's event loop is one goroutine, so it
 	// is the single writer of every ring it creates.
 	Observer *obsv.Observer
-	// Policy, when set, mirrors the live server's adaptive control layer in
-	// virtual time: the Little's-law gate sheds arrivals (counted in the
-	// result extras, never admitted) and AIMD MaxBatch moves are applied to
-	// the scheduler directly. The controller is caller-owned so a test can
-	// read its decision trace after the run; timestamps fed to it are
-	// virtual nanoseconds, making every decision replayable.
+	// Policy, when set, mirrors the live server's SLA feasibility rule in
+	// virtual time: each retired task prices the cells it ran, and an
+	// arrival whose backlog per GPU outlasts the SLA at that price is shed
+	// (counted in the result extras, never admitted). Timestamps fed to it
+	// are virtual nanoseconds, making every decision replayable.
 	Policy *policy.Controller
 	// Deadline, when positive, gives each request an SLA expiry of
 	// arrival+Deadline. The sim never expires requests — the deadline
@@ -95,7 +94,7 @@ type batchMakerSim struct {
 	col      *collector
 	admitted int
 	// queuedCells is the admitted not-yet-executed cell backlog — the
-	// admission gate's Little's-law queue depth.
+	// backlog the policy prices.
 	queuedCells int
 	sheds       int
 	misses      int
@@ -256,7 +255,8 @@ func (s *batchMakerSim) admit() {
 	// between policy-on and policy-off arms of the same seed.
 	shape := s.wl.Next()
 	if p := s.cfg.Policy; p != nil {
-		if d := p.Admit(int64(s.eng.Now()), s.queuedCells); !d.Admit {
+		gpus := s.cfg.NumGPUs
+		if d := p.Admit(int64(s.eng.Now()), (s.queuedCells+gpus-1)/gpus); !d.Admit {
 			s.sheds++
 			if m := s.cfg.Metrics; m != nil {
 				m.Rejected.Inc()
@@ -415,7 +415,7 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 		}
 		s.inflight[w]++
 		t := task
-		s.eng.At(end+s.cfg.Overheads.CompletionPoll, func() { s.onTaskDone(w, t, end) })
+		s.eng.At(end+s.cfg.Overheads.CompletionPoll, func() { s.onTaskDone(w, t, start, end) })
 	}
 	s.mirrorReady()
 }
@@ -434,7 +434,10 @@ func (s *batchMakerSim) mirrorReady() {
 	}
 }
 
-func (s *batchMakerSim) onTaskDone(w core.WorkerID, task *core.Task, end time.Duration) {
+func (s *batchMakerSim) onTaskDone(w core.WorkerID, task *core.Task, start, end time.Duration) {
+	if p := s.cfg.Policy; p != nil {
+		p.Completed(int64(end), task.BatchSize(), 0, end-start)
+	}
 	for _, ref := range task.Nodes {
 		req := s.reqs[ref.Req]
 		released, err := req.tracker.NodeDone(ref.Node)
@@ -464,19 +467,6 @@ func (s *batchMakerSim) onTaskDone(w core.WorkerID, task *core.Task, end time.Du
 			s.rpRing.Write(obsv.Record{
 				Kind: obsv.KindComplete, Req: int64(ref.Req), T0: int64(end),
 			})
-			if p := s.cfg.Policy; p != nil {
-				moves := p.Completed(int64(end), req.cells,
-					req.firstExec-req.arrival, end-req.firstExec)
-				for _, mv := range moves {
-					s.rpRing.Write(obsv.Record{
-						Kind:  obsv.KindPolicyBatch,
-						Type:  s.typeIDs[mv.Key],
-						Batch: uint16(mv.MaxBatch),
-						T0:    int64(end),
-					})
-					s.sched.SetMaxBatch(mv.Key, mv.MaxBatch)
-				}
-			}
 		}
 	}
 	if err := s.sched.TaskCompleted(task.ID); err != nil {
