@@ -500,6 +500,31 @@ func main() {
 	)
 	flag.Parse()
 
+	for _, f := range []struct {
+		name     string
+		v, least int
+	}{
+		{"vocab", *vocab, 3}, // ids 0 and 1 are the decoder's GO and EOS
+		{"embed", *embed, 1},
+		{"hidden", *hidden, 1},
+		{"workers", *workers, 1},
+		{"max-queue", *maxQueue, 0},
+	} {
+		if err := atLeast(f.v, f.least); err != nil {
+			fatalFlagValue(f.name, err)
+		}
+	}
+	if err := nonNegative(*sla); err != nil {
+		fatalFlagValue("sla", err)
+	}
+	if err := nonNegative(*deadline); err != nil {
+		fatalFlagValue("deadline", err)
+	}
+	syncPolicy, err := journal.ParseSyncPolicy(*jsync)
+	if err != nil {
+		fatalFlagValue("journal-sync", err)
+	}
+
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -512,17 +537,6 @@ func main() {
 			pprof.StopCPUProfile()
 			f.Close()
 		}()
-	}
-
-	if err := nonNegative(*sla); err != nil {
-		fatalFlagValue("sla", err)
-	}
-	if err := nonNegative(*deadline); err != nil {
-		fatalFlagValue("deadline", err)
-	}
-	syncPolicy, err := journal.ParseSyncPolicy(*jsync)
-	if err != nil {
-		fatalFlagValue("journal-sync", err)
 	}
 
 	a, err := newApp(appConfig{
@@ -613,6 +627,15 @@ func main() {
 func nonNegative(d time.Duration) error {
 	if d < 0 {
 		return fmt.Errorf("%v is negative (want 0 for off, or a positive duration)", d)
+	}
+	return nil
+}
+
+// atLeast rejects an integer flag value below the smallest one the server
+// can be built with.
+func atLeast(v, least int) error {
+	if v < least {
+		return fmt.Errorf("%d is below the minimum %d", v, least)
 	}
 	return nil
 }

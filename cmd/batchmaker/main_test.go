@@ -296,15 +296,30 @@ func TestFlagValueValidation(t *testing.T) {
 			t.Fatalf("nonNegative(%v) = %v, want nil", d, err)
 		}
 	}
-	// The real binary turns a negative -sla or -deadline into exit 2 with
-	// the flag's usage hint, before it builds anything.
+	for _, c := range []struct{ v, least int }{{2, 3}, {0, 1}, {-1, 1}, {-1, 0}} {
+		if err := atLeast(c.v, c.least); err == nil || !strings.Contains(err.Error(), "below the minimum") {
+			t.Fatalf("atLeast(%d, %d) err = %v, want one naming the minimum", c.v, c.least, err)
+		}
+	}
+	for _, c := range []struct{ v, least int }{{3, 3}, {1, 1}, {0, 0}, {2000, 3}} {
+		if err := atLeast(c.v, c.least); err != nil {
+			t.Fatalf("atLeast(%d, %d) = %v, want nil", c.v, c.least, err)
+		}
+	}
+	// The real binary turns a negative -sla or -deadline, and a model shape
+	// or worker count it cannot be built with, into exit 2 with the flag's
+	// usage hint, before it builds anything.
 	t.Run("binary", func(t *testing.T) {
 		bin, _ := buildSmokeBinary(t)
-		for _, name := range []string{"sla", "deadline"} {
-			out, err := exec.Command(bin, "-"+name, "-1ms").CombinedOutput()
+		for _, args := range [][]string{
+			{"-sla", "-1ms"}, {"-deadline", "-1ms"},
+			{"-vocab", "2"}, {"-embed", "-1"}, {"-hidden", "0"},
+			{"-workers", "0"}, {"-max-queue", "-1"},
+		} {
+			out, err := exec.Command(bin, args...).CombinedOutput()
 			var ee *exec.ExitError
-			if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "usage of -"+name) {
-				t.Fatalf("-%s -1ms: err %v, output %q; want exit 2 with the usage hint", name, err, out)
+			if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(string(out), "usage of "+args[0]) {
+				t.Fatalf("%s %s: err %v, output %q; want exit 2 with the usage hint", args[0], args[1], err, out)
 			}
 		}
 	})

@@ -126,7 +126,7 @@ func main() {
 		"h": tensor.New(1, hidden),
 		"c": tensor.New(1, hidden),
 	}
-	want, err := lstm.Step(probe)
+	want, err := rnn.Step(lstm, probe)
 	if err != nil {
 		log.Fatal(err)
 	}

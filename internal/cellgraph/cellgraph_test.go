@@ -271,6 +271,17 @@ func TestValidateCatchesBadGraphs(t *testing.T) {
 	}
 }
 
+// fillRows writes v into every row node id has, as a step would.
+func fillRows(s *State, id NodeID, v float32) {
+	for o := range s.Graph().Nodes[id].Cell.OutputNames() {
+		if row := s.OutputRow(id, o); row != nil {
+			for i := range row.Data() {
+				row.Data()[i] = v
+			}
+		}
+	}
+}
+
 func TestStateLifecycle(t *testing.T) {
 	lstm, _, _, _, _ := testCells(t)
 	g := chainGraph(t, lstm, 3)
@@ -282,12 +293,9 @@ func TestStateLifecycle(t *testing.T) {
 	if !s.Issued(0) || s.Done(0) {
 		t.Fatal("node 0 must be issued and not done")
 	}
-	out := map[string]*tensor.Tensor{
-		"h": tensor.Full(3, 1, tHidden),
-		"c": tensor.New(1, tHidden),
-	}
-	s.Complete(0, out)
-	if got := s.InputRow(1, 1); !got.Equal(out["h"]) {
+	fillRows(s, 0, 3)
+	s.Complete(0)
+	if got := s.InputRow(1, 1); !got.Equal(tensor.Full(3, 1, tHidden)) {
 		t.Fatalf("node 1 reads h = %v, want node 0's output", got)
 	}
 	if !s.Done(0) || s.Issued(0) {
@@ -296,8 +304,8 @@ func TestStateLifecycle(t *testing.T) {
 	if s.Finished() {
 		t.Fatal("not finished yet")
 	}
-	s.Complete(1, out)
-	s.Complete(2, out)
+	s.Complete(1)
+	s.Complete(2)
 	if !s.Finished() || s.Remaining() != 0 {
 		t.Fatal("must be finished")
 	}
@@ -327,15 +335,14 @@ func TestStatePanicsOnMisuse(t *testing.T) {
 		}()
 		s.InputRow(1, 1)
 	}()
-	out := map[string]*tensor.Tensor{"h": tensor.New(1, tHidden), "c": tensor.New(1, tHidden)}
-	s.Complete(0, out)
+	s.Complete(0)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("double Complete must panic")
 			}
 		}()
-		s.Complete(0, out)
+		s.Complete(0)
 	}()
 	func() {
 		defer func() {
@@ -348,10 +355,10 @@ func TestStatePanicsOnMisuse(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Complete with missing output must panic")
+				t.Fatal("PreallocOutputs after execution began must panic")
 			}
 		}()
-		s.Complete(1, map[string]*tensor.Tensor{"h": tensor.New(1, tHidden)})
+		s.PreallocOutputs(func(rnn.Cell) []int { return []int{tHidden, tHidden} })
 	}()
 }
 
@@ -486,9 +493,8 @@ func TestRunBatchRejectsMixedTypes(t *testing.T) {
 	g, _ := UnfoldSeq2Seq(enc, dec, []int{1, 2}, 2)
 	s, _ := NewState(g)
 	// Force-complete encoder nodes so a decoder node is ready.
-	hcOut := map[string]*tensor.Tensor{"h": tensor.New(1, tHidden), "c": tensor.New(1, tHidden)}
-	s.Complete(0, hcOut)
-	s.Complete(1, hcOut)
+	s.Complete(0)
+	s.Complete(1)
 	// Node 2 (decoder step 0) is ready; mixing with... there is no other
 	// ready type, so construct the error directly with nodes 2 and 3 after
 	// completing 2's dependencies only partially is impossible — instead

@@ -158,8 +158,15 @@ func (c *dagCell) Name() string          { return c.key }
 func (c *dagCell) TypeKey() string       { return c.key }
 func (c *dagCell) InputNames() []string  { return c.ins }
 func (c *dagCell) OutputNames() []string { return c.outs }
-func (c *dagCell) Step(map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	return nil, fmt.Errorf("dagCell %s is structural only", c.key)
+func (c *dagCell) OutputWidths() map[string]int {
+	widths := make(map[string]int, len(c.outs))
+	for _, name := range c.outs {
+		widths[name] = 1
+	}
+	return widths
+}
+func (c *dagCell) StepInto(_, _ map[string]*tensor.Tensor, _ *tensor.Arena) error {
+	return fmt.Errorf("dagCell %s is structural only", c.key)
 }
 
 var _ rnn.Cell = (*dagCell)(nil)

@@ -1,15 +1,17 @@
 package cellgraph
 
 import (
+	"strings"
 	"testing"
 
 	"batchmaker/internal/rnn"
 	"batchmaker/internal/tensor"
 )
 
-// TestPreallocMatchesAllocatingPath executes one LSTM chain twice — through
-// Complete and through the preallocated OutputRow/CompletePrealloc path —
-// and requires bit-identical results.
+// TestPreallocMatchesAllocatingPath executes one LSTM chain three ways —
+// rnn.Step per node into fresh tensors, the State's rows through
+// OutputRow/Complete by hand, and ExecuteSequential — and requires
+// bit-identical results.
 func TestPreallocMatchesAllocatingPath(t *testing.T) {
 	rng := tensor.NewRNG(71)
 	lstm := rnn.NewLSTMCell("lstm", tEmbed, tHidden, rng)
@@ -18,50 +20,65 @@ func TestPreallocMatchesAllocatingPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ExecuteSequential(g)
-	if err != nil {
-		t.Fatal(err)
+	// The allocating reference: each node's outputs are fresh tensors.
+	outs := make([]map[string]*tensor.Tensor, len(g.Nodes))
+	for i := range g.Nodes { // a chain: ID order is dependency order
+		in := map[string]*tensor.Tensor{}
+		for j, name := range lstm.InputNames() {
+			if b := g.Nodes[i].Inputs[j]; b.From == NoNode {
+				in[name] = b.Literal
+			} else {
+				in[name] = outs[b.From][lstm.OutputNames()[b.Out]]
+			}
+		}
+		if outs[i], err = rnn.Step(lstm, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]*tensor.Tensor{}
+	for _, r := range g.Results {
+		want[r.Name] = outs[r.Node][lstm.OutputNames()[r.Out]]
 	}
 
 	s, err := NewState(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PreallocOutputs(rnn.OutputWidthsOf)
-	for !s.Finished() {
-		for i := range g.Nodes { // a chain: ID order is dependency order
-			id := NodeID(i)
-			if !s.Preallocated(id) {
-				t.Fatalf("node %d not preallocated despite OutputSized cell", id)
+	for i := range g.Nodes {
+		id := NodeID(i)
+		out := map[string]*tensor.Tensor{}
+		for o, name := range lstm.OutputNames() {
+			row := s.OutputRow(id, o)
+			// Every output is read but the last node's c.
+			if unread := i == len(g.Nodes)-1 && name == "c"; unread != (row == nil) {
+				t.Fatalf("node %d output %q row = %v", id, name, row)
 			}
-			cell := g.Nodes[id].Cell.(rnn.IntoStepper)
-			out := map[string]*tensor.Tensor{}
-			for o, name := range cell.OutputNames() {
-				row := s.OutputRow(id, o)
-				// Every output is read but the last node's c.
-				if unread := i == len(g.Nodes)-1 && name == "c"; unread != (row == nil) {
-					t.Fatalf("node %d output %q row = %v", id, name, row)
-				}
-				if row == nil {
-					row = tensor.New(1, tHidden) // scratch the cell writes and nobody reads
-				}
-				out[name] = row
+			if row == nil {
+				row = tensor.New(1, tHidden) // scratch the cell writes and nobody reads
 			}
-			in := map[string]*tensor.Tensor{}
-			for j, name := range cell.InputNames() {
-				in[name] = s.InputRow(id, j)
-			}
-			s.MarkIssued(id)
-			if err := cell.StepInto(in, out, nil); err != nil {
-				t.Fatal(err)
-			}
-			s.CompletePrealloc(id)
+			out[name] = row
 		}
+		in := map[string]*tensor.Tensor{}
+		for j, name := range lstm.InputNames() {
+			in[name] = s.InputRow(id, j)
+		}
+		s.MarkIssued(id)
+		if err := lstm.StepInto(in, out, nil); err != nil {
+			t.Fatal(err)
+		}
+		s.Complete(id)
+	}
+	seq, err := ExecuteSequential(g)
+	if err != nil {
+		t.Fatal(err)
 	}
 	got := s.Results()
 	for name, w := range want {
 		if !got[name].Equal(w) {
-			t.Fatalf("prealloc path diverges on result %q", name)
+			t.Fatalf("row path diverges from rnn.Step on result %q", name)
+		}
+		if !seq[name].Equal(w) {
+			t.Fatalf("ExecuteSequential diverges from rnn.Step on result %q", name)
 		}
 	}
 }
@@ -86,7 +103,6 @@ func TestPreallocCarvesOnlyReadRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.PreallocOutputs(rnn.OutputWidthsOf)
 		for i := range g.Nodes {
 			id := NodeID(i)
 			for o, name := range g.Nodes[i].Cell.OutputNames() {
@@ -105,31 +121,58 @@ func TestPreallocCarvesOnlyReadRows(t *testing.T) {
 	}
 }
 
-// TestPreallocSkipsUnknownWidths: nodes whose cell widths are unknown keep
-// the allocating path, and CompletePrealloc refuses them.
-func TestPreallocSkipsUnknownWidths(t *testing.T) {
-	rng := tensor.NewRNG(72)
-	lstm := rnn.NewLSTMCell("lstm", tEmbed, tHidden, rng)
-	xs := tensor.RandUniform(rng, 1, 2, tEmbed)
-	g, err := UnfoldChain(lstm, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewState(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.PreallocOutputs(func(rnn.Cell) []int { return nil })
-	if s.Preallocated(0) {
-		t.Fatal("node preallocated with nil widths")
-	}
-	if s.OutputRow(0, 0) != nil {
-		t.Fatal("OutputRow must be nil without preallocation")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CompletePrealloc on non-preallocated node must panic")
+// TestNewStateRejectsBadWidths: a cell whose widths miss an output or are
+// not positive cannot have its rows carved, so NewState (and with it
+// ExecuteSequential) refuses the graph.
+func TestNewStateRejectsBadWidths(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		widths map[string]int
+	}{
+		{"missing", map[string]int{"a": 1}},
+		{"zero", map[string]int{"a": 1, "b": 0}},
+		{"negative", map[string]int{"a": -1, "b": 1}},
+	} {
+		cell := &widthsCell{dagCell{key: "T", ins: []string{"x"}, outs: []string{"a", "b"}}, tc.widths}
+		g := &Graph{}
+		g.Add(cell, Lit(tensor.New(1, 1)))
+		if _, err := NewState(g); err == nil || !strings.Contains(err.Error(), "positive width") {
+			t.Errorf("%s: NewState err = %v, want a width error", tc.name, err)
 		}
-	}()
-	s.CompletePrealloc(0)
+		if _, err := ExecuteSequential(g); err == nil {
+			t.Errorf("%s: ExecuteSequential ran a cell with bad widths", tc.name)
+		}
+	}
+}
+
+// widthsCell is a dagCell that declares the given widths.
+type widthsCell struct {
+	dagCell
+	widths map[string]int
+}
+
+func (c *widthsCell) OutputWidths() map[string]int { return c.widths }
+
+// TestExecuteSequentialPerNodeZeroAlloc: the oracle allocates per request,
+// not per node — a 40-step LSTM chain costs the same number of allocations
+// as a 10-step one.
+func TestExecuteSequentialPerNodeZeroAlloc(t *testing.T) {
+	rng := tensor.NewRNG(73)
+	lstm := rnn.NewLSTMCell("lstm", tEmbed, tHidden, rng)
+	allocs := func(n int) float64 {
+		g, err := UnfoldChain(lstm, tensor.RandUniform(rng, 1, n, tEmbed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ExecuteSequential(g); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(10), allocs(40)
+	t.Logf("ExecuteSequential allocations: %v for 10 steps, %v for 40", short, long)
+	if long != short {
+		t.Fatalf("ExecuteSequential allocates %v times for 40 steps, %v for 10: it allocates per node", long, short)
+	}
 }

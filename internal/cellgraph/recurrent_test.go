@@ -51,7 +51,7 @@ func TestUnfoldRecurrentGRU(t *testing.T) {
 	// Manual loop.
 	h := tensor.New(1, tHidden)
 	for i := 0; i < 5; i++ {
-		out, err := gru.Step(map[string]*tensor.Tensor{
+		out, err := rnn.Step(gru, map[string]*tensor.Tensor{
 			"x": tensor.SliceRows(xs, i, i+1), "h": h,
 		})
 		if err != nil {
@@ -89,7 +89,7 @@ func TestUnfoldRecurrentStackedLSTM(t *testing.T) {
 		for k, v := range state {
 			in[k] = v
 		}
-		out, err := stack.Step(in)
+		out, err := rnn.Step(stack, in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package cellgraph
 import (
 	"fmt"
 
+	"batchmaker/internal/rnn"
 	"batchmaker/internal/tensor"
 )
 
@@ -10,9 +11,12 @@ import (
 // size 1) in dependency order and returns the request results. It is the
 // unbatched reference execution that cellular batching must reproduce
 // bit-for-bit (the batching-transparency invariant), and is also used by the
-// examples for ground truth.
+// examples for ground truth. Each node steps through StepInto straight into
+// its rows, with one arena and one pair of maps for the whole request, so
+// its allocations do not grow with the number of nodes.
 func ExecuteSequential(g *Graph) (map[string]*tensor.Tensor, error) {
-	s, err := NewState(g)
+	wc := new(widthCache)
+	s, err := newState(g, wc)
 	if err != nil {
 		return nil, err
 	}
@@ -20,25 +24,36 @@ func ExecuteSequential(g *Graph) (map[string]*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
+	arena := tensor.NewArena(0)
 	inputs := make(map[string]*tensor.Tensor)
+	outs := make(map[string]*tensor.Tensor)
 	for _, id := range order {
 		node := &g.Nodes[id]
 		clear(inputs)
 		for i, name := range node.Cell.InputNames() {
 			inputs[name] = s.InputRow(id, i)
 		}
-		out, err := node.Cell.Step(inputs)
-		if err != nil {
+		arena.Reset()
+		clear(outs)
+		widths := wc.of(node.Cell)
+		for o, name := range node.Cell.OutputNames() {
+			row := s.OutputRow(id, o)
+			if row == nil {
+				row = arena.Get(1, widths[o]) // nothing reads it
+			}
+			outs[name] = row
+		}
+		if err := node.Cell.StepInto(inputs, outs, arena); err != nil {
 			return nil, fmt.Errorf("cellgraph: node %d (%s): %w", id, node.Cell.Name(), err)
 		}
-		s.Complete(id, out)
+		s.Complete(id)
 	}
 	return s.Results(), nil
 }
 
 // ExecuteLevelBatched runs the graph with per-request level batching: at
 // each round, all currently ready nodes of the same cell type execute as one
-// batched Step. This is how a graph-merging backend (TensorFlow Fold, DyNet)
+// batched StepInto. This is how a graph-merging backend (TensorFlow Fold, DyNet)
 // executes a single request, and is used by baselines and tests.
 // Results are identical to ExecuteSequential; only the batching differs.
 func ExecuteLevelBatched(g *Graph) (map[string]*tensor.Tensor, error) {
@@ -88,8 +103,8 @@ func depsDone(s *State, id NodeID) bool {
 
 // RunBatch executes a set of same-type ready nodes (possibly from the same
 // request here, or gathered across requests by callers that share a State
-// per request) as one batched cell invocation, then completes each node with
-// its row of the outputs.
+// per request) as one batched StepInto with one arena, then copies each
+// node's row of the outputs into its rows and completes it.
 func RunBatch(s *State, ids []NodeID) error {
 	if len(ids) == 0 {
 		return nil
@@ -101,6 +116,11 @@ func RunBatch(s *State, ids []NodeID) error {
 			return fmt.Errorf("cellgraph: RunBatch mixes cell types")
 		}
 	}
+	widths, err := rnn.OutputWidthsOf(cell)
+	if err != nil {
+		return err
+	}
+	arena := tensor.NewArena(0)
 	inputs := make(map[string]*tensor.Tensor, len(cell.InputNames()))
 	for j, name := range cell.InputNames() {
 		rows := make([]*tensor.Tensor, len(ids))
@@ -109,16 +129,20 @@ func RunBatch(s *State, ids []NodeID) error {
 		}
 		inputs[name] = tensor.ConcatRows(rows...)
 	}
-	out, err := cell.Step(inputs)
-	if err != nil {
+	outs := make(map[string]*tensor.Tensor, len(widths))
+	for o, name := range cell.OutputNames() {
+		outs[name] = arena.Get(len(ids), widths[o])
+	}
+	if err := cell.StepInto(inputs, outs, arena); err != nil {
 		return fmt.Errorf("cellgraph: batched step of %s: %w", cell.Name(), err)
 	}
 	for i, id := range ids {
-		rowOut := make(map[string]*tensor.Tensor, len(out))
-		for name, t := range out {
-			rowOut[name] = tensor.SliceRows(t, i, i+1)
+		for o, name := range cell.OutputNames() {
+			if row := s.OutputRow(id, o); row != nil {
+				copy(row.Data(), outs[name].RowSlice(i))
+			}
 		}
-		s.Complete(id, rowOut)
+		s.Complete(id)
 	}
 	return nil
 }

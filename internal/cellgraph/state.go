@@ -17,7 +17,9 @@ import (
 // Every output row of the request is one entry of a single backing array,
 // addressed by (node, output index) through the numbering Graph.Add laid
 // down, so neither admission nor the worker's gather and scatter look
-// anything up by name.
+// anything up by name. Every output something reads gets its row before
+// execution (PreallocOutputs); a step fills a node's rows in place and
+// Complete marks the node done.
 //
 // A State may serve request after request: Reset points it at the next
 // graph and keeps every array it has, and Results hands out copies, so
@@ -28,7 +30,7 @@ import (
 type State struct {
 	g        *Graph
 	rows     []tensor.Tensor // node n's output o is rows[n.out0+o]
-	flags    []uint8         // per node: issued | done | prealloc
+	flags    []uint8         // per node: issued | done
 	remained int
 
 	// PreallocOutputs' arrays, kept across Reset: the float slab the rows
@@ -42,22 +44,60 @@ type State struct {
 const (
 	flagIssued uint8 = 1 << iota
 	flagDone
-	flagPrealloc
 )
 
-// NewState validates g and returns fresh execution state. Holding a State
-// is proof the graph was valid when it was built (core.TrackState relies
-// on that to validate once per admission).
+// NewState validates g and returns fresh execution state whose read outputs
+// have their rows, sized by each cell's OutputWidths. Holding a State is
+// proof the graph was valid when it was built (core.TrackState relies on
+// that to validate once per admission).
 func NewState(g *Graph) (*State, error) {
+	return newState(g, new(widthCache))
+}
+
+// newState is NewState with the cell widths looked up through wc.
+func newState(g *Graph, wc *widthCache) (*State, error) {
 	s := new(State)
 	if err := s.Reset(g); err != nil {
 		return nil, err
 	}
+	for i := range g.Nodes {
+		if err := wc.add(g.Nodes[i].Cell); err != nil {
+			return nil, fmt.Errorf("cellgraph: node %d: %w", i, err)
+		}
+	}
+	s.PreallocOutputs(wc.of)
 	return s, nil
 }
 
+// widthCache holds each cell type's output widths for one execution, so a
+// sequential run asks a cell type for them once, not once per node.
+type widthCache struct {
+	keys   []string
+	widths [][]int
+}
+
+// add asks cell for its widths the first time its type appears.
+func (wc *widthCache) add(cell rnn.Cell) error {
+	if slices.Contains(wc.keys, cell.TypeKey()) {
+		return nil
+	}
+	w, err := rnn.OutputWidthsOf(cell)
+	if err != nil {
+		return err
+	}
+	wc.keys = append(wc.keys, cell.TypeKey())
+	wc.widths = append(wc.widths, w)
+	return nil
+}
+
+// of returns the widths of a cell type add has seen.
+func (wc *widthCache) of(cell rnn.Cell) []int {
+	return wc.widths[slices.Index(wc.keys, cell.TypeKey())]
+}
+
 // Reset validates g and gives s fresh execution state for it, reusing the
-// arrays s already has. On error s is unchanged.
+// arrays s already has; PreallocOutputs then carves its rows. On error s is
+// unchanged.
 func (s *State) Reset(g *Graph) error {
 	if err := g.Validate(); err != nil {
 		return err
@@ -114,41 +154,17 @@ func (s *State) InputRow(id NodeID, i int) *tensor.Tensor {
 	return &s.rows[s.g.Nodes[b.From].out0+b.Out]
 }
 
-// Complete stores a node's outputs (each [1, w], keyed by output name as a
-// cell's Step returns them). It is the allocating path, for cells whose
-// output widths are not known up front; see PreallocOutputs for the other.
-func (s *State) Complete(id NodeID, outputs map[string]*tensor.Tensor) {
-	if s.flags[id]&flagDone != 0 {
-		panic(fmt.Sprintf("cellgraph: node %d completed twice", id))
-	}
-	n := &s.g.Nodes[id]
-	for o, name := range n.Cell.OutputNames() {
-		t, ok := outputs[name]
-		if !ok {
-			panic(fmt.Sprintf("cellgraph: node %d completion missing output %q", id, name))
-		}
-		s.rows[n.out0+o] = *t
-	}
-	s.finish(id)
-}
-
-func (s *State) finish(id NodeID) {
-	s.flags[id] = s.flags[id]&^flagIssued | flagDone
-	s.remained--
-}
-
 // PreallocOutputs carves a [1, w] output row for every output that some
-// node's binding or some Results entry reads, of every node whose widths
-// widthsOf knows: one float slab for the whole request, and no allocation
-// per row. Outputs nobody reads — a decoder step's logits, say — get no row,
-// and the worker's scatter skips them. It runs on the admission path (the
-// caller's goroutine), moving the scatter-side allocations out of the worker
-// hot loop: a worker fills the rows in place and calls CompletePrealloc.
+// node's binding or some Results entry reads: one float slab for the whole
+// request, and no allocation per row. Outputs nobody reads — a decoder
+// step's logits, say — get no row, and a step writes them to scratch. It
+// runs on the admission path (the caller's goroutine), moving the
+// scatter-side allocations out of the worker hot loop: a worker fills the
+// rows in place and calls Complete.
 //
 // widthsOf returns a cell's output row widths in Cell.OutputNames() order,
-// or nil when unknown; nodes with nil (or incomplete) widths keep the
-// allocating Complete path. Calling PreallocOutputs more than once, or
-// after execution has begun, is a programming error.
+// all positive (rnn.OutputWidthsOf checks them once per cell type). Calling
+// PreallocOutputs after execution has begun is a programming error.
 func (s *State) PreallocOutputs(widthsOf func(rnn.Cell) []int) {
 	s.read = zeroed(s.read, len(s.rows))
 	read := s.read
@@ -166,13 +182,12 @@ func (s *State) PreallocOutputs(widthsOf func(rnn.Cell) []int) {
 	for i := range s.g.Nodes {
 		n := &s.g.Nodes[i]
 		if s.flags[i] != 0 {
-			panic("cellgraph: PreallocOutputs called twice or after execution began")
+			panic("cellgraph: PreallocOutputs called after execution began")
 		}
 		widths := widthsOf(n.Cell)
-		if !knownWidths(n, widths) {
-			continue
+		if len(widths) != numOutputs(n.Cell) {
+			panic(fmt.Sprintf("cellgraph: node %d: %d output widths for %d outputs", i, len(widths), numOutputs(n.Cell)))
 		}
-		s.flags[i] = flagPrealloc
 		for o, w := range widths {
 			if read[n.out0+o] {
 				floats += w
@@ -183,9 +198,6 @@ func (s *State) PreallocOutputs(widthsOf func(rnn.Cell) []int) {
 	slab := s.slab
 	for i := range s.g.Nodes {
 		n := &s.g.Nodes[i]
-		if s.flags[i]&flagPrealloc == 0 {
-			continue
-		}
 		for o, w := range widthsOf(n.Cell) {
 			if read[n.out0+o] {
 				s.rows[n.out0+o] = tensor.ViewOf(slab[:w:w], s.rowShape(w))
@@ -207,46 +219,24 @@ func (s *State) rowShape(w int) []int {
 	return s.shapes[len(s.shapes)-1]
 }
 
-// knownWidths reports whether widths gives a positive width for every
-// output of n (and n has outputs).
-func knownWidths(n *Node, widths []int) bool {
-	if len(widths) == 0 || len(widths) != numOutputs(n.Cell) {
-		return false
-	}
-	for _, w := range widths {
-		if w <= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Preallocated reports whether node id's outputs were preallocated.
-func (s *State) Preallocated(id NodeID) bool { return s.flags[id]&flagPrealloc != 0 }
-
-// OutputRow returns node id's preallocated row for output o, or nil when
-// the node was not preallocated or nothing reads that output. The worker
-// fills it in place before calling CompletePrealloc.
+// OutputRow returns node id's row for output o, or nil when nothing reads
+// that output. The step fills it in place before Complete.
 func (s *State) OutputRow(id NodeID, o int) *tensor.Tensor {
 	row := &s.rows[s.g.Nodes[id].out0+o]
-	if s.flags[id]&flagPrealloc == 0 || row.Rank() == 0 {
+	if row.Rank() == 0 {
 		return nil
 	}
 	return row
 }
 
-// CompletePrealloc marks a preallocated node complete — its rows must have
-// been filled via OutputRow. It is Complete without any allocation and
-// without an output-name coverage check (PreallocOutputs carved every
-// output that is read).
-func (s *State) CompletePrealloc(id NodeID) {
-	if s.flags[id]&flagPrealloc == 0 {
-		panic(fmt.Sprintf("cellgraph: CompletePrealloc on non-preallocated node %d", id))
-	}
+// Complete marks a node done once its rows have been filled via OutputRow,
+// so its consumers may read them.
+func (s *State) Complete(id NodeID) {
 	if s.flags[id]&flagDone != 0 {
 		panic(fmt.Sprintf("cellgraph: node %d completed twice", id))
 	}
-	s.finish(id)
+	s.flags[id] = s.flags[id]&^flagIssued | flagDone
+	s.remained--
 }
 
 // Finished reports whether every node has completed.

@@ -9,8 +9,9 @@ import (
 )
 
 // fakeCell is a tensor-free stand-in cell for scheduler tests: only its
-// TypeKey and input/output names matter. Step produces zero rows so the
-// graphs remain executable if a test wants to run them.
+// TypeKey and input/output names matter. Its outputs are rows of width 1,
+// and StepInto zeroes them so the graphs remain executable if a test wants
+// to run them.
 type fakeCell struct {
 	name string
 	key  string
@@ -23,20 +24,22 @@ func (f *fakeCell) TypeKey() string       { return f.key }
 func (f *fakeCell) InputNames() []string  { return f.ins }
 func (f *fakeCell) OutputNames() []string { return f.outs }
 
-func (f *fakeCell) Step(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	b := -1
-	for _, t := range inputs {
-		b = t.Dim(0)
-		break
-	}
-	if b < 0 {
-		return nil, fmt.Errorf("fake cell %s: no inputs", f.name)
-	}
-	out := make(map[string]*tensor.Tensor, len(f.outs))
+func (f *fakeCell) OutputWidths() map[string]int {
+	widths := make(map[string]int, len(f.outs))
 	for _, o := range f.outs {
-		out[o] = tensor.New(b, 1)
+		widths[o] = 1
 	}
-	return out, nil
+	return widths
+}
+
+func (f *fakeCell) StepInto(_, out map[string]*tensor.Tensor, _ *tensor.Arena) error {
+	for _, o := range f.outs {
+		if out[o] == nil {
+			return fmt.Errorf("fake cell %s: no buffer for output %q", f.name, o)
+		}
+		clear(out[o].Data())
+	}
+	return nil
 }
 
 var _ rnn.Cell = (*fakeCell)(nil)

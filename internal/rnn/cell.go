@@ -17,28 +17,49 @@ import (
 	"batchmaker/internal/tensor"
 )
 
-// Cell is a batched RNN computation unit. Implementations are safe for
-// concurrent Step calls because Step never mutates the weights.
+// Cell is a batched RNN computation unit: the one contract the serving
+// path, the sequential oracle and the simulator step a cell through. A cell
+// writes its outputs into rows the caller owns and draws every intermediate
+// from the caller's arena, so a caller that reuses its buffers and arena
+// performs zero heap allocations per step (§4.3: the worker gathers inputs
+// into, and scatters outputs out of, buffers it owns). Implementations are
+// safe for concurrent StepInto calls because a step never mutates the
+// weights.
 type Cell interface {
 	// Name is a short human-readable identifier ("lstm", "decoder", ...).
 	Name() string
 	// TypeKey identifies the cell type: cells with equal keys have identical
-	// subgraphs, shared weights and identically-shaped inputs, and may be
-	// batched together (§3.1).
+	// subgraphs, shared weights and identically-shaped inputs and outputs,
+	// and may be batched together (§3.1).
 	TypeKey() string
-	// InputNames lists the tensors Step expects. The order is part of the
+	// InputNames lists the tensors a step expects. The order is part of the
 	// cell's contract: cell graphs bind a node's inputs by position in it.
 	// The result is read-only — built-in cells return the same backing
 	// slice on every call — so callers must not append to, sort or
 	// otherwise modify it.
 	InputNames() []string
-	// OutputNames lists the tensors Step produces; graph bindings name an
+	// OutputNames lists the tensors a step produces; graph bindings name an
 	// output by its index here. Read-only, like InputNames.
 	OutputNames() []string
-	// Step executes one batched invocation. Every input must have the same
-	// leading batch dimension. It returns freshly allocated outputs.
-	Step(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error)
+	// OutputWidths maps every OutputNames entry to its row width, a
+	// positive constant of the cell. Callers size output rows with it
+	// before the step runs (server admission carves a request's rows).
+	OutputWidths() map[string]int
+	// StepInto executes one batched invocation. Every input must have the
+	// same leading batch dimension b; out[name] is a caller-provided [b,
+	// width] buffer for every output, which must not alias any input and
+	// is fully overwritten. Intermediates come from the arena; a nil arena
+	// allocates them fresh.
+	StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.Arena) error
 }
+
+// IntoStepper is Cell under its earlier name, and OutputSized the one
+// method it shared with Cell. Only the benchmark harness still names them;
+// a change that may edit benchmark/ can drop both.
+type (
+	IntoStepper = Cell
+	OutputSized interface{ OutputWidths() map[string]int }
+)
 
 // DefExporter is implemented by cells that can export their dataflow-graph
 // definition and weights for the JSON user interface and for equivalence
@@ -48,28 +69,23 @@ type DefExporter interface {
 	Weights() graph.Weights
 }
 
-// IntoStepper is the allocation-free fast path every built-in cell
-// implements. StepInto executes one batched invocation exactly like Step,
-// but writes each output into the caller-provided out[name] buffer (rank-2,
-// [b, width]) and draws every intermediate from the arena, so a caller that
-// reuses its buffers and arena performs zero heap allocations per step.
-//
-// Contract: out buffers must not alias any input; each is fully
-// overwritten. A nil arena is allowed (intermediates fall back to fresh
-// allocations — this is how the allocating Step wrappers are implemented),
-// so Step and StepInto share one code path and their results are
-// bit-identical by construction.
-type IntoStepper interface {
-	Cell
-	StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.Arena) error
-}
-
-// OutputSized is implemented by cells whose output row widths are known
-// statically. Callers (the server's admission path) use it to preallocate
-// per-request output rows so the execution hot path never allocates.
-type OutputSized interface {
-	// OutputWidths maps every OutputNames entry to its row width.
-	OutputWidths() map[string]int
+// Step runs one batched invocation of cell into freshly allocated outputs:
+// StepInto with a nil arena, for tests and examples that do not keep
+// buffers.
+func Step(cell Cell, inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	b, err := batchOf(inputs, cell.InputNames())
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", cell.Name(), err)
+	}
+	widths := cell.OutputWidths()
+	out := make(map[string]*tensor.Tensor, len(widths))
+	for _, name := range cell.OutputNames() {
+		out[name] = tensor.New(b, widths[name])
+	}
+	if err := cell.StepInto(inputs, out, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // The name lists the built-in cells share. They are fixed by the cell type,
@@ -87,19 +103,19 @@ var (
 )
 
 // OutputWidthsOf returns a cell's output row widths in OutputNames order —
-// the positional form cell graphs address outputs by — or nil when the cell
-// does not declare them (OutputSized).
-func OutputWidthsOf(cell Cell) []int {
-	sized, ok := cell.(OutputSized)
-	if !ok {
-		return nil
-	}
-	byName := sized.OutputWidths()
+// the positional form cell graphs address outputs by. It fails unless the
+// widths cover every output with a positive value.
+func OutputWidthsOf(cell Cell) ([]int, error) {
+	byName := cell.OutputWidths()
 	widths := make([]int, 0, len(byName))
 	for _, name := range cell.OutputNames() {
-		widths = append(widths, byName[name])
+		w, ok := byName[name]
+		if !ok || w <= 0 {
+			return nil, fmt.Errorf("rnn: %s: output %q has width %d, want a positive width", cell.Name(), name, w)
+		}
+		widths = append(widths, w)
 	}
-	return widths
+	return widths, nil
 }
 
 // outBuf fetches and shape-checks one caller-provided output buffer.
@@ -111,38 +127,15 @@ func outBuf(out map[string]*tensor.Tensor, cell, name string, b, w int) (*tensor
 	return t, nil
 }
 
-// newOut allocates the output buffers of an OutputSized cell for batch b —
-// the bridge from the allocating Step interface to StepInto.
-func newOut(c interface {
-	Cell
-	OutputSized
-}, b int) map[string]*tensor.Tensor {
-	widths := c.OutputWidths()
-	out := make(map[string]*tensor.Tensor, len(widths))
-	for _, name := range c.OutputNames() {
-		out[name] = tensor.New(b, widths[name])
-	}
-	return out
-}
-
-// Every built-in cell implements both the fast path and static output
-// sizing, so the server can run them allocation-free end to end.
+// Every built-in cell implements the contract.
 var (
-	_ IntoStepper = (*LSTMCell)(nil)
-	_ IntoStepper = (*GRUCell)(nil)
-	_ IntoStepper = (*StackedLSTMCell)(nil)
-	_ IntoStepper = (*TreeLeafCell)(nil)
-	_ IntoStepper = (*TreeInternalCell)(nil)
-	_ IntoStepper = (*EncoderCell)(nil)
-	_ IntoStepper = (*DecoderCell)(nil)
-
-	_ OutputSized = (*LSTMCell)(nil)
-	_ OutputSized = (*GRUCell)(nil)
-	_ OutputSized = (*StackedLSTMCell)(nil)
-	_ OutputSized = (*TreeLeafCell)(nil)
-	_ OutputSized = (*TreeInternalCell)(nil)
-	_ OutputSized = (*EncoderCell)(nil)
-	_ OutputSized = (*DecoderCell)(nil)
+	_ Cell = (*LSTMCell)(nil)
+	_ Cell = (*GRUCell)(nil)
+	_ Cell = (*StackedLSTMCell)(nil)
+	_ Cell = (*TreeLeafCell)(nil)
+	_ Cell = (*TreeInternalCell)(nil)
+	_ Cell = (*EncoderCell)(nil)
+	_ Cell = (*DecoderCell)(nil)
 )
 
 func batchOf(inputs map[string]*tensor.Tensor, names []string) (int, error) {

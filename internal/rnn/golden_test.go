@@ -27,7 +27,7 @@ func zeroedLSTM(t *testing.T) *LSTMCell {
 
 func stepScalar(t *testing.T, c *LSTMCell, x, h, cc float32) (float32, float32) {
 	t.Helper()
-	out, err := c.Step(map[string]*tensor.Tensor{
+	out, err := Step(c, map[string]*tensor.Tensor{
 		"x": tensor.FromSlice([]float32{x}, 1, 1),
 		"h": tensor.FromSlice([]float32{h}, 1, 1),
 		"c": tensor.FromSlice([]float32{cc}, 1, 1),

@@ -63,25 +63,12 @@ func (c *GRUCell) OutputNames() []string { return namesH }
 // Hidden returns the hidden width.
 func (c *GRUCell) Hidden() int { return c.hidden }
 
-// OutputWidths implements OutputSized.
+// OutputWidths implements Cell.
 func (c *GRUCell) OutputWidths() map[string]int {
 	return map[string]int{"h": c.hidden}
 }
 
-// Step implements Cell as a thin allocating wrapper over StepInto.
-func (c *GRUCell) Step(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	b, err := batchOf(inputs, c.InputNames())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.name, err)
-	}
-	out := newOut(c, b)
-	if err := c.StepInto(inputs, out, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StepInto implements IntoStepper. The element order of every op matches
+// StepInto implements Cell. The element order of every op matches
 // the allocating formulation (z, r, hc, then h + z*(hc-h)), so results are
 // unchanged; only the memory behaviour differs.
 func (c *GRUCell) StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.Arena) error {

@@ -65,25 +65,12 @@ func (c *LSTMCell) InDim() int { return c.inDim }
 // Hidden returns the hidden-state width.
 func (c *LSTMCell) Hidden() int { return c.hidden }
 
-// OutputWidths implements OutputSized.
+// OutputWidths implements Cell.
 func (c *LSTMCell) OutputWidths() map[string]int {
 	return map[string]int{"h": c.hidden, "c": c.hidden}
 }
 
-// Step implements Cell as a thin allocating wrapper over StepInto.
-func (c *LSTMCell) Step(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	b, err := batchOf(inputs, c.InputNames())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.name, err)
-	}
-	out := newOut(c, b)
-	if err := c.StepInto(inputs, out, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StepInto implements IntoStepper with the fused fast path: one [x,h]
+// StepInto implements Cell with one fused step: one [x,h]
 // concatenation, one bias-initialized gate matmul, and one flat-slice gate
 // sweep, all in caller/arena memory.
 func (c *LSTMCell) StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.Arena) error {
@@ -189,7 +176,7 @@ func (c *LSTMCell) Weights() graph.Weights {
 }
 
 // StepRef is a deliberately naive single-example reference implementation
-// (no fusion, no batching) used by tests to validate Step.
+// (no fusion, no batching) used by tests to validate StepInto.
 func (c *LSTMCell) StepRef(x, h, cc []float32) (hNew, cNew []float32) {
 	hNew = make([]float32, c.hidden)
 	cNew = make([]float32, c.hidden)

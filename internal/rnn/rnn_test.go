@@ -44,7 +44,7 @@ func checkInterpreterEquivalence(t *testing.T, cell Cell, inputs map[string]*ten
 	if err != nil {
 		t.Fatalf("NewExecutor: %v", err)
 	}
-	fast, err := cell.Step(inputs)
+	fast, err := Step(cell, inputs)
 	if err != nil {
 		t.Fatalf("Step: %v", err)
 	}
@@ -64,7 +64,7 @@ func checkInterpreterEquivalence(t *testing.T, cell Cell, inputs map[string]*ten
 // the result of executing each row alone.
 func checkBatchingTransparency(t *testing.T, cell Cell, inputs map[string]*tensor.Tensor) {
 	t.Helper()
-	batched, err := cell.Step(inputs)
+	batched, err := Step(cell, inputs)
 	if err != nil {
 		t.Fatalf("batched Step: %v", err)
 	}
@@ -78,7 +78,7 @@ func checkBatchingTransparency(t *testing.T, cell Cell, inputs map[string]*tenso
 		for name, v := range inputs {
 			single[name] = tensor.SliceRows(v, r, r+1)
 		}
-		out, err := cell.Step(single)
+		out, err := Step(cell, single)
 		if err != nil {
 			t.Fatalf("single Step row %d: %v", r, err)
 		}
@@ -96,8 +96,8 @@ func checkBatchingTransparency(t *testing.T, cell Cell, inputs map[string]*tenso
 
 // zooCells builds one instance of each of the seven built-in cells at the
 // given hidden width, with vocabulary testVocab and input width testEmbed.
-func zooCells(rng *tensor.RNG, hidden int) []IntoStepper {
-	return []IntoStepper{
+func zooCells(rng *tensor.RNG, hidden int) []Cell {
+	return []Cell{
 		NewLSTMCell("lstm", testEmbed, hidden, rng),
 		NewGRUCell("gru", testEmbed, hidden, rng),
 		NewStackedLSTMCell("stack", testEmbed, hidden, 3, rng),
@@ -144,7 +144,7 @@ func TestLSTMStepMatchesReference(t *testing.T) {
 	rng := tensor.NewRNG(42)
 	cell := NewLSTMCell("lstm", testEmbed, testHidden, rng)
 	in := randInputs(rng, 3, map[string]int{"x": testEmbed, "h": testHidden, "c": testHidden})
-	out, err := cell.Step(in)
+	out, err := Step(cell, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,16 +178,16 @@ func TestLSTMBatchingTransparency(t *testing.T) {
 func TestLSTMErrors(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	cell := NewLSTMCell("lstm", testEmbed, testHidden, rng)
-	if _, err := cell.Step(map[string]*tensor.Tensor{}); err == nil || !strings.Contains(err.Error(), "missing input") {
+	if _, err := Step(cell, map[string]*tensor.Tensor{}); err == nil || !strings.Contains(err.Error(), "missing input") {
 		t.Fatalf("want missing-input error, got %v", err)
 	}
 	in := randInputs(rng, 2, map[string]int{"x": testEmbed, "h": testHidden, "c": testHidden})
 	in["h"] = tensor.New(3, testHidden)
-	if _, err := cell.Step(in); err == nil || !strings.Contains(err.Error(), "batch") {
+	if _, err := Step(cell, in); err == nil || !strings.Contains(err.Error(), "batch") {
 		t.Fatalf("want batch error, got %v", err)
 	}
 	in = randInputs(rng, 2, map[string]int{"x": testEmbed + 1, "h": testHidden, "c": testHidden})
-	if _, err := cell.Step(in); err == nil || !strings.Contains(err.Error(), "widths") {
+	if _, err := Step(cell, in); err == nil || !strings.Contains(err.Error(), "widths") {
 		t.Fatalf("want width error, got %v", err)
 	}
 }
@@ -228,7 +228,7 @@ func TestDecoderEmitsInVocabWords(t *testing.T) {
 	cell := NewDecoderCell("dec", testVocab, testEmbed, testHidden, rng)
 	in := randInputs(rng, 8, map[string]int{"h": testHidden, "c": testHidden})
 	in["ids"] = randIDs(rng, 8, testVocab)
-	out, err := cell.Step(in)
+	out, err := Step(cell, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestDecoderOutOfVocabInput(t *testing.T) {
 	cell := NewDecoderCell("dec", testVocab, testEmbed, testHidden, rng)
 	in := randInputs(rng, 1, map[string]int{"h": testHidden, "c": testHidden})
 	in["ids"] = tensor.FromSlice([]float32{float32(testVocab)}, 1, 1)
-	if _, err := cell.Step(in); err == nil || !strings.Contains(err.Error(), "vocabulary") {
+	if _, err := Step(cell, in); err == nil || !strings.Contains(err.Error(), "vocabulary") {
 		t.Fatalf("want vocabulary error, got %v", err)
 	}
 }
@@ -305,7 +305,7 @@ func TestGRUStateStaysBounded(t *testing.T) {
 	h := tensor.New(2, testHidden)
 	for step := 0; step < 50; step++ {
 		x := tensor.RandUniform(rng, 1, 2, testEmbed)
-		out, err := cell.Step(map[string]*tensor.Tensor{"x": x, "h": h})
+		out, err := Step(cell, map[string]*tensor.Tensor{"x": x, "h": h})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ func TestStepDoesNotMutateInputs(t *testing.T) {
 	for k, v := range in {
 		snapshot[k] = v.Clone()
 	}
-	if _, err := cell.Step(in); err != nil {
+	if _, err := Step(cell, in); err != nil {
 		t.Fatal(err)
 	}
 	for k, v := range in {

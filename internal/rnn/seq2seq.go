@@ -61,25 +61,12 @@ func (c *EncoderCell) Hidden() int { return c.lstm.hidden }
 // Vocab returns the vocabulary size.
 func (c *EncoderCell) Vocab() int { return c.vocab }
 
-// OutputWidths implements OutputSized.
+// OutputWidths implements Cell.
 func (c *EncoderCell) OutputWidths() map[string]int {
 	return map[string]int{"h": c.lstm.hidden, "c": c.lstm.hidden}
 }
 
-// Step implements Cell as a thin allocating wrapper over StepInto.
-func (c *EncoderCell) Step(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	b, err := batchOf(inputs, c.InputNames())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.name, err)
-	}
-	out := newOut(c, b)
-	if err := c.StepInto(inputs, out, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StepInto implements IntoStepper: the embedding row gather lands in arena
+// StepInto implements Cell: the embedding row gather lands in arena
 // scratch and feeds the shared LSTM core.
 func (c *EncoderCell) StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.Arena) error {
 	b, err := batchOf(inputs, c.InputNames())
@@ -189,25 +176,12 @@ func (c *DecoderCell) Hidden() int { return c.lstm.hidden }
 // Vocab returns the vocabulary size.
 func (c *DecoderCell) Vocab() int { return c.vocab }
 
-// OutputWidths implements OutputSized.
+// OutputWidths implements Cell.
 func (c *DecoderCell) OutputWidths() map[string]int {
 	return map[string]int{"h": c.lstm.hidden, "c": c.lstm.hidden, "word": 1, "logits": c.vocab}
 }
 
-// Step implements Cell as a thin allocating wrapper over StepInto.
-func (c *DecoderCell) Step(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	b, err := batchOf(inputs, c.InputNames())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.name, err)
-	}
-	out := newOut(c, b)
-	if err := c.StepInto(inputs, out, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StepInto implements IntoStepper: embedding gather, LSTM core, the output
+// StepInto implements Cell: embedding gather, LSTM core, the output
 // projection (the large [b,h] @ [h,V] matmul that dominates Seq2Seq compute,
 // §7.4), and a row-wise argmax written straight into the "word" buffer.
 func (c *DecoderCell) StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.Arena) error {

@@ -91,7 +91,7 @@ func (c *StackedLSTMCell) InputNames() []string { return c.inNames }
 // OutputNames implements Cell.
 func (c *StackedLSTMCell) OutputNames() []string { return c.outNames }
 
-// OutputWidths implements OutputSized.
+// OutputWidths implements Cell.
 func (c *StackedLSTMCell) OutputWidths() map[string]int {
 	m := make(map[string]int, 2*len(c.layers))
 	for l := range c.layers {
@@ -101,20 +101,7 @@ func (c *StackedLSTMCell) OutputWidths() map[string]int {
 	return m
 }
 
-// Step implements Cell as a thin allocating wrapper over StepInto.
-func (c *StackedLSTMCell) Step(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	b, err := batchOf(inputs, c.InputNames())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.name, err)
-	}
-	out := newOut(c, b)
-	if err := c.StepInto(inputs, out, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StepInto implements IntoStepper: layer l consumes the previous layer's new
+// StepInto implements Cell: layer l consumes the previous layer's new
 // hidden state as its input, each layer running the shared LSTM core against
 // its slice of the caller's output buffers.
 func (c *StackedLSTMCell) StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.Arena) error {

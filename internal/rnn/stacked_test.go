@@ -15,14 +15,14 @@ func TestStackedLSTMMatchesManualLayering(t *testing.T) {
 		"h1": testHidden, "c1": testHidden,
 		"h2": testHidden, "c2": testHidden,
 	})
-	out, err := stack.Step(in)
+	out, err := Step(stack, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Manual: thread x through the three layers directly.
 	x := in["x"]
 	for l, layer := range stack.layers {
-		hc, err := layer.Step(map[string]*tensor.Tensor{
+		hc, err := Step(layer, map[string]*tensor.Tensor{
 			"x": x,
 			"h": in[key("h", l)],
 			"c": in[key("c", l)],
@@ -92,11 +92,11 @@ func TestStackedLSTMSingleLayerEqualsLSTM(t *testing.T) {
 	rng := tensor.NewRNG(59)
 	stack := NewStackedLSTMCell("stack", testEmbed, testHidden, 1, rng)
 	in := randInputs(rng, 2, map[string]int{"x": testEmbed, "h0": testHidden, "c0": testHidden})
-	out, err := stack.Step(in)
+	out, err := Step(stack, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := stack.layers[0].Step(map[string]*tensor.Tensor{
+	inner, err := Step(stack.layers[0], map[string]*tensor.Tensor{
 		"x": in["x"], "h": in["h0"], "c": in["c0"],
 	})
 	if err != nil {

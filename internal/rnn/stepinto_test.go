@@ -8,13 +8,12 @@ import (
 )
 
 type stepIntoCase struct {
-	cell   IntoStepper
+	cell   Cell
 	inputs map[string]*tensor.Tensor
 }
 
 // stepIntoCases builds one instance of every built-in cell with random
-// inputs, so the Step ≡ StepInto equivalence can be asserted across the
-// whole zoo.
+// inputs, so the Cell contract can be asserted across the whole zoo.
 func stepIntoCases(rng *tensor.RNG) []stepIntoCase {
 	var cases []stepIntoCase
 	for _, cell := range zooCells(rng, testHidden) {
@@ -33,40 +32,43 @@ func mergeInputs(ms ...map[string]*tensor.Tensor) map[string]*tensor.Tensor {
 	return out
 }
 
-// TestStepIntoMatchesStep asserts the arena fast path is bit-identical to
-// the allocating Step for every built-in cell: same code, different memory.
+// TestStepIntoMatchesStep asserts the allocating rnn.Step helper is
+// bit-identical to StepInto with a fresh arena for every built-in cell: same
+// code, different memory.
 func TestStepIntoMatchesStep(t *testing.T) {
 	rng := tensor.NewRNG(11)
-	arena := tensor.NewArena(0)
 	for _, tc := range stepIntoCases(rng) {
-		want, err := tc.cell.Step(tc.inputs)
+		want, err := Step(tc.cell, tc.inputs)
 		if err != nil {
 			t.Fatalf("%s: Step: %v", tc.cell.Name(), err)
 		}
-		widths := tc.cell.(OutputSized).OutputWidths()
+		if len(want) != len(tc.cell.OutputNames()) {
+			t.Fatalf("%s: Step returned %d outputs, want %d", tc.cell.Name(), len(want), len(tc.cell.OutputNames()))
+		}
+		widths := tc.cell.OutputWidths()
 		b := want[tc.cell.OutputNames()[0]].Dim(0)
 		out := make(map[string]*tensor.Tensor, len(widths))
 		for _, name := range tc.cell.OutputNames() {
 			out[name] = tensor.New(b, widths[name])
 		}
-		arena.Reset()
-		if err := tc.cell.StepInto(tc.inputs, out, arena); err != nil {
+		if err := tc.cell.StepInto(tc.inputs, out, tensor.NewArena(0)); err != nil {
 			t.Fatalf("%s: StepInto: %v", tc.cell.Name(), err)
 		}
-		for name, w := range want {
-			if !out[name].Equal(w) {
+		for _, name := range tc.cell.OutputNames() {
+			if !out[name].Equal(want[name]) {
 				t.Fatalf("%s: output %q differs between Step and StepInto", tc.cell.Name(), name)
 			}
 		}
 	}
 }
 
-// TestOutputWidthsCoverOutputNames pins the OutputSized contract the
-// server's preallocation relies on.
+// TestOutputWidthsCoverOutputNames pins the width half of the Cell
+// contract admission relies on: exactly the OutputNames keys, each width
+// positive, and OutputWidthsOf agreeing in OutputNames order.
 func TestOutputWidthsCoverOutputNames(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	for _, tc := range stepIntoCases(rng) {
-		widths := tc.cell.(OutputSized).OutputWidths()
+		widths := tc.cell.OutputWidths()
 		names := tc.cell.OutputNames()
 		if len(widths) != len(names) {
 			t.Fatalf("%s: OutputWidths has %d entries, OutputNames %d", tc.cell.Name(), len(widths), len(names))
@@ -74,6 +76,15 @@ func TestOutputWidthsCoverOutputNames(t *testing.T) {
 		for _, name := range names {
 			if w, ok := widths[name]; !ok || w <= 0 {
 				t.Fatalf("%s: OutputWidths[%q] = %d, %v", tc.cell.Name(), name, w, ok)
+			}
+		}
+		ordered, err := OutputWidthsOf(tc.cell)
+		if err != nil {
+			t.Fatalf("%s: OutputWidthsOf: %v", tc.cell.Name(), err)
+		}
+		for o, name := range names {
+			if ordered[o] != widths[name] {
+				t.Fatalf("%s: OutputWidthsOf[%d] = %d, want %d", tc.cell.Name(), o, ordered[o], widths[name])
 			}
 		}
 	}
@@ -171,19 +182,15 @@ func TestGRUStepIntoZeroAlloc(t *testing.T) {
 // zero allocations per cycle.
 func testStepIntoZeroAlloc(t *testing.T, c Cell, inputs map[string]*tensor.Tensor) {
 	t.Helper()
-	fast, ok := c.(IntoStepper)
-	if !ok {
-		t.Fatalf("%s does not implement IntoStepper", c.Name())
-	}
 	rows := inputs[c.InputNames()[0]].Shape()[0]
 	out := map[string]*tensor.Tensor{}
-	for name, w := range c.(OutputSized).OutputWidths() {
+	for name, w := range c.OutputWidths() {
 		out[name] = tensor.New(rows, w)
 	}
 	arena := tensor.NewArena(0)
 	cycle := func() {
 		arena.Reset()
-		if err := fast.StepInto(inputs, out, arena); err != nil {
+		if err := c.StepInto(inputs, out, arena); err != nil {
 			t.Fatalf("StepInto: %v", err)
 		}
 	}
@@ -196,16 +203,15 @@ func testStepIntoZeroAlloc(t *testing.T, c Cell, inputs map[string]*tensor.Tenso
 
 // benchmarkStep times one warm-arena StepInto of c over inputs.
 func benchmarkStep(b *testing.B, c Cell, inputs map[string]*tensor.Tensor) {
-	fast := c.(IntoStepper)
 	rows := inputs[c.InputNames()[0]].Shape()[0]
 	out := map[string]*tensor.Tensor{}
-	for name, w := range c.(OutputSized).OutputWidths() {
+	for name, w := range c.OutputWidths() {
 		out[name] = tensor.New(rows, w)
 	}
 	arena := tensor.NewArena(0)
 	for i := 0; i < 3; i++ {
 		arena.Reset()
-		if err := fast.StepInto(inputs, out, arena); err != nil {
+		if err := c.StepInto(inputs, out, arena); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,7 +219,7 @@ func benchmarkStep(b *testing.B, c Cell, inputs map[string]*tensor.Tensor) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		arena.Reset()
-		if err := fast.StepInto(inputs, out, arena); err != nil {
+		if err := c.StepInto(inputs, out, arena); err != nil {
 			b.Fatal(err)
 		}
 	}

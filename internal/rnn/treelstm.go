@@ -61,25 +61,12 @@ func (c *TreeLeafCell) Hidden() int { return c.hidden }
 // Vocab returns the vocabulary size.
 func (c *TreeLeafCell) Vocab() int { return c.vocab }
 
-// OutputWidths implements OutputSized.
+// OutputWidths implements Cell.
 func (c *TreeLeafCell) OutputWidths() map[string]int {
 	return map[string]int{"h": c.hidden, "c": c.hidden}
 }
 
-// Step implements Cell as a thin allocating wrapper over StepInto.
-func (c *TreeLeafCell) Step(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	b, err := batchOf(inputs, c.InputNames())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.name, err)
-	}
-	out := newOut(c, b)
-	if err := c.StepInto(inputs, out, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StepInto implements IntoStepper.
+// StepInto implements Cell.
 func (c *TreeLeafCell) StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.Arena) error {
 	b, err := batchOf(inputs, c.InputNames())
 	if err != nil {
@@ -202,25 +189,12 @@ func (c *TreeInternalCell) OutputNames() []string { return namesHC }
 // Hidden returns the hidden width.
 func (c *TreeInternalCell) Hidden() int { return c.hidden }
 
-// OutputWidths implements OutputSized.
+// OutputWidths implements Cell.
 func (c *TreeInternalCell) OutputWidths() map[string]int {
 	return map[string]int{"h": c.hidden, "c": c.hidden}
 }
 
-// Step implements Cell as a thin allocating wrapper over StepInto.
-func (c *TreeInternalCell) Step(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	b, err := batchOf(inputs, c.InputNames())
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.name, err)
-	}
-	out := newOut(c, b)
-	if err := c.StepInto(inputs, out, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// StepInto implements IntoStepper.
+// StepInto implements Cell.
 func (c *TreeInternalCell) StepInto(inputs, out map[string]*tensor.Tensor, a *tensor.Arena) error {
 	b, err := batchOf(inputs, c.InputNames())
 	if err != nil {

@@ -16,12 +16,12 @@ type FaultKind int
 const (
 	// FaultNone leaves the execution alone.
 	FaultNone FaultKind = iota
-	// FaultError makes the Step fail, failing every request in the batch.
+	// FaultError makes the step fail, failing every request in the batch.
 	FaultError
-	// FaultPanic makes the cell panic mid-Step. The worker recovers,
+	// FaultPanic makes the cell panic mid-step. The worker recovers,
 	// converts it into per-request failures, and stays alive.
 	FaultPanic
-	// FaultDelay injects a latency spike before the Step runs.
+	// FaultDelay injects a latency spike before the step runs.
 	FaultDelay
 )
 

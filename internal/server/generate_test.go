@@ -23,14 +23,17 @@ func (c *counterCell) TypeKey() string       { return fmt.Sprintf("counter-%d", 
 func (c *counterCell) InputNames() []string  { return []string{"ids", "h"} }
 func (c *counterCell) OutputNames() []string { return []string{"word", "h"} }
 
-func (c *counterCell) Step(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+func (c *counterCell) OutputWidths() map[string]int {
+	return map[string]int{"word": 1, "h": 1}
+}
+
+func (c *counterCell) StepInto(inputs, out map[string]*tensor.Tensor, _ *tensor.Arena) error {
 	ids := inputs["ids"]
-	b := ids.Dim(0)
-	word := tensor.New(b, 1)
-	for i := 0; i < b; i++ {
-		word.Set(float32((int(ids.At(i, 0))+1)%c.modulus), i, 0)
+	for i := 0; i < ids.Dim(0); i++ {
+		out["word"].Set(float32((int(ids.At(i, 0))+1)%c.modulus), i, 0)
 	}
-	return map[string]*tensor.Tensor{"word": word, "h": inputs["h"].Clone()}, nil
+	copy(out["h"].Data(), inputs["h"].Data())
+	return nil
 }
 
 var _ rnn.Cell = (*counterCell)(nil)
@@ -164,7 +167,7 @@ func TestGenerateMatchesManualFeedPreviousWithRealDecoder(t *testing.T) {
 	h, c := tensor.New(1, tHidden), tensor.New(1, tHidden)
 	var word *tensor.Tensor
 	for _, id := range prompt {
-		out, err := dec.Step(map[string]*tensor.Tensor{
+		out, err := rnn.Step(dec, map[string]*tensor.Tensor{
 			"ids": tensor.FromSlice([]float32{float32(id)}, 1, 1), "h": h, "c": c,
 		})
 		if err != nil {
@@ -173,7 +176,7 @@ func TestGenerateMatchesManualFeedPreviousWithRealDecoder(t *testing.T) {
 		h, c, word = out["h"], out["c"], out["word"]
 	}
 	for i := 0; i < steps; i++ {
-		out, err := dec.Step(map[string]*tensor.Tensor{"ids": word, "h": h, "c": c})
+		out, err := rnn.Step(dec, map[string]*tensor.Tensor{"ids": word, "h": h, "c": c})
 		if err != nil {
 			t.Fatal(err)
 		}

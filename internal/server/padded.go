@@ -193,8 +193,11 @@ func (p *PaddedServer) execBatch(batch []*paddedReq) {
 	}
 	in := p.cell.InDim()
 	hidden := p.cell.Hidden()
-	h := tensor.New(bs, hidden)
-	c := tensor.New(bs, hidden)
+	// Each step reads one h/c pair and writes the other: StepInto's outputs
+	// must not alias its inputs.
+	cur := map[string]*tensor.Tensor{"h": tensor.New(bs, hidden), "c": tensor.New(bs, hidden)}
+	next := map[string]*tensor.Tensor{"h": tensor.New(bs, hidden), "c": tensor.New(bs, hidden)}
+	arena := tensor.NewArena(0)
 	results := make([]*tensor.Tensor, bs)
 	var failErr error
 	for t := 0; t < padded && failErr == nil; t++ {
@@ -204,15 +207,16 @@ func (p *PaddedServer) execBatch(batch []*paddedReq) {
 				copy(x.RowSlice(i), r.xs.RowSlice(t))
 			}
 		}
-		out, err := p.cell.Step(map[string]*tensor.Tensor{"x": x, "h": h, "c": c})
-		if err != nil {
+		cur["x"] = x
+		arena.Reset()
+		if err := p.cell.StepInto(cur, next, arena); err != nil {
 			failErr = err
 			break
 		}
-		h, c = out["h"], out["c"]
+		cur["h"], cur["c"], next["h"], next["c"] = next["h"], next["c"], cur["h"], cur["c"]
 		for i, r := range batch {
 			if r.xs.Dim(0) == t+1 {
-				results[i] = tensor.SliceRows(h, i, i+1)
+				results[i] = tensor.SliceRows(cur["h"], i, i+1)
 			}
 		}
 	}

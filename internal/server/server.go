@@ -40,7 +40,7 @@
 //	admitted ──▶ running ──▶ completed
 //	                │────▶ cancelled   (Handle.Cancel / Submit ctx)
 //	                │────▶ expired     (SubmitOpts.Deadline passed)
-//	                └────▶ failed      (Step error, cell panic, Stop)
+//	                └────▶ failed      (step error, cell panic, Stop)
 package server
 
 import (
@@ -314,9 +314,8 @@ type Server struct {
 	cfg   Config
 	cells map[string]rnn.Cell
 	// outWidths caches each cell type's output row widths, in OutputNames
-	// order (nil entry: widths unknown). Admission uses it to preallocate
-	// per-request output rows; workers use it to size arena-backed step
-	// outputs.
+	// order. Admission uses it to carve per-request output rows; workers use
+	// it to size arena-backed step outputs.
 	outWidths map[string][]int
 	faults    FaultInjector
 	// journal is the durability hook (nil: journaling off). Immutable
@@ -399,8 +398,12 @@ func New(cfg Config) (*Server, error) {
 		if _, dup := cells[key]; dup {
 			return nil, fmt.Errorf("server: duplicate cell type %q", key)
 		}
+		widths, err := rnn.OutputWidthsOf(cs.Cell)
+		if err != nil {
+			return nil, fmt.Errorf("server: %w", err)
+		}
 		cells[key] = cs.Cell
-		outWidths[key] = rnn.OutputWidthsOf(cs.Cell)
+		outWidths[key] = widths
 		types = append(types, core.TypeConfig{
 			Key:      key,
 			MaxBatch: cs.MaxBatch,
@@ -616,8 +619,7 @@ func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, 
 	}
 	// Carve the request's output rows here, on the caller's goroutine, so
 	// the worker scatter writes in place instead of allocating (the arena
-	// counterpart on the gather/step side lives in the worker). Cell types
-	// without static widths simply keep the allocating path.
+	// counterpart on the gather/step side lives in the worker).
 	b.state.PreallocOutputs(func(cell rnn.Cell) []int { return s.outWidths[cell.TypeKey()] })
 	var id core.RequestID
 	if opts.ReplayID != 0 {

@@ -339,6 +339,47 @@ func TestServerConfigErrors(t *testing.T) {
 	}
 }
 
+// widthsCell is a counterCell that declares the given output widths.
+type widthsCell struct {
+	counterCell
+	widths map[string]int
+}
+
+func (c *widthsCell) OutputWidths() map[string]int { return c.widths }
+
+// TestServerRejectsBadOutputWidths: admission carves every read output's
+// row from the cell's widths, so New refuses a cell whose widths do not
+// cover all its outputs with positive values.
+func TestServerRejectsBadOutputWidths(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		widths map[string]int
+		ok     bool
+	}{
+		{"complete", map[string]int{"word": 1, "h": 1}, true},
+		{"missing", map[string]int{"word": 1}, false},
+		{"empty", nil, false},
+		{"zero", map[string]int{"word": 1, "h": 0}, false},
+		{"negative", map[string]int{"word": -1, "h": 1}, false},
+	} {
+		cell := &widthsCell{counterCell{modulus: 10}, tc.widths}
+		srv, err := New(Config{Workers: 1, Cells: []CellSpec{{Cell: cell, MaxBatch: 4}}})
+		if tc.ok {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			srv.Stop()
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "positive width") {
+			if srv != nil {
+				srv.Stop()
+			}
+			t.Fatalf("%s: New err = %v, want a width error", tc.name, err)
+		}
+	}
+}
+
 func TestServerManyConcurrentSmallRequests(t *testing.T) {
 	// Soak: hammer the server from many goroutines; everything completes.
 	m := newTestModel()

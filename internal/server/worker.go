@@ -11,17 +11,16 @@ import (
 )
 
 // typeExec caches one worker's per-cell-type execution resources: the
-// resolved fast path, the input/output name lists (so the hot loop never
-// re-allocates them), the reused input/output tensor maps, and the metric
-// cells this worker is the only writer of.
+// input/output name lists (so the hot loop never re-allocates them), the
+// output widths, the reused input/output tensor maps, and the metric cells
+// this worker is the only writer of.
 type typeExec struct {
 	cell     rnn.Cell
 	obs      *obsType          // shared per-type handles
 	exec     *obsv.ExecMetrics // this worker's task/cell counters for the type
-	fast     rnn.IntoStepper   // nil: the cell has no StepInto; use Step
 	inNames  []string
 	outNames []string
-	widths   []int // per output, in outNames order; nil: unknown, allocating scatter
+	widths   []int // per output, in outNames order
 	inputs   map[string]*tensor.Tensor
 	outs     map[string]*tensor.Tensor
 	// outRows is the current task's batched outputs in outNames order, so
@@ -67,9 +66,6 @@ func (s *Server) typeFor(w *workerExec, id int, key string) *typeExec {
 			inputs:   make(map[string]*tensor.Tensor),
 			outs:     make(map[string]*tensor.Tensor),
 			outRows:  make([]*tensor.Tensor, len(cell.OutputNames())),
-		}
-		if fast, ok := cell.(rnn.IntoStepper); ok {
-			te.fast = fast
 		}
 		w.types[key] = te
 	}
@@ -180,7 +176,7 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) ([]execRef, t
 
 	// Execute: this is the GPU kernel, with fault injection and panic
 	// containment around the raw step.
-	outs, stepErr := s.stepOnce(te, task, len(refs), ws.arena)
+	stepErr := s.stepOnce(te, task, len(refs), ws.arena)
 
 	elapsed := time.Since(now)
 	s.obs.taskExec(id, task, te, len(refs), int64(elapsed),
@@ -203,52 +199,36 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) ([]execRef, t
 		return refs, elapsed, stepErr
 	}
 
-	for o, name := range te.outNames {
-		te.outRows[o] = outs[name]
-	}
-
-	// Scatter: copy each batch-output row into the request's preallocated
-	// output rows (carved at admission) and complete the nodes, so successor
-	// gathers — on this worker via FIFO, on others via mgr.complete's
-	// release — see finished inputs. Outputs nothing reads have no
-	// row and are skipped. Requests whose outputs were not preallocated
-	// (cells without static widths) take the allocating path.
+	// Scatter: copy each batch-output row into the request's output rows
+	// (carved at admission) and complete the nodes, so successor gathers —
+	// on this worker via FIFO, on others via mgr.complete's release — see
+	// finished inputs. Outputs nothing reads have no row and are skipped.
 	for i, ref := range refs {
 		if ref.req.resolved.Load() {
 			// Resolved mid-execution; its state will never be read.
 			continue
 		}
 		ref.req.stateMu.Lock()
-		if ref.req.state.Preallocated(ref.node) {
-			for o, batched := range te.outRows {
-				if row := ref.req.state.OutputRow(ref.node, o); row != nil {
-					copy(row.Data(), batched.RowSlice(i))
-				}
+		for o, batched := range te.outRows {
+			if row := ref.req.state.OutputRow(ref.node, o); row != nil {
+				copy(row.Data(), batched.RowSlice(i))
 			}
-			ref.req.state.CompletePrealloc(ref.node)
-		} else {
-			rowOut := make(map[string]*tensor.Tensor, len(outs))
-			for name, t := range outs {
-				rowOut[name] = tensor.SliceRows(t, i, i+1)
-			}
-			ref.req.state.Complete(ref.node, rowOut)
 		}
+		ref.req.state.Complete(ref.node)
 		ref.req.stateMu.Unlock()
 	}
 	return refs, elapsed, nil
 }
 
-// stepOnce executes one task. Cells with a StepInto fast path run it
-// against arena-backed output buffers (reused via te.outs); other cells fall
-// back to the allocating Step. A panicking cell (injected or real) is
+// stepOnce executes one task: the cell's StepInto into arena-backed output
+// buffers, left in te.outRows. A panicking cell (injected or real) is
 // recovered here — the worker survives, the batch's requests fail, and the
 // cell's quarantine counter grows.
-func (s *Server) stepOnce(te *typeExec, task *core.Task, batch int, arena *tensor.Arena) (outs map[string]*tensor.Tensor, err error) {
+func (s *Server) stepOnce(te *typeExec, task *core.Task, batch int, arena *tensor.Arena) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.obs.cellPanic(task, te, batch)
 			err = fmt.Errorf("%w: %s: %v", ErrCellPanic, te.cell.Name(), p)
-			outs = nil
 		}
 	}()
 	if s.faults != nil {
@@ -257,21 +237,16 @@ func (s *Server) stepOnce(te *typeExec, task *core.Task, batch int, arena *tenso
 			time.Sleep(d.Delay)
 		case FaultError:
 			if d.Err != nil {
-				return nil, d.Err
+				return d.Err
 			}
-			return nil, ErrInjected
+			return ErrInjected
 		case FaultPanic:
 			panic(ErrInjected)
 		}
 	}
-	if te.fast != nil && te.widths != nil {
-		for o, name := range te.outNames {
-			te.outs[name] = arena.Get(batch, te.widths[o])
-		}
-		if err := te.fast.StepInto(te.inputs, te.outs, arena); err != nil {
-			return nil, err
-		}
-		return te.outs, nil
+	for o, name := range te.outNames {
+		te.outRows[o] = arena.Get(batch, te.widths[o])
+		te.outs[name] = te.outRows[o]
 	}
-	return te.cell.Step(te.inputs)
+	return te.cell.StepInto(te.inputs, te.outs, arena)
 }

@@ -22,9 +22,13 @@ func workerAllocFixture(tb testing.TB, reqN, chainN int) (*Server, []*core.Task,
 	tb.Helper()
 	lstm := rnn.NewLSTMCell("lstm", tEmbed, tHidden, tensor.NewRNG(99))
 	key := lstm.TypeKey()
+	widths, err := rnn.OutputWidthsOf(lstm)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	s := &Server{
 		cells:     map[string]rnn.Cell{key: lstm},
-		outWidths: map[string][]int{key: rnn.OutputWidthsOf(lstm)},
+		outWidths: map[string][]int{key: widths},
 		live:      make(map[core.RequestID]*request),
 		// Span records ON (every task writes one) and TaskObserver nil: the
 		// zero-alloc gate must hold with the full observability layer live,
@@ -50,7 +54,6 @@ func workerAllocFixture(tb testing.TB, reqN, chainN int) (*Server, []*core.Task,
 		if err != nil {
 			tb.Fatal(err)
 		}
-		state.PreallocOutputs(func(cell rnn.Cell) []int { return s.outWidths[cell.TypeKey()] })
 		req := &request{
 			id:    core.RequestID(r + 1),
 			cells: chainN,

@@ -12,8 +12,9 @@ import (
 )
 
 // TimingCell is a tensor-free cell used by the simulations: only the type
-// key, input/output names, and cost curve matter. Step exists to satisfy
-// rnn.Cell (and returns zero rows) but the simulator never calls it.
+// key, input/output names, and cost curve matter. Its outputs are rows of
+// width 1, and StepInto exists to satisfy rnn.Cell (it zeroes them) but the
+// simulator never calls it.
 type TimingCell struct {
 	name string
 	key  string
@@ -38,22 +39,26 @@ func (c *TimingCell) InputNames() []string { return c.ins }
 // OutputNames implements rnn.Cell.
 func (c *TimingCell) OutputNames() []string { return c.outs }
 
-// Step implements rnn.Cell; the simulator is timing-only so this is a stub
-// that produces zero rows of width 1.
-func (c *TimingCell) Step(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	b := -1
-	for _, t := range inputs {
-		b = t.Dim(0)
-		break
-	}
-	if b < 0 {
-		return nil, fmt.Errorf("sim: cell %s got no inputs", c.name)
-	}
-	out := make(map[string]*tensor.Tensor, len(c.outs))
+// OutputWidths implements rnn.Cell: every output is one column wide.
+func (c *TimingCell) OutputWidths() map[string]int {
+	widths := make(map[string]int, len(c.outs))
 	for _, o := range c.outs {
-		out[o] = tensor.New(b, 1)
+		widths[o] = 1
 	}
-	return out, nil
+	return widths
+}
+
+// StepInto implements rnn.Cell; the simulator is timing-only so this is a
+// stub that zeroes the output rows.
+func (c *TimingCell) StepInto(_, out map[string]*tensor.Tensor, _ *tensor.Arena) error {
+	for _, o := range c.outs {
+		t := out[o]
+		if t == nil {
+			return fmt.Errorf("sim: cell %s: no buffer for output %q", c.name, o)
+		}
+		clear(t.Data())
+	}
+	return nil
 }
 
 var _ rnn.Cell = (*TimingCell)(nil)

@@ -44,7 +44,7 @@ func NewArena(capacity int) *Arena {
 
 // Get returns an uninitialized [rows, cols] scratch tensor carved from the
 // arena. A nil arena falls back to a fresh zeroed allocation, so code paths
-// shared with the allocating API (rnn.Cell.Step) need no branching. If the
+// shared with the allocating helper (rnn.Step) need no branching. If the
 // slab is exhausted the tensor gets its own backing slice — correct but
 // allocating — and Reset grows the slab so the next cycle stays in-arena.
 func (a *Arena) Get(rows, cols int) *Tensor {
