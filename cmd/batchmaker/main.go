@@ -115,8 +115,9 @@ type appConfig struct {
 	// SLA, when positive, arms the SLA feasibility rule with this
 	// end-to-end latency target.
 	SLA time.Duration
-	// JournalDir, when set, enables the durable request journal: admitted
-	// requests are journaled before the submission is acknowledged, and
+	// JournalDir, when set, enables the durable request journal: every
+	// admitted request is journaled by a background group commit (the reply
+	// does not wait for it; Handle.AdmitDurable is the barrier), and
 	// journaled requests without a terminal record are replayed on boot.
 	JournalDir string
 	// JournalSync is the fsync policy (default journal.SyncBatch).
@@ -490,8 +491,8 @@ func main() {
 		deadline = flag.Duration("deadline", 0, "per-request SLA; expired requests stop batching and answer code \"expired\" (0 = none)")
 		sla      = flag.Duration("sla", 0, "end-to-end latency target arming the SLA feasibility rule: a request is shed (code \"overloaded\" + retry-after) when the cell backlog per worker, at the measured execution time per cell, would outlast it (0 = off)")
 		demo     = flag.Bool("demo", false, "drive the server with a built-in client and exit")
-		jdir     = flag.String("journal-dir", "", "durable request journal directory; admits are journaled before acknowledgement and unfinished requests replay on boot (empty = off)")
-		jsync    = flag.String("journal-sync", "batch", "journal fsync policy: none (process-crash safe) or batch (group-commit fsync before acknowledging; default)")
+		jdir     = flag.String("journal-dir", "", "durable request journal directory; admits are journaled by a background group commit that replies do not wait for, and unfinished requests replay on boot (empty = off)")
+		jsync    = flag.String("journal-sync", "batch", "journal fsync policy: none (process-crash safe) or batch (each group commit is fsynced before its records count as durable; default)")
 		metrics  = flag.String("metrics-addr", "", "HTTP introspection listen address serving /metrics, /debug/requests, /debug/trace, /healthz and /debug/pprof (empty = off)")
 		traceOut = flag.String("trace-out", "", "write the assembled causal trace (Chrome/Perfetto trace-event JSON) to this file at shutdown (empty = off)")
 		incDir   = flag.String("incident-dir", "", "arm the anomaly-triggered flight recorder, spooling incident bundles (ring snapshot, metrics, profiles, trace) into this directory (empty = off)")

@@ -92,7 +92,8 @@ func runSeed(t *testing.T, seed uint64) {
 
 	// Virtual-clock oracle: the same workload, scheduled deterministically.
 	// Two runs must produce byte-identical timelines, and the schedule must
-	// satisfy the sim-side invariants (no wedge, no double-issue, pinning).
+	// satisfy the sim-side invariants (no double issue, pinning,
+	// conservation; the driver itself refuses wedges and starvation).
 	simOpts := SimOpts{Workers: opts.Workers, MaxBatch: opts.MaxBatch, MaxTasksToSubmit: opts.MaxTasksToSubmit}
 	sim1, err := RunSim(m, w, simOpts)
 	if err != nil {
@@ -132,9 +133,6 @@ func runSeed(t *testing.T, seed uint64) {
 			if out, ok := sim1.Outcome[r.Index]; !ok || out != OutcomeCompleted {
 				vs = append(vs, Violation{Kind: "clean-incomplete", Req: r.Index,
 					Detail: fmt.Sprintf("undisrupted request ended %v in sim run", out)})
-			} else if sim1.Executed[r.Index] != r.Cells() {
-				vs = append(vs, Violation{Kind: "clean-incomplete", Req: r.Index,
-					Detail: fmt.Sprintf("sim executed %d/%d cells", sim1.Executed[r.Index], r.Cells())})
 			}
 		}
 	}

@@ -34,26 +34,53 @@ func FormatViolations(vs []Violation) string {
 	return s
 }
 
+// Trace is what either engine records of one run for the shared checks.
+type Trace struct {
+	// Outcome is keyed by workload request Index.
+	Outcome map[int]Outcome
+	// IDs maps workload index → engine request ID for admitted requests;
+	// RevIDs is the inverse.
+	IDs    map[int]core.RequestID
+	RevIDs map[core.RequestID]int
+	// Tasks is every executed task in the order the engine reported it
+	// through its TaskObserver — the ground truth for dependency order and
+	// exactly-once execution.
+	Tasks []ExecutedTask
+	// Lifecycle holds the admit and terminal span records of the engine's
+	// obsv rings (the records /debug/requests is built from), oldest
+	// first; LifecycleDropped counts records the request-processor ring
+	// overwrote.
+	Lifecycle        []obsv.Record
+	LifecycleDropped uint64
+	// MaxBatch echoes the run's per-type batch bound.
+	MaxBatch int
+	// SchedulerClean records whether the scheduler's queues and gauges
+	// drained to zero after every request resolved.
+	SchedulerClean bool
+}
+
+// terminalKinds maps each terminal outcome of an admitted request to its
+// lifecycle record kind.
+var terminalKinds = map[Outcome]obsv.Kind{
+	OutcomeCompleted: obsv.KindComplete,
+	OutcomeFailed:    obsv.KindFail,
+	OutcomeExpired:   obsv.KindExpire,
+	OutcomeCancelled: obsv.KindCancel,
+}
+
 // Check applies every live-run invariant that must hold under any thread
 // interleaving, using only artifacts of the run (outcomes, stats, the task
 // log, lifecycle span records) and the precomputed sequential oracle:
 //
-//   - outcome conservation: every workload request has exactly one terminal
-//     state, and the caller-observed outcome counts equal the server's own
-//     Outcomes counters;
+//   - outcome conservation: the caller-observed outcome counts equal the
+//     server's own Outcomes counters;
 //   - telemetry: the metric registry reconciles with the task log (see
 //     reconcile);
-//   - lifecycle: every admitted request has exactly one admit record and
-//     exactly one terminal record, of the kind matching its outcome;
-//   - exactly-once execution: no (request, node) row executes twice, rows
-//     belong to admitted requests, and node IDs are in range;
-//   - dependency order: every executed row's graph dependencies appear
-//     strictly earlier in the task log (producers before consumers — the
-//     observable form of the paper's same-stream FIFO argument);
-//   - completion: a completed request executed its whole unfolded graph, and
-//     its outputs are bit-identical to the sequential oracle;
-//   - clean drain: the scheduler's queues, gauges and the server's
-//     live-request and queued-cell counters all reached zero.
+//   - clean drain: the server's live-request and queued-cell counters
+//     reached zero;
+//   - numerics: a completed request's outputs are bit-identical to the
+//     sequential oracle;
+//   - everything checkTrace holds either engine to.
 //
 // It returns every violation found (empty means the run conformed).
 func Check(m *Model, w *Workload, res *LiveResult, oracle map[int]map[string]*tensor.Tensor) []Violation {
@@ -64,12 +91,7 @@ func Check(m *Model, w *Workload, res *LiveResult, oracle map[int]map[string]*te
 
 	// --- Outcome conservation -------------------------------------------
 	counts := map[Outcome]int{}
-	for _, r := range w.Reqs {
-		out, ok := res.Outcome[r.Index]
-		if !ok {
-			violate("lost-request", r.Index, "no terminal state recorded")
-			continue
-		}
+	for _, out := range res.Outcome {
 		counts[out]++
 	}
 	o := res.Stats.Outcomes
@@ -95,9 +117,6 @@ func Check(m *Model, w *Workload, res *LiveResult, oracle map[int]map[string]*te
 	}
 
 	// --- Clean drain ----------------------------------------------------
-	if !res.SchedulerClean {
-		violate("unclean-drain", -1, "scheduler queues/gauges not empty after drain")
-	}
 	if res.Stats.LiveRequests != 0 {
 		violate("unclean-drain", -1, "%d live requests after drain", res.Stats.LiveRequests)
 	}
@@ -129,6 +148,36 @@ func Check(m *Model, w *Workload, res *LiveResult, oracle map[int]map[string]*te
 				violate("numerics", r.Index, "output %q differs from sequential oracle", name)
 			}
 		}
+	}
+
+	return append(vs, checkTrace(m, w, &res.Trace)...)
+}
+
+// checkTrace applies the invariants both engines must satisfy:
+//
+//   - conservation: every workload request has a terminal state, and a
+//     completed request executed its whole unfolded graph;
+//   - clean drain: the scheduler's queues and gauges reached zero;
+//   - the batch bound: no task exceeds MaxBatch rows;
+//   - exactly-once execution: no (request, node) row executes twice, rows
+//     belong to admitted requests, and node IDs are in range;
+//   - dependency order: every executed row's graph dependencies appear
+//     strictly earlier in the task log (producers before consumers — the
+//     observable form of the paper's same-stream FIFO argument);
+//   - lifecycle: every admitted request has exactly one admit record and
+//     exactly one terminal record, of the kind matching its outcome.
+func checkTrace(m *Model, w *Workload, res *Trace) []Violation {
+	var vs []Violation
+	violate := func(kind string, req int, format string, a ...interface{}) {
+		vs = append(vs, Violation{Kind: kind, Req: req, Detail: fmt.Sprintf(format, a...)})
+	}
+	for _, r := range w.Reqs {
+		if _, ok := res.Outcome[r.Index]; !ok {
+			violate("lost-request", r.Index, "no terminal state recorded")
+		}
+	}
+	if !res.SchedulerClean {
+		violate("unclean-drain", -1, "scheduler queues/gauges not empty after drain")
 	}
 
 	// --- Task-log checks ------------------------------------------------
@@ -213,12 +262,6 @@ func Check(m *Model, w *Workload, res *LiveResult, oracle map[int]map[string]*te
 
 	// Exactly one admit and one terminal record per admitted request,
 	// terminal kind matching the caller-observed outcome.
-	wantKind := map[Outcome]obsv.Kind{
-		OutcomeCompleted: obsv.KindComplete,
-		OutcomeFailed:    obsv.KindFail,
-		OutcomeExpired:   obsv.KindExpire,
-		OutcomeCancelled: obsv.KindCancel,
-	}
 	idxs := make([]int, 0, len(res.IDs))
 	for idx := range res.IDs {
 		idxs = append(idxs, idx)
@@ -234,7 +277,7 @@ func Check(m *Model, w *Workload, res *LiveResult, oracle map[int]map[string]*te
 			violate("lifecycle", idx, "%d terminal records %v (want 1)", len(ts), ts)
 			continue
 		}
-		if want := wantKind[res.Outcome[idx]]; ts[0] != want {
+		if want := terminalKinds[res.Outcome[idx]]; ts[0] != want {
 			violate("lifecycle", idx, "terminal record %v but caller observed %v", ts[0], res.Outcome[idx])
 		}
 		// Completed requests must have executed their entire graph.

@@ -86,44 +86,28 @@ func (o LiveOpts) withDefaults() LiveOpts {
 
 // LiveResult is everything the invariant checker needs from one live run.
 type LiveResult struct {
-	// Outcome, Errs and Results are keyed by workload request Index.
-	Outcome map[int]Outcome
+	Trace
+	// Errs and Results are keyed by workload request Index.
 	Errs    map[int]error
 	Results map[int]map[string]*tensor.Tensor
-	// IDs maps workload index → server request ID for admitted requests;
-	// RevIDs is the inverse.
-	IDs    map[int]core.RequestID
-	RevIDs map[core.RequestID]int
 
 	Stats server.Stats
-	// Tasks is every executed task in the order the workers reported them
-	// through server.Config.TaskObserver — the checker's ground truth for
-	// dependency order and exactly-once execution.
-	Tasks []ExecutedTask
-	// Lifecycle holds the admit and terminal span records of the request
-	// processor's obsv ring (the records /debug/requests is built from),
-	// oldest first; LifecycleDropped counts records that ring overwrote.
-	Lifecycle        []obsv.Record
-	LifecycleDropped uint64
 	// Metrics is the server's metric cells (the families a live /metrics
 	// scrape exposes), readable after the run.
 	Metrics *obsv.ServingMetrics
 	// Telemetry lists disagreements between the server's metric registry
 	// and the run's ground truth (see reconcile); Check reports them.
 	Telemetry []Violation
-	// MaxBatch echoes the run's per-type batch bound for the checker.
-	MaxBatch int
-	// SchedulerClean records whether the scheduler's queues and gauges
-	// drained to zero after every request resolved.
-	SchedulerClean bool
 }
 
-// ExecutedTask is one server.Config.TaskObserver callback: the worker, the
-// cell type and the (request, node) rows of one executed batched task.
+// ExecutedTask is one TaskObserver callback: the worker, the cell type and
+// the (request, node) rows of one executed batched task. Only the
+// simulator knows the virtual instants the task was issued and retired.
 type ExecutedTask struct {
-	Worker  int
-	TypeKey string
-	Rows    []core.NodeRef
+	Worker          int
+	TypeKey         string
+	Rows            []core.NodeRef
+	Issued, Retired time.Duration
 }
 
 // taskLog serialises the workers' concurrent TaskObserver callbacks into one
@@ -141,10 +125,9 @@ func (l *taskLog) observe(worker int, typeKey string, rows []core.NodeRef) {
 	l.tasks = append(l.tasks, ExecutedTask{Worker: worker, TypeKey: typeKey, Rows: append([]core.NodeRef(nil), rows...)})
 }
 
-// lifecycle extracts the admit/terminal records of the server's span rings
-// and the request-processor ring's overwrite count.
-func lifecycle(srv *server.Server) (recs []obsv.Record, dropped uint64) {
-	o := srv.Observer()
+// lifecycle extracts the admit/terminal records of an engine's span rings,
+// ordered by time, and the request-processor ring's overwrite count.
+func lifecycle(o *obsv.Observer) (recs []obsv.Record, dropped uint64) {
 	for _, rec := range o.Snapshot() {
 		switch rec.Kind {
 		case obsv.KindAdmit, obsv.KindComplete, obsv.KindFail, obsv.KindExpire, obsv.KindCancel:
@@ -193,12 +176,14 @@ func RunLive(m *Model, w *Workload, opts LiveOpts) (*LiveResult, error) {
 	}
 
 	res := &LiveResult{
-		MaxBatch: opts.MaxBatch,
-		Outcome:  make(map[int]Outcome, len(w.Reqs)),
-		Errs:     make(map[int]error, len(w.Reqs)),
-		Results:  make(map[int]map[string]*tensor.Tensor),
-		IDs:      make(map[int]core.RequestID),
-		RevIDs:   make(map[core.RequestID]int),
+		Trace: Trace{
+			MaxBatch: opts.MaxBatch,
+			Outcome:  make(map[int]Outcome, len(w.Reqs)),
+			IDs:      make(map[int]core.RequestID),
+			RevIDs:   make(map[core.RequestID]int),
+		},
+		Errs:    make(map[int]error, len(w.Reqs)),
+		Results: make(map[int]map[string]*tensor.Tensor),
 	}
 
 	type admitted struct {
@@ -270,7 +255,7 @@ func RunLive(m *Model, w *Workload, opts LiveOpts) (*LiveResult, error) {
 	}
 	res.Stats = srv.Stats()
 	res.Tasks = log.tasks
-	res.Lifecycle, res.LifecycleDropped = lifecycle(srv)
+	res.Lifecycle, res.LifecycleDropped = lifecycle(srv.Observer())
 	res.SchedulerClean = srv.SchedulerClean()
 	res.Metrics = srv.Metrics()
 	res.Telemetry = reconcile(res.Metrics.Registry(), res.Tasks)

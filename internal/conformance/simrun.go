@@ -5,326 +5,142 @@ import (
 	"sort"
 	"time"
 
-	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/core"
 	"batchmaker/internal/device"
+	"batchmaker/internal/obsv"
 	"batchmaker/internal/sim"
 )
 
-// SimOpts configures one virtual-clock conformance run. The defaults mirror
-// LiveOpts so the two engines schedule the same workload comparably.
+// SimOpts configures one virtual-clock conformance run: the scheduling
+// fields of LiveOpts, each of which must be positive.
 type SimOpts struct {
 	Workers          int
 	MaxBatch         int
 	MaxTasksToSubmit int
 }
 
-func (o SimOpts) withDefaults() SimOpts {
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 8
-	}
-	if o.MaxTasksToSubmit <= 0 {
-		o.MaxTasksToSubmit = 3
-	}
-	return o
-}
-
 // SimResult is one deterministic virtual-time run: the full event timeline
 // (identical across runs of the same workload — that is the determinism
-// test), per-request outcomes, and any invariant violations observed while
-// the schedule unfolded.
+// test), the trace the shared invariants read, and every violation they
+// found.
 type SimResult struct {
-	// Events is the virtual-time event log, in firing order.
+	Trace
+	// Events is the virtual-time event log: lifecycle records at their
+	// instants and each task at the instant it was issued.
 	Events []string
-	// Outcome and Executed are keyed by workload request Index; requests
-	// still live when the engine drained appear in neither.
-	Outcome  map[int]Outcome
-	Executed map[int]int
-	// Finish records virtual completion times of completed requests.
-	Finish map[int]time.Duration
-	// Violations lists invariant breaches observed during the run.
+	// Violations lists invariant breaches observed in the run.
 	Violations []Violation
-	// Clean reports whether the scheduler's gauges drained to zero.
-	Clean bool
 }
 
-// simReq is the simulator's view of one workload request.
-type simReq struct {
-	idx      int
-	kind     sim.RequestKind
-	cells    int
-	tracker  *core.Tracker
-	live     bool
-	executed map[cellgraph.NodeID]bool
-	// inflight counts this request's in-flight rows per worker, for the
-	// pinning invariant (chains and seq2seq run on one worker at a time).
-	inflight map[core.WorkerID]int
-}
-
-type simRun struct {
-	m     *Model
-	opts  SimOpts
-	eng   *sim.Engine
-	sched *core.Scheduler
-	gpus  []*device.GPU
-	// inflightTasks counts queued-or-running tasks per worker; a worker asks
-	// for more work when its stream drains (the live engine's pull model).
-	inflightTasks []int
-	over          device.Overheads
-	costs         *device.CostModel
-	byID          map[core.RequestID]*simReq
-	nextID        core.RequestID
-	res           *SimResult
-}
-
-// RunSim replays the workload on a discrete-event copy of the serving stack:
-// the real scheduler (internal/core), the real dependency tracker, and the
-// real unfolded graphs, but with a virtual clock and simulated GPU streams.
+// RunSim replays the workload through internal/sim's BatchMaker driver:
+// the real scheduler (internal/core) and dependency tracker on the
+// workload's shapes, with a virtual clock and one simulated device whose
+// Workers streams stand for the live workers. As in the live server, a
+// deadline both orders the EDF queues and expires the request. The driver
+// itself fails the run on a wedge (a request never resolves), on
+// starvation (every worker idle beside ready work) and on an unclean
+// scheduler; the checks here observe its task log and lifecycle records.
 // Same model + workload + opts ⇒ byte-identical Events.
 func RunSim(m *Model, w *Workload, opts SimOpts) (*SimResult, error) {
-	opts = opts.withDefaults()
-	sched, err := core.NewScheduler(core.Config{
-		Types: []core.TypeConfig{
-			{Key: m.LSTM.TypeKey(), MaxBatch: opts.MaxBatch},
-			{Key: m.Enc.TypeKey(), MaxBatch: opts.MaxBatch, Priority: 0},
-			{Key: m.Dec.TypeKey(), MaxBatch: opts.MaxBatch, Priority: 1},
-			{Key: m.Leaf.TypeKey(), MaxBatch: opts.MaxBatch, Priority: 0},
-			{Key: m.Internal.TypeKey(), MaxBatch: opts.MaxBatch, Priority: 1},
-		},
+	arrivals := make([]sim.Arrival, len(w.Reqs))
+	for i, r := range w.Reqs {
+		a := sim.Arrival{At: r.Arrival, Shape: r.Shape}
+		if r.CancelAfter > 0 {
+			a.Cancel = r.Arrival + r.CancelAfter
+		}
+		if r.Deadline > 0 {
+			a.Expire = r.Arrival + r.Deadline
+			a.Deadline = a.Expire
+		}
+		arrivals[i] = a
+	}
+	b := opts.MaxBatch
+	obs := obsv.NewObserver(nil, 2*len(w.Reqs)) // each request's admit and terminal record
+	res := &SimResult{Trace: Trace{MaxBatch: b, SchedulerClean: true}}
+	cfg := sim.BatchMakerConfig{
+		Model: sim.Union("conformance",
+			sim.NewLSTMModel(b, 1), sim.NewSeq2SeqModel(b, b, 1), sim.NewTreeModel(b, 1)),
+		NumGPUs:          opts.Workers,
+		Cluster:          device.NewCluster(1),
+		Overheads:        device.DefaultOverheads(),
 		MaxTasksToSubmit: opts.MaxTasksToSubmit,
-	})
-	if err != nil {
+		Observer:         obs,
+		TaskObserver: func(worker int, typeKey string, rows []core.NodeRef, issued, retired time.Duration) {
+			res.Tasks = append(res.Tasks, ExecutedTask{Worker: worker, TypeKey: typeKey,
+				Rows: append([]core.NodeRef(nil), rows...), Issued: issued, Retired: retired})
+		},
+	}
+	if _, err := sim.RunSchedule(cfg, sim.Replay(arrivals), sim.RunConfig{}); err != nil {
 		return nil, err
 	}
-	costs := device.NewCostModel()
-	costs.SetCurve(m.LSTM.TypeKey(), device.LSTMGPUCurve())
-	costs.SetCurve(m.Enc.TypeKey(), device.LSTMGPUCurve())
-	costs.SetCurve(m.Dec.TypeKey(), device.DecoderGPUCurve())
-	costs.SetCurve(m.Leaf.TypeKey(), device.TreeLeafGPUCurve())
-	costs.SetCurve(m.Internal.TypeKey(), device.LSTMGPUCurve())
-	s := &simRun{
-		m:             m,
-		opts:          opts,
-		eng:           sim.NewEngine(),
-		sched:         sched,
-		gpus:          make([]*device.GPU, opts.Workers),
-		inflightTasks: make([]int, opts.Workers),
-		over:          device.DefaultOverheads(),
-		costs:         costs,
-		byID:          make(map[core.RequestID]*simReq),
-		res: &SimResult{
-			Outcome:  make(map[int]Outcome, len(w.Reqs)),
-			Executed: make(map[int]int, len(w.Reqs)),
-			Finish:   make(map[int]time.Duration, len(w.Reqs)),
-		},
-	}
-	for i := range s.gpus {
-		s.gpus[i] = &device.GPU{ID: i}
-	}
-	for _, r := range w.Reqs {
-		r := r
-		s.eng.At(r.Arrival, func() { s.admit(r) })
-	}
-	for s.eng.Step() {
-	}
 
-	// End-of-run conservation: every admitted request must have reached a
-	// terminal state, and the scheduler must have drained clean.
-	var stuck []int
-	for _, sr := range s.byID {
-		if sr.live {
-			stuck = append(stuck, sr.idx)
-		}
+	// Every arrival is admitted, in arrival order; the terminal record
+	// names each request's outcome.
+	res.Lifecycle, res.LifecycleDropped = lifecycle(obs)
+	res.Outcome = make(map[int]Outcome, len(w.Reqs))
+	res.IDs = make(map[int]core.RequestID, len(w.Reqs))
+	res.RevIDs = make(map[core.RequestID]int, len(w.Reqs))
+	type event struct {
+		t    time.Duration
+		line string
 	}
-	sort.Ints(stuck)
-	for _, idx := range stuck {
-		s.violate("sim-wedge", idx, "engine drained with request still live")
-	}
-	s.res.Clean = s.sched.LiveSubgraphs() == 0 && s.sched.TotalReady() == 0 && s.sched.InflightTasks() == 0
-	if !s.res.Clean {
-		s.violate("sim-unclean", -1,
-			fmt.Sprintf("scheduler not drained: live=%d ready=%d inflight=%d",
-				s.sched.LiveSubgraphs(), s.sched.TotalReady(), s.sched.InflightTasks()))
-	}
-	for idx, out := range s.res.Outcome {
-		if out == OutcomeCompleted && s.res.Executed[idx] != w.Reqs[posOf(w, idx)].Cells() {
-			s.violate("sim-conservation", idx,
-				fmt.Sprintf("completed with %d/%d cells executed", s.res.Executed[idx], w.Reqs[posOf(w, idx)].Cells()))
-		}
-	}
-	return s.res, nil
-}
-
-// posOf maps an original request Index back to its position in w.Reqs.
-func posOf(w *Workload, idx int) int {
-	for i, r := range w.Reqs {
-		if r.Index == idx {
-			return i
-		}
-	}
-	return -1
-}
-
-func (s *simRun) logf(format string, a ...interface{}) {
-	s.res.Events = append(s.res.Events, fmt.Sprintf("t=%-12v ", s.eng.Now())+fmt.Sprintf(format, a...))
-}
-
-func (s *simRun) violate(kind string, idx int, detail string) {
-	s.res.Violations = append(s.res.Violations, Violation{Kind: kind, Req: idx, Detail: detail})
-}
-
-func (s *simRun) admit(r *Request) {
-	g, err := s.m.BuildGraph(r)
-	if err != nil {
-		s.violate("sim-build", r.Index, err.Error())
-		return
-	}
-	s.nextID++
-	id := s.nextID
-	tr, err := core.NewTracker(id, g)
-	if err != nil {
-		s.violate("sim-tracker", r.Index, err.Error())
-		return
-	}
-	sr := &simReq{
-		idx:      r.Index,
-		kind:     r.Shape.Kind,
-		cells:    r.Cells(),
-		tracker:  tr,
-		live:     true,
-		executed: make(map[cellgraph.NodeID]bool, r.Cells()),
-		inflight: make(map[core.WorkerID]int),
-	}
-	s.byID[id] = sr
-	s.logf("admit req=%d cells=%d", r.Index, sr.cells)
-	for _, spec := range tr.InitialSubgraphs() {
-		if _, err := s.sched.AddSubgraph(spec); err != nil {
-			s.violate("sim-add", r.Index, err.Error())
-			return
-		}
-	}
-	if r.CancelAfter > 0 {
-		s.eng.At(r.Arrival+r.CancelAfter, func() { s.terminate(id, OutcomeCancelled) })
-	}
-	if r.Deadline > 0 {
-		s.eng.At(r.Arrival+r.Deadline, func() { s.terminate(id, OutcomeExpired) })
-	}
-	s.kickIdleWorkers()
-}
-
-// terminate resolves a live request early (cancellation or deadline expiry).
-func (s *simRun) terminate(id core.RequestID, out Outcome) {
-	sr := s.byID[id]
-	if sr == nil || !sr.live {
-		return
-	}
-	sr.live = false
-	s.res.Outcome[sr.idx] = out
-	s.sched.CancelRequest(id)
-	s.logf("%s req=%d", out, sr.idx)
-	// Cancellation frees no new work, but the end-of-run wedge check needs
-	// the queues re-examined if this was the last live request.
-	s.kickIdleWorkers()
-}
-
-// kickIdleWorkers offers work to every drained worker stream, then applies
-// the non-starvation invariant: if every worker is idle and ready work
-// remains, the scheduler just refused to schedule anything — a wedge.
-func (s *simRun) kickIdleWorkers() {
-	for w := range s.gpus {
-		if s.inflightTasks[w] == 0 {
-			s.scheduleWorker(core.WorkerID(w))
-		}
-	}
-	allIdle := true
-	for w := range s.gpus {
-		if s.inflightTasks[w] > 0 {
-			allIdle = false
-		}
-	}
-	if allIdle && s.sched.TotalReady() > 0 {
-		s.violate("sim-starvation", -1,
-			fmt.Sprintf("all workers idle with %d ready nodes unscheduled", s.sched.TotalReady()))
-	}
-}
-
-func (s *simRun) scheduleWorker(w core.WorkerID) {
-	tasks := s.sched.Schedule(w)
-	for _, task := range tasks {
-		b := task.BatchSize()
-		if b > s.opts.MaxBatch {
-			s.violate("sim-batch", -1, fmt.Sprintf("task of %d rows exceeds MaxBatch %d", b, s.opts.MaxBatch))
-		}
-		rows := make([]string, 0, b)
-		for _, ref := range task.Nodes {
-			sr := s.byID[ref.Req]
-			if sr == nil {
-				s.violate("sim-unknown-req", -1, fmt.Sprintf("task names unknown request %d", ref.Req))
-				continue
-			}
-			rows = append(rows, fmt.Sprintf("%d/%d", sr.idx, ref.Node))
-			if !sr.live {
-				continue
-			}
-			if sr.executed[ref.Node] {
-				s.violate("sim-duplicate", sr.idx, fmt.Sprintf("node %d issued twice", ref.Node))
-			}
-			sr.executed[ref.Node] = true
-			s.res.Executed[sr.idx]++
-			// Pinning: a chain or seq2seq request is one sequential subgraph
-			// per segment, so its rows must never be in flight on two
-			// workers at once (§4.3's same-stream FIFO argument).
-			if sr.kind != sim.KindTree {
-				for ow, n := range sr.inflight {
-					if ow != w && n > 0 {
-						s.violate("sim-pin", sr.idx,
-							fmt.Sprintf("rows in flight on workers %d and %d", ow, w))
-					}
+	var evs []event
+	for _, rec := range res.Lifecycle {
+		id := core.RequestID(rec.Req)
+		line := ""
+		if rec.Kind == obsv.KindAdmit {
+			r := w.Reqs[len(res.IDs)]
+			res.IDs[r.Index], res.RevIDs[id] = id, r.Index
+			line = fmt.Sprintf("admit req=%d cells=%d", r.Index, r.Cells())
+		} else {
+			idx := res.RevIDs[id]
+			for out, kind := range terminalKinds {
+				if kind == rec.Kind {
+					res.Outcome[idx] = out
 				}
 			}
-			sr.inflight[w]++
+			line = fmt.Sprintf("%s req=%d", res.Outcome[idx], idx)
 		}
-		s.logf("task worker=%d type=%s batch=%d rows=%v", w, task.TypeKey, b, rows)
-		dur := s.over.PerTask(b) + s.costs.KernelTime(task.TypeKey, b)
-		_, end := s.gpus[w].Submit(s.eng.Now(), dur)
-		s.inflightTasks[w]++
-		t := task
-		s.eng.At(end+s.over.CompletionPoll, func() { s.onTaskDone(w, t) })
+		evs = append(evs, event{time.Duration(rec.T0), line})
 	}
+	for _, task := range res.Tasks {
+		rows := make([]string, len(task.Rows))
+		for i, ref := range task.Rows {
+			rows[i] = fmt.Sprintf("%d/%d", res.RevIDs[ref.Req], ref.Node)
+		}
+		evs = append(evs, event{task.Issued, fmt.Sprintf("task worker=%d type=%s batch=%d rows=%v",
+			task.Worker, task.TypeKey, len(rows), rows)})
+	}
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
+	for _, e := range evs {
+		res.Events = append(res.Events, fmt.Sprintf("t=%-12v %s", e.t, e.line))
+	}
+
+	res.Violations = append(checkTrace(m, w, &res.Trace), checkPinning(w, &res.Trace)...)
+	return res, nil
 }
 
-func (s *simRun) onTaskDone(w core.WorkerID, task *core.Task) {
-	for _, ref := range task.Nodes {
-		sr := s.byID[ref.Req]
-		if sr == nil || !sr.live {
-			// Dead rows are skipped, mirroring the live worker; the
-			// scheduler's own cancel bookkeeping retires their subgraphs.
-			continue
-		}
-		sr.inflight[w]--
-		released, err := sr.tracker.NodeDone(ref.Node)
-		if err != nil {
-			s.violate("sim-tracker", sr.idx, err.Error())
-			continue
-		}
-		for _, spec := range released {
-			if _, err := s.sched.AddSubgraph(spec); err != nil {
-				s.violate("sim-add", sr.idx, err.Error())
+// checkPinning holds the sim's task log to pinning: a chain or seq2seq
+// request is one sequential subgraph per segment, so its rows must never be
+// in flight on two workers at once (§4.3's same-stream FIFO argument).
+// Tasks are logged as they retire, so comparing each row with its request's
+// previous one finds every such overlap at least once.
+func checkPinning(w *Workload, t *Trace) []Violation {
+	var vs []Violation
+	trees := make(map[int]bool, len(w.Reqs))
+	for _, r := range w.Reqs {
+		trees[r.Index] = r.Shape.Kind == sim.KindTree
+	}
+	prev := make(map[int]ExecutedTask)
+	for _, task := range t.Tasks {
+		for _, ref := range task.Rows {
+			idx := t.RevIDs[ref.Req]
+			if p, ok := prev[idx]; ok && !trees[idx] && p.Worker != task.Worker && p.Retired > task.Issued {
+				vs = append(vs, Violation{Kind: "sim-pin", Req: idx,
+					Detail: fmt.Sprintf("rows in flight on workers %d and %d", p.Worker, task.Worker)})
 			}
-		}
-		if sr.tracker.Finished() {
-			sr.live = false
-			s.res.Outcome[sr.idx] = OutcomeCompleted
-			s.res.Finish[sr.idx] = s.eng.Now()
-			s.logf("complete req=%d", sr.idx)
+			prev[idx] = task
 		}
 	}
-	if err := s.sched.TaskCompleted(task.ID); err != nil {
-		s.violate("sim-complete", -1, err.Error())
-	}
-	s.inflightTasks[w]--
-	s.kickIdleWorkers()
+	return vs
 }

@@ -17,11 +17,10 @@ func (l Link) Time(n int) time.Duration {
 	return l.Latency + time.Duration(n)*l.PerByte
 }
 
-// Cluster is a set of N simulated devices, each with its own FIFO stream,
-// plus a per-pair copy-cost matrix for cross-device state and weight
-// movement (§5 multi-GPU). Device IDs are 0..N-1.
+// Cluster is N simulated devices' per-pair copy-cost matrix for
+// cross-device state and weight movement (§5 multi-GPU). Device IDs are
+// 0..N-1.
 type Cluster struct {
-	devs  []*GPU
 	links [][]Link
 }
 
@@ -32,12 +31,8 @@ func NewCluster(n int) *Cluster {
 		panic(fmt.Sprintf("device: cluster size %d", n))
 	}
 	o := DefaultOverheads()
-	c := &Cluster{
-		devs:  make([]*GPU, n),
-		links: make([][]Link, n),
-	}
-	for i := range c.devs {
-		c.devs[i] = &GPU{ID: i}
+	c := &Cluster{links: make([][]Link, n)}
+	for i := range c.links {
 		c.links[i] = make([]Link, n)
 		for j := range c.links[i] {
 			if j != i {
@@ -49,15 +44,12 @@ func NewCluster(n int) *Cluster {
 }
 
 // N returns the device count.
-func (c *Cluster) N() int { return len(c.devs) }
-
-// Device returns device i's FIFO stream.
-func (c *Cluster) Device(i int) *GPU { return c.devs[i] }
+func (c *Cluster) N() int { return len(c.links) }
 
 // CopyTime returns the cost of moving n bytes from one device to another.
 // Same-device or unknown (-1) sources are free.
 func (c *Cluster) CopyTime(from, to int, n int) time.Duration {
-	if from == to || from < 0 || to < 0 || from >= len(c.devs) || to >= len(c.devs) {
+	if from == to || from < 0 || to < 0 || from >= len(c.links) || to >= len(c.links) {
 		return 0
 	}
 	return c.links[from][to].Time(n)

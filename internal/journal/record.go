@@ -1,7 +1,9 @@
 // Package journal is a durable write-ahead journal of request lifecycle
 // records for the live serving engine. It exists so that "admitted" can mean
-// something across a crash: every admitted request is journaled with its
-// full serialized payload before the caller's submission returns, terminal
+// something across a crash: every admitted request's admit record, with its
+// full serialized payload, is queued for the journal during admission (the
+// caller is answered ahead of the group commit, and
+// server.Handle.AdmitDurable is the barrier that waits for it), terminal
 // outcomes are journaled as requests resolve, and recovery replays every
 // journaled request that never reached a terminal record.
 //

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"batchmaker/internal/core"
-	"batchmaker/internal/dataset"
 	"batchmaker/internal/device"
 	"batchmaker/internal/metrics"
 	"batchmaker/internal/obsv"
@@ -19,21 +18,11 @@ type BatchMakerConfig struct {
 	NumGPUs          int
 	Overheads        device.Overheads
 	MaxTasksToSubmit int
-	// StateBytes is the per-request device state (h and c vectors) copied
-	// when a request's execution migrates between GPUs. At hidden 1024 and
-	// float32, h+c is 8 KiB.
-	StateBytes int
-	// WeightBytes is one cell type's parameter size, fetched over the
-	// interconnect when a worker steals a task whose weights are pinned on
-	// another device (§5). The default matches an LSTM at hidden 1024.
-	WeightBytes int
-	// Cluster supplies the device streams and the per-pair copy-cost
-	// matrix. Nil builds a uniform NewCluster(NumGPUs); when set, its size
-	// must equal NumGPUs.
+	// Cluster supplies the devices and the per-pair copy-cost matrix. Each
+	// of the NumGPUs worker streams is bound to device w mod N, so N must
+	// not exceed NumGPUs. Nil builds a uniform NewCluster(NumGPUs): one
+	// device per stream.
 	Cluster *device.Cluster
-	// RebalanceSkew forwards to core.Config: a device's ready depth must
-	// exceed skew × the lightest device's before a weight pin moves.
-	RebalanceSkew float64
 	// Metrics, when set, receives the same metric families the live server
 	// publishes (outcome counters, batch occupancy, slot accounting, the
 	// queuing/computation latency split, ready-queue depth per cell type,
@@ -60,19 +49,26 @@ type BatchMakerConfig struct {
 	// drives the scheduler's EDF ordering and the deadline-miss count in
 	// the result extras.
 	Deadline time.Duration
+	// TaskObserver, when set, is called once per retired task, before the
+	// tracker learns of it, with the worker, the cell type, the rows it ran
+	// for requests still live and the virtual instants it was issued and
+	// retired. It is the conformance harness's seam, shaped like
+	// server.Config.TaskObserver; rows is only valid during the call.
+	TaskObserver func(worker int, typeKey string, rows []core.NodeRef, issued, retired time.Duration)
 }
 
-// DefaultStateBytes is h+c at hidden 1024, float32.
-const DefaultStateBytes = 8192
+// stateBytes is the per-request device state copied when a request's
+// execution migrates between GPUs: h+c at hidden 1024, float32.
+const stateBytes = 8192
 
-// DefaultWeightBytes is the four gate matrices of an LSTM at hidden 1024,
-// float32: 4·(1024+1024)·1024·4 bytes.
-const DefaultWeightBytes = 32 << 20
+// weightBytes is one cell type's parameters, fetched over the interconnect
+// when a worker steals a task whose weights are pinned on another device
+// (§5): the four gate matrices of an LSTM at hidden 1024, float32,
+// 4·(1024+1024)·1024·4 bytes.
+const weightBytes = 32 << 20
 
 type bmRequest struct {
-	id        core.RequestID
 	tracker   *core.Tracker
-	cells     int
 	arrival   time.Duration
 	deadline  time.Duration // 0 = none
 	firstExec time.Duration
@@ -82,17 +78,20 @@ type bmRequest struct {
 // batchMakerSim is one run of the BatchMaker simulation.
 type batchMakerSim struct {
 	cfg   BatchMakerConfig
-	run   RunConfig
-	wl    Workload
 	eng   *Engine
 	sched *core.Scheduler
-	gpus  []*device.GPU
+	// gpus holds one FIFO stream per worker.
+	gpus []*device.GPU
 	// inflight tasks per worker; a worker asks for more work when it drains.
 	inflight []int
 	reqs     map[core.RequestID]*bmRequest
 	nextID   core.RequestID
 	col      *collector
-	admitted int
+	// stalled records the first instant every worker sat idle beside ready
+	// work (-1 while none has): a scheduler that refuses to schedule.
+	stalled time.Duration
+	// rows is TaskObserver's reused buffer.
+	rows []core.NodeRef
 	// queuedCells is the admitted not-yet-executed cell backlog — the
 	// backlog the policy prices.
 	queuedCells int
@@ -125,23 +124,26 @@ type bmObsType struct {
 // RunBatchMaker simulates BatchMaker serving the workload at one load point
 // and returns the measured run result.
 func RunBatchMaker(cfg BatchMakerConfig, wl Workload, run RunConfig) (*metrics.RunResult, error) {
+	return RunSchedule(cfg, poisson(wl, run), run)
+}
+
+// RunSchedule simulates BatchMaker serving the given arrivals and measures
+// them over run's window. It fails if a request never resolves,
+// if the scheduler does not drain clean, or if every worker ever sat idle
+// while ready work waited.
+func RunSchedule(cfg BatchMakerConfig, arrivals Schedule, run RunConfig) (*metrics.RunResult, error) {
 	if cfg.NumGPUs <= 0 {
 		return nil, fmt.Errorf("sim: NumGPUs must be positive")
 	}
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("sim: nil model")
 	}
-	if cfg.StateBytes == 0 {
-		cfg.StateBytes = DefaultStateBytes
-	}
-	if cfg.WeightBytes == 0 {
-		cfg.WeightBytes = DefaultWeightBytes
-	}
 	if cfg.Cluster == nil {
 		cfg.Cluster = device.NewCluster(cfg.NumGPUs)
-	} else if cfg.Cluster.N() != cfg.NumGPUs {
-		return nil, fmt.Errorf("sim: cluster has %d devices, config says %d", cfg.Cluster.N(), cfg.NumGPUs)
+	} else if cfg.Cluster.N() > cfg.NumGPUs {
+		return nil, fmt.Errorf("sim: cluster has %d devices for %d workers", cfg.Cluster.N(), cfg.NumGPUs)
 	}
+	devices := cfg.Cluster.N()
 	// Weight the scheduler's pin assignment by each type's single-cell
 	// kernel time so heavy types spread across devices first.
 	types := cfg.Model.Types()
@@ -153,26 +155,24 @@ func RunBatchMaker(cfg BatchMakerConfig, wl Workload, run RunConfig) (*metrics.R
 	sched, err := core.NewScheduler(core.Config{
 		Types:            types,
 		MaxTasksToSubmit: cfg.MaxTasksToSubmit,
-		Devices:          cfg.NumGPUs,
-		RebalanceSkew:    cfg.RebalanceSkew,
+		Devices:          devices,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s := &batchMakerSim{
 		cfg:      cfg,
-		run:      run,
-		wl:       wl,
 		eng:      NewEngine(),
 		sched:    sched,
 		gpus:     make([]*device.GPU, cfg.NumGPUs),
 		inflight: make([]int, cfg.NumGPUs),
 		reqs:     make(map[core.RequestID]*bmRequest),
 		col:      newCollector(fmt.Sprintf("BatchMaker-%s", cfg.Model.Name), run),
+		stalled:  -1,
 	}
 	for i := range s.gpus {
-		s.gpus[i] = cfg.Cluster.Device(i)
-		if err := sched.BindWorker(core.WorkerID(i), core.DeviceID(i)); err != nil {
+		s.gpus[i] = &device.GPU{ID: i}
+		if err := sched.BindWorker(core.WorkerID(i), core.DeviceID(i%devices)); err != nil {
 			return nil, err
 		}
 	}
@@ -185,11 +185,13 @@ func RunBatchMaker(cfg BatchMakerConfig, wl Workload, run RunConfig) (*metrics.R
 			}
 			s.obsTypes[tc.Key] = ot
 		}
-		s.obsDevs = make([]*obsv.DeviceMetrics, cfg.NumGPUs)
-		s.obsWorkers = make([]*obsv.WorkerMetrics, cfg.NumGPUs)
+		s.obsDevs = make([]*obsv.DeviceMetrics, devices)
 		for d := range s.obsDevs {
 			s.obsDevs[d] = cfg.Metrics.Device(d)
-			s.obsWorkers[d] = cfg.Metrics.Worker(d)
+		}
+		s.obsWorkers = make([]*obsv.WorkerMetrics, cfg.NumGPUs)
+		for w := range s.obsWorkers {
+			s.obsWorkers[w] = cfg.Metrics.Worker(w)
 		}
 	}
 	if o := cfg.Observer; o != nil {
@@ -205,13 +207,17 @@ func RunBatchMaker(cfg BatchMakerConfig, wl Workload, run RunConfig) (*metrics.R
 			o.SetTypeDetail(tc.Key, obsv.TypeDetail{MaxBatch: tc.MaxBatch})
 		}
 	}
-	arrivals := dataset.NewPoisson(run.Seed, run.RatePerSec)
-	s.scheduleArrival(arrivals, s.nextArrival(arrivals, 0))
+	s.eng.Feed(arrivals, s.admit)
 	for s.eng.Step() {
 	}
-	// Drain check: every admitted request must have completed.
-	if len(s.reqs) != 0 {
+	switch {
+	case s.stalled >= 0:
+		return nil, fmt.Errorf("sim: at %v every worker sat idle beside ready work", s.stalled)
+	case len(s.reqs) != 0:
 		return nil, fmt.Errorf("sim: %d requests never completed", len(s.reqs))
+	case sched.LiveSubgraphs() != 0 || sched.TotalReady() != 0 || sched.InflightTasks() != 0:
+		return nil, fmt.Errorf("sim: scheduler not drained: live=%d ready=%d inflight=%d",
+			sched.LiveSubgraphs(), sched.TotalReady(), sched.InflightTasks())
 	}
 	if cfg.Policy != nil {
 		s.col.res.AddExtra("policy_sheds", float64(s.sheds))
@@ -222,38 +228,7 @@ func RunBatchMaker(cfg BatchMakerConfig, wl Workload, run RunConfig) (*metrics.R
 	return s.col.result(), nil
 }
 
-// nextArrival advances from virtual time t by the Poisson stream's next gap,
-// compressed or stretched by the run's burst profile. A quiet phase
-// (RateScale <= 0) fast-forwards to its end without consuming a gap.
-func (s *batchMakerSim) nextArrival(p *dataset.Poisson, t time.Duration) time.Duration {
-	for {
-		if scale := s.run.rateScale(t); scale > 0 {
-			return t + time.Duration(float64(p.NextGapNanos())/scale)
-		}
-		t = s.run.phaseEnd(t)
-		if t > s.run.end() {
-			return t
-		}
-	}
-}
-
-func (s *batchMakerSim) scheduleArrival(p *dataset.Poisson, at time.Duration) {
-	if at > s.run.end() {
-		return
-	}
-	if s.run.MaxRequests > 0 && s.admitted >= s.run.MaxRequests {
-		return
-	}
-	s.eng.At(at, func() {
-		s.admit()
-		s.scheduleArrival(p, s.nextArrival(p, s.eng.Now()))
-	})
-}
-
-func (s *batchMakerSim) admit() {
-	// Sample the shape before the gate so the workload stream stays aligned
-	// between policy-on and policy-off arms of the same seed.
-	shape := s.wl.Next()
+func (s *batchMakerSim) admit(a Arrival) {
 	if p := s.cfg.Policy; p != nil {
 		gpus := s.cfg.NumGPUs
 		if d := p.Admit(int64(s.eng.Now()), (s.queuedCells+gpus-1)/gpus); !d.Admit {
@@ -266,7 +241,7 @@ func (s *batchMakerSim) admit() {
 			return
 		}
 	}
-	g, err := s.cfg.Model.BuildGraph(shape)
+	g, err := s.cfg.Model.BuildGraph(a.Shape)
 	if err != nil {
 		panic(fmt.Sprintf("sim: building request graph: %v", err))
 	}
@@ -276,13 +251,12 @@ func (s *batchMakerSim) admit() {
 	if err != nil {
 		panic(fmt.Sprintf("sim: tracker: %v", err))
 	}
-	req := &bmRequest{id: id, tracker: tr, cells: len(g.Nodes), arrival: s.eng.Now()}
+	req := &bmRequest{tracker: tr, arrival: s.eng.Now(), deadline: a.Deadline}
 	if s.cfg.Deadline > 0 {
 		req.deadline = req.arrival + s.cfg.Deadline
 	}
 	s.reqs[id] = req
-	s.admitted++
-	s.queuedCells += req.cells
+	s.queuedCells += len(g.Nodes)
 	if m := s.cfg.Metrics; m != nil {
 		m.Admitted.Inc()
 		m.Inflight.Set(int64(len(s.reqs)))
@@ -294,7 +268,38 @@ func (s *batchMakerSim) admit() {
 			panic(fmt.Sprintf("sim: add subgraph: %v", err))
 		}
 	}
+	// Cancellation and expiry are one event: the earlier one ends the
+	// request, and the later finds it gone.
+	end, kind := a.Cancel, obsv.KindCancel
+	if a.Expire > 0 && (end == 0 || a.Expire < end) {
+		end, kind = a.Expire, obsv.KindExpire
+	}
+	if end > 0 {
+		s.eng.At(end, func() { s.terminate(id, kind) })
+	}
 	s.kickIdleWorkers()
+}
+
+// terminate ends a live request early with kind (cancel or expire). Its
+// rows already in flight are skipped when their task retires, as the live
+// worker skips them.
+func (s *batchMakerSim) terminate(id core.RequestID, kind obsv.Kind) {
+	req := s.reqs[id]
+	if req == nil {
+		return
+	}
+	delete(s.reqs, id)
+	s.queuedCells -= req.tracker.Remaining()
+	s.sched.CancelRequest(id)
+	if m := s.cfg.Metrics; m != nil {
+		if kind == obsv.KindCancel {
+			m.Cancelled.Inc()
+		} else {
+			m.Expired.Inc()
+		}
+		m.Inflight.Set(int64(len(s.reqs)))
+	}
+	s.rpRing.Write(obsv.Record{Kind: kind, Req: int64(id), T0: int64(s.eng.Now())})
 }
 
 // kickIdleWorkers offers work to every drained worker, after giving the
@@ -309,10 +314,15 @@ func (s *batchMakerSim) kickIdleWorkers() {
 			Kind: obsv.KindRebalance, Batch: uint16(moved), T0: int64(s.eng.Now()),
 		})
 	}
+	idle := true
 	for w := range s.gpus {
 		if s.inflight[w] == 0 {
 			s.scheduleWorker(core.WorkerID(w))
 		}
+		idle = idle && s.inflight[w] == 0
+	}
+	if idle && s.stalled < 0 && s.sched.TotalReady() > 0 {
+		s.stalled = s.eng.Now()
 	}
 }
 
@@ -346,7 +356,7 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 		if task.Migrations > 0 {
 			var stateCopy time.Duration
 			for _, src := range task.MigratedFrom {
-				if d := s.cfg.Cluster.CopyTime(int(src), dev, s.cfg.StateBytes); d > stateCopy {
+				if d := s.cfg.Cluster.CopyTime(int(src), dev, stateBytes); d > stateCopy {
 					stateCopy = d
 				}
 			}
@@ -357,7 +367,7 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 		// Remote steal: the type's weights live on HomeDevice and must be
 		// fetched before the kernel can run here.
 		if task.Remote {
-			dur += s.cfg.Cluster.CopyTime(int(task.HomeDevice), dev, s.cfg.WeightBytes)
+			dur += s.cfg.Cluster.CopyTime(int(task.HomeDevice), dev, weightBytes)
 			s.col.res.AddExtra("remote_tasks", 1)
 		}
 		if (task.Migrations > 0 || task.Remote) && s.obsDevs != nil {
@@ -414,8 +424,8 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 			})
 		}
 		s.inflight[w]++
-		t := task
-		s.eng.At(end+s.cfg.Overheads.CompletionPoll, func() { s.onTaskDone(w, t, start, end) })
+		t, issued := task, s.eng.Now()
+		s.eng.At(end+s.cfg.Overheads.CompletionPoll, func() { s.onTaskDone(w, t, issued, start, end) })
 	}
 	s.mirrorReady()
 }
@@ -434,12 +444,24 @@ func (s *batchMakerSim) mirrorReady() {
 	}
 }
 
-func (s *batchMakerSim) onTaskDone(w core.WorkerID, task *core.Task, start, end time.Duration) {
+func (s *batchMakerSim) onTaskDone(w core.WorkerID, task *core.Task, issued, start, end time.Duration) {
 	if p := s.cfg.Policy; p != nil {
 		p.Completed(int64(end), task.BatchSize(), 0, end-start)
 	}
+	if s.cfg.TaskObserver != nil {
+		s.rows = s.rows[:0]
+		for _, ref := range task.Nodes {
+			if s.reqs[ref.Req] != nil {
+				s.rows = append(s.rows, ref)
+			}
+		}
+		s.cfg.TaskObserver(int(w), task.TypeKey, s.rows, issued, s.eng.Now())
+	}
 	for _, ref := range task.Nodes {
 		req := s.reqs[ref.Req]
+		if req == nil {
+			continue // cancelled or expired while in flight
+		}
 		released, err := req.tracker.NodeDone(ref.Node)
 		if err != nil {
 			panic(fmt.Sprintf("sim: node done: %v", err))

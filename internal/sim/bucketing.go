@@ -62,8 +62,6 @@ type bucketRequest struct {
 
 type bucketingSim struct {
 	cfg     BucketingConfig
-	run     RunConfig
-	wl      Workload
 	eng     *Engine
 	gpus    []*device.GPU
 	busy    []bool
@@ -93,8 +91,6 @@ func RunBucketing(cfg BucketingConfig, wl Workload, run RunConfig) (*metrics.Run
 	nBuckets := (cfg.MaxLen + cfg.BucketWidth - 1) / cfg.BucketWidth
 	s := &bucketingSim{
 		cfg:     cfg,
-		run:     run,
-		wl:      wl,
 		eng:     NewEngine(),
 		gpus:    make([]*device.GPU, cfg.NumGPUs),
 		busy:    make([]bool, cfg.NumGPUs),
@@ -104,28 +100,18 @@ func RunBucketing(cfg BucketingConfig, wl Workload, run RunConfig) (*metrics.Run
 	for i := range s.gpus {
 		s.gpus[i] = &device.GPU{ID: i}
 	}
-	arrivals := dataset.NewPoisson(run.Seed, run.RatePerSec)
-	s.scheduleArrival(arrivals, time.Duration(arrivals.NextGapNanos()))
+	s.eng.Feed(poisson(wl, run), func(a Arrival) {
+		b := s.bucketOf(a.Shape)
+		s.buckets[b] = append(s.buckets[b], bucketRequest{arrival: a.At, shape: a.Shape})
+		s.pending++
+		s.dispatchIdle()
+	})
 	for s.eng.Step() {
 	}
 	if s.pending != 0 {
 		return nil, fmt.Errorf("sim: bucketing left %d requests queued", s.pending)
 	}
 	return s.col.result(), nil
-}
-
-func (s *bucketingSim) scheduleArrival(p *dataset.Poisson, at time.Duration) {
-	if at > s.run.end() {
-		return
-	}
-	s.eng.At(at, func() {
-		shape := s.wl.Next()
-		b := s.bucketOf(shape)
-		s.buckets[b] = append(s.buckets[b], bucketRequest{arrival: s.eng.Now(), shape: shape})
-		s.pending++
-		s.dispatchIdle()
-		s.scheduleArrival(p, s.eng.Now()+time.Duration(p.NextGapNanos()))
-	})
 }
 
 // lenOf is the padding-relevant length of a request: the chain length, or

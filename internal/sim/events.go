@@ -64,8 +64,16 @@ func (e *Engine) At(t time.Duration, fn func()) {
 	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
 }
 
-// After schedules fn after a delay.
-func (e *Engine) After(d time.Duration, fn func()) { e.At(e.now+d, fn) }
+// Feed schedules fn at each arrival of sched. The next arrival is pulled
+// only once fn has run, so a schedule never runs ahead of the clock.
+func (e *Engine) Feed(sched Schedule, fn func(Arrival)) {
+	if a, ok := sched(); ok {
+		e.At(a.At, func() {
+			fn(a)
+			e.Feed(sched, fn)
+		})
+	}
+}
 
 // Step fires the next event; it returns false when none remain.
 func (e *Engine) Step() bool {

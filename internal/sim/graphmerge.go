@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"batchmaker/internal/cellgraph"
-	"batchmaker/internal/dataset"
 	"batchmaker/internal/device"
 	"batchmaker/internal/metrics"
 )
@@ -104,8 +103,6 @@ type mergeRequest struct {
 
 type graphMergeSim struct {
 	cfg   GraphMergeConfig
-	run   RunConfig
-	wl    Workload
 	eng   *Engine
 	queue []mergeRequest
 	// Pipeline resources: one merge CPU and the GPUs.
@@ -128,8 +125,6 @@ func RunGraphMerge(cfg GraphMergeConfig, wl Workload, run RunConfig) (*metrics.R
 	}
 	s := &graphMergeSim{
 		cfg:  cfg,
-		run:  run,
-		wl:   wl,
 		eng:  NewEngine(),
 		gpus: make([]*device.GPU, cfg.NumGPUs),
 		col:  newCollector(cfg.SystemName, run),
@@ -137,29 +132,19 @@ func RunGraphMerge(cfg GraphMergeConfig, wl Workload, run RunConfig) (*metrics.R
 	for i := range s.gpus {
 		s.gpus[i] = &device.GPU{ID: i}
 	}
-	arrivals := dataset.NewPoisson(run.Seed, run.RatePerSec)
-	s.scheduleArrival(arrivals, time.Duration(arrivals.NextGapNanos()))
+	s.eng.Feed(poisson(wl, run), func(a Arrival) {
+		if a.Shape.Kind != KindTree {
+			panic("sim: graph-merge baseline drives tree workloads")
+		}
+		s.queue = append(s.queue, mergeRequest{arrival: a.At, profile: profileTree(a.Shape.Tree)})
+		s.tryDispatch()
+	})
 	for s.eng.Step() {
 	}
 	if len(s.queue) != 0 {
 		return nil, fmt.Errorf("sim: graph-merge left %d requests queued", len(s.queue))
 	}
 	return s.col.result(), nil
-}
-
-func (s *graphMergeSim) scheduleArrival(p *dataset.Poisson, at time.Duration) {
-	if at > s.run.end() {
-		return
-	}
-	s.eng.At(at, func() {
-		shape := s.wl.Next()
-		if shape.Kind != KindTree {
-			panic("sim: graph-merge baseline drives tree workloads")
-		}
-		s.queue = append(s.queue, mergeRequest{arrival: s.eng.Now(), profile: profileTree(shape.Tree)})
-		s.tryDispatch()
-		s.scheduleArrival(p, s.eng.Now()+time.Duration(p.NextGapNanos()))
-	})
 }
 
 func (s *graphMergeSim) tryDispatch() {
@@ -305,20 +290,11 @@ func RunIdealFixedTree(model *Model, gpus int, tree *cellgraph.Tree, maxBatch in
 		}
 	}
 
-	arrivals := dataset.NewPoisson(run.Seed, run.RatePerSec)
-	var scheduleArrival func(at time.Duration)
-	scheduleArrival = func(at time.Duration) {
-		if at > run.end() {
-			return
-		}
-		eng.At(at, func() {
-			wl.Next() // consume for parity with other sims
-			queue = append(queue, eng.Now())
-			tryDispatch()
-			scheduleArrival(eng.Now() + time.Duration(arrivals.NextGapNanos()))
-		})
-	}
-	scheduleArrival(time.Duration(arrivals.NextGapNanos()))
+	// The fixed graph ignores each arrival's shape.
+	eng.Feed(poisson(wl, run), func(a Arrival) {
+		queue = append(queue, a.At)
+		tryDispatch()
+	})
 	for eng.Step() {
 	}
 	if len(queue) != 0 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"batchmaker/internal/cellgraph"
@@ -157,6 +158,21 @@ func NewTreeModel(bmax, minBatch int) *Model {
 	m.costs.SetCurve(TypeLeaf, device.TreeLeafGPUCurve())
 	m.costs.SetCurve(TypeInternal, device.LSTMGPUCurve())
 	return m
+}
+
+// Union returns one model serving every cell type of ms, in order, with
+// each type's priority and cost curve.
+func Union(name string, ms ...*Model) *Model {
+	u := &Model{Name: name, cells: map[string]*TimingCell{}, costs: device.NewCostModel()}
+	for _, m := range ms {
+		maps.Copy(u.cells, m.cells)
+		u.types = append(u.types, m.types...)
+		for _, tc := range m.types {
+			c, _ := m.costs.Curve(tc.Key)
+			u.costs.SetCurve(tc.Key, c)
+		}
+	}
+	return u
 }
 
 // Types returns the scheduler type configuration.

@@ -128,6 +128,10 @@ func TestBatchMakerRejectsBadConfig(t *testing.T) {
 	if _, err := RunBatchMaker(BatchMakerConfig{NumGPUs: 1}, wl, shortRun(10, 1)); err == nil {
 		t.Fatal("want nil-model error")
 	}
+	// Every device needs a worker stream bound to it.
+	if _, err := RunBatchMaker(BatchMakerConfig{Model: model, NumGPUs: 1, Cluster: device.NewCluster(2)}, wl, shortRun(10, 1)); err == nil {
+		t.Fatal("want cluster-size error")
+	}
 }
 
 func TestBucketingLowLoadComputationTime(t *testing.T) {

@@ -63,8 +63,6 @@ type RunConfig struct {
 	Warmup time.Duration
 	// Seed drives arrivals (workload samplers carry their own seeds).
 	Seed uint64
-	// MaxRequests caps total admissions as a safety valve (0 = unlimited).
-	MaxRequests int
 	// Phases, when non-empty, scripts a bursty arrival profile by scaling
 	// RatePerSec over time (see RatePhase). The underlying Poisson stream
 	// is one seeded source whose gaps are stretched or compressed, so the
@@ -72,28 +70,70 @@ type RunConfig struct {
 	Phases []RatePhase
 }
 
-// rateScale returns the arrival-rate multiplier active at virtual time t.
-func (c RunConfig) rateScale(t time.Duration) float64 {
-	for _, p := range c.Phases {
-		if t < p.Until {
-			if p.RateScale <= 0 {
-				return 0
-			}
-			return p.RateScale
-		}
-	}
-	return 1
+// Arrival is one request of a schedule. Times are absolute virtual
+// instants; zero means none.
+type Arrival struct {
+	At time.Duration
+	// Shape is built into a graph only at admission, so a long sweep never
+	// holds every request's graph.
+	Shape Shape
+	// Cancel and Expire end the request early with that outcome; the
+	// earlier of the two wins.
+	Cancel, Expire time.Duration
+	// Deadline stamps the request's subgraphs for the scheduler's EDF
+	// queues.
+	Deadline time.Duration
 }
 
-// phaseEnd returns when the phase active at t ends (the run's end when t is
-// past the scripted profile).
-func (c RunConfig) phaseEnd(t time.Duration) time.Duration {
+// Schedule yields a run's arrivals in time order, one per call; false
+// ends it.
+type Schedule func() (Arrival, bool)
+
+// Replay returns the schedule of a fixed arrival list.
+func Replay(as []Arrival) Schedule {
+	return func() (Arrival, bool) {
+		if len(as) == 0 {
+			return Arrival{}, false
+		}
+		a := as[0]
+		as = as[1:]
+		return a, true
+	}
+}
+
+// poisson returns the open-loop schedule of one load point: seeded Poisson
+// arrivals at run.RatePerSec, stretched or compressed by run.Phases, up to
+// the end of the measured window, each with wl's next shape. Shapes are
+// drawn in arrival order whatever happens to the request later, so arms of
+// one seed that admit differently still see the same requests.
+func poisson(wl Workload, run RunConfig) Schedule {
+	gaps, end, at := dataset.NewPoisson(run.Seed, run.RatePerSec), run.end(), time.Duration(0)
+	return func() (Arrival, bool) {
+		for at <= end {
+			scale, until := run.phase(at)
+			if scale <= 0 {
+				at = until // a quiet phase consumes no gap
+				continue
+			}
+			if at += time.Duration(float64(gaps.NextGapNanos()) / scale); at > end {
+				break
+			}
+			return Arrival{At: at, Shape: wl.Next()}, true
+		}
+		return Arrival{}, false
+	}
+}
+
+// phase returns the arrival-rate multiplier active at virtual time t and
+// the instant that phase ends: scale 1 until the run's end once t is past
+// the scripted profile.
+func (c RunConfig) phase(t time.Duration) (scale float64, until time.Duration) {
 	for _, p := range c.Phases {
 		if t < p.Until {
-			return p.Until
+			return p.RateScale, p.Until
 		}
 	}
-	return c.end()
+	return 1, c.end()
 }
 
 // measuredWindow returns the virtual time at which admission stops.
