@@ -126,15 +126,6 @@ type Workload struct {
 	Reqs []*Request
 }
 
-// Cells returns the workload's total cell count.
-func (w *Workload) Cells() int {
-	n := 0
-	for _, r := range w.Reqs {
-		n += r.Cells()
-	}
-	return n
-}
-
 // Subset returns a workload containing only the requests at the given
 // positions of w.Reqs (not original Index values), preserving order.
 func (w *Workload) Subset(keep []int) *Workload {

@@ -8,33 +8,29 @@ import (
 // TestMultiGPUScalingCurve reproduces the paper's multi-GPU claim in virtual
 // time: at a load that saturates one device, adding devices raises
 // saturation throughput — 2 GPUs ≥ 1.5× 1 GPU, and the curve never bends
-// downward through 4.
+// downward through 4. Every point sees the same request sequence.
 func TestMultiGPUScalingCurve(t *testing.T) {
-	model := NewLSTMModel(256, 1)
-	cfg := defaultBMConfig(model, 1)
 	run := RunConfig{
 		RatePerSec: 150_000,
 		Duration:   120 * time.Millisecond,
 		Warmup:     60 * time.Millisecond,
 		Seed:       11,
 	}
-	pts, err := RunScalingCurve(cfg,
-		func() Workload { return &FixedWorkload{Shape: Shape{Kind: KindChain, Len: 16}} },
-		run, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 {
-		t.Fatalf("points = %d, want 3", len(pts))
-	}
-	for _, p := range pts {
-		if p.Throughput <= 0 {
-			t.Fatalf("%d GPUs measured zero throughput", p.NumGPUs)
+	var tput []float64
+	for _, gpus := range []int{1, 2, 4} {
+		wl := &FixedWorkload{Shape: Shape{Kind: KindChain, Len: 16}}
+		res, err := RunBatchMaker(defaultBMConfig(NewLSTMModel(256, 1), gpus), wl, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Throughput() <= 0 {
+			t.Fatalf("%d GPUs measured zero throughput", gpus)
 		}
 		t.Logf("%d GPUs: %.0f req/s (tasks=%.0f migration_tasks=%.0f)",
-			p.NumGPUs, p.Throughput, p.Result.Extra["tasks"], p.Result.Extra["migration_tasks"])
+			gpus, res.Throughput(), res.Extra["tasks"], res.Extra["migration_tasks"])
+		tput = append(tput, res.Throughput())
 	}
-	t1, t2, t4 := pts[0].Throughput, pts[1].Throughput, pts[2].Throughput
+	t1, t2, t4 := tput[0], tput[1], tput[2]
 	// The single-GPU point must actually be saturated, otherwise the curve
 	// measures the arrival process instead of capacity.
 	if t1 >= 0.9*run.RatePerSec {
@@ -45,14 +41,5 @@ func TestMultiGPUScalingCurve(t *testing.T) {
 	}
 	if t4 < t2 {
 		t.Fatalf("scaling curve bends down: 4 GPUs %.0f < 2 GPUs %.0f req/s", t4, t2)
-	}
-}
-
-// TestScalingCurveRejectsBadPoints covers the input validation.
-func TestScalingCurveRejectsBadPoints(t *testing.T) {
-	cfg := defaultBMConfig(NewLSTMModel(64, 1), 1)
-	wl := func() Workload { return &FixedWorkload{Shape: Shape{Kind: KindChain, Len: 4}} }
-	if _, err := RunScalingCurve(cfg, wl, shortRun(100, 1), []int{1, 0}); err == nil {
-		t.Fatal("want error for zero-GPU point")
 	}
 }
