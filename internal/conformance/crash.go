@@ -66,25 +66,12 @@ func journalOutcome(o journal.Outcome) Outcome {
 	return OutcomeFailed
 }
 
-// crashServerConfig builds the same five-cell live config RunLive uses, plus
-// the journal wiring; executed tasks are reported to log.
+// crashServerConfig builds RunLive's server config plus the journal
+// wiring.
 func crashServerConfig(m *Model, opts LiveOpts, jnl *journal.Journal, firstID uint64, log *taskLog) server.Config {
-	return server.Config{
-		Workers:          opts.Workers,
-		MaxTasksToSubmit: opts.MaxTasksToSubmit,
-		TaskObserver:     log.observe,
-		Faults:           opts.Faults,
-		MaxQueuedCells:   opts.MaxQueuedCells,
-		Journal:          jnl,
-		FirstRequestID:   firstID,
-		Cells: []server.CellSpec{
-			{Cell: m.LSTM, MaxBatch: opts.MaxBatch},
-			{Cell: m.Enc, MaxBatch: opts.MaxBatch, Priority: 0},
-			{Cell: m.Dec, MaxBatch: opts.MaxBatch, Priority: 1},
-			{Cell: m.Leaf, MaxBatch: opts.MaxBatch, Priority: 0},
-			{Cell: m.Internal, MaxBatch: opts.MaxBatch, Priority: 1},
-		},
-	}
+	cfg := serverConfig(m, opts, log)
+	cfg.Journal, cfg.FirstRequestID = jnl, firstID
+	return cfg
 }
 
 // appendGarbage simulates a torn write by appending seeded random bytes to
@@ -411,21 +398,7 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	// Numerics: whichever side of the crash a request completed on, the
 	// outputs must bit-match the sequential oracle.
 	for idx, got := range results {
-		want := oracle[idx]
-		if len(got) != len(want) {
-			violate("numerics", idx, "result has %d outputs, oracle has %d", len(got), len(want))
-			continue
-		}
-		for name, wt := range want {
-			gt, ok := got[name]
-			if !ok {
-				violate("numerics", idx, "missing output %q", name)
-				continue
-			}
-			if !gt.Equal(wt) {
-				violate("numerics", idx, "output %q differs from sequential oracle", name)
-			}
-		}
+		res.Violations = append(res.Violations, numerics(idx, got, oracle[idx])...)
 	}
 	return res, nil
 }

@@ -129,28 +129,34 @@ func Check(m *Model, w *Workload, res *LiveResult, oracle map[int]map[string]*te
 		if res.Outcome[r.Index] != OutcomeCompleted {
 			continue
 		}
-		want, got := oracle[r.Index], res.Results[r.Index]
-		if got == nil {
+		if res.Results[r.Index] == nil {
 			violate("numerics", r.Index, "completed with nil results")
 			continue
 		}
-		if len(got) != len(want) {
-			violate("numerics", r.Index, "result has %d outputs, oracle has %d", len(got), len(want))
-			continue
-		}
-		for name, wt := range want {
-			gt, ok := got[name]
-			if !ok {
-				violate("numerics", r.Index, "missing output %q", name)
-				continue
-			}
-			if !gt.Equal(wt) {
-				violate("numerics", r.Index, "output %q differs from sequential oracle", name)
-			}
-		}
+		vs = append(vs, numerics(r.Index, res.Results[r.Index], oracle[r.Index])...)
 	}
 
 	return append(vs, checkTrace(m, w, &res.Trace)...)
+}
+
+// numerics holds request idx's outputs to the sequential oracle's, bit for
+// bit.
+func numerics(idx int, got, want map[string]*tensor.Tensor) []Violation {
+	v := func(format string, a ...interface{}) Violation {
+		return Violation{Kind: "numerics", Req: idx, Detail: fmt.Sprintf(format, a...)}
+	}
+	if len(got) != len(want) {
+		return []Violation{v("result has %d outputs, oracle has %d", len(got), len(want))}
+	}
+	var vs []Violation
+	for name, wt := range want {
+		if gt, ok := got[name]; !ok {
+			vs = append(vs, v("missing output %q", name))
+		} else if !gt.Equal(wt) {
+			vs = append(vs, v("output %q differs from sequential oracle", name))
+		}
+	}
+	return vs
 }
 
 // checkTrace applies the invariants both engines must satisfy:
@@ -165,7 +171,8 @@ func Check(m *Model, w *Workload, res *LiveResult, oracle map[int]map[string]*te
 //     strictly earlier in the task log (producers before consumers — the
 //     observable form of the paper's same-stream FIFO argument);
 //   - lifecycle: every admitted request has exactly one admit record and
-//     exactly one terminal record, of the kind matching its outcome.
+//     exactly one terminal record, of the kind matching its outcome (the
+//     caller-observed one live; in the sim, the one its task log implies).
 func checkTrace(m *Model, w *Workload, res *Trace) []Violation {
 	var vs []Violation
 	violate := func(kind string, req int, format string, a ...interface{}) {

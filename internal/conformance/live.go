@@ -142,14 +142,10 @@ func lifecycle(o *obsv.Observer) (recs []obsv.Record, dropped uint64) {
 	return recs, dropped
 }
 
-// RunLive executes the workload against a freshly built live server:
-// requests are submitted in arrival order with scaled inter-arrival gaps,
-// cancellations and deadlines follow the workload's schedule, and the run
-// ends only after every submitted request has resolved.
-func RunLive(m *Model, w *Workload, opts LiveOpts) (*LiveResult, error) {
-	opts = opts.withDefaults()
-	var log taskLog
-	cfg := server.Config{
+// serverConfig builds the five-cell live server a run drives; executed
+// tasks are reported to log.
+func serverConfig(m *Model, opts LiveOpts, log *taskLog) server.Config {
+	return server.Config{
 		Workers:          opts.Workers,
 		MaxTasksToSubmit: opts.MaxTasksToSubmit,
 		TaskObserver:     log.observe,
@@ -165,7 +161,16 @@ func RunLive(m *Model, w *Workload, opts LiveOpts) (*LiveResult, error) {
 			{Cell: m.Internal, MaxBatch: opts.MaxBatch, Priority: 1},
 		},
 	}
-	srv, err := server.New(cfg)
+}
+
+// RunLive executes the workload against a freshly built live server:
+// requests are submitted in arrival order with scaled inter-arrival gaps,
+// cancellations and deadlines follow the workload's schedule, and the run
+// ends only after every submitted request has resolved.
+func RunLive(m *Model, w *Workload, opts LiveOpts) (*LiveResult, error) {
+	opts = opts.withDefaults()
+	var log taskLog
+	srv, err := server.New(serverConfig(m, opts, &log))
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,6 @@ func RunSim(m *Model, w *Workload, opts SimOpts) (*SimResult, error) {
 		}
 		if r.Deadline > 0 {
 			a.Expire = r.Arrival + r.Deadline
-			a.Deadline = a.Expire
 		}
 		arrivals[i] = a
 	}
@@ -74,10 +73,8 @@ func RunSim(m *Model, w *Workload, opts SimOpts) (*SimResult, error) {
 		return nil, err
 	}
 
-	// Every arrival is admitted, in arrival order; the terminal record
-	// names each request's outcome.
+	// Every arrival is admitted, in arrival order.
 	res.Lifecycle, res.LifecycleDropped = lifecycle(obs)
-	res.Outcome = make(map[int]Outcome, len(w.Reqs))
 	res.IDs = make(map[int]core.RequestID, len(w.Reqs))
 	res.RevIDs = make(map[core.RequestID]int, len(w.Reqs))
 	type event struct {
@@ -93,15 +90,40 @@ func RunSim(m *Model, w *Workload, opts SimOpts) (*SimResult, error) {
 			res.IDs[r.Index], res.RevIDs[id] = id, r.Index
 			line = fmt.Sprintf("admit req=%d cells=%d", r.Index, r.Cells())
 		} else {
-			idx := res.RevIDs[id]
 			for out, kind := range terminalKinds {
 				if kind == rec.Kind {
-					res.Outcome[idx] = out
+					line = fmt.Sprintf("%s req=%d", out, res.RevIDs[id])
 				}
 			}
-			line = fmt.Sprintf("%s req=%d", res.Outcome[idx], idx)
 		}
 		evs = append(evs, event{time.Duration(rec.T0), line})
+	}
+
+	// Each outcome is read off the task log, not the terminal records
+	// checkTrace holds it against: a request all of whose cells ran
+	// completed, any other ended at the earlier of its cancel and its
+	// expiry (the sim fails no request).
+	ran := make(map[int]int, len(w.Reqs))
+	for _, task := range res.Tasks {
+		for _, ref := range task.Rows {
+			ran[res.RevIDs[ref.Req]]++
+		}
+	}
+	res.Outcome = make(map[int]Outcome, len(w.Reqs))
+	for _, r := range w.Reqs {
+		if _, ok := res.IDs[r.Index]; !ok {
+			continue // never admitted: checkTrace reports it lost
+		}
+		switch {
+		case ran[r.Index] == r.Cells():
+			res.Outcome[r.Index] = OutcomeCompleted
+		case r.Deadline > 0 && (r.CancelAfter == 0 || r.Deadline < r.CancelAfter):
+			res.Outcome[r.Index] = OutcomeExpired
+		case r.CancelAfter > 0:
+			res.Outcome[r.Index] = OutcomeCancelled
+		default:
+			res.Outcome[r.Index] = OutcomeFailed
+		}
 	}
 	for _, task := range res.Tasks {
 		rows := make([]string, len(task.Rows))

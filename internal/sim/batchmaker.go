@@ -44,10 +44,10 @@ type BatchMakerConfig struct {
 	// (counted in the result extras, never admitted). Timestamps fed to it
 	// are virtual nanoseconds, making every decision replayable.
 	Policy *policy.Controller
-	// Deadline, when positive, gives each request an SLA expiry of
-	// arrival+Deadline. The sim never expires requests — the deadline
-	// drives the scheduler's EDF ordering and the deadline-miss count in
-	// the result extras.
+	// Deadline, when positive, gives each request an SLA deadline of
+	// arrival+Deadline, in place of its Arrival.Expire. It never expires a
+	// request — it drives the scheduler's EDF ordering and the
+	// deadline-miss count in the result extras.
 	Deadline time.Duration
 	// TaskObserver, when set, is called once per retired task, before the
 	// tracker learns of it, with the worker, the cell type, the rows it ran
@@ -251,7 +251,7 @@ func (s *batchMakerSim) admit(a Arrival) {
 	if err != nil {
 		panic(fmt.Sprintf("sim: tracker: %v", err))
 	}
-	req := &bmRequest{tracker: tr, arrival: s.eng.Now(), deadline: a.Deadline}
+	req := &bmRequest{tracker: tr, arrival: s.eng.Now(), deadline: a.Expire}
 	if s.cfg.Deadline > 0 {
 		req.deadline = req.arrival + s.cfg.Deadline
 	}

@@ -78,11 +78,9 @@ type Arrival struct {
 	// holds every request's graph.
 	Shape Shape
 	// Cancel and Expire end the request early with that outcome; the
-	// earlier of the two wins.
+	// earlier of the two wins. Expire is also the request's EDF deadline,
+	// as in the live server, unless BatchMakerConfig.Deadline sets one.
 	Cancel, Expire time.Duration
-	// Deadline stamps the request's subgraphs for the scheduler's EDF
-	// queues.
-	Deadline time.Duration
 }
 
 // Schedule yields a run's arrivals in time order, one per call; false
