@@ -11,13 +11,16 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"batchmaker/internal/journal"
 	"batchmaker/internal/obsv"
+	"batchmaker/internal/rnn"
 	"batchmaker/internal/server"
+	"batchmaker/internal/tensor"
 )
 
 func testApp(t *testing.T) *app {
@@ -62,6 +65,121 @@ func TestHandleUntilEOS(t *testing.T) {
 	}
 	if len(resp.Words) == 0 || len(resp.Words) > 10 {
 		t.Fatalf("words = %v", resp.Words)
+	}
+}
+
+// seededSources draws n source sentences of 1..8 ids over [0, vocab).
+func seededSources(seed uint64, n, vocab int) [][]int {
+	rng := tensor.NewRNG(seed)
+	srcs := make([][]int, n)
+	for i := range srcs {
+		src := make([]int, 1+rng.Intn(8))
+		for j := range src {
+			src[j] = rng.Intn(vocab)
+		}
+		srcs[i] = src
+	}
+	return srcs
+}
+
+// TestUntilEOSIsFixedDecodeTruncated pins dynamic decoding to the static
+// graph: an until_eos reply is the fixed-decode reply for the same source,
+// cut after its first <eos>. At vocab 5 some sources emit <eos> early and
+// some never do, so both ends of the loop are covered.
+func TestUntilEOSIsFixedDecodeTruncated(t *testing.T) {
+	const decode = 20
+	ctx := context.Background()
+	for _, vocab := range []int{5, 50} {
+		a, err := newApp(appConfig{Vocab: vocab, Embed: 8, Hidden: 16, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(a.close)
+		srcs := seededSources(uint64(vocab), 40, vocab)
+		early := 0
+		for _, src := range srcs {
+			fixed := a.handle(ctx, apiRequest{IDs: src, Decode: decode})
+			dyn := a.handle(ctx, apiRequest{IDs: src, Decode: decode, UntilEOS: true})
+			if fixed.Error != "" || dyn.Error != "" {
+				t.Fatalf("vocab %d src %v: fixed %+v, until_eos %+v", vocab, src, fixed, dyn)
+			}
+			want := fixed.Words
+			if k := slices.Index(want, rnn.TokenEOS); k >= 0 {
+				want = want[:k+1]
+				early++
+			}
+			if !slices.Equal(dyn.Words, want) {
+				t.Fatalf("vocab %d src %v: until_eos %v, want fixed decode cut at <eos> %v", vocab, src, dyn.Words, want)
+			}
+		}
+		if vocab == 5 && (early == 0 || early == len(srcs)) {
+			t.Fatalf("vocab 5: %d of %d sources hit <eos>; want both outcomes covered", early, len(srcs))
+		}
+	}
+}
+
+func TestHandleUntilEOSBadSource(t *testing.T) {
+	a := testApp(t)
+	for _, req := range []apiRequest{
+		{IDs: nil, UntilEOS: true},
+		{IDs: nil, Decode: 5, UntilEOS: true},
+		{IDs: []int{4, -1}, Decode: 5, UntilEOS: true},
+		{IDs: []int{4, 50}, Decode: 5, UntilEOS: true},
+	} {
+		if resp := a.handle(context.Background(), req); resp.Code != codeBadRequest {
+			t.Fatalf("ids %v: got %+v, want bad_request", req.IDs, resp)
+		}
+	}
+}
+
+// TestHandleUntilEOSDeadlineMidDecode checks that -deadline bounds every
+// generated step, not only the encode: a deadline that passes while the
+// decoder is still emitting answers expired.
+func TestHandleUntilEOSDeadlineMidDecode(t *testing.T) {
+	const decode = 200
+	a := testApp(t)
+	ctx := context.Background()
+	// A source whose greedy decode holds no <eos> in its first 200 words
+	// cannot finish before the deadline below.
+	var src []int
+	for _, s := range seededSources(7, 100, 50) {
+		if r := a.handle(ctx, apiRequest{IDs: s, Decode: decode}); r.Error == "" && !slices.Contains(r.Words, rnn.TokenEOS) {
+			src = s
+			break
+		}
+	}
+	if src == nil {
+		t.Fatal("no seeded source decodes 200 words without <eos>")
+	}
+	// Every task sleeps 2 ms: the encode (at most 8 tasks) ends well inside
+	// the 100 ms deadline, the 200 decode steps well outside it.
+	a.srv.Stop()
+	faults := server.NewRandomFaults(1)
+	faults.PDelay = 1
+	faults.Delay = 2 * time.Millisecond
+	srv, err := server.New(server.Config{
+		Workers: 1,
+		Cells: []server.CellSpec{
+			{Cell: a.enc, MaxBatch: 64, Priority: 0},
+			{Cell: a.dec, MaxBatch: 32, Priority: 1},
+		},
+		Faults: faults,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.srv = srv
+	a.deadline = 100 * time.Millisecond
+	start := time.Now()
+	resp := a.handle(ctx, apiRequest{IDs: src, Decode: decode, UntilEOS: true})
+	if resp.Code != codeExpired {
+		t.Fatalf("got %+v, want expired", resp)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("expired reply took %v; the deadline was 100ms", el)
+	}
+	if run := srv.Stats().CellsRun; run <= len(src) {
+		t.Fatalf("%d cells ran for a %d-word source: the deadline passed before decoding began", run, len(src))
 	}
 }
 
