@@ -50,6 +50,7 @@ import (
 
 	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/core"
+	"batchmaker/internal/decode"
 	"batchmaker/internal/journal"
 	"batchmaker/internal/obsv"
 	"batchmaker/internal/policy"
@@ -366,30 +367,25 @@ func (a *app) handle(ctx context.Context, req apiRequest) apiResponse {
 	return apiResponse{Words: words}
 }
 
-// handleGenerate encodes the source then decodes dynamically until <eos>.
+// handleGenerate encodes the source then decodes greedily until <eos> or
+// req.Decode steps: a width-1 beam, each step one more request to the
+// server, all bounded by ctx.
 func (a *app) handleGenerate(ctx context.Context, req apiRequest) apiResponse {
-	prompt, err := cellgraph.UnfoldChainIDs(a.enc, req.IDs)
-	if err != nil {
+	hyps, err := decode.Beam(ctx, a.srv, decode.BeamSpec{
+		Encoder:   a.enc,
+		Decoder:   a.dec,
+		SourceIDs: req.IDs,
+		Width:     1,
+		MaxSteps:  req.Decode,
+		EOS:       rnn.TokenEOS,
+	})
+	if errors.Is(err, decode.ErrBadSpec) {
 		return apiResponse{Error: err.Error(), Code: codeBadRequest}
 	}
-	emitted, err := a.srv.Generate(ctx, server.GenerateSpec{
-		Prompt:     prompt,
-		SeedNode:   cellgraph.NodeID(len(req.IDs) - 1),
-		Cell:       a.dec,
-		FeedBack:   map[string]string{"ids": "word", "h": "h", "c": "c"},
-		FirstStep:  map[string]float32{"ids": float32(rnn.TokenGo)},
-		StopOutput: "word",
-		StopToken:  float32(rnn.TokenEOS),
-		MaxSteps:   req.Decode,
-	})
 	if err != nil {
 		return apiResponse{Error: err.Error(), Code: errorCode(err)}
 	}
-	words := make([]int, len(emitted))
-	for i, v := range emitted {
-		words[i] = int(v)
-	}
-	return apiResponse{Words: words}
+	return apiResponse{Words: hyps[0].Words}
 }
 
 func (a *app) serveConn(conn net.Conn) {

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"batchmaker/internal/cellgraph"
+	"batchmaker/internal/decode"
 	"batchmaker/internal/rnn"
 	"batchmaker/internal/server"
 	"batchmaker/internal/tensor"
@@ -108,7 +109,7 @@ func main() {
 	// Beam search over the same model: the hypotheses' decoder cells batch
 	// with each other step by step (beam search is "just more cells" to
 	// cellular batching). Width 1 reproduces the greedy decode above.
-	hyps, err := srv.BeamSearch(context.Background(), server.BeamSpec{
+	hyps, err := decode.Beam(context.Background(), srv, decode.BeamSpec{
 		Encoder:    enc,
 		Decoder:    dec,
 		SourceIDs:  wordIDs(sources[0]),

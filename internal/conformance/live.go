@@ -60,9 +60,6 @@ type LiveOpts struct {
 	Faults server.FaultInjector
 	// Chaos forwards deliberate scheduler defects (the harness self-test).
 	Chaos core.Chaos
-	// MaxQueuedCells, when positive, enables admission control so the run
-	// also exercises load shedding.
-	MaxQueuedCells int
 	// Policy, when enabled, installs the SLA feasibility rule, so runs
 	// exercise policy-driven shedding under the full invariant set.
 	Policy policy.Config
@@ -151,7 +148,6 @@ func serverConfig(m *Model, opts LiveOpts, log *taskLog) server.Config {
 		TaskObserver:     log.observe,
 		Faults:           opts.Faults,
 		SchedulerChaos:   opts.Chaos,
-		MaxQueuedCells:   opts.MaxQueuedCells,
 		Policy:           opts.Policy,
 		Cells: []server.CellSpec{
 			{Cell: m.LSTM, MaxBatch: opts.MaxBatch},

@@ -88,7 +88,7 @@ func runPolicySeed(t *testing.T, seed uint64) int {
 		}
 		shed++
 		// The only submit-time rejection in this harness is the policy rule
-		// (static MaxQueuedCells is off), so the caller-visible error must
+		// (no static admission bound is set), so the caller-visible error must
 		// unwrap to ErrOverloaded and carry a positive retry-after hint.
 		err := res.Errs[idx]
 		if !errors.Is(err, server.ErrOverloaded) {

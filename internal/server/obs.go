@@ -266,13 +266,8 @@ func (s *Server) Health() obsv.Health {
 	default:
 	}
 	live, queued := int(s.obs.sm.Inflight.Value()), int(s.obs.sm.QueuedCells.Value())
-	overloaded := false
-	if n := s.cfg.MaxQueuedRequests; n > 0 && live >= n {
-		overloaded = true
-	}
-	if n := s.cfg.MaxQueuedCells; n > 0 && queued >= n {
-		overloaded = true
-	}
+	n := s.cfg.MaxQueuedRequests
+	overloaded := n > 0 && live >= n
 	h := obsv.Health{
 		Draining:     s.draining.Load(),
 		Stopped:      stopped,

@@ -171,10 +171,6 @@ func (m *mgr) admit(r *request, specs []core.SubgraphSpec) error {
 		s.obs.reject(true)
 		return fmt.Errorf("%w: %d requests queued (max %d)", ErrOverloaded, len(m.reqs), n)
 	}
-	if n := s.cfg.MaxQueuedCells; n > 0 && m.queuedCells+r.cells > n {
-		s.obs.reject(true)
-		return fmt.Errorf("%w: %d cells queued, request adds %d (max %d)", ErrOverloaded, m.queuedCells, r.cells, n)
-	}
 	if p := s.policy; p != nil {
 		// SLA feasibility: shed when the backlog, priced per cell on
 		// measured task time and spread over the workers, outlasts the SLA.

@@ -114,40 +114,6 @@ func TestServerOverloadedByRequests(t *testing.T) {
 	}
 }
 
-func TestServerOverloadedByCells(t *testing.T) {
-	m := newTestModel()
-	cfg := m.serverConfig(1)
-	cfg.MaxQueuedCells = 10
-	cfg.Faults = delayInjector(30 * time.Millisecond)
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-
-	g, _ := cellgraph.UnfoldChain(m.lstm, chainInput(1, 8))
-	h, err := srv.SubmitAsync(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, _ := cellgraph.UnfoldChain(m.lstm, chainInput(2, 5))
-	if _, err := srv.SubmitAsync(big); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("want ErrOverloaded for cell backlog, got %v", err)
-	}
-	// A request that fits under the remaining cell budget is admitted.
-	small, _ := cellgraph.UnfoldChain(m.lstm, chainInput(3, 2))
-	h2, err := srv.SubmitAsync(small)
-	if err != nil {
-		t.Fatalf("small request shed: %v", err)
-	}
-	for _, h := range []*Handle{h, h2} {
-		<-h.Done()
-		if _, err := h.Result(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestServerDeadlineExpiresQueuedRequest(t *testing.T) {
 	m := newTestModel()
 	cfg := m.serverConfig(1)

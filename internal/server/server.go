@@ -151,13 +151,8 @@ type Config struct {
 	// MaxQueuedRequests, when positive, bounds live (admitted, unresolved)
 	// requests; submissions past the bound are shed with ErrOverloaded.
 	MaxQueuedRequests int
-	// MaxQueuedCells, when positive, bounds the backlog of admitted
-	// not-yet-executed cell nodes — a size-aware complement to
-	// MaxQueuedRequests (one 3000-cell chain loads the server like
-	// hundreds of small requests).
-	MaxQueuedCells int
 	// Policy configures the SLA feasibility rule (internal/policy): shed a
-	// submission, ahead of the static bounds above, when the cell backlog per
+	// submission, besides the static bound above, when the cell backlog per
 	// worker at the measured price per cell outlasts the SLA. The zero value
 	// disables it. When enabled, shed rejections are *OverloadError values
 	// (unwrapping to ErrOverloaded) carrying a retry-after hint.
@@ -732,7 +727,7 @@ type Stats struct {
 	// LiveRequests counts admitted, unresolved requests.
 	LiveRequests int
 	// QueuedCells counts admitted, not-yet-executed cell nodes (the
-	// backlog MaxQueuedCells bounds).
+	// backlog the SLA feasibility rule prices).
 	QueuedCells int
 	// Outcomes breaks down how requests entered and left the system.
 	Outcomes metrics.Outcomes

@@ -339,13 +339,20 @@ func TestServerConfigErrors(t *testing.T) {
 	}
 }
 
-// widthsCell is a counterCell that declares the given output widths.
+// widthsCell is a two-output cell that declares the given output widths;
+// New must judge it before any step runs.
 type widthsCell struct {
-	counterCell
 	widths map[string]int
 }
 
+func (c *widthsCell) Name() string                 { return "widths" }
+func (c *widthsCell) TypeKey() string              { return "widths" }
+func (c *widthsCell) InputNames() []string         { return []string{"ids", "h"} }
+func (c *widthsCell) OutputNames() []string        { return []string{"word", "h"} }
 func (c *widthsCell) OutputWidths() map[string]int { return c.widths }
+func (c *widthsCell) StepInto(_, _ map[string]*tensor.Tensor, _ *tensor.Arena) error {
+	return nil
+}
 
 // TestServerRejectsBadOutputWidths: admission carves every read output's
 // row from the cell's widths, so New refuses a cell whose widths do not
@@ -362,7 +369,7 @@ func TestServerRejectsBadOutputWidths(t *testing.T) {
 		{"zero", map[string]int{"word": 1, "h": 0}, false},
 		{"negative", map[string]int{"word": -1, "h": 1}, false},
 	} {
-		cell := &widthsCell{counterCell{modulus: 10}, tc.widths}
+		cell := &widthsCell{tc.widths}
 		srv, err := New(Config{Workers: 1, Cells: []CellSpec{{Cell: cell, MaxBatch: 4}}})
 		if tc.ok {
 			if err != nil {
