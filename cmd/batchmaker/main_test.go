@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,7 +135,8 @@ func TestHandleUntilEOSBadSource(t *testing.T) {
 
 // TestHandleUntilEOSDeadlineMidDecode checks that -deadline bounds every
 // generated step, not only the encode: a deadline that passes while the
-// decoder is still emitting answers expired.
+// decoder is still emitting answers expired, and the server expires the
+// step it cut instead of counting a caller's cancel.
 func TestHandleUntilEOSDeadlineMidDecode(t *testing.T) {
 	const decode = 200
 	a := testApp(t)
@@ -151,19 +153,17 @@ func TestHandleUntilEOSDeadlineMidDecode(t *testing.T) {
 	if src == nil {
 		t.Fatal("no seeded source decodes 200 words without <eos>")
 	}
-	// Every task sleeps 2 ms: the encode (at most 8 tasks) ends well inside
-	// the 100 ms deadline, the 200 decode steps well outside it.
+	// The fifth decoder step stalls 300 ms: the encode and four steps end
+	// well inside the 100 ms deadline, and the deadline passes mid-step, so
+	// no timer's latency decides which step it cuts.
 	a.srv.Stop()
-	faults := server.NewRandomFaults(1)
-	faults.PDelay = 1
-	faults.Delay = 2 * time.Millisecond
 	srv, err := server.New(server.Config{
 		Workers: 1,
 		Cells: []server.CellSpec{
 			{Cell: a.enc, MaxBatch: 64, Priority: 0},
 			{Cell: a.dec, MaxBatch: 32, Priority: 1},
 		},
-		Faults: faults,
+		Faults: &stallStep{key: a.dec.TypeKey(), stall: 5, d: 300 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,6 +181,24 @@ func TestHandleUntilEOSDeadlineMidDecode(t *testing.T) {
 	if run := srv.Stats().CellsRun; run <= len(src) {
 		t.Fatalf("%d cells ran for a %d-word source: the deadline passed before decoding began", run, len(src))
 	}
+	if out := srv.Stats().Outcomes; out.Expired != 1 || out.Cancelled != 0 {
+		t.Fatalf("outcomes %+v: want the cut step expired, none cancelled", out)
+	}
+}
+
+// stallStep delays the stall-th task of one cell type by d.
+type stallStep struct {
+	key   string
+	stall int32
+	d     time.Duration
+	tasks atomic.Int32
+}
+
+func (f *stallStep) Inject(typeKey string, _ int) server.FaultDecision {
+	if typeKey == f.key && f.tasks.Add(1) == f.stall {
+		return server.FaultDecision{Kind: server.FaultDelay, Delay: f.d}
+	}
+	return server.FaultDecision{}
 }
 
 func TestHandleBadRequest(t *testing.T) {

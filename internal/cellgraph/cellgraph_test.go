@@ -358,7 +358,7 @@ func TestStatePanicsOnMisuse(t *testing.T) {
 				t.Fatal("PreallocOutputs after execution began must panic")
 			}
 		}()
-		s.PreallocOutputs(func(rnn.Cell) []int { return []int{tHidden, tHidden} })
+		s.PreallocOutputs([][]int{{tHidden, tHidden}})
 	}()
 }
 

@@ -64,6 +64,7 @@ type Node struct {
 
 	deps []NodeID // distinct producers, ascending; a slice of Graph.edges
 	out0 int      // index of output 0 in the request-wide output numbering
+	typ  int      // position of the node's TypeKey in Graph.TypeKeys
 }
 
 // Deps returns the IDs of the nodes this node reads from, deduplicated and
@@ -86,6 +87,11 @@ type Graph struct {
 
 	bindings []Binding // backing array of every Node.Inputs
 	edges    []NodeID  // backing array of every Node.deps
+	// keys holds the TypeKey of each distinct cell type, in order of first
+	// appearance; keyBuf backs it while the graph has at most two, as every
+	// unfolded request does.
+	keys   []string
+	keyBuf [2]string
 }
 
 // NewGraph returns an empty graph whose backing arrays have room for the
@@ -102,11 +108,12 @@ func NewGraph(nodes, bindings, edges int) *Graph {
 
 // Add appends one invocation of cell whose inputs, in Cell.InputNames()
 // order, are bound as given, and returns its ID. The bindings are copied.
-// Add derives the node's dependency list here, so that nothing downstream
-// has to rebuild it and a graph handed to several goroutines is complete
-// before it is shared. Add does not validate; Validate does.
+// Add derives the node's dependency list and cell type here, so that
+// nothing downstream has to rebuild them and a graph handed to several
+// goroutines is complete before it is shared. Add does not validate;
+// Validate does.
 func (g *Graph) Add(cell rnn.Cell, inputs ...Binding) NodeID {
-	n := Node{ID: NodeID(len(g.Nodes)), Cell: cell}
+	n := Node{ID: NodeID(len(g.Nodes)), Cell: cell, typ: g.typeOf(cell)}
 	start := len(g.bindings)
 	g.bindings = append(g.bindings, inputs...)
 	n.Inputs = g.bindings[start:len(g.bindings):len(g.bindings)]
@@ -120,6 +127,29 @@ func (g *Graph) Add(cell rnn.Cell, inputs ...Binding) NodeID {
 	g.Nodes = append(g.Nodes, n)
 	return n.ID
 }
+
+// typeOf returns the position of cell's TypeKey in g.keys, adding it on its
+// first appearance: cells with equal TypeKeys are one type, whether or not
+// they are one value. A request has a few types, so a scan beats hashing
+// the key. A nil cell has no type (Validate rejects it).
+func (g *Graph) typeOf(cell rnn.Cell) int {
+	if cell == nil {
+		return -1
+	}
+	key := cell.TypeKey()
+	if t := slices.Index(g.keys, key); t >= 0 {
+		return t
+	}
+	if g.keys == nil {
+		g.keys = g.keyBuf[:0]
+	}
+	g.keys = append(g.keys, key)
+	return len(g.keys) - 1
+}
+
+// TypeKeys returns the TypeKey of each distinct cell type of the graph, in
+// order of first appearance. The slice is shared with the graph: read-only.
+func (g *Graph) TypeKeys() []string { return g.keys }
 
 // appendDeps appends the distinct producers among inputs to dst in ascending
 // order. A node has a handful of inputs, so insertion beats sorting.
@@ -198,7 +228,8 @@ func (g *Graph) Validate() error {
 		// What Add derived must still describe the node: a binding or cell
 		// edited in place afterwards would otherwise go unnoticed downstream.
 		var scratch [8]NodeID
-		if n.out0 != rows || !slices.Equal(appendDeps(scratch[:0], n.Inputs), n.deps) {
+		if n.out0 != rows || n.typ < 0 || n.typ >= len(g.keys) ||
+			!slices.Equal(appendDeps(scratch[:0], n.Inputs), n.deps) {
 			return fmt.Errorf("cellgraph: node %d was modified after Add; rebuild the graph", i)
 		}
 		rows += len(n.Cell.OutputNames())

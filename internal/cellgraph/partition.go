@@ -72,7 +72,7 @@ func (pt *Partitioner) Partition(g *Graph) []Subgraph {
 		node := &g.Nodes[i]
 		edges += len(node.deps)
 		for _, d := range node.deps {
-			if g.Nodes[d].Cell.TypeKey() != node.Cell.TypeKey() {
+			if g.Nodes[d].typ != node.typ {
 				continue
 			}
 			if a, b := find(int32(d)), find(int32(i)); a < b {
@@ -125,7 +125,7 @@ func (pt *Partitioner) Partition(g *Graph) []Subgraph {
 	}
 	for s := range subs {
 		sg := &subs[s]
-		sg.TypeKey = g.Nodes[sg.Nodes[0]].Cell.TypeKey()
+		sg.TypeKey = g.keys[g.Nodes[sg.Nodes[0]].typ]
 		if len(sg.Nodes) > 1 {
 			sg.Deps, lists = lists[:len(sg.Nodes):len(sg.Nodes)], lists[len(sg.Nodes):]
 		}

@@ -15,8 +15,7 @@ import (
 // its rows, with one arena and one pair of maps for the whole request, so
 // its allocations do not grow with the number of nodes.
 func ExecuteSequential(g *Graph) (map[string]*tensor.Tensor, error) {
-	wc := new(widthCache)
-	s, err := newState(g, wc)
+	s, widths, err := newState(g)
 	if err != nil {
 		return nil, err
 	}
@@ -35,11 +34,10 @@ func ExecuteSequential(g *Graph) (map[string]*tensor.Tensor, error) {
 		}
 		arena.Reset()
 		clear(outs)
-		widths := wc.of(node.Cell)
 		for o, name := range node.Cell.OutputNames() {
 			row := s.OutputRow(id, o)
 			if row == nil {
-				row = arena.Get(1, widths[o]) // nothing reads it
+				row = arena.Get(1, widths[node.typ][o]) // nothing reads it
 			}
 			outs[name] = row
 		}
@@ -73,20 +71,17 @@ func ExecuteLevelBatched(g *Graph) (map[string]*tensor.Tensor, error) {
 		if len(ready) == 0 {
 			return nil, fmt.Errorf("cellgraph: stuck with %d nodes remaining", s.Remaining())
 		}
-		// One batch per cell type, in order of first appearance.
-		for len(ready) > 0 {
-			var batch, rest []NodeID
+		// One batch per cell type.
+		for t := range g.keys {
+			var batch []NodeID
 			for _, id := range ready {
-				if g.Nodes[id].Cell.TypeKey() == g.Nodes[ready[0]].Cell.TypeKey() {
+				if g.Nodes[id].typ == t {
 					batch = append(batch, id)
-				} else {
-					rest = append(rest, id)
 				}
 			}
 			if err := RunBatch(s, batch); err != nil {
 				return nil, err
 			}
-			ready = rest
 		}
 	}
 	return s.Results(), nil
@@ -112,7 +107,7 @@ func RunBatch(s *State, ids []NodeID) error {
 	g := s.Graph()
 	cell := g.Nodes[ids[0]].Cell
 	for _, id := range ids[1:] {
-		if g.Nodes[id].Cell.TypeKey() != cell.TypeKey() {
+		if g.Nodes[id].typ != g.Nodes[ids[0]].typ {
 			return fmt.Errorf("cellgraph: RunBatch mixes cell types")
 		}
 	}

@@ -47,52 +47,34 @@ const (
 )
 
 // NewState validates g and returns fresh execution state whose read outputs
-// have their rows, sized by each cell's OutputWidths. Holding a State is
-// proof the graph was valid when it was built (core.TrackState relies on
+// have their rows, sized by each cell type's OutputWidths. Holding a State
+// is proof the graph was valid when it was built (core.TrackState relies on
 // that to validate once per admission).
 func NewState(g *Graph) (*State, error) {
-	return newState(g, new(widthCache))
+	s, _, err := newState(g)
+	return s, err
 }
 
-// newState is NewState with the cell widths looked up through wc.
-func newState(g *Graph, wc *widthCache) (*State, error) {
+// newState is NewState that also returns the widths it carved the rows by,
+// indexed like g.TypeKeys(): a sequential run asks each cell type for them
+// once, not once per node.
+func newState(g *Graph) (*State, [][]int, error) {
 	s := new(State)
 	if err := s.Reset(g); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	widths := make([][]int, len(g.keys))
 	for i := range g.Nodes {
-		if err := wc.add(g.Nodes[i].Cell); err != nil {
-			return nil, fmt.Errorf("cellgraph: node %d: %w", i, err)
+		if n := &g.Nodes[i]; widths[n.typ] == nil {
+			w, err := rnn.OutputWidthsOf(n.Cell)
+			if err != nil {
+				return nil, nil, fmt.Errorf("cellgraph: node %d: %w", i, err)
+			}
+			widths[n.typ] = w
 		}
 	}
-	s.PreallocOutputs(wc.of)
-	return s, nil
-}
-
-// widthCache holds each cell type's output widths for one execution, so a
-// sequential run asks a cell type for them once, not once per node.
-type widthCache struct {
-	keys   []string
-	widths [][]int
-}
-
-// add asks cell for its widths the first time its type appears.
-func (wc *widthCache) add(cell rnn.Cell) error {
-	if slices.Contains(wc.keys, cell.TypeKey()) {
-		return nil
-	}
-	w, err := rnn.OutputWidthsOf(cell)
-	if err != nil {
-		return err
-	}
-	wc.keys = append(wc.keys, cell.TypeKey())
-	wc.widths = append(wc.widths, w)
-	return nil
-}
-
-// of returns the widths of a cell type add has seen.
-func (wc *widthCache) of(cell rnn.Cell) []int {
-	return wc.widths[slices.Index(wc.keys, cell.TypeKey())]
+	s.PreallocOutputs(widths)
+	return s, widths, nil
 }
 
 // Reset validates g and gives s fresh execution state for it, reusing the
@@ -162,10 +144,11 @@ func (s *State) InputRow(id NodeID, i int) *tensor.Tensor {
 // scatter-side allocations out of the worker hot loop: a worker fills the
 // rows in place and calls Complete.
 //
-// widthsOf returns a cell's output row widths in Cell.OutputNames() order,
-// all positive (rnn.OutputWidthsOf checks them once per cell type). Calling
-// PreallocOutputs after execution has begun is a programming error.
-func (s *State) PreallocOutputs(widthsOf func(rnn.Cell) []int) {
+// widths[t] is the output row widths of the cell type Graph.TypeKeys()[t]
+// names, in OutputNames() order, all positive (rnn.OutputWidthsOf checks
+// them once per cell type). Calling PreallocOutputs after execution has
+// begun is a programming error.
+func (s *State) PreallocOutputs(widths [][]int) {
 	s.read = zeroed(s.read, len(s.rows))
 	read := s.read
 	for i := range s.g.Nodes {
@@ -184,11 +167,10 @@ func (s *State) PreallocOutputs(widthsOf func(rnn.Cell) []int) {
 		if s.flags[i] != 0 {
 			panic("cellgraph: PreallocOutputs called after execution began")
 		}
-		widths := widthsOf(n.Cell)
-		if len(widths) != numOutputs(n.Cell) {
-			panic(fmt.Sprintf("cellgraph: node %d: %d output widths for %d outputs", i, len(widths), numOutputs(n.Cell)))
+		if len(widths[n.typ]) != numOutputs(n.Cell) {
+			panic(fmt.Sprintf("cellgraph: node %d: %d output widths for %d outputs", i, len(widths[n.typ]), numOutputs(n.Cell)))
 		}
-		for o, w := range widths {
+		for o, w := range widths[n.typ] {
 			if read[n.out0+o] {
 				floats += w
 			}
@@ -198,7 +180,7 @@ func (s *State) PreallocOutputs(widthsOf func(rnn.Cell) []int) {
 	slab := s.slab
 	for i := range s.g.Nodes {
 		n := &s.g.Nodes[i]
-		for o, w := range widthsOf(n.Cell) {
+		for o, w := range widths[n.typ] {
 			if read[n.out0+o] {
 				s.rows[n.out0+o] = tensor.ViewOf(slab[:w:w], s.rowShape(w))
 				slab = slab[w:]

@@ -37,8 +37,8 @@ func TestCancelRequestPurgesQueuedNodes(t *testing.T) {
 	if purged := s.CancelRequest(1); purged != 5 {
 		t.Fatalf("purged = %d, want 5", purged)
 	}
-	if s.TotalReady() != 0 || s.ReadyNodes("lstm") != 0 {
-		t.Fatalf("ready counters not cleared: total=%d type=%d", s.TotalReady(), s.ReadyNodes("lstm"))
+	if s.TotalReady() != 0 || s.ReadyNodes(0) != 0 {
+		t.Fatalf("ready counters not cleared: total=%d type=%d", s.TotalReady(), s.ReadyNodes(0))
 	}
 	if s.LiveSubgraphs() != 0 || s.RequestSubgraphs(1) != 0 {
 		t.Fatalf("subgraphs remain after cancel: live=%d byReq=%d", s.LiveSubgraphs(), s.RequestSubgraphs(1))

@@ -19,17 +19,15 @@ const NoDevice DeviceID = -1
 // types round-robin onto devices left empty (a cluster with fewer types than
 // devices would otherwise idle the extra devices entirely).
 func (s *Scheduler) assignPins() {
-	keys := append([]string(nil), s.typeOrder...)
-	sort.SliceStable(keys, func(i, j int) bool {
-		wi, wj := s.types[keys[i]].weight(), s.types[keys[j]].weight()
-		if wi != wj {
-			return wi > wj
-		}
-		return keys[i] < keys[j]
+	// typeOrder is ascending by key, so the stable sort breaks weight ties
+	// by key.
+	ids := append([]TypeID(nil), s.typeOrder...)
+	sort.SliceStable(ids, func(i, j int) bool {
+		return s.types[ids[i]].weight() > s.types[ids[j]].weight()
 	})
 	load := make([]float64, s.devices)
-	for _, key := range keys {
-		ct := s.types[key]
+	for _, id := range ids {
+		ct := &s.types[id]
 		best := 0
 		for d := 1; d < s.devices; d++ {
 			if load[d] < load[best] {
@@ -45,7 +43,7 @@ func (s *Scheduler) assignPins() {
 		if s.residentCount(DeviceID(d)) > 0 {
 			continue
 		}
-		ct := s.types[keys[next%len(keys)]]
+		ct := &s.types[ids[next%len(ids)]]
 		next++
 		ct.pins = append(ct.pins, DeviceID(d))
 		sortPins(ct.pins)
@@ -71,8 +69,8 @@ func (ct *cellType) residentOn(dev DeviceID) bool {
 
 func (s *Scheduler) residentCount(dev DeviceID) int {
 	n := 0
-	for _, key := range s.typeOrder {
-		if s.types[key].residentOn(dev) {
+	for i := range s.types {
+		if s.types[i].residentOn(dev) {
 			n++
 		}
 	}
@@ -108,14 +106,9 @@ func (s *Scheduler) DeviceOf(w WorkerID) DeviceID {
 // Devices returns the configured device count.
 func (s *Scheduler) Devices() int { return s.devices }
 
-// TypeDevices returns a copy of the device pin set for a cell type (nil for
-// unknown types).
-func (s *Scheduler) TypeDevices(key string) []DeviceID {
-	ct, ok := s.types[key]
-	if !ok {
-		return nil
-	}
-	return append([]DeviceID(nil), ct.pins...)
+// TypeDevices returns a copy of the device pin set for a cell type.
+func (s *Scheduler) TypeDevices(t TypeID) []DeviceID {
+	return append([]DeviceID(nil), s.types[t].pins...)
 }
 
 // DeviceReady returns the ready-node depth attributed to a device: each
@@ -124,8 +117,8 @@ func (s *Scheduler) TypeDevices(key string) []DeviceID {
 // pressure).
 func (s *Scheduler) DeviceReady(d DeviceID) float64 {
 	depth := 0.0
-	for _, key := range s.typeOrder {
-		ct := s.types[key]
+	for _, id := range s.typeOrder {
+		ct := &s.types[id]
 		if len(ct.pins) > 0 && ct.residentOn(d) {
 			depth += float64(ct.readyNodes) / float64(len(ct.pins))
 		}
@@ -177,8 +170,8 @@ func (s *Scheduler) MaybeRebalance() int {
 	// Candidate: the most-ready type resident on the deep device and not
 	// already on the shallow one (deterministic tie-break: typeOrder).
 	var cand *cellType
-	for _, key := range s.typeOrder {
-		ct := s.types[key]
+	for _, id := range s.typeOrder {
+		ct := &s.types[id]
 		if !ct.residentOn(DeviceID(maxD)) || ct.residentOn(DeviceID(minD)) {
 			continue
 		}

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// A type's id is its position in Config.Types: the tests below configure
+// "enc" then "dec", and "a" then "b".
+const (
+	encType, decType TypeID = 0, 1
+	aType            TypeID = 0
+)
+
 func deviceScheduler(t *testing.T, devices int, types ...TypeConfig) *Scheduler {
 	t.Helper()
 	s, err := NewScheduler(Config{Types: types, Devices: devices})
@@ -19,7 +26,7 @@ func TestPinAssignmentCoversAllDevices(t *testing.T) {
 	// Heaviest types spread first; with one type and four devices the type
 	// is replicated so no device idles.
 	s := deviceScheduler(t, 4, TypeConfig{Key: "lstm", MaxBatch: 8})
-	pins := s.TypeDevices("lstm")
+	pins := s.TypeDevices(0)
 	if len(pins) != 4 {
 		t.Fatalf("single type on 4 devices should replicate everywhere, pins=%v", pins)
 	}
@@ -29,7 +36,7 @@ func TestPinAssignmentCoversAllDevices(t *testing.T) {
 		TypeConfig{Key: "enc", MaxBatch: 8, Weight: 3},
 		TypeConfig{Key: "dec", MaxBatch: 8, Weight: 1},
 	)
-	enc, dec := s.TypeDevices("enc"), s.TypeDevices("dec")
+	enc, dec := s.TypeDevices(encType), s.TypeDevices(decType)
 	if len(enc) != 1 || len(dec) != 1 || enc[0] == dec[0] {
 		t.Fatalf("LPT should separate the types: enc=%v dec=%v", enc, dec)
 	}
@@ -46,8 +53,8 @@ func TestSchedulePrefersLocalDevice(t *testing.T) {
 	if err := s.BindWorker(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	encDev := s.TypeDevices("enc")[0]
-	decDev := s.TypeDevices("dec")[0]
+	encDev := s.TypeDevices(encType)[0]
+	decDev := s.TypeDevices(decType)[0]
 
 	if _, err := s.AddSubgraph(chainSpec(1, "enc", 4)); err != nil {
 		t.Fatal(err)
@@ -92,7 +99,7 @@ func TestScheduleStealsRemoteWorkWhenIdle(t *testing.T) {
 	if err := s.BindWorker(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	encDev := s.TypeDevices("enc")[0]
+	encDev := s.TypeDevices(encType)[0]
 	// Only enc work exists; the worker on the other device must steal it
 	// and the task must carry the remote marker and home device.
 	if _, err := s.AddSubgraph(chainSpec(1, "enc", 4)); err != nil {
@@ -164,7 +171,7 @@ func TestMaybeRebalanceMovesPinUnderSkew(t *testing.T) {
 		TypeConfig{Key: "a", MaxBatch: 8, Weight: 2},
 		TypeConfig{Key: "b", MaxBatch: 8, Weight: 1},
 	)
-	aDev := s.TypeDevices("a")[0]
+	aDev := s.TypeDevices(aType)[0]
 	// Pile ready work on a's device only; b's device is empty, so the skew
 	// check fires and a is replicated onto the idle device.
 	for r := RequestID(1); r <= 8; r++ {
@@ -175,7 +182,7 @@ func TestMaybeRebalanceMovesPinUnderSkew(t *testing.T) {
 	if moved := s.MaybeRebalance(); moved != 1 {
 		t.Fatalf("MaybeRebalance=%d, want 1", moved)
 	}
-	pins := s.TypeDevices("a")
+	pins := s.TypeDevices(aType)
 	if len(pins) != 2 {
 		t.Fatalf("expected replication of %q, pins=%v", "a", pins)
 	}

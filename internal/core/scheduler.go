@@ -44,6 +44,10 @@ type NodeRef struct {
 	Node cellgraph.NodeID
 }
 
+// TypeID is a cell type's position in Config.Types: every per-type table of
+// the engine indexes by it.
+type TypeID int32
+
 // TypeConfig configures one cell type for scheduling.
 type TypeConfig struct {
 	// Key is the cell type identity (rnn.Cell.TypeKey()).
@@ -133,7 +137,10 @@ type SubgraphSpec struct {
 // TaskCompleted clears it (Nodes nil, Worker NoWorker), so a late read
 // finds nothing or indexes out of range instead of another task's rows.
 type Task struct {
-	ID      TaskID
+	ID TaskID
+	// Type indexes every per-type table; TypeKey is the same type's name,
+	// for the engine's edges (labels, fault injection, observers, errors).
+	Type    TypeID
 	TypeKey string
 	Worker  WorkerID
 	Nodes   []NodeRef
@@ -167,9 +174,9 @@ type Task struct {
 func (t *Task) BatchSize() int { return len(t.Nodes) }
 
 type subgraph struct {
-	id      SubgraphID
-	req     RequestID
-	typeKey string
+	id  SubgraphID
+	req RequestID
+	typ TypeID
 
 	// nodes is the spec's member list; everything below names a member by
 	// its position in it.
@@ -198,6 +205,7 @@ type subgraph struct {
 }
 
 type cellType struct {
+	id  TypeID
 	cfg TypeConfig
 	// queue of live subgraphs in earliest-deadline-first order, FIFO among
 	// equal or absent deadlines — so a deadline-free workload batches in
@@ -211,13 +219,16 @@ type cellType struct {
 	runningTasks int
 	// pins is the sorted set of devices holding this type's weights.
 	pins []DeviceID
+	// purge marks a type whose queue CancelRequest must filter.
+	purge bool
 }
 
 // Scheduler implements Algorithm 1.
 type Scheduler struct {
 	cfg        Config
-	types      map[string]*cellType
-	typeOrder  []string // deterministic iteration order
+	types      []cellType // indexed by TypeID
+	keys       []string   // keys[t] = types[t].cfg.Key, for AddSubgraph
+	typeOrder  []TypeID   // ascending key: pickType's tie-break order
 	nextSub    SubgraphID
 	nextTask   TaskID
 	live       int // registered, not yet retired subgraphs
@@ -264,7 +275,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	}
 	s := &Scheduler{
 		cfg:      cfg,
-		types:    make(map[string]*cellType, len(cfg.Types)),
+		types:    make([]cellType, 0, len(cfg.Types)),
 		byReq:    make(map[RequestID][]*subgraph),
 		inflight: make(map[TaskID]*Task),
 		devices:  cfg.Devices,
@@ -283,13 +294,15 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		if tc.MinBatch > tc.MaxBatch {
 			return nil, fmt.Errorf("core: cell type %q MinBatch %d > MaxBatch %d", tc.Key, tc.MinBatch, tc.MaxBatch)
 		}
-		if _, dup := s.types[tc.Key]; dup {
+		if slices.Contains(s.keys, tc.Key) {
 			return nil, fmt.Errorf("core: duplicate cell type %q", tc.Key)
 		}
-		s.types[tc.Key] = &cellType{cfg: tc}
-		s.typeOrder = append(s.typeOrder, tc.Key)
+		id := TypeID(len(s.types))
+		s.types = append(s.types, cellType{id: id, cfg: tc})
+		s.keys = append(s.keys, tc.Key)
+		s.typeOrder = append(s.typeOrder, id)
 	}
-	sort.Strings(s.typeOrder)
+	sort.Slice(s.typeOrder, func(i, j int) bool { return s.keys[s.typeOrder[i]] < s.keys[s.typeOrder[j]] })
 	s.assignPins()
 	if s.devices > 1 {
 		s.lastDev = make(map[RequestID]DeviceID)
@@ -301,10 +314,12 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 // making its dependency-free nodes immediately available for batching. It
 // returns the subgraph's ID.
 func (s *Scheduler) AddSubgraph(spec SubgraphSpec) (SubgraphID, error) {
-	ct, ok := s.types[spec.TypeKey]
-	if !ok {
+	// A scheduler has a handful of types: a scan beats hashing the key.
+	typ := slices.Index(s.keys, spec.TypeKey)
+	if typ < 0 {
 		return 0, fmt.Errorf("core: unknown cell type %q", spec.TypeKey)
 	}
+	ct := &s.types[typ]
 	if len(spec.Nodes) == 0 {
 		return 0, fmt.Errorf("core: empty subgraph for request %d", spec.Req)
 	}
@@ -335,7 +350,7 @@ func (s *Scheduler) AddSubgraph(spec SubgraphSpec) (SubgraphID, error) {
 	*sg = subgraph{
 		id:       s.nextSub,
 		req:      spec.Req,
-		typeKey:  spec.TypeKey,
+		typ:      TypeID(typ),
 		nodes:    spec.Nodes,
 		ready:    sg.ready[:0],
 		depBuf:   sg.depBuf,
@@ -438,9 +453,8 @@ func (s *Scheduler) CancelRequest(req RequestID) int {
 		return 0
 	}
 	purged := 0
-	touched := make(map[string]bool)
 	for _, sg := range subs {
-		ct := s.types[sg.typeKey]
+		ct := &s.types[sg.typ]
 		ct.readyNodes -= len(sg.ready)
 		s.totalReady -= len(sg.ready)
 		purged += sg.unissued
@@ -454,14 +468,17 @@ func (s *Scheduler) CancelRequest(req RequestID) int {
 			}
 			// Nothing running references this subgraph: retire it now.
 			s.live--
-			touched[sg.typeKey] = true
+			ct.purge = true
 		}
 		// Otherwise TaskCompleted retires it when the last task drains
 		// (unissued is now 0, so no further tasks can pick it up).
 	}
 	s.dropRequest(req, subs)
-	for key := range touched {
-		s.types[key].queue.Filter(s.keepLive)
+	for i := range s.types {
+		if ct := &s.types[i]; ct.purge {
+			ct.purge = false
+			ct.queue.Filter(s.keepLive)
+		}
 	}
 	return purged
 }
@@ -499,8 +516,8 @@ func (s *Scheduler) Schedule(worker WorkerID) []*Task {
 func (s *Scheduler) pickType(dev DeviceID, local bool) *cellType {
 	for rule := 'a'; rule <= 'c'; rule++ {
 		var best *cellType
-		for _, key := range s.typeOrder {
-			ct := s.types[key]
+		for _, id := range s.typeOrder {
+			ct := &s.types[id]
 			if ct.residentOn(dev) != local || ct.readyNodes == 0 ||
 				rule == 'a' && ct.readyNodes < ct.cfg.MaxBatch ||
 				rule == 'b' && ct.runningTasks > 0 {
@@ -528,6 +545,7 @@ func (s *Scheduler) batch(ct *cellType, worker WorkerID, dev DeviceID, remote bo
 		task := reuse(&s.freeTasks)
 		*task = Task{
 			ID:           s.nextTask,
+			Type:         ct.id,
 			TypeKey:      ct.cfg.Key,
 			Worker:       worker,
 			Nodes:        task.nodesBuf[:0],
@@ -675,7 +693,7 @@ func (s *Scheduler) TaskCompleted(id TaskID) error {
 		return fmt.Errorf("core: completion for unknown task %d", id)
 	}
 	delete(s.inflight, id)
-	ct := s.types[task.TypeKey]
+	ct := &s.types[task.Type]
 	ct.runningTasks--
 	retire := false
 	for _, sg := range task.subgraphs {
@@ -722,14 +740,8 @@ func (s *Scheduler) forget(sg *subgraph) {
 	}
 }
 
-// ReadyNodes returns the number of schedule-ready nodes for a cell type
-// (0 for unknown types).
-func (s *Scheduler) ReadyNodes(typeKey string) int {
-	if ct, ok := s.types[typeKey]; ok {
-		return ct.readyNodes
-	}
-	return 0
-}
+// ReadyNodes returns the number of schedule-ready nodes for a cell type.
+func (s *Scheduler) ReadyNodes(t TypeID) int { return s.types[t].readyNodes }
 
 // TotalReady returns the number of schedule-ready nodes across all types.
 func (s *Scheduler) TotalReady() int { return s.totalReady }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/rnn"
@@ -71,9 +72,10 @@ type beamState struct {
 }
 
 // Beam decodes the source with beam search through srv and returns
-// hypotheses sorted best-first. ctx bounds the whole decode: the encode is
-// a Submit under ctx, and when ctx ends during a step the step's
-// outstanding requests are cancelled and Beam returns ctx.Err().
+// hypotheses sorted best-first. ctx bounds the whole decode: every request
+// Beam submits carries ctx's deadline, if it has one, so the server expires
+// what is still running when it passes; when ctx ends otherwise, the step's
+// outstanding requests are cancelled. Either way Beam returns ctx's error.
 func Beam(ctx context.Context, srv *server.Server, spec BeamSpec) ([]Hypothesis, error) {
 	if spec.Encoder == nil || spec.Decoder == nil {
 		return nil, fmt.Errorf("%w: nil cells", ErrBadSpec)
@@ -102,9 +104,9 @@ func Beam(ctx context.Context, srv *server.Server, spec BeamSpec) ([]Hypothesis,
 		{Name: "c", Out: cellgraph.OutputIndex(spec.Decoder, "c")},
 		{Name: "logits", Out: cellgraph.OutputIndex(spec.Decoder, "logits")},
 	}
-	enc, err := srv.Submit(ctx, prompt)
+	enc, err := srv.SubmitOpts(ctx, prompt, submitOpts(ctx))
 	if err != nil {
-		return nil, err
+		return nil, ctxErr(err)
 	}
 
 	live := []*beamState{{
@@ -170,30 +172,59 @@ func Beam(ctx context.Context, srv *server.Server, spec BeamSpec) ([]Hypothesis,
 	return finished, nil
 }
 
+// submitOpts carries ctx's deadline, if any, to the server.
+func submitOpts(ctx context.Context) server.SubmitOpts {
+	dl, _ := ctx.Deadline()
+	return server.SubmitOpts{Deadline: dl}
+}
+
+// ctxErr reports a server expiry, which only ctx's deadline can cause, as
+// ctx's own error: the server may expire a request before ctx's timer has
+// fired.
+func ctxErr(err error) error {
+	if errors.Is(err, server.ErrExpired) {
+		return context.DeadlineExceeded
+	}
+	return err
+}
+
 // expand runs one decoder step per live hypothesis, submitted as a burst so
 // the scheduler batches them, and returns each step's outputs in order. If
 // a submission fails or ctx ends first, every step still outstanding is
-// cancelled.
+// ended: past ctx's deadline the server expires it, so expand waits for
+// that; on any other cause expand cancels it.
 func expand(ctx context.Context, srv *server.Server, dec *rnn.DecoderCell, results []cellgraph.OutputSpec, live []*beamState) ([]map[string]*tensor.Tensor, error) {
-	// A dead context admits no work, as with Server.Submit.
+	// A dead context admits no work, as with Server.Submit; nor does a
+	// deadline its timer has not noticed yet, which the server would count
+	// as a shed.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	opts := submitOpts(ctx)
+	if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {
+		return nil, context.DeadlineExceeded
+	}
 	handles := make([]*server.Handle, 0, len(live))
-	cancelAll := func() {
+	abandon := func(cause error) error {
+		cause = ctxErr(cause)
+		expired := !opts.Deadline.IsZero() && errors.Is(cause, context.DeadlineExceeded)
 		for _, h := range handles {
-			h.Cancel()
+			if expired {
+				<-h.Done()
+			} else {
+				h.Cancel()
+			}
 		}
+		return cause
 	}
 	for _, b := range live {
 		g := &cellgraph.Graph{Results: results}
 		g.Add(dec,
 			cellgraph.Lit(tensor.FromSlice([]float32{float32(b.nextID)}, 1, 1)),
 			cellgraph.Lit(b.h), cellgraph.Lit(b.c))
-		h, err := srv.SubmitAsync(g)
+		h, err := srv.SubmitAsyncOpts(g, opts)
 		if err != nil {
-			cancelAll()
-			return nil, err
+			return nil, abandon(err)
 		}
 		handles = append(handles, h)
 	}
@@ -202,13 +233,11 @@ func expand(ctx context.Context, srv *server.Server, dec *rnn.DecoderCell, resul
 		select {
 		case <-h.Done():
 		case <-ctx.Done():
-			cancelAll()
-			return nil, ctx.Err()
+			return nil, abandon(ctx.Err())
 		}
 		out, err := h.Result()
 		if err != nil {
-			cancelAll()
-			return nil, err
+			return nil, abandon(err)
 		}
 		outs[i] = out
 	}

@@ -23,9 +23,9 @@ import (
 	"sync"
 )
 
-// Observer owns the span rings and maps cell-type strings to the compact IDs
-// stored in ring records. One Observer serves
-// one engine instance (server or sim run).
+// Observer owns the span rings and the engine's cell-type table, which
+// names the type a ring record carries. One Observer serves one engine
+// instance (server or sim run).
 type Observer struct {
 	// Metrics is the engine's serving-metric handles (may be an inert
 	// instance; never nil on a non-nil Observer built by NewObserver).
@@ -33,17 +33,12 @@ type Observer struct {
 
 	ringCap int
 
-	mu      sync.Mutex
-	rings   []*Ring
-	types   map[string]uint16
-	names   []string // index = type ID
-	details map[uint16]TypeDetail
-}
-
-// TypeDetail carries per-cell-type annotations resolved at trace-assembly
-// time: the configured batch bound (for occupancy/padding).
-type TypeDetail struct {
-	MaxBatch int
+	mu    sync.Mutex
+	rings []*Ring
+	// names and maxBatch are the engine's cell-type table, indexed by the
+	// engine's type id; a record's Type is that id + 1, and 0 is unknown.
+	names    []string
+	maxBatch []int
 }
 
 // NewObserver builds an Observer over reg (nil reg yields inert metrics —
@@ -53,9 +48,6 @@ func NewObserver(reg *Registry, ringCap int) *Observer {
 	o := &Observer{
 		Metrics: NewServingMetrics(reg),
 		ringCap: ringCap,
-		types:   make(map[string]uint16),
-		names:   []string{"?"}, // ID 0 = unknown
-		details: make(map[uint16]TypeDetail),
 	}
 	reg.AddCollector(o.refreshRingGauges)
 	return o
@@ -102,57 +94,42 @@ func (o *Observer) AdoptRing(r *Ring) {
 	o.mu.Unlock()
 }
 
-// InternType maps a cell-type key to the compact ID stored in ring
-// records, registering it on first use. Call at setup, not per event.
-func (o *Observer) InternType(key string) uint16 {
-	if o == nil {
-		return 0
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if id, ok := o.types[key]; ok {
-		return id
-	}
-	id := uint16(len(o.names))
-	o.types[key] = id
-	o.names = append(o.names, key)
-	return id
-}
-
-// SetTypeDetail attaches trace annotations (batch bound) to a cell
-// type, interning it if needed. Call at setup, not per event.
-func (o *Observer) SetTypeDetail(key string, d TypeDetail) {
+// SetTypes installs the engine's cell-type table: names[i] and maxBatch[i]
+// (the batch bound trace slices report occupancy against) describe type id
+// i, which records carry as Type i+1. Call at setup, not per event.
+func (o *Observer) SetTypes(names []string, maxBatch []int) {
 	if o == nil {
 		return
 	}
-	id := o.InternType(key)
 	o.mu.Lock()
-	o.details[id] = d
+	o.names = append([]string(nil), names...)
+	o.maxBatch = append([]int(nil), maxBatch...)
 	o.mu.Unlock()
 }
 
-// TypeDetailFor resolves a type ID's trace annotations (zero value if none
-// were registered).
-func (o *Observer) TypeDetailFor(id uint16) TypeDetail {
-	if o == nil {
-		return TypeDetail{}
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.details[id]
-}
-
-// TypeName resolves an interned type ID back to its key ("?" if unknown).
-func (o *Observer) TypeName(id uint16) string {
+// TypeName resolves a record's Type to its cell type's name ("?" if
+// unknown).
+func (o *Observer) TypeName(typ uint16) string {
 	if o == nil {
 		return "?"
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if int(id) < len(o.names) {
-		return o.names[id]
+	if typ == 0 || int(typ) > len(o.names) {
+		return "?"
 	}
-	return "?"
+	return o.names[typ-1]
+}
+
+// maxBatchOf resolves a record's Type to its cell type's batch bound (0 if
+// unknown).
+func (o *Observer) maxBatchOf(typ uint16) int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if typ == 0 || int(typ) > len(o.maxBatch) {
+		return 0
+	}
+	return o.maxBatch[typ-1]
 }
 
 // Rings returns the registered rings (snapshot of the list).

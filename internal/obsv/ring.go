@@ -104,13 +104,13 @@ const (
 )
 
 // Record is one fixed-size span/event record. All fields are plain values so
-// writing a Record into a Ring never allocates; the string identity behind
-// Type is interned once per cell type (see Observer.TypeName).
+// writing a Record into a Ring never allocates; Type names its cell type
+// by the engine's dense type id (see Observer.SetTypes).
 type Record struct {
 	Kind Kind
 	// Worker is the writing worker's index (meaningful for span kinds).
 	Worker uint8
-	// Type is the interned cell-type ID (span kinds).
+	// Type is the engine's cell-type id + 1, 0 when unknown (span kinds).
 	Type uint16
 	// Batch is the number of live rows the task executed (span kinds).
 	Batch uint16

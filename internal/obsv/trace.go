@@ -23,7 +23,7 @@ import (
 // completed request has at least one cross-track arrow from the
 // request-processor track into its executing worker's track. Batch slices
 // (task-exec) are annotated with occupancy and padding waste, from the cell
-// type's MaxBatch resolved via Observer.TypeDetailFor, and with the
+// type's MaxBatch from the observer's type table (SetTypes), and with the
 // remote/migration flags read from the record's aux word.
 //
 // Timestamps are rebased to the earliest retained record so nanosecond
@@ -232,9 +232,9 @@ func (a *traceAssembler) record(r Record) {
 			"remote":      r.Flags&FlagRemote != 0,
 			"migrated":    r.Flags&FlagMigrated != 0,
 		}
-		if d := a.o.TypeDetailFor(r.Type); d.MaxBatch > 0 {
-			args["occupancy"] = float64(int(r.Batch)) / float64(d.MaxBatch)
-			args["padding_waste"] = d.MaxBatch - int(r.Batch)
+		if mb := a.o.maxBatchOf(r.Type); mb > 0 {
+			args["occupancy"] = float64(int(r.Batch)) / float64(mb)
+			args["padding_waste"] = mb - int(r.Batch)
 		}
 		dur := usSince(r.T1, a.base) - ts
 		if dur < 0 {

@@ -22,8 +22,7 @@ const traceBaseNs = int64(1_700_000_000_000_000_000)
 // batched task-exec slices on two workers across two device pools.
 func traceObserver() *Observer {
 	o := NewObserver(NewRegistry(), 64)
-	o.InternType("lstm") // type ID 1
-	o.SetTypeDetail("lstm", TypeDetail{MaxBatch: 8})
+	o.SetTypes([]string{"lstm"}, []int{8}) // records name it Type 1
 	rp := o.NewRing("rp")
 	sched := o.NewRing("sched")
 	w0 := o.NewRing("worker-0")

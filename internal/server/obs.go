@@ -22,19 +22,11 @@ type ObsConfig struct {
 	Disabled bool
 }
 
-// obsType caches one cell type's per-type observability handles so the
-// hot paths pay one map lookup, no lock, no allocation.
-type obsType struct {
-	id       uint16
-	maxBatch int64
-	tm       *obsv.TypeMetrics
-}
-
 // serverObs bridges the pipeline stages to the obsv layer, the one place a
-// serving-path fact is written. The metric cells (sm, workers, types, exec)
-// are always live; o and the rings are nil when ObsConfig.Disabled (nil
-// rings are valid no-ops). Ring and cell ownership follows the locking:
-// rpRing (lifecycle), schedRing (dispatch) and the
+// serving-path fact is written. The metric cells (sm, workers, exec and each
+// cellType's tm) are always live; o and the rings are nil when
+// ObsConfig.Disabled (nil rings are valid no-ops). Ring and cell ownership
+// follows the locking: rpRing (lifecycle), schedRing (dispatch) and the
 // outcome/backlog/depth/ready/dispatch cells are written only under mgr.mu,
 // so they keep one writer at a time, and worker i writes workerRings[i],
 // workers[i] and exec[i].
@@ -46,21 +38,18 @@ type serverObs struct {
 	schedRing   *obsv.Ring
 	workerRings []*obsv.Ring
 	workers     []*obsv.WorkerMetrics
-	// exec[w] holds worker w's per-cell-type execution counters; the worker
+	// exec[w][t] is worker w's execution counters for type t; the worker
 	// caches its entries in its typeExec.
-	exec []map[string]*obsv.ExecMetrics
+	exec [][]*obsv.ExecMetrics
 
 	// pm is the policy metrics handle (nil when no policy is
 	// wired); Health reads its gauges to surface shed state.
 	pm *obsv.PolicyMetrics
-
-	// types is read-only after construction.
-	types map[string]*obsType
 }
 
 // newServerObs builds the observability bridge for a server with the given
-// cell specs and worker count.
-func newServerObs(cfg ObsConfig, specs []CellSpec, workers int) *serverObs {
+// cell types and worker count, and sets each type's metric cells.
+func newServerObs(cfg ObsConfig, types []cellType, workers int) *serverObs {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obsv.NewRegistry()
@@ -68,8 +57,7 @@ func newServerObs(cfg ObsConfig, specs []CellSpec, workers int) *serverObs {
 	ob := &serverObs{
 		workerRings: make([]*obsv.Ring, workers),
 		workers:     make([]*obsv.WorkerMetrics, workers),
-		exec:        make([]map[string]*obsv.ExecMetrics, workers),
-		types:       make(map[string]*obsType, len(specs)),
+		exec:        make([][]*obsv.ExecMetrics, workers),
 	}
 	if cfg.Disabled {
 		ob.sm = obsv.NewServingMetrics(reg)
@@ -84,20 +72,19 @@ func newServerObs(cfg ObsConfig, specs []CellSpec, workers int) *serverObs {
 	}
 	for w := range ob.workers {
 		ob.workers[w] = ob.sm.Worker(w)
-		ob.exec[w] = make(map[string]*obsv.ExecMetrics, len(specs))
+		ob.exec[w] = make([]*obsv.ExecMetrics, len(types))
 	}
-	for _, cs := range specs {
-		key := cs.Cell.TypeKey()
-		ob.types[key] = &obsType{
-			id:       ob.o.InternType(key),
-			maxBatch: int64(cs.MaxBatch),
-			tm:       ob.sm.Type(key),
-		}
+	names := make([]string, len(types))
+	maxBatch := make([]int, len(types))
+	for t := range types {
+		ct := &types[t]
+		ct.tm = ob.sm.Type(ct.key)
+		names[t], maxBatch[t] = ct.key, int(ct.maxBatch)
 		for w := range ob.exec {
-			ob.exec[w][key] = ob.sm.Exec(key, w)
+			ob.exec[w][t] = ob.sm.Exec(ct.key, w)
 		}
-		ob.o.SetTypeDetail(key, obsv.TypeDetail{MaxBatch: cs.MaxBatch})
 	}
+	ob.o.SetTypes(names, maxBatch)
 	return ob
 }
 
@@ -160,14 +147,15 @@ func (ob *serverObs) gauges(liveReqs, queuedCells int) {
 // dispatch stamps the task's observability fields and records the dispatch
 // span. Called just before the task is sent to its worker. The narrowing
 // conversions here and below cannot truncate: New bounds the worker count by
-// 256 and MaxBatch by 65535, and a queue holds at most MaxTasksToSubmit tasks.
+// 256, and MaxBatch and the type count by 65535; a queue holds at most
+// MaxTasksToSubmit tasks. A record's Type is the task's type id + 1.
 func (ob *serverObs) dispatch(task *core.Task, queueDepth int, nowNs int64) {
 	task.DispatchedAt = nowNs
 	task.QueueDepth = int32(queueDepth)
 	ob.schedRing.Write(obsv.Record{
 		Kind:   obsv.KindDispatch,
 		Worker: uint8(task.Worker),
-		Type:   ob.types[task.TypeKey].id,
+		Type:   uint16(task.Type) + 1,
 		Batch:  uint16(task.BatchSize()),
 		Queue:  uint16(queueDepth),
 		T0:     nowNs,
@@ -176,9 +164,9 @@ func (ob *serverObs) dispatch(task *core.Task, queueDepth int, nowNs int64) {
 
 // mirrorScheduler refreshes the per-type ready-queue and per-worker depth
 // gauges from the manager's state, under mgr.mu.
-func (ob *serverObs) mirrorScheduler(sched *core.Scheduler, outstanding []int) {
-	for key, ot := range ob.types {
-		ot.tm.Ready.Set(int64(sched.ReadyNodes(key)))
+func (ob *serverObs) mirrorScheduler(sched *core.Scheduler, types []cellType, outstanding []int) {
+	for t := range types {
+		types[t].tm.Ready.Set(int64(sched.ReadyNodes(core.TypeID(t))))
 	}
 	for w, d := range outstanding {
 		ob.workers[w].Depth.Set(int64(d))
@@ -216,13 +204,13 @@ func (ob *serverObs) taskExec(workerID int, task *core.Task, te *typeExec, live 
 	wm := ob.workers[workerID]
 	wm.Busy.Add(busyNs)
 	wm.ArenaHighWater.Max(arenaHighWaterBytes)
-	ob.sm.SlotsCap.Add(te.obs.maxBatch)
+	ob.sm.SlotsCap.Add(te.maxBatch)
 	ob.sm.SlotsUsed.Add(int64(live))
 	ob.sm.BatchOccupancy.Observe(int64(live))
 	ob.workerRings[workerID].Write(obsv.Record{
 		Kind:   obsv.KindTaskExec,
 		Worker: uint8(workerID),
-		Type:   te.obs.id,
+		Type:   uint16(task.Type) + 1,
 		Batch:  uint16(live),
 		Queue:  uint16(task.QueueDepth),
 		T0:     task.DispatchedAt,
@@ -232,11 +220,11 @@ func (ob *serverObs) taskExec(workerID int, task *core.Task, te *typeExec, live 
 
 // cellPanic records one recovered cell panic against its cell type.
 func (ob *serverObs) cellPanic(task *core.Task, te *typeExec, batch int) {
-	te.obs.tm.Panics.Inc()
+	te.tm.Panics.Inc()
 	ob.workerRings[task.Worker].Write(obsv.Record{
 		Kind:   obsv.KindPanic,
 		Worker: uint8(task.Worker),
-		Type:   te.obs.id,
+		Type:   uint16(task.Type) + 1,
 		Batch:  uint16(batch),
 		T0:     time.Now().UnixNano(),
 	})

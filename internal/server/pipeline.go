@@ -152,7 +152,7 @@ func (m *mgr) dispatch() {
 func (m *mgr) mirror() {
 	m.s.schedInflight.Store(int64(m.sched.InflightTasks()))
 	m.s.schedLive.Store(int64(m.sched.LiveSubgraphs()))
-	m.s.obs.mirrorScheduler(m.sched, m.outstanding)
+	m.s.obs.mirrorScheduler(m.sched, m.s.types, m.outstanding)
 }
 
 // admit performs the admission decision and registers the request. The
@@ -277,8 +277,7 @@ func (m *mgr) complete(task *core.Task, executed []execRef, elapsed time.Duratio
 			continue
 		}
 		if stepErr != nil {
-			cell := s.cells[task.TypeKey]
-			m.fail(r, fmt.Errorf("server: executing %s: %w", cell.Name(), stepErr))
+			m.fail(r, fmt.Errorf("server: executing %s: %w", s.types[task.Type].cell.Name(), stepErr))
 			continue
 		}
 		released, err := r.tracker.NodeDone(ref.node)

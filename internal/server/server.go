@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"math"
 	rtmetrics "runtime/metrics"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -248,6 +249,9 @@ func (r *request) dead() bool { return r.resolved.Load() || r.poisoned.Load() }
 type reqBlock struct {
 	state   cellgraph.State
 	tracker core.Tracker
+	// widths holds the row widths of each of the graph's cell types, for
+	// PreallocOutputs.
+	widths [][]int
 }
 
 // blockList is a server's free list of request blocks: a LIFO under a leaf
@@ -304,15 +308,24 @@ func (r *request) durableAdmit() error {
 	return r.jerr
 }
 
+// cellType is one registered cell type with its metric cells. Its index in
+// Server.types is its core.TypeID: the scheduler numbers Config.Types in
+// the same order.
+type cellType struct {
+	cell     rnn.Cell
+	key      string
+	maxBatch int64
+	// widths are the output row widths, in OutputNames order. Admission
+	// carves per-request output rows by them; workers size step outputs.
+	widths []int
+	tm     *obsv.TypeMetrics // set by newServerObs
+}
+
 // Server is a live cellular-batching inference server.
 type Server struct {
-	cfg   Config
-	cells map[string]rnn.Cell
-	// outWidths caches each cell type's output row widths, in OutputNames
-	// order. Admission uses it to carve per-request output rows; workers use
-	// it to size arena-backed step outputs.
-	outWidths map[string][]int
-	faults    FaultInjector
+	cfg    Config
+	types  []cellType // indexed by core.TypeID
+	faults FaultInjector
 	// journal is the durability hook (nil: journaling off). Immutable
 	// after New; only mgr and Handle.Cancel touch it — never the worker
 	// hot path.
@@ -357,11 +370,13 @@ type Server struct {
 	dispatchRounds atomic.Int64
 }
 
-// Span records stamp the worker index into a byte and the batch size into
-// 16 bits; New rejects configurations that would not fit.
+// Span records stamp the worker index into a byte, and the batch size and
+// the type id + 1 into 16 bits; New rejects configurations that would not
+// fit.
 const (
 	maxWorkers    = 256
 	maxBatchLimit = 65535
+	maxTypes      = 65535
 )
 
 // New builds and starts a server. Call Stop (or Drain) to shut it down.
@@ -372,15 +387,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers > maxWorkers {
 		return nil, fmt.Errorf("server: Workers %d too large (max %d)", cfg.Workers, maxWorkers)
 	}
-	if len(cfg.Cells) == 0 {
-		return nil, fmt.Errorf("server: no cells registered")
+	if len(cfg.Cells) == 0 || len(cfg.Cells) > maxTypes {
+		return nil, fmt.Errorf("server: %d cell types registered, want 1 to %d", len(cfg.Cells), maxTypes)
 	}
 	if err := cfg.Policy.Validate(); err != nil {
 		return nil, err
 	}
 	types := make([]core.TypeConfig, 0, len(cfg.Cells))
-	cells := make(map[string]rnn.Cell, len(cfg.Cells))
-	outWidths := make(map[string][]int, len(cfg.Cells))
+	cells := make([]cellType, 0, len(cfg.Cells))
 	for _, cs := range cfg.Cells {
 		if cs.Cell == nil {
 			return nil, fmt.Errorf("server: nil cell in config")
@@ -390,15 +404,14 @@ func New(cfg Config) (*Server, error) {
 				cs.MaxBatch, cs.Cell.Name(), maxBatchLimit)
 		}
 		key := cs.Cell.TypeKey()
-		if _, dup := cells[key]; dup {
+		if slices.ContainsFunc(cells, func(ct cellType) bool { return ct.key == key }) {
 			return nil, fmt.Errorf("server: duplicate cell type %q", key)
 		}
 		widths, err := rnn.OutputWidthsOf(cs.Cell)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		cells[key] = cs.Cell
-		outWidths[key] = widths
+		cells = append(cells, cellType{cell: cs.Cell, key: key, maxBatch: int64(cs.MaxBatch), widths: widths})
 		types = append(types, core.TypeConfig{
 			Key:      key,
 			MaxBatch: cs.MaxBatch,
@@ -425,8 +438,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
-		cells:      cells,
-		outWidths:  outWidths,
+		types:      cells,
 		faults:     cfg.Faults,
 		journal:    cfg.Journal,
 		baseAllocs: heapAllocObjects(),
@@ -434,7 +446,7 @@ func New(cfg Config) (*Server, error) {
 		stopdCh:    make(chan struct{}),
 		drained:    make(chan struct{}),
 		live:       make(map[core.RequestID]*request),
-		obs:        newServerObs(cfg.Obs, cfg.Cells, cfg.Workers),
+		obs:        newServerObs(cfg.Obs, cells, cfg.Workers),
 	}
 	if cfg.FirstRequestID > 0 {
 		s.nextID.Store(int64(cfg.FirstRequestID))
@@ -606,16 +618,21 @@ func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, 
 		s.blocks.put(b)
 		return nil, err
 	}
-	for i := range g.Nodes {
-		if key := g.Nodes[i].Cell.TypeKey(); s.cells[key] == nil {
-			s.blocks.put(b)
-			return nil, fmt.Errorf("server: cell type %q of node %d not registered", key, i)
-		}
-	}
-	// Carve the request's output rows here, on the caller's goroutine, so
-	// the worker scatter writes in place instead of allocating (the arena
+	// Check registration and look up row widths once per distinct cell type
+	// of the request (a server has a handful: a scan beats hashing the key),
+	// then carve its output rows here, on the caller's goroutine, so the
+	// worker scatter writes in place instead of allocating (the arena
 	// counterpart on the gather/step side lives in the worker).
-	b.state.PreallocOutputs(func(cell rnn.Cell) []int { return s.outWidths[cell.TypeKey()] })
+	b.widths = b.widths[:0]
+	for _, key := range g.TypeKeys() {
+		t := slices.IndexFunc(s.types, func(ct cellType) bool { return ct.key == key })
+		if t < 0 {
+			s.blocks.put(b)
+			return nil, fmt.Errorf("server: cell type %q not registered", key)
+		}
+		b.widths = append(b.widths, s.types[t].widths)
+	}
+	b.state.PreallocOutputs(b.widths)
 	var id core.RequestID
 	if opts.ReplayID != 0 {
 		// Recovery replay keeps the original ID and floors the allocator
@@ -786,9 +803,9 @@ func (s *Server) Stats() Stats {
 	if n := sm.BatchOccupancy.Count() - prev; n > 0 {
 		st.BatchSizes[math.MaxInt] = int(n)
 	}
-	for key, ot := range ob.types {
-		if n := int(ot.tm.Panics.Value()); n > 0 {
-			st.Quarantined[key] = n
+	for _, ct := range s.types {
+		if n := int(ct.tm.Panics.Value()); n > 0 {
+			st.Quarantined[ct.key] = n
 			st.Outcomes.RecoveredPanics += n
 		}
 	}
@@ -830,8 +847,8 @@ func heapAllocObjects() uint64 {
 // of every entry into the manager, so it is eventually consistent during
 // operation and exact once the pipeline is idle.
 func (s *Server) schedulerGauges() (inflight, liveSubgraphs, ready int) {
-	for _, ot := range s.obs.types {
-		ready += int(ot.tm.Ready.Value())
+	for _, ct := range s.types {
+		ready += int(ct.tm.Ready.Value())
 	}
 	return int(s.schedInflight.Load()), int(s.schedLive.Load()), ready
 }

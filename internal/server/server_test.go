@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"batchmaker/internal/cellgraph"
+	"batchmaker/internal/core"
 	"batchmaker/internal/rnn"
 	"batchmaker/internal/tensor"
 )
@@ -225,6 +227,112 @@ func TestServerRejectsUnknownCellType(t *testing.T) {
 	g, _ := cellgraph.UnfoldChainIDs(m.enc, []int{3, 4})
 	if _, err := srv.Submit(context.Background(), g); err == nil {
 		t.Fatal("want unknown-cell-type error")
+	}
+}
+
+// TestTypeIsItsKeyNotItsCell: two LSTM cells built from one seed are two
+// values with one TypeKey, and the engine makes them one cell type. A graph
+// that mixes them partitions by key, and a server registered with one
+// serves requests built with the other and batches their rows into one
+// task.
+func TestTypeIsItsKeyNotItsCell(t *testing.T) {
+	a := rnn.NewLSTMCell("lstm", tEmbed, tHidden, tensor.NewRNG(5))
+	b := rnn.NewLSTMCell("lstm", tEmbed, tHidden, tensor.NewRNG(5))
+	other := rnn.NewLSTMCell("lstm", tEmbed, tHidden, tensor.NewRNG(6))
+	if a == b || a.TypeKey() != b.TypeKey() || other.TypeKey() == a.TypeKey() {
+		t.Fatal("fixture: want two values of one type and a cell of another")
+	}
+
+	// a → b → other → a: the first two nodes are one subgraph, the others
+	// one each.
+	h, c := cellgraph.OutputIndex(a, "h"), cellgraph.OutputIndex(a, "c")
+	x, zero := cellgraph.Lit(tensor.New(1, tEmbed)), cellgraph.Lit(tensor.New(1, tHidden))
+	g := &cellgraph.Graph{}
+	n := g.Add(a, x, zero, zero)
+	n = g.Add(b, x, cellgraph.Ref(n, h), cellgraph.Ref(n, c))
+	n = g.Add(other, x, cellgraph.Ref(n, h), cellgraph.Ref(n, c))
+	g.Add(a, x, cellgraph.Ref(n, h), cellgraph.Ref(n, c))
+	if len(g.TypeKeys()) != 2 {
+		t.Fatalf("graph has %d cell types, want 2", len(g.TypeKeys()))
+	}
+	subs := cellgraph.Partition(g)
+	want := []struct {
+		key   string
+		nodes []cellgraph.NodeID
+	}{{a.TypeKey(), []cellgraph.NodeID{0, 1}}, {other.TypeKey(), []cellgraph.NodeID{2}}, {a.TypeKey(), []cellgraph.NodeID{3}}}
+	if len(subs) != len(want) {
+		t.Fatalf("%d subgraphs, want %d", len(subs), len(want))
+	}
+	for i, w := range want {
+		if subs[i].TypeKey != w.key || !slices.Equal(subs[i].Nodes, w.nodes) {
+			t.Fatalf("subgraph %d = %v, want %v", i, subs[i].Nodes, w.nodes)
+		}
+	}
+
+	var mu sync.Mutex
+	maxReqs := 0
+	srv, err := New(Config{
+		Workers: 1,
+		Cells:   []CellSpec{{Cell: a, MaxBatch: 8}},
+		Faults:  &onceInjector{decision: FaultDecision{Kind: FaultDelay, Delay: 50 * time.Millisecond}},
+		TaskObserver: func(_ int, key string, rows []core.NodeRef) {
+			reqs := map[core.RequestID]bool{}
+			for _, r := range rows {
+				reqs[r.Req] = true
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if key != a.TypeKey() {
+				t.Errorf("task of type %q", key)
+			}
+			maxReqs = max(maxReqs, len(reqs))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	// A one-cell request's task stalls the worker until every request below
+	// is admitted, so one task batches the head of every chain.
+	stall, err := cellgraph.UnfoldChain(a, chainInput(99, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.SubmitAsync(stall); err != nil {
+		t.Fatal(err)
+	}
+	const reqs = 4
+	var handles []*Handle
+	for i := 0; i < reqs; i++ {
+		g, err := cellgraph.UnfoldChain(b, chainInput(uint64(i+1), 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hd, err := srv.SubmitAsync(g)
+		if err != nil {
+			t.Fatalf("request built with an equal-key cell refused: %v", err)
+		}
+		handles = append(handles, hd)
+	}
+	for i, hd := range handles {
+		<-hd.Done()
+		got, err := hd.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := cellgraph.UnfoldChain(b, chainInput(uint64(i+1), 3))
+		wantOut, err := cellgraph.ExecuteSequential(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got["h"].Equal(wantOut["h"]) {
+			t.Fatalf("request %d differs from sequential execution", i)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if maxReqs != reqs {
+		t.Fatalf("the widest task batched %d requests, want %d", maxReqs, reqs)
 	}
 }
 

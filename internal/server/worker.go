@@ -6,21 +6,18 @@ import (
 
 	"batchmaker/internal/core"
 	"batchmaker/internal/obsv"
-	"batchmaker/internal/rnn"
 	"batchmaker/internal/tensor"
 )
 
 // typeExec caches one worker's per-cell-type execution resources: the
-// input/output name lists (so the hot loop never re-allocates them), the
-// output widths, the reused input/output tensor maps, and the metric cells
-// this worker is the only writer of.
+// shared type record, the input/output name lists (so the hot loop never
+// re-allocates them), the reused input/output tensor maps, and the metric
+// cells this worker is the only writer of.
 type typeExec struct {
-	cell     rnn.Cell
-	obs      *obsType          // shared per-type handles
+	*cellType
 	exec     *obsv.ExecMetrics // this worker's task/cell counters for the type
 	inNames  []string
 	outNames []string
-	widths   []int // per output, in outNames order
 	inputs   map[string]*tensor.Tensor
 	outs     map[string]*tensor.Tensor
 	// outRows is the current task's batched outputs in outNames order, so
@@ -37,39 +34,32 @@ type typeExec struct {
 // memcpy speed, not allocator speed).
 type workerExec struct {
 	arena *tensor.Arena
-	types map[string]*typeExec
+	types []typeExec // indexed by core.TypeID
 	refs  []execRef
 	rows  [][]*tensor.Tensor
 	seen  []core.NodeRef
 }
 
-func newWorkerExec() *workerExec {
-	return &workerExec{
+// newWorkerExec builds worker id's execution state, with its resources for
+// every registered cell type.
+func (s *Server) newWorkerExec(id int) *workerExec {
+	w := &workerExec{
 		arena: tensor.NewArena(0),
-		types: make(map[string]*typeExec),
+		types: make([]typeExec, len(s.types)),
 	}
-}
-
-// typeFor returns worker id's cached per-type resources, building them on
-// first use.
-func (s *Server) typeFor(w *workerExec, id int, key string) *typeExec {
-	te := w.types[key]
-	if te == nil {
-		cell := s.cells[key]
-		te = &typeExec{
-			cell:     cell,
-			obs:      s.obs.types[key],
-			exec:     s.obs.exec[id][key],
-			inNames:  cell.InputNames(),
-			outNames: cell.OutputNames(),
-			widths:   s.outWidths[key],
+	for t := range s.types {
+		ct := &s.types[t]
+		w.types[t] = typeExec{
+			cellType: ct,
+			exec:     s.obs.exec[id][t],
+			inNames:  ct.cell.InputNames(),
+			outNames: ct.cell.OutputNames(),
 			inputs:   make(map[string]*tensor.Tensor),
 			outs:     make(map[string]*tensor.Tensor),
-			outRows:  make([]*tensor.Tensor, len(cell.OutputNames())),
+			outRows:  make([]*tensor.Tensor, len(ct.widths)),
 		}
-		w.types[key] = te
 	}
-	return te
+	return w
 }
 
 // scratch returns per-input row-pointer slices with capacity for n rows.
@@ -100,7 +90,7 @@ func rowWidth(t *tensor.Tensor) int {
 // channel at shutdown, once every dispatched task has been retired.
 func (s *Server) workerLoop(id int, tasks <-chan *core.Task) {
 	defer s.wg.Done()
-	ws := newWorkerExec()
+	ws := s.newWorkerExec(id)
 	m := s.m
 	for task := range tasks {
 		refs, elapsed, err := s.execTask(id, task, ws)
@@ -123,7 +113,7 @@ func (s *Server) workerLoop(id int, tasks <-chan *core.Task) {
 // on one GPU stream. Dependency tracking and resolution stay with
 // mgr.complete.
 func (s *Server) execTask(id int, task *core.Task, ws *workerExec) ([]execRef, time.Duration, error) {
-	te := s.typeFor(ws, id, task.TypeKey)
+	te := &ws.types[task.Type]
 	ws.arena.Reset()
 	now := time.Now()
 	refs := ws.refs[:0]

@@ -27,14 +27,13 @@ func workerAllocFixture(tb testing.TB, reqN, chainN int) (*Server, []*core.Task,
 		tb.Fatal(err)
 	}
 	s := &Server{
-		cells:     map[string]rnn.Cell{key: lstm},
-		outWidths: map[string][]int{key: widths},
-		live:      make(map[core.RequestID]*request),
-		// Span records ON (every task writes one) and TaskObserver nil: the
-		// zero-alloc gate must hold with the full observability layer live,
-		// exactly as New() builds it.
-		obs: newServerObs(ObsConfig{}, []CellSpec{{Cell: lstm, MaxBatch: reqN}}, 1),
+		types: []cellType{{cell: lstm, key: key, maxBatch: int64(reqN), widths: widths}},
+		live:  make(map[core.RequestID]*request),
 	}
+	// Span records ON (every task writes one) and TaskObserver nil: the
+	// zero-alloc gate must hold with the full observability layer live,
+	// exactly as New() builds it.
+	s.obs = newServerObs(ObsConfig{}, s.types, 1)
 	tasks := make([]*core.Task, chainN)
 	for i := range tasks {
 		tasks[i] = &core.Task{
@@ -100,7 +99,7 @@ func TestWorkerExecLoopZeroAlloc(t *testing.T) {
 	defer fr.Stop()
 	fr.Evaluate(time.Now().UnixNano())
 
-	ws := newWorkerExec()
+	ws := s.newWorkerExec(0)
 	for _, task := range tasks[:warm] {
 		runAllocTask(t, s, task, ws)
 	}
@@ -153,7 +152,7 @@ func TestWorkerExecLoopZeroAlloc(t *testing.T) {
 func BenchmarkWorkerChainExec(b *testing.B) {
 	const reqN, chainN = 8, 64
 	s, tasks, _ := workerAllocFixture(b, reqN, chainN)
-	ws := newWorkerExec()
+	ws := s.newWorkerExec(0)
 	idx := 0
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -36,7 +36,8 @@ type BatchMakerConfig struct {
 	// timestamps, so Observer.WriteTrace assembles a Perfetto trace of a
 	// sim run exactly as it does for a live one — paper-style figures
 	// straight from traces. The sim's event loop is one goroutine, so it
-	// is the single writer of every ring it creates.
+	// is the single writer of every ring it creates. RunSchedule installs
+	// the model's type table on it (Observer.SetTypes).
 	Observer *obsv.Observer
 	// Policy, when set, mirrors the live server's SLA feasibility rule in
 	// virtual time: each retired task prices the cells it ran, and an
@@ -97,9 +98,8 @@ type batchMakerSim struct {
 	queuedCells int
 	sheds       int
 	misses      int
-	// obsTypes caches per-cell-type metric handles plus the type's batch
-	// capacity (for slot accounting); nil when cfg.Metrics is nil.
-	obsTypes map[string]*bmObsType
+	// types is indexed by core.TypeID, a type's position in Model.Types().
+	types []bmType
 	// obsDevs and obsWorkers cache per-device and per-worker metric handles;
 	// nil when cfg.Metrics is nil.
 	obsDevs    []*obsv.DeviceMetrics
@@ -109,13 +109,14 @@ type batchMakerSim struct {
 	rpRing      *obsv.Ring
 	schedRing   *obsv.Ring
 	workerRings []*obsv.Ring
-	typeIDs     map[string]uint16
 }
 
-// bmObsType is one cell type's cached metric handles for the sim hook;
-// exec is indexed by worker, the same {cell_type, worker} cells the live
-// server's workers write.
-type bmObsType struct {
+// bmType is one cell type's kernel cost curve and, when cfg.Metrics is set,
+// its metric handles plus its batch capacity (for slot accounting); exec is
+// indexed by worker, the same {cell_type, worker} cells the live server's
+// workers write.
+type bmType struct {
+	curve    device.Curve
 	tm       *obsv.TypeMetrics
 	exec     []*obsv.ExecMetrics
 	maxBatch int64
@@ -147,10 +148,18 @@ func RunSchedule(cfg BatchMakerConfig, arrivals Schedule, run RunConfig) (*metri
 	// Weight the scheduler's pin assignment by each type's single-cell
 	// kernel time so heavy types spread across devices first.
 	types := cfg.Model.Types()
-	for i := range types {
-		if types[i].Weight == 0 {
-			types[i].Weight = float64(cfg.Model.KernelTime(types[i].Key, 1))
+	bmTypes := make([]bmType, len(types))
+	names := make([]string, len(types))
+	maxBatch := make([]int, len(types))
+	for i, tc := range types {
+		c, ok := cfg.Model.Costs().Curve(tc.Key)
+		if !ok {
+			return nil, fmt.Errorf("sim: no cost curve for cell type %q", tc.Key)
 		}
+		if tc.Weight == 0 {
+			types[i].Weight = float64(c.Time(1))
+		}
+		bmTypes[i].curve, names[i], maxBatch[i] = c, tc.Key, tc.MaxBatch
 	}
 	sched, err := core.NewScheduler(core.Config{
 		Types:            types,
@@ -169,6 +178,7 @@ func RunSchedule(cfg BatchMakerConfig, arrivals Schedule, run RunConfig) (*metri
 		reqs:     make(map[core.RequestID]*bmRequest),
 		col:      newCollector(fmt.Sprintf("BatchMaker-%s", cfg.Model.Name), run),
 		stalled:  -1,
+		types:    bmTypes,
 	}
 	for i := range s.gpus {
 		s.gpus[i] = &device.GPU{ID: i}
@@ -177,13 +187,12 @@ func RunSchedule(cfg BatchMakerConfig, arrivals Schedule, run RunConfig) (*metri
 		}
 	}
 	if cfg.Metrics != nil {
-		s.obsTypes = make(map[string]*bmObsType)
-		for _, tc := range cfg.Model.Types() {
-			ot := &bmObsType{tm: cfg.Metrics.Type(tc.Key), maxBatch: int64(tc.MaxBatch)}
+		for t, tc := range types {
+			ot := &s.types[t]
+			ot.tm, ot.maxBatch = cfg.Metrics.Type(tc.Key), int64(tc.MaxBatch)
 			for w := 0; w < cfg.NumGPUs; w++ {
 				ot.exec = append(ot.exec, cfg.Metrics.Exec(tc.Key, w))
 			}
-			s.obsTypes[tc.Key] = ot
 		}
 		s.obsDevs = make([]*obsv.DeviceMetrics, devices)
 		for d := range s.obsDevs {
@@ -201,11 +210,7 @@ func RunSchedule(cfg BatchMakerConfig, arrivals Schedule, run RunConfig) (*metri
 		for w := range s.workerRings {
 			s.workerRings[w] = o.NewRing(fmt.Sprintf("worker-%d", w))
 		}
-		s.typeIDs = make(map[string]uint16)
-		for _, tc := range cfg.Model.Types() {
-			s.typeIDs[tc.Key] = o.InternType(tc.Key)
-			o.SetTypeDetail(tc.Key, obsv.TypeDetail{MaxBatch: tc.MaxBatch})
-		}
+		o.SetTypes(names, maxBatch)
 	}
 	s.eng.Feed(arrivals, s.admit)
 	for s.eng.Step() {
@@ -336,18 +341,18 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 	gpu := s.gpus[w]
 	dev := int(s.sched.DeviceOf(w))
 	for _, task := range tasks {
-		dur := s.cfg.Overheads.PerTask(task.BatchSize()) + s.cfg.Model.KernelTime(task.TypeKey, task.BatchSize())
+		typ := &s.types[task.Type]
+		dur := s.cfg.Overheads.PerTask(task.BatchSize()) + typ.curve.Time(task.BatchSize())
 		s.col.res.AddExtra("tasks", 1)
 		s.col.res.AddExtra("batched_cells", float64(task.BatchSize()))
-		if ot := s.obsTypes[task.TypeKey]; ot != nil {
-			m := s.cfg.Metrics
+		if m := s.cfg.Metrics; m != nil {
 			batch := int64(task.BatchSize())
-			ot.exec[w].Tasks.Inc()
-			ot.exec[w].Cells.Add(batch)
+			typ.exec[w].Tasks.Inc()
+			typ.exec[w].Cells.Add(batch)
 			s.obsWorkers[w].Busy.Add(int64(dur))
 			m.BatchOccupancy.Observe(batch)
 			m.SlotsUsed.Add(batch)
-			m.SlotsCap.Add(ot.maxBatch)
+			m.SlotsCap.Add(typ.maxBatch)
 		}
 		// Cross-device movement (§5): the scheduler marks requests whose
 		// previous task ran on another device; their h/c state is copied
@@ -386,7 +391,7 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 		s.schedRing.Write(obsv.Record{
 			Kind:   obsv.KindDispatch,
 			Worker: uint8(w),
-			Type:   s.typeIDs[task.TypeKey],
+			Type:   uint16(task.Type) + 1,
 			Batch:  uint16(task.BatchSize()),
 			Queue:  uint16(s.inflight[w]),
 			Device: uint8(dev),
@@ -415,7 +420,7 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 			s.workerRings[w].Write(obsv.Record{
 				Kind:   obsv.KindTaskExec,
 				Worker: uint8(w),
-				Type:   s.typeIDs[task.TypeKey],
+				Type:   uint16(task.Type) + 1,
 				Batch:  uint16(task.BatchSize()),
 				Device: uint8(dev),
 				Flags:  flags,
@@ -433,8 +438,11 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 // mirrorReady refreshes the ready-queue and worker-depth gauges so a sim
 // registry exposes the same scheduler view the live server does.
 func (s *batchMakerSim) mirrorReady() {
-	for key, ot := range s.obsTypes {
-		ot.tm.Ready.Set(int64(s.sched.ReadyNodes(key)))
+	if s.cfg.Metrics == nil {
+		return
+	}
+	for t := range s.types {
+		s.types[t].tm.Ready.Set(int64(s.sched.ReadyNodes(core.TypeID(t))))
 	}
 	for d, dm := range s.obsDevs {
 		dm.Ready.Set(s.sched.DeviceReady(core.DeviceID(d)))
