@@ -21,9 +21,10 @@
 // offline smoke of the serving path.
 //
 // Pass -metrics-addr to also serve an HTTP introspection endpoint:
-// /metrics (Prometheus text format), /debug/requests (recent request
-// timelines as JSONL), /debug/trace (causal Chrome/Perfetto trace-event
-// JSON), /healthz (drain/overload probe), and /debug/pprof/*. Pass
+// /metrics (Prometheus text format), /debug/trace (causal Chrome/Perfetto
+// trace-event JSON: every request's admit → first execution → terminal
+// flow, the batches and the queue depths), /healthz (drain/overload
+// probe), and /debug/pprof/*. Pass
 // -trace-out to write the assembled trace to a file at shutdown, and
 // -incident-dir to arm the anomaly-triggered flight recorder. See
 // README.md "Monitoring".
@@ -489,7 +490,7 @@ func main() {
 		demo     = flag.Bool("demo", false, "drive the server with a built-in client and exit")
 		jdir     = flag.String("journal-dir", "", "durable request journal directory; admits are journaled by a background group commit that replies do not wait for, and unfinished requests replay on boot (empty = off)")
 		jsync    = flag.String("journal-sync", "batch", "journal fsync policy: none (process-crash safe) or batch (each group commit is fsynced before its records count as durable; default)")
-		metrics  = flag.String("metrics-addr", "", "HTTP introspection listen address serving /metrics, /debug/requests, /debug/trace, /healthz and /debug/pprof (empty = off)")
+		metrics  = flag.String("metrics-addr", "", "HTTP introspection listen address serving /metrics, /debug/trace, /healthz and /debug/pprof (empty = off)")
 		traceOut = flag.String("trace-out", "", "write the assembled causal trace (Chrome/Perfetto trace-event JSON) to this file at shutdown (empty = off)")
 		incDir   = flag.String("incident-dir", "", "arm the anomaly-triggered flight recorder, spooling incident bundles (ring snapshot, metrics, profiles, trace) into this directory (empty = off)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (stopped at exit; in serve mode, send SIGINT/SIGTERM)")
@@ -564,7 +565,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer mln.Close()
-		log.Printf("introspection on http://%s (/metrics /debug/requests /debug/trace /healthz /debug/pprof)", mln.Addr())
+		log.Printf("introspection on http://%s (/metrics /debug/trace /healthz /debug/pprof)", mln.Addr())
 		go func() {
 			srv := &http.Server{Handler: obsv.Handler(a.srv.Observer(), a.health)}
 			if err := srv.Serve(mln); err != nil && !errors.Is(err, net.ErrClosed) {

@@ -16,7 +16,6 @@ import (
 	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/dataset"
 	"batchmaker/internal/device"
-	"batchmaker/internal/metrics"
 	"batchmaker/internal/sim"
 )
 
@@ -85,7 +84,7 @@ type Point struct {
 	QueueP99   time.Duration
 }
 
-func pointOf(r *metrics.RunResult) Point {
+func pointOf(r *sim.RunResult) Point {
 	return Point{
 		System:     r.System,
 		OfferedQPS: r.OfferedQPS,
@@ -109,12 +108,22 @@ func (r *Report) printf(format string, args ...interface{}) {
 	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
 }
 
-func (r *Report) addResult(res *metrics.RunResult) Point {
+func (r *Report) addResult(res *sim.RunResult) Point {
 	p := pointOf(res)
 	r.Points = append(r.Points, p)
-	r.printf("%s", res.Row())
+	r.printf("%s", row(res))
 	return p
 }
+
+// row formats a run as the harness's standard table row.
+func row(r *sim.RunResult) string {
+	return fmt.Sprintf("%-22s offered=%8.0f req/s  tput=%8.0f req/s  p50=%8.2fms  p90=%8.2fms  p99=%8.2fms",
+		r.System, r.OfferedQPS, r.Throughput(),
+		ms(r.Latency.P50()), ms(r.Latency.P90()), ms(r.Latency.P99()))
+}
+
+// ms converts a duration to float milliseconds for printing.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // WriteTo renders the report.
 func (r *Report) WriteTo(w io.Writer) (int64, error) {
@@ -146,10 +155,10 @@ func (r *Report) WriteCSV(w io.Writer) error {
 			p.System,
 			fmt.Sprintf("%.0f", p.OfferedQPS),
 			fmt.Sprintf("%.1f", p.Throughput),
-			fmt.Sprintf("%.3f", metrics.Ms(p.P50)),
-			fmt.Sprintf("%.3f", metrics.Ms(p.P90)),
-			fmt.Sprintf("%.3f", metrics.Ms(p.P99)),
-			fmt.Sprintf("%.3f", metrics.Ms(p.QueueP99)),
+			fmt.Sprintf("%.3f", ms(p.P50)),
+			fmt.Sprintf("%.3f", ms(p.P90)),
+			fmt.Sprintf("%.3f", ms(p.P99)),
+			fmt.Sprintf("%.3f", ms(p.QueueP99)),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
@@ -358,7 +367,7 @@ func Fig9(o Options) (*Report, error) {
 	rate := 5_000.0
 	type row struct {
 		name string
-		res  *metrics.RunResult
+		res  *sim.RunResult
 	}
 	var rows []row
 	wl := &sim.LSTMWorkload{Lengths: dataset.NewWMTLengths(o.Seed + 100)}
@@ -378,11 +387,11 @@ func Fig9(o Options) (*Report, error) {
 	for _, r := range rows {
 		rep.addResult(r.res)
 		rep.printf("  %-12s queuing:     p50=%8.3fms p99=%8.3fms", r.name,
-			metrics.Ms(r.res.Queuing.P50()), metrics.Ms(r.res.Queuing.P99()))
+			ms(r.res.Queuing.P50()), ms(r.res.Queuing.P99()))
 		rep.printf("  %-12s computation: p50=%8.3fms p99=%8.3fms", r.name,
-			metrics.Ms(r.res.Computation.P50()), metrics.Ms(r.res.Computation.P99()))
+			ms(r.res.Computation.P50()), ms(r.res.Computation.P99()))
 		for _, pt := range r.res.Queuing.CDF(8) {
-			rep.printf("    queue-cdf %-12s %8.3fms %5.2f", r.name, metrics.Ms(pt.Value), pt.Fraction)
+			rep.printf("    queue-cdf %-12s %8.3fms %5.2f", r.name, ms(pt.Value), pt.Fraction)
 		}
 	}
 	return rep, nil
@@ -553,7 +562,7 @@ func Summary(o Options) (*Report, error) {
 	bmLat, _ := f7.LatencyAt("BatchMaker-lstm", 5_000)
 	mxLat, _ := f7.LatencyAt("MXNet", 5_000)
 	rep.printf("LSTM p90 latency at 5k req/s: BatchMaker=%.1fms MXNet=%.1fms (-%.0f%%; paper: -37.5%% to -90.5%%)",
-		metrics.Ms(bmLat), metrics.Ms(mxLat), 100*(1-float64(bmLat)/float64(mxLat)))
+		ms(bmLat), ms(mxLat), 100*(1-float64(bmLat)/float64(mxLat)))
 
 	f14, err := Fig14(o)
 	if err != nil {

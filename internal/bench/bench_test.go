@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"batchmaker/internal/sim"
 )
 
 // tinyOpts keeps experiment smoke tests fast: the point is wiring, not
@@ -228,5 +230,26 @@ func TestReportHelpers(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "hello 42") {
 		t.Fatalf("WriteTo output: %s", buf.String())
+	}
+}
+
+func TestRunResultThroughputAndRow(t *testing.T) {
+	r := sim.RunResult{System: "batchmaker", OfferedQPS: 1000, Duration: 2 * time.Second, Completed: 1500}
+	if got := r.Throughput(); got != 750 {
+		t.Fatalf("throughput = %v", got)
+	}
+	r.Latency.Add(10 * time.Millisecond)
+	if got := row(&r); !strings.Contains(got, "p50=   10.00ms") {
+		t.Fatalf("row %q", got)
+	}
+	zero := sim.RunResult{}
+	if zero.Throughput() != 0 {
+		t.Fatal("zero-duration throughput must be 0")
+	}
+}
+
+func TestMsHelper(t *testing.T) {
+	if ms(1500*time.Microsecond) != 1.5 {
+		t.Fatalf("ms = %v", ms(1500*time.Microsecond))
 	}
 }

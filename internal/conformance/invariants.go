@@ -47,9 +47,9 @@ type Trace struct {
 	// exactly-once execution.
 	Tasks []ExecutedTask
 	// Lifecycle holds the admit and terminal span records of the engine's
-	// obsv rings (the records /debug/requests is built from), oldest
-	// first; LifecycleDropped counts records the request-processor ring
-	// overwrote.
+	// obsv rings (the records the trace draws each request's flow from),
+	// oldest first; LifecycleDropped counts records the request-processor
+	// ring overwrote.
 	Lifecycle        []obsv.Record
 	LifecycleDropped uint64
 	// MaxBatch echoes the run's per-type batch bound.

@@ -39,8 +39,6 @@ const (
 	debounce = 5 * time.Minute
 	// interval is the detector evaluation period.
 	interval = 5 * time.Second
-	// timelines is how many recent request timelines go into a bundle.
-	timelines = 128
 	// rejectBurst is the per-tick rise in rejections that counts as a shed
 	// burst.
 	rejectBurst = 10
@@ -78,9 +76,9 @@ type RingStat struct {
 }
 
 // FlightRecorder is an always-on incident detector over the obsv registry.
-// On trigger it atomically dumps a self-contained diagnosis bundle (frozen
-// ring snapshot, metrics exposition, goroutine + heap profiles, request
-// timelines, assembled trace) to a bounded on-disk spool. Detection runs on
+// On trigger it atomically dumps a self-contained diagnosis bundle (ring
+// statistics, metrics exposition, the trace assembled from the rings,
+// goroutine + heap profiles) to a bounded on-disk spool. Detection runs on
 // its own goroutine off the hot path; the serving pipeline never blocks on
 // it.
 type FlightRecorder struct {
@@ -282,24 +280,6 @@ func (fr *FlightRecorder) writeBundle(dir, reason string, nowNs int64) error {
 		}},
 		{"trace.json", func(f *os.File) error {
 			return fr.o.WriteTrace(f, TraceOptions{})
-		}},
-		{"requests.jsonl", func(f *os.File) error {
-			return fr.o.WriteRequestsJSONL(f, timelines)
-		}},
-		{"rings.json", func(f *os.File) error {
-			type ringDump struct {
-				RingStat
-				Records []Record `json:"records"`
-			}
-			var dump []ringDump
-			for _, r := range fr.o.Rings() {
-				dump = append(dump, ringDump{
-					RingStat: RingStat{Name: r.Name(), Cap: r.Cap(),
-						Total: r.Total(), Dropped: r.Dropped()},
-					Records: r.Snapshot(nil),
-				})
-			}
-			return json.NewEncoder(f).Encode(dump)
 		}},
 		{"goroutines.txt", func(f *os.File) error {
 			return pprof.Lookup("goroutine").WriteTo(f, 1)

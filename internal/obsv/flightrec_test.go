@@ -12,8 +12,7 @@ import (
 // bundleFiles is the complete manifest every bundle must contain (plus
 // health.json when a Health source is wired).
 var bundleFiles = []string{
-	"incident.json", "metrics.prom", "trace.json", "requests.jsonl",
-	"rings.json", "goroutines.txt", "heap.pprof",
+	"incident.json", "metrics.prom", "trace.json", "goroutines.txt", "heap.pprof",
 }
 
 func listBundles(t *testing.T, dir string) []string {
@@ -66,14 +65,20 @@ func TestFlightRecorderForceWritesOneCompleteBundle(t *testing.T) {
 		t.Fatalf("bundle name %q", names[0])
 	}
 
-	for _, f := range append(append([]string{}, bundleFiles...), "health.json") {
+	want := append(append([]string{}, bundleFiles...), "health.json")
+	for _, f := range want {
 		st, err := os.Stat(filepath.Join(path, f))
 		if err != nil {
 			t.Fatalf("bundle missing %s: %v", f, err)
 		}
-		if st.Size() == 0 && f != "requests.jsonl" {
+		if st.Size() == 0 {
 			t.Fatalf("bundle artifact %s is empty", f)
 		}
+	}
+	// The trace is the bundle's one encoding of the ring records: no other
+	// file decodes them.
+	if got := listBundles(t, path); len(got) != len(want) {
+		t.Fatalf("bundle holds %v, want exactly %v", got, want)
 	}
 
 	var inc Incident
@@ -102,6 +107,15 @@ func TestFlightRecorderForceWritesOneCompleteBundle(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("bundle trace is empty for a populated observer")
 	}
+	flows := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "s" || ev.Ph == "t" || ev.Ph == "f" {
+			flows++
+		}
+	}
+	if flows == 0 {
+		t.Fatal("bundle trace carries no request flows")
+	}
 
 	data, err = os.ReadFile(filepath.Join(path, "metrics.prom"))
 	if err != nil {
@@ -117,7 +131,7 @@ func TestFlightRecorderForceWritesOneCompleteBundle(t *testing.T) {
 // interval away, so the tests' own Evaluate calls are the only passes.
 func newTestRecorder(t *testing.T, cfg FlightRecorderConfig) (*FlightRecorder, *Observer) {
 	t.Helper()
-	o := NewObserver(NewRegistry(), 8)
+	o := testObserver(8)
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
@@ -245,7 +259,7 @@ func TestFlightRecorderSpoolBound(t *testing.T) {
 // and Stop on a fresh recorder — before its first tick — returns promptly,
 // and again when repeated.
 func TestFlightRecorderRunStop(t *testing.T) {
-	fr, err := NewFlightRecorder(NewObserver(NewRegistry(), 8), FlightRecorderConfig{Dir: t.TempDir()})
+	fr, err := NewFlightRecorder(testObserver(8), FlightRecorderConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

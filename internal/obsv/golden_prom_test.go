@@ -37,17 +37,6 @@ batchmaker_cell_panics_total{cell_type="lstm"} 1
 # TYPE batchmaker_cells_executed_total counter
 batchmaker_cells_executed_total{cell_type="decoder",worker="0"} 6
 batchmaker_cells_executed_total{cell_type="lstm",worker="0"} 40
-# HELP batchmaker_device_copies_total Dispatched tasks that paid a cross-device copy.
-# TYPE batchmaker_device_copies_total counter
-batchmaker_device_copies_total{device="0"} 3
-batchmaker_device_copies_total{device="1"} 1
-# HELP batchmaker_device_pin_moves_total Cell-type weight pins moved or replicated by the rebalancer.
-# TYPE batchmaker_device_pin_moves_total counter
-batchmaker_device_pin_moves_total 2
-# HELP batchmaker_device_ready_depth Ready-node depth attributed to the device (resident types / replicas).
-# TYPE batchmaker_device_ready_depth gauge
-batchmaker_device_ready_depth{device="0"} 6.5
-batchmaker_device_ready_depth{device="1"} 2
 # HELP batchmaker_dispatch_seconds Scheduler dispatch round: Schedule call plus hand-off to the worker.
 # TYPE batchmaker_dispatch_seconds summary
 batchmaker_dispatch_seconds{quantile="0.5"} 2e-06

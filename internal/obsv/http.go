@@ -34,35 +34,25 @@ type Health struct {
 // OK reports whether the health state should answer 200.
 func (h Health) OK() bool { return h.Status == "serving" }
 
-// defaultDebugRequests caps /debug/requests output when no ?limit= is given.
-const defaultDebugRequests = 256
-
 // Handler returns the introspection mux: /metrics (Prometheus text
-// format), /debug/requests (JSONL request timelines), /healthz (health
-// probe; 503 unless serving), and /debug/pprof/*. health may be nil, in
-// which case /healthz always answers 200 "serving".
+// format), /debug/trace (Chrome/Perfetto trace-event JSON), /healthz
+// (health probe; 503 unless serving), and /debug/pprof/*. health may be
+// nil, in which case /healthz always answers 200 "serving".
 func Handler(o *Observer, health func() Health) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = o.Metrics.Registry().WritePromTo(w)
 	})
-	mux.HandleFunc("/debug/requests", func(w http.ResponseWriter, r *http.Request) {
-		limit := defaultDebugRequests
-		if s := r.URL.Query().Get("limit"); s != "" {
-			if n, err := strconv.Atoi(s); err == nil {
-				limit = n
-			}
-		}
-		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		_ = o.WriteRequestsJSONL(w, limit)
-	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		var opt TraceOptions
 		if s := r.URL.Query().Get("since"); s != "" {
-			if ns, err := strconv.ParseInt(s, 10, 64); err == nil {
-				opt.SinceNs = ns
+			ns, err := strconv.ParseInt(s, 10, 64)
+			if err != nil {
+				http.Error(w, "since: "+err.Error(), http.StatusBadRequest)
+				return
 			}
+			opt.SinceNs = ns
 		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		w.Header().Set("Content-Disposition", `attachment; filename="batchmaker-trace.json"`)
@@ -92,7 +82,6 @@ func Handler(o *Observer, health func() Health) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write([]byte("batchmaker introspection\n\n" +
 			"  /metrics          Prometheus text exposition\n" +
-			"  /debug/requests   recent request timelines (JSONL, ?limit=N)\n" +
 			"  /debug/trace      Perfetto/Chrome trace-event JSON (?since=unixNs)\n" +
 			"  /healthz          drain/overload state (503 unless serving)\n" +
 			"  /debug/pprof/     Go runtime profiles\n"))

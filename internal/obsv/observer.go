@@ -1,8 +1,8 @@
 // Package obsv is the serving stack's observability layer: allocation-free
 // span/event rings written from the hot path, a registry of counters /
 // gauges / histograms / windowed quantiles rendered in Prometheus text
-// format, and request-timeline reconstruction for the /debug/requests
-// introspection endpoint.
+// format, and the Chrome/Perfetto trace, the one reader that decodes the
+// rings' records.
 //
 // Design constraints, in order:
 //
@@ -12,10 +12,10 @@
 //  2. Everything is nil-safe: a server built with observability disabled
 //     passes nil handles around and every method degrades to a no-op, so
 //     instrumented code has no "is tracing on" branches.
-//  3. The same metric families are produced by the live server and the
+//  3. The same span records are written by the live server and the
 //     virtual-time sim/conformance runners, so the paper's evaluation
 //     signals (queuing vs computation latency, batch occupancy, padding
-//     waste) are comparable across both.
+//     waste) are read from one trace format for both.
 package obsv
 
 import (
@@ -27,8 +27,9 @@ import (
 // names the type a ring record carries. One Observer serves one engine
 // instance (server or sim run).
 type Observer struct {
-	// Metrics is the engine's serving-metric handles (may be an inert
-	// instance; never nil on a non-nil Observer built by NewObserver).
+	// Metrics is the serving-metric handles the observer reports beside its
+	// rings: /metrics, incident bundles and the flight recorder's rules read
+	// them. nil for an engine with no registry (the simulator).
 	Metrics *ServingMetrics
 
 	ringCap int
@@ -41,15 +42,12 @@ type Observer struct {
 	maxBatch []int
 }
 
-// NewObserver builds an Observer over reg (nil reg yields inert metrics —
-// still usable, nothing retained). ringCap sizes each per-writer ring
-// (<=0 means DefaultRingCapacity).
-func NewObserver(reg *Registry, ringCap int) *Observer {
-	o := &Observer{
-		Metrics: NewServingMetrics(reg),
-		ringCap: ringCap,
-	}
-	reg.AddCollector(o.refreshRingGauges)
+// NewObserver builds an Observer reporting sm (which may be nil: the rings
+// still work, and no ring gauges are exported). ringCap sizes each
+// per-writer ring (<=0 means DefaultRingCapacity).
+func NewObserver(sm *ServingMetrics, ringCap int) *Observer {
+	o := &Observer{Metrics: sm, ringCap: ringCap}
+	sm.Registry().AddCollector(o.refreshRingGauges)
 	return o
 }
 
@@ -145,7 +143,7 @@ func (o *Observer) Rings() []*Ring {
 }
 
 // Snapshot drains every ring into one slice ordered by primary timestamp
-// (stable across rings), for timeline reconstruction.
+// (stable across rings), for trace assembly.
 func (o *Observer) Snapshot() []Record {
 	var recs []Record
 	for _, r := range o.Rings() {

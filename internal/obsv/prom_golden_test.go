@@ -10,8 +10,8 @@ import (
 // goldenObserver builds a fully-populated observer with deterministic
 // values across every family the serving stack registers.
 func goldenObserver() *Observer {
-	o := NewObserver(NewRegistry(), 8)
-	m := o.Metrics
+	m := NewServingMetrics(NewRegistry(), []string{"lstm", "decoder"}, 1)
+	o := NewObserver(m, 8)
 
 	m.Admitted.Add(10)
 	m.Completed.Add(7)
@@ -22,30 +22,19 @@ func goldenObserver() *Observer {
 	m.Inflight.Set(4)
 	m.QueuedCells.Set(32)
 
-	lstm := m.Type("lstm")
-	lstm.Ready.Set(12)
-	lstm.Panics.Inc()
-	m.Exec("lstm", 0).Tasks.Add(5)
-	m.Exec("lstm", 0).Cells.Add(40)
-	dec := m.Type("decoder")
-	dec.Ready.Set(3)
-	m.Exec("decoder", 0).Tasks.Add(2)
-	m.Exec("decoder", 0).Cells.Add(6)
+	const lstm, dec = 0, 1 // type ids
+	m.Types[lstm].Ready.Set(12)
+	m.Types[lstm].Panics.Inc()
+	m.Exec[0][lstm].Tasks.Add(5)
+	m.Exec[0][lstm].Cells.Add(40)
+	m.Types[dec].Ready.Set(3)
+	m.Exec[0][dec].Tasks.Add(2)
+	m.Exec[0][dec].Cells.Add(6)
 
-	w0 := m.Worker(0)
+	w0 := m.Workers[0]
 	w0.Depth.Set(2)
 	w0.ArenaHighWater.Set(4096)
 	w0.Busy.Add(int64(1500 * time.Millisecond))
-
-	// Multi-device sharding families (§5): per-device ready depth and copy
-	// counters, plus the global pin-rebalance counter.
-	d0 := m.Device(0)
-	d0.Ready.Set(6.5)
-	d0.Copies.Add(3)
-	d1 := m.Device(1)
-	d1.Ready.Set(2)
-	d1.Copies.Add(1)
-	m.PinMoves.Add(2)
 
 	for _, occ := range []int64{1, 2, 8, 8, 8, 33, 300} {
 		m.BatchOccupancy.Observe(occ)

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"batchmaker/internal/metrics"
 )
 
 func TestQuantilesEmptyAndBasics(t *testing.T) {
@@ -41,24 +39,6 @@ func TestQuantilesEvictsOldest(t *testing.T) {
 	}
 	if q.Count() != 8 {
 		t.Fatalf("Count = %d, want total observed 8", q.Count())
-	}
-}
-
-func TestQuantilesMatchRecorderOnSmallInput(t *testing.T) {
-	// With fewer samples than the window, Quantiles and the offline
-	// metrics.Recorder agree exactly — through Percentile and through Query.
-	ps := []float64{10, 50, 90, 99, 100}
-	q := NewQuantiles(64, []float64{0.10, 0.50, 0.90, 0.99, 1})
-	var r metrics.Recorder
-	for _, d := range []time.Duration{7, 3, 9, 1, 5, 2, 8} {
-		q.Observe(d)
-		r.Add(d)
-	}
-	_, vals := q.Query()
-	for i, p := range ps {
-		if q.Percentile(p) != r.Percentile(p) || vals[i] != r.Percentile(p) {
-			t.Fatalf("P%v: percentile %v, query %v != recorder %v", p, q.Percentile(p), vals[i], r.Percentile(p))
-		}
 	}
 }
 

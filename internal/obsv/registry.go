@@ -271,9 +271,10 @@ func (q *Quantiles) sorted() []time.Duration {
 	return s
 }
 
-// nearestRank returns the p-th percentile (0 < p <= 100) of sorted, or 0
-// when it is empty.
-func nearestRank(sorted []time.Duration, p float64) time.Duration {
+// NearestRank returns the p-th percentile (0 < p <= 100) of sorted by the
+// nearest-rank rule, or 0 when it is empty. It is the one percentile rule:
+// Quantiles answers with it, and so does the simulator's offline recorder.
+func NearestRank(sorted []time.Duration, p float64) time.Duration {
 	if p <= 0 || p > 100 {
 		panic(fmt.Sprintf("obsv: percentile %v out of (0,100]", p))
 	}
@@ -291,7 +292,7 @@ func (q *Quantiles) Percentile(p float64) time.Duration {
 	if q == nil {
 		return 0
 	}
-	return nearestRank(q.sorted(), p)
+	return NearestRank(q.sorted(), p)
 }
 
 // Query returns the configured quantiles over the retained window (one sort
@@ -303,7 +304,7 @@ func (q *Quantiles) Query() (qs []float64, vals []time.Duration) {
 	sorted := q.sorted()
 	vals = make([]time.Duration, len(q.qs))
 	for i, p := range q.qs {
-		vals[i] = nearestRank(sorted, p*100)
+		vals[i] = NearestRank(sorted, p*100)
 	}
 	return q.qs, vals
 }
@@ -425,17 +426,12 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.GaugeVec(name, help, nil, nil)
 }
 
-// FloatGaugeVec returns the float gauge for (name, labels).
-func (r *Registry) FloatGaugeVec(name, help string, labelNames, labelValues []string) *FloatGauge {
+// FloatGauge returns the unlabelled float gauge for name.
+func (r *Registry) FloatGauge(name, help string) *FloatGauge {
 	if r == nil {
 		return nil
 	}
-	return r.getSeries(name, help, kindFloatGauge, labelNames, labelValues, func(s *series) { s.fg = &FloatGauge{} }).fg
-}
-
-// FloatGauge returns the unlabelled float gauge for name.
-func (r *Registry) FloatGauge(name, help string) *FloatGauge {
-	return r.FloatGaugeVec(name, help, nil, nil)
+	return r.getSeries(name, help, kindFloatGauge, nil, nil, func(s *series) { s.fg = &FloatGauge{} }).fg
 }
 
 // Histogram returns the unlabelled histogram for name with the given

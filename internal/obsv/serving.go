@@ -3,14 +3,12 @@ package obsv
 import (
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 )
 
-// Canonical metric family names. Every surface that exposes serving metrics
-// (live server, sim runner, conformance harness) uses these exact names so
-// dashboards work unchanged across real-time and virtual-time runs. The
-// golden exposition test pins them.
+// Canonical metric family names. The live server publishes them; the
+// conformance harness reconciles them against its ground truth. The golden
+// exposition test pins them.
 const (
 	MetricRequestsTotal       = "batchmaker_requests_total"
 	MetricCellPanics          = "batchmaker_cell_panics_total"
@@ -31,9 +29,6 @@ const (
 	MetricDispatchSeconds     = "batchmaker_dispatch_seconds"
 	MetricSpanWritten         = "batchmaker_span_records_written"
 	MetricSpanDropped         = "batchmaker_span_records_dropped"
-	MetricDeviceReadyDepth    = "batchmaker_device_ready_depth"
-	MetricDeviceCopies        = "batchmaker_device_copies_total"
-	MetricDevicePinMoves      = "batchmaker_device_pin_moves_total"
 )
 
 // Request outcome label values for MetricRequestsTotal.
@@ -55,7 +50,7 @@ const quantileWindow = 4096
 
 var latencyQuantiles = []float64{0.5, 0.9, 0.99}
 
-// TypeMetrics groups the per-cell-type handles a hot path caches once.
+// TypeMetrics groups one cell type's handles.
 type TypeMetrics struct {
 	// Ready is the scheduler's ready-queue depth for this cell type.
 	Ready *Gauge
@@ -64,9 +59,9 @@ type TypeMetrics struct {
 	Panics *Counter
 }
 
-// ExecMetrics is one (cell type, worker) pair's execution counters. The
-// worker is their only writer; per-type, per-worker and per-device totals
-// are all sums over these cells.
+// ExecMetrics is one (worker, cell type) pair's execution counters. The
+// worker is their only writer; per-type and per-worker totals are sums over
+// these cells.
 type ExecMetrics struct {
 	// Tasks counts executed batched tasks.
 	Tasks *Counter
@@ -86,20 +81,12 @@ type WorkerMetrics struct {
 	Busy *Counter
 }
 
-// DeviceMetrics groups the per-device handles (§5 multi-device sharding).
-type DeviceMetrics struct {
-	// Ready is the device's attributed ready depth: each resident cell
-	// type's ready nodes divided by its replica count.
-	Ready *FloatGauge
-	// Copies counts dispatched tasks that paid a cross-device copy (weight
-	// fetch on a remote steal, or a migrated request's state movement).
-	Copies *Counter
-}
-
 // ServingMetrics registers the serving stack's metric families in a
-// Registry and hands out typed cells. All handles are safe on the zero/nil
-// receiver path (a nil *ServingMetrics yields nil cells, which are no-ops),
-// so instrumented code never branches on "is observability on".
+// Registry. Every family is registered at construction, for the engine's
+// whole type table and worker count, so the per-type and per-worker handles
+// are plain slices indexed by the engine's type id and worker index. Built
+// over a nil registry every handle is nil, and nil handles are no-ops, so
+// instrumented code never branches on "is observability on".
 type ServingMetrics struct {
 	reg *Registry
 
@@ -121,32 +108,27 @@ type ServingMetrics struct {
 	// Dispatch is the scheduler's per-round dispatch latency (Schedule call
 	// plus hand-off to the worker), as windowed quantiles.
 	Dispatch *Quantiles
-	// PinMoves counts scheduler pin rebalances across devices. It is
-	// registered with the device families on first Device use (nil, a no-op,
-	// until then), so a surface without devices does not export it.
-	PinMoves *Counter
 
-	mu      sync.Mutex
-	types   map[string]*TypeMetrics
-	exec    map[execKey]*ExecMetrics
-	workers map[int]*WorkerMetrics
-	devices map[int]*DeviceMetrics
+	// Types is each cell type's handles, indexed by the engine's type id.
+	Types []TypeMetrics
+	// Workers is each worker's handles, indexed by worker.
+	Workers []WorkerMetrics
+	// Exec[w][t] is worker w's execution counters for type t.
+	Exec [][]ExecMetrics
+
+	typeNames []string // indexed by type id
 }
 
-type execKey struct {
-	typ    string
-	worker int
-}
-
-// NewServingMetrics registers the serving families in reg (which may be
-// nil, yielding an inert instance whose handles are all no-ops).
-func NewServingMetrics(reg *Registry) *ServingMetrics {
+// NewServingMetrics registers the serving families in reg for the cell
+// types typeNames (indexed by the engine's type id) and workers workers.
+// reg may be nil, yielding an inert instance whose handles are all no-ops.
+func NewServingMetrics(reg *Registry, typeNames []string, workers int) *ServingMetrics {
 	m := &ServingMetrics{
-		reg:     reg,
-		types:   make(map[string]*TypeMetrics),
-		exec:    make(map[execKey]*ExecMetrics),
-		workers: make(map[int]*WorkerMetrics),
-		devices: make(map[int]*DeviceMetrics),
+		reg:       reg,
+		typeNames: append([]string(nil), typeNames...),
+		Types:     make([]TypeMetrics, len(typeNames)),
+		Workers:   make([]WorkerMetrics, workers),
+		Exec:      make([][]ExecMetrics, workers),
 	}
 	outcome := func(v string) *Counter {
 		return reg.CounterVec(MetricRequestsTotal,
@@ -176,6 +158,36 @@ func NewServingMetrics(reg *Registry) *ServingMetrics {
 	m.Dispatch = reg.Summary(MetricDispatchSeconds,
 		"Scheduler dispatch round: Schedule call plus hand-off to the worker.",
 		quantileWindow, latencyQuantiles)
+	typeLabel := []string{"cell_type"}
+	for t, key := range typeNames {
+		m.Types[t] = TypeMetrics{
+			Ready: reg.GaugeVec(MetricReadyQueueDepth,
+				"Scheduler ready-queue depth (cells ready to batch).",
+				typeLabel, []string{key}),
+			Panics: reg.CounterVec(MetricCellPanics,
+				"Recovered cell panics.", typeLabel, []string{key}),
+		}
+	}
+	workerLabel, execLabels := []string{"worker"}, []string{"cell_type", "worker"}
+	for w := range m.Workers {
+		id := strconv.Itoa(w)
+		m.Workers[w] = WorkerMetrics{
+			Depth: reg.GaugeVec(MetricWorkerQueueDepth,
+				"Tasks queued at the worker (scheduler's view).", workerLabel, []string{id}),
+			ArenaHighWater: reg.GaugeVec(MetricArenaHighWaterBytes,
+				"Worker tensor-arena high-water mark in bytes.", workerLabel, []string{id}),
+			Busy: reg.SecondsCounterVec(MetricWorkerBusySeconds,
+				"Worker time spent gathering and executing batched tasks.", workerLabel, []string{id}),
+		}
+		m.Exec[w] = make([]ExecMetrics, len(typeNames))
+		for t, key := range typeNames {
+			vals := []string{key, id}
+			m.Exec[w][t] = ExecMetrics{
+				Tasks: reg.CounterVec(MetricTasksExecuted, "Executed batched tasks.", execLabels, vals),
+				Cells: reg.CounterVec(MetricCellsExecuted, "Executed cells (live batch rows).", execLabels, vals),
+			}
+		}
+	}
 	reg.AddCollector(m.refreshPadding)
 	return m
 }
@@ -195,114 +207,16 @@ func (m *ServingMetrics) refreshPadding() {
 	}
 }
 
-// Type returns (registering on first use) the per-cell-type handles for
-// key. Not for hot paths — call once at setup and cache the result.
-func (m *ServingMetrics) Type(key string) *TypeMetrics {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if t := m.types[key]; t != nil {
-		return t
-	}
-	t := &TypeMetrics{
-		Ready: m.reg.GaugeVec(MetricReadyQueueDepth,
-			"Scheduler ready-queue depth (cells ready to batch).",
-			[]string{"cell_type"}, []string{key}),
-		Panics: m.reg.CounterVec(MetricCellPanics,
-			"Recovered cell panics.", []string{"cell_type"}, []string{key}),
-	}
-	m.types[key] = t
-	return t
-}
-
-// Exec returns (registering on first use) the execution counters of one
-// (cell type, worker) pair. Not for hot paths — the worker caches the result.
-func (m *ServingMetrics) Exec(key string, worker int) *ExecMetrics {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	k := execKey{key, worker}
-	if e := m.exec[k]; e != nil {
-		return e
-	}
-	names, vals := []string{"cell_type", "worker"}, []string{key, strconv.Itoa(worker)}
-	e := &ExecMetrics{
-		Tasks: m.reg.CounterVec(MetricTasksExecuted, "Executed batched tasks.", names, vals),
-		Cells: m.reg.CounterVec(MetricCellsExecuted, "Executed cells (live batch rows).", names, vals),
-	}
-	m.exec[k] = e
-	return e
-}
-
 // PanicsTotal sums recovered cell panics over all cell types.
 func (m *ServingMetrics) PanicsTotal() int64 {
 	if m == nil {
 		return 0
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var n int64
-	for _, t := range m.types {
+	for _, t := range m.Types {
 		n += t.Panics.Value()
 	}
 	return n
-}
-
-// Worker returns (registering on first use) the per-worker handles.
-func (m *ServingMetrics) Worker(id int) *WorkerMetrics {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if w := m.workers[id]; w != nil {
-		return w
-	}
-	label := []string{strconv.Itoa(id)}
-	w := &WorkerMetrics{
-		Depth: m.reg.GaugeVec(MetricWorkerQueueDepth,
-			"Tasks queued at the worker (scheduler's view).",
-			[]string{"worker"}, label),
-		ArenaHighWater: m.reg.GaugeVec(MetricArenaHighWaterBytes,
-			"Worker tensor-arena high-water mark in bytes.",
-			[]string{"worker"}, label),
-		Busy: m.reg.SecondsCounterVec(MetricWorkerBusySeconds,
-			"Worker time spent gathering and executing batched tasks.",
-			[]string{"worker"}, label),
-	}
-	m.workers[id] = w
-	return w
-}
-
-// Device returns (registering on first use) the per-device handles.
-func (m *ServingMetrics) Device(id int) *DeviceMetrics {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if d := m.devices[id]; d != nil {
-		return d
-	}
-	if m.PinMoves == nil {
-		m.PinMoves = m.reg.Counter(MetricDevicePinMoves,
-			"Cell-type weight pins moved or replicated by the rebalancer.")
-	}
-	label := []string{strconv.Itoa(id)}
-	d := &DeviceMetrics{
-		Ready: m.reg.FloatGaugeVec(MetricDeviceReadyDepth,
-			"Ready-node depth attributed to the device (resident types / replicas).",
-			[]string{"device"}, label),
-		Copies: m.reg.CounterVec(MetricDeviceCopies,
-			"Dispatched tasks that paid a cross-device copy.",
-			[]string{"device"}, label),
-	}
-	m.devices[id] = d
-	return d
 }
 
 // TypeStat is one cell type's executed-work totals, for summaries.
@@ -317,19 +231,13 @@ func (m *ServingMetrics) TypesByCells() []TypeStat {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	byKey := make(map[string]TypeStat, len(m.types))
-	for k, e := range m.exec {
-		ts := byKey[k.typ]
-		ts.Key = k.typ
-		ts.Tasks += e.Tasks.Value()
-		ts.Cells += e.Cells.Value()
-		byKey[k.typ] = ts
-	}
-	m.mu.Unlock()
-	stats := make([]TypeStat, 0, len(byKey))
-	for _, ts := range byKey {
-		stats = append(stats, ts)
+	stats := make([]TypeStat, len(m.typeNames))
+	for t, key := range m.typeNames {
+		stats[t].Key = key
+		for w := range m.Exec {
+			stats[t].Tasks += m.Exec[w][t].Tasks.Value()
+			stats[t].Cells += m.Exec[w][t].Cells.Value()
+		}
 	}
 	sort.Slice(stats, func(i, j int) bool {
 		if stats[i].Cells != stats[j].Cells {

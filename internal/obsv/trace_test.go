@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,8 +23,14 @@ const traceBaseNs = int64(1_700_000_000_000_000_000)
 // processor, a group-commit flush + fsync + durability acks on the journal
 // track, a dispatch and a rebalance on the scheduler, and first-exec +
 // batched task-exec slices on two workers across two device pools.
+// testObserver builds an observer whose rings hold ringCap records,
+// reporting serving metrics with no cell types and no workers.
+func testObserver(ringCap int) *Observer {
+	return NewObserver(NewServingMetrics(NewRegistry(), nil, 0), ringCap)
+}
+
 func traceObserver() *Observer {
-	o := NewObserver(NewRegistry(), 64)
+	o := testObserver(64)
 	o.SetTypes([]string{"lstm"}, []int{8}) // records name it Type 1
 	rp := o.NewRing("rp")
 	sched := o.NewRing("sched")
@@ -263,7 +272,7 @@ func TestTraceSinceFilter(t *testing.T) {
 // must still produce a loadable document with an events array.
 func TestTraceEmptyAndNil(t *testing.T) {
 	for name, o := range map[string]*Observer{
-		"empty": NewObserver(NewRegistry(), 8),
+		"empty": testObserver(8),
 		"nil":   nil,
 	} {
 		var b bytes.Buffer
@@ -312,4 +321,60 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		t.Fatalf("since filter kept %d of %d events — filter not applied",
 			len(filtered.TraceEvents), len(doc.TraceEvents))
 	}
+
+	// A malformed cutoff is the client's error, not a request for the
+	// whole trace.
+	resp3, err := srv.Client().Get(srv.URL + "/debug/trace?since=yesterday")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp3.Body)
+	resp3.Body.Close()
+	if resp3.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid syntax") {
+		t.Fatalf("since=yesterday: status %d body %q, want 400 with the parse error", resp3.StatusCode, body)
+	}
+}
+
+// TestTraceUnderConcurrentOverwrite assembles traces while a writer
+// overwrites the same small ring. Run under -race this proves the seqlock
+// read side; structurally, every trace must decode, with no negative
+// timestamp or duration, even as records are torn out from under the
+// reader (a flow may then lose its start or its end, never its order).
+func TestTraceUnderConcurrentOverwrite(t *testing.T) {
+	o := testObserver(8)
+	rp := o.NewRing("rp")
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := int64(1); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rp.Write(Record{Kind: KindAdmit, Req: i, T0: i * 10})
+			rp.Write(Record{Kind: KindFirstExec, Req: i, T0: i*10 + 3})
+			rp.Write(Record{Kind: KindComplete, Req: i, T0: i*10 + 7})
+		}
+	}()
+	for n := 0; n < 200; n++ {
+		doc := decodeTrace(t, o, TraceOptions{})
+		last := map[int64]float64{}
+		for _, ev := range doc.TraceEvents {
+			if ev.Ts < 0 || (ev.Dur != nil && *ev.Dur < 0) {
+				t.Fatalf("negative time in %+v", ev)
+			}
+			switch ev.Ph {
+			case "s", "t", "f":
+				if prev, ok := last[ev.ID]; ok && ev.Ts < prev {
+					t.Fatalf("req %d flow goes backwards: %v after %v", ev.ID, ev.Ts, prev)
+				}
+				last[ev.ID] = ev.Ts
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -47,7 +47,7 @@ func BenchmarkChainHandoff(b *testing.B) {
 		submit(g)
 	}
 	busy := func() (ns int64) {
-		for _, wm := range srv.obs.workers {
+		for _, wm := range srv.obs.sm.Workers {
 			ns += wm.Busy.Value()
 		}
 		return ns

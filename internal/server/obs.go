@@ -23,13 +23,12 @@ type ObsConfig struct {
 }
 
 // serverObs bridges the pipeline stages to the obsv layer, the one place a
-// serving-path fact is written. The metric cells (sm, workers, exec and each
-// cellType's tm) are always live; o and the rings are nil when
-// ObsConfig.Disabled (nil rings are valid no-ops). Ring and cell ownership
-// follows the locking: rpRing (lifecycle), schedRing (dispatch) and the
-// outcome/backlog/depth/ready/dispatch cells are written only under mgr.mu,
-// so they keep one writer at a time, and worker i writes workerRings[i],
-// workers[i] and exec[i].
+// serving-path fact is written. The metric cells of sm are always live; o
+// and the rings are nil when ObsConfig.Disabled (nil rings are valid
+// no-ops). Ring and cell ownership follows the locking: rpRing (lifecycle),
+// schedRing (dispatch) and the outcome/backlog/depth/ready/dispatch cells
+// are written only under mgr.mu, so they keep one writer at a time, and
+// worker i writes workerRings[i], sm.Workers[i] and sm.Exec[i].
 type serverObs struct {
 	o  *obsv.Observer
 	sm *obsv.ServingMetrics
@@ -37,10 +36,6 @@ type serverObs struct {
 	rpRing      *obsv.Ring
 	schedRing   *obsv.Ring
 	workerRings []*obsv.Ring
-	workers     []*obsv.WorkerMetrics
-	// exec[w][t] is worker w's execution counters for type t; the worker
-	// caches its entries in its typeExec.
-	exec [][]*obsv.ExecMetrics
 
 	// pm is the policy metrics handle (nil when no policy is
 	// wired); Health reads its gauges to surface shed state.
@@ -48,43 +43,30 @@ type serverObs struct {
 }
 
 // newServerObs builds the observability bridge for a server with the given
-// cell types and worker count, and sets each type's metric cells.
+// cell types and worker count.
 func newServerObs(cfg ObsConfig, types []cellType, workers int) *serverObs {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obsv.NewRegistry()
 	}
-	ob := &serverObs{
-		workerRings: make([]*obsv.Ring, workers),
-		workers:     make([]*obsv.WorkerMetrics, workers),
-		exec:        make([][]*obsv.ExecMetrics, workers),
+	names := make([]string, len(types))
+	maxBatch := make([]int, len(types))
+	for t := range types {
+		names[t], maxBatch[t] = types[t].key, int(types[t].maxBatch)
 	}
-	if cfg.Disabled {
-		ob.sm = obsv.NewServingMetrics(reg)
-	} else {
-		ob.o = obsv.NewObserver(reg, obsv.DefaultRingCapacity)
-		ob.sm = ob.o.Metrics
+	ob := &serverObs{
+		sm:          obsv.NewServingMetrics(reg, names, workers),
+		workerRings: make([]*obsv.Ring, workers),
+	}
+	if !cfg.Disabled {
+		ob.o = obsv.NewObserver(ob.sm, obsv.DefaultRingCapacity)
 		ob.rpRing = ob.o.NewRing("rp")
 		ob.schedRing = ob.o.NewRing("sched")
 		for w := range ob.workerRings {
 			ob.workerRings[w] = ob.o.NewRing("worker-" + strconv.Itoa(w))
 		}
+		ob.o.SetTypes(names, maxBatch)
 	}
-	for w := range ob.workers {
-		ob.workers[w] = ob.sm.Worker(w)
-		ob.exec[w] = make([]*obsv.ExecMetrics, len(types))
-	}
-	names := make([]string, len(types))
-	maxBatch := make([]int, len(types))
-	for t := range types {
-		ct := &types[t]
-		ct.tm = ob.sm.Type(ct.key)
-		names[t], maxBatch[t] = ct.key, int(ct.maxBatch)
-		for w := range ob.exec {
-			ob.exec[w][t] = ob.sm.Exec(ct.key, w)
-		}
-	}
-	ob.o.SetTypes(names, maxBatch)
 	return ob
 }
 
@@ -164,17 +146,17 @@ func (ob *serverObs) dispatch(task *core.Task, queueDepth int, nowNs int64) {
 
 // mirrorScheduler refreshes the per-type ready-queue and per-worker depth
 // gauges from the manager's state, under mgr.mu.
-func (ob *serverObs) mirrorScheduler(sched *core.Scheduler, types []cellType, outstanding []int) {
-	for t := range types {
-		types[t].tm.Ready.Set(int64(sched.ReadyNodes(core.TypeID(t))))
+func (ob *serverObs) mirrorScheduler(sched *core.Scheduler, outstanding []int) {
+	for t := range ob.sm.Types {
+		ob.sm.Types[t].Ready.Set(int64(sched.ReadyNodes(core.TypeID(t))))
 	}
 	for w, d := range outstanding {
-		ob.workers[w].Depth.Set(int64(d))
+		ob.sm.Workers[w].Depth.Set(int64(d))
 	}
 }
 
-// ---- workers (worker i is the single writer of workerRings[i], workers[i]
-// and exec[i]) ----
+// ---- workers (worker i is the single writer of workerRings[i],
+// sm.Workers[i] and sm.Exec[i]) ----
 
 // firstExec marks each request's first executed cell (CAS so exactly one
 // worker wins) and writes the lifecycle record for winners. Runs on the
@@ -201,7 +183,7 @@ func (ob *serverObs) firstExec(workerID int, refs []execRef, nowNs int64) {
 func (ob *serverObs) taskExec(workerID int, task *core.Task, te *typeExec, live int, busyNs, arenaHighWaterBytes, endNs int64) {
 	te.exec.Tasks.Inc()
 	te.exec.Cells.Add(int64(live))
-	wm := ob.workers[workerID]
+	wm := &ob.sm.Workers[workerID]
 	wm.Busy.Add(busyNs)
 	wm.ArenaHighWater.Max(arenaHighWaterBytes)
 	ob.sm.SlotsCap.Add(te.maxBatch)
@@ -219,8 +201,8 @@ func (ob *serverObs) taskExec(workerID int, task *core.Task, te *typeExec, live 
 }
 
 // cellPanic records one recovered cell panic against its cell type.
-func (ob *serverObs) cellPanic(task *core.Task, te *typeExec, batch int) {
-	te.tm.Panics.Inc()
+func (ob *serverObs) cellPanic(task *core.Task, batch int) {
+	ob.sm.Types[task.Type].Panics.Inc()
 	ob.workerRings[task.Worker].Write(obsv.Record{
 		Kind:   obsv.KindPanic,
 		Worker: uint8(task.Worker),
@@ -234,7 +216,7 @@ func (ob *serverObs) cellPanic(task *core.Task, te *typeExec, batch int) {
 
 // Observer returns the server's span observer, or nil when
 // ObsConfig.Disabled. The observer backs the HTTP introspection endpoints
-// (obsv.Handler), traces and request timelines.
+// (obsv.Handler), the trace and incident bundles.
 func (s *Server) Observer() *obsv.Observer { return s.obs.o }
 
 // Metrics returns the server's serving-metric cells. They are live in every

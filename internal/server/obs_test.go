@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -41,7 +43,7 @@ func submitChain(t *testing.T, s *Server, cell *rnn.LSTMCell, seed uint64, n int
 // TestServerMetricsEndToEnd drives real requests through the pipeline and
 // asserts the registry's families reflect them: outcome counters, latency
 // split quantiles, batch occupancy, per-type totals, and a full
-// admit→first_exec→complete timeline per request.
+// admit→first_exec→complete flow per request in the trace.
 func TestServerMetricsEndToEnd(t *testing.T) {
 	s, cell := obsServer(t, Config{})
 	const reqs = 6
@@ -95,28 +97,49 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Every request replays a full ordered timeline from the rings.
-	tls := s.Observer().Timelines(0)
-	byReq := map[int64]*obsv.Timeline{}
-	for _, tl := range tls {
-		byReq[tl.Req] = tl
+	// Every request's history reads back from the trace: its flow starts
+	// at admit on the pipeline process, steps onto a worker's process at
+	// its first execution and ends at its terminal back on the pipeline
+	// process, in time order — the paper's queuing/computation split.
+	var b2 bytes.Buffer
+	if err := s.Observer().WriteTrace(&b2, obsv.TraceOptions{}); err != nil {
+		t.Fatal(err)
 	}
-	if len(byReq) != reqs {
-		t.Fatalf("timelines: got %d want %d", len(byReq), reqs)
+	var doc liveTraceDoc
+	if err := json.Unmarshal(b2.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	for id, tl := range byReq {
-		if tl.Outcome != "complete" {
-			t.Fatalf("req %d outcome %q", id, tl.Outcome)
+	type hop struct {
+		ph  string
+		pid int
+		ts  float64
+	}
+	flows := map[int64][]hop{}
+	for _, ev := range doc.TraceEvents {
+		switch ev.Ph {
+		case "s", "t", "f":
+			flows[ev.ID] = append(flows[ev.ID], hop{ev.Ph, ev.Pid, ev.Ts})
 		}
-		kinds := make([]string, len(tl.Events))
-		for i, e := range tl.Events {
-			kinds[i] = e.Kind
+	}
+	if len(flows) != reqs {
+		t.Fatalf("trace holds %d request flows, want %d", len(flows), reqs)
+	}
+	for id, hops := range flows {
+		if len(hops) != 3 {
+			t.Fatalf("req %d flow: %+v, want admit→first_exec→complete", id, hops)
 		}
-		if got := strings.Join(kinds, ","); got != "admit,first_exec,complete" {
-			t.Fatalf("req %d timeline: %s", id, got)
+		admit, first, end := hops[0], hops[1], hops[2]
+		if admit.ph != "s" || admit.pid != 1 {
+			t.Fatalf("req %d flow must start on the pipeline process: %+v", id, hops)
 		}
-		if tl.QueuingNs <= 0 || tl.ComputationNs <= 0 {
-			t.Fatalf("req %d latency split not positive: %+v", id, tl)
+		if first.ph != "t" || first.pid < 10 {
+			t.Fatalf("req %d flow must step onto a worker's process: %+v", id, hops)
+		}
+		if end.ph != "f" || end.pid != 1 {
+			t.Fatalf("req %d flow must end on the pipeline process: %+v", id, hops)
+		}
+		if queuing, computation := first.ts-admit.ts, end.ts-first.ts; queuing <= 0 || computation <= 0 {
+			t.Fatalf("req %d latency split not positive: queuing=%vµs computation=%vµs", id, queuing, computation)
 		}
 	}
 

@@ -152,7 +152,7 @@ func (m *mgr) dispatch() {
 func (m *mgr) mirror() {
 	m.s.schedInflight.Store(int64(m.sched.InflightTasks()))
 	m.s.schedLive.Store(int64(m.sched.LiveSubgraphs()))
-	m.s.obs.mirrorScheduler(m.sched, m.s.types, m.outstanding)
+	m.s.obs.mirrorScheduler(m.sched, m.outstanding)
 }
 
 // admit performs the admission decision and registers the request. The

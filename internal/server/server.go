@@ -57,7 +57,6 @@ import (
 	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/core"
 	"batchmaker/internal/journal"
-	"batchmaker/internal/metrics"
 	"batchmaker/internal/obsv"
 	"batchmaker/internal/policy"
 	"batchmaker/internal/rnn"
@@ -308,9 +307,9 @@ func (r *request) durableAdmit() error {
 	return r.jerr
 }
 
-// cellType is one registered cell type with its metric cells. Its index in
-// Server.types is its core.TypeID: the scheduler numbers Config.Types in
-// the same order.
+// cellType is one registered cell type. Its index in Server.types is its
+// core.TypeID: the scheduler numbers Config.Types, and ServingMetrics its
+// per-type cells, in the same order.
 type cellType struct {
 	cell     rnn.Cell
 	key      string
@@ -318,7 +317,6 @@ type cellType struct {
 	// widths are the output row widths, in OutputNames order. Admission
 	// carves per-request output rows by them; workers size step outputs.
 	widths []int
-	tm     *obsv.TypeMetrics // set by newServerObs
 }
 
 // Server is a live cellular-batching inference server.
@@ -512,7 +510,7 @@ type Handle struct {
 func (h *Handle) Done() <-chan struct{} { return h.req.done }
 
 // ID returns the request's server-assigned ID — the key under which its
-// lifecycle appears in span records and /debug/requests timelines.
+// lifecycle appears in span records and as the flow id in /debug/trace.
 func (h *Handle) ID() core.RequestID { return h.req.id }
 
 // Result returns the request's outputs after Done is closed. Calling it
@@ -747,7 +745,7 @@ type Stats struct {
 	// backlog the SLA feasibility rule prices).
 	QueuedCells int
 	// Outcomes breaks down how requests entered and left the system.
-	Outcomes metrics.Outcomes
+	Outcomes Outcomes
 	// Quarantined counts recovered panics per cell type (types that never
 	// panicked are omitted) — a persistently growing entry points at a
 	// broken kernel.
@@ -773,12 +771,12 @@ type Stats struct {
 
 // Stats computes the view from the metric cells at call time.
 func (s *Server) Stats() Stats {
-	ob, sm := s.obs, s.obs.sm
+	sm := s.obs.sm
 	st := Stats{
 		BatchSizes:   make(map[int]int),
 		LiveRequests: int(sm.Inflight.Value()),
 		QueuedCells:  int(sm.QueuedCells.Value()),
-		Outcomes: metrics.Outcomes{
+		Outcomes: Outcomes{
 			Admitted:  int(sm.Admitted.Value()),
 			Completed: int(sm.Completed.Value()),
 			Failed:    int(sm.Failed.Value()),
@@ -787,7 +785,7 @@ func (s *Server) Stats() Stats {
 			Cancelled: int(sm.Cancelled.Value()),
 		},
 		Quarantined:    make(map[string]int),
-		Workers:        make([]WorkerStats, len(ob.workers)),
+		Workers:        make([]WorkerStats, len(sm.Workers)),
 		DispatchRounds: int(s.dispatchRounds.Load()),
 		DispatchP50:    sm.Dispatch.Percentile(50),
 		DispatchP99:    sm.Dispatch.Percentile(99),
@@ -803,17 +801,17 @@ func (s *Server) Stats() Stats {
 	if n := sm.BatchOccupancy.Count() - prev; n > 0 {
 		st.BatchSizes[math.MaxInt] = int(n)
 	}
-	for _, ct := range s.types {
-		if n := int(ct.tm.Panics.Value()); n > 0 {
-			st.Quarantined[ct.key] = n
+	for t, tm := range sm.Types {
+		if n := int(tm.Panics.Value()); n > 0 {
+			st.Quarantined[s.types[t].key] = n
 			st.Outcomes.RecoveredPanics += n
 		}
 	}
 	var busyNs int64
-	for w, wm := range ob.workers {
+	for w, wm := range sm.Workers {
 		ws := WorkerStats{QueueDepth: int(wm.Depth.Value())}
 		cells := 0
-		for _, e := range ob.exec[w] {
+		for _, e := range sm.Exec[w] {
 			ws.TasksRun += int(e.Tasks.Value())
 			cells += int(e.Cells.Value())
 		}
@@ -847,8 +845,8 @@ func heapAllocObjects() uint64 {
 // of every entry into the manager, so it is eventually consistent during
 // operation and exact once the pipeline is idle.
 func (s *Server) schedulerGauges() (inflight, liveSubgraphs, ready int) {
-	for _, ct := range s.types {
-		ready += int(ct.tm.Ready.Value())
+	for _, tm := range s.obs.sm.Types {
+		ready += int(tm.Ready.Value())
 	}
 	return int(s.schedInflight.Load()), int(s.schedLive.Load()), ready
 }

@@ -51,7 +51,7 @@ func (s *Server) newWorkerExec(id int) *workerExec {
 		ct := &s.types[t]
 		w.types[t] = typeExec{
 			cellType: ct,
-			exec:     s.obs.exec[id][t],
+			exec:     &s.obs.sm.Exec[id][t],
 			inNames:  ct.cell.InputNames(),
 			outNames: ct.cell.OutputNames(),
 			inputs:   make(map[string]*tensor.Tensor),
@@ -217,7 +217,7 @@ func (s *Server) execTask(id int, task *core.Task, ws *workerExec) ([]execRef, t
 func (s *Server) stepOnce(te *typeExec, task *core.Task, batch int, arena *tensor.Arena) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			s.obs.cellPanic(task, te, batch)
+			s.obs.cellPanic(task, batch)
 			err = fmt.Errorf("%w: %s: %v", ErrCellPanic, te.cell.Name(), p)
 		}
 	}()

@@ -6,7 +6,6 @@ import (
 
 	"batchmaker/internal/core"
 	"batchmaker/internal/device"
-	"batchmaker/internal/metrics"
 	"batchmaker/internal/obsv"
 	"batchmaker/internal/policy"
 )
@@ -23,13 +22,6 @@ type BatchMakerConfig struct {
 	// not exceed NumGPUs. Nil builds a uniform NewCluster(NumGPUs): one
 	// device per stream.
 	Cluster *device.Cluster
-	// Metrics, when set, receives the same metric families the live server
-	// publishes (outcome counters, batch occupancy, slot accounting, the
-	// queuing/computation latency split, ready-queue depth per cell type,
-	// per-device ready depth and copy counters), so a virtual-time run can
-	// be scraped or summarized exactly like a real one. Nil disables the
-	// hook.
-	Metrics *obsv.ServingMetrics
 	// Observer, when set, receives the same span-ring records the live
 	// server writes (admit/terminal lifecycle, dispatch, task-exec,
 	// first-exec, policy and rebalance events) at virtual-time
@@ -42,13 +34,13 @@ type BatchMakerConfig struct {
 	// Policy, when set, mirrors the live server's SLA feasibility rule in
 	// virtual time: each retired task prices the cells it ran, and an
 	// arrival whose backlog per GPU outlasts the SLA at that price is shed
-	// (counted in the result extras, never admitted). Timestamps fed to it
-	// are virtual nanoseconds, making every decision replayable.
+	// (counted in RunResult.PolicySheds, never admitted). Timestamps fed to
+	// it are virtual nanoseconds, making every decision replayable.
 	Policy *policy.Controller
 	// Deadline, when positive, gives each request an SLA deadline of
 	// arrival+Deadline, in place of its Arrival.Expire. It never expires a
-	// request — it drives the scheduler's EDF ordering and the
-	// deadline-miss count in the result extras.
+	// request — it drives the scheduler's EDF ordering and
+	// RunResult.DeadlineMisses.
 	Deadline time.Duration
 	// TaskObserver, when set, is called once per retired task, before the
 	// tracker learns of it, with the worker, the cell type, the rows it ran
@@ -96,14 +88,9 @@ type batchMakerSim struct {
 	// queuedCells is the admitted not-yet-executed cell backlog — the
 	// backlog the policy prices.
 	queuedCells int
-	sheds       int
-	misses      int
-	// types is indexed by core.TypeID, a type's position in Model.Types().
-	types []bmType
-	// obsDevs and obsWorkers cache per-device and per-worker metric handles;
-	// nil when cfg.Metrics is nil.
-	obsDevs    []*obsv.DeviceMetrics
-	obsWorkers []*obsv.WorkerMetrics
+	// curves is each cell type's kernel cost curve, indexed by core.TypeID,
+	// a type's position in Model.Types().
+	curves []device.Curve
 	// Span rings mirroring the live pipeline's writer layout; nil (no-op)
 	// when cfg.Observer is nil.
 	rpRing      *obsv.Ring
@@ -111,20 +98,9 @@ type batchMakerSim struct {
 	workerRings []*obsv.Ring
 }
 
-// bmType is one cell type's kernel cost curve and, when cfg.Metrics is set,
-// its metric handles plus its batch capacity (for slot accounting); exec is
-// indexed by worker, the same {cell_type, worker} cells the live server's
-// workers write.
-type bmType struct {
-	curve    device.Curve
-	tm       *obsv.TypeMetrics
-	exec     []*obsv.ExecMetrics
-	maxBatch int64
-}
-
 // RunBatchMaker simulates BatchMaker serving the workload at one load point
 // and returns the measured run result.
-func RunBatchMaker(cfg BatchMakerConfig, wl Workload, run RunConfig) (*metrics.RunResult, error) {
+func RunBatchMaker(cfg BatchMakerConfig, wl Workload, run RunConfig) (*RunResult, error) {
 	return RunSchedule(cfg, poisson(wl, run), run)
 }
 
@@ -132,7 +108,7 @@ func RunBatchMaker(cfg BatchMakerConfig, wl Workload, run RunConfig) (*metrics.R
 // them over run's window. It fails if a request never resolves,
 // if the scheduler does not drain clean, or if every worker ever sat idle
 // while ready work waited.
-func RunSchedule(cfg BatchMakerConfig, arrivals Schedule, run RunConfig) (*metrics.RunResult, error) {
+func RunSchedule(cfg BatchMakerConfig, arrivals Schedule, run RunConfig) (*RunResult, error) {
 	if cfg.NumGPUs <= 0 {
 		return nil, fmt.Errorf("sim: NumGPUs must be positive")
 	}
@@ -148,7 +124,7 @@ func RunSchedule(cfg BatchMakerConfig, arrivals Schedule, run RunConfig) (*metri
 	// Weight the scheduler's pin assignment by each type's single-cell
 	// kernel time so heavy types spread across devices first.
 	types := cfg.Model.Types()
-	bmTypes := make([]bmType, len(types))
+	curves := make([]device.Curve, len(types))
 	names := make([]string, len(types))
 	maxBatch := make([]int, len(types))
 	for i, tc := range types {
@@ -159,7 +135,7 @@ func RunSchedule(cfg BatchMakerConfig, arrivals Schedule, run RunConfig) (*metri
 		if tc.Weight == 0 {
 			types[i].Weight = float64(c.Time(1))
 		}
-		bmTypes[i].curve, names[i], maxBatch[i] = c, tc.Key, tc.MaxBatch
+		curves[i], names[i], maxBatch[i] = c, tc.Key, tc.MaxBatch
 	}
 	sched, err := core.NewScheduler(core.Config{
 		Types:            types,
@@ -178,29 +154,12 @@ func RunSchedule(cfg BatchMakerConfig, arrivals Schedule, run RunConfig) (*metri
 		reqs:     make(map[core.RequestID]*bmRequest),
 		col:      newCollector(fmt.Sprintf("BatchMaker-%s", cfg.Model.Name), run),
 		stalled:  -1,
-		types:    bmTypes,
+		curves:   curves,
 	}
 	for i := range s.gpus {
 		s.gpus[i] = &device.GPU{ID: i}
 		if err := sched.BindWorker(core.WorkerID(i), core.DeviceID(i%devices)); err != nil {
 			return nil, err
-		}
-	}
-	if cfg.Metrics != nil {
-		for t, tc := range types {
-			ot := &s.types[t]
-			ot.tm, ot.maxBatch = cfg.Metrics.Type(tc.Key), int64(tc.MaxBatch)
-			for w := 0; w < cfg.NumGPUs; w++ {
-				ot.exec = append(ot.exec, cfg.Metrics.Exec(tc.Key, w))
-			}
-		}
-		s.obsDevs = make([]*obsv.DeviceMetrics, devices)
-		for d := range s.obsDevs {
-			s.obsDevs[d] = cfg.Metrics.Device(d)
-		}
-		s.obsWorkers = make([]*obsv.WorkerMetrics, cfg.NumGPUs)
-		for w := range s.obsWorkers {
-			s.obsWorkers[w] = cfg.Metrics.Worker(w)
 		}
 	}
 	if o := cfg.Observer; o != nil {
@@ -224,12 +183,6 @@ func RunSchedule(cfg BatchMakerConfig, arrivals Schedule, run RunConfig) (*metri
 		return nil, fmt.Errorf("sim: scheduler not drained: live=%d ready=%d inflight=%d",
 			sched.LiveSubgraphs(), sched.TotalReady(), sched.InflightTasks())
 	}
-	if cfg.Policy != nil {
-		s.col.res.AddExtra("policy_sheds", float64(s.sheds))
-	}
-	if cfg.Deadline > 0 {
-		s.col.res.AddExtra("deadline_misses", float64(s.misses))
-	}
 	return s.col.result(), nil
 }
 
@@ -237,10 +190,7 @@ func (s *batchMakerSim) admit(a Arrival) {
 	if p := s.cfg.Policy; p != nil {
 		gpus := s.cfg.NumGPUs
 		if d := p.Admit(int64(s.eng.Now()), (s.queuedCells+gpus-1)/gpus); !d.Admit {
-			s.sheds++
-			if m := s.cfg.Metrics; m != nil {
-				m.Rejected.Inc()
-			}
+			s.col.res.PolicySheds++
 			s.rpRing.Write(obsv.Record{Kind: obsv.KindPolicyShed, T0: int64(s.eng.Now())})
 			s.rpRing.Write(obsv.Record{Kind: obsv.KindReject, T0: int64(s.eng.Now())})
 			return
@@ -262,10 +212,6 @@ func (s *batchMakerSim) admit(a Arrival) {
 	}
 	s.reqs[id] = req
 	s.queuedCells += len(g.Nodes)
-	if m := s.cfg.Metrics; m != nil {
-		m.Admitted.Inc()
-		m.Inflight.Set(int64(len(s.reqs)))
-	}
 	s.rpRing.Write(obsv.Record{Kind: obsv.KindAdmit, Req: int64(id), T0: int64(req.arrival)})
 	for _, spec := range tr.InitialSubgraphs() {
 		spec.Deadline = int64(req.deadline)
@@ -296,14 +242,6 @@ func (s *batchMakerSim) terminate(id core.RequestID, kind obsv.Kind) {
 	delete(s.reqs, id)
 	s.queuedCells -= req.tracker.Remaining()
 	s.sched.CancelRequest(id)
-	if m := s.cfg.Metrics; m != nil {
-		if kind == obsv.KindCancel {
-			m.Cancelled.Inc()
-		} else {
-			m.Expired.Inc()
-		}
-		m.Inflight.Set(int64(len(s.reqs)))
-	}
 	s.rpRing.Write(obsv.Record{Kind: kind, Req: int64(id), T0: int64(s.eng.Now())})
 }
 
@@ -311,10 +249,7 @@ func (s *batchMakerSim) terminate(id core.RequestID, kind obsv.Kind) {
 // scheduler a chance to move a weight pin if ready depth has skewed (§5).
 func (s *batchMakerSim) kickIdleWorkers() {
 	if moved := s.sched.MaybeRebalance(); moved > 0 {
-		s.col.res.AddExtra("pin_moves", float64(moved))
-		if m := s.cfg.Metrics; m != nil {
-			m.PinMoves.Add(int64(moved))
-		}
+		s.col.res.PinMoves += moved
 		s.schedRing.Write(obsv.Record{
 			Kind: obsv.KindRebalance, Batch: uint16(moved), T0: int64(s.eng.Now()),
 		})
@@ -341,19 +276,9 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 	gpu := s.gpus[w]
 	dev := int(s.sched.DeviceOf(w))
 	for _, task := range tasks {
-		typ := &s.types[task.Type]
-		dur := s.cfg.Overheads.PerTask(task.BatchSize()) + typ.curve.Time(task.BatchSize())
-		s.col.res.AddExtra("tasks", 1)
-		s.col.res.AddExtra("batched_cells", float64(task.BatchSize()))
-		if m := s.cfg.Metrics; m != nil {
-			batch := int64(task.BatchSize())
-			typ.exec[w].Tasks.Inc()
-			typ.exec[w].Cells.Add(batch)
-			s.obsWorkers[w].Busy.Add(int64(dur))
-			m.BatchOccupancy.Observe(batch)
-			m.SlotsUsed.Add(batch)
-			m.SlotsCap.Add(typ.maxBatch)
-		}
+		dur := s.cfg.Overheads.PerTask(task.BatchSize()) + s.curves[task.Type].Time(task.BatchSize())
+		s.col.res.Tasks++
+		s.col.res.BatchedCells += task.BatchSize()
 		// Cross-device movement (§5): the scheduler marks requests whose
 		// previous task ran on another device; their h/c state is copied
 		// in. Copies to one destination overlap, so charge the slowest
@@ -366,20 +291,14 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 				}
 			}
 			dur += stateCopy
-			s.col.res.AddExtra("migrated_requests", float64(task.Migrations))
-			s.col.res.AddExtra("migration_tasks", 1)
+			s.col.res.MigratedRequests += task.Migrations
+			s.col.res.MigrationTasks++
 		}
 		// Remote steal: the type's weights live on HomeDevice and must be
 		// fetched before the kernel can run here.
 		if task.Remote {
 			dur += s.cfg.Cluster.CopyTime(int(task.HomeDevice), dev, weightBytes)
-			s.col.res.AddExtra("remote_tasks", 1)
-		}
-		if (task.Migrations > 0 || task.Remote) && s.obsDevs != nil {
-			s.obsDevs[dev].Copies.Add(int64(task.Migrations))
-			if task.Remote {
-				s.obsDevs[dev].Copies.Inc()
-			}
+			s.col.res.RemoteTasks++
 		}
 		var flags uint8
 		if task.Remote {
@@ -432,24 +351,6 @@ func (s *batchMakerSim) scheduleWorker(w core.WorkerID) {
 		t, issued := task, s.eng.Now()
 		s.eng.At(end+s.cfg.Overheads.CompletionPoll, func() { s.onTaskDone(w, t, issued, start, end) })
 	}
-	s.mirrorReady()
-}
-
-// mirrorReady refreshes the ready-queue and worker-depth gauges so a sim
-// registry exposes the same scheduler view the live server does.
-func (s *batchMakerSim) mirrorReady() {
-	if s.cfg.Metrics == nil {
-		return
-	}
-	for t := range s.types {
-		s.types[t].tm.Ready.Set(int64(s.sched.ReadyNodes(core.TypeID(t))))
-	}
-	for d, dm := range s.obsDevs {
-		dm.Ready.Set(s.sched.DeviceReady(core.DeviceID(d)))
-	}
-	for w, wm := range s.obsWorkers {
-		wm.Depth.Set(int64(s.inflight[w]))
-	}
 }
 
 func (s *batchMakerSim) onTaskDone(w core.WorkerID, task *core.Task, issued, start, end time.Duration) {
@@ -487,12 +388,7 @@ func (s *batchMakerSim) onTaskDone(w core.WorkerID, task *core.Task, issued, sta
 			s.col.record(req.arrival, req.firstExec, end)
 			delete(s.reqs, ref.Req)
 			if req.deadline > 0 && end > req.deadline {
-				s.misses++
-			}
-			if m := s.cfg.Metrics; m != nil {
-				m.Completed.Inc()
-				m.Inflight.Set(int64(len(s.reqs)))
-				m.ObserveLatencySplit(req.firstExec-req.arrival, end-req.firstExec)
+				s.col.res.DeadlineMisses++
 			}
 			s.rpRing.Write(obsv.Record{
 				Kind: obsv.KindComplete, Req: int64(ref.Req), T0: int64(end),
@@ -508,5 +404,4 @@ func (s *batchMakerSim) onTaskDone(w core.WorkerID, task *core.Task, issued, sta
 	}
 	// Newly released subgraphs may also feed other drained workers.
 	s.kickIdleWorkers()
-	s.mirrorReady()
 }

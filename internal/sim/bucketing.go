@@ -6,7 +6,6 @@ import (
 
 	"batchmaker/internal/dataset"
 	"batchmaker/internal/device"
-	"batchmaker/internal/metrics"
 )
 
 // BucketingConfig configures the padding+bucketing graph-batching baseline
@@ -75,7 +74,7 @@ type bucketingSim struct {
 }
 
 // RunBucketing simulates the padding+bucketing baseline at one load point.
-func RunBucketing(cfg BucketingConfig, wl Workload, run RunConfig) (*metrics.RunResult, error) {
+func RunBucketing(cfg BucketingConfig, wl Workload, run RunConfig) (*RunResult, error) {
 	if cfg.NumGPUs <= 0 || cfg.Model == nil {
 		return nil, fmt.Errorf("sim: bad bucketing config")
 	}

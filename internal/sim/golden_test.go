@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -48,13 +47,23 @@ func goldenTimeline() string {
 	fmt.Fprintf(&b, "completed   %d\n", res.Completed)
 	fmt.Fprintf(&b, "latency     mean=%v p50=%v p99=%v\n", res.Latency.Mean(), res.Latency.P50(), res.Latency.P99())
 	fmt.Fprintf(&b, "queuing     mean=%v p50=%v\n", res.Queuing.Mean(), res.Queuing.P50())
-	keys := make([]string, 0, len(res.Extra))
-	for k := range res.Extra {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "extra       %s=%g\n", k, res.Extra[k])
+	// The run's nonzero counters, sorted by name.
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"batched_cells", res.BatchedCells},
+		{"deadline_misses", res.DeadlineMisses},
+		{"migrated_requests", res.MigratedRequests},
+		{"migration_tasks", res.MigrationTasks},
+		{"pin_moves", res.PinMoves},
+		{"policy_sheds", res.PolicySheds},
+		{"remote_tasks", res.RemoteTasks},
+		{"tasks", res.Tasks},
+	} {
+		if c.v != 0 {
+			fmt.Fprintf(&b, "extra       %s=%g\n", c.name, float64(c.v))
+		}
 	}
 	return b.String()
 }

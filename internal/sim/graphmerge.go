@@ -6,7 +6,6 @@ import (
 
 	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/device"
-	"batchmaker/internal/metrics"
 )
 
 // GraphMergeConfig configures the dynamic graph-merging baselines
@@ -113,7 +112,7 @@ type graphMergeSim struct {
 }
 
 // RunGraphMerge simulates a graph-merging baseline at one load point.
-func RunGraphMerge(cfg GraphMergeConfig, wl Workload, run RunConfig) (*metrics.RunResult, error) {
+func RunGraphMerge(cfg GraphMergeConfig, wl Workload, run RunConfig) (*RunResult, error) {
 	if cfg.NumGPUs <= 0 || cfg.Model == nil {
 		return nil, fmt.Errorf("sim: bad graph-merge config")
 	}
@@ -241,7 +240,7 @@ func scaleDur(d time.Duration, f float64) time.Duration {
 // structure, executing each of the tree's cells as a batch-64 operator in
 // sequence. There is no merge cost and no padding, but also no within-
 // request level fusion: a 16-leaf complete tree runs 31 sequential cells.
-func RunIdealFixedTree(model *Model, gpus int, tree *cellgraph.Tree, maxBatch int, stepOverhead time.Duration, wl Workload, run RunConfig) (*metrics.RunResult, error) {
+func RunIdealFixedTree(model *Model, gpus int, tree *cellgraph.Tree, maxBatch int, stepOverhead time.Duration, wl Workload, run RunConfig) (*RunResult, error) {
 	if gpus <= 0 || model == nil {
 		return nil, fmt.Errorf("sim: bad ideal config")
 	}

@@ -18,22 +18,21 @@ func TestPinningKeepsMigrationsRare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := res.Extra["tasks"]
-	migr := res.Extra["migration_tasks"]
+	tasks, migr := res.Tasks, res.MigrationTasks
 	if tasks == 0 {
 		t.Fatal("no tasks recorded")
 	}
-	frac := migr / tasks
+	frac := float64(migr) / float64(tasks)
 	if frac > 0.35 {
-		t.Fatalf("migration tasks = %.0f of %.0f (%.0f%%); pinning should keep this low",
+		t.Fatalf("migration tasks = %d of %d (%.0f%%); pinning should keep this low",
 			migr, tasks, 100*frac)
 	}
 	// Requests spanned two phases (encoder + decoder subgraphs), so some
 	// migration is expected; zero would suggest the counter is dead...
 	// unless the workload drained worker-serially. Check the counters are
 	// wired by asserting batched cells >= tasks.
-	if res.Extra["batched_cells"] < tasks {
-		t.Fatalf("counters inconsistent: %+v", res.Extra)
+	if res.BatchedCells < tasks {
+		t.Fatalf("counters inconsistent: %d cells in %d tasks", res.BatchedCells, tasks)
 	}
 }
 
@@ -45,7 +44,7 @@ func TestBatchingActuallyHappensUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean := res.Extra["batched_cells"] / res.Extra["tasks"]
+	mean := float64(res.BatchedCells) / float64(res.Tasks)
 	if mean < 256 {
 		t.Fatalf("mean batch %.0f at saturation; want near 512", mean)
 	}

@@ -12,8 +12,8 @@ import (
 // policyBurstRun drives one virtual-time BatchMaker run under the scripted
 // burst profile (Poisson → 8× spike → quiet) with the policy on, returning
 // the rule's shed records from the request-processor ring and the run
-// extras.
-func policyBurstRun(t *testing.T, seed uint64) ([]obsv.Record, map[string]float64) {
+// result.
+func policyBurstRun(t *testing.T, seed uint64) ([]obsv.Record, *RunResult) {
 	t.Helper()
 	ctl := policy.New(
 		policy.Config{Mode: policy.ModeFull, SLA: 25 * time.Millisecond},
@@ -49,7 +49,7 @@ func policyBurstRun(t *testing.T, seed uint64) ([]obsv.Record, map[string]float6
 			}
 		}
 	}
-	return sheds, res.Extra
+	return sheds, res
 }
 
 // TestPolicyBurstTraceDeterministic is the policy determinism harness: two
@@ -57,19 +57,18 @@ func policyBurstRun(t *testing.T, seed uint64) ([]obsv.Record, map[string]float6
 // virtual instants and end with identical shed/miss counts — the
 // conformance idiom applied to the control loop.
 func TestPolicyBurstTraceDeterministic(t *testing.T) {
-	sheds1, extra1 := policyBurstRun(t, 11)
-	sheds2, extra2 := policyBurstRun(t, 11)
+	sheds1, res1 := policyBurstRun(t, 11)
+	sheds2, res2 := policyBurstRun(t, 11)
 	if !slices.Equal(sheds1, sheds2) {
 		t.Fatalf("same-seed runs diverged: %d vs %d shed records", len(sheds1), len(sheds2))
 	}
-	for _, k := range []string{"policy_sheds", "deadline_misses"} {
-		if extra1[k] != extra2[k] {
-			t.Fatalf("extra %q diverged: %v vs %v", k, extra1[k], extra2[k])
-		}
+	if res1.PolicySheds != res2.PolicySheds || res1.DeadlineMisses != res2.DeadlineMisses {
+		t.Fatalf("counters diverged: sheds %d vs %d, misses %d vs %d",
+			res1.PolicySheds, res2.PolicySheds, res1.DeadlineMisses, res2.DeadlineMisses)
 	}
 	// The spike must actually exercise the rule, and every shed is recorded.
-	if extra1["policy_sheds"] == 0 || float64(len(sheds1)) != extra1["policy_sheds"] {
-		t.Fatalf("spike shed %v requests, %d shed records", extra1["policy_sheds"], len(sheds1))
+	if res1.PolicySheds == 0 || len(sheds1) != res1.PolicySheds {
+		t.Fatalf("spike shed %d requests, %d shed records", res1.PolicySheds, len(sheds1))
 	}
 	// A different seed must change the decision sequence (the sheds are a
 	// function of the arrival stream, not a constant).
@@ -83,7 +82,7 @@ func TestPolicyBurstTraceDeterministic(t *testing.T) {
 // the policy: the policy arm must shed some arrivals and in exchange
 // miss fewer deadlines among the requests it serves.
 func TestPolicyBurstShedsReduceMisses(t *testing.T) {
-	arm := func(on bool) map[string]float64 {
+	arm := func(on bool) *RunResult {
 		cfg := defaultBMConfig(NewLSTMModel(64, 1), 1)
 		cfg.Deadline = 25 * time.Millisecond
 		if on {
@@ -106,15 +105,15 @@ func TestPolicyBurstShedsReduceMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Extra
+		return res
 	}
 	static := arm(false)
 	policyOn := arm(true)
-	if policyOn["policy_sheds"] == 0 {
+	if policyOn.PolicySheds == 0 {
 		t.Fatal("policy arm shed nothing under the spike")
 	}
-	if policyOn["deadline_misses"] >= static["deadline_misses"] {
-		t.Fatalf("policy arm missed %v deadlines, static arm %v — shedding should protect admitted requests",
-			policyOn["deadline_misses"], static["deadline_misses"])
+	if policyOn.DeadlineMisses >= static.DeadlineMisses {
+		t.Fatalf("policy arm missed %d deadlines, static arm %d — shedding should protect admitted requests",
+			policyOn.DeadlineMisses, static.DeadlineMisses)
 	}
 }

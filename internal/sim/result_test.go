@@ -1,9 +1,11 @@
-package metrics
+package sim
 
 import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"batchmaker/internal/obsv"
 )
 
 func TestRecorderPercentiles(t *testing.T) {
@@ -23,11 +25,11 @@ func TestRecorderPercentiles(t *testing.T) {
 	if got := r.P99(); got != 99*time.Millisecond {
 		t.Fatalf("p99 = %v", got)
 	}
+	if got := r.Percentile(100); got != 100*time.Millisecond {
+		t.Fatalf("p100 = %v", got)
+	}
 	if got := r.Min(); got != 1*time.Millisecond {
 		t.Fatalf("min = %v", got)
-	}
-	if got := r.Max(); got != 100*time.Millisecond {
-		t.Fatalf("max = %v", got)
 	}
 	if got := r.Mean(); got != 50500*time.Microsecond {
 		t.Fatalf("mean = %v", got)
@@ -36,7 +38,7 @@ func TestRecorderPercentiles(t *testing.T) {
 
 func TestRecorderEmpty(t *testing.T) {
 	var r Recorder
-	if r.P50() != 0 || r.Mean() != 0 || r.Max() != 0 || r.Min() != 0 {
+	if r.P50() != 0 || r.Mean() != 0 || r.Min() != 0 {
 		t.Fatal("empty recorder must return zeros")
 	}
 	if r.CDF(10) != nil {
@@ -87,40 +89,42 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestRequestStatsBreakdown(t *testing.T) {
-	s := RequestStats{
-		Arrival:    10 * time.Millisecond,
-		FirstExec:  14 * time.Millisecond,
-		Completion: 30 * time.Millisecond,
+func TestQuantilesMatchRecorderOnSmallInput(t *testing.T) {
+	// With fewer samples than the window, the live server's
+	// obsv.Quantiles and the simulator's Recorder agree exactly — through
+	// Percentile and through Query.
+	ps := []float64{10, 50, 90, 99, 100}
+	q := obsv.NewQuantiles(64, []float64{0.10, 0.50, 0.90, 0.99, 1})
+	var r Recorder
+	for _, d := range []time.Duration{7, 3, 9, 1, 5, 2, 8} {
+		q.Observe(d)
+		r.Add(d)
 	}
-	if s.Queuing() != 4*time.Millisecond {
-		t.Fatalf("queuing = %v", s.Queuing())
-	}
-	if s.Computation() != 16*time.Millisecond {
-		t.Fatalf("computation = %v", s.Computation())
-	}
-	if s.Latency() != 20*time.Millisecond {
-		t.Fatalf("latency = %v", s.Latency())
-	}
-}
-
-func TestRunResultThroughputAndRow(t *testing.T) {
-	r := RunResult{System: "batchmaker", OfferedQPS: 1000, Duration: 2 * time.Second, Completed: 1500}
-	if got := r.Throughput(); got != 750 {
-		t.Fatalf("throughput = %v", got)
-	}
-	r.Latency.Add(10 * time.Millisecond)
-	if row := r.Row(); row == "" {
-		t.Fatal("empty row")
-	}
-	zero := RunResult{}
-	if zero.Throughput() != 0 {
-		t.Fatal("zero-duration throughput must be 0")
+	_, vals := q.Query()
+	for i, p := range ps {
+		if q.Percentile(p) != r.Percentile(p) || vals[i] != r.Percentile(p) {
+			t.Fatalf("P%v: percentile %v, query %v != recorder %v", p, q.Percentile(p), vals[i], r.Percentile(p))
+		}
 	}
 }
 
-func TestMsHelper(t *testing.T) {
-	if Ms(1500*time.Microsecond) != 1.5 {
-		t.Fatalf("Ms = %v", Ms(1500*time.Microsecond))
+// TestCollectorLatencySplit checks the §7.3 breakdown a collector records
+// per request: queuing is arrival to first execution, computation first
+// execution to completion, latency their sum.
+func TestCollectorLatencySplit(t *testing.T) {
+	c := newCollector("split", RunConfig{Duration: time.Second})
+	c.record(10*time.Millisecond, 14*time.Millisecond, 30*time.Millisecond)
+	res := c.result()
+	if got := res.Queuing.P50(); got != 4*time.Millisecond {
+		t.Fatalf("queuing = %v", got)
+	}
+	if got := res.Computation.P50(); got != 16*time.Millisecond {
+		t.Fatalf("computation = %v", got)
+	}
+	if got := res.Latency.P50(); got != 20*time.Millisecond {
+		t.Fatalf("latency = %v", got)
+	}
+	if res.Completed != 1 {
+		t.Fatalf("completed = %d", res.Completed)
 	}
 }

@@ -26,8 +26,8 @@ func TestMultiGPUScalingCurve(t *testing.T) {
 		if res.Throughput() <= 0 {
 			t.Fatalf("%d GPUs measured zero throughput", gpus)
 		}
-		t.Logf("%d GPUs: %.0f req/s (tasks=%.0f migration_tasks=%.0f)",
-			gpus, res.Throughput(), res.Extra["tasks"], res.Extra["migration_tasks"])
+		t.Logf("%d GPUs: %.0f req/s (tasks=%d migration_tasks=%d)",
+			gpus, res.Throughput(), res.Tasks, res.MigrationTasks)
 		tput = append(tput, res.Throughput())
 	}
 	t1, t2, t4 := tput[0], tput[1], tput[2]

@@ -7,7 +7,6 @@ import (
 	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/dataset"
 	"batchmaker/internal/device"
-	"batchmaker/internal/metrics"
 )
 
 func shortRun(rate float64, seed uint64) RunConfig {
@@ -341,5 +340,3 @@ func TestProfileTree(t *testing.T) {
 		t.Fatalf("skew profile = %+v", p)
 	}
 }
-
-var _ = metrics.RunResult{} // keep the import referenced in minimal builds

@@ -13,7 +13,7 @@ import (
 // JSON, worker tracks declared, batch slices present, and completed
 // requests chained across tracks by flow arrows at virtual timestamps.
 func TestSimTraceExport(t *testing.T) {
-	o := obsv.NewObserver(obsv.NewRegistry(), 0)
+	o := obsv.NewObserver(nil, 0)
 	cfg := defaultBMConfig(NewLSTMModel(512, 1), 2)
 	cfg.Observer = o
 	wl := &FixedWorkload{Shape: Shape{Kind: KindChain, Len: 6}}

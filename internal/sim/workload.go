@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"batchmaker/internal/dataset"
-	"batchmaker/internal/metrics"
 )
 
 // Workload generates request shapes for a run.
@@ -144,14 +143,14 @@ func (c RunConfig) end() time.Duration { return c.Warmup + c.Duration }
 // throughput rather than the offered rate).
 type collector struct {
 	cfg        RunConfig
-	res        *metrics.RunResult
+	res        *RunResult
 	windowDone int
 }
 
 func newCollector(system string, cfg RunConfig) *collector {
 	return &collector{
 		cfg: cfg,
-		res: &metrics.RunResult{
+		res: &RunResult{
 			System:     system,
 			OfferedQPS: cfg.RatePerSec,
 			Duration:   cfg.Duration,
@@ -166,13 +165,12 @@ func (c *collector) record(arrival, firstExec, completion time.Duration) {
 	if arrival < c.cfg.Warmup {
 		return
 	}
-	st := metrics.RequestStats{Arrival: arrival, FirstExec: firstExec, Completion: completion}
-	c.res.Latency.Add(st.Latency())
-	c.res.Queuing.Add(st.Queuing())
-	c.res.Computation.Add(st.Computation())
+	c.res.Latency.Add(completion - arrival)
+	c.res.Queuing.Add(firstExec - arrival)
+	c.res.Computation.Add(completion - firstExec)
 }
 
-func (c *collector) result() *metrics.RunResult {
+func (c *collector) result() *RunResult {
 	c.res.Completed = c.windowDone
 	return c.res
 }
