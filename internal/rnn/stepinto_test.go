@@ -282,7 +282,9 @@ func BenchmarkStepVsBatch(b *testing.B) {
 // GPU never has them hot: step i runs LSTM instance i mod n (in = h), and n
 // is the fewest instances whose weights, 32·h² bytes each, total 8 MiB or
 // more — four at h = 256, one at h = 512 and at h = 1 024 — so no step finds
-// its weights in a 2 MiB L2.
+// its weights in a 2 MiB L2. Past b = 1, x_b1/row is the b = 1 step's time
+// over this batch's time per row: Fig. 3's gain, read off, where the b = 1
+// step ran in the same invocation.
 func BenchmarkStepVsBatchCold(b *testing.B) {
 	const coldBytes = 8 << 20
 	for _, h := range []int{256, 512, 1024} {
@@ -291,6 +293,7 @@ func BenchmarkStepVsBatchCold(b *testing.B) {
 		for i := range cells {
 			cells[i] = NewLSTMCell(fmt.Sprintf("lstm%d", i), h, h, rng)
 		}
+		var single float64 // us of the b = 1 step; 0 until it has run
 		for _, rows := range []int{1, 4, 16, 64} {
 			inputs := map[string]*tensor.Tensor{
 				"x": tensor.RandNormal(rng, 0.5, rows, h),
@@ -314,6 +317,12 @@ func BenchmarkStepVsBatchCold(b *testing.B) {
 				us := float64(b.Elapsed().Nanoseconds()) / 1e3 / float64(b.N)
 				b.ReportMetric(us, "us/step")
 				b.ReportMetric(us/float64(rows), "us/row")
+				switch {
+				case rows == 1:
+					single = us
+				case single > 0:
+					b.ReportMetric(single/(us/float64(rows)), "x_b1/row")
+				}
 			})
 		}
 	}

@@ -1,16 +1,20 @@
 package tensor
 
 // AVX implementations (axpy_amd64.s) of the Go loops of axpy.go, eight lanes
-// at a time, and on AVX-512F CPUs one routine (rowStrips, rowstrips_amd64.s)
-// that does all of a single row's product in sixteen-lane register strips.
+// at a time, and on AVX-512F CPUs two routines that do a whole product in
+// sixteen-lane register strips: rowStrips (rowstrips_amd64.s) for a single
+// row and blockStrips (blockstrips_amd64.s) for a 4-row block. So matMulTile
+// has four paths: the two strip routines on AVX-512F; axpy4 for blocks and
+// axpy1x4/axpy1 for single rows on AVX; the Go loops elsewhere.
 // VMULPS/VADDPS round each lane exactly as the scalar MULSS/ADDSS the
 // compiler emits for the Go loops, and nothing is fused, so results are
 // bit-identical to the reference. Neither AVX nor AVX-512 is in the
 // GOAMD64=v1 baseline, so probes at package init set useAVX and useAVX512;
 // each axpy entry point tests useAVX and, where it is false, jumps to its Go
-// loop, the code every other GOARCH runs, and matMulRow calls rowStrips only
-// under useAVX512. The assembly does no bounds checks: every other row must
-// be at least as long as b (b0).
+// loop, the code every other GOARCH runs, and matMulTile and matMulRow call
+// the strip routines only under useAVX512. The assembly does no bounds
+// checks: every other row must be at least as long as b (b0), and the strip
+// routines read what their callers slice.
 
 // useAVX and useAVX512 are set once, by the probes; tests clear them to run
 // the slower paths. useAVX512 implies useAVX.
@@ -62,3 +66,11 @@ func axpy4(o0, o1, o2, o3, b []float32, v0, v1, v2, v3 float32)
 //
 //go:noescape
 func rowStrips(o, arow, b []float32)
+
+// blockStrips is o[r] += a[r] @ b for the four rows r of a block on AVX-512F
+// (blockstrips_amd64.s), for useAVX512 only: o holds four rows of n floats,
+// a four rows k floats apart from a panel's first term, and b the panel's
+// terms rows of n floats.
+//
+//go:noescape
+func blockStrips(o, a, b []float32, n, k, terms int)

@@ -52,13 +52,14 @@ var servingShapes = []struct {
 
 // BenchmarkMatMulServing is Fig. 3 at the kernel on this substrate: step time
 // versus batch size at the shapes the benchmark actually serves. us/row is
-// the per-request cost; it must fall as b grows for batching to pay. GB/s is
+// the per-request cost; it must fall as b grows for batching to pay. b = 7 is
+// one 4-row block and three single rows, b = 8 two blocks. GB/s is
 // the weight matrix's bytes (4·k·n) over the product's time: at b = 1, where
 // every weight is read once, the rate the kernel streams weights, to hold
 // against the cache's read ceilings.
 func BenchmarkMatMulServing(b *testing.B) {
 	for _, s := range servingShapes {
-		for _, m := range []int{1, 2, 3, 4, 16, 64} {
+		for _, m := range []int{1, 2, 3, 4, 7, 8, 16, 64} {
 			b.Run(fmt.Sprintf("%s_%dx%d/b%d", s.model, s.k, s.n, m), func(b *testing.B) {
 				rng := NewRNG(1)
 				x := RandUniform(rng, 1, m, s.k)

@@ -28,13 +28,16 @@ func guardedFloats(t *testing.T, n int) (s []float32, release func()) {
 	return s, func() { _ = syscall.Munmap(mem) }
 }
 
-// TestMatMulGuardPage ends the output, the last row of b and a row of a flush
-// against a guard page, for every n up to 48 — every masked tail of the
-// AVX-512 strips and every 8-, 4- and 1-float tail of the AVX primitives —
-// at several k, in a single row and after a 4-row block. The assembly does
-// no bounds checks, so an unmasked access past a slice's end would pass
-// silently on ordinary heap memory; here it faults, and the fault is turned
-// into a test failure. It runs on every kernel path.
+// TestMatMulGuardPage ends the output, the last row of b and the last row of
+// a flush against a guard page, for every n up to 48 — every masked tail of
+// the AVX-512 strips and every 8-, 4- and 1-float tail of the AVX
+// primitives — and for n past one and two 64-float block strips, with and
+// without a masked tail, at several k: in a single row, in a 4-row block
+// alone and in two of them (the block's o, a and b all end at the guard),
+// and in a row after a block. The assembly does no bounds checks, so an
+// unmasked access past a slice's end would pass silently on ordinary heap
+// memory; here it faults, and the fault is turned into a test failure. It
+// runs on every kernel path.
 func TestMatMulGuardPage(t *testing.T) {
 	forEachKernel(t, testMatMulGuardPage)
 }
@@ -42,9 +45,14 @@ func TestMatMulGuardPage(t *testing.T) {
 func testMatMulGuardPage(t *testing.T) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	rng := rand.New(rand.NewSource(5))
+	var ns []int
 	for n := 1; n <= 48; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 63, 64, 65, 79, 128, 129)
+	for _, n := range ns {
 		for _, k := range []int{1, 2, 5, 17} {
-			for _, m := range []int{1, 5} {
+			for _, m := range []int{1, 4, 5, 8} {
 				a, freeA := guardedFloats(t, m*k)
 				b, freeB := guardedFloats(t, k*n)
 				got, freeGot := guardedFloats(t, m*n)

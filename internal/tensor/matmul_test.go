@@ -218,6 +218,86 @@ func testMatMulTileBitIdenticalSparseRows(t *testing.T) {
 	}
 }
 
+// TestMatMulTileBitIdenticalBlocks aims the comparison at the 4-row blocks:
+// m from one block to eight blocks plus a remainder, n across the 64- and
+// 16-float strips and the masked tail, and the rows of a where the block's
+// skip rule differs from a per-row one — one-hot rows, where most terms skip
+// in the whole block, and blocks where some rows are all ±0 and the others
+// are not, so their terms exist for the zero rows too — against a bias of
+// ±0, where a per-row rule would leave a −0 that the block's `+= 0*b` turns
+// into +0. It runs on every kernel path.
+func TestMatMulTileBitIdenticalBlocks(t *testing.T) {
+	forEachKernel(t, testMatMulTileBitIdenticalBlocks)
+}
+
+func testMatMulTileBitIdenticalBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	negZero := float32(math.Copysign(0, -1))
+	signedZero := func() float32 {
+		if rng.Intn(2) == 0 {
+			return negZero
+		}
+		return 0
+	}
+	patterns := []struct {
+		name string
+		fill func(a []float32, m, k int)
+	}{
+		{"random", func(a []float32, m, k int) { fillMatrix(rng, a) }},
+		{"one-hot", func(a []float32, m, k int) {
+			for i := range a {
+				a[i] = signedZero()
+			}
+			for i := 0; i < m; i++ {
+				a[i*k+rng.Intn(k)] = 1
+			}
+		}},
+		{"zero rows", func(a []float32, m, k int) {
+			fillMatrix(rng, a)
+			for i0 := 0; i0 < m; i0 += 4 {
+				zero := 1 + rng.Intn(14) // some but not all rows of the block
+				for i := i0; i < min(i0+4, m); i++ {
+					if zero>>(i-i0)&1 == 1 {
+						for p := range a[i*k : (i+1)*k] {
+							a[i*k+p] = signedZero()
+						}
+					}
+				}
+			}
+		}},
+	}
+	for _, m := range []int{4, 5, 7, 8, 16, 17, 33} {
+		for _, k := range []int{1, 5, 64, 65} {
+			for _, n := range []int{1, 15, 16, 17, 63, 64, 65, 1000} {
+				for _, pat := range patterns {
+					a := offsetSlice(m*k, 1)
+					b := offsetSlice(k*n, 2)
+					zeros := offsetSlice(n, 3)
+					bias := offsetSlice(n, 0)
+					got := offsetSlice(m*n, 1)
+					want := make([]float32, m*n)
+					pat.fill(a, m, k)
+					fillMatrix(rng, b)
+					fillMatrix(rng, bias)
+					for j := range zeros {
+						zeros[j] = signedZero()
+					}
+					for _, bs := range [][]float32{nil, zeros, bias} {
+						scalarMatMulRef(want, a, b, bs, m, k, n)
+						matMulTile(got, a, b, bs, m, k, n)
+						for i := range want {
+							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+								t.Fatalf("%s m=%d k=%d n=%d bias=%v: got[%d]=%x want %x",
+									pat.name, m, k, n, bs != nil, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // checkAxpy runs axpy1, axpy1x4 and axpy4 against their Go references on rows
 // of length n, with the four scalars given as raw bits. offs places the
 // operands in their allocations, in floats: offs[0] the output row (row r of
@@ -331,10 +411,11 @@ func FuzzAxpy(f *testing.F) {
 	})
 }
 
-// TestMatMulRowPanels aims the comparison at the panels matMulRow sweeps
-// b in: k one below, at and above a panel's rows, and across several
-// panels, with exact zeros (a skipped term on either side of an edge) and
-// unaligned operands. It runs on every kernel path.
+// TestMatMulRowPanels aims the comparison at the panels matMulRow and
+// matMulBlocks sweep b in: k one below, at and above a panel's rows, and
+// across several panels, with exact zeros (a skipped term on either side of
+// an edge) and unaligned operands, for a single row, a block and a row, and
+// two blocks. It runs on every kernel path.
 func TestMatMulRowPanels(t *testing.T) {
 	forEachKernel(t, testMatMulRowPanels)
 }
@@ -344,20 +425,22 @@ func testMatMulRowPanels(t *testing.T) {
 	for _, n := range []int{1000, 2048, 4097} {
 		rows := stripPanelBytes / (4 * n)
 		for _, k := range []int{rows - 1, rows, rows + 1, 3*rows + 5} {
-			a := offsetSlice(k, 1)
-			b := offsetSlice(k*n, 2)
-			bias := offsetSlice(n, 3)
-			got := offsetSlice(n, 1)
-			want := make([]float32, n)
-			fillMatrix(rng, a)
-			fillMatrix(rng, b)
-			fillMatrix(rng, bias)
-			scalarMatMulRef(want, a, b, bias, 1, k, n)
-			matMulTile(got, a, b, bias, 1, k, n)
-			for j := range want {
-				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-					t.Fatalf("k=%d n=%d (%d rows a panel): got[%d]=%x want %x",
-						k, n, rows, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
+			for _, m := range []int{1, 5, 8} {
+				a := offsetSlice(m*k, 1)
+				b := offsetSlice(k*n, 2)
+				bias := offsetSlice(n, 3)
+				got := offsetSlice(m*n, 1)
+				want := make([]float32, m*n)
+				fillMatrix(rng, a)
+				fillMatrix(rng, b)
+				fillMatrix(rng, bias)
+				scalarMatMulRef(want, a, b, bias, m, k, n)
+				matMulTile(got, a, b, bias, m, k, n)
+				for j := range want {
+					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+						t.Fatalf("m=%d k=%d n=%d (%d rows a panel): got[%d]=%x want %x",
+							m, k, n, rows, j, math.Float32bits(got[j]), math.Float32bits(want[j]))
+					}
 				}
 			}
 		}
@@ -407,6 +490,84 @@ func FuzzMatMulRow(f *testing.F) {
 				if g := got[j]; math.Float32bits(g) != math.Float32bits(w) && (w == w || g == g) {
 					t.Fatalf("k=%d n=%d offs=%#x bias=%v: [%d]=%x want %x",
 						k, cols, offs, bs != nil, j, math.Float32bits(g), math.Float32bits(w))
+				}
+			}
+		}
+	})
+}
+
+// FuzzMatMulBlock holds the 4-row blocks — the block strips where the probe
+// chose them — to the scalar reference: m is 4..19 (one to four blocks and
+// every remainder), a is arbitrary bits (k ≤ 64 terms a row), and b and the
+// bias are fillMatrix values (±0 among them) with NaN and ±Inf sprinkled in,
+// one element in 64 of b and one in 16 of the bias; n ≤ 300 and each
+// operand sits at its own float offset. Where the reference is NaN any NaN
+// will do, as in checkAxpy.
+func FuzzMatMulBlock(f *testing.F) {
+	bits := func(rows ...[]uint32) []byte {
+		var raw []byte
+		for _, row := range rows {
+			for _, v := range row {
+				raw = binary.LittleEndian.AppendUint32(raw, v)
+			}
+		}
+		return raw
+	}
+	const nan, pinf, ninf, negZero, denorm = 0x7fc00001, 0x7f800000, 0xff800000, 0x80000000, 0x00000001
+	one, half := math.Float32bits(1), math.Float32bits(-0.5)
+	f.Add(int64(1), uint8(0), uint16(64), uint16(0), bits([]uint32{one, half, 0}, []uint32{0, 0, 0},
+		[]uint32{negZero, one, 0}, []uint32{0, negZero, 0}))
+	f.Add(int64(2), uint8(1), uint16(17), uint16(0x1b), bits([]uint32{0, one}, []uint32{negZero, 0},
+		[]uint32{nan, 0}, []uint32{0, pinf}, []uint32{ninf, denorm}))
+	f.Add(int64(3), uint8(4), uint16(65), uint16(0x2e), bits([]uint32{one, 0, 0, 0}, []uint32{0, one, 0, 0},
+		[]uint32{0, 0, one, 0}, []uint32{0, 0, 0, one}, []uint32{0, 0, 0, 0}, []uint32{0, 0, 0, 0},
+		[]uint32{0, 0, 0, 0}, []uint32{negZero, negZero, negZero, negZero}))
+	f.Add(int64(4), uint8(3), uint16(15), uint16(0x3f), bits([]uint32{denorm}, []uint32{half}, []uint32{0},
+		[]uint32{negZero}, []uint32{nan}, []uint32{one}, []uint32{pinf}))
+	f.Add(int64(5), uint8(12), uint16(1000), uint16(0x15), []byte{})
+	var wide []uint32 // 17 rows of 5: a row in four is all ±0
+	for i := 0; i < 17*5; i++ {
+		switch {
+		case i/5%4 == 2:
+			wide = append(wide, uint32(i%2)<<31)
+		default:
+			wide = append(wide, []uint32{one, half, denorm, 0x7f7fffff, 0}[i%5])
+		}
+	}
+	f.Add(int64(6), uint8(13), uint16(300), uint16(0x06), bits(wide))
+	f.Fuzz(func(t *testing.T, seed int64, mraw uint8, n, offs uint16, raw []byte) {
+		m := 4 + int(mraw)%16
+		k := min(len(raw)/(4*m), 64)
+		cols := int(n) % 301
+		rng := rand.New(rand.NewSource(seed))
+		poison := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+		a := offsetSlice(m*k, int(offs)%4)
+		for i := range a {
+			a[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		b := offsetSlice(k*cols, int(offs>>2)%4)
+		bias := offsetSlice(cols, int(offs>>4)%4)
+		got := offsetSlice(m*cols, int(offs>>6)%4)
+		want := make([]float32, m*cols)
+		fillMatrix(rng, b)
+		fillMatrix(rng, bias)
+		for i := range b {
+			if rng.Intn(64) == 0 {
+				b[i] = poison[rng.Intn(len(poison))]
+			}
+		}
+		for j := range bias {
+			if rng.Intn(16) == 0 {
+				bias[j] = poison[rng.Intn(len(poison))]
+			}
+		}
+		for _, bs := range [][]float32{nil, bias} {
+			scalarMatMulRef(want, a, b, bs, m, k, cols)
+			matMulTile(got, a, b, bs, m, k, cols)
+			for i, w := range want {
+				if g := got[i]; math.Float32bits(g) != math.Float32bits(w) && (w == w || g == g) {
+					t.Fatalf("m=%d k=%d n=%d offs=%#x bias=%v: [%d]=%x want %x",
+						m, k, cols, offs, bs != nil, i, math.Float32bits(g), math.Float32bits(w))
 				}
 			}
 		}
