@@ -51,7 +51,6 @@ import (
 
 	"batchmaker/internal/cellgraph"
 	"batchmaker/internal/core"
-	"batchmaker/internal/decode"
 	"batchmaker/internal/journal"
 	"batchmaker/internal/obsv"
 	"batchmaker/internal/policy"
@@ -63,8 +62,9 @@ import (
 type apiRequest struct {
 	IDs    []int `json:"ids"`
 	Decode int   `json:"decode"`
-	// UntilEOS switches to dynamic decoding: generate until the model
-	// emits <eos> or Decode steps (the deployed behavior §7.4 describes).
+	// UntilEOS cuts the reply after the first <eos> the model emits (the
+	// deployed behavior §7.4 describes). The request still runs all Decode
+	// steps.
 	UntilEOS bool `json:"until_eos,omitempty"`
 }
 
@@ -230,10 +230,9 @@ func newApp(cfg appConfig) (*app, error) {
 
 // replay re-admits every journaled request that never reached a terminal
 // state, under its original ID. Requests that cannot run again — cancel
-// intent on record, deadline passed during downtime, no payload (internal
-// generation steps whose parent connection died), a decode length handle
-// would refuse — are resolved directly with a journaled terminal so the
-// journal converges to empty.
+// intent on record, deadline passed during downtime, no payload, a decode
+// length handle would refuse — are resolved directly with a journaled
+// terminal so the journal converges to empty.
 func (a *app) replay(pending []journal.PendingRequest) {
 	var handles []*server.Handle
 	var cancelled, expired, unreplayable int
@@ -329,6 +328,10 @@ func (a *app) close() {
 	}
 }
 
+// handle serves one request as one server request: the Seq2Seq graph
+// unfolded for req.Decode steps, under the -deadline SLA. An until_eos
+// reply is that graph's words cut after the first <eos>, the greedy
+// decoder's own stopping point.
 func (a *app) handle(ctx context.Context, req apiRequest) apiResponse {
 	if req.Decode <= 0 {
 		req.Decode = len(req.IDs)
@@ -336,21 +339,13 @@ func (a *app) handle(ctx context.Context, req apiRequest) apiResponse {
 	if req.Decode > maxDecodeSteps {
 		return apiResponse{Error: fmt.Sprintf("decode %d exceeds the limit of %d steps", req.Decode, maxDecodeSteps), Code: codeBadRequest}
 	}
-	var opts server.SubmitOpts
-	if a.deadline > 0 {
-		opts.Deadline = time.Now().Add(a.deadline)
-		// Bound the whole exchange (including dynamic generation, which
-		// submits one request per generated step) by the same SLA.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, opts.Deadline)
-		defer cancel()
-	}
-	if req.UntilEOS {
-		return a.handleGenerate(ctx, req)
-	}
 	g, err := cellgraph.UnfoldSeq2Seq(a.enc, a.dec, req.IDs, req.Decode)
 	if err != nil {
 		return apiResponse{Error: err.Error(), Code: codeBadRequest}
+	}
+	var opts server.SubmitOpts
+	if a.deadline > 0 {
+		opts.Deadline = time.Now().Add(a.deadline)
 	}
 	if a.jnl != nil {
 		// The admit record carries the full request so recovery can rebuild
@@ -361,32 +356,14 @@ func (a *app) handle(ctx context.Context, req apiRequest) apiResponse {
 	if err != nil {
 		return apiResponse{Error: err.Error(), Code: errorCode(err)}
 	}
-	words := make([]int, req.Decode)
-	for t := range words {
-		words[t] = int(out[fmt.Sprintf("word%d", t)].At(0, 0))
+	words := make([]int, 0, req.Decode)
+	for t := 0; t < req.Decode; t++ {
+		words = append(words, int(out[fmt.Sprintf("word%d", t)].At(0, 0)))
+		if req.UntilEOS && words[t] == rnn.TokenEOS {
+			break
+		}
 	}
 	return apiResponse{Words: words}
-}
-
-// handleGenerate encodes the source then decodes greedily until <eos> or
-// req.Decode steps: a width-1 beam, each step one more request to the
-// server, all bounded by ctx.
-func (a *app) handleGenerate(ctx context.Context, req apiRequest) apiResponse {
-	hyps, err := decode.Beam(ctx, a.srv, decode.BeamSpec{
-		Encoder:   a.enc,
-		Decoder:   a.dec,
-		SourceIDs: req.IDs,
-		Width:     1,
-		MaxSteps:  req.Decode,
-		EOS:       rnn.TokenEOS,
-	})
-	if errors.Is(err, decode.ErrBadSpec) {
-		return apiResponse{Error: err.Error(), Code: codeBadRequest}
-	}
-	if err != nil {
-		return apiResponse{Error: err.Error(), Code: errorCode(err)}
-	}
-	return apiResponse{Words: hyps[0].Words}
 }
 
 func (a *app) serveConn(conn net.Conn) {
@@ -599,7 +576,7 @@ func main() {
 		<-sig
 		log.Printf("signal received; shutting down")
 		a.drainReplies(ln)
-		a.srv.Metrics().WriteSummary(os.Stdout)
+		printSummary(a.srv)
 		return
 	}
 
@@ -612,8 +589,21 @@ func main() {
 	if err := a.srv.Drain(drainCtx); err != nil {
 		log.Printf("drain: %v", err)
 	}
-	a.srv.Metrics().WriteSummary(os.Stdout)
-	st := a.srv.Stats()
+	printSummary(a.srv)
+}
+
+// printSummary prints the server's Stats view and the paper's
+// queuing/computation latency split: the -demo report and the serve-mode
+// shutdown summary. Per-type cells and occupancy buckets are on /metrics.
+func printSummary(srv *server.Server) {
+	st := srv.Stats()
+	fmt.Printf("requests: %s\n", st.Outcomes)
+	fmt.Printf("executed: %d tasks, %d cells; tasks by batch-size bucket %v\n",
+		st.TasksRun, st.CellsRun, st.BatchSizes)
+	_, q := srv.Metrics().Queuing.Query()
+	_, c := srv.Metrics().Computation.Query()
+	fmt.Printf("latency split: queuing p50=%v p90=%v p99=%v | computation p50=%v p90=%v p99=%v\n",
+		q[0], q[1], q[2], c[0], c[1], c[2])
 	fmt.Printf("dispatch: %d rounds, p50 %v, p99 %v\n",
 		st.DispatchRounds, st.DispatchP50, st.DispatchP99)
 	fmt.Printf("hot path: %v/cell, %.1f process allocs/task\n",

@@ -186,6 +186,46 @@ func TestHandleUntilEOSDeadlineMidDecode(t *testing.T) {
 	}
 }
 
+// TestUntilEOSIsOneRequest: an until_eos request is one server request. With
+// the journal on, one until_eos request (decode 20) and one fixed request are
+// admitted twice and journal two admit records, both replayable and both
+// resolved completed.
+func TestUntilEOSIsOneRequest(t *testing.T) {
+	dir := t.TempDir()
+	a, err := newApp(appConfig{Vocab: 50, Embed: 8, Hidden: 16, Workers: 1, JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []apiRequest{
+		{IDs: []int{4, 9, 2}, Decode: 20, UntilEOS: true},
+		{IDs: []int{4, 9, 2}, Decode: 3},
+	} {
+		if resp := a.handle(context.Background(), req); resp.Error != "" {
+			a.close()
+			t.Fatalf("%+v: %+v", req, resp)
+		}
+	}
+	a.close() // commits the journal
+	if got := a.srv.Stats().Outcomes.Admitted; got != 2 {
+		t.Errorf("admitted %d requests, want 2", got)
+	}
+	if got := a.jm.AdmitRecords.Value(); got != 2 {
+		t.Errorf("journaled %d admit records, want 2", got)
+	}
+	rec, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Pending) != 0 || len(rec.Terminal) != 2 {
+		t.Fatalf("journal: %d pending, %d terminals; want 0 and 2", len(rec.Pending), len(rec.Terminal))
+	}
+	for id, term := range rec.Terminal {
+		if term.Outcome != journal.OutcomeCompleted {
+			t.Errorf("request %d: terminal %v %q, want completed", id, term.Outcome, term.Reason)
+		}
+	}
+}
+
 // stallStep delays the stall-th task of one cell type by d.
 type stallStep struct {
 	key   string

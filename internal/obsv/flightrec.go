@@ -56,29 +56,19 @@ type FlightRecorderConfig struct {
 	Health func() Health
 }
 
-// Incident is the manifest written to a bundle's incident.json.
+// Incident is the manifest written to a bundle's incident.json: what fired
+// and when. The facts behind it are in the bundle's other files.
 type Incident struct {
-	Reason   string     `json:"reason"`
-	UnixNs   int64      `json:"unix_ns"`
-	Time     string     `json:"time"`
-	Seq      int        `json:"seq"`
-	QueueP99 float64    `json:"queuing_p99_seconds,omitempty"`
-	CompP99  float64    `json:"computation_p99_seconds,omitempty"`
-	Rings    []RingStat `json:"rings"`
-}
-
-// RingStat summarizes one span ring inside a bundle.
-type RingStat struct {
-	Name    string `json:"name"`
-	Cap     int    `json:"cap"`
-	Total   uint64 `json:"total"`
-	Dropped uint64 `json:"dropped"`
+	Reason string `json:"reason"`
+	UnixNs int64  `json:"unix_ns"`
+	Time   string `json:"time"`
+	Seq    int    `json:"seq"`
 }
 
 // FlightRecorder is an always-on incident detector over the obsv registry.
-// On trigger it atomically dumps a self-contained diagnosis bundle (ring
-// statistics, metrics exposition, the trace assembled from the rings,
-// goroutine + heap profiles) to a bounded on-disk spool. Detection runs on
+// On trigger it atomically dumps a self-contained diagnosis bundle (metrics
+// exposition, the trace assembled from the rings, goroutine + heap
+// profiles) to a bounded on-disk spool. Detection runs on
 // its own goroutine off the hot path; the serving pipeline never blocks on
 // it.
 type FlightRecorder struct {
@@ -100,9 +90,10 @@ type FlightRecorder struct {
 	done     chan struct{}
 }
 
-// NewFlightRecorder builds a recorder over o's rings and metrics and starts
-// its detector goroutine, which evaluates the rules every interval until
-// Stop. Evaluate and Force may also be called directly.
+// NewFlightRecorder builds a recorder over o's rings and metrics (o must be
+// an observer reporting serving metrics) and starts its detector goroutine,
+// which evaluates the rules every interval until Stop. Evaluate and Force
+// may also be called directly.
 func NewFlightRecorder(o *Observer, cfg FlightRecorderConfig) (*FlightRecorder, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("flightrec: Dir is required")
@@ -110,20 +101,18 @@ func NewFlightRecorder(o *Observer, cfg FlightRecorderConfig) (*FlightRecorder, 
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
+	reg := o.Metrics.Registry()
 	fr := &FlightRecorder{
-		o:       o,
-		cfg:     cfg,
-		latched: make(map[string]bool),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	if o != nil && o.Metrics != nil {
-		reg := o.Metrics.Registry()
-		fr.incidents = reg.Counter(MetricFlightIncidents,
-			"Incidents detected by the flight recorder.")
-		fr.bundles = reg.Counter(MetricFlightBundles,
-			"Flight-recorder bundles written to the spool.")
-		fr.lastRejected = o.Metrics.Rejected.Value()
+		o:   o,
+		cfg: cfg,
+		incidents: reg.Counter(MetricFlightIncidents,
+			"Incidents detected by the flight recorder."),
+		bundles: reg.Counter(MetricFlightBundles,
+			"Flight-recorder bundles written to the spool."),
+		latched:      make(map[string]bool),
+		lastRejected: o.Metrics.Rejected.Value(),
+		stop:         make(chan struct{}),
+		done:         make(chan struct{}),
 	}
 	go fr.run()
 	return fr, nil
@@ -172,26 +161,18 @@ func (fr *FlightRecorder) Evaluate(nowNs int64) []string {
 		}
 	}
 
-	if sm := fr.metrics(); sm != nil {
-		if fr.cfg.SLA > 0 {
-			total := sm.Queuing.Percentile(99) + sm.Computation.Percentile(99)
-			check(IncidentSLABreach, total > fr.cfg.SLA)
-		}
-		rej := sm.Rejected.Value()
-		check(IncidentShedBurst, rej-fr.lastRejected >= rejectBurst)
-		fr.lastRejected = rej
+	sm := fr.o.Metrics
+	if fr.cfg.SLA > 0 {
+		total := sm.Queuing.Percentile(99) + sm.Computation.Percentile(99)
+		check(IncidentSLABreach, total > fr.cfg.SLA)
 	}
+	rej := sm.Rejected.Value()
+	check(IncidentShedBurst, rej-fr.lastRejected >= rejectBurst)
+	fr.lastRejected = rej
 	if fr.cfg.Health != nil {
 		check(IncidentJournalDegrade, fr.cfg.Health().JournalDegraded)
 	}
 	return fired
-}
-
-func (fr *FlightRecorder) metrics() *ServingMetrics {
-	if fr.o == nil {
-		return nil
-	}
-	return fr.o.Metrics
 }
 
 // Force triggers a bundle dump unconditionally (operator endpoint, tests).
@@ -254,15 +235,6 @@ func (fr *FlightRecorder) writeBundle(dir, reason string, nowNs int64) error {
 		Time:   time.Unix(0, nowNs).UTC().Format(time.RFC3339Nano),
 		Seq:    fr.seq,
 	}
-	if sm := fr.metrics(); sm != nil {
-		inc.QueueP99 = sm.Queuing.Percentile(99).Seconds()
-		inc.CompP99 = sm.Computation.Percentile(99).Seconds()
-	}
-	for _, r := range fr.o.Rings() {
-		inc.Rings = append(inc.Rings, RingStat{
-			Name: r.Name(), Cap: r.Cap(), Total: r.Total(), Dropped: r.Dropped(),
-		})
-	}
 	steps := []struct {
 		name string
 		fn   func(f *os.File) error
@@ -273,10 +245,7 @@ func (fr *FlightRecorder) writeBundle(dir, reason string, nowNs int64) error {
 			return e.Encode(inc)
 		}},
 		{"metrics.prom", func(f *os.File) error {
-			if sm := fr.metrics(); sm != nil {
-				return sm.Registry().WritePromTo(f)
-			}
-			return nil
+			return fr.o.Metrics.Registry().WritePromTo(f)
 		}},
 		{"trace.json", func(f *os.File) error {
 			return fr.o.WriteTrace(f, TraceOptions{})

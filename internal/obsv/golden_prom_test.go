@@ -23,12 +23,6 @@ batchmaker_batch_occupancy_bucket{le="256"} 6
 batchmaker_batch_occupancy_bucket{le="+Inf"} 7
 batchmaker_batch_occupancy_sum 360
 batchmaker_batch_occupancy_count 7
-# HELP batchmaker_batch_slots_total Maximum batch slots across executed tasks.
-# TYPE batchmaker_batch_slots_total counter
-batchmaker_batch_slots_total 480
-# HELP batchmaker_batch_slots_used_total Live batch rows executed.
-# TYPE batchmaker_batch_slots_used_total counter
-batchmaker_batch_slots_used_total 360
 # HELP batchmaker_cell_panics_total Recovered cell panics.
 # TYPE batchmaker_cell_panics_total counter
 batchmaker_cell_panics_total{cell_type="decoder"} 0
@@ -89,7 +83,7 @@ batchmaker_journal_recovered_requests_total 5
 batchmaker_journal_replayed_records_total 20
 # HELP batchmaker_padding_waste_ratio 1 - used/capacity batch slots: fraction of batch capacity wasted.
 # TYPE batchmaker_padding_waste_ratio gauge
-batchmaker_padding_waste_ratio 0.25
+batchmaker_padding_waste_ratio 0.5
 # HELP batchmaker_queued_cells Cells admitted but not yet executed (admission backlog).
 # TYPE batchmaker_queued_cells gauge
 batchmaker_queued_cells 32

@@ -59,21 +59,3 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal("/metrics body should match the golden exposition")
 	}
 }
-
-func TestSummaryRenders(t *testing.T) {
-	o := goldenObserver()
-	var b strings.Builder
-	o.Metrics.WriteSummary(&b)
-	out := b.String()
-	for _, want := range []string{"admitted=10", "latency split", "batch occupancy", "top cell types", "lstm"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("summary missing %q:\n%s", want, out)
-		}
-	}
-	var nilM *ServingMetrics
-	b.Reset()
-	nilM.WriteSummary(&b)
-	if !strings.Contains(b.String(), "disabled") {
-		t.Fatal("nil metrics summary should say disabled")
-	}
-}

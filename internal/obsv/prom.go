@@ -42,14 +42,14 @@ func labelString(names, values []string, extra ...string) string {
 			b.WriteByte(',')
 		}
 		first = false
-		fmt.Fprintf(&b, "%s=%q", n, escapeLabel(values[i]))
+		b.WriteString(n + `="` + escapeLabel(values[i]) + `"`)
 	}
 	for i := 0; i+1 < len(extra); i += 2 {
 		if !first {
 			b.WriteByte(',')
 		}
 		first = false
-		fmt.Fprintf(&b, "%s=%q", extra[i], escapeLabel(extra[i+1]))
+		b.WriteString(extra[i] + `="` + escapeLabel(extra[i+1]) + `"`)
 	}
 	b.WriteByte('}')
 	return b.String()

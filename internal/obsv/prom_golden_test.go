@@ -10,7 +10,7 @@ import (
 // goldenObserver builds a fully-populated observer with deterministic
 // values across every family the serving stack registers.
 func goldenObserver() *Observer {
-	m := NewServingMetrics(NewRegistry(), []string{"lstm", "decoder"}, 1)
+	m := NewServingMetrics(NewRegistry(), []string{"lstm", "decoder"}, []int{16, 6}, 1)
 	o := NewObserver(m, 8)
 
 	m.Admitted.Add(10)
@@ -30,6 +30,7 @@ func goldenObserver() *Observer {
 	m.Types[dec].Ready.Set(3)
 	m.Exec[0][dec].Tasks.Add(2)
 	m.Exec[0][dec].Cells.Add(6)
+	// padding waste = 1 - (40+6)/(5*16 + 2*6) = 1 - 46/92 = 0.5
 
 	w0 := m.Workers[0]
 	w0.Depth.Set(2)
@@ -39,8 +40,6 @@ func goldenObserver() *Observer {
 	for _, occ := range []int64{1, 2, 8, 8, 8, 33, 300} {
 		m.BatchOccupancy.Observe(occ)
 	}
-	m.SlotsUsed.Add(360)
-	m.SlotsCap.Add(480) // padding waste = 1 - 360/480 = 0.25
 
 	for i := 1; i <= 4; i++ {
 		m.Queuing.Observe(time.Duration(i) * time.Millisecond)

@@ -450,18 +450,3 @@ func (r *Registry) Summary(name, help string, window int, qs []float64) *Quantil
 	}
 	return r.getSeries(name, help, kindSummary, nil, nil, func(s *series) { s.q = NewQuantiles(window, qs) }).q
 }
-
-// FamilyNames returns the sorted names of all registered families.
-func (r *Registry) FamilyNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}

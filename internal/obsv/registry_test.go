@@ -104,3 +104,19 @@ func TestQuantilesSummary(t *testing.T) {
 		t.Fatalf("sum: %v", q.Sum())
 	}
 }
+
+// TestLabelValueEscapedOnce pins the text format's label-value escaping:
+// backslash, double quote and newline are escaped once each, and every
+// other byte is written as it is (the format has no \x escape).
+func TestLabelValueEscapedOnce(t *testing.T) {
+	r := NewRegistry()
+	r.CounterVec("esc_total", "h", []string{"v"}, []string{"a\"b\\c\n\x01"}).Inc()
+	var b strings.Builder
+	if err := r.WritePromTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "esc_total{v=\"a\\\"b\\\\c\\n\x01\"} 1\n"
+	if !strings.HasSuffix(b.String(), want) {
+		t.Fatalf("exposition:\n%q\nwant it to end in %q", b.String(), want)
+	}
+}

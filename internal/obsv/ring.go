@@ -47,11 +47,6 @@ const (
 	// KindPolicyShed records the SLA feasibility rule shedding one
 	// submission (the companion lifecycle record is KindReject).
 	KindPolicyShed
-	// KindPolicyBatch records a MaxBatch change: Type is the cell type,
-	// Batch the new bound. MaxBatch is static, so neither the server nor
-	// the simulator writes one; the kind keeps its ordinal and rendering
-	// because the trace golden (testdata/trace_golden.json) pins both.
-	KindPolicyBatch
 	// KindRebalance records a scheduler pin-rebalance burst; Batch is the
 	// number of cell types whose pin moved.
 	KindRebalance
@@ -87,8 +82,6 @@ func (k Kind) String() string {
 		return "journal_durable"
 	case KindPolicyShed:
 		return "policy_shed"
-	case KindPolicyBatch:
-		return "policy_batch"
 	case KindRebalance:
 		return "rebalance"
 	}

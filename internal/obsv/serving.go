@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"sort"
 	"strconv"
 	"time"
 )
@@ -19,8 +18,6 @@ const (
 	MetricTasksExecuted       = "batchmaker_tasks_executed_total"
 	MetricCellsExecuted       = "batchmaker_cells_executed_total"
 	MetricBatchOccupancy      = "batchmaker_batch_occupancy"
-	MetricBatchSlotsUsed      = "batchmaker_batch_slots_used_total"
-	MetricBatchSlotsCap       = "batchmaker_batch_slots_total"
 	MetricPaddingWasteRatio   = "batchmaker_padding_waste_ratio"
 	MetricArenaHighWaterBytes = "batchmaker_arena_high_water_bytes"
 	MetricWorkerBusySeconds   = "batchmaker_worker_busy_seconds_total"
@@ -97,10 +94,8 @@ type ServingMetrics struct {
 	Inflight, QueuedCells *Gauge
 	// BatchOccupancy is the distribution of live rows per executed task.
 	BatchOccupancy *Histogram
-	// SlotsUsed / SlotsCap accumulate live rows vs maximum batch slots per
-	// executed task; their ratio's complement is the padding-waste ratio.
-	SlotsUsed, SlotsCap *Counter
-	// PaddingWaste = 1 − SlotsUsed/SlotsCap, refreshed at exposition time.
+	// PaddingWaste = 1 − Σ cells / Σ (tasks × MaxBatch) over Exec, refreshed
+	// at exposition time: the share of batch slots executed tasks left empty.
 	PaddingWaste *FloatGauge
 	// Queuing / Computation are the paper's latency split: admit→first-exec
 	// and first-exec→completion, as windowed quantiles.
@@ -116,19 +111,20 @@ type ServingMetrics struct {
 	// Exec[w][t] is worker w's execution counters for type t.
 	Exec [][]ExecMetrics
 
-	typeNames []string // indexed by type id
+	maxBatch []int // indexed by type id
 }
 
 // NewServingMetrics registers the serving families in reg for the cell
-// types typeNames (indexed by the engine's type id) and workers workers.
-// reg may be nil, yielding an inert instance whose handles are all no-ops.
-func NewServingMetrics(reg *Registry, typeNames []string, workers int) *ServingMetrics {
+// types typeNames, whose batch bounds are maxBatch (both indexed by the
+// engine's type id), and workers workers. reg may be nil, yielding an inert
+// instance whose handles are all no-ops.
+func NewServingMetrics(reg *Registry, typeNames []string, maxBatch []int, workers int) *ServingMetrics {
 	m := &ServingMetrics{
-		reg:       reg,
-		typeNames: append([]string(nil), typeNames...),
-		Types:     make([]TypeMetrics, len(typeNames)),
-		Workers:   make([]WorkerMetrics, workers),
-		Exec:      make([][]ExecMetrics, workers),
+		reg:      reg,
+		maxBatch: append([]int(nil), maxBatch...),
+		Types:    make([]TypeMetrics, len(typeNames)),
+		Workers:  make([]WorkerMetrics, workers),
+		Exec:     make([][]ExecMetrics, workers),
 	}
 	outcome := func(v string) *Counter {
 		return reg.CounterVec(MetricRequestsTotal,
@@ -145,8 +141,6 @@ func NewServingMetrics(reg *Registry, typeNames []string, workers int) *ServingM
 	m.QueuedCells = reg.Gauge(MetricQueuedCells, "Cells admitted but not yet executed (admission backlog).")
 	m.BatchOccupancy = reg.Histogram(MetricBatchOccupancy,
 		"Live rows batched per executed task.", BatchOccupancyBuckets)
-	m.SlotsUsed = reg.Counter(MetricBatchSlotsUsed, "Live batch rows executed.")
-	m.SlotsCap = reg.Counter(MetricBatchSlotsCap, "Maximum batch slots across executed tasks.")
 	m.PaddingWaste = reg.FloatGauge(MetricPaddingWasteRatio,
 		"1 - used/capacity batch slots: fraction of batch capacity wasted.")
 	m.Queuing = reg.Summary(MetricQueuingSeconds,
@@ -200,52 +194,20 @@ func (m *ServingMetrics) Registry() *Registry {
 	return m.reg
 }
 
+// refreshPadding computes the padding-waste view from the execution cells.
+// Each cell's rows are read before its tasks: a worker counts the task
+// first, so a row read here always has its task's slots beside it.
 func (m *ServingMetrics) refreshPadding() {
-	used, cap := m.SlotsUsed.Value(), m.SlotsCap.Value()
-	if cap > 0 {
-		m.PaddingWaste.Set(1 - float64(used)/float64(cap))
-	}
-}
-
-// PanicsTotal sums recovered cell panics over all cell types.
-func (m *ServingMetrics) PanicsTotal() int64 {
-	if m == nil {
-		return 0
-	}
-	var n int64
-	for _, t := range m.Types {
-		n += t.Panics.Value()
-	}
-	return n
-}
-
-// TypeStat is one cell type's executed-work totals, for summaries.
-type TypeStat struct {
-	Key          string
-	Tasks, Cells int64
-}
-
-// TypesByCells returns per-type execution totals (summed over workers)
-// sorted by cells executed, descending (ties broken by key for determinism).
-func (m *ServingMetrics) TypesByCells() []TypeStat {
-	if m == nil {
-		return nil
-	}
-	stats := make([]TypeStat, len(m.typeNames))
-	for t, key := range m.typeNames {
-		stats[t].Key = key
-		for w := range m.Exec {
-			stats[t].Tasks += m.Exec[w][t].Tasks.Value()
-			stats[t].Cells += m.Exec[w][t].Cells.Value()
+	var rows, slots int64
+	for _, exec := range m.Exec {
+		for t := range exec {
+			rows += exec[t].Cells.Value()
+			slots += exec[t].Tasks.Value() * int64(m.maxBatch[t])
 		}
 	}
-	sort.Slice(stats, func(i, j int) bool {
-		if stats[i].Cells != stats[j].Cells {
-			return stats[i].Cells > stats[j].Cells
-		}
-		return stats[i].Key < stats[j].Key
-	})
-	return stats
+	if slots > 0 {
+		m.PaddingWaste.Set(1 - float64(rows)/float64(slots))
+	}
 }
 
 // ObserveLatencySplit records one completed request's queuing and

@@ -103,11 +103,6 @@ func (o *Observer) traceDocument(opt TraceOptions) traceDoc {
 	var base int64
 	if len(recs) > 0 {
 		base = recs[0].T0 // Snapshot sorts by T0, so recs[0] is the earliest
-		for _, r := range recs {
-			if r.T0 < base {
-				base = r.T0
-			}
-		}
 	}
 	a := traceAssembler{o: o, base: base, tracks: make(map[trackKey]string)}
 	for _, r := range recs {
@@ -201,12 +196,6 @@ func (a *traceAssembler) record(r Record) {
 	case KindPolicyShed:
 		pid, tid := a.rpTrack()
 		a.instant("policy_shed", pid, tid, ts, nil)
-	case KindPolicyBatch:
-		pid, tid := a.rpTrack()
-		a.instant("policy_batch", pid, tid, ts, map[string]any{
-			"cell_type": a.o.TypeName(r.Type),
-			"max_batch": int(r.Batch),
-		})
 	case KindDispatch:
 		pid, tid := a.schedTrack()
 		a.instant("dispatch", pid, tid, ts, map[string]any{

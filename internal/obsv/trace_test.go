@@ -26,7 +26,7 @@ const traceBaseNs = int64(1_700_000_000_000_000_000)
 // testObserver builds an observer whose rings hold ringCap records,
 // reporting serving metrics with no cell types and no workers.
 func testObserver(ringCap int) *Observer {
-	return NewObserver(NewServingMetrics(NewRegistry(), nil, 0), ringCap)
+	return NewObserver(NewServingMetrics(NewRegistry(), nil, nil, 0), ringCap)
 }
 
 func traceObserver() *Observer {
@@ -58,7 +58,6 @@ func traceObserver() *Observer {
 	w1.Write(Record{Kind: KindTaskExec, Worker: 1, Type: 1, Batch: 1, Device: 1,
 		Flags: FlagRemote | FlagMigrated, T0: at(150), T1: at(300)})
 	sched.Write(Record{Kind: KindRebalance, Batch: 3, T0: at(420)})
-	rp.Write(Record{Kind: KindPolicyBatch, Type: 1, Batch: 6, T0: at(430)})
 	rp.Write(Record{Kind: KindComplete, Req: 1, T0: at(500)})
 	rp.Write(Record{Kind: KindFail, Req: 2, T0: at(510)})
 	return o

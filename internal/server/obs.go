@@ -55,7 +55,7 @@ func newServerObs(cfg ObsConfig, types []cellType, workers int) *serverObs {
 		names[t], maxBatch[t] = types[t].key, int(types[t].maxBatch)
 	}
 	ob := &serverObs{
-		sm:          obsv.NewServingMetrics(reg, names, workers),
+		sm:          obsv.NewServingMetrics(reg, names, maxBatch, workers),
 		workerRings: make([]*obsv.Ring, workers),
 	}
 	if !cfg.Disabled {
@@ -177,17 +177,15 @@ func (ob *serverObs) firstExec(workerID int, refs []execRef, nowNs int64) {
 }
 
 // taskExec records one executed batched task: the worker's own per-type
-// task/cell counters and busy time, occupancy/padding counters, arena
-// high-water, and the task span carrying dispatch→completion timestamps and
-// queue depth at dispatch.
+// task/cell counters (padding waste is a view of them) and busy time, the
+// occupancy histogram, arena high-water, and the task span carrying
+// dispatch→completion timestamps and queue depth at dispatch.
 func (ob *serverObs) taskExec(workerID int, task *core.Task, te *typeExec, live int, busyNs, arenaHighWaterBytes, endNs int64) {
 	te.exec.Tasks.Inc()
 	te.exec.Cells.Add(int64(live))
 	wm := &ob.sm.Workers[workerID]
 	wm.Busy.Add(busyNs)
 	wm.ArenaHighWater.Max(arenaHighWaterBytes)
-	ob.sm.SlotsCap.Add(te.maxBatch)
-	ob.sm.SlotsUsed.Add(int64(live))
 	ob.sm.BatchOccupancy.Observe(int64(live))
 	ob.workerRings[workerID].Write(obsv.Record{
 		Kind:   obsv.KindTaskExec,

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"batchmaker/internal/cellgraph"
+	"batchmaker/internal/core"
 	"batchmaker/internal/obsv"
 	"batchmaker/internal/rnn"
 	"batchmaker/internal/tensor"
@@ -42,10 +45,15 @@ func submitChain(t *testing.T, s *Server, cell *rnn.LSTMCell, seed uint64, n int
 
 // TestServerMetricsEndToEnd drives real requests through the pipeline and
 // asserts the registry's families reflect them: outcome counters, latency
-// split quantiles, batch occupancy, per-type totals, and a full
+// split quantiles, batch occupancy, executed tasks and cells, the padding
+// waste view against the rows the workers reported, and a full
 // admit→first_exec→complete flow per request in the trace.
 func TestServerMetricsEndToEnd(t *testing.T) {
-	s, cell := obsServer(t, Config{})
+	var tasks, rows atomic.Int64 // ground truth, from the workers' own reports
+	s, cell := obsServer(t, Config{TaskObserver: func(_ int, _ string, refs []core.NodeRef) {
+		tasks.Add(1)
+		rows.Add(int64(len(refs)))
+	}})
 	const reqs = 6
 	for i := 0; i < reqs; i++ {
 		submitChain(t, s, cell, uint64(i+1), 5)
@@ -74,12 +82,10 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	if m.BatchOccupancy.Count() == 0 {
 		t.Fatal("no batch occupancy observations")
 	}
-	stats := m.TypesByCells()
-	if len(stats) != 1 || stats[0].Cells != reqs*5 {
-		t.Fatalf("per-type cells: %+v (want %d lstm cells)", stats, reqs*5)
-	}
-	if used, cap := m.SlotsUsed.Value(), m.SlotsCap.Value(); used == 0 || cap < used {
-		t.Fatalf("slot accounting: used=%d cap=%d", used, cap)
+	st := s.Stats()
+	if st.CellsRun != reqs*5 || int64(st.CellsRun) != rows.Load() || int64(st.TasksRun) != tasks.Load() {
+		t.Fatalf("Stats ran %d tasks, %d cells; the workers reported %d tasks, %d rows (want %d cells)",
+			st.TasksRun, st.CellsRun, tasks.Load(), rows.Load(), reqs*5)
 	}
 
 	// Exposition includes the core families with real values.
@@ -95,6 +101,12 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		if !strings.Contains(out, family) {
 			t.Fatalf("exposition missing %s:\n%s", family, out)
 		}
+	}
+	// Padding waste is a view of the executed rows: 1 - rows / (tasks x
+	// MaxBatch), MaxBatch 8 for the one cell type.
+	want := 1 - float64(rows.Load())/float64(tasks.Load()*8)
+	if line := "\n" + obsv.MetricPaddingWasteRatio + " " + strconv.FormatFloat(want, 'g', -1, 64) + "\n"; !strings.Contains(out, line) {
+		t.Fatalf("exposition lacks%q:\n%s", line, out)
 	}
 
 	// Every request's history reads back from the trace: its flow starts
