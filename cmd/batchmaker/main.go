@@ -358,7 +358,7 @@ func (a *app) handle(ctx context.Context, req apiRequest) apiResponse {
 	}
 	words := make([]int, 0, req.Decode)
 	for t := 0; t < req.Decode; t++ {
-		words = append(words, int(out[fmt.Sprintf("word%d", t)].At(0, 0)))
+		words = append(words, int(out[cellgraph.WordName(t)].At(0, 0)))
 		if req.UntilEOS && words[t] == rnn.TokenEOS {
 			break
 		}

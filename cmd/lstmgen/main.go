@@ -34,7 +34,8 @@ func unfoldGenerate(dec *rnn.DecoderCell, prompt []byte, n int) (*cellgraph.Grap
 	}
 	// The decoder takes ids, h, c, in that order; outputs go by index.
 	h, c, word := cellgraph.OutputIndex(dec, "h"), cellgraph.OutputIndex(dec, "c"), cellgraph.OutputIndex(dec, "word")
-	g := &cellgraph.Graph{}
+	steps := len(prompt) + n
+	g := cellgraph.NewGraph(steps, 3*steps, steps-1, len(prompt)+2, len(prompt)+2*dec.Hidden())
 	zero := cellgraph.Lit(tensor.New(1, dec.Hidden()))
 	prev := cellgraph.NoNode
 	for t, b := range prompt {

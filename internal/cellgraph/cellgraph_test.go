@@ -28,8 +28,8 @@ func testCells(t *testing.T) (*rnn.LSTMCell, *rnn.EncoderCell, *rnn.DecoderCell,
 // countTypes returns the number of nodes per cell type key.
 func countTypes(g *Graph) map[string]int {
 	m := make(map[string]int)
-	for i := range g.Nodes {
-		m[g.Nodes[i].Cell.TypeKey()]++
+	for i := range g.NumCells() {
+		m[g.Cell(NodeID(i)).TypeKey()]++
 	}
 	return m
 }
@@ -58,10 +58,10 @@ func TestUnfoldChainShape(t *testing.T) {
 		t.Fatalf("critical path = %d, want 5", g.CriticalPathLen())
 	}
 	// First node has no deps; others depend on predecessor.
-	if len(g.Nodes[0].Deps()) != 0 {
+	if len(g.Deps(0)) != 0 {
 		t.Fatal("node 0 must have no deps")
 	}
-	if d := g.Nodes[3].Deps(); len(d) != 1 || d[0] != 2 {
+	if d := g.Deps(3); len(d) != 1 || d[0] != 2 {
 		t.Fatalf("node 3 deps = %v", d)
 	}
 }
@@ -108,16 +108,14 @@ func TestUnfoldSeq2SeqStructure(t *testing.T) {
 	}
 	// First decoder node consumes <go> literal and encoder final state.
 	// Inputs are positional: ids, h, c.
-	n := g.Nodes[3]
-	if n.Inputs[0].From != NoNode || n.Inputs[0].Literal.At(0, 0) != float32(rnn.TokenGo) {
+	if in := g.Input(3, 0); in.From != NoNode || in.Literal.At(0, 0) != float32(rnn.TokenGo) {
 		t.Fatal("first decoder step must consume <go>")
 	}
-	if n.Inputs[1].From != 2 {
-		t.Fatalf("first decoder must read encoder state, reads node %d", n.Inputs[1].From)
+	if in := g.Input(3, 1); in.From != 2 {
+		t.Fatalf("first decoder must read encoder state, reads node %d", in.From)
 	}
 	// Later decoder steps feed the previous word back.
-	n = g.Nodes[5]
-	if n.Inputs[0].From != 4 || n.Inputs[0].Out != OutputIndex(dec, "word") {
+	if in := g.Input(5, 0); in.From != 4 || in.Out != OutputIndex(dec, "word") {
 		t.Fatal("decoder must feed previous word")
 	}
 	if len(g.Results) != 4 {
@@ -203,10 +201,6 @@ func TestValidateCatchesBadGraphs(t *testing.T) {
 		name, want string
 		build      func(g *Graph)
 	}{
-		{"sparse IDs", "dense indices", func(g *Graph) {
-			lstmNode(g, lstm, zero, zero)
-			g.Nodes[0].ID = 3
-		}},
 		{"nil cell", "has no cell", func(g *Graph) { g.Add(nil) }},
 		{"missing binding", `missing binding for input "c"`, func(g *Graph) {
 			g.Add(lstm, Lit(tensor.New(1, tEmbed)), zero)
@@ -240,12 +234,6 @@ func TestValidateCatchesBadGraphs(t *testing.T) {
 			lstmNode(g, lstm, zero, zero)
 			g.Results = []OutputSpec{{Name: "x", Node: 0, Out: 7}}
 		}},
-		{"binding edited after Add", "modified after Add", func(g *Graph) {
-			first := lstmNode(g, lstm, zero, zero)
-			lstmNode(g, lstm, Ref(first, 0), Ref(first, 1))
-			lstmNode(g, lstm, Ref(first, 0), Ref(first, 1))
-			g.Nodes[2].Inputs[1] = Ref(1, 0) // the cached edge still says node 0
-		}},
 	} {
 		g := &Graph{}
 		tc.build(g)
@@ -273,7 +261,7 @@ func TestValidateCatchesBadGraphs(t *testing.T) {
 
 // fillRows writes v into every row node id has, as a step would.
 func fillRows(s *State, id NodeID, v float32) {
-	for o := range s.Graph().Nodes[id].Cell.OutputNames() {
+	for o := range s.Graph().Cell(id).OutputNames() {
 		if row := s.OutputRow(id, o); row != nil {
 			for i := range row.Data() {
 				row.Data()[i] = v

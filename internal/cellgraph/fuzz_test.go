@@ -63,8 +63,8 @@ func FuzzUnfold(f *testing.F) {
 		if err != nil {
 			t.Fatalf("unfolded graph cyclic: %v", err)
 		}
-		if len(order) != len(g.Nodes) {
-			t.Fatalf("topo order covers %d of %d nodes", len(order), len(g.Nodes))
+		if len(order) != g.NumCells() {
+			t.Fatalf("topo order covers %d of %d nodes", len(order), g.NumCells())
 		}
 
 		// Partition: identical to the map-based reference, then exact cover,
@@ -80,7 +80,7 @@ func FuzzUnfold(f *testing.F) {
 				}
 				owner[id] = si
 				in[id] = true
-				if tk := g.Nodes[id].Cell.TypeKey(); tk != sub.TypeKey {
+				if tk := g.Cell(id).TypeKey(); tk != sub.TypeKey {
 					t.Fatalf("subgraph %d (%s) contains node %d of type %s", si, sub.TypeKey, id, tk)
 				}
 			}
@@ -92,15 +92,15 @@ func FuzzUnfold(f *testing.F) {
 				ext[d] = true
 			}
 			for _, id := range sub.Nodes {
-				for _, d := range g.Nodes[id].Deps() {
+				for _, d := range g.Deps(id) {
 					if !in[d] && !ext[d] {
 						t.Fatalf("subgraph %d: dep %d of node %d neither member nor external", si, d, id)
 					}
 				}
 			}
 		}
-		if len(owner) != len(g.Nodes) {
-			t.Fatalf("partition covers %d of %d nodes", len(owner), len(g.Nodes))
+		if len(owner) != g.NumCells() {
+			t.Fatalf("partition covers %d of %d nodes", len(owner), g.NumCells())
 		}
 
 		// Batched execution must be bit-identical to sequential execution.

@@ -51,7 +51,7 @@ type Partitioner struct {
 
 // Partition is the package-level Partition in pt's arrays.
 func (pt *Partitioner) Partition(g *Graph) []Subgraph {
-	n := len(g.Nodes)
+	n := len(g.nodes)
 	// Union-find whose roots are their component's smallest member, so that
 	// numbering components at their root, in one ascending pass, orders them
 	// by smallest member and fills each one's Nodes in ascending order.
@@ -68,11 +68,11 @@ func (pt *Partitioner) Partition(g *Graph) []Subgraph {
 		return x
 	}
 	edges := 0
-	for i := range g.Nodes {
-		node := &g.Nodes[i]
-		edges += len(node.deps)
-		for _, d := range node.deps {
-			if g.Nodes[d].typ != node.typ {
+	for i, node := range g.nodes {
+		deps := g.Deps(NodeID(i))
+		edges += len(deps)
+		for _, d := range deps {
+			if g.nodes[d].typ != node.typ {
 				continue
 			}
 			if a, b := find(int32(d)), find(int32(i)); a < b {
@@ -125,14 +125,14 @@ func (pt *Partitioner) Partition(g *Graph) []Subgraph {
 	}
 	for s := range subs {
 		sg := &subs[s]
-		sg.TypeKey = g.keys[g.Nodes[sg.Nodes[0]].typ]
+		sg.TypeKey = g.keys[g.nodes[sg.Nodes[0]].typ]
 		if len(sg.Nodes) > 1 {
 			sg.Deps, lists = lists[:len(sg.Nodes):len(sg.Nodes)], lists[len(sg.Nodes):]
 		}
 		extStart := len(ext)
 		for p, m := range sg.Nodes {
 			start := len(intra)
-			for _, d := range g.Nodes[m].deps {
+			for _, d := range g.Deps(m) {
 				if sub[d] == int32(s) {
 					if sg.Deps != nil { // nil: a lone node reading itself, which Validate rejects
 						intra = append(intra, pos[d])

@@ -12,17 +12,18 @@ import (
 
 // refDeps and refPartition are the map-based Node.Deps and Partition as they
 // stood before the flat plan (commit 9e0b9d9), kept verbatim — only the
-// receiver became a parameter and Inputs is ranged as the slice it now is —
+// receiver became a graph and node ID and Inputs is read through Input —
 // as the reference the flat Partition must reproduce exactly: same subgraphs,
 // in the same order, with the same Nodes and ExternalDeps. The reference
 // derives every edge from the bindings, so it also checks the edges Add
 // caches.
 
-func refDeps(n *Node) []NodeID {
-	seen := make(map[NodeID]bool, len(n.Inputs))
+func refDeps(g *Graph, id NodeID) []NodeID {
+	n := len(g.Cell(id).InputNames())
+	seen := make(map[NodeID]bool, n)
 	var deps []NodeID
-	for _, b := range n.Inputs {
-		if b.From != NoNode && !seen[b.From] {
+	for i := range n {
+		if b := g.Input(id, i); b.From != NoNode && !seen[b.From] {
 			seen[b.From] = true
 			deps = append(deps, b.From)
 		}
@@ -31,7 +32,7 @@ func refDeps(n *Node) []NodeID {
 }
 
 func refPartition(g *Graph) []*Subgraph {
-	n := len(g.Nodes)
+	n := g.NumCells()
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -50,16 +51,16 @@ func refPartition(g *Graph) []*Subgraph {
 			parent[rb] = ra
 		}
 	}
-	for i := range g.Nodes {
-		node := &g.Nodes[i]
-		for _, d := range refDeps(node) {
-			if g.Nodes[d].Cell.TypeKey() == node.Cell.TypeKey() {
-				union(int(d), int(node.ID))
+	for i := range n {
+		id := NodeID(i)
+		for _, d := range refDeps(g, id) {
+			if g.Cell(d).TypeKey() == g.Cell(id).TypeKey() {
+				union(int(d), int(id))
 			}
 		}
 	}
 	groups := make(map[int][]NodeID)
-	for i := range g.Nodes {
+	for i := range n {
 		r := find(i)
 		groups[r] = append(groups[r], NodeID(i))
 	}
@@ -80,7 +81,7 @@ func refPartition(g *Graph) []*Subgraph {
 		var ext []NodeID
 		seen := make(map[NodeID]bool)
 		for _, m := range members {
-			for _, d := range refDeps(&g.Nodes[m]) {
+			for _, d := range refDeps(g, m) {
 				if !inSub[d] && !seen[d] {
 					seen[d] = true
 					ext = append(ext, d)
@@ -89,7 +90,7 @@ func refPartition(g *Graph) []*Subgraph {
 		}
 		sort.Slice(ext, func(i, j int) bool { return ext[i] < ext[j] })
 		subs = append(subs, &Subgraph{
-			TypeKey:      g.Nodes[members[0]].Cell.TypeKey(),
+			TypeKey:      g.Cell(members[0]).TypeKey(),
 			Nodes:        members,
 			ExternalDeps: ext,
 		})
@@ -105,10 +106,10 @@ func refPartition(g *Graph) []*Subgraph {
 // against the edges.
 func checkPartition(t *testing.T, g *Graph) {
 	t.Helper()
-	for i := range g.Nodes {
-		want := refDeps(&g.Nodes[i])
+	for i := range g.NumCells() {
+		want := refDeps(g, NodeID(i))
 		slices.Sort(want)
-		if got := g.Nodes[i].Deps(); !slices.Equal(got, want) {
+		if got := g.Deps(NodeID(i)); !slices.Equal(got, want) {
 			t.Fatalf("node %d: cached deps %v, bindings say %v", i, got, want)
 		}
 	}
@@ -133,14 +134,14 @@ func checkPartition(t *testing.T, g *Graph) {
 			}
 			// Every edge of a member is either internal or external.
 			all := append(intra, sg.ExternalDeps...)
-			for _, d := range g.Nodes[m].Deps() {
+			for _, d := range g.Deps(m) {
 				if !slices.Contains(all, d) {
 					t.Fatalf("subgraph %d: dep %d of node %d neither member nor external", i, d, m)
 				}
 			}
 			for _, d := range intra {
-				if _, reads := slices.BinarySearch(g.Nodes[m].Deps(), d); !reads || !slices.IsSorted(intra) {
-					t.Fatalf("subgraph %d: node %d lists members %v, reads %v", i, m, intra, g.Nodes[m].Deps())
+				if _, reads := slices.BinarySearch(g.Deps(m), d); !reads || !slices.IsSorted(intra) {
+					t.Fatalf("subgraph %d: node %d lists members %v, reads %v", i, m, intra, g.Deps(m))
 				}
 			}
 		}

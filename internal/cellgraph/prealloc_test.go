@@ -21,11 +21,11 @@ func TestPreallocMatchesAllocatingPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The allocating reference: each node's outputs are fresh tensors.
-	outs := make([]map[string]*tensor.Tensor, len(g.Nodes))
-	for i := range g.Nodes { // a chain: ID order is dependency order
+	outs := make([]map[string]*tensor.Tensor, g.NumCells())
+	for i := range g.NumCells() { // a chain: ID order is dependency order
 		in := map[string]*tensor.Tensor{}
 		for j, name := range lstm.InputNames() {
-			if b := g.Nodes[i].Inputs[j]; b.From == NoNode {
+			if b := g.Input(NodeID(i), j); b.From == NoNode {
 				in[name] = b.Literal
 			} else {
 				in[name] = outs[b.From][lstm.OutputNames()[b.Out]]
@@ -44,13 +44,13 @@ func TestPreallocMatchesAllocatingPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range g.Nodes {
+	for i := range g.NumCells() {
 		id := NodeID(i)
 		out := map[string]*tensor.Tensor{}
 		for o, name := range lstm.OutputNames() {
 			row := s.OutputRow(id, o)
 			// Every output is read but the last node's c.
-			if unread := i == len(g.Nodes)-1 && name == "c"; unread != (row == nil) {
+			if unread := i == g.NumCells()-1 && name == "c"; unread != (row == nil) {
 				t.Fatalf("node %d output %q row = %v", id, name, row)
 			}
 			if row == nil {
@@ -95,7 +95,7 @@ func TestPreallocCarvesOnlyReadRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		last := NodeID(len(g.Nodes) - 1)
+		last := NodeID(g.NumCells() - 1)
 		if exposed {
 			g.Results = append(g.Results, OutputSpec{Name: "logits", Node: last, Out: logits})
 		}
@@ -103,9 +103,9 @@ func TestPreallocCarvesOnlyReadRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range g.Nodes {
+		for i := range g.NumCells() {
 			id := NodeID(i)
-			for o, name := range g.Nodes[i].Cell.OutputNames() {
+			for o, name := range g.Cell(id).OutputNames() {
 				want := true
 				switch {
 				case name == "logits":

@@ -27,22 +27,22 @@ func ExecuteSequential(g *Graph) (map[string]*tensor.Tensor, error) {
 	inputs := make(map[string]*tensor.Tensor)
 	outs := make(map[string]*tensor.Tensor)
 	for _, id := range order {
-		node := &g.Nodes[id]
+		cell, typ := g.Cell(id), g.nodes[id].typ
 		clear(inputs)
-		for i, name := range node.Cell.InputNames() {
+		for i, name := range cell.InputNames() {
 			inputs[name] = s.InputRow(id, i)
 		}
 		arena.Reset()
 		clear(outs)
-		for o, name := range node.Cell.OutputNames() {
+		for o, name := range cell.OutputNames() {
 			row := s.OutputRow(id, o)
 			if row == nil {
-				row = arena.Get(1, widths[node.typ][o]) // nothing reads it
+				row = arena.Get(1, widths[typ][o]) // nothing reads it
 			}
 			outs[name] = row
 		}
-		if err := node.Cell.StepInto(inputs, outs, arena); err != nil {
-			return nil, fmt.Errorf("cellgraph: node %d (%s): %w", id, node.Cell.Name(), err)
+		if err := cell.StepInto(inputs, outs, arena); err != nil {
+			return nil, fmt.Errorf("cellgraph: node %d (%s): %w", id, cell.Name(), err)
 		}
 		s.Complete(id)
 	}
@@ -52,8 +52,8 @@ func ExecuteSequential(g *Graph) (map[string]*tensor.Tensor, error) {
 // ExecuteLevelBatched runs the graph with per-request level batching: at
 // each round, all currently ready nodes of the same cell type execute as one
 // batched StepInto. This is how a graph-merging backend (TensorFlow Fold, DyNet)
-// executes a single request, and is used by baselines and tests.
-// Results are identical to ExecuteSequential; only the batching differs.
+// executes a single request; the tests hold it to ExecuteSequential's
+// results, which only the batching may not change.
 func ExecuteLevelBatched(g *Graph) (map[string]*tensor.Tensor, error) {
 	s, err := NewState(g)
 	if err != nil {
@@ -63,7 +63,7 @@ func ExecuteLevelBatched(g *Graph) (map[string]*tensor.Tensor, error) {
 		// The ready list is this executor's own: a round's nodes are those
 		// not yet run whose producers all ran in earlier rounds.
 		var ready []NodeID
-		for i := range g.Nodes {
+		for i := range g.nodes {
 			if id := NodeID(i); !s.Done(id) && depsDone(s, id) {
 				ready = append(ready, id)
 			}
@@ -72,10 +72,10 @@ func ExecuteLevelBatched(g *Graph) (map[string]*tensor.Tensor, error) {
 			return nil, fmt.Errorf("cellgraph: stuck with %d nodes remaining", s.Remaining())
 		}
 		// One batch per cell type.
-		for t := range g.keys {
+		for t := range int32(len(g.keys)) {
 			var batch []NodeID
 			for _, id := range ready {
-				if g.Nodes[id].typ == t {
+				if g.nodes[id].typ == t {
 					batch = append(batch, id)
 				}
 			}
@@ -88,7 +88,7 @@ func ExecuteLevelBatched(g *Graph) (map[string]*tensor.Tensor, error) {
 }
 
 func depsDone(s *State, id NodeID) bool {
-	for _, d := range s.g.Nodes[id].deps {
+	for _, d := range s.g.Deps(id) {
 		if !s.Done(d) {
 			return false
 		}
@@ -105,9 +105,9 @@ func RunBatch(s *State, ids []NodeID) error {
 		return nil
 	}
 	g := s.Graph()
-	cell := g.Nodes[ids[0]].Cell
+	cell := g.Cell(ids[0])
 	for _, id := range ids[1:] {
-		if g.Nodes[id].typ != g.Nodes[ids[0]].typ {
+		if g.nodes[id].typ != g.nodes[ids[0]].typ {
 			return fmt.Errorf("cellgraph: RunBatch mixes cell types")
 		}
 	}

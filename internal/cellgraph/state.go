@@ -30,12 +30,14 @@ import (
 type State struct {
 	g        *Graph
 	rows     []tensor.Tensor // node n's output o is rows[n.out0+o]
+	lits     []tensor.Tensor // literal k of the graph, a view of its slab
 	flags    []uint8         // per node: issued | done
 	remained int
 
 	// PreallocOutputs' arrays, kept across Reset: the float slab the rows
-	// are carved from, the read marks, and the [1, w] shapes the rows share
-	// (append-only, so a shape handed out once never changes).
+	// are carved from, the read marks, and the [1, w] shapes the rows and
+	// literal views share (append-only, so a shape handed out once never
+	// changes).
 	slab   []float32
 	read   []bool
 	shapes [][]int
@@ -63,31 +65,33 @@ func newState(g *Graph) (*State, [][]int, error) {
 	if err := s.Reset(g); err != nil {
 		return nil, nil, err
 	}
-	widths := make([][]int, len(g.keys))
-	for i := range g.Nodes {
-		if n := &g.Nodes[i]; widths[n.typ] == nil {
-			w, err := rnn.OutputWidthsOf(n.Cell)
-			if err != nil {
-				return nil, nil, fmt.Errorf("cellgraph: node %d: %w", i, err)
-			}
-			widths[n.typ] = w
+	widths := make([][]int, len(g.cells))
+	for t, cell := range g.cells {
+		w, err := rnn.OutputWidthsOf(cell)
+		if err != nil {
+			return nil, nil, fmt.Errorf("cellgraph: cell type %s: %w", g.keys[t], err)
 		}
+		widths[t] = w
 	}
 	s.PreallocOutputs(widths)
 	return s, widths, nil
 }
 
 // Reset validates g and gives s fresh execution state for it, reusing the
-// arrays s already has; PreallocOutputs then carves its rows. On error s is
-// unchanged.
+// arrays s already has: the literal views are built here, and
+// PreallocOutputs then carves the output rows. On error s is unchanged.
 func (s *State) Reset(g *Graph) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
 	s.g = g
 	s.rows = zeroed(s.rows, g.numRows())
-	s.flags = zeroed(s.flags, len(g.Nodes))
-	s.remained = len(g.Nodes)
+	s.lits = zeroed(s.lits, len(g.lits))
+	for k, l := range g.lits {
+		s.lits[k] = tensor.ViewOf(g.litRow(int32(k)), s.rowShape(int(l.w)))
+	}
+	s.flags = zeroed(s.flags, len(g.nodes))
+	s.remained = len(g.nodes)
 	return nil
 }
 
@@ -105,7 +109,7 @@ func (s *State) Graph() *Graph { return s.g }
 // panics if a dependency has not completed — the scheduler must never
 // execute a node before its dependencies (tested invariant).
 func (s *State) MarkIssued(id NodeID) {
-	for _, d := range s.g.Nodes[id].deps {
+	for _, d := range s.g.Deps(id) {
 		if s.flags[d]&flagDone == 0 {
 			panic(fmt.Sprintf("cellgraph: issuing node %d with unmet dep %d", id, d))
 		}
@@ -126,14 +130,15 @@ func (s *State) Done(id NodeID) bool { return s.flags[id]&flagDone != 0 }
 // [1, w] row, either the literal binding or the producing node's stored
 // output. It panics if a referenced producer has not completed.
 func (s *State) InputRow(id NodeID, i int) *tensor.Tensor {
-	b := s.g.Nodes[id].Inputs[i]
-	if b.From == NoNode {
-		return b.Literal
+	n := &s.g.nodes[id]
+	b := s.g.bindings[n.in : n.in+n.nIn][i]
+	if b.src == int32(NoNode) {
+		return &s.lits[b.idx]
 	}
-	if s.flags[b.From]&flagDone == 0 {
-		panic(fmt.Sprintf("cellgraph: node %d reads output %d of incomplete node %d", id, b.Out, b.From))
+	if s.flags[b.src]&flagDone == 0 {
+		panic(fmt.Sprintf("cellgraph: node %d reads output %d of incomplete node %d", id, b.idx, b.src))
 	}
-	return &s.rows[s.g.Nodes[b.From].out0+b.Out]
+	return &s.rows[s.g.nodes[b.src].out0+b.idx]
 }
 
 // PreallocOutputs carves a [1, w] output row for every output that some
@@ -149,40 +154,39 @@ func (s *State) InputRow(id NodeID, i int) *tensor.Tensor {
 // them once per cell type). Calling PreallocOutputs after execution has
 // begun is a programming error.
 func (s *State) PreallocOutputs(widths [][]int) {
+	g := s.g
 	s.read = zeroed(s.read, len(s.rows))
 	read := s.read
-	for i := range s.g.Nodes {
-		for _, b := range s.g.Nodes[i].Inputs {
-			if b.From != NoNode {
-				read[s.g.Nodes[b.From].out0+b.Out] = true
-			}
+	for _, b := range g.bindings {
+		if b.src != int32(NoNode) {
+			read[g.nodes[b.src].out0+b.idx] = true
 		}
 	}
-	for _, r := range s.g.Results {
-		read[s.g.Nodes[r.Node].out0+r.Out] = true
+	for _, r := range g.Results {
+		read[int(g.nodes[r.Node].out0)+r.Out] = true
+	}
+	for t, cell := range g.cells {
+		if len(widths[t]) != numOutputs(cell) {
+			panic(fmt.Sprintf("cellgraph: cell type %s: %d output widths for %d outputs", g.keys[t], len(widths[t]), numOutputs(cell)))
+		}
 	}
 	floats := 0
-	for i := range s.g.Nodes {
-		n := &s.g.Nodes[i]
+	for i, n := range g.nodes {
 		if s.flags[i] != 0 {
 			panic("cellgraph: PreallocOutputs called after execution began")
 		}
-		if len(widths[n.typ]) != numOutputs(n.Cell) {
-			panic(fmt.Sprintf("cellgraph: node %d: %d output widths for %d outputs", i, len(widths[n.typ]), numOutputs(n.Cell)))
-		}
 		for o, w := range widths[n.typ] {
-			if read[n.out0+o] {
+			if read[int(n.out0)+o] {
 				floats += w
 			}
 		}
 	}
 	s.slab = zeroed(s.slab, floats)
 	slab := s.slab
-	for i := range s.g.Nodes {
-		n := &s.g.Nodes[i]
+	for _, n := range g.nodes {
 		for o, w := range widths[n.typ] {
-			if read[n.out0+o] {
-				s.rows[n.out0+o] = tensor.ViewOf(slab[:w:w], s.rowShape(w))
+			if row := int(n.out0) + o; read[row] {
+				s.rows[row] = tensor.ViewOf(slab[:w:w], s.rowShape(w))
 				slab = slab[w:]
 			}
 		}
@@ -204,7 +208,7 @@ func (s *State) rowShape(w int) []int {
 // OutputRow returns node id's row for output o, or nil when nothing reads
 // that output. The step fills it in place before Complete.
 func (s *State) OutputRow(id NodeID, o int) *tensor.Tensor {
-	row := &s.rows[s.g.Nodes[id].out0+o]
+	row := &s.rows[int(s.g.nodes[id].out0)+o]
 	if row.Rank() == 0 {
 		return nil
 	}
@@ -237,13 +241,13 @@ func (s *State) Results() map[string]*tensor.Tensor {
 	}
 	n := 0
 	for _, r := range s.g.Results {
-		n += s.rows[s.g.Nodes[r.Node].out0+r.Out].Size()
+		n += s.rows[int(s.g.nodes[r.Node].out0)+r.Out].Size()
 	}
 	floats := make([]float32, n)
 	views := make([]tensor.Tensor, len(s.g.Results))
 	out := make(map[string]*tensor.Tensor, len(s.g.Results))
 	for i, r := range s.g.Results {
-		row := &s.rows[s.g.Nodes[r.Node].out0+r.Out]
+		row := &s.rows[int(s.g.nodes[r.Node].out0)+r.Out]
 		w := copy(floats, row.Data())
 		views[i] = tensor.ViewOf(floats[:w:w], row.Shape())
 		floats = floats[w:]

@@ -13,51 +13,52 @@ import (
 // for a tree's internal cell) in; h, c and, from the decoder, word out.
 // TestUnfoldMatchesCellNameOrder pins that order.
 
-// literalRows views each row of a rank-2 tensor as a [1, cols] literal. The
-// views share one backing array and one shape, so a request's literals cost
-// two allocations however long it is.
-func literalRows(t *tensor.Tensor) []tensor.Tensor {
-	shape := []int{1, t.Dim(1)}
-	rows := make([]tensor.Tensor, t.Dim(0))
-	for i := range rows {
-		rows[i] = tensor.ViewOf(t.RowSlice(i), shape)
-	}
-	return rows
-}
-
-// idRows turns word ids into [1,1] literal rows, rejecting ids outside
-// [0, vocab).
-func idRows(ids []int, vocab int, what string) ([]tensor.Tensor, error) {
-	vals := make([]float32, len(ids))
-	for i, id := range ids {
+// addIDs appends word ids as [1,1] literal rows, rejecting ids outside
+// [0, vocab), and returns the index of the first.
+func (g *Graph) addIDs(ids []int, vocab int, what string) (int32, error) {
+	first := int32(len(g.lits))
+	for _, id := range ids {
 		if id < 0 || id >= vocab {
-			return nil, fmt.Errorf("cellgraph: %s id %d out of vocabulary [0,%d)", what, id, vocab)
+			return 0, fmt.Errorf("cellgraph: %s id %d out of vocabulary [0,%d)", what, id, vocab)
 		}
-		vals[i] = float32(id)
+		g.addLit(float32(id))
 	}
-	return literalRows(tensor.FromSlice(vals, len(ids), 1)), nil
+	return first, nil
 }
 
-// addChain appends one node of cell per row of xs, each consuming its row,
-// then "h" and "c": from the previous node (outputs 0 and 1), or from zero
-// for the first. It returns the last node's ID.
-func addChain(g *Graph, cell rnn.Cell, xs []tensor.Tensor, hidden int) NodeID {
-	zero := Lit(tensor.New(1, hidden))
+// addChain appends one node of cell per literal xs, xs+1, …, xs+steps-1,
+// each consuming its literal, then "h" and "c": from the previous node
+// (outputs 0 and 1), or from a zero row of width hidden for the first. It
+// returns the last node's ID.
+func (g *Graph) addChain(cell rnn.Cell, xs int32, steps, hidden int) NodeID {
+	zero := litRef(g.zeroLit(hidden))
 	prev := NoNode
-	for t := range xs {
-		if t == 0 {
-			prev = g.Add(cell, Lit(&xs[t]), zero, zero)
-		} else {
-			prev = g.Add(cell, Lit(&xs[t]), Ref(prev, 0), Ref(prev, 1))
+	for t := range int32(steps) {
+		h, c := zero, zero
+		if t > 0 {
+			h, c = ref(prev, 0), ref(prev, 1)
 		}
+		start := len(g.bindings)
+		g.bindings = append(g.bindings, litRef(xs+t), h, c)
+		prev = g.push(cell, start)
 	}
 	return prev
 }
 
+// addRows appends each row of a rank-2 tensor as a literal and returns the
+// index of the first.
+func (g *Graph) addRows(xs *tensor.Tensor) int32 {
+	first := int32(len(g.lits))
+	for t := range xs.Dim(0) {
+		g.addLit(xs.RowSlice(t)...)
+	}
+	return first
+}
+
 // UnfoldChain expands a chain-structured RNN request (the paper's Figure 1)
 // into a cell graph: one node per timestep, with h and c flowing forward and
-// each step's x bound as a literal row of xs (shape [len, in]). The result
-// is the final hidden state, named "h".
+// each step's x bound as a literal copy of its row of xs (shape [len, in]).
+// The result is the final hidden state, named "h".
 func UnfoldChain(cell *rnn.LSTMCell, xs *tensor.Tensor) (*Graph, error) {
 	if xs.Rank() != 2 || xs.Dim(1) != cell.InDim() {
 		return nil, fmt.Errorf("cellgraph: chain inputs must be [len, %d], got %v", cell.InDim(), xs.Shape())
@@ -66,8 +67,8 @@ func UnfoldChain(cell *rnn.LSTMCell, xs *tensor.Tensor) (*Graph, error) {
 	if steps == 0 {
 		return nil, fmt.Errorf("cellgraph: empty chain request")
 	}
-	g := NewGraph(steps, 3*steps, steps-1)
-	last := addChain(g, cell, literalRows(xs), cell.Hidden())
+	g := NewGraph(steps, 3*steps, steps-1, steps+1, xs.Size()+cell.Hidden())
+	last := g.addChain(cell, g.addRows(xs), steps, cell.Hidden())
 	g.Results = []OutputSpec{{Name: "h", Node: last, Out: 0}}
 	return g, nil
 }
@@ -84,10 +85,16 @@ func UnfoldRecurrent(cell rnn.Recurrent, xs *tensor.Tensor) (*Graph, error) {
 	if steps == 0 {
 		return nil, fmt.Errorf("cellgraph: empty chain request")
 	}
+	names, states := cell.InputNames(), cell.StateWidths()
+	floats := xs.Size()
+	for _, w := range states {
+		floats += w
+	}
+	g := NewGraph(steps, steps*len(names), steps-1, steps+len(names), floats)
+	x := g.addRows(xs)
 	// Resolve each state input once: its zero literal for the first step,
 	// and the output that carries it to the next.
-	names, states := cell.InputNames(), cell.StateWidths()
-	first := make([]Binding, len(names))
+	first := make([]bind, len(names))
 	carry := make([]int, len(names))
 	for i, name := range names {
 		if name == "x" {
@@ -97,23 +104,21 @@ func UnfoldRecurrent(cell rnn.Recurrent, xs *tensor.Tensor) (*Graph, error) {
 		if carry[i] = OutputIndex(cell, name); !ok || carry[i] < 0 {
 			return nil, fmt.Errorf("cellgraph: cell %s input %q is neither x nor a carried state", cell.Name(), name)
 		}
-		first[i] = Lit(tensor.New(1, w))
+		first[i] = litRef(g.zeroLit(w))
 	}
-	g := NewGraph(steps, steps*len(names), steps-1)
-	rows := literalRows(xs)
-	in := make([]Binding, len(names))
-	for t := range rows {
+	for t := range steps {
+		start := len(g.bindings)
 		for i, name := range names {
 			switch {
 			case name == "x":
-				in[i] = Lit(&rows[t])
+				g.bindings = append(g.bindings, litRef(x+int32(t)))
 			case t == 0:
-				in[i] = first[i]
+				g.bindings = append(g.bindings, first[i])
 			default:
-				in[i] = Ref(NodeID(t-1), carry[i])
+				g.bindings = append(g.bindings, ref(NodeID(t-1), carry[i]))
 			}
 		}
-		g.Add(cell, in...)
+		g.push(cell, start)
 	}
 	for i, name := range cell.OutputNames() {
 		if _, ok := states[name]; ok {
@@ -129,21 +134,42 @@ func UnfoldChainIDs(cell *rnn.EncoderCell, ids []int) (*Graph, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("cellgraph: empty chain request")
 	}
-	rows, err := idRows(ids, cell.Vocab(), "word")
+	n := len(ids)
+	g := NewGraph(n, 3*n, n-1, n+1, n+cell.Hidden())
+	xs, err := g.addIDs(ids, cell.Vocab(), "word")
 	if err != nil {
 		return nil, err
 	}
-	g := NewGraph(len(ids), 3*len(ids), len(ids)-1)
-	last := addChain(g, cell, rows, cell.Hidden())
+	last := g.addChain(cell, xs, n, cell.Hidden())
 	g.Results = []OutputSpec{{Name: "h", Node: last, Out: 0}}
 	return g, nil
+}
+
+// wordNames holds WordName's answers for the decode lengths requests
+// commonly have (the benchmark clips them at 50); longer ones are built per
+// call.
+var wordNames = func() (names [64]string) {
+	for t := range names {
+		names[t] = "word" + strconv.Itoa(t)
+	}
+	return names
+}()
+
+// WordName returns the name of decoder step t's result in an UnfoldSeq2Seq
+// graph: "word<t>".
+func WordName(t int) string {
+	if t >= 0 && t < len(wordNames) {
+		return wordNames[t]
+	}
+	return "word" + strconv.Itoa(t)
 }
 
 // UnfoldSeq2Seq expands a translation request (the paper's Figure 12): an
 // encoder chain over the source ids followed by a feed-previous decoder
 // chain of decodeLen steps. The first decoder step consumes <go> and the
 // encoder's final state; subsequent steps consume the previous step's
-// emitted word. Results are the decoder outputs "word0".."word<n-1>".
+// emitted word. Results are the decoder outputs WordName(0) ..
+// WordName(decodeLen-1).
 //
 // Deployed systems bound decoding length by input length plus a threshold;
 // the paper's evaluation fixes it to the reference translation length, and
@@ -158,22 +184,25 @@ func UnfoldSeq2Seq(enc *rnn.EncoderCell, dec *rnn.DecoderCell, srcIDs []int, dec
 	if enc.Hidden() != dec.Hidden() {
 		return nil, fmt.Errorf("cellgraph: encoder hidden %d != decoder hidden %d", enc.Hidden(), dec.Hidden())
 	}
-	rows, err := idRows(srcIDs, enc.Vocab(), "source")
+	src := len(srcIDs)
+	n := src + decodeLen
+	g := NewGraph(n, 3*n, n-1, src+2, src+1+enc.Hidden())
+	xs, err := g.addIDs(srcIDs, enc.Vocab(), "source")
 	if err != nil {
 		return nil, err
 	}
-	n := len(srcIDs) + decodeLen
-	g := NewGraph(n, 3*n, n-1)
-	prev := addChain(g, enc, rows, enc.Hidden())
+	goRow := litRef(g.addLit(float32(rnn.TokenGo)))
+	prev := g.addChain(enc, xs, src, enc.Hidden())
 	g.Results = make([]OutputSpec, decodeLen)
 	for t := range g.Results {
-		if t == 0 {
-			goRow := tensor.FromSlice([]float32{float32(rnn.TokenGo)}, 1, 1)
-			prev = g.Add(dec, Lit(goRow), Ref(prev, 0), Ref(prev, 1))
-		} else {
-			prev = g.Add(dec, Ref(prev, 2), Ref(prev, 0), Ref(prev, 1))
+		x := goRow
+		if t > 0 {
+			x = ref(prev, 2)
 		}
-		g.Results[t] = OutputSpec{Name: "word" + strconv.Itoa(t), Node: prev, Out: 2}
+		start := len(g.bindings)
+		g.bindings = append(g.bindings, x, ref(prev, 0), ref(prev, 1))
+		prev = g.push(dec, start)
+		g.Results[t] = OutputSpec{Name: WordName(t), Node: prev, Out: 2}
 	}
 	return g, nil
 }
@@ -246,9 +275,8 @@ func UnfoldTree(leaf *rnn.TreeLeafCell, internal *rnn.TreeInternalCell, tree *Tr
 	}
 	leaves := tree.Leaves()
 	u := treeUnfold{
-		g:    NewGraph(2*leaves-1, leaves+4*(leaves-1), 2*(leaves-1)),
+		g:    NewGraph(2*leaves-1, leaves+4*(leaves-1), 2*(leaves-1), leaves, leaves),
 		leaf: leaf, internal: internal,
-		ids: literalRows(tensor.New(leaves, 1)),
 	}
 	root := u.add(tree)
 	u.g.Results = []OutputSpec{{Name: "h", Node: root, Out: 0}}
@@ -256,24 +284,25 @@ func UnfoldTree(leaf *rnn.TreeLeafCell, internal *rnn.TreeInternalCell, tree *Tr
 }
 
 // treeUnfold carries UnfoldTree's post-order walk: children before parents,
-// leaves numbered left to right into the shared id rows.
+// each leaf's id a literal of its own.
 type treeUnfold struct {
 	g        *Graph
 	leaf     *rnn.TreeLeafCell
 	internal *rnn.TreeInternalCell
-	ids      []tensor.Tensor // the leaves' id rows not handed out yet
 }
 
 func (u *treeUnfold) add(t *Tree) NodeID {
+	g := u.g
+	start := len(g.bindings)
 	if t.IsLeaf() {
-		row := &u.ids[0]
-		u.ids = u.ids[1:]
-		row.Data()[0] = float32(t.WordID)
-		return u.g.Add(u.leaf, Lit(row))
+		g.bindings = append(g.bindings, litRef(g.addLit(float32(t.WordID))))
+		return g.push(u.leaf, start)
 	}
 	l := u.add(t.Left)
 	r := u.add(t.Right)
-	return u.g.Add(u.internal, Ref(l, 0), Ref(l, 1), Ref(r, 0), Ref(r, 1))
+	start = len(g.bindings)
+	g.bindings = append(g.bindings, ref(l, 0), ref(l, 1), ref(r, 0), ref(r, 1))
+	return g.push(u.internal, start)
 }
 
 // CompleteBinaryTree builds a complete binary tree with the given number of

@@ -202,12 +202,12 @@ func checkTrace(m *Model, w *Workload, res *Trace) []Violation {
 			violate("rebuild", r.Index, "graph rebuild failed: %v", err)
 			continue
 		}
-		d := make([][]cellgraph.NodeID, len(g.Nodes))
-		for _, n := range g.Nodes {
-			d[n.ID] = n.Deps()
+		d := make([][]cellgraph.NodeID, g.NumCells())
+		for id := range d {
+			d[id] = g.Deps(cellgraph.NodeID(id))
 		}
 		deps[r.Index] = d
-		cells[r.Index] = len(g.Nodes)
+		cells[r.Index] = g.NumCells()
 	}
 
 	executed := make(map[int]map[cellgraph.NodeID]bool, len(res.IDs))

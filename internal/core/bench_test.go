@@ -102,7 +102,7 @@ func BenchmarkPartitionTracker(b *testing.B) {
 							b.Fatal(err)
 						}
 					}
-					if n == len(bc.g.Nodes) {
+					if n == bc.g.NumCells() {
 						break
 					}
 					if specs, err = tr.NodeDone(cellgraph.NodeID(n)); err != nil {

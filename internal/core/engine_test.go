@@ -81,7 +81,7 @@ func (e *miniEngine) exec(task *Task) {
 	for _, ref := range task.Nodes {
 		tr := e.trackers[ref.Req]
 		// Dependency-safety check at execution time.
-		for _, d := range tr.Graph().Nodes[ref.Node].Deps() {
+		for _, d := range tr.Graph().Deps(ref.Node) {
 			if !e.nodeDone[NodeRef{Req: ref.Req, Node: d}] {
 				e.t.Fatalf("task %d executes node %v before its dep %d completed", task.ID, ref, d)
 			}

@@ -87,7 +87,7 @@ func (t *refTracker) spec(i int) refSpec {
 	}
 	deps := make(map[cellgraph.NodeID][]cellgraph.NodeID)
 	for _, n := range sub.Nodes {
-		for _, d := range t.graph.Nodes[n].Deps() {
+		for _, d := range t.graph.Deps(n) {
 			if member[d] {
 				deps[n] = append(deps[n], d)
 			}
@@ -213,8 +213,8 @@ func checkAgainstReference(t *testing.T, g *cellgraph.Graph, seed uint64) {
 	}
 	ref := newRefTracker(g)
 	var types []TypeConfig
-	for i := range g.Nodes {
-		key := g.Nodes[i].Cell.TypeKey()
+	for i := range g.NumCells() {
+		key := g.Cell(cellgraph.NodeID(i)).TypeKey()
 		if !slices.ContainsFunc(types, func(tc TypeConfig) bool { return tc.Key == key }) {
 			types = append(types, TypeConfig{Key: key, MaxBatch: 4})
 		}
@@ -231,12 +231,12 @@ func checkAgainstReference(t *testing.T, g *cellgraph.Graph, seed uint64) {
 	compare(tr.InitialSubgraphs(), ref.InitialSubgraphs())
 
 	rng := tensor.NewRNG(seed)
-	done := make([]bool, len(g.Nodes))
-	for left := len(g.Nodes); left > 0; left-- {
+	done := make([]bool, g.NumCells())
+	for left := g.NumCells(); left > 0; left-- {
 		var runnable []cellgraph.NodeID
-		for i := range g.Nodes {
+		for i := range g.NumCells() {
 			ok := !done[i]
-			for _, d := range g.Nodes[i].Deps() {
+			for _, d := range g.Deps(cellgraph.NodeID(i)) {
 				ok = ok && done[d]
 			}
 			if ok {

@@ -58,7 +58,7 @@ func (t *Tracker) Reset(req RequestID, s *cellgraph.State) { t.reset(req, s.Grap
 
 func (t *Tracker) reset(req RequestID, g *cellgraph.Graph) {
 	subs := t.part.Partition(g)
-	n := len(subs) + len(g.Nodes)
+	n := len(subs) + g.NumCells()
 	t.flags = slices.Grow(t.flags[:0], n)[:n]
 	clear(t.flags)
 	t.extPending = slices.Grow(t.extPending[:0], len(subs))[:len(subs)]
@@ -67,7 +67,7 @@ func (t *Tracker) reset(req RequestID, g *cellgraph.Graph) {
 	}
 	t.req, t.graph, t.subs = req, g, subs
 	t.released, t.done = t.flags[:len(subs)], t.flags[len(subs):]
-	t.remaining = len(g.Nodes)
+	t.remaining = g.NumCells()
 }
 
 // Req returns the request ID.

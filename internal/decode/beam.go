@@ -218,7 +218,8 @@ func expand(ctx context.Context, srv *server.Server, dec *rnn.DecoderCell, resul
 		return cause
 	}
 	for _, b := range live {
-		g := &cellgraph.Graph{Results: results}
+		g := cellgraph.NewGraph(1, 3, 0, 3, 1+2*dec.Hidden())
+		g.Results = results
 		g.Add(dec,
 			cellgraph.Lit(tensor.FromSlice([]float32{float32(b.nextID)}, 1, 1)),
 			cellgraph.Lit(b.h), cellgraph.Lit(b.c))

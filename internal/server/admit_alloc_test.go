@@ -83,31 +83,31 @@ func (c *admitCase) serveOne(tb testing.TB) {
 // TestAdmitAllocs is the ceiling on what serving one request allocates, end
 // to end: every goroutine of the pipeline is counted, one request at a time,
 // server warm. The worker loop has its own zero gate. What is left is the
-// caller's graph (unfold: 10 objects, 7.4 kB for the tree), the request's
-// record and channels, and the copied results: the state, tracker and
-// partition live in a pooled block, and the scheduler reuses its task and
-// subgraph records.
+// caller's graph (unfold: 7 objects, 2.7 kB for the tree; TestUnfoldAllocs),
+// the request's record and channels, and the copied results: the state,
+// tracker and partition live in a pooled block, and the scheduler reuses its
+// task and subgraph records.
 //
 // Heap objects per request, measured with this test (GOMAXPROCS 1, as
 // testing.AllocsPerRun sets it):
 //
-//	           before PR 19 (9e0b9d9)   flat plan (PR 19)   reused blocks   ceiling (+10 %)
-//	tree       1 630                    130                 20              22
-//	seq2seq    2 206                    322                 56              62
+//	           maps (9e0b9d9)   flat plan   reused blocks   pointer plan   pointer-free plan   ceiling (+10 %)
+//	tree       1 630            130         20              17             14                  16
+//	seq2seq    2 206            322         56              53             16                  18
 //
 // Heap bytes per request: a translation used to carve a 1 000-float logits
 // row per decode step that nothing reads (181 kB per request); admission
 // carves only the rows a binding or a result reads, into a pooled slab.
 //
-//	           all rows carved   read rows only   reused blocks   ceiling (+10 %)
-//	tree       36 kB             36 kB            8 435 B         9 300 B
-//	seq2seq    181 kB            83 kB            13 835 B        15 200 B
+//	           all rows carved   read rows only   reused blocks   pointer plan   pointer-free plan   ceiling (+10 %)
+//	tree       36 kB             36 kB            8 435 B         8 576 B        3 440 B             3 790 B
+//	seq2seq    181 kB            83 kB            13 835 B        13 720 B       7 368 B             8 110 B
 func TestAdmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the ceiling is checked in the non-race suite")
 	}
-	ceiling := map[string]float64{"tree": 22, "seq2seq": 62}
-	bytesCeiling := map[string]float64{"tree": 9_300, "seq2seq": 15_200}
+	ceiling := map[string]float64{"tree": 16, "seq2seq": 18}
+	bytesCeiling := map[string]float64{"tree": 3_790, "seq2seq": 8_110}
 	for _, c := range admitCases(t) {
 		for i := 0; i < 50; i++ {
 			c.serveOne(t)

@@ -181,7 +181,7 @@ type Config struct {
 // immutable fields; resolved/poisoned are the lock-free flags.
 type request struct {
 	id    core.RequestID
-	cells int // len(graph.Nodes), for backlog accounting
+	cells int // graph.NumCells(), for backlog accounting
 
 	// tracker is guarded by mgr.mu after admission.
 	tracker *core.Tracker
@@ -648,7 +648,7 @@ func (s *Server) SubmitAsyncOpts(g *cellgraph.Graph, opts SubmitOpts) (*Handle, 
 	b.tracker.Reset(id, &b.state)
 	req := &request{
 		id:       id,
-		cells:    len(g.Nodes),
+		cells:    g.NumCells(),
 		tracker:  &b.tracker,
 		state:    &b.state,
 		block:    b,

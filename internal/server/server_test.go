@@ -362,10 +362,6 @@ func TestServerRejectsInvalidGraph(t *testing.T) {
 			g.Add(m.lstm, x, cellgraph.Ref(1, 0), cellgraph.Ref(1, 1))
 			g.Add(m.lstm, x, cellgraph.Ref(0, 0), cellgraph.Ref(0, 1))
 		}},
-		{"dense indices", func(g *cellgraph.Graph) {
-			g.Add(m.lstm, x, zero, zero)
-			g.Nodes[0].ID = 1
-		}},
 	} {
 		g := &cellgraph.Graph{}
 		tc.build(g)

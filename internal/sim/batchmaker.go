@@ -211,7 +211,7 @@ func (s *batchMakerSim) admit(a Arrival) {
 		req.deadline = req.arrival + s.cfg.Deadline
 	}
 	s.reqs[id] = req
-	s.queuedCells += len(g.Nodes)
+	s.queuedCells += g.NumCells()
 	s.rpRing.Write(obsv.Record{Kind: obsv.KindAdmit, Req: int64(id), T0: int64(req.arrival)})
 	for _, spec := range tr.InitialSubgraphs() {
 		spec.Deadline = int64(req.deadline)

@@ -65,7 +65,8 @@ func (c *TimingCell) StepInto(_, out map[string]*tensor.Tensor, _ *tensor.Arena)
 var _ rnn.Cell = (*TimingCell)(nil)
 
 // sharedRow is the literal bound to every sim-graph input; the simulator
-// never reads tensor data, so one shared row suffices.
+// never reads tensor data, so one [1, 1] row suffices (Add copies its one
+// float per binding).
 var sharedRow = tensor.New(1, 1)
 
 // RequestKind discriminates the workload shapes of the paper's three
@@ -244,7 +245,7 @@ func addChain(g *cellgraph.Graph, cell *TimingCell, n int, prev cellgraph.NodeID
 }
 
 func buildChain(cell *TimingCell, n int) *cellgraph.Graph {
-	g := cellgraph.NewGraph(n, 3*n, n-1)
+	g := cellgraph.NewGraph(n, 3*n, n-1, n+2, n+2) // every ids, and the first h and c, are literals
 	last := addChain(g, cell, n, cellgraph.NoNode, false)
 	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: last}}
 	return g
@@ -252,7 +253,7 @@ func buildChain(cell *TimingCell, n int) *cellgraph.Graph {
 
 func buildSeq2Seq(enc, dec *TimingCell, srcLen, dstLen int) *cellgraph.Graph {
 	n := srcLen + dstLen
-	g := cellgraph.NewGraph(n, 3*n, n-1)
+	g := cellgraph.NewGraph(n, 3*n, n-1, srcLen+3, srcLen+3) // and the first decoder step's ids
 	last := addChain(g, enc, srcLen, cellgraph.NoNode, false)
 	last = addChain(g, dec, dstLen, last, true)
 	g.Results = []cellgraph.OutputSpec{{Name: "h", Node: last}}
@@ -261,7 +262,7 @@ func buildSeq2Seq(enc, dec *TimingCell, srcLen, dstLen int) *cellgraph.Graph {
 
 func buildTree(leaf, internal *TimingCell, t *cellgraph.Tree) *cellgraph.Graph {
 	leaves := t.Leaves()
-	g := cellgraph.NewGraph(2*leaves-1, leaves+4*(leaves-1), 2*(leaves-1))
+	g := cellgraph.NewGraph(2*leaves-1, leaves+4*(leaves-1), 2*(leaves-1), leaves, leaves)
 	var build func(n *cellgraph.Tree) cellgraph.NodeID
 	build = func(n *cellgraph.Tree) cellgraph.NodeID {
 		if n.IsLeaf() {
