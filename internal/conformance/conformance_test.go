@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"batchmaker/internal/server"
+	"batchmaker/internal/sim"
 )
 
 var (
@@ -230,5 +231,42 @@ func TestWorkloadSubset(t *testing.T) {
 	}
 	if s.Reqs[0].Index != w.Reqs[0].Index || s.Reqs[1].Index != w.Reqs[3].Index || s.Reqs[2].Index != w.Reqs[5].Index {
 		t.Fatal("subset did not preserve original request indices")
+	}
+}
+
+// TestWorkloadSchedule pins the one Request → sim.Arrival conversion that
+// both engines play: each arrival sits at the request's Arrival, and its
+// cancel and expiry at Arrival plus their offsets, or 0 where unset.
+func TestWorkloadSchedule(t *testing.T) {
+	cfg, _ := scenario(1000) // seed%3 == 1: cancels and deadlines
+	w := Generate(1000, cfg)
+	sched := w.Schedule()
+	var cancels, deadlines, plain int
+	for _, r := range w.Reqs {
+		a, ok := sched()
+		if !ok {
+			t.Fatalf("schedule ended before request %d", r.Index)
+		}
+		want := sim.Arrival{At: r.Arrival, Shape: r.Shape}
+		if r.CancelAfter > 0 {
+			want.Cancel = r.Arrival + r.CancelAfter
+			cancels++
+		}
+		if r.Deadline > 0 {
+			want.Expire = r.Arrival + r.Deadline
+			deadlines++
+		}
+		if !r.Disrupted() {
+			plain++
+		}
+		if a != want {
+			t.Fatalf("request %d: arrival %+v, want %+v", r.Index, a, want)
+		}
+	}
+	if _, ok := sched(); ok {
+		t.Fatal("schedule yields more arrivals than the workload has requests")
+	}
+	if cancels == 0 || deadlines == 0 || plain == 0 {
+		t.Fatalf("workload lacks a case: %d cancels, %d deadlines, %d undisrupted", cancels, deadlines, plain)
 	}
 }

@@ -7,12 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 
 	"batchmaker/internal/core"
 	"batchmaker/internal/journal"
 	"batchmaker/internal/server"
+	"batchmaker/internal/sim"
 	"batchmaker/internal/tensor"
 )
 
@@ -106,13 +106,6 @@ func appendGarbage(dir string, seed uint64, n int) error {
 	return err
 }
 
-// admitted is one submission the server accepted: its workload index and
-// its handle.
-type admitted struct {
-	idx    int
-	handle *server.Handle
-}
-
 // durableInFlight reports whether one of hs is unresolved with its admit
 // durably acknowledged. It blocks only on acks that have not resolved yet.
 func durableInFlight(hs []admitted) bool {
@@ -145,7 +138,6 @@ func durableInFlight(hs []admitted) bool {
 //   - telemetry: each server's metric registry — the crashed one after Stop,
 //     the restarted one after Drain — reconciles with its task log
 func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashResult, error) {
-	lo := opts.LiveOpts.withDefaults()
 	frac := opts.KillAfterFrac
 	if frac <= 0 || frac > 1 {
 		frac = 0.5
@@ -163,17 +155,23 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	violate := func(kind string, req int, format string, a ...interface{}) {
 		res.Violations = append(res.Violations, Violation{Kind: kind, Req: req, Detail: fmt.Sprintf(format, a...)})
 	}
-	scale := func(d time.Duration) time.Duration {
-		return time.Duration(float64(d) * lo.TimeScale)
-	}
 
 	// --- Phase 1: serve the workload prefix, then crash ------------------
+	prefix := &Workload{Seed: w.Seed, Cfg: w.Cfg, Reqs: w.Reqs[:killIdx]}
+	payloads := make([][]byte, killIdx)
+	reqByIndex := make(map[int]*Request, killIdx)
+	for i, r := range prefix.Reqs {
+		reqByIndex[r.Index] = r
+		if payloads[i], err = json.Marshal(r); err != nil {
+			return nil, fmt.Errorf("conformance: serializing request %d: %w", r.Index, err)
+		}
+	}
 	jnl, err := journal.Open(journal.Options{Dir: dir, Sync: journal.SyncBatch})
 	if err != nil {
 		return nil, fmt.Errorf("conformance: opening journal: %w", err)
 	}
 	var log1, log2 taskLog
-	srv, err := server.New(crashServerConfig(m, lo, jnl, 0, &log1))
+	srv, err := server.New(crashServerConfig(m, opts.LiveOpts, jnl, 0, &log1))
 	if err != nil {
 		return nil, err
 	}
@@ -185,53 +183,28 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	// record was fsynced before the crash, anything else means the record
 	// died with the process.
 	acked := make(map[uint64]int)
-	reqByIndex := make(map[int]*Request, len(w.Reqs))
 	results := make(map[int]map[string]*tensor.Tensor)
-	var handles []admitted
+	p := &player{m: m, srv: srv}
 	firstHalf := 0 // handles whose admit acks the midpoint wait resolved
-	var cancels sync.WaitGroup
-	start := time.Now()
-	for i, r := range w.Reqs[:killIdx] {
-		if i == killIdx/2 && len(handles) > 0 {
+	next := 0
+	sim.Play(prefix.Schedule(), func(a sim.Arrival, t0 time.Time) {
+		if next == killIdx/2 && len(p.handles) > 0 {
 			// Let the first half's admits become durable before the second
 			// half arrives in a burst inside the next group-commit window, so
 			// the kill lands on a mix of durable and dropped records rather
 			// than a single giant batch.
-			_ = handles[len(handles)-1].handle.AdmitDurable() // classified after the kill
-			firstHalf = len(handles)
+			_ = p.handles[len(p.handles)-1].handle.AdmitDurable() // classified after the kill
+			firstHalf = len(p.handles)
 		}
-		reqByIndex[r.Index] = r
-		if wait := scale(r.Arrival) - time.Since(start); wait > 0 {
-			time.Sleep(wait)
-		}
-		g, err := m.BuildGraph(r)
-		if err != nil {
-			return nil, fmt.Errorf("conformance: building request %d: %w", r.Index, err)
-		}
-		payload, err := json.Marshal(r)
-		if err != nil {
-			return nil, fmt.Errorf("conformance: serializing request %d: %w", r.Index, err)
-		}
-		so := server.SubmitOpts{JournalPayload: payload}
-		if r.Deadline > 0 {
-			so.Deadline = time.Now().Add(scale(r.Deadline))
-		}
-		h, err := srv.SubmitAsyncOpts(g, so)
-		if err != nil {
-			// Never admitted, never journaled: sheds are outside the
-			// durability contract.
-			continue
-		}
-		handles = append(handles, admitted{idx: r.Index, handle: h})
-		if r.CancelAfter > 0 {
-			cancels.Add(1)
-			delay := scale(r.CancelAfter)
-			go func(h *server.Handle) {
-				defer cancels.Done()
-				time.Sleep(delay)
-				h.Cancel()
-			}(h)
-		}
+		// A refused request was never admitted, never journaled: sheds are
+		// outside the durability contract.
+		_ = p.submit(prefix.Reqs[next], a, t0, server.SubmitOpts{JournalPayload: payloads[next]})
+		next++
+	})
+	if p.err != nil {
+		srv.Stop()
+		jnl.Close()
+		return nil, p.err
 	}
 
 	// The kill must land while some durably acknowledged request is still
@@ -243,8 +216,8 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	// that submitted the prefix late), wait for the last submission's ack:
 	// the second half is then durable and, behind the scenario's per-task
 	// fault delay, still in flight.
-	if len(handles) > 0 && !durableInFlight(handles[:firstHalf]) {
-		_ = handles[len(handles)-1].handle.AdmitDurable() // the ack's value is classified below
+	if len(p.handles) > 0 && !durableInFlight(p.handles[:firstHalf]) {
+		_ = p.handles[len(p.handles)-1].handle.AdmitDurable() // the ack's value is classified below
 	}
 
 	// Crash. The journal dies first: everything queued or buffered but not
@@ -254,7 +227,7 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	jnl.Kill()
 	srv.Stop()
 	res.Violations = append(res.Violations, reconcile(srv.Metrics().Registry(), log1.tasks)...)
-	for _, a := range handles {
+	for _, a := range p.handles {
 		<-a.handle.Done()
 		// Kill resolved every outstanding admit ack (fsynced → nil,
 		// dropped → error), so this classification never blocks.
@@ -295,7 +268,7 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	if err != nil {
 		return nil, fmt.Errorf("conformance: reopening journal: %w", err)
 	}
-	srv2, err := server.New(crashServerConfig(m, lo, jnl2, rec.MaxID, &log2))
+	srv2, err := server.New(crashServerConfig(m, opts.LiveOpts, jnl2, rec.MaxID, &log2))
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +332,7 @@ func RunCrashRestart(m *Model, w *Workload, dir string, opts CrashOpts) (*CrashR
 	}
 	res.Violations = append(res.Violations, reconcile(srv2.Metrics().Registry(), log2.tasks)...)
 	jnl2.Close()
-	cancels.Wait()
+	p.cancels.Wait()
 
 	// --- Final convergence check ------------------------------------------
 	fin, err := journal.Recover(dir)

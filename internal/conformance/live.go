@@ -11,6 +11,7 @@ import (
 	"batchmaker/internal/obsv"
 	"batchmaker/internal/policy"
 	"batchmaker/internal/server"
+	"batchmaker/internal/sim"
 	"batchmaker/internal/tensor"
 )
 
@@ -46,16 +47,12 @@ func (o Outcome) String() string {
 
 // LiveOpts configures one live-engine conformance run.
 type LiveOpts struct {
-	// Workers is the pipeline worker count (default 2).
+	// Workers is the pipeline worker count; it must be positive.
 	Workers int
-	// MaxBatch is the per-type maximum batch size (default 8).
+	// MaxBatch is the per-type maximum batch size; it must be positive.
 	MaxBatch int
-	// MaxTasksToSubmit is the per-round dispatch bound (default 3).
+	// MaxTasksToSubmit is the per-round dispatch bound; it must be positive.
 	MaxTasksToSubmit int
-	// TimeScale converts the workload's virtual durations to real ones
-	// (real = virtual × TimeScale; default 1, i.e. virtual milliseconds run
-	// as real milliseconds).
-	TimeScale float64
 	// Faults, when non-nil, is installed as the server's fault injector.
 	Faults server.FaultInjector
 	// Chaos forwards deliberate scheduler defects (the harness self-test).
@@ -63,22 +60,6 @@ type LiveOpts struct {
 	// Policy, when enabled, installs the SLA feasibility rule, so runs
 	// exercise policy-driven shedding under the full invariant set.
 	Policy policy.Config
-}
-
-func (o LiveOpts) withDefaults() LiveOpts {
-	if o.Workers <= 0 {
-		o.Workers = 2
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 8
-	}
-	if o.MaxTasksToSubmit <= 0 {
-		o.MaxTasksToSubmit = 3
-	}
-	if o.TimeScale <= 0 {
-		o.TimeScale = 1
-	}
-	return o
 }
 
 // LiveResult is everything the invariant checker needs from one live run.
@@ -159,22 +140,67 @@ func serverConfig(m *Model, opts LiveOpts, log *taskLog) server.Config {
 	}
 }
 
-// RunLive executes the workload against a freshly built live server:
-// requests are submitted in arrival order with scaled inter-arrival gaps,
-// cancellations and deadlines follow the workload's schedule, and the run
-// ends only after every submitted request has resolved.
+// admitted is one submission the server accepted: its workload index and
+// its handle.
+type admitted struct {
+	idx    int
+	handle *server.Handle
+}
+
+// player is one workload played against a live server through sim.Play.
+type player struct {
+	m       *Model
+	srv     *server.Server
+	handles []admitted
+	cancels sync.WaitGroup
+	// err is the first graph that did not build; nothing is submitted
+	// after it.
+	err error
+}
+
+// submit is the one live submit path. It builds r's graph and submits it
+// for arrival a with so's deadline at the scheduled expiry t0 + a.Expire;
+// an admitted request's handle is recorded and its cancel scheduled at
+// t0 + a.Cancel. It returns the server's refusal, nil once admitted.
+func (p *player) submit(r *Request, a sim.Arrival, t0 time.Time, so server.SubmitOpts) error {
+	if p.err != nil {
+		return p.err
+	}
+	g, err := p.m.BuildGraph(r)
+	if err != nil {
+		p.err = fmt.Errorf("conformance: building request %d: %w", r.Index, err)
+		return p.err
+	}
+	if a.Expire > 0 {
+		so.Deadline = t0.Add(a.Expire)
+	}
+	h, err := p.srv.SubmitAsyncOpts(g, so)
+	if err != nil {
+		return err
+	}
+	p.handles = append(p.handles, admitted{idx: r.Index, handle: h})
+	if a.Cancel > 0 {
+		p.cancels.Add(1)
+		time.AfterFunc(time.Until(t0.Add(a.Cancel)), func() {
+			defer p.cancels.Done()
+			h.Cancel()
+		})
+	}
+	return nil
+}
+
+// RunLive executes the workload against a freshly built live server: it
+// plays w.Schedule() through sim.Play, so requests are submitted at their
+// arrival instants and their cancels and deadlines fall at the scheduled
+// arrival plus their offsets, and the run ends only after every submitted
+// request has resolved.
 func RunLive(m *Model, w *Workload, opts LiveOpts) (*LiveResult, error) {
-	opts = opts.withDefaults()
 	var log taskLog
 	srv, err := server.New(serverConfig(m, opts, &log))
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Stop()
-
-	scale := func(d time.Duration) time.Duration {
-		return time.Duration(float64(d) * opts.TimeScale)
-	}
 
 	res := &LiveResult{
 		Trace: Trace{
@@ -187,49 +213,25 @@ func RunLive(m *Model, w *Workload, opts LiveOpts) (*LiveResult, error) {
 		Results: make(map[int]map[string]*tensor.Tensor),
 	}
 
-	type admitted struct {
-		idx    int
-		handle *server.Handle
-	}
-	var handles []admitted
-	var cancels sync.WaitGroup
-	start := time.Now()
-	for _, r := range w.Reqs {
-		// Open-loop arrivals: sleep until the request's scaled arrival time.
-		if wait := scale(r.Arrival) - time.Since(start); wait > 0 {
-			time.Sleep(wait)
-		}
-		g, err := m.BuildGraph(r)
-		if err != nil {
-			return nil, fmt.Errorf("conformance: building request %d: %w", r.Index, err)
-		}
-		var so server.SubmitOpts
-		if r.Deadline > 0 {
-			so.Deadline = time.Now().Add(scale(r.Deadline))
-		}
-		h, err := srv.SubmitAsyncOpts(g, so)
-		if err != nil {
+	p := &player{m: m, srv: srv}
+	next := 0
+	sim.Play(w.Schedule(), func(a sim.Arrival, t0 time.Time) {
+		r := w.Reqs[next]
+		next++
+		if err := p.submit(r, a, t0, server.SubmitOpts{}); err != nil {
 			// Never admitted: overload shed, drain, or dead-on-arrival
 			// deadline. All count as Shed for conservation purposes.
 			res.Outcome[r.Index] = OutcomeShed
 			res.Errs[r.Index] = err
-			continue
 		}
-		res.IDs[r.Index] = h.ID()
-		res.RevIDs[h.ID()] = r.Index
-		handles = append(handles, admitted{idx: r.Index, handle: h})
-		if r.CancelAfter > 0 {
-			cancels.Add(1)
-			delay := scale(r.CancelAfter)
-			go func(h *server.Handle) {
-				defer cancels.Done()
-				time.Sleep(delay)
-				h.Cancel()
-			}(h)
-		}
+	})
+	if p.err != nil {
+		return nil, p.err
 	}
 
-	for _, a := range handles {
+	for _, a := range p.handles {
+		res.IDs[a.idx] = a.handle.ID()
+		res.RevIDs[a.handle.ID()] = a.idx
 		<-a.handle.Done()
 		out, err := a.handle.Result()
 		res.Errs[a.idx] = err
@@ -245,7 +247,7 @@ func RunLive(m *Model, w *Workload, opts LiveOpts) (*LiveResult, error) {
 			res.Outcome[a.idx] = OutcomeFailed
 		}
 	}
-	cancels.Wait()
+	p.cancels.Wait()
 
 	// Graceful drain: no live requests remain, so this just flushes the
 	// pipeline and stops it; the final stats mirror is the drained state.

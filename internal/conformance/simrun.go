@@ -42,17 +42,6 @@ type SimResult struct {
 // scheduler; the checks here observe its task log and lifecycle records.
 // Same model + workload + opts ⇒ byte-identical Events.
 func RunSim(m *Model, w *Workload, opts SimOpts) (*SimResult, error) {
-	arrivals := make([]sim.Arrival, len(w.Reqs))
-	for i, r := range w.Reqs {
-		a := sim.Arrival{At: r.Arrival, Shape: r.Shape}
-		if r.CancelAfter > 0 {
-			a.Cancel = r.Arrival + r.CancelAfter
-		}
-		if r.Deadline > 0 {
-			a.Expire = r.Arrival + r.Deadline
-		}
-		arrivals[i] = a
-	}
 	b := opts.MaxBatch
 	obs := obsv.NewObserver(nil, 2*len(w.Reqs)) // each request's admit and terminal record
 	res := &SimResult{Trace: Trace{MaxBatch: b, SchedulerClean: true}}
@@ -69,7 +58,7 @@ func RunSim(m *Model, w *Workload, opts SimOpts) (*SimResult, error) {
 				Rows: append([]core.NodeRef(nil), rows...), Issued: issued, Retired: retired})
 		},
 	}
-	if _, err := sim.RunSchedule(cfg, sim.Replay(arrivals), sim.RunConfig{}); err != nil {
+	if _, err := sim.RunSchedule(cfg, w.Schedule(), sim.RunConfig{}); err != nil {
 		return nil, err
 	}
 

@@ -11,8 +11,8 @@ import (
 )
 
 // GenConfig shapes one generated workload. All probabilities are per
-// request; all durations are virtual time (the live runner scales them to
-// real time, the sim runner uses them directly).
+// request; all durations are offsets from the start of the run, virtual
+// time in the sim runner and real time in the live runners.
 type GenConfig struct {
 	// Requests is the number of requests to generate.
 	Requests int
@@ -124,6 +124,25 @@ type Workload struct {
 	Cfg GenConfig
 	// Reqs holds the materialized requests in arrival order.
 	Reqs []*Request
+}
+
+// Schedule returns the workload's arrivals, one per request in order: at
+// Arrival, with the cancel at Arrival+CancelAfter and the expiry at
+// Arrival+Deadline (0 where the offset is unset). It is the one conversion
+// of a Request to a sim.Arrival; the simulator and both live runners play
+// it.
+func (w *Workload) Schedule() sim.Schedule {
+	as := make([]sim.Arrival, len(w.Reqs))
+	for i, r := range w.Reqs {
+		as[i] = sim.Arrival{At: r.Arrival, Shape: r.Shape}
+		if r.CancelAfter > 0 {
+			as[i].Cancel = r.Arrival + r.CancelAfter
+		}
+		if r.Deadline > 0 {
+			as[i].Expire = r.Arrival + r.Deadline
+		}
+	}
+	return sim.Replay(as)
 }
 
 // Subset returns a workload containing only the requests at the given

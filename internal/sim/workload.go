@@ -69,8 +69,8 @@ type RunConfig struct {
 	Phases []RatePhase
 }
 
-// Arrival is one request of a schedule. Times are absolute virtual
-// instants; zero means none.
+// Arrival is one request of a schedule. Times are instants since the start
+// of the run, virtual in the simulator and real in Play; zero means none.
 type Arrival struct {
 	At time.Duration
 	// Shape is built into a graph only at admission, so a long sweep never
@@ -83,7 +83,8 @@ type Arrival struct {
 }
 
 // Schedule yields a run's arrivals in time order, one per call; false
-// ends it.
+// ends it. It has two readers: Engine.Feed plays it in virtual time, Play
+// in real time.
 type Schedule func() (Arrival, bool)
 
 // Replay returns the schedule of a fixed arrival list.
@@ -95,6 +96,21 @@ func Replay(as []Arrival) Schedule {
 		a := as[0]
 		as = as[1:]
 		return a, true
+	}
+}
+
+// Play is the live counterpart of Engine.Feed. On the calling goroutine it
+// takes t0 once, sleeps to t0 + a.At for each arrival of sched in order,
+// and calls submit, which gets t0 so that it can put a deadline at
+// t0 + a.Expire, a cancel at t0 + a.Cancel and a latency origin at
+// t0 + a.At: the scheduled instants, as in the simulator, however late the
+// call itself came. The next arrival waits for submit to return. Play
+// returns once the last submit has.
+func Play(sched Schedule, submit func(a Arrival, t0 time.Time)) {
+	t0 := time.Now()
+	for a, ok := sched(); ok; a, ok = sched() {
+		time.Sleep(time.Until(t0.Add(a.At)))
+		submit(a, t0)
 	}
 }
 
